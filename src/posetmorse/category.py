@@ -28,7 +28,7 @@ from .dynamics import (
     perturb_to_morse,
     prime_orbits,
 )
-from .errors import NotMorse, NotMorseMatching
+from .errors import ConsistencyError, NotMorse, NotMorseMatching
 from .homology import ChainComplex, HomologySummary, homology, poset_homology
 from .intmatrix import IntMatrix
 from .morse import is_morse_function, morse_function_to_matching
@@ -219,7 +219,8 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
         data = [[0] * cols for _ in range(rows)]
         torsion_positions = [i for i, (kind, _) in enumerate(kinds[p - 1]) if kind == "torsion"]
         bounding_positions = [j for j, (kind, _) in enumerate(kinds[p]) if kind == "bounding"]
-        assert len(torsion_positions) == len(bounding_positions)
+        if len(torsion_positions) != len(bounding_positions):
+            raise ConsistencyError("torsion classes and bounding chains do not pair up")
         for i, j in zip(torsion_positions, bounding_positions):
             data[i][j] = kinds[p][j][1]
         boundary[p] = IntMatrix(rows, cols, data)
@@ -415,7 +416,9 @@ def ls_corollary_morse_function(poset: Poset, values) -> dict:
     matching = morse_function_to_matching(poset, values)
     matched = matching.matched_elements()
     crit = [e for e in poset.elements if e not in matched]
-    assert tuple(crit) == verdict.critical
+    if tuple(crit) != verdict.critical:
+        raise ConsistencyError("matching leaves other elements unmatched than the "
+                               "Morse function's critical points")
     value = hccat(poset)
     return {
         "hccat": value,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    ConsistencyError,
     NotAChainComplex,
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
@@ -39,7 +40,6 @@ from .homology import (
     simplicial_chain_complex,
     sphere_summary,
 )
-from .intmatrix import IntMatrix
 from .posets import GradedPoset, Poset
 from .simplicial import Simplex, order_complex, simplex_id
 from .snf import kernel_basis
@@ -120,7 +120,8 @@ def check_cellularity(poset: Poset) -> CellularityReport:
             witnesses.append(("not-admissible", f"{w}<{x}",
                               "punctured down-set is not acyclic"))
     # admissibility forces cellularity (with the empty set not acyclic)
-    assert not admissible or cellular, "admissible but non-cellular: check bug"
+    if admissible and not cellular:
+        raise ConsistencyError("admissible but non-cellular: check bug")
     report = CellularityReport(True, cellular, admissible, tuple(witnesses))
     poset.analysis_cache["cellularity"] = report
     return report
@@ -255,6 +256,23 @@ def _incidence_from_simplices(poset: GradedPoset) -> dict[tuple[str, str], int]:
     return incidence
 
 
+def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int]) -> ChainComplex:
+    """The chain complex with one generator per element, graded by degree,
+    whose boundary sends x to the sum of incidence[(x, w)] * w over its
+    lower covers w."""
+    levels = {p: graded.level(p) for p in range(graded.max_degree() + 1)}
+    boundary = {}
+    for p in range(1, graded.max_degree() + 1):
+        rows = {w: i for i, w in enumerate(levels[p - 1])}
+        boundary[p] = [{rows[w]: incidence[(x, w)] for w in graded.lower_covers(x)
+                        if incidence[(x, w)]} for x in levels[p]]
+    try:
+        return ChainComplex({p: len(names) for p, names in levels.items()}, boundary,
+                            {p: tuple(names) for p, names in levels.items()})
+    except NotAChainComplex as exc:
+        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
+
+
 def cellular_chain_complex(poset: Poset, method: str = "generator") -> CellularComplexOfPoset:
     """The cellular chain complex of the poset, with computed incidence numbers.
 
@@ -277,21 +295,7 @@ def cellular_chain_complex(poset: Poset, method: str = "generator") -> CellularC
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    levels = {p: graded.level(p) for p in range(graded.max_degree() + 1)}
-    ranks = {p: len(names) for p, names in levels.items()}
-    labels = {p: tuple(names) for p, names in levels.items()}
-    boundary: dict[int, IntMatrix] = {}
-    for p in range(1, graded.max_degree() + 1):
-        rows = {w: i for i, w in enumerate(levels[p - 1])}
-        data = [[0] * len(levels[p]) for _ in rows]
-        for j, x in enumerate(levels[p]):
-            for w in graded.lower_covers(x):
-                data[rows[w]][j] = incidence[(x, w)]
-        boundary[p] = IntMatrix(len(rows), len(levels[p]), data)
-    try:
-        chain = ChainComplex(ranks, boundary, labels)
-    except NotAChainComplex as exc:
-        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
+    chain = _incidence_complex(graded, incidence)
     if report.is_homologically_admissible:
         bad = [(x, w) for (x, w), e in incidence.items() if abs(e) != 1]
         if bad:
@@ -313,19 +317,9 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     incidence = {(x, w): sign(x) * eps * sign(w)
                  for (x, w), eps in cell.incidence.items()}
     generators = {x: g.scaled(sign(x)) for x, g in cell.generators.items()}
-    graded = cell.poset
-    boundary: dict[int, IntMatrix] = {}
-    levels = {p: graded.level(p) for p in range(graded.max_degree() + 1)}
-    for p in range(1, graded.max_degree() + 1):
-        rows = {w: i for i, w in enumerate(levels[p - 1])}
-        data = [[0] * len(levels[p]) for _ in rows]
-        for j, x in enumerate(levels[p]):
-            for w in graded.lower_covers(x):
-                data[rows[w]][j] = incidence[(x, w)]
-        boundary[p] = IntMatrix(len(rows), len(levels[p]), data)
-    chain = ChainComplex(cell.complex.ranks, boundary, cell.complex.labels)
+    chain = _incidence_complex(cell.poset, incidence)
     return CellularComplexOfPoset(
-        poset=graded, complex=chain, incidence=incidence,
+        poset=cell.poset, complex=chain, incidence=incidence,
         generators=generators, admissible=cell.admissible, method=cell.method,
     )
 

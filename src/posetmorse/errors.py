@@ -9,6 +9,11 @@ class PosetMorseError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class ConsistencyError(PosetMorseError):
+    """Two computations of the same quantity disagree, which no valid input
+    can cause; this is a bug."""
+
+
 # -- poset construction ------------------------------------------------------
 
 class CycleDetected(PosetMorseError):

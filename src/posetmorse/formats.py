@@ -16,7 +16,7 @@ from fractions import Fraction
 from .dynamics import Matching, validate_matching
 from .errors import MalformedLine
 from .posets import Poset, build_poset, was_reduced
-from .simplicial import SimplicialComplex, parse_simplicial_complex, serialize_simplicial_complex
+from .simplicial import SimplicialComplex, parse_simplicial_complex
 
 SCHEMA_VERSION = 1
 
@@ -139,10 +139,6 @@ def serialize_function(poset: Poset, values: dict[str, Fraction]) -> str:
 
 def load_complex(text: str) -> SimplicialComplex:
     return parse_simplicial_complex(text)
-
-
-def serialize_complex(complex: SimplicialComplex) -> str:
-    return serialize_simplicial_complex(complex)
 
 
 def report_document(command: str, results: dict, inputs: dict | None = None) -> str:

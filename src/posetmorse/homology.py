@@ -1,11 +1,15 @@
 """Exact homology of finitely generated free chain complexes over the
 integers (or rationals), plus the simplicial and poset front ends.
 
-Betti numbers come from boundary ranks, torsion from the invariant
-factors of the next boundary matrix; both are read off Smith normal
-forms.  A formal degree -1 slot holds the augmentation of reduced
-complexes, so the empty poset has reduced homology Z in degree -1 and
-the cellularity check is uniform at degree 0.
+Chain complexes store each boundary map as sparse integer columns
+{row: value}; the simplicial front ends emit them directly, d*d = 0 is
+checked column by column, and Betti numbers and torsion are read off
+`sparse_diagonal_form`, which eliminates the +-1 pivots sparsely before
+any dense Smith normal form runs.  Betti numbers come from boundary
+ranks, torsion from the invariant factors of the next boundary.  A
+formal degree -1 slot holds the augmentation of reduced complexes, so
+the empty poset has reduced homology Z in degree -1 and the cellularity
+check is uniform at degree 0.
 """
 
 from __future__ import annotations
@@ -13,38 +17,63 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from .errors import EmptyPoset, NotAChainComplex, NotASubcomplex
-from .intmatrix import IntMatrix
+from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcomplex
+from .intmatrix import Column, IntMatrix
 from .simplicial import SimplicialComplex, Simplex, order_complex, simplex_id
 from .posets import Poset
-from .snf import diagonal_form
+from .snf import sparse_diagonal_form
 
 Coefficients = Literal["int", "rat"]
 
 
 class ChainComplex:
-    """Free chain complex with explicit integer boundary matrices.
+    """Free chain complex with integer boundary maps.
 
-    `ranks[p]` is the rank of C_p; `boundary[p]` maps C_p to C_{p-1} and
-    has shape ranks[p-1] x ranks[p].  Degrees may start at -1 (reduced
-    complexes).  d*d = 0 is validated on construction.
+    `ranks[p]` is the rank of C_p; `columns[p]` holds the boundary
+    C_p -> C_{p-1} as ranks[p] sparse columns with row indices below
+    ranks[p-1].  The constructor takes each boundary either in that form
+    or as a dense IntMatrix of shape ranks[p-1] x ranks[p].  Degrees may
+    start at -1 (reduced complexes).  d*d = 0 is validated on
+    construction.  `boundary` is the dense view, built on first use, for
+    callers that need Smith transforms.
     """
 
-    def __init__(self, ranks: dict[int, int], boundary: dict[int, IntMatrix],
+    def __init__(self, ranks: dict[int, int], boundary: dict[int, IntMatrix | list[Column]],
                  labels: dict[int, tuple[str, ...]] | None = None):
         self.ranks = {p: r for p, r in ranks.items() if r > 0}
-        self.boundary: dict[int, IntMatrix] = {}
+        self.columns: dict[int, list[Column]] = {}
         for p, mat in boundary.items():
-            if mat.rows == 0 or mat.cols == 0:
-                continue
-            if mat.cols != self.ranks.get(p, 0) or mat.rows != self.ranks.get(p - 1, 0):
+            rows, cols = self.rank(p - 1), self.rank(p)
+            if isinstance(mat, IntMatrix):
+                if mat.rows == 0 or mat.cols == 0:
+                    continue
+                if (mat.rows, mat.cols) != (rows, cols):
+                    raise ValueError(f"boundary in degree {p} has wrong shape")
+                mat = mat.sparse_columns()
+            elif len(mat) != cols or any(not 0 <= i < rows for col in mat for i in col):
                 raise ValueError(f"boundary in degree {p} has wrong shape")
-            self.boundary[p] = mat
+            if rows and cols:
+                self.columns[p] = mat
         self.labels = dict(labels or {})
-        for p, mat in self.boundary.items():
-            upper = self.boundary.get(p + 1)
-            if upper is not None and not (mat @ upper).is_zero():
-                raise NotAChainComplex(f"d_{p} . d_{p + 1} != 0")
+        self._dense: dict[int, IntMatrix] | None = None
+        for p, upper in self.columns.items():
+            lower = self.columns.get(p - 1)
+            if lower is None:
+                continue
+            for col in upper:
+                image: dict[int, int] = {}
+                for i, v in col.items():
+                    for k, w in lower[i].items():
+                        image[k] = image.get(k, 0) + v * w
+                if any(image.values()):
+                    raise NotAChainComplex(f"d_{p - 1} . d_{p} != 0")
+
+    @property
+    def boundary(self) -> dict[int, IntMatrix]:
+        if self._dense is None:
+            self._dense = {p: IntMatrix.from_sparse_columns(cols, self.rank(p - 1))
+                           for p, cols in self.columns.items()}
+        return self._dense
 
     def rank(self, p: int) -> int:
         return self.ranks.get(p, 0)
@@ -57,9 +86,6 @@ class ChainComplex:
 
     def max_degree(self) -> int:
         return max(self.ranks, default=0)
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
 
     def boundary_or_empty(self, p: int) -> IntMatrix:
         mat = self.boundary.get(p)
@@ -160,8 +186,8 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
     lo, hi = complex.min_degree(), complex.max_degree()
     diag: dict[int, tuple[int, ...]] = {}
     for p in range(lo, hi + 1):
-        mat = complex.boundary.get(p)
-        diag[p] = diagonal_form(mat) if mat is not None else ()
+        cols = complex.columns.get(p)
+        diag[p] = sparse_diagonal_form(cols, complex.rank(p - 1)) if cols is not None else ()
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for p in range(lo, hi + 1):
@@ -178,8 +204,20 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
     # Euler characteristic must agree between chain ranks and homology
     chain_euler = sum((-1) ** p * r for p, r in complex.ranks.items())
     hom_euler = sum((-1) ** p * b for p, b in betti.items())
-    assert chain_euler == hom_euler, "Euler characteristic mismatch"
+    if chain_euler != hom_euler:
+        raise ConsistencyError("Euler characteristic mismatch")
     return summary
+
+
+def _boundary_column(simplex: Simplex, index: dict[Simplex, int]) -> Column:
+    """Sparse boundary of a sorted simplex; faces missing from `index`
+    (those of a subcomplex that is quotiented out) are dropped."""
+    col: Column = {}
+    for i in range(len(simplex)):
+        row = index.get(simplex[:i] + simplex[i + 1:])
+        if row is not None:
+            col[row] = -1 if i % 2 else 1
+    return col
 
 
 def simplicial_chain_complex(complex: SimplicialComplex, reduced: bool = False) -> ChainComplex:
@@ -189,29 +227,19 @@ def simplicial_chain_complex(complex: SimplicialComplex, reduced: bool = False) 
     complex then has homology Z in degree -1.
     """
     ranks: dict[int, int] = {}
-    boundary: dict[int, IntMatrix] = {}
+    boundary: dict[int, list[Column]] = {}
     labels: dict[int, tuple[str, ...]] = {}
-    dims = sorted(complex.simplices)
-    for d in dims:
+    for d in sorted(complex.simplices):
         sims = complex.simplices[d]
         ranks[d] = len(sims)
         labels[d] = tuple(simplex_id(s) for s in sims)
         if d > 0:
             index = {s: i for i, s in enumerate(complex.simplices[d - 1])}
-            rows = len(index)
-            cols = len(sims)
-            data = [[0] * cols for _ in range(rows)]
-            for j, s in enumerate(sims):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    data[index[face]][j] += (-1) ** i
-            boundary[d] = IntMatrix(rows, cols, data)
+            boundary[d] = [_boundary_column(s, index) for s in sims]
     if reduced:
         ranks[-1] = 1
         labels[-1] = ("[]",)
-        n0 = ranks.get(0, 0)
-        if n0:
-            boundary[0] = IntMatrix(1, n0, [[1] * n0])
+        boundary[0] = [{0: 1} for _ in range(ranks.get(0, 0))]
     return ChainComplex(ranks, boundary, labels)
 
 
@@ -224,25 +252,16 @@ def relative_chain_complex(complex: SimplicialComplex,
     for sims in subcomplex.simplices.values():
         excluded.update(sims)
     ranks: dict[int, int] = {}
-    boundary: dict[int, IntMatrix] = {}
+    boundary: dict[int, list[Column]] = {}
     labels: dict[int, tuple[str, ...]] = {}
     kept: dict[int, list[Simplex]] = {}
     for d in sorted(complex.simplices):
         kept[d] = [s for s in complex.simplices[d] if s not in excluded]
         ranks[d] = len(kept[d])
         labels[d] = tuple(simplex_id(s) for s in kept[d])
-    for d in sorted(complex.simplices):
-        if d == 0 or not kept[d] or not kept.get(d - 1):
-            continue
-        index = {s: i for i, s in enumerate(kept[d - 1])}
-        rows, cols = len(kept[d - 1]), len(kept[d])
-        data = [[0] * cols for _ in range(rows)]
-        for j, s in enumerate(kept[d]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face in index:
-                    data[index[face]][j] += (-1) ** i
-        boundary[d] = IntMatrix(rows, cols, data)
+        if d > 0:
+            index = {s: i for i, s in enumerate(kept[d - 1])}
+            boundary[d] = [_boundary_column(s, index) for s in kept[d]]
     return ChainComplex(ranks, boundary, labels)
 
 

@@ -23,6 +23,7 @@ from .dynamics import (
     orbit_multiplicity,
     prime_orbits,
 )
+from .errors import ConsistencyError
 from .homology import Coefficients, HomologySummary, poset_homology, poset_pair_homology
 from .posets import Poset
 from .simplicial import order_complex
@@ -247,5 +248,6 @@ def euler_characteristics(poset: Poset) -> tuple[int | None, int]:
     chi_g = sum((-1) ** p * len(graded.level(p)) for p in range(graded.max_degree() + 1))
     report = check_cellularity(poset)
     if report.is_cellular:
-        assert chi_g == chi, "cellular poset with mismatched Euler characteristics"
+        if chi_g != chi:
+            raise ConsistencyError("cellular poset with mismatched Euler characteristics")
     return chi_g, chi

@@ -1,4 +1,10 @@
-"""Dense exact integer matrices.
+"""Exact integer matrices, dense and sparse.
+
+`IntMatrix` is the dense, immutable form that transforms, kernels and
+reports use.  A sparse column is a dict {row: value} holding only the
+nonzero entries; a list of them is the form chain complexes store and
+the homology engine reduces, because boundary matrices have at most p+1
+nonzeros (all +-1) per column.
 
 Python ints are arbitrary precision, so every computation here is exact by
 construction; no floating point is used anywhere in the library.
@@ -7,6 +13,8 @@ construction; no floating point is used anywhere in the library.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+Column = dict[int, int]
 
 
 class IntMatrix:
@@ -45,6 +53,14 @@ class IntMatrix:
         cols = len(columns)
         return cls(rows, cols, [[columns[j][i] for j in range(cols)] for i in range(rows)])
 
+    @classmethod
+    def from_sparse_columns(cls, columns: Sequence[Column], rows: int) -> "IntMatrix":
+        data = [[0] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                data[i][j] = v
+        return cls(rows, len(columns), data)
+
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
@@ -82,9 +98,13 @@ class IntMatrix:
     def columns(self) -> list[list[int]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+    def sparse_columns(self) -> list[Column]:
+        out: list[Column] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if v:
+                    out[j][i] = v
+        return out
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
@@ -92,41 +112,9 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
 
-    def scaled(self, factor: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         [[factor * v for v in row] for row in self.data])
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shapes differ")
         return IntMatrix(self.rows, self.cols,
                          [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scaled(-1)
-
-
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant via the fraction-free Bareiss elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    a = matrix.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -29,6 +29,7 @@ from .dynamics import (
     _strongly_connected_components,
 )
 from .errors import (
+    ConsistencyError,
     CriticalValueInInterval,
     NotGraded,
     NotMorse,
@@ -162,7 +163,8 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
             if indeg[j] == 0:
                 opened.append(j)
         ready = sorted(ready + opened, key=key.__getitem__)
-    assert processed == n
+    if processed != n:
+        raise ConsistencyError("condensation of the matched digraph has a cycle")
     values = {e: Fraction(rank[comp_id[e]]) for e in poset.elements}
     return MorseBottFunction(poset=poset, values=values, matching=matching)
 

@@ -138,9 +138,6 @@ class Poset:
         self.require(a)
         return a == b or self.less(a, b)
 
-    def comparable(self, a: str, b: str) -> bool:
-        return a == b or self.less(a, b) or self.less(b, a)
-
     # -- heights and grading ---------------------------------------------------
 
     def heights(self) -> dict[str, int]:
@@ -238,9 +235,6 @@ class Poset:
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._upper[e])
-
-    def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if not self._lower[e])
 
 
 class GradedPoset(Poset):

@@ -9,7 +9,6 @@ with "|" so reports diff cleanly.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplex, MalformedLine
@@ -27,18 +26,32 @@ class SimplicialComplex:
             s = tuple(sorted(str(v) for v in s))
             if len(set(s)) != len(s):
                 raise MalformedLine(f"repeated vertex in simplex {s}")
-            for k in range(1, len(s) + 1):
-                closed.update(combinations(s, k))
-        self.simplices: dict[int, tuple[Simplex, ...]] = {}
-        if closed:
-            top = max(len(s) for s in closed) - 1
-            for d in range(top + 1):
-                self.simplices[d] = tuple(sorted(s for s in closed if len(s) == d + 1))
+            if s:
+                closed.add(s)
+        # close under codimension-1 faces; every simplex is expanded once
+        faces: set[Simplex] = set()
+        todo = list(closed)
+        while todo:
+            s = todo.pop()
+            if len(s) == 1:
+                continue
+            for i in range(len(s)):
+                f = s[:i] + s[i + 1:]
+                if f not in faces:
+                    faces.add(f)
+                    if f not in closed:
+                        closed.add(f)
+                        todo.append(f)
+        by_dim: dict[int, list[Simplex]] = {}
+        for s in closed:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self.simplices: dict[int, tuple[Simplex, ...]] = {
+            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
         self.vertices: tuple[str, ...] = tuple(v for (v,) in self.simplices.get(0, ()))
+        # a simplex is a proper face of another exactly when it is a
+        # codimension-1 face of one, because the complex is closed
         self.maximal: tuple[Simplex, ...] = tuple(
-            s for s in sorted(closed, key=lambda s: (len(s), s))
-            if not any(s != t and set(s) <= set(t) for t in closed)
-        )
+            sorted(closed - faces, key=lambda s: (len(s), s)))
 
     # -- queries ----------------------------------------------------------
 
@@ -52,12 +65,6 @@ class SimplicialComplex:
 
     def n_simplices(self, dim: int) -> tuple[Simplex, ...]:
         return self.simplices.get(dim, ())
-
-    def all_simplices(self) -> list[Simplex]:
-        out: list[Simplex] = []
-        for d in sorted(self.simplices):
-            out.extend(self.simplices[d])
-        return out
 
     def __contains__(self, simplex: Sequence[str]) -> bool:
         s = tuple(sorted(simplex))

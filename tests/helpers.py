@@ -6,7 +6,7 @@ implementations under test.
 
 from __future__ import annotations
 
-from posetmorse import Matching, Poset
+from posetmorse import IntMatrix, Matching, Poset
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -148,3 +148,29 @@ def check_integration_conditions(poset: Poset, matching: Matching, values) -> li
             if x < y and equivalent(x, y) and values[x] != values[y]:
                 failures.append(f"class of {x} is not constant")
     return failures
+
+
+def determinant(matrix: IntMatrix) -> int:
+    """Exact determinant via the fraction-free Bareiss elimination."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = matrix.rows
+    if n == 0:
+        return 1
+    a = matrix.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -1,17 +1,22 @@
+from itertools import combinations
+
 import pytest
 
 from posetmorse import (
     ChainComplex,
     IntMatrix,
     build_poset,
+    face_poset,
     homology,
     is_acyclic,
+    order_complex,
     poset_homology,
     relative_homology,
     simplicial_chain_complex,
+    smith_normal_form,
 )
 from posetmorse.errors import EmptyPoset, NotAChainComplex, NotASubcomplex
-from posetmorse.homology import HomologySummary, sphere_summary
+from posetmorse.homology import HomologySummary, relative_chain_complex, sphere_summary
 from posetmorse.posets import Poset
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
 from posetmorse.simplicial import SimplicialComplex
@@ -145,3 +150,42 @@ def test_sphere_generator_convention_matches_check(t3):
     # strict down-sets of degree-1 elements look like the 0-sphere
     strict = t3.down_set("e12", strict=True)
     assert poset_homology(strict, reduced=True) == sphere_summary(0)
+
+
+def test_not_a_chain_complex_sparse():
+    # the same composite as above, given as sparse columns {row: value}
+    with pytest.raises(NotAChainComplex):
+        ChainComplex({0: 2, 1: 1, 2: 1}, {1: [{0: 1, 1: 1}], 2: [{0: 1}]})
+    with pytest.raises(ValueError):
+        ChainComplex({0: 2, 1: 1}, {1: [{2: 1}]})
+
+
+def _dense_homology(chain):
+    """Betti numbers and torsion from the dense, transform-tracking SNF of
+    each boundary's dense view; shares no code with the sparse engine."""
+    snf = {p: smith_normal_form(m) for p, m in chain.boundary.items()}
+    rank = lambda p: snf[p].rank if p in snf else 0
+    betti = {p: chain.rank(p) - rank(p) - rank(p + 1) for p in chain.degrees()}
+    torsion = {p: tuple(d for d in snf[p + 1].invariant_factors() if d > 1)
+               for p in chain.degrees() if p + 1 in snf}
+    return HomologySummary(betti=betti, torsion={p: t for p, t in torsion.items() if t})
+
+
+def test_sparse_engine_matches_dense_homology(rp2):
+    rng = XorShift64Star(2001)
+    chains = [simplicial_chain_complex(rp2), simplicial_chain_complex(rp2, reduced=True),
+              relative_chain_complex(rp2, SimplicialComplex(rp2.maximal[:3]))]
+    for _ in range(25):
+        complex = random_simplicial_complex(rng, max_vertices=7)
+        chains.append(simplicial_chain_complex(complex, reduced=True))
+    for chain in chains:
+        assert homology(chain) == _dense_homology(chain)
+
+
+def test_boundary_of_five_simplex_is_reduced_four_sphere():
+    # face poset of the boundary of the 5-simplex: 2^6 - 2 = 62 faces
+    sphere = SimplicialComplex(combinations("abcdef", 5))
+    poset = face_poset(sphere)
+    assert len(poset) == 62
+    assert sum(len(s) for s in order_complex(poset).simplices.values()) == 4682
+    assert poset_homology(poset, reduced=True) == sphere_summary(4)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from posetmorse import (
@@ -12,7 +15,7 @@ from posetmorse import (
 )
 from posetmorse.errors import EmptyComplex, MalformedLine
 from posetmorse.randgen import XorShift64Star, random_graded_poset
-from posetmorse.simplicial import serialize_simplicial_complex, simplex_id
+from posetmorse.simplicial import SimplicialComplex, serialize_simplicial_complex, simplex_id
 
 
 def test_parse_triangle_boundary(triangle_boundary):
@@ -130,3 +133,20 @@ def test_serialization_round_trip(rp2):
 
 def test_simplex_id():
     assert simplex_id(("2", "10", "1")) == "1|10|2"
+
+
+def test_closure_and_maximal_match_brute_force():
+    rng = random.Random(7)
+    for _ in range(150):
+        vertices = [str(v) for v in range(rng.randint(1, 7))]
+        inputs = [rng.sample(vertices, rng.randint(1, min(5, len(vertices))))
+                  for _ in range(rng.randint(1, 6))]
+        closed = {face for s in inputs for k in range(1, len(s) + 1)
+                  for face in combinations(sorted(s), k)}
+        maximal = sorted((s for s in closed
+                          if not any(s != t and set(s) <= set(t) for t in closed)),
+                         key=lambda s: (len(s), s))
+        k = SimplicialComplex(inputs)
+        assert k.simplices == {d: tuple(sorted(s for s in closed if len(s) == d + 1))
+                               for d in range(max(map(len, closed)))}
+        assert k.maximal == tuple(maximal)

@@ -1,8 +1,20 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmorse.intmatrix import IntMatrix, determinant
-from posetmorse.snf import diagonal_form, kernel_basis, matrix_rank, smith_normal_form, solve
+from posetmorse.intmatrix import IntMatrix
+from posetmorse.snf import (
+    _snf_core,
+    diagonal_form,
+    kernel_basis,
+    matrix_rank,
+    smith_normal_form,
+    solve,
+    sparse_diagonal_form,
+)
+
+from helpers import determinant
 
 
 def mat(rows):
@@ -98,3 +110,49 @@ def test_rank():
     assert matrix_rank(mat([[1, 2], [2, 4]])) == 1
     assert matrix_rank(mat([[1, 0], [0, 1]])) == 2
     assert matrix_rank(mat([[0, 0], [0, 0]])) == 0
+
+
+def _dense_core_diagonal(A):
+    data = A.to_lists()
+    _snf_core(data, A.rows, A.cols, want_transforms=False)
+    return tuple(data[i][i] for i in range(min(A.rows, A.cols)))
+
+
+def _random_matrix(rng):
+    m, n = rng.randint(0, 9), rng.randint(0, 9)
+    density = rng.choice([0.15, 0.4, 1.0])
+    bound = rng.choice([1, 2, 5, 9])
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+    if m and n and rng.random() < 0.3:  # force a zero row and a zero column
+        rows[rng.randrange(m)] = [0] * n
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return IntMatrix(m, n, rows)
+
+
+def test_sparse_engine_matches_dense_core():
+    rng = random.Random(20010701)
+    shapes = set()
+    for _ in range(600):
+        A = _random_matrix(rng)
+        columns = A.sparse_columns()
+        snapshot = [dict(c) for c in columns]
+        expected = _dense_core_diagonal(A)
+        assert sparse_diagonal_form(columns, A.rows) == expected
+        assert columns == snapshot
+        assert diagonal_form(A) == expected
+        shapes.add((A.rows == 0 or A.cols == 0, A.rows == A.cols))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sparse_engine_leftover_block():
+    # no unit anywhere: the dense core does all the work
+    A = mat([[2, 4, 0], [6, 8, 0], [0, 0, 0]])
+    assert sparse_diagonal_form(A.sparse_columns(), 3) == (2, 4, 0)
+    # one unit pivot, then a torsion block: 1 first, then the chain 2 | 6
+    B = mat([[1, 1, 1], [0, 2, 0], [0, 0, 3]])
+    assert sparse_diagonal_form(B.sparse_columns(), 3) == (1, 1, 6)
+    assert sparse_diagonal_form([], 4) == ()
+    assert sparse_diagonal_form([{}, {}], 0) == ()
