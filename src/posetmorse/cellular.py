@@ -13,10 +13,9 @@ element w, un-cone, and divide by g_w.  Boundaries of higher chains and
 chains of the lower skeleton contribute nothing because the relevant
 order complexes have no simplices in those dimensions.
 
-A fast path for face posets of simplicial complexes reads the signs off
-the sorted-vertex orientation instead; it produces a gauge-equivalent
-complex (same homology, same incidence magnitudes) without generator
-witnesses.
+Every order complex here is that of a subposet (a strict or punctured
+down-set) and is read off the poset's cached chains by
+`subposet_chain_complex`; no induced subposet is built.
 """
 
 from __future__ import annotations
@@ -35,13 +34,12 @@ from .errors import (
 from .homology import (
     ChainComplex,
     homology,
-    is_acyclic,
     poset_homology,
-    simplicial_chain_complex,
     sphere_summary,
+    subposet_chain_complex,
 )
 from .posets import GradedPoset, Poset
-from .simplicial import Simplex, order_complex, simplex_id
+from .simplicial import Simplex
 from .snf import kernel_basis
 
 
@@ -80,7 +78,6 @@ class CellularComplexOfPoset:
     incidence: dict[tuple[str, str], int]
     generators: dict[str, SphereGenerator]
     admissible: bool
-    method: str = "generator"
 
     def epsilon(self, x: str, w: str) -> int:
         return self.incidence[(x, w)]
@@ -108,14 +105,14 @@ def check_cellularity(poset: Poset) -> CellularityReport:
     below = {e: poset.strictly_below(e) for e in poset.elements}
     for x in poset.elements:
         p = degrees[x]
-        summary = poset_homology(poset.induced(below[x]), reduced=True)
+        summary = homology(subposet_chain_complex(poset, below[x], reduced=True))
         if summary != sphere_summary(p - 1):
             cellular = False
             witnesses.append(("not-cellular", x, f"strict down-set has {summary}"))
     admissible = True
     for w, x in sorted(poset.covers):
-        punctured = poset.induced(below[x] - {w})
-        if not is_acyclic(punctured):
+        punctured = subposet_chain_complex(poset, below[x] - {w}, reduced=True)
+        if not homology(punctured).is_trivial():
             admissible = False
             witnesses.append(("not-admissible", f"{w}<{x}",
                               "punctured down-set is not acyclic"))
@@ -165,12 +162,10 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     cached = poset.analysis_cache.setdefault("sphere_generators", {})
     if element in cached:
         return cached[element]
-    sub = poset.induced(poset.strictly_below(element))
-    comp = order_complex(sub)
-    chain = simplicial_chain_complex(comp, reduced=True)
-    top = comp.n_simplices(p - 1)
+    chain = subposet_chain_complex(poset, poset.strictly_below(element), reduced=True)
+    top = chain.labels.get(p - 1, ())
     mat = chain.boundary.get(p - 1)
-    if mat is None or chain.rank(p - 1) != len(top) or chain.rank(p) != 0:
+    if mat is None or chain.rank(p) != 0:
         raise NotCellular(f"strict down-set of {element!r} has wrong dimension")
     basis = kernel_basis(mat)
     if len(basis) != 1:
@@ -240,22 +235,6 @@ def _incidence_from_generators(poset: GradedPoset) -> tuple[dict, dict]:
     return incidence, generators
 
 
-def _incidence_from_simplices(poset: GradedPoset) -> dict[tuple[str, str], int]:
-    """Fast path for face posets: standard simplicial signs (-1)^i."""
-    simplex_of = poset.analysis_cache.get("simplex_of")
-    if simplex_of is None:
-        raise NotCellular("poset does not carry face-poset simplex metadata")
-    incidence: dict[tuple[str, str], int] = {}
-    for x in poset.elements:
-        s = simplex_of[x]
-        if len(s) == 1:
-            continue
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            incidence[(x, simplex_id(face))] = (-1) ** i
-    return incidence
-
-
 def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int]) -> ChainComplex:
     """The chain complex with one generator per element, graded by degree,
     whose boundary sends x to the sum of incidence[(x, w)] * w over its
@@ -273,28 +252,19 @@ def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int
         raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
 
 
-def cellular_chain_complex(poset: Poset, method: str = "generator") -> CellularComplexOfPoset:
-    """The cellular chain complex of the poset, with computed incidence numbers.
+def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
+    """The cellular chain complex of the poset, with incidence numbers
+    computed from sphere generators expanded through the skeleton pair.
 
-    method="generator" (default) computes sphere generators and expands
-    through the skeleton pair; method="simplicial" uses face-poset
-    metadata when present.  Validates d*d = 0 and, on homologically
-    admissible posets, that every incidence number is +-1.
+    Validates d*d = 0 and, on homologically admissible posets, that every
+    incidence number is +-1.
     """
-    cache_key = ("cellular_complex", method)
-    cached = poset.analysis_cache.get(cache_key)
+    cached = poset.analysis_cache.get("cellular_complex")
     if cached is not None:
         return cached
     graded = require_cellular(poset)
     report = check_cellularity(poset)
-    if method == "generator":
-        incidence, generators = _incidence_from_generators(graded)
-    elif method == "simplicial":
-        incidence = _incidence_from_simplices(graded)
-        generators = {}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    incidence, generators = _incidence_from_generators(graded)
     chain = _incidence_complex(graded, incidence)
     if report.is_homologically_admissible:
         bad = [(x, w) for (x, w), e in incidence.items() if abs(e) != 1]
@@ -303,10 +273,8 @@ def cellular_chain_complex(poset: Poset, method: str = "generator") -> CellularC
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
     cell = CellularComplexOfPoset(
         poset=graded, complex=chain, incidence=incidence,
-        generators=generators, admissible=report.is_homologically_admissible,
-        method=method,
-    )
-    poset.analysis_cache[cache_key] = cell
+        generators=generators, admissible=report.is_homologically_admissible)
+    poset.analysis_cache["cellular_complex"] = cell
     return cell
 
 
@@ -320,12 +288,11 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     chain = _incidence_complex(cell.poset, incidence)
     return CellularComplexOfPoset(
         poset=cell.poset, complex=chain, incidence=incidence,
-        generators=generators, admissible=cell.admissible, method=cell.method,
-    )
+        generators=generators, admissible=cell.admissible)
 
 
-def verify_cellular_agreement(poset: Poset, method: str = "generator") -> bool:
+def verify_cellular_agreement(poset: Poset) -> bool:
     """Cellular homology agrees with order-complex homology (betti and
     torsion in every degree)."""
-    cell = cellular_chain_complex(poset, method=method)
+    cell = cellular_chain_complex(poset)
     return homology(cell.complex) == poset_homology(poset)

@@ -18,7 +18,7 @@ from . import __version__
 from .cellular import cellular_chain_complex, check_cellularity, verify_cellular_agreement
 from .category import hccat, hccat_face_poset_consistency, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
-from .errors import PosetMorseError
+from .errors import MalformedLine, PosetMorseError
 from .formats import (
     load_complex,
     load_poset,
@@ -42,7 +42,10 @@ from .simplicial import face_poset, serialize_simplicial_complex
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _load_space(args):
@@ -339,7 +342,7 @@ def run(argv=None) -> int:
     except PosetMorseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

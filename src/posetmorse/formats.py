@@ -15,13 +15,14 @@ from fractions import Fraction
 
 from .dynamics import Matching, validate_matching
 from .errors import MalformedLine
-from .posets import Poset, build_poset, was_reduced
+from .posets import Poset, build_poset
 from .simplicial import SimplicialComplex, parse_simplicial_complex
 
 SCHEMA_VERSION = 1
 
 
-def parse_poset_text(text: str) -> Poset:
+def _poset_lines(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """Declared elements, in order of first mention, and the relations."""
     elements: list[str] = []
     seen: set[str] = set()
     relations: list[tuple[str, str]] = []
@@ -48,34 +49,36 @@ def parse_poset_text(text: str) -> Poset:
             if len(tokens) != 1:
                 raise MalformedLine(f"line {lineno}: expected one identifier, got {line!r}")
             declare(tokens[0])
-    return build_poset(elements, relations)
+    return elements, relations
 
 
-def parse_poset_document(doc: dict) -> Poset:
-    if not isinstance(doc, dict) or "elements" not in doc:
-        raise MalformedLine("poset document needs an 'elements' field")
-    elements = [str(e) for e in doc["elements"]]
-    covers = [(str(w), str(x)) for w, x in doc.get("covers", [])]
-    return build_poset(elements, covers)
+def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """Elements and covers of a JSON poset document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"line {exc.lineno}: malformed JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
+        raise MalformedLine("poset document needs an 'elements' list")
+    covers = doc.get("covers", [])
+    if not isinstance(covers, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in covers):
+        raise MalformedLine("poset document 'covers' must be a list of [w, x] pairs")
+    return [str(e) for e in doc["elements"]], [(str(w), str(x)) for w, x in covers]
+
+
+def parse_poset_text(text: str) -> Poset:
+    return build_poset(*_poset_lines(text))
 
 
 def load_poset(text: str) -> tuple[Poset, bool]:
     """Parse either format; also report whether input covers got reduced."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        poset = parse_poset_document(doc)
-        reduced = was_reduced(poset.elements,
-                              [(str(w), str(x)) for w, x in doc.get("covers", [])])
-        return poset, reduced
-    relations = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#") and "<" in line:
-            w, _, x = line.partition("<")
-            relations.append((w.strip(), x.strip()))
-    poset = parse_poset_text(text)
-    return poset, not {(w, x) for w, x in relations} <= poset.covers
+    if text.lstrip().startswith("{"):
+        elements, relations = _poset_document(text)
+    else:
+        elements, relations = _poset_lines(text)
+    poset = build_poset(elements, relations)
+    return poset, not set(relations) <= poset.covers
 
 
 def serialize_poset(poset: Poset) -> str:

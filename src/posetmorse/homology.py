@@ -2,24 +2,30 @@
 integers (or rationals), plus the simplicial and poset front ends.
 
 Chain complexes store each boundary map as sparse integer columns
-{row: value}; the simplicial front ends emit them directly, d*d = 0 is
-checked column by column, and Betti numbers and torsion are read off
-`sparse_diagonal_form`, which eliminates the +-1 pivots sparsely before
-any dense Smith normal form runs.  Betti numbers come from boundary
-ranks, torsion from the invariant factors of the next boundary.  A
-formal degree -1 slot holds the augmentation of reduced complexes, so
-the empty poset has reduced homology Z in degree -1 and the cellularity
-check is uniform at degree 0.
+{row: value}; d*d = 0 is checked column by column, and Betti numbers and
+torsion are read off `sparse_diagonal_form`, which eliminates the +-1
+pivots sparsely before any dense Smith normal form runs.  Betti numbers
+come from boundary ranks, torsion from the invariant factors of the next
+boundary.  A formal degree -1 slot holds the augmentation of reduced
+complexes, so the empty poset has reduced homology Z in degree -1 and
+the cellularity check is uniform at degree 0.
+
+One assembler turns sorted simplices into sparse columns for every front
+end.  The poset one, `subposet_chain_complex`, reads the order complex
+of an induced subposet pair straight off the poset's cached chains: the
+order complex of the subposet on S is the full subcomplex of K(P) on S.
+`order_complex`, `Poset.induced` and `relative_homology` stay as the
+paper's definitions, which the tests check that front end against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcomplex
 from .intmatrix import Column, IntMatrix
-from .simplicial import SimplicialComplex, Simplex, order_complex, simplex_id
+from .simplicial import SimplicialComplex, Simplex
 from .posets import Poset
 from .snf import sparse_diagonal_form
 
@@ -32,14 +38,15 @@ class ChainComplex:
     `ranks[p]` is the rank of C_p; `columns[p]` holds the boundary
     C_p -> C_{p-1} as ranks[p] sparse columns with row indices below
     ranks[p-1].  The constructor takes each boundary either in that form
-    or as a dense IntMatrix of shape ranks[p-1] x ranks[p].  Degrees may
-    start at -1 (reduced complexes).  d*d = 0 is validated on
-    construction.  `boundary` is the dense view, built on first use, for
-    callers that need Smith transforms.
+    or as a dense IntMatrix of shape ranks[p-1] x ranks[p].  `labels[p]`
+    names the basis of C_p: elements for cellular complexes, sorted vertex
+    tuples for simplicial ones.  Degrees may start at -1 (reduced
+    complexes).  d*d = 0 is validated on construction.  `boundary` is the
+    dense view, built on first use, for callers that need Smith transforms.
     """
 
     def __init__(self, ranks: dict[int, int], boundary: dict[int, IntMatrix | list[Column]],
-                 labels: dict[int, tuple[str, ...]] | None = None):
+                 labels: dict[int, tuple] | None = None):
         self.ranks = {p: r for p, r in ranks.items() if r > 0}
         self.columns: dict[int, list[Column]] = {}
         for p, mat in boundary.items():
@@ -220,27 +227,29 @@ def _boundary_column(simplex: Simplex, index: dict[Simplex, int]) -> Column:
     return col
 
 
+def _assemble(simplices: dict[int, Sequence[Simplex]], reduced: bool) -> ChainComplex:
+    """The chain complex spanned by the given sorted simplices, per
+    dimension, with sorted-vertex orientation; faces not listed are
+    quotiented out.  The simplices are the labels.  With reduced=True the
+    empty simplex spans an augmentation slot C_{-1} = Z."""
+    if reduced:
+        simplices = {-1: [()], **simplices}
+    boundary: dict[int, list[Column]] = {}
+    for d, sims in simplices.items():
+        if d - 1 in simplices:
+            index = {s: i for i, s in enumerate(simplices[d - 1])}
+            boundary[d] = [_boundary_column(s, index) for s in sims]
+    return ChainComplex({d: len(sims) for d, sims in simplices.items()}, boundary,
+                        {d: tuple(sims) for d, sims in simplices.items()})
+
+
 def simplicial_chain_complex(complex: SimplicialComplex, reduced: bool = False) -> ChainComplex:
     """The simplicial chain complex with sorted-vertex orientation.
 
     With reduced=True an augmentation slot C_{-1} = Z is added; the empty
     complex then has homology Z in degree -1.
     """
-    ranks: dict[int, int] = {}
-    boundary: dict[int, list[Column]] = {}
-    labels: dict[int, tuple[str, ...]] = {}
-    for d in sorted(complex.simplices):
-        sims = complex.simplices[d]
-        ranks[d] = len(sims)
-        labels[d] = tuple(simplex_id(s) for s in sims)
-        if d > 0:
-            index = {s: i for i, s in enumerate(complex.simplices[d - 1])}
-            boundary[d] = [_boundary_column(s, index) for s in sims]
-    if reduced:
-        ranks[-1] = 1
-        labels[-1] = ("[]",)
-        boundary[0] = [{0: 1} for _ in range(ranks.get(0, 0))]
-    return ChainComplex(ranks, boundary, labels)
+    return _assemble(complex.simplices, reduced)
 
 
 def relative_chain_complex(complex: SimplicialComplex,
@@ -248,21 +257,39 @@ def relative_chain_complex(complex: SimplicialComplex,
     """The quotient complex C(K)/C(L) for a subcomplex L of K."""
     if not complex.contains_complex(subcomplex):
         raise NotASubcomplex("second complex is not contained in the first")
-    excluded: set[Simplex] = set()
-    for sims in subcomplex.simplices.values():
-        excluded.update(sims)
-    ranks: dict[int, int] = {}
-    boundary: dict[int, list[Column]] = {}
-    labels: dict[int, tuple[str, ...]] = {}
-    kept: dict[int, list[Simplex]] = {}
-    for d in sorted(complex.simplices):
-        kept[d] = [s for s in complex.simplices[d] if s not in excluded]
-        ranks[d] = len(kept[d])
-        labels[d] = tuple(simplex_id(s) for s in kept[d])
-        if d > 0:
-            index = {s: i for i, s in enumerate(kept[d - 1])}
-            boundary[d] = [_boundary_column(s, index) for s in kept[d]]
-    return ChainComplex(ranks, boundary, labels)
+    excluded = {s for sims in subcomplex.simplices.values() for s in sims}
+    return _assemble({d: [s for s in sims if s not in excluded]
+                      for d, sims in complex.simplices.items()}, reduced=False)
+
+
+def subposet_chain_complex(poset: Poset, members: Iterable[str], sub_members: Iterable[str] = (),
+                           reduced: bool = False) -> ChainComplex:
+    """The chain complex of the order-complex pair (K(A), K(B)) of the
+    subposets on A = `members` and B = `sub_members`.
+
+    K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
+    the cached chains of the poset that lie inside A; those inside B are
+    quotiented out.  Simplices, their order and their orientation are
+    those of `relative_chain_complex(order_complex(poset.induced(A)),
+    order_complex(poset.induced(B)))`.  With reduced=True and B empty the
+    augmentation slot is added; for nonempty B reduced relative homology
+    is relative homology, so the flag changes nothing.
+    """
+    keep, drop = set(members), set(sub_members)
+    for e in keep | drop:
+        poset.require(e)
+    if not drop <= keep:
+        raise NotASubcomplex("second member set is not contained in the first")
+    chains = poset.chains_by_maximum()
+    simplices: dict[int, list[Simplex]] = {}
+    for x in keep:
+        for c in chains[x]:
+            if keep.issuperset(c):
+                sims = simplices.setdefault(len(c) - 1, [])
+                if not drop.issuperset(c):
+                    sims.append(tuple(sorted(c)))
+    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)},
+                     reduced and not drop)
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,
@@ -278,20 +305,16 @@ def poset_homology(poset: Poset, reduced: bool = False,
     key = ("poset_homology", reduced, coefficients)
     cached = poset.analysis_cache.get(key)
     if cached is None:
-        cached = homology(
-            simplicial_chain_complex(order_complex(poset), reduced=reduced),
-            coefficients,
-        )
+        cached = homology(subposet_chain_complex(poset, poset.elements, reduced=reduced),
+                          coefficients)
         poset.analysis_cache[key] = cached
     return cached
 
 
-def poset_pair_homology(poset: Poset, members: Sequence[str], sub_members: Sequence[str],
+def poset_pair_homology(poset: Poset, members: Iterable[str], sub_members: Iterable[str],
                         coefficients: Coefficients = "int") -> HomologySummary:
     """Relative homology of the order-complex pair of two induced subposets."""
-    big = order_complex(poset.induced(members))
-    small = order_complex(poset.induced(sub_members))
-    return relative_homology(big, small, coefficients)
+    return homology(subposet_chain_complex(poset, members, sub_members), coefficients)
 
 
 def is_acyclic(poset: Poset) -> bool:

@@ -26,7 +26,6 @@ from .dynamics import (
 from .errors import ConsistencyError
 from .homology import Coefficients, HomologySummary, poset_homology, poset_pair_homology
 from .posets import Poset
-from .simplicial import order_complex
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,7 @@ def euler_characteristics(poset: Poset) -> tuple[int | None, int]:
     can still have chi_g != 1, which is what separates cellular posets
     from merely graded ones.
     """
-    chi = order_complex(poset).euler_characteristic() if poset.elements else 0
+    chi = poset_homology(poset).euler_characteristic() if poset.elements else 0
     if not poset.is_graded():
         return None, chi
     graded = poset.as_graded()

@@ -3,8 +3,14 @@
 Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
-all derived data (reachability, heights, homology) is cached lazily on
-the instance.
+all derived data (reachability, heights, chains, homology) is cached
+lazily on the instance.
+
+The chains of a poset, grouped by their maximum, are the one source of
+every order complex in the library: the order complex of an induced
+subposet on S is the full subcomplex of K(P) spanned by S, so the
+homology front ends read its simplices off `chains_by_maximum` and never
+build the induced subposet.  `induced` stays as the paper's definition.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ class Poset:
         self._above: dict[str, frozenset[str]] | None = None
         self._heights: dict[str, int] | None = None
         self._graded: bool | None = None
-        # caches populated by other modules (homology, cellular structure)
+        # derived analyses (chains, homology, cellular structure), shared
+        # with the graded view
         self.analysis_cache: dict = {}
 
     # -- basic queries --------------------------------------------------------
@@ -218,20 +225,26 @@ class Poset:
             members.add(element)
         return self.induced(members)
 
+    def chains_by_maximum(self) -> dict[str, list[tuple[str, ...]]]:
+        """All nonempty chains grouped by maximum element, each listed in
+        increasing order; computed once and shared with the graded view."""
+        ending = self.analysis_cache.get("chains")
+        if ending is None:
+            below, _ = self._reach()
+            order = self.index
+            ending = {}
+            for x in self._topo_order():
+                local: list[tuple[str, ...]] = [(x,)]
+                for y in sorted(below[x], key=order.__getitem__):
+                    for c in ending[y]:
+                        local.append(c + (x,))
+                ending[x] = local
+            self.analysis_cache["chains"] = ending
+        return ending
+
     def chains(self) -> list[tuple[str, ...]]:
         """All nonempty chains, each listed in increasing order."""
-        below, _ = self._reach()
-        ending: dict[str, list[tuple[str, ...]]] = {}
-        order = self.index
-        out: list[tuple[str, ...]] = []
-        for x in self._topo_order():
-            local: list[tuple[str, ...]] = [(x,)]
-            for y in sorted(below[x], key=order.__getitem__):
-                for c in ending[y]:
-                    local.append(c + (x,))
-            ending[x] = local
-            out.extend(local)
-        return out
+        return [c for local in self.chains_by_maximum().values() for c in local]
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._upper[e])
@@ -328,14 +341,6 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
             if not any(x in reach[z] for z in reach[w]):
                 covers.append((w, x))
     return Poset(elements, covers)
-
-
-def was_reduced(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> bool:
-    """True when the input relation contained non-cover pairs (so the
-    Hasse diagram silently dropped some of them)."""
-    poset = build_poset(elements, relations)
-    given = {(str(w), str(x)) for w, x in relations}
-    return not given <= poset.covers
 
 
 def height_and_degree(poset: Poset):

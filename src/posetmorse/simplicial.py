@@ -116,18 +116,9 @@ def serialize_simplicial_complex(complex: SimplicialComplex) -> str:
 
 
 def face_poset(complex: SimplicialComplex) -> GradedPoset:
-    """The poset of simplices ordered by inclusion; degree = dimension.
-
-    The result carries `simplex_of`, mapping element ids back to vertex
-    tuples; the cellular module uses it for its simplicial fast path.
-    """
-    elements = []
-    simplex_of: dict[str, Simplex] = {}
-    for d in sorted(complex.simplices):
-        for s in complex.simplices[d]:
-            name = simplex_id(s)
-            elements.append(name)
-            simplex_of[name] = s
+    """The poset of simplices ordered by inclusion; degree = dimension."""
+    elements = [simplex_id(s) for d in sorted(complex.simplices)
+                for s in complex.simplices[d]]
     covers = []
     for d in sorted(complex.simplices):
         if d == 0:
@@ -136,13 +127,12 @@ def face_poset(complex: SimplicialComplex) -> GradedPoset:
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
                 covers.append((simplex_id(face), simplex_id(s)))
-    poset = Poset(elements, covers).as_graded()
-    poset.analysis_cache["simplex_of"] = simplex_of
-    return poset
+    return Poset(elements, covers).as_graded()
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:
-    """The complex of nonempty chains of the poset."""
+    """The complex of nonempty chains of the poset: the paper's definition,
+    which the tests check `homology.subposet_chain_complex` against."""
     return SimplicialComplex(poset.chains())
 
 

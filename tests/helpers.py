@@ -6,7 +6,7 @@ implementations under test.
 
 from __future__ import annotations
 
-from posetmorse import IntMatrix, Matching, Poset
+from posetmorse import IntMatrix, Matching, Poset, SimplicialComplex
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -174,3 +174,16 @@ def determinant(matrix: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], int]:
+    """Incidence numbers of the face poset read off the sorted-vertex
+    orientation: the i-th face of a simplex enters with sign (-1)^i."""
+    incidence = {}
+    for d, simplices in complex.simplices.items():
+        if d == 0:
+            continue
+        for s in simplices:
+            for i in range(len(s)):
+                incidence[("|".join(s), "|".join(s[:i] + s[i + 1:]))] = (-1) ** i
+    return incidence

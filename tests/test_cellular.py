@@ -8,12 +8,15 @@ from posetmorse import (
     gauge_flip,
     homology,
     poset_homology,
+    simplicial_chain_complex,
     sphere_generator,
     verify_cellular_agreement,
 )
 from posetmorse.cellular import require_admissible, require_cellular
 from posetmorse.errors import NotAdmissible, NotCellular
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
+
+from helpers import simplicial_incidence
 
 
 def test_t3_report(t3):
@@ -173,34 +176,31 @@ def test_single_gauge_flip_flips_row_and_column(t3):
 
 
 def test_fast_path_matches_general_method(rp2, tetra_boundary, triangle_boundary):
+    """The generator incidences of a face poset agree, up to one gauge,
+    with the simplicial signs (-1)^i of the sorted-vertex orientation."""
     for complex in (triangle_boundary, tetra_boundary, rp2):
         poset = face_poset(complex)
-        general = cellular_chain_complex(poset, method="generator")
-        fast = cellular_chain_complex(poset, method="simplicial")
-        assert homology(fast.complex) == homology(general.complex)
-        assert set(fast.incidence) == set(general.incidence)
-        for key in fast.incidence:
-            assert abs(fast.incidence[key]) == abs(general.incidence[key])
+        general = cellular_chain_complex(poset)
+        fast = simplicial_incidence(complex)
+        assert set(fast) == set(general.incidence)
+        for key in fast:
+            assert abs(fast[key]) == abs(general.incidence[key])
         # the two sign systems differ by one gauge: eps_f/eps_g = s_x * s_w
         # must admit a consistent assignment, found by propagation
         signs: dict[str, int] = {}
         graded = poset.as_graded()
-        for p in range(graded.max_degree() + 1):
-            for e in graded.level(p):
-                if p == 0:
-                    signs.setdefault(e, 1)
+        for e in graded.level(0):
+            signs[e] = 1
         for p in range(1, graded.max_degree() + 1):
             for x in graded.level(p):
                 w = graded.lower_covers(x)[0]
-                ratio = fast.incidence[(x, w)] * general.incidence[(x, w)]
+                ratio = fast[(x, w)] * general.incidence[(x, w)]
                 signs[x] = ratio * signs[w]
-        for (x, w), eps in fast.incidence.items():
+        for (x, w), eps in fast.items():
             assert eps == signs[x] * general.incidence[(x, w)] * signs[w]
-
-
-def test_fast_path_requires_metadata(t3):
-    with pytest.raises(NotCellular):
-        cellular_chain_complex(t3, method="simplicial")
+        flipped = gauge_flip(general, signs)
+        assert flipped.incidence == fast
+        assert homology(flipped.complex) == homology(simplicial_chain_complex(complex))
 
 
 def test_cellular_agreement_random_face_posets():

@@ -240,6 +240,49 @@ def test_cli_input_errors(tmp_path, capsys):
     assert run(["validate", "--input", str(bad)]) == 1
 
 
+def _fails_cleanly(capsys, path) -> None:
+    """The CLI rejects the input with exit code 1 and one error line."""
+    assert run(["validate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_truncated_json(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"elements": ["a", "b"], "covers": [["a", "b"]')
+    with pytest.raises(MalformedLine):
+        load_poset(f.read_text())
+    _fails_cleanly(capsys, f)
+
+
+def test_cli_json_cover_of_one_element(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"elements": ["a", "b"], "covers": [["a"]]}')
+    _fails_cleanly(capsys, f)
+
+
+def test_cli_json_covers_not_a_list(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"elements": ["a", "b"], "covers": 5}')
+    _fails_cleanly(capsys, f)
+
+
+def test_cli_non_utf8_input(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_bytes(b"a < b\n\xff\xfe < c\n")
+    _fails_cleanly(capsys, f)
+
+
+def test_cli_directory_as_input(tmp_path, capsys):
+    _fails_cleanly(capsys, tmp_path)
+
+
+def test_load_poset_reports_reduction_in_json():
+    _, reduced = load_poset('{"elements": ["a", "b", "c"], '
+                            '"covers": [["a", "b"], ["b", "c"], ["a", "c"]]}')
+    assert reduced
+
+
 def test_cli_warns_on_unreduced_covers(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("a < b\nb < c\na < c\n")

@@ -1,0 +1,168 @@
+"""The poset front end `subposet_chain_complex` against the paper's
+definition: the order complexes of induced subposets, built one by one."""
+
+import pytest
+
+from posetmorse import (
+    CellularityReport,
+    build_poset,
+    check_cellularity,
+    face_poset,
+    homology,
+    order_complex,
+    simplicial_chain_complex,
+    sphere_generator,
+)
+from posetmorse.errors import NotASubcomplex, UnknownElement
+from posetmorse.homology import (
+    poset_pair_homology,
+    relative_chain_complex,
+    sphere_summary,
+    subposet_chain_complex,
+)
+from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
+from posetmorse.snf import kernel_basis
+
+
+def random_poset(rng: XorShift64Star, n: int):
+    """A random poset, graded or not, from random relations i < j."""
+    names = [f"p{i}" for i in range(n)]
+    relations = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.chance(1, 3)]
+    return build_poset(rng.shuffle(names), relations)
+
+
+def random_posets(seed: int, count: int):
+    rng = XorShift64Star(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            yield rng, random_graded_poset(rng, max_elements=10)
+        elif k % 3 == 1:
+            yield rng, random_poset(rng, rng.randint(4, 9))
+        else:
+            yield rng, face_poset(random_simplicial_complex(rng, max_vertices=5))
+
+
+def test_pairs_match_induced_order_complexes():
+    non_graded = 0
+    for rng, poset in random_posets(808, 90):
+        non_graded += not poset.is_graded()
+        members = [e for e in poset.elements if rng.chance(2, 3)]
+        sub_members = [e for e in members if rng.chance(1, 2)]
+        got = subposet_chain_complex(poset, members, sub_members)
+        want = relative_chain_complex(order_complex(poset.induced(members)),
+                                      order_complex(poset.induced(sub_members)))
+        assert got.labels == want.labels
+        assert got.ranks == want.ranks and got.columns == want.columns
+        assert homology(got) == homology(want)
+        assert homology(got, "rat") == homology(want, "rat")
+        assert poset_pair_homology(poset, members, sub_members) == homology(want)
+    assert non_graded >= 10
+
+
+def test_reduced_subposets_match_induced_order_complexes():
+    for rng, poset in random_posets(909, 60):
+        members = [e for e in poset.elements if rng.chance(1, 2)]
+        got = subposet_chain_complex(poset, members, reduced=True)
+        want = simplicial_chain_complex(order_complex(poset.induced(members)), reduced=True)
+        assert got.labels == want.labels
+        assert got.ranks == want.ranks and got.columns == want.columns
+        assert homology(got) == homology(want)
+        # for a nonempty B, reduced relative homology is relative homology
+        sub_members = members[:1]
+        if sub_members:
+            assert (homology(subposet_chain_complex(poset, members, sub_members, reduced=True))
+                    == homology(subposet_chain_complex(poset, members, sub_members)))
+
+
+def induced_route_cellularity(poset) -> CellularityReport:
+    """The cellularity report computed as the paper states it, on the
+    order complex of each induced strict and punctured down-set."""
+    if not poset.is_graded():
+        h = poset.heights()
+        witnesses = tuple(("not-graded", f"{w}<{x}", "cover skips a height level")
+                          for w, x in sorted(poset.covers) if h[x] != h[w] + 1)
+        return CellularityReport(False, False, False, witnesses)
+
+    def reduced_homology(members):
+        complex = order_complex(poset.induced(members))
+        return homology(simplicial_chain_complex(complex, reduced=True))
+
+    witnesses = []
+    cellular = admissible = True
+    for x in poset.elements:
+        summary = reduced_homology(poset.strictly_below(x))
+        if summary != sphere_summary(poset.heights()[x] - 1):
+            cellular = False
+            witnesses.append(("not-cellular", x, f"strict down-set has {summary}"))
+    for w, x in sorted(poset.covers):
+        if not reduced_homology(poset.strictly_below(x) - {w}).is_trivial():
+            admissible = False
+            witnesses.append(("not-admissible", f"{w}<{x}",
+                              "punctured down-set is not acyclic"))
+    return CellularityReport(True, cellular, admissible, tuple(witnesses))
+
+
+def test_cellularity_matches_induced_route():
+    kinds = set()
+    for _, poset in random_posets(4711, 75):
+        report = check_cellularity(poset)
+        assert report == induced_route_cellularity(poset)
+        kinds.update(kind for kind, _, _ in report.witnesses)
+    assert kinds == {"not-graded", "not-cellular", "not-admissible"}
+
+
+def induced_route_generator(poset, element) -> dict:
+    """The sphere generator below `element`, from the order complex of the
+    induced strict down-set."""
+    p = poset.heights()[element]
+    complex = order_complex(poset.induced(poset.strictly_below(element)))
+    chain = simplicial_chain_complex(complex, reduced=True)
+    (vec,) = kernel_basis(chain.boundary[p - 1])
+    sign = next(1 if v > 0 else -1 for v in vec if v)
+    return {s: sign * c for s, c in zip(complex.n_simplices(p - 1), vec) if c}
+
+
+def test_sphere_generators_match_induced_route(t3, rp2, mobius, tetra_boundary):
+    for poset in (t3, face_poset(rp2), face_poset(mobius), face_poset(tetra_boundary)):
+        for x in poset.elements:
+            if poset.heights()[x] >= 1:
+                assert sphere_generator(poset, x).cycle == induced_route_generator(poset, x)
+
+
+def test_unknown_elements_and_non_subsets_rejected(t3):
+    with pytest.raises(UnknownElement):
+        subposet_chain_complex(t3, ["v1", "zz"])
+    with pytest.raises(UnknownElement):
+        subposet_chain_complex(t3, ["v1"], ["zz"])
+    with pytest.raises(NotASubcomplex):
+        subposet_chain_complex(t3, ["v1", "e12"], ["v2"])
+    with pytest.raises(NotASubcomplex):
+        poset_pair_homology(t3, ["v1"], ["v1", "v2"])
+
+
+def test_empty_members():
+    p = build_poset(["a", "b"], [("a", "b")])
+    assert homology(subposet_chain_complex(p, [], reduced=True)) == sphere_summary(-1)
+    assert homology(subposet_chain_complex(p, [])).is_trivial()
+    assert homology(subposet_chain_complex(p, ["a", "b"], ["a", "b"])).is_trivial()
+
+
+def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
+    from posetmorse import Poset, SimplicialComplex, euler_characteristics
+    from posetmorse.randgen import find_euler_gap_poset
+
+    spaces = [face_poset(rp2), find_euler_gap_poset(XorShift64Star(5))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("induced poset or order complex built")
+
+    monkeypatch.setattr(Poset, "induced", forbidden)
+    monkeypatch.setattr(SimplicialComplex, "__init__", forbidden)
+    for poset in spaces:
+        check_cellularity(poset)
+        euler_characteristics(poset)
+        poset_pair_homology(poset, poset.elements, poset.elements[:1])
+    for x in spaces[0].elements:
+        if spaces[0].heights()[x] >= 1:
+            sphere_generator(spaces[0], x)
