@@ -289,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=needs_input, help="input file")
         p.add_argument("--kind", choices=kinds or ["poset", "simplicial"],
                        default="poset")
-        p.add_argument("--coeff", choices=["int", "rat"], default="int")
-        p.add_argument("--reduced", action="store_true")
         p.add_argument("--format", choices=["table", "doc"], default="table")
         if matching:
             p.add_argument("--matching", required=True, help="matching file")
@@ -300,16 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("validate", help="poset/complex checks and cellularity report"))
     p = sub.add_parser("homology", help="homology of a poset or complex")
     common(p)
+    p.add_argument("--coeff", choices=["int", "rat"], default="int")
+    p.add_argument("--reduced", action="store_true")
     p.add_argument("--via-poset", action="store_true",
                    help="for simplicial input, go through the face poset")
-    common(sub.add_parser("cellular", help="incidence table and pipeline agreement"))
+    p = sub.add_parser("cellular", help="incidence table and pipeline agreement")
+    common(p)
+    p.add_argument("--coeff", choices=["int", "rat"], default="int")
     common(sub.add_parser("matching", help="basic sets and matching verdicts"), matching=True)
     common(sub.add_parser("integrate", help="emit an integrated Morse-Bott function"),
            matching=True)
     common(sub.add_parser("sweep", help="collapse/attachment checks over the filtration"),
            matching=True, function=True)
-    common(sub.add_parser("inequalities", help="all applicable inequality theorems"),
-           matching=True)
+    p = sub.add_parser("inequalities", help="all applicable inequality theorems")
+    common(p, matching=True)
+    p.add_argument("--coeff", choices=["int", "rat"], default="int")
     common(sub.add_parser("hccat", help="homological chain category and its subcomplex witness"))
     common(sub.add_parser("ls-check", help="Lusternik-Schnirelmann theorem verdicts"),
            matching=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .cellular import CellularComplexOfPoset, require_admissible
 from .errors import (
+    ConsistencyError,
     ElementMatchedTwice,
     NotACover,
     NotGraded,
@@ -203,7 +204,7 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
         elems = tuple(sorted(comp, key=order.__getitem__))
         degs = sorted({graded.degree(e) for e in elems})
         if len(degs) != 2 or degs[1] != degs[0] + 1:
-            raise AssertionError("orbit class does not alternate two adjacent degrees")
+            raise ConsistencyError("orbit class does not alternate two adjacent degrees")
         orbit_classes.append(OrbitClass(elements=elems, index=degs[0]))
     orbit_classes.sort(key=lambda c: order[c.elements[0]])
     class_of: dict[str, object] = {}
@@ -320,7 +321,7 @@ def orbit_multiplicity(poset: Poset, matching: Matching, orbit: ClosedOrbit,
     for x_i, y_i, x_next in orbit.steps():
         value *= -cell.epsilon(y_i, x_i) * cell.epsilon(y_i, x_next)
     if value not in (1, -1):
-        raise AssertionError("orbit multiplicity must be a unit")
+        raise ConsistencyError("orbit multiplicity must be a unit")
     return value
 
 
@@ -338,7 +339,7 @@ def perturb_to_morse(poset: Poset, matching: Matching) -> tuple[Matching, tuple[
         removed.append((x0, y0))
     perturbed = matching.without(frozenset(removed))
     if not is_morse_matching(poset, perturbed):
-        raise AssertionError("perturbed matching is not acyclic; this is a bug")
+        raise ConsistencyError("perturbed matching is not acyclic; this is a bug")
     return perturbed, tuple(removed)
 
 

@@ -202,7 +202,7 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
         rank_d_up = sum(1 for d in diag.get(p + 1, ()) if d)
         betti[p] = complex.rank(p) - rank_d_p - rank_d_up
         if betti[p] < 0:
-            raise AssertionError("negative betti number: rank bookkeeping bug")
+            raise ConsistencyError("negative betti number: rank bookkeeping bug")
         if coefficients == "int":
             tor = tuple(d for d in diag.get(p + 1, ()) if d > 1)
             if tor:

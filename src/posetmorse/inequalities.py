@@ -55,14 +55,8 @@ class InequalityReport:
 def _closure_pair(poset: Poset, members) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The closure of a subset (union of its minimal open sets) and the
     closure minus the subset."""
-    bar: set[str] = set()
-    for x in members:
-        bar.add(x)
-        bar |= poset.strictly_below(x)
-    dot = bar - set(members)
-    order = poset.index
-    return (tuple(sorted(bar, key=order.__getitem__)),
-            tuple(sorted(dot, key=order.__getitem__)))
+    bar, keep = poset.down_closure(members), set(members)
+    return bar, tuple(e for e in bar if e not in keep)
 
 
 def basic_set_relative_homology(poset: Poset, members,

@@ -169,15 +169,11 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     return MorseBottFunction(poset=poset, values=values, matching=matching)
 
 
-def sublevel(poset: Poset, values: dict[str, Fraction], level) -> Poset:
-    """X_a: the union of the minimal open sets U_x with f(x) <= a."""
+def sublevel(poset: Poset, values: dict[str, Fraction], level) -> tuple[str, ...]:
+    """The elements of X_a, the union of the minimal open sets U_x with
+    f(x) <= a, in poset order (the subposet itself is never built)."""
     level = Fraction(level)
-    members: set[str] = set()
-    for x in poset.elements:
-        if values[x] <= level:
-            members.add(x)
-            members |= poset.strictly_below(x)
-    return poset.induced(members)
+    return poset.down_closure(x for x in poset.elements if values[x] <= level)
 
 
 def boundary_of_class(poset: Poset, matching: Matching, element: str) -> frozenset[str]:
@@ -204,7 +200,7 @@ def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
             raise CriticalValueInInterval(f"critical value {c} lies in [{a}, {b}]")
     lower = sublevel(poset, function.values, a)
     upper = sublevel(poset, function.values, b)
-    summary = poset_pair_homology(poset, upper.elements, lower.elements)
+    summary = poset_pair_homology(poset, upper, lower)
     return summary.is_trivial()
 
 
@@ -255,8 +251,8 @@ def verify_attachment(poset: Poset, function: MorseBottFunction,
         raise WrongCriticalCount(
             f"critical value {value} is shared by {len(classes)} basic sets")
     members = classes[0]
-    lower = set(sublevel(poset, function.values, a).elements)
-    upper = set(sublevel(poset, function.values, b).elements)
+    lower = set(sublevel(poset, function.values, a))
+    upper = set(sublevel(poset, function.values, b))
     boundary = boundary_of_class(poset, matching, members[0])
     identities = {
         "new_elements_equal_class": upper - lower == set(members),

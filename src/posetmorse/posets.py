@@ -210,6 +210,16 @@ class Poset:
                     covers.append((w, x))
         return Poset(elements, covers)
 
+    def down_closure(self, subset: Iterable[str]) -> tuple[str, ...]:
+        """The union of the minimal open sets U_x for x in the subset, in
+        poset order."""
+        closed: set[str] = set()
+        for x in subset:
+            if x not in closed:
+                closed.add(x)
+                closed |= self.strictly_below(x)
+        return tuple(sorted(closed, key=self.index.__getitem__))
+
     def down_set(self, element: str, strict: bool = False) -> "Poset":
         """U_x, or the strict version without x itself."""
         self.require(element)

@@ -6,7 +6,9 @@ implementations under test.
 
 from __future__ import annotations
 
-from posetmorse import IntMatrix, Matching, Poset, SimplicialComplex
+from posetmorse import ChainComplex, IntMatrix, Matching, Poset, SimplicialComplex, homology
+from posetmorse.category import _homology_coordinates
+from posetmorse.snf import matrix_rank, smith_normal_form, solve
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -187,3 +189,63 @@ def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], in
             for i in range(len(s)):
                 incidence[("|".join(s), "|".join(s[:i] + s[i + 1:]))] = (-1) ** i
     return incidence
+
+
+def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
+                          ambient: ChainComplex) -> bool:
+    """Inclusion is a chain map inducing isomorphisms on all homology,
+    decided with dense Smith-normal-form coordinates.
+
+    Checks: commutation with boundaries, injectivity, equal homology
+    summaries, and surjectivity of the induced map in every degree (a
+    surjection between isomorphic finitely generated abelian groups is an
+    isomorphism).  The reference for the library's mapping-cone test; the
+    two share only `homology` and `matrix_rank`.
+    """
+    degrees = sorted(set(sub.degrees()) | set(ambient.degrees()))
+    for p in degrees:
+        ns = sub.rank(p)
+        if ns == 0:
+            continue
+        inc = inclusion.get(p)
+        if inc is None or inc.cols != ns or inc.rows != ambient.rank(p):
+            return False
+        if matrix_rank(inc) != ns:
+            return False
+        if ambient.rank(p - 1):
+            left = ambient.boundary_or_empty(p) @ inc
+            if sub.rank(p - 1):
+                if left != inclusion[p - 1] @ sub.boundary_or_empty(p):
+                    return False
+            elif not left.is_zero():
+                return False
+    if homology(sub) != homology(ambient):
+        return False
+    for p in degrees:
+        Zprime, factors = _homology_coordinates(ambient, p)
+        z = Zprime.cols
+        if z == 0:
+            continue  # ambient has no cycles here; summaries already matched
+        snf_zp = smith_normal_form(Zprime)
+        inc = inclusion.get(p)
+        image_cols = []
+        if inc is not None and sub.rank(p):
+            sub_coords, sub_factors = _homology_coordinates(sub, p)
+            for j in range(sub_coords.cols):
+                if sub_factors[j] == 1:
+                    continue  # trivial class
+                ambient_cycle = inc.mul_vec(sub_coords.column(j))
+                alpha = solve(Zprime, ambient_cycle, snf_zp)
+                if alpha is None:
+                    return False
+                image_cols.append(alpha)
+        relation_cols = [[factors[i] if r == i else 0 for r in range(z)]
+                         for i in range(z) if factors[i] != 0]
+        all_cols = image_cols + relation_cols
+        if not all_cols:
+            return False
+        combined = IntMatrix.from_columns(all_cols, z)
+        diag = smith_normal_form(combined).diagonal
+        if sum(1 for d in diag if d == 1) != z:
+            return False
+    return True

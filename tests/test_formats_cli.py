@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +308,56 @@ def test_bundled_data_files():
     mobius_poset = face_poset(mobius)
     parse_matching_text(mobius_poset, (data / "mobius_ring_matching.txt").read_text())
     parse_matching_text(face_poset(rp2), (data / "rp2_star5_matching.txt").read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "data/t3_poset.txt", "--reduced"],
+    ["sweep", "--input", "data/t3_poset.txt", "--matching", "data/t3_matching_m1.txt",
+     "--coeff", "rat"],
+])
+def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_consistency_error_is_an_error_line(monkeypatch, capsys):
+    import posetmorse.dynamics
+
+    monkeypatch.setattr(posetmorse.dynamics, "is_morse_matching", lambda *args: False)
+    data = Path(__file__).resolve().parent.parent / "data"
+    code = run(["ls-check", "--input", str(data / "t3_poset.txt"),
+                "--matching", str(data / "t3_matching_m2.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: perturbed matching is not acyclic; this is a bug\n"
+
+
+THEOREM_RUNS = [
+    ["t3_poset.txt", "poset", "t3_matching_m1.txt"],
+    ["t3_poset.txt", "poset", "t3_matching_m2.txt"],
+    ["mobius_5.txt", "simplicial", "mobius_ring_matching.txt"],
+    ["rp2_6.txt", "simplicial", "rp2_star5_matching.txt"],
+]
+
+
+@pytest.mark.parametrize("space,kind,matching", THEOREM_RUNS)
+def test_theorem_checks_build_no_induced_poset(space, kind, matching, monkeypatch, capsys):
+    from posetmorse import Poset
+
+    data = Path(__file__).resolve().parent.parent / "data"
+    base = ["--input", str(data / space), "--kind", kind, "--format", "doc"]
+    with_matching = base + ["--matching", str(data / matching)]
+    argvs = [["sweep", *with_matching], ["inequalities", *with_matching],
+             ["ls-check", *with_matching], ["hccat", *base]]
+    expected = []
+    for argv in argvs:
+        code = run(argv)
+        expected.append((code, capsys.readouterr()))
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("Poset.induced was called")
+
+    monkeypatch.setattr(Poset, "induced", forbidden)
+    for argv, (code, captured) in zip(argvs, expected):
+        assert (run(argv), capsys.readouterr()) == (code, captured), argv

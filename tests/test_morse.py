@@ -120,17 +120,17 @@ def test_morse_matching_round_trip_random():
 
 def test_sublevels_m1(t3, t3_m1):
     f = integrate_matching(t3, t3_m1)
-    assert set(sublevel(t3, f.values, 1).elements) == {"v3"}
-    assert set(sublevel(t3, f.values, 2).elements) == {"v2", "v3", "e23"}
-    assert set(sublevel(t3, f.values, 6).elements) == set(t3.elements)
-    assert sublevel(t3, f.values, 0).elements == ()
+    assert set(sublevel(t3, f.values, 1)) == {"v3"}
+    assert set(sublevel(t3, f.values, 2)) == {"v2", "v3", "e23"}
+    assert set(sublevel(t3, f.values, 6)) == set(t3.elements)
+    assert sublevel(t3, f.values, 0) == ()
 
 
 def test_sublevels_nested_and_down_closed(t3, t3_m1):
     f = integrate_matching(t3, t3_m1)
     previous: set[str] = set()
     for a in range(0, 7):
-        current = set(sublevel(t3, f.values, a).elements)
+        current = set(sublevel(t3, f.values, a))
         assert previous <= current
         for x in current:
             assert set(t3.strictly_below(x)) <= current
@@ -178,7 +178,7 @@ def test_attachment_e13(t3, t3_m1):
     assert report.ok
     assert report.new_elements == ("e13",)
     assert set(report.boundary) == {"v1", "v3"}
-    assert set(report.boundary) <= set(sublevel(t3, f.values, Fraction(11, 2)).elements)
+    assert set(report.boundary) <= set(sublevel(t3, f.values, Fraction(11, 2)))
 
 
 def test_attachment_orbit(t3, t3_m2):
