@@ -6,12 +6,17 @@ count of torsion generators; the minimal subcomplex realizes that value
 as an honest quasi-isomorphic subcomplex, with rank b_k + mu_k + mu_{k-1}
 in each degree: cycle representatives for the free classes, cycle
 representatives for the torsion classes, and chains whose boundaries are
-the torsion multiples one degree down.
+the torsion multiples one degree down.  The Smith form of each boundary
+gives the cycles and the bounding chains; one more per degree aligns the
+cycles with the boundaries.
 
-Both the witness inclusion and the flow-invariant complex are verified
-quasi-isomorphisms by the mapping-cone criterion: an injective chain map
-induces isomorphisms on all homology exactly when its mapping cone is
-acyclic, which the sparse homology engine decides.
+The flow-invariant complex of a Morse matching is its Morse complex: one
+basis chain Phi^inf(c) per critical element c, got by iterating the flow
+phi = Id + dV + Vd on sparse chains.  Both the witness inclusion and the
+flow-invariant complex are verified quasi-isomorphisms by the
+mapping-cone criterion: an injective chain map induces isomorphisms on
+all homology exactly when its mapping cone is acyclic, which the sparse
+homology engine decides.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .intmatrix import Column, IntMatrix
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
 from .simplicial import SimplicialComplex, face_poset
-from .snf import kernel_basis, matrix_rank, smith_normal_form, solve
+from .snf import SmithDecomposition, matrix_rank, smith_normal_form, solve, sparse_diagonal_form
 
 
 def hccat_of_summary(summary: HomologySummary) -> int:
@@ -59,41 +64,6 @@ def hccat(space) -> int:
 
 
 # -- quasi-isomorphism verification -------------------------------------------
-
-
-def _homology_coordinates(complex: ChainComplex, degree: int):
-    """SNF-aligned coordinates for H_degree of the complex.
-
-    Returns (Zprime, factors): the columns of Zprime form a basis of the
-    cycle lattice in which the boundary lattice is spanned by
-    factors[i] * column_i (factor 0 marks a free position).
-    """
-    n = complex.rank(degree)
-    d_here = complex.boundary.get(degree)
-    if d_here is None:
-        # no boundary out of this degree: every chain is a cycle
-        kernel = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    else:
-        kernel = kernel_basis(d_here)
-    z = len(kernel)
-    Z = IntMatrix.from_columns(kernel, n) if z else IntMatrix.zeros(n, 0)
-    d_up = complex.boundary.get(degree + 1)
-    if d_up is None or z == 0:
-        Y = IntMatrix.zeros(z, 0)
-    else:
-        snf_z = smith_normal_form(Z)
-        cols = []
-        for j in range(d_up.cols):
-            sol = solve(Z, d_up.column(j), snf_z)
-            if sol is None:
-                raise ConsistencyError("boundary image escaped the cycle lattice")
-            cols.append(sol)
-        Y = IntMatrix.from_columns(cols, z) if cols else IntMatrix.zeros(z, 0)
-    snf_y = smith_normal_form(Y)
-    diag = snf_y.diagonal
-    factors = [diag[i] if i < len(diag) else 0 for i in range(z)]
-    Zprime = Z @ snf_y.U if z else Z
-    return Zprime, factors
 
 
 def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
@@ -146,6 +116,37 @@ class MinimalSubcomplex:
     quasi_isomorphism_verified: bool
 
 
+def _homology_coordinates(complex: ChainComplex, degree: int,
+                          snf_here: SmithDecomposition | None):
+    """SNF-aligned coordinates for H_degree of the complex, given the Smith
+    form d = U*D*V of the boundary out of this degree (None: no boundary).
+
+    Returns (Zprime, factors): the columns of Zprime form a basis of the
+    cycle lattice in which the boundary lattice is spanned by
+    factors[i] * column_i (factor 0 marks a free position).  The cycles
+    are the columns of V^-1 at the zero positions of D, and V sends a
+    cycle to its coordinates there.
+    """
+    n = complex.rank(degree)
+    d_up = complex.boundary.get(degree + 1)
+    if snf_here is None:
+        Z, Y = IntMatrix.identity(n), d_up
+    else:
+        diag = snf_here.diagonal
+        free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
+        Z = IntMatrix.from_columns([snf_here.V_inv.column(j) for j in free], n)
+        Y = None
+        if d_up is not None and free:
+            image = snf_here.V @ d_up
+            if any(any(image.data[j]) for j in range(len(diag)) if diag[j]):
+                raise ConsistencyError("boundary image escaped the cycle lattice")
+            Y = IntMatrix(len(free), d_up.cols, [image.data[j] for j in free])
+    if Y is None:
+        return Z, [0] * Z.cols
+    snf_y = smith_normal_form(Y)
+    return Z @ snf_y.U, list(snf_y.diagonal) + [0] * (Z.cols - len(snf_y.diagonal))
+
+
 def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
     """The minimal-rank quasi-isomorphic subcomplex built from SNF data.
 
@@ -156,11 +157,12 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
     torsion representatives below, everything else is a cycle.
     """
     degrees = ambient.degrees()
+    snf = {p: smith_normal_form(d) for p, d in ambient.boundary.items()}
     basis: dict[int, list[list[int]]] = {p: [] for p in degrees}
     kinds: dict[int, list[tuple[str, int]]] = {p: [] for p in degrees}
     torsion_reps: dict[int, list[tuple[list[int], int]]] = {}
     for p in degrees:
-        Zprime, factors = _homology_coordinates(ambient, p)
+        Zprime, factors = _homology_coordinates(ambient, p, snf.get(p))
         reps: list[tuple[list[int], int]] = []
         for i, t in enumerate(factors):
             col = Zprime.column(i)
@@ -176,13 +178,10 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
         lower = torsion_reps.get(p - 1, [])
         if not lower:
             continue
-        d_here = ambient.boundary.get(p)
-        if d_here is None:
+        if p not in snf:
             raise ConsistencyError("torsion below with no boundary above")
-        snf_d = smith_normal_form(d_here)
         for rep, t in lower:
-            target = [t * v for v in rep]
-            chain = solve(d_here, target, snf_d)
+            chain = solve(ambient.boundary[p], [t * v for v in rep], snf[p])
             if chain is None:
                 raise ConsistencyError("torsion multiple is not a boundary")
             basis[p].append(chain)
@@ -220,8 +219,10 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
 
 @dataclass(frozen=True)
 class FlowData:
-    V: dict[int, IntMatrix]
-    phi: dict[int, IntMatrix]
+    """The flow-invariant complex, that is the Morse complex: `inclusion[p]`
+    has one column Phi^inf(c) per critical element c of degree p, in
+    level order, and `invariant_complex` is the boundary in that basis."""
+
     invariant_ranks: dict[int, int]
     invariant_complex: ChainComplex
     inclusion: dict[int, IntMatrix]
@@ -229,79 +230,82 @@ class FlowData:
     quasi_isomorphism_verified: bool
 
 
+def _apply(columns: list[Column], chain: Column, start: Column | None = None) -> Column:
+    """start + the image of a sparse chain under the map with these columns."""
+    out = dict(start or {})
+    for j, a in chain.items():
+        for i, v in columns[j].items():
+            out[i] = out.get(i, 0) + a * v
+    return {i: v for i, v in out.items() if v}
+
+
 def flow_operator(poset: Poset, matching: Matching,
                   cell: CellularComplexOfPoset | None = None) -> FlowData:
     """phi = Id + dV + Vd for a Morse matching, with its invariant complex.
 
-    V sends a matched lower element to minus-incidence times its partner;
-    the phi-fixed chains form a subcomplex whose rank per degree is the
-    number of critical elements and whose homology is that of the poset.
+    V sends a matched lower element x to -<d t(x), x> t(x).  phi is
+    iterated on each critical element c until it stops changing (a
+    gradient path visits distinct p-cells, so n_p + 1 steps suffice).  The
+    limits Phi^inf(c) have critical coordinates e_c and form a basis of
+    the phi-invariant chains (Forman, "Morse theory for cell complexes",
+    Adv. Math. 1998, sections 6-8), so the boundary in that basis is the
+    critical part of d Phi^inf(c); the rest is checked against it.  The
+    rank check counts the invariant chains apart, as n_p - rank(dV + Vd).
     """
     graded = require_admissible(poset)
     if not is_morse_matching(poset, matching):
         raise NotMorseMatching("the flow operator needs an acyclic matching")
     if cell is None:
         cell = cellular_chain_complex(poset)
-    chain = cell.complex
     top = graded.max_degree()
     levels = {p: graded.level(p) for p in range(top + 1)}
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
-    V: dict[int, IntMatrix] = {}
-    for p in range(top):
-        rows = len(levels[p + 1])
-        cols = len(levels[p])
-        data = [[0] * cols for _ in range(rows)]
-        for j, x in enumerate(levels[p]):
+    d = {p: cell.complex.columns.get(p, [{}] * len(levels[p])) for p in levels}
+    V: dict[int, list[Column]] = {p: [] for p in levels}
+    for p, names in levels.items():
+        for x in names:
             y = matching.target(x)
-            if y is not None:
-                data[position[p + 1][y]][j] = -cell.epsilon(y, x)
-        V[p] = IntMatrix(rows, cols, data)
-    phi: dict[int, IntMatrix] = {}
-    deviation: dict[int, IntMatrix] = {}
-    for p in range(top + 1):
-        n = len(levels[p])
-        acc = IntMatrix.zeros(n, n)
-        if p in V:
-            acc = acc + chain.boundary_or_empty(p + 1) @ V[p]
-        if p - 1 in V:
-            acc = acc + V[p - 1] @ chain.boundary_or_empty(p)
-        deviation[p] = acc
-        phi[p] = IntMatrix.identity(n) + acc
-    invariant_basis: dict[int, list[list[int]]] = {}
-    for p in range(top + 1):
-        invariant_basis[p] = kernel_basis(deviation[p]) if levels[p] else []
-    inclusion = {p: IntMatrix.from_columns(cols, len(levels[p]))
-                 for p, cols in invariant_basis.items() if cols}
-    ranks = {p: len(cols) for p, cols in invariant_basis.items() if cols}
-    boundary: dict[int, IntMatrix] = {}
-    for p in sorted(ranks):
-        d_p = chain.boundary_or_empty(p)
-        images = [d_p.mul_vec(vec) for vec in invariant_basis[p]]
-        if p - 1 not in ranks:
-            if any(any(v) for v in images):
+            V[p].append({} if y is None else {position[p + 1][y]: -cell.epsilon(y, x)})
+    matched = matching.matched_elements()
+    critical = {p: [position[p][e] for e in levels[p] if e not in matched] for p in levels}
+    limits: dict[int, list[Column]] = {}
+    rank_ok = True
+    for p, names in levels.items():
+        deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))
+                     for j in range(len(names))]  # the columns of dV + Vd
+        rank = sum(1 for f in sparse_diagonal_form(deviation, len(names)) if f)
+        rank_ok = rank_ok and len(names) - rank == len(critical[p])
+        limits[p] = []
+        for c in critical[p]:
+            chain = {c: 1}
+            for _ in range(len(names) + 1):
+                image = _apply(deviation, chain, chain)  # phi(chain)
+                if image == chain:
+                    break
+                chain = image
+            else:
+                raise ConsistencyError("the flow does not stabilize on a critical element")
+            limits[p].append(chain)
+    boundary: dict[int, list[Column]] = {}
+    for p in range(1, top + 1):
+        below = {i: k for k, i in enumerate(critical[p - 1])}
+        boundary[p] = []
+        for chain in limits[p]:
+            image = _apply(d[p], chain)
+            coordinates = {below[i]: v for i, v in image.items() if i in below}
+            if image != _apply(limits[p - 1], coordinates):
                 raise ConsistencyError("flow-invariant chains are not closed under d")
-            continue
-        K_low = inclusion[p - 1]
-        snf_low = smith_normal_form(K_low)
-        cols = []
-        for image in images:
-            sol = solve(K_low, image, snf_low)
-            if sol is None:
-                raise ConsistencyError("flow-invariant chains are not closed under d")
-            cols.append(sol)
-        boundary[p] = IntMatrix.from_columns(cols, ranks[p - 1])
+            boundary[p].append(coordinates)
+    ranks = {p: len(critical[p]) for p in levels}
     invariant = ChainComplex(ranks, boundary)
-    crit = critical_counts(poset, matching)
-    rank_ok = all(ranks.get(p, 0) == crit.get(p, 0) for p in range(top + 1))
-    quasi = verify_quasi_isomorphism(invariant, inclusion, chain)
+    inclusion = {p: IntMatrix.from_sparse_columns(limits[p], len(levels[p]))
+                 for p in levels if limits[p]}
     return FlowData(
-        V=V,
-        phi=phi,
-        invariant_ranks={p: ranks.get(p, 0) for p in range(top + 1)},
+        invariant_ranks=ranks,
         invariant_complex=invariant,
         inclusion=inclusion,
         rank_matches_critical=rank_ok,
-        quasi_isomorphism_verified=quasi,
+        quasi_isomorphism_verified=verify_quasi_isomorphism(invariant, inclusion, cell.complex),
     )
 
 

@@ -28,6 +28,12 @@ class Matching:
     """A set of covers, each poset element in at most one pair."""
 
     pairs: frozenset[tuple[str, str]]
+    _up: dict[str, str] = field(init=False, repr=False, compare=False)
+    _down: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_up", dict(self.pairs))
+        object.__setattr__(self, "_down", {x: w for w, x in self.pairs})
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -40,16 +46,10 @@ class Matching:
 
     def target(self, x: str) -> str | None:
         """t(x): the upper partner of a matched source, else None."""
-        for w, y in self.pairs:
-            if w == x:
-                return y
-        return None
+        return self._up.get(x)
 
     def source(self, y: str) -> str | None:
-        for w, x in self.pairs:
-            if x == y:
-                return w
-        return None
+        return self._down.get(y)
 
     def without(self, removed: frozenset[tuple[str, str]]) -> "Matching":
         return Matching(self.pairs - removed)
@@ -188,9 +188,14 @@ class BasicSetDecomposition:
 
 
 def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
-    """Chain recurrent set split into critical points and orbit classes."""
+    """Chain recurrent set split into critical points and orbit classes.
+    The poset caches only the last matching's (theorem checks reuse one
+    matching; a search over many must not keep one entry per candidate)."""
     if not poset.is_graded():
         raise NotGraded("orbit indices need a graded poset")
+    cached = poset.analysis_cache.get("basic_sets")
+    if cached is not None and cached[0] == matching:
+        return cached[1]
     graded = poset.as_graded()
     digraph = matched_digraph(poset, matching)
     components = _strongly_connected_components(digraph.nodes, digraph.successors)
@@ -215,13 +220,15 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
             class_of[e] = cls
     recurrent = frozenset(critical) | {e for c in orbit_classes for e in c.elements}
     transient = tuple(e for e in poset.elements if e not in recurrent)
-    return BasicSetDecomposition(
+    decomposition = BasicSetDecomposition(
         critical=critical,
         orbit_classes=tuple(orbit_classes),
         recurrent_set=recurrent,
         transient=transient,
         _class_of=class_of,
     )
+    poset.analysis_cache["basic_sets"] = (matching, decomposition)
+    return decomposition
 
 
 def is_morse_matching(poset: Poset, matching: Matching) -> bool:

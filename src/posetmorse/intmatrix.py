@@ -111,10 +111,3 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shapes differ")
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
-

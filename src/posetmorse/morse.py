@@ -90,19 +90,13 @@ class MorseBottFunction:
     values: dict[str, Fraction]
     matching: Matching | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_decomposition", None)
-
     def value(self, element: str) -> Fraction:
         return self.values[element]
 
     def decomposition(self) -> BasicSetDecomposition:
         if self.matching is None:
             raise NotMorse("no matching attached to this function")
-        if self._decomposition is None:
-            object.__setattr__(self, "_decomposition",
-                               basic_sets(self.poset, self.matching))
-        return self._decomposition
+        return basic_sets(self.poset, self.matching)
 
     def critical_values(self) -> tuple[Fraction, ...]:
         """Images of the basic sets, sorted increasingly."""

@@ -1,14 +1,20 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code path with the
-implementations under test.
+implementations under test.  The dense Smith-form oracles (homology
+coordinates, quasi-isomorphism, flow) call only the library's dense
+`snf` routines, `homology` and the cellular complex they are given.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from posetmorse import ChainComplex, IntMatrix, Matching, Poset, SimplicialComplex, homology
-from posetmorse.category import _homology_coordinates
-from posetmorse.snf import matrix_rank, smith_normal_form, solve
+from posetmorse.cellular import CellularComplexOfPoset, cellular_chain_complex, require_admissible
+from posetmorse.dynamics import critical_counts, is_morse_matching
+from posetmorse.errors import ConsistencyError, NotMorseMatching
+from posetmorse.snf import kernel_basis, matrix_rank, smith_normal_form, solve
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -191,6 +197,42 @@ def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], in
     return incidence
 
 
+def snf_homology_coordinates(complex: ChainComplex, degree: int):
+    """SNF-aligned coordinates for H_degree of the complex.
+
+    Returns (Zprime, factors): the columns of Zprime form a basis of the
+    cycle lattice in which the boundary lattice is spanned by
+    factors[i] * column_i (factor 0 marks a free position).  The cycles
+    are a kernel basis, and each boundary column is solved for in it.
+    """
+    n = complex.rank(degree)
+    d_here = complex.boundary.get(degree)
+    if d_here is None:
+        # no boundary out of this degree: every chain is a cycle
+        kernel = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    else:
+        kernel = kernel_basis(d_here)
+    z = len(kernel)
+    Z = IntMatrix.from_columns(kernel, n) if z else IntMatrix.zeros(n, 0)
+    d_up = complex.boundary.get(degree + 1)
+    if d_up is None or z == 0:
+        Y = IntMatrix.zeros(z, 0)
+    else:
+        snf_z = smith_normal_form(Z)
+        cols = []
+        for j in range(d_up.cols):
+            sol = solve(Z, d_up.column(j), snf_z)
+            if sol is None:
+                raise ConsistencyError("boundary image escaped the cycle lattice")
+            cols.append(sol)
+        Y = IntMatrix.from_columns(cols, z) if cols else IntMatrix.zeros(z, 0)
+    snf_y = smith_normal_form(Y)
+    diag = snf_y.diagonal
+    factors = [diag[i] if i < len(diag) else 0 for i in range(z)]
+    Zprime = Z @ snf_y.U if z else Z
+    return Zprime, factors
+
+
 def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
                           ambient: ChainComplex) -> bool:
     """Inclusion is a chain map inducing isomorphisms on all homology,
@@ -222,7 +264,7 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
     if homology(sub) != homology(ambient):
         return False
     for p in degrees:
-        Zprime, factors = _homology_coordinates(ambient, p)
+        Zprime, factors = snf_homology_coordinates(ambient, p)
         z = Zprime.cols
         if z == 0:
             continue  # ambient has no cycles here; summaries already matched
@@ -230,7 +272,7 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
         inc = inclusion.get(p)
         image_cols = []
         if inc is not None and sub.rank(p):
-            sub_coords, sub_factors = _homology_coordinates(sub, p)
+            sub_coords, sub_factors = snf_homology_coordinates(sub, p)
             for j in range(sub_coords.cols):
                 if sub_factors[j] == 1:
                     continue  # trivial class
@@ -249,3 +291,95 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
         if sum(1 for d in diag if d == 1) != z:
             return False
     return True
+
+
+def _matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.rows, a.cols, [[x + y for x, y in zip(ra, rb)]
+                                      for ra, rb in zip(a.data, b.data)])
+
+
+@dataclass(frozen=True)
+class DenseFlow:
+    V: dict[int, IntMatrix]
+    phi: dict[int, IntMatrix]
+    invariant_ranks: dict[int, int]
+    invariant_complex: ChainComplex
+    inclusion: dict[int, IntMatrix]
+    rank_matches_critical: bool
+    quasi_isomorphism_verified: bool
+
+
+def dense_flow_operator(poset: Poset, matching: Matching,
+                        cell: CellularComplexOfPoset | None = None) -> DenseFlow:
+    """phi = Id + dV + Vd as dense matrices, and its invariant chains as
+    the kernel of dV + Vd, with a Smith-form solve for their boundary.
+
+    The reference for the library's flow on sparse chains; the verdict on
+    the invariant complex comes from `snf_quasi_isomorphism`.
+    """
+    graded = require_admissible(poset)
+    if not is_morse_matching(poset, matching):
+        raise NotMorseMatching("the flow operator needs an acyclic matching")
+    if cell is None:
+        cell = cellular_chain_complex(poset)
+    chain = cell.complex
+    top = graded.max_degree()
+    levels = {p: graded.level(p) for p in range(top + 1)}
+    position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
+    V: dict[int, IntMatrix] = {}
+    for p in range(top):
+        rows = len(levels[p + 1])
+        cols = len(levels[p])
+        data = [[0] * cols for _ in range(rows)]
+        for j, x in enumerate(levels[p]):
+            y = matching.target(x)
+            if y is not None:
+                data[position[p + 1][y]][j] = -cell.epsilon(y, x)
+        V[p] = IntMatrix(rows, cols, data)
+    phi: dict[int, IntMatrix] = {}
+    deviation: dict[int, IntMatrix] = {}
+    for p in range(top + 1):
+        n = len(levels[p])
+        acc = IntMatrix.zeros(n, n)
+        if p in V:
+            acc = _matrix_sum(acc, chain.boundary_or_empty(p + 1) @ V[p])
+        if p - 1 in V:
+            acc = _matrix_sum(acc, V[p - 1] @ chain.boundary_or_empty(p))
+        deviation[p] = acc
+        phi[p] = _matrix_sum(IntMatrix.identity(n), acc)
+    invariant_basis: dict[int, list[list[int]]] = {}
+    for p in range(top + 1):
+        invariant_basis[p] = kernel_basis(deviation[p]) if levels[p] else []
+    inclusion = {p: IntMatrix.from_columns(cols, len(levels[p]))
+                 for p, cols in invariant_basis.items() if cols}
+    ranks = {p: len(cols) for p, cols in invariant_basis.items() if cols}
+    boundary: dict[int, IntMatrix] = {}
+    for p in sorted(ranks):
+        d_p = chain.boundary_or_empty(p)
+        images = [d_p.mul_vec(vec) for vec in invariant_basis[p]]
+        if p - 1 not in ranks:
+            if any(any(v) for v in images):
+                raise ConsistencyError("flow-invariant chains are not closed under d")
+            continue
+        K_low = inclusion[p - 1]
+        snf_low = smith_normal_form(K_low)
+        cols = []
+        for image in images:
+            sol = solve(K_low, image, snf_low)
+            if sol is None:
+                raise ConsistencyError("flow-invariant chains are not closed under d")
+            cols.append(sol)
+        boundary[p] = IntMatrix.from_columns(cols, ranks[p - 1])
+    invariant = ChainComplex(ranks, boundary)
+    crit = critical_counts(poset, matching)
+    rank_ok = all(ranks.get(p, 0) == crit.get(p, 0) for p in range(top + 1))
+    quasi = snf_quasi_isomorphism(invariant, inclusion, chain)
+    return DenseFlow(
+        V=V,
+        phi=phi,
+        invariant_ranks={p: ranks.get(p, 0) for p in range(top + 1)},
+        invariant_complex=invariant,
+        inclusion=inclusion,
+        rank_matches_critical=rank_ok,
+        quasi_isomorphism_verified=quasi,
+    )

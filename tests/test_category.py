@@ -18,6 +18,7 @@ from posetmorse import (
     perturb_to_morse,
     minimal_subcomplex,
     poset_homology,
+    simplicial_chain_complex,
     validate_matching,
 )
 from posetmorse.category import verify_quasi_isomorphism
@@ -116,10 +117,10 @@ def test_flow_operator_t3_m1(t3, t3_m1):
 def test_flow_operator_identity_on_empty_matching(t3, t3_empty_matching):
     flow = flow_operator(t3, t3_empty_matching)
     assert flow.invariant_ranks == {0: 3, 1: 3}
-    for p, mat in flow.phi.items():
+    assert set(flow.inclusion) == {0, 1}
+    for p, mat in flow.inclusion.items():
         assert mat == IntMatrix.identity(mat.rows)
-    for p, mat in flow.V.items():
-        assert mat.is_zero()
+    assert flow.invariant_complex.boundary == cellular_chain_complex(t3).complex.boundary
     assert flow.quasi_isomorphism_verified
 
 
@@ -255,3 +256,41 @@ def test_flow_random_face_posets():
         assert flow.quasi_isomorphism_verified
         assert homology(flow.invariant_complex) == poset_homology(poset)
         done += 1
+
+
+def test_minimal_subcomplex_one_smith_form_per_boundary(monkeypatch, rp2_poset):
+    import posetmorse.category as category
+    shapes = []
+    real = category.smith_normal_form
+
+    def counted(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return real(matrix)
+
+    monkeypatch.setattr(category, "smith_normal_form", counted)
+    for chain in (cellular_chain_complex(rp2_poset).complex,
+                  simplicial_chain_complex(random_simplicial_complex(XorShift64Star(9), 6, 5))):
+        shapes.clear()
+        witness = minimal_subcomplex(chain)
+        assert witness.quasi_isomorphism_verified
+        boundary_shapes = [(m.rows, m.cols) for m in chain.boundary.values()]
+        # each boundary once, plus at most one cycle-coordinate matrix per degree
+        for shape in boundary_shapes:
+            assert shapes.count(shape) >= 1
+        assert len(shapes) <= len(boundary_shapes) + len(chain.degrees())
+
+
+def test_minimal_subcomplex_cycles_match_kernel_solve_oracle(rp2_poset):
+    from helpers import snf_homology_coordinates
+    rng = XorShift64Star(31)
+    chains = [cellular_chain_complex(rp2_poset).complex]
+    for _ in range(15):
+        complex = random_simplicial_complex(rng, max_vertices=6, max_triangles=5)
+        chains += [simplicial_chain_complex(complex), simplicial_chain_complex(complex, True)]
+    for chain in chains:
+        witness = minimal_subcomplex(chain)
+        for p in chain.degrees():
+            Zprime, factors = snf_homology_coordinates(chain, p)
+            cycles = [Zprime.column(i) for i, t in enumerate(factors) if t != 1]
+            got = witness.inclusion[p].columns()[:len(cycles)] if cycles else []
+            assert got == cycles
