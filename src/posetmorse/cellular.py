@@ -1,26 +1,25 @@
 """Cellularity, homological admissibility, and the cellular chain complex
 of a poset with explicitly computed incidence numbers.
 
-The incidence number of a cover (w, x) with deg x = p is the coefficient
-of the basis class of w when the connecting image of the basis class of x
-is written in the relative homology of the skeleton pair below.  Degree-p
-basis classes are represented by cones x * g_x over explicit sphere
-generators g_x, and the top-dimensional simplices of the order complex of
-a skeleton are full flags, so the relative cycle group in which we expand
-is freely spanned by the cones w * g_w.  That turns the expansion into an
-exact componentwise division: group the flags of g_x by their maximal
-element w, un-cone, and divide by g_w.  Boundaries of higher chains and
-chains of the lower skeleton contribute nothing because the relevant
-order complexes have no simplices in those dimensions.
-
-Every order complex here is that of a subposet (a strict or punctured
-down-set) and is read off the poset's cached chains by
-`subposet_chain_complex`; no induced subposet is built.
+One pass over the elements by degree decides all three, as Massey builds
+incidences for regular CW complexes (for posets: Minian, Topology Appl.
+159, 2012).  Once every element of U.x is cellular, H(U.x) is that of the
+cellular complex restricted to U.x, |U.x| cells instead of its chains.
+If it is H(S^{p-1}), p = deg x, then eps(x, .) is the primitive generator
+of ker d_{p-1} on U.x, whose columns are x's lower covers, and by the
+exact sequence of (U.x, U.x - {w}) the cover (w, x) is admissible exactly
+when eps(x, w) = +-1.  Where U.x holds a non-cellular element, the
+order-complex homology of `subposet_chain_complex` decides x and its
+covers.  The sign gauge is that of `sphere_generator`: the first sorted
+full flag of U.x whose steps all have nonzero incidence, found greedily,
+has a positive coefficient, (-1)^(names before w) * eps(x, w) times the
+coefficient of the rest of the flag in w's generator, w its top element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     ConsistencyError,
@@ -33,11 +32,13 @@ from .errors import (
 )
 from .homology import (
     ChainComplex,
+    HomologySummary,
     homology,
     poset_homology,
     sphere_summary,
     subposet_chain_complex,
 )
+from .intmatrix import Column
 from .posets import GradedPoset, Poset
 from .simplicial import Simplex
 from .snf import kernel_basis
@@ -67,16 +68,12 @@ class SphereGenerator:
     element: str
     cycle: dict[Simplex, int]
 
-    def scaled(self, sign: int) -> "SphereGenerator":
-        return SphereGenerator(self.element, {s: sign * c for s, c in self.cycle.items()})
-
 
 @dataclass(frozen=True)
 class CellularComplexOfPoset:
     poset: GradedPoset
     complex: ChainComplex
     incidence: dict[tuple[str, str], int]
-    generators: dict[str, SphereGenerator]
     admissible: bool
 
     def epsilon(self, x: str, w: str) -> int:
@@ -88,40 +85,130 @@ class CellularComplexOfPoset:
 
 def check_cellularity(poset: Poset) -> CellularityReport:
     """Verify gradedness, sphere down-sets, and punctured acyclicity."""
+    return _cellular_pass(poset)[0]
+
+
+def _cellular_pass(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, str], int] | None]:
+    """The cellularity report and, on cellular posets, the incidence
+    numbers, from one pass over the elements by degree; cached per poset."""
     cached = poset.analysis_cache.get("cellularity")
-    if cached is not None:
-        return cached
-    if not poset.is_graded():
-        bad = [(w, x) for w, x in poset.covers
-               if poset.heights()[x] != poset.heights()[w] + 1]
-        witnesses = tuple(("not-graded", f"{w}<{x}", "cover skips a height level")
-                          for w, x in sorted(bad))
-        report = CellularityReport(False, False, False, witnesses)
-        poset.analysis_cache["cellularity"] = report
-        return report
-    witnesses: list[tuple[str, str, str]] = []
-    cellular = True
+    if cached is None:
+        cached = poset.analysis_cache["cellularity"] = (
+            _degree_induction(poset) if poset.is_graded() else (_ungraded_report(poset), None))
+    return cached
+
+
+def _ungraded_report(poset: Poset) -> CellularityReport:
+    bad = [(w, x) for w, x in poset.covers if poset.heights()[x] != poset.heights()[w] + 1]
+    return CellularityReport(False, False, False, tuple(
+        ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
+
+
+def _degree_induction(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, str], int] | None]:
     degrees = poset.heights()
-    below = {e: poset.strictly_below(e) for e in poset.elements}
-    for x in poset.elements:
-        p = degrees[x]
-        summary = homology(subposet_chain_complex(poset, below[x], reduced=True))
+    # eps[x] once every element of U_x is cellular; reach[x]: the elements
+    # below x along covers of nonzero incidence
+    eps: dict[str, dict[str, int]] = {}
+    reach: dict[str, frozenset[str]] = {}
+    not_cellular: dict[str, HomologySummary] = {}
+    not_admissible: list[tuple[str, str]] = []
+    for x in sorted(poset.elements, key=degrees.__getitem__):
+        p, lower, below = degrees[x], poset.lower_covers(x), poset.strictly_below(x)
+        if p == 0:
+            eps[x], reach[x] = {}, below
+            continue
+        # None: U.x holds a non-cellular element, so the order complex decides
+        known = eps if all(w in eps for w in lower) else None
+        chain = _down_set_complex(poset, below, known)
+        summary = homology(chain)
         if summary != sphere_summary(p - 1):
-            cellular = False
-            witnesses.append(("not-cellular", x, f"strict down-set has {summary}"))
-    admissible = True
-    for w, x in sorted(poset.covers):
-        punctured = subposet_chain_complex(poset, below[x] - {w}, reduced=True)
-        if not homology(punctured).is_trivial():
-            admissible = False
-            witnesses.append(("not-admissible", f"{w}<{x}",
-                              "punctured down-set is not acyclic"))
+            not_cellular[x] = summary
+        if known is None or x in not_cellular:
+            not_admissible += [(w, x) for w in lower if not homology(
+                _down_set_complex(poset, below - {w}, known)).is_trivial()]
+            continue
+        eps[x] = dict(zip(lower, _kernel_generator(chain.columns[p - 1])))
+        steps = [w for w in lower if eps[x][w]]
+        # shares the down-set where every step has nonzero incidence, as on
+        # every admissible poset
+        shared = len(steps) == len(lower) and all(
+            reach[w] is poset.strictly_below(w) for w in steps)
+        reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
+        if _gauge_sign(x, p, eps, reach, degrees) < 0:
+            eps[x] = {w: -e for w, e in eps[x].items()}
+        not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+    witnesses = [("not-cellular", x, f"strict down-set has {not_cellular[x]}")
+                 for x in poset.elements if x in not_cellular]
+    witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
+                  for w, x in sorted(not_admissible)]
+    cellular, admissible = not not_cellular, not not_admissible
     # admissibility forces cellularity (with the empty set not acyclic)
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
-    report = CellularityReport(True, cellular, admissible, tuple(witnesses))
-    poset.analysis_cache["cellularity"] = report
-    return report
+    incidence = ({(x, w): eps[x][w] for x in poset.elements for w in poset.lower_covers(x)}
+                 if cellular else None)
+    return CellularityReport(True, cellular, admissible, tuple(witnesses)), incidence
+
+
+def _down_set_complex(poset: Poset, members: frozenset[str],
+                      eps: dict[str, dict[str, int]] | None) -> ChainComplex:
+    """A reduced chain complex of a down-closed set: the cellular one, cells
+    in poset order and degree-0 cells mapped to the augmentation, when
+    `eps` holds the incidences of every member; else the order complex."""
+    if eps is None:
+        return subposet_chain_complex(poset, members, reduced=True)
+    degrees, index = poset.heights(), poset.index
+    levels: dict[int, list[str]] = {-1: [""]}
+    for e in sorted(members, key=lambda e: (degrees[e], index[e])):
+        levels.setdefault(degrees[e], []).append(e)
+    rows = {e: i for cells in levels.values() for i, e in enumerate(cells)}
+    boundary = {p: [{rows[w]: e for w, e in eps[x].items() if e} if p else {0: 1}
+                    for x in levels[p]] for p in range(len(levels) - 1)}
+    return ChainComplex({p: len(cells) for p, cells in levels.items()}, boundary)
+
+
+def _kernel_generator(columns: list[Column]) -> list[int]:
+    """The primitive integer generator of the rank-one kernel of a matrix
+    given by sparse columns.  Each column carries its combination of the
+    given ones under negative row keys; integer column elimination on the
+    other rows reduces one column to its combination alone."""
+    pivots: list[tuple[int, Column]] = []
+    for j, col in enumerate(columns):
+        col = {**col, -1 - j: 1}
+        for row, pivot in pivots:
+            if row in col:
+                a, b = pivot[row], col[row]
+                col = {i: a * col.get(i, 0) - b * pivot.get(i, 0) for i in col.keys() | pivot}
+                g = gcd(*col.values())
+                col = {i: v // g for i, v in col.items() if v}
+        rows = [i for i in col if i >= 0]
+        if not rows:
+            return [col.get(-1 - k, 0) for k in range(len(columns))]
+        pivots.append((min(rows, key=lambda i: (abs(col[i]), i)), col))
+    raise ConsistencyError("top cellular boundary of a sphere has no kernel")
+
+
+def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],
+                reach: dict[str, frozenset[str]], degrees: dict[str, int]) -> int:
+    """The sign, in x's sphere generator, of the first sorted full flag of
+    U.x along nonzero incidences: p times the smallest name still on such
+    a flag with those taken so far."""
+    names, flag = sorted(reach[x]), []
+    while len(flag) < p:
+        start = names.index(flag[-1]) + 1 if flag else 0
+        for name in names[start:]:
+            chain = sorted(flag + [name], key=degrees.__getitem__, reverse=True)
+            if all(e in reach[top] for top, e in zip([x] + chain, chain)):
+                flag.append(name)
+                break
+        else:
+            raise ConsistencyError(f"no full flag below {x!r} along nonzero incidences")
+    coeff, top = 1, x
+    for w in sorted(flag, key=degrees.__getitem__, reverse=True):
+        coeff *= (-1) ** flag.index(w) * eps[top][w]
+        flag.remove(w)
+        top = w
+    return 1 if coeff > 0 else -1
 
 
 def require_cellular(poset: Poset) -> GradedPoset:
@@ -140,11 +227,6 @@ def require_admissible(poset: Poset) -> GradedPoset:
     return poset.as_graded()
 
 
-def _cone_sign(member: str, simplex: Simplex) -> int:
-    """Sign of prepending `member` to the chain `simplex` in sorted order."""
-    return (-1) ** sorted(simplex + (member,)).index(member)
-
-
 def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     """Canonical generator of the top reduced homology of the strict
     down-set of `element`.
@@ -153,7 +235,8 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     top reduced cycles are exactly its top reduced homology; cellularity
     makes that group infinite cyclic and the kernel of the boundary has
     rank one.  The sign is fixed by making the coefficient of the
-    lexicographically first simplex in the support positive.
+    lexicographically first simplex in the support positive: the gauge of
+    the incidence numbers, which never build these cycles.
     """
     graded = poset.as_graded()
     p = graded.degree(element)
@@ -182,59 +265,6 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     return gen
 
 
-def _incidence_from_generators(poset: GradedPoset) -> tuple[dict, dict]:
-    """Incidence numbers via cone decomposition of the sphere generators."""
-    incidence: dict[tuple[str, str], int] = {}
-    generators: dict[str, SphereGenerator] = {}
-    degrees = poset.degrees
-    for x in poset.elements:
-        if degrees[x] >= 1:
-            generators[x] = sphere_generator(poset, x)
-    for x in poset.elements:
-        p = degrees[x]
-        if p < 1:
-            continue
-        g_x = generators[x]
-        # group the flags of g_x by their order-maximal element
-        parts: dict[str, dict[Simplex, int]] = {}
-        for simplex, coeff in g_x.cycle.items():
-            w = max(simplex, key=degrees.__getitem__)
-            tail = tuple(v for v in simplex if v != w)
-            parts.setdefault(w, {})[tail] = _cone_sign(w, tail) * coeff
-        for w in poset.lower_covers(x):
-            h_w = parts.pop(w, None)
-            if h_w is None:
-                incidence[(x, w)] = 0
-                continue
-            if p == 1:
-                # flags below x are bare vertices; the cone basis is {[w]}
-                if set(h_w) != {()}:
-                    raise InconsistentIncidence("degree-1 flag decomposition broke")
-                incidence[(x, w)] = h_w[()]
-                continue
-            g_w = generators[w]
-            ratio = None
-            for tail, coeff in g_w.cycle.items():
-                got = h_w.get(tail, 0)
-                if got % coeff != 0:
-                    raise InconsistentIncidence(
-                        f"flag component over {w!r} is not a multiple of its generator")
-                r = got // coeff
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    raise InconsistentIncidence(
-                        f"flag component over {w!r} is not proportional to its generator")
-            if set(h_w) - set(g_w.cycle):
-                raise InconsistentIncidence(
-                    f"flag component over {w!r} has stray support")
-            incidence[(x, w)] = ratio if ratio is not None else 0
-        if parts:
-            raise InconsistentIncidence(
-                f"generator of {x!r} has flags over non-covers {sorted(parts)}")
-    return incidence, generators
-
-
 def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int]) -> ChainComplex:
     """The chain complex with one generator per element, graded by degree,
     whose boundary sends x to the sum of incidence[(x, w)] * w over its
@@ -253,8 +283,8 @@ def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int
 
 
 def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
-    """The cellular chain complex of the poset, with incidence numbers
-    computed from sphere generators expanded through the skeleton pair.
+    """The cellular chain complex of the poset, with the incidence numbers
+    of the cellularity pass.
 
     Validates d*d = 0 and, on homologically admissible posets, that every
     incidence number is +-1.
@@ -263,17 +293,15 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     if cached is not None:
         return cached
     graded = require_cellular(poset)
-    report = check_cellularity(poset)
-    incidence, generators = _incidence_from_generators(graded)
+    report, incidence = _cellular_pass(poset)
     chain = _incidence_complex(graded, incidence)
     if report.is_homologically_admissible:
         bad = [(x, w) for (x, w), e in incidence.items() if abs(e) != 1]
         if bad:
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
-    cell = CellularComplexOfPoset(
-        poset=graded, complex=chain, incidence=incidence,
-        generators=generators, admissible=report.is_homologically_admissible)
+    cell = CellularComplexOfPoset(poset=graded, complex=chain, incidence=incidence,
+                                  admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell
 
@@ -284,11 +312,9 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     sign = lambda e: signs.get(e, 1)
     incidence = {(x, w): sign(x) * eps * sign(w)
                  for (x, w), eps in cell.incidence.items()}
-    generators = {x: g.scaled(sign(x)) for x, g in cell.generators.items()}
     chain = _incidence_complex(cell.poset, incidence)
-    return CellularComplexOfPoset(
-        poset=cell.poset, complex=chain, incidence=incidence,
-        generators=generators, admissible=cell.admissible)
+    return CellularComplexOfPoset(poset=cell.poset, complex=chain, incidence=incidence,
+                                  admissible=cell.admissible)
 
 
 def verify_cellular_agreement(poset: Poset) -> bool:

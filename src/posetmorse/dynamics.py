@@ -187,23 +187,44 @@ class BasicSetDecomposition:
         }
 
 
+@dataclass
+class _Recurrence:
+    """One matching's digraph and strongly connected components, with the
+    basic sets and the Morse-Smale verdict once they are asked for."""
+
+    matching: Matching
+    digraph: MatchedDigraph
+    components: list[list[str]]
+    decomposition: BasicSetDecomposition | None = None
+    verdict: MorseSmaleVerdict | None = None
+
+
+def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
+    """The poset keeps the last matching's record only (theorem checks reuse
+    one matching; a search over many must not keep one entry per
+    candidate)."""
+    cached = poset.analysis_cache.get("recurrence")
+    if cached is None or cached.matching != matching:
+        digraph = matched_digraph(poset, matching)
+        cached = _Recurrence(matching, digraph,
+                             _strongly_connected_components(digraph.nodes, digraph.successors))
+        poset.analysis_cache["recurrence"] = cached
+    return cached
+
+
 def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
-    """Chain recurrent set split into critical points and orbit classes.
-    The poset caches only the last matching's (theorem checks reuse one
-    matching; a search over many must not keep one entry per candidate)."""
+    """Chain recurrent set split into critical points and orbit classes."""
     if not poset.is_graded():
         raise NotGraded("orbit indices need a graded poset")
-    cached = poset.analysis_cache.get("basic_sets")
-    if cached is not None and cached[0] == matching:
-        return cached[1]
+    record = _recurrence(poset, matching)
+    if record.decomposition is not None:
+        return record.decomposition
     graded = poset.as_graded()
-    digraph = matched_digraph(poset, matching)
-    components = _strongly_connected_components(digraph.nodes, digraph.successors)
     matched = matching.matched_elements()
     critical = tuple(e for e in poset.elements if e not in matched)
     order = poset.index
     orbit_classes = []
-    for comp in components:
+    for comp in record.components:
         if len(comp) < 2:
             continue
         elems = tuple(sorted(comp, key=order.__getitem__))
@@ -220,22 +241,19 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
             class_of[e] = cls
     recurrent = frozenset(critical) | {e for c in orbit_classes for e in c.elements}
     transient = tuple(e for e in poset.elements if e not in recurrent)
-    decomposition = BasicSetDecomposition(
+    record.decomposition = BasicSetDecomposition(
         critical=critical,
         orbit_classes=tuple(orbit_classes),
         recurrent_set=recurrent,
         transient=transient,
         _class_of=class_of,
     )
-    poset.analysis_cache["basic_sets"] = (matching, decomposition)
-    return decomposition
+    return record.decomposition
 
 
 def is_morse_matching(poset: Poset, matching: Matching) -> bool:
     """True iff the matched digraph is acyclic."""
-    digraph = matched_digraph(poset, matching)
-    components = _strongly_connected_components(digraph.nodes, digraph.successors)
-    return all(len(c) == 1 for c in components)
+    return all(len(c) == 1 for c in _recurrence(poset, matching).components)
 
 
 @dataclass(frozen=True)
@@ -296,21 +314,24 @@ def _orbit_from_component(poset: Poset, digraph: MatchedDigraph,
 
 def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
     """Morse-Smale: every nontrivial component is one simple cycle, i.e.
-    the recurrent set is critical points plus disjoint prime orbits."""
+    the recurrent set is critical points plus disjoint prime orbits.  The
+    verdict is kept with the matching's recurrence record."""
     require_admissible(poset)
-    decomposition = basic_sets(poset, matching)
-    digraph = matched_digraph(poset, matching)
-    orbits = []
-    for cls in decomposition.orbit_classes:
-        orbit = _orbit_from_component(poset, digraph, cls.elements, cls.index)
-        if orbit is None:
-            return MorseSmaleVerdict(False, (), offender=cls.elements[0])
-        orbits.append(orbit)
-    return MorseSmaleVerdict(True, tuple(orbits))
+    record = _recurrence(poset, matching)
+    if record.verdict is None:
+        orbits = []
+        for cls in basic_sets(poset, matching).orbit_classes:
+            orbit = _orbit_from_component(poset, record.digraph, cls.elements, cls.index)
+            if orbit is None:
+                record.verdict = MorseSmaleVerdict(False, (), offender=cls.elements[0])
+                return record.verdict
+            orbits.append(orbit)
+        record.verdict = MorseSmaleVerdict(True, tuple(orbits))
+    return record.verdict
 
 
 def prime_orbits(poset: Poset, matching: Matching) -> tuple[ClosedOrbit, ...]:
-    verdict = is_morse_smale(poset, matching)
+    verdict = _recurrence(poset, matching).verdict or is_morse_smale(poset, matching)
     if not verdict.is_morse_smale:
         raise NotMorseSmale(f"recurrence near {verdict.offender!r} is not a simple orbit")
     return verdict.orbits

@@ -94,12 +94,6 @@ class ChainComplex:
     def max_degree(self) -> int:
         return max(self.ranks, default=0)
 
-    def boundary_or_empty(self, p: int) -> IntMatrix:
-        mat = self.boundary.get(p)
-        if mat is None:
-            return IntMatrix.zeros(self.rank(p - 1), self.rank(p))
-        return mat
-
     def __repr__(self):
         ranks = [f"{p}:{self.ranks[p]}" for p in self.degrees()]
         return f"ChainComplex({', '.join(ranks)})"

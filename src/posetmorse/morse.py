@@ -23,10 +23,9 @@ from .cellular import require_admissible
 from .dynamics import (
     BasicSetDecomposition,
     Matching,
+    _recurrence,
     basic_sets,
-    matched_digraph,
     validate_matching,
-    _strongly_connected_components,
 )
 from .errors import (
     ConsistencyError,
@@ -128,8 +127,8 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     """
     if not poset.is_graded():
         raise NotGraded("integration needs a graded poset")
-    digraph = matched_digraph(poset, matching)
-    components = _strongly_connected_components(digraph.nodes, digraph.successors)
+    record = _recurrence(poset, matching)
+    digraph, components = record.digraph, record.components
     comp_id = {}
     for i, comp in enumerate(components):
         for e in comp:

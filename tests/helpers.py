@@ -3,7 +3,10 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test.  The dense Smith-form oracles (homology
 coordinates, quasi-isomorphism, flow) call only the library's dense
-`snf` routines, `homology` and the cellular complex they are given.
+`snf` routines, `homology` and the cellular complex they are given.  The
+cellularity oracles are the order-complex definitions the library's
+cellularity pass replaced; they call `subposet_chain_complex`,
+`sphere_generator` and `homology`.
 """
 
 from __future__ import annotations
@@ -11,9 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from posetmorse import ChainComplex, IntMatrix, Matching, Poset, SimplicialComplex, homology
-from posetmorse.cellular import CellularComplexOfPoset, cellular_chain_complex, require_admissible
+from posetmorse.cellular import (
+    CellularComplexOfPoset,
+    CellularityReport,
+    cellular_chain_complex,
+    require_admissible,
+    sphere_generator,
+)
 from posetmorse.dynamics import critical_counts, is_morse_matching
-from posetmorse.errors import ConsistencyError, NotMorseMatching
+from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorseMatching
+from posetmorse.homology import sphere_summary, subposet_chain_complex
+from posetmorse.simplicial import Simplex
 from posetmorse.snf import kernel_basis, matrix_rank, smith_normal_form, solve
 
 
@@ -197,6 +208,100 @@ def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], in
     return incidence
 
 
+def boundary_or_empty(complex: ChainComplex, p: int) -> IntMatrix:
+    """The dense boundary C_p -> C_{p-1}, or the zero matrix of that shape
+    where the complex stores none."""
+    mat = complex.boundary.get(p)
+    if mat is None:
+        return IntMatrix.zeros(complex.rank(p - 1), complex.rank(p))
+    return mat
+
+
+def order_complex_cellularity(poset: Poset) -> CellularityReport:
+    """Cellularity and admissibility by the definition: the order-complex
+    homology of every strict down-set, and of every punctured one.  The
+    witnesses and their order are those of `check_cellularity`."""
+    if not poset.is_graded():
+        bad = [(w, x) for w, x in poset.covers
+               if poset.heights()[x] != poset.heights()[w] + 1]
+        witnesses = tuple(("not-graded", f"{w}<{x}", "cover skips a height level")
+                          for w, x in sorted(bad))
+        return CellularityReport(False, False, False, witnesses)
+    witnesses: list[tuple[str, str, str]] = []
+    cellular = True
+    degrees = poset.heights()
+    below = {e: poset.strictly_below(e) for e in poset.elements}
+    for x in poset.elements:
+        p = degrees[x]
+        summary = homology(subposet_chain_complex(poset, below[x], reduced=True))
+        if summary != sphere_summary(p - 1):
+            cellular = False
+            witnesses.append(("not-cellular", x, f"strict down-set has {summary}"))
+    admissible = True
+    for w, x in sorted(poset.covers):
+        punctured = subposet_chain_complex(poset, below[x] - {w}, reduced=True)
+        if not homology(punctured).is_trivial():
+            admissible = False
+            witnesses.append(("not-admissible", f"{w}<{x}",
+                              "punctured down-set is not acyclic"))
+    return CellularityReport(True, cellular, admissible, tuple(witnesses))
+
+
+def cone_sign(member: str, simplex: Simplex) -> int:
+    """Sign of prepending `member` to the chain `simplex` in sorted order."""
+    return (-1) ** sorted(simplex + (member,)).index(member)
+
+
+def incidence_from_generators(poset: Poset) -> dict[tuple[str, str], int]:
+    """Incidence numbers by cone decomposition of the order-complex sphere
+    generators: group the flags of g_x by their top element w, un-cone,
+    and divide by g_w.  Needs a cellular poset."""
+    poset = poset.as_graded()
+    incidence: dict[tuple[str, str], int] = {}
+    degrees = poset.degrees
+    generators = {x: sphere_generator(poset, x) for x in poset.elements if degrees[x] >= 1}
+    for x in poset.elements:
+        p = degrees[x]
+        if p < 1:
+            continue
+        parts: dict[str, dict[Simplex, int]] = {}
+        for simplex, coeff in generators[x].cycle.items():
+            w = max(simplex, key=degrees.__getitem__)
+            tail = tuple(v for v in simplex if v != w)
+            parts.setdefault(w, {})[tail] = cone_sign(w, tail) * coeff
+        for w in poset.lower_covers(x):
+            h_w = parts.pop(w, None)
+            if h_w is None:
+                incidence[(x, w)] = 0
+                continue
+            if p == 1:
+                # flags below x are bare vertices; the cone basis is {[w]}
+                if set(h_w) != {()}:
+                    raise InconsistentIncidence("degree-1 flag decomposition broke")
+                incidence[(x, w)] = h_w[()]
+                continue
+            g_w = generators[w]
+            ratio = None
+            for tail, coeff in g_w.cycle.items():
+                got = h_w.get(tail, 0)
+                if got % coeff != 0:
+                    raise InconsistentIncidence(
+                        f"flag component over {w!r} is not a multiple of its generator")
+                r = got // coeff
+                if ratio is None:
+                    ratio = r
+                elif r != ratio:
+                    raise InconsistentIncidence(
+                        f"flag component over {w!r} is not proportional to its generator")
+            if set(h_w) - set(g_w.cycle):
+                raise InconsistentIncidence(f"flag component over {w!r} has stray support")
+            incidence[(x, w)] = ratio if ratio is not None else 0
+        if parts:
+            raise InconsistentIncidence(
+                f"generator of {x!r} has flags over non-covers {sorted(parts)}")
+    return incidence
+
+
 def snf_homology_coordinates(complex: ChainComplex, degree: int):
     """SNF-aligned coordinates for H_degree of the complex.
 
@@ -255,9 +360,9 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
         if matrix_rank(inc) != ns:
             return False
         if ambient.rank(p - 1):
-            left = ambient.boundary_or_empty(p) @ inc
+            left = boundary_or_empty(ambient, p) @ inc
             if sub.rank(p - 1):
-                if left != inclusion[p - 1] @ sub.boundary_or_empty(p):
+                if left != inclusion[p - 1] @ boundary_or_empty(sub, p):
                     return False
             elif not left.is_zero():
                 return False
@@ -342,9 +447,9 @@ def dense_flow_operator(poset: Poset, matching: Matching,
         n = len(levels[p])
         acc = IntMatrix.zeros(n, n)
         if p in V:
-            acc = _matrix_sum(acc, chain.boundary_or_empty(p + 1) @ V[p])
+            acc = _matrix_sum(acc, boundary_or_empty(chain, p + 1) @ V[p])
         if p - 1 in V:
-            acc = _matrix_sum(acc, V[p - 1] @ chain.boundary_or_empty(p))
+            acc = _matrix_sum(acc, V[p - 1] @ boundary_or_empty(chain, p))
         deviation[p] = acc
         phi[p] = _matrix_sum(IntMatrix.identity(n), acc)
     invariant_basis: dict[int, list[list[int]]] = {}
@@ -355,7 +460,7 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     ranks = {p: len(cols) for p, cols in invariant_basis.items() if cols}
     boundary: dict[int, IntMatrix] = {}
     for p in sorted(ranks):
-        d_p = chain.boundary_or_empty(p)
+        d_p = boundary_or_empty(chain, p)
         images = [d_p.mul_vec(vec) for vec in invariant_basis[p]]
         if p - 1 not in ranks:
             if any(any(v) for v in images):

@@ -26,6 +26,8 @@ from posetmorse.errors import NotMorse, NotMorseMatching, NotMorseSmale
 from posetmorse.intmatrix import IntMatrix
 from posetmorse.randgen import XorShift64Star, random_matching, random_simplicial_complex
 
+from helpers import boundary_or_empty
+
 
 def test_hccat_values(t3, rp2_poset, full_triangle):
     assert hccat(t3) == 2
@@ -81,8 +83,8 @@ def test_minimal_subcomplex_is_chain_subcomplex(rp2_poset):
     for p in witness.complex.degrees():
         if p - 1 not in witness.complex.ranks:
             continue
-        left = cell.complex.boundary_or_empty(p) @ witness.inclusion[p]
-        right = witness.inclusion[p - 1] @ witness.complex.boundary_or_empty(p)
+        left = boundary_or_empty(cell.complex, p) @ witness.inclusion[p]
+        right = witness.inclusion[p - 1] @ boundary_or_empty(witness.complex, p)
         assert left == right
 
 

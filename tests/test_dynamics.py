@@ -290,3 +290,43 @@ def test_orbit_alternates_two_degrees(mobius_poset, mobius_ring_matching):
     for cls in dec.orbit_classes:
         degrees = {graded.degree(e) for e in cls.elements}
         assert degrees == {cls.index, cls.index + 1}
+
+
+DYNAMICS_JOBS = [
+    # (subcommand, matched digraphs built: the matching, and for ls-check
+    # the perturbed one, once each; Morse-Smale verdicts computed)
+    ("ls-check", 2, 1),
+    ("inequalities", 1, 1),
+    ("matching", 1, 1),
+    ("sweep", 1, 0),
+    ("integrate", 1, 0),
+]
+
+
+@pytest.mark.parametrize("command,digraphs,verdicts", DYNAMICS_JOBS)
+def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, verdicts,
+                                                          monkeypatch, capsys):
+    import sys
+    from pathlib import Path
+
+    from posetmorse.cli import run
+
+    dynamics, cli = sys.modules["posetmorse.dynamics"], sys.modules["posetmorse.cli"]
+    calls = {"matched_digraph": 0, "is_morse_smale": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "matched_digraph",
+                        counted("matched_digraph", dynamics.matched_digraph))
+    verdict = counted("is_morse_smale", dynamics.is_morse_smale)
+    for module in (dynamics, cli):
+        monkeypatch.setattr(module, "is_morse_smale", verdict)
+    data = Path(__file__).resolve().parent.parent / "data"
+    assert run([command, "--input", str(data / "rp2_6.txt"), "--kind", "simplicial",
+                "--matching", str(data / "rp2_star5_matching.txt")]) == 0
+    capsys.readouterr()
+    assert calls == {"matched_digraph": digraphs, "is_morse_smale": verdicts}

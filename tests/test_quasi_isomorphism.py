@@ -25,7 +25,7 @@ from posetmorse.intmatrix import IntMatrix
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
 from posetmorse.snf import matrix_rank
 
-from helpers import snf_quasi_isomorphism
+from helpers import boundary_or_empty, snf_quasi_isomorphism
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -94,7 +94,7 @@ def _perturbations(sub, inclusion, ambient, rng):
             # adding a boundary to a free cycle keeps the induced map
             c = [rng.randint(-1, 1) for _ in range(ambient.rank(p + 1))]
             if c:
-                image = ambient.boundary_or_empty(p + 1).mul_vec(c)
+                image = boundary_or_empty(ambient, p + 1).mul_vec(c)
                 moved = [v + w for v, w in zip(inc.column(j), image)]
                 yield "plus-boundary", _with_column(inclusion, p, j, moved)
         cycles = [j for j in range(inc.cols) if not sub.columns.get(p, [{}] * inc.cols)[j]]
