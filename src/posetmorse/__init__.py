@@ -75,7 +75,6 @@ from .category import (
     MinimalSubcomplex,
     flow_operator,
     hccat,
-    hccat_face_poset_consistency,
     ls_corollary_morse_function,
     ls_theorem_check,
     minimal_subcomplex,

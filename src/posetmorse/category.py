@@ -38,7 +38,6 @@ from .homology import ChainComplex, HomologySummary, homology, poset_homology, s
 from .intmatrix import Column, IntMatrix
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
-from .simplicial import SimplicialComplex, face_poset
 from .snf import SmithDecomposition, matrix_rank, smith_normal_form, solve, sparse_diagonal_form
 
 
@@ -344,8 +343,10 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     Critical points count 1 and closed orbits 2, exactly as the theorem's
     proof evaluates them; a cross-check recomputes each orbit class as a
     subspace and warns (not errs) on disagreement.  The intermediate
-    bound sum_p m*_p = sum_p (c_p + A_p + A_{p-1}) is compared against
-    the flow-operator invariant ranks of the perturbed matching.
+    bound sum_p m*_p = sum_p (c_p + A_p + A_{p-1}) counts the critical
+    elements of the perturbed matching; its flow operator must confirm
+    them, with as many invariant chains as critical elements per degree
+    and an invariant complex quasi-isomorphic to the cellular one.
     """
     graded = require_admissible(poset)
     orbits = prime_orbits(poset, matching)
@@ -375,8 +376,6 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
         for p in range(top + 1)
     )
     flow = flow_operator(poset, perturbed)
-    ranks_match = all(flow.invariant_ranks.get(p, 0) == mstar.get(p, 0)
-                      for p in range(top + 1))
     intermediate = sum(mstar.values())
     return LSReport(
         hccat_value=value,
@@ -385,7 +384,8 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
         flow_ranks=flow.invariant_ranks,
         holds=value <= rhs,
         intermediate_holds=value <= intermediate and intermediate == rhs,
-        counts_match_formula=formula_ok and ranks_match,
+        counts_match_formula=(formula_ok and flow.rank_matches_critical
+                              and flow.quasi_isomorphism_verified),
         class_values=class_values,
         warnings=tuple(warnings),
     )
@@ -411,12 +411,3 @@ def ls_corollary_morse_function(poset: Poset, values) -> dict:
         "holds": value <= len(crit),
         "critical": list(verdict.critical),
     }
-
-
-def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
-    """hccat through the simplicial chain complex equals hccat through
-    the face-poset pipeline."""
-    from .homology import simplicial_chain_complex
-    direct = hccat(simplicial_chain_complex(complex))
-    via_poset = hccat(face_poset(complex))
-    return direct == via_poset

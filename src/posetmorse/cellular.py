@@ -14,12 +14,19 @@ covers.  The sign gauge is that of `sphere_generator`: the first sorted
 full flag of U.x whose steps all have nonzero incidence, found greedily,
 has a positive coefficient, (-1)^(names before w) * eps(x, w) times the
 coefficient of the rest of the flag in w's generator, w its top element.
+
+One assembler builds every cellular complex from the pass's incidence
+rows: the complex of a down-closed pair (A, B) has the cells of A - B.
+It gives the pass its down-sets, the whole complex, and the homology of
+the theorem checks' sublevel and basic-set pairs in |A - B| cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
+from typing import Iterable
 
 from .errors import (
     ConsistencyError,
@@ -27,11 +34,13 @@ from .errors import (
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
     NotAdmissible,
+    NotASubcomplex,
     NotCellular,
     NotGraded,
 )
 from .homology import (
     ChainComplex,
+    Coefficients,
     HomologySummary,
     homology,
     poset_homology,
@@ -69,15 +78,22 @@ class SphereGenerator:
     cycle: dict[Simplex, int]
 
 
+Rows = dict[str, dict[str, int]]  # eps[x][w] for every lower cover w of x
+
+
 @dataclass(frozen=True)
 class CellularComplexOfPoset:
     poset: GradedPoset
     complex: ChainComplex
-    incidence: dict[tuple[str, str], int]
+    rows: Rows
     admissible: bool
 
+    @property
+    def incidence(self) -> dict[tuple[str, str], int]:
+        return {(x, w): e for x, row in self.rows.items() for w, e in row.items()}
+
     def epsilon(self, x: str, w: str) -> int:
-        return self.incidence[(x, w)]
+        return self.rows[x][w]
 
     def incidence_table(self) -> list[list]:
         return [[x, w, e] for (x, w), e in sorted(self.incidence.items())]
@@ -88,9 +104,9 @@ def check_cellularity(poset: Poset) -> CellularityReport:
     return _cellular_pass(poset)[0]
 
 
-def _cellular_pass(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, str], int] | None]:
+def _cellular_pass(poset: Poset) -> tuple[CellularityReport, Rows | None]:
     """The cellularity report and, on cellular posets, the incidence
-    numbers, from one pass over the elements by degree; cached per poset."""
+    rows, from one pass over the elements by degree; cached per poset."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None:
         cached = poset.analysis_cache["cellularity"] = (
@@ -104,11 +120,11 @@ def _ungraded_report(poset: Poset) -> CellularityReport:
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _degree_induction(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, str], int] | None]:
+def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
     degrees = poset.heights()
     # eps[x] once every element of U_x is cellular; reach[x]: the elements
     # below x along covers of nonzero incidence
-    eps: dict[str, dict[str, int]] = {}
+    eps: Rows = {}
     reach: dict[str, frozenset[str]] = {}
     not_cellular: dict[str, HomologySummary] = {}
     not_admissible: list[tuple[str, str]] = []
@@ -117,15 +133,17 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, 
         if p == 0:
             eps[x], reach[x] = {}, below
             continue
-        # None: U.x holds a non-cellular element, so the order complex decides
-        known = eps if all(w in eps for w in lower) else None
-        chain = _down_set_complex(poset, below, known)
+        # where U.x holds a non-cellular element the order complex decides
+        known = all(w in eps for w in lower)
+        down_set = (partial(_cellular_complex, poset, eps) if known
+                    else partial(subposet_chain_complex, poset))
+        chain = down_set(below, reduced=True)
         summary = homology(chain)
         if summary != sphere_summary(p - 1):
             not_cellular[x] = summary
-        if known is None or x in not_cellular:
+        if not known or x in not_cellular:
             not_admissible += [(w, x) for w in lower if not homology(
-                _down_set_complex(poset, below - {w}, known)).is_trivial()]
+                down_set(below - {w}, reduced=True)).is_trivial()]
             continue
         eps[x] = dict(zip(lower, _kernel_generator(chain.columns[p - 1])))
         steps = [w for w in lower if eps[x][w]]
@@ -145,26 +163,47 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, dict[tuple[str, 
     # admissibility forces cellularity (with the empty set not acyclic)
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
-    incidence = ({(x, w): eps[x][w] for x in poset.elements for w in poset.lower_covers(x)}
-                 if cellular else None)
-    return CellularityReport(True, cellular, admissible, tuple(witnesses)), incidence
+    # kept rows copied in one go pin none of the memory the pass freed (peak RSS)
+    return CellularityReport(True, cellular, admissible, tuple(witnesses)), (
+        {x: dict(row) for x, row in eps.items()} if cellular else None)
 
 
-def _down_set_complex(poset: Poset, members: frozenset[str],
-                      eps: dict[str, dict[str, int]] | None) -> ChainComplex:
-    """A reduced chain complex of a down-closed set: the cellular one, cells
-    in poset order and degree-0 cells mapped to the augmentation, when
-    `eps` holds the incidences of every member; else the order complex."""
-    if eps is None:
-        return subposet_chain_complex(poset, members, reduced=True)
-    degrees, index = poset.heights(), poset.index
-    levels: dict[int, list[str]] = {-1: [""]}
-    for e in sorted(members, key=lambda e: (degrees[e], index[e])):
+def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
+                      dropped: Iterable[str] = (), reduced: bool = False) -> ChainComplex:
+    """The cellular chain complex of a down-closed pair (A, B) = (members,
+    dropped): the cells of A - B by degree, in poset order, each with
+    its row of `eps`, less the cells of B, as boundary.  With
+    reduced=True and B empty an augmentation slot C_{-1} = Z is added,
+    onto which every degree-0 cell maps.  A d*d failure can only come
+    from the incidences, so it raises InconsistentIncidence."""
+    degrees, index, drop = poset.heights(), poset.index, set(dropped)
+    levels: dict[int, list[str]] = {}
+    for e in sorted(set(members) - drop, key=lambda e: (degrees[e], index[e])):
         levels.setdefault(degrees[e], []).append(e)
     rows = {e: i for cells in levels.values() for i, e in enumerate(cells)}
-    boundary = {p: [{rows[w]: e for w, e in eps[x].items() if e} if p else {0: 1}
-                    for x in levels[p]] for p in range(len(levels) - 1)}
-    return ChainComplex({p: len(cells) for p, cells in levels.items()}, boundary)
+    ranks = {p: len(cells) for p, cells in levels.items()}
+    boundary = {p: [{rows[w]: e for w, e in eps[x].items() if e and w in rows}
+                    for x in levels[p]] for p in levels if p - 1 in levels}
+    if reduced and not drop:
+        ranks[-1] = 1
+        boundary[0] = [{0: 1} for _ in levels.get(0, ())]
+    try:
+        return ChainComplex(ranks, boundary, {p: tuple(cells) for p, cells in levels.items()})
+    except NotAChainComplex as exc:
+        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
+
+
+def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterable[str] = (),
+                           coefficients: Coefficients = "int") -> HomologySummary:
+    """Homology of the down-closed pair (A, B) = (members, dropped) of
+    a cellular poset, read off the cells of A - B.  It equals that of the
+    order-complex pair (K(A), K(B)) of the induced subposets."""
+    require_cellular(poset)
+    keep, drop = set(members), set(dropped)
+    if not drop <= keep or any(w not in part for part in (keep, drop)
+                               for x in part for w in poset.lower_covers(x)):
+        raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
+    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], keep, drop), coefficients)
 
 
 def _kernel_generator(columns: list[Column]) -> list[int]:
@@ -265,23 +304,6 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     return gen
 
 
-def _incidence_complex(graded: GradedPoset, incidence: dict[tuple[str, str], int]) -> ChainComplex:
-    """The chain complex with one generator per element, graded by degree,
-    whose boundary sends x to the sum of incidence[(x, w)] * w over its
-    lower covers w."""
-    levels = {p: graded.level(p) for p in range(graded.max_degree() + 1)}
-    boundary = {}
-    for p in range(1, graded.max_degree() + 1):
-        rows = {w: i for i, w in enumerate(levels[p - 1])}
-        boundary[p] = [{rows[w]: incidence[(x, w)] for w in graded.lower_covers(x)
-                        if incidence[(x, w)]} for x in levels[p]]
-    try:
-        return ChainComplex({p: len(names) for p, names in levels.items()}, boundary,
-                            {p: tuple(names) for p, names in levels.items()})
-    except NotAChainComplex as exc:
-        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
-
-
 def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     """The cellular chain complex of the poset, with the incidence numbers
     of the cellularity pass.
@@ -293,14 +315,14 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     if cached is not None:
         return cached
     graded = require_cellular(poset)
-    report, incidence = _cellular_pass(poset)
-    chain = _incidence_complex(graded, incidence)
+    report, eps = _cellular_pass(poset)
+    chain = _cellular_complex(graded, eps, graded.elements)
     if report.is_homologically_admissible:
-        bad = [(x, w) for (x, w), e in incidence.items() if abs(e) != 1]
+        bad = [(x, w) for x, row in eps.items() for w, e in row.items() if abs(e) != 1]
         if bad:
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
-    cell = CellularComplexOfPoset(poset=graded, complex=chain, incidence=incidence,
+    cell = CellularComplexOfPoset(poset=graded, complex=chain, rows=eps,
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell
@@ -310,10 +332,9 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     """Flip the canonical sign of selected generators: the incidence row
     and column of each flipped element change sign, homology does not."""
     sign = lambda e: signs.get(e, 1)
-    incidence = {(x, w): sign(x) * eps * sign(w)
-                 for (x, w), eps in cell.incidence.items()}
-    chain = _incidence_complex(cell.poset, incidence)
-    return CellularComplexOfPoset(poset=cell.poset, complex=chain, incidence=incidence,
+    eps = {x: {w: sign(x) * e * sign(w) for w, e in row.items()} for x, row in cell.rows.items()}
+    chain = _cellular_complex(cell.poset, eps, cell.poset.elements)
+    return CellularComplexOfPoset(poset=cell.poset, complex=chain, rows=eps,
                                   admissible=cell.admissible)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .cellular import cellular_chain_complex, check_cellularity, verify_cellular_agreement
-from .category import hccat, hccat_face_poset_consistency, ls_theorem_check, minimal_subcomplex
+from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
 from .errors import MalformedLine, PosetMorseError
 from .formats import (
@@ -226,7 +226,7 @@ def cmd_hccat(args) -> int:
     ok = witness.quasi_isomorphism_verified
     ok = ok and sum(witness.rank_profile.values()) == value
     if complex is not None:
-        consistent = hccat_face_poset_consistency(complex)
+        consistent = hccat(simplicial_chain_complex(complex)) == value
         results["face_poset_consistent"] = consistent
         lines.append(f"face-poset consistency: {consistent}")
         ok = ok and consistent

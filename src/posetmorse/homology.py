@@ -10,12 +10,15 @@ boundary.  A formal degree -1 slot holds the augmentation of reduced
 complexes, so the empty poset has reduced homology Z in degree -1 and
 the cellularity check is uniform at degree 0.
 
-One assembler turns sorted simplices into sparse columns for every front
-end.  The poset one, `subposet_chain_complex`, reads the order complex
-of an induced subposet pair straight off the poset's cached chains: the
-order complex of the subposet on S is the full subcomplex of K(P) on S.
-`order_complex`, `Poset.induced` and `relative_homology` stay as the
-paper's definitions, which the tests check that front end against.
+One assembler turns sorted simplices into sparse columns for every
+simplicial front end.  The poset one, `subposet_chain_complex`, reads the
+order complex of an induced subposet straight off the poset's cached
+chains: the order complex of the subposet on S is the full subcomplex of
+K(P) on S.  Pairs of subposets are not read here: the theorem checks
+take the homology of down-closed pairs of cellular posets off the
+cellular complex (`cellular.cellular_pair_homology`).  `order_complex`,
+`Poset.induced` and `relative_homology` stay as the paper's definitions,
+which the tests check both routes against.
 """
 
 from __future__ import annotations
@@ -144,6 +147,10 @@ class HomologySummary:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in self.betti.items() if k >= 0)
 
+    def rational(self) -> HomologySummary:
+        """The same space over the rationals: free ranks stay, torsion goes."""
+        return HomologySummary(betti=dict(self.betti), coefficients="rat")
+
     def __eq__(self, other):
         if not isinstance(other, HomologySummary):
             return NotImplemented
@@ -197,17 +204,16 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
         betti[p] = complex.rank(p) - rank_d_p - rank_d_up
         if betti[p] < 0:
             raise ConsistencyError("negative betti number: rank bookkeeping bug")
-        if coefficients == "int":
-            tor = tuple(d for d in diag.get(p + 1, ()) if d > 1)
-            if tor:
-                torsion[p] = tor
-    summary = HomologySummary(betti=betti, torsion=torsion, coefficients=coefficients)
+        tor = tuple(d for d in diag.get(p + 1, ()) if d > 1)
+        if tor:
+            torsion[p] = tor
+    summary = HomologySummary(betti=betti, torsion=torsion)
     # Euler characteristic must agree between chain ranks and homology
     chain_euler = sum((-1) ** p * r for p, r in complex.ranks.items())
     hom_euler = sum((-1) ** p * b for p, b in betti.items())
     if chain_euler != hom_euler:
         raise ConsistencyError("Euler characteristic mismatch")
-    return summary
+    return summary if coefficients == "int" else summary.rational()
 
 
 def _boundary_column(simplex: Simplex, index: dict[Simplex, int]) -> Column:
@@ -256,34 +262,27 @@ def relative_chain_complex(complex: SimplicialComplex,
                       for d, sims in complex.simplices.items()}, reduced=False)
 
 
-def subposet_chain_complex(poset: Poset, members: Iterable[str], sub_members: Iterable[str] = (),
+def subposet_chain_complex(poset: Poset, members: Iterable[str],
                            reduced: bool = False) -> ChainComplex:
-    """The chain complex of the order-complex pair (K(A), K(B)) of the
-    subposets on A = `members` and B = `sub_members`.
+    """The chain complex of the order complex K(A) of the subposet on
+    A = `members`.
 
     K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
-    the cached chains of the poset that lie inside A; those inside B are
-    quotiented out.  Simplices, their order and their orientation are
-    those of `relative_chain_complex(order_complex(poset.induced(A)),
-    order_complex(poset.induced(B)))`.  With reduced=True and B empty the
-    augmentation slot is added; for nonempty B reduced relative homology
-    is relative homology, so the flag changes nothing.
+    the cached chains of the poset that lie inside A.  Simplices, their
+    order and their orientation are those of
+    `simplicial_chain_complex(order_complex(poset.induced(A)))`.  With
+    reduced=True the augmentation slot is added.
     """
-    keep, drop = set(members), set(sub_members)
-    for e in keep | drop:
+    keep = set(members)
+    for e in keep:
         poset.require(e)
-    if not drop <= keep:
-        raise NotASubcomplex("second member set is not contained in the first")
     chains = poset.chains_by_maximum()
     simplices: dict[int, list[Simplex]] = {}
     for x in keep:
         for c in chains[x]:
             if keep.issuperset(c):
-                sims = simplices.setdefault(len(c) - 1, [])
-                if not drop.issuperset(c):
-                    sims.append(tuple(sorted(c)))
-    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)},
-                     reduced and not drop)
+                simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
+    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,
@@ -293,22 +292,16 @@ def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,
 
 def poset_homology(poset: Poset, reduced: bool = False,
                    coefficients: Coefficients = "int") -> HomologySummary:
-    """Homology of the finite space via its order complex."""
+    """Homology of the finite space via its order complex; the integral
+    summary is cached, the rational one is read off it."""
     if not poset.elements and not reduced:
         raise EmptyPoset("unreduced homology of the empty poset is undefined")
-    key = ("poset_homology", reduced, coefficients)
+    key = ("poset_homology", reduced)
     cached = poset.analysis_cache.get(key)
     if cached is None:
-        cached = homology(subposet_chain_complex(poset, poset.elements, reduced=reduced),
-                          coefficients)
-        poset.analysis_cache[key] = cached
-    return cached
-
-
-def poset_pair_homology(poset: Poset, members: Iterable[str], sub_members: Iterable[str],
-                        coefficients: Coefficients = "int") -> HomologySummary:
-    """Relative homology of the order-complex pair of two induced subposets."""
-    return homology(subposet_chain_complex(poset, members, sub_members), coefficients)
+        cached = poset.analysis_cache[key] = homology(
+            subposet_chain_complex(poset, poset.elements, reduced=reduced))
+    return cached if coefficients == "int" else cached.rational()
 
 
 def is_acyclic(poset: Poset) -> bool:

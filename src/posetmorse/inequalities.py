@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import cellular_chain_complex, check_cellularity, require_admissible
+from .cellular import (cellular_chain_complex, cellular_pair_homology, check_cellularity,
+                       require_admissible)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -24,7 +25,7 @@ from .dynamics import (
     prime_orbits,
 )
 from .errors import ConsistencyError
-from .homology import Coefficients, HomologySummary, poset_homology, poset_pair_homology
+from .homology import Coefficients, HomologySummary, poset_homology
 from .posets import Poset
 
 
@@ -52,17 +53,12 @@ class InequalityReport:
         }
 
 
-def _closure_pair(poset: Poset, members) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The closure of a subset (union of its minimal open sets) and the
-    closure minus the subset."""
-    bar, keep = poset.down_closure(members), set(members)
-    return bar, tuple(e for e in bar if e not in keep)
-
-
 def basic_set_relative_homology(poset: Poset, members,
                                 coefficients: Coefficients = "int") -> HomologySummary:
-    bar, dot = _closure_pair(poset, members)
-    return poset_pair_homology(poset, bar, dot, coefficients)
+    """Homology of the closure of a basic set (the union of its minimal
+    open sets) relative to the closure minus the set."""
+    bar = poset.down_closure(members)
+    return cellular_pair_homology(poset, bar, set(bar) - set(members), coefficients)
 
 
 def morse_bott_numbers(poset: Poset, matching: Matching,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cellular import require_admissible
+from .cellular import cellular_pair_homology, require_admissible
 from .dynamics import (
     BasicSetDecomposition,
     Matching,
@@ -34,7 +34,6 @@ from .errors import (
     NotMorse,
     WrongCriticalCount,
 )
-from .homology import poset_pair_homology
 from .posets import Poset
 
 
@@ -183,7 +182,7 @@ def boundary_of_class(poset: Poset, matching: Matching, element: str) -> frozens
 
 def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
     """A critical-value-free interval leaves sublevel homology unchanged:
-    relative homology of the order-complex pair must vanish entirely."""
+    relative homology of the sublevel pair must vanish entirely."""
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("interval is empty")
@@ -193,8 +192,7 @@ def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
             raise CriticalValueInInterval(f"critical value {c} lies in [{a}, {b}]")
     lower = sublevel(poset, function.values, a)
     upper = sublevel(poset, function.values, b)
-    summary = poset_pair_homology(poset, upper, lower)
-    return summary.is_trivial()
+    return cellular_pair_homology(poset, upper, lower).is_trivial()
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,28 @@ coordinates, quasi-isomorphism, flow) call only the library's dense
 `snf` routines, `homology` and the cellular complex they are given.  The
 cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
-`sphere_generator` and `homology`.
+`sphere_generator` and `homology`.  The pair and face-poset oracles build
+induced subposets, face posets and their order complexes as the paper
+defines them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from posetmorse import ChainComplex, IntMatrix, Matching, Poset, SimplicialComplex, homology
+from posetmorse import (
+    ChainComplex,
+    IntMatrix,
+    Matching,
+    Poset,
+    SimplicialComplex,
+    face_poset,
+    hccat,
+    homology,
+    order_complex,
+    relative_homology,
+    simplicial_chain_complex,
+)
 from posetmorse.cellular import (
     CellularComplexOfPoset,
     CellularityReport,
@@ -488,3 +502,16 @@ def dense_flow_operator(poset: Poset, matching: Matching,
         rank_matches_critical=rank_ok,
         quasi_isomorphism_verified=quasi,
     )
+
+
+def order_complex_pair_homology(poset: Poset, members, sub_members, coefficients="int"):
+    """Relative homology of the pair of order complexes of the induced
+    subposets on `members` and `sub_members`: the paper's definition."""
+    return relative_homology(order_complex(poset.induced(members)),
+                             order_complex(poset.induced(sub_members)), coefficients)
+
+
+def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
+    """hccat through the simplicial chain complex equals hccat through
+    the order complex of the face poset."""
+    return hccat(simplicial_chain_complex(complex)) == hccat(face_poset(complex))

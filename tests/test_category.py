@@ -9,7 +9,6 @@ from posetmorse import (
     flow_operator,
     gauge_flip,
     hccat,
-    hccat_face_poset_consistency,
     homology,
     integrate_matching,
     ls_corollary_morse_function,
@@ -26,7 +25,7 @@ from posetmorse.errors import NotMorse, NotMorseMatching, NotMorseSmale
 from posetmorse.intmatrix import IntMatrix
 from posetmorse.randgen import XorShift64Star, random_matching, random_simplicial_complex
 
-from helpers import boundary_or_empty
+from helpers import boundary_or_empty, hccat_face_poset_consistency
 
 
 def test_hccat_values(t3, rp2_poset, full_triangle):
@@ -164,6 +163,18 @@ def test_ls_theorem_t3(t3, t3_m1, t3_m2):
     report1 = ls_theorem_check(t3, t3_m1)
     assert report1.basic_set_bound == 2  # two critical points
     assert report1.holds and report1.counts_match_formula
+
+
+def test_ls_counts_need_the_flow_verdicts(monkeypatch, t3, t3_m2, rp2_poset, rp2_star5_matching):
+    """counts_match_formula carries the flow operator's own checks: a
+    failed quasi-isomorphism (or rank) check turns it false."""
+    import posetmorse.category
+
+    monkeypatch.setattr(posetmorse.category, "verify_quasi_isomorphism", lambda *args: False)
+    for poset, matching in ((t3, t3_m2), (rp2_poset, rp2_star5_matching)):
+        report = ls_theorem_check(poset, matching)
+        assert report.holds and report.intermediate_holds
+        assert not report.counts_match_formula
 
 
 def test_ls_theorem_rp2_star(rp2_poset, rp2_star5_matching):

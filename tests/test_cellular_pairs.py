@@ -1,0 +1,210 @@
+"""Homology of down-closed pairs read off the cellular complex, against the
+paper's definition: relative homology of the order complexes of the
+induced subposets.  Covers `cellular_pair_homology` and the theorem
+checks routed through it (collapse checks, basic-set homology,
+Morse-Bott numbers and the basic-set window lemma) on the bundled
+fixtures and on seeded admissible posets with random sublevel pairs and
+random matchings, and shows that those checks never enumerate chains."""
+
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from posetmorse import (
+    MorseBottFunction,
+    Poset,
+    SimplicialComplex,
+    basic_sets,
+    build_poset,
+    check_cellularity,
+    face_poset,
+    filtration_sweep,
+    integrate_matching,
+    lemma_basic_set_window,
+    morse_bott_numbers,
+    parse_simplicial_complex,
+    subdivision,
+    sublevel,
+    validate_matching,
+    verify_collapse,
+)
+from posetmorse.cellular import cellular_pair_homology
+from posetmorse.cli import run
+from posetmorse.errors import NotASubcomplex, NotCellular, UnknownElement
+from posetmorse.formats import load_poset, parse_matching_text
+from posetmorse.inequalities import basic_set_relative_homology
+from posetmorse.randgen import (
+    XorShift64Star,
+    random_graded_poset,
+    random_matching,
+    random_simplicial_complex,
+)
+
+from helpers import order_complex_pair_homology
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+FIXTURES = [
+    ("t3_poset.txt", "poset", ["t3_matching_m1.txt", "t3_matching_m2.txt"]),
+    ("mobius_5.txt", "simplicial", ["mobius_ring_matching.txt"]),
+    ("rp2_6.txt", "simplicial", ["rp2_star5_matching.txt"]),
+    ("boundary_6simplex.txt", "simplicial", ["boundary_6simplex_cone_matching.txt"]),
+]
+
+
+def _load(name: str, kind: str) -> Poset:
+    text = (DATA / name).read_text()
+    if kind == "simplicial":
+        return face_poset(parse_simplicial_complex(text))
+    return load_poset(text)[0]
+
+
+def _fixture_runs():
+    for name, kind, matchings in FIXTURES:
+        poset = _load(name, kind)
+        for matching in matchings:
+            yield poset, parse_matching_text(poset, (DATA / matching).read_text())
+
+
+def _sphere_with_cone_matching(n: int):
+    """The boundary of the n-simplex on vertices 1..n+1, with every face
+    missing vertex 1 matched to its union with 1, up to the (n-1)-faces."""
+    vertices = [str(i) for i in range(1, n + 2)]
+    poset = face_poset(SimplicialComplex(
+        [vertices[:i] + vertices[i + 1:] for i in range(n + 1)]))
+    pairs = [(e, "|".join(sorted(["1", *e.split("|")])))
+             for e in poset.elements if "1" not in e.split("|") and e.count("|") < n - 1]
+    return poset, validate_matching(poset, pairs)
+
+
+def _admissible_posets(seed: int):
+    """Seeded homologically admissible posets: face posets of random
+    complexes of dimension up to 3, subdivisions of random graded posets,
+    and the random graded posets of degree >= 1 that are admissible."""
+    rng = XorShift64Star(seed)
+    for _ in range(45):
+        yield rng, face_poset(random_simplicial_complex(rng, max_vertices=6))
+    for _ in range(15):
+        vertices = [str(i) for i in range(rng.randint(4, 5))]
+        yield rng, face_poset(SimplicialComplex(
+            [rng.sample(vertices, 4) for _ in range(rng.randint(1, 2))]
+            + [rng.sample(vertices, 3)]))
+    for _ in range(30):
+        yield rng, subdivision(random_graded_poset(rng, max_elements=6, max_levels=3))
+    graded = 0
+    while graded < 15:
+        poset = random_graded_poset(rng, max_elements=10, max_levels=2)
+        if poset.max_degree() >= 1 and check_cellularity(poset).is_homologically_admissible:
+            graded += 1
+            yield rng, poset
+
+
+def _with_oracle(monkeypatch, module: str, fn, *args):
+    """fn(*args) with the named module's pair homology replaced by the
+    order-complex definition."""
+    with monkeypatch.context() as m:
+        m.setattr(f"posetmorse.{module}.cellular_pair_homology", order_complex_pair_homology)
+        return fn(*args)
+
+
+def _random_values(rng: XorShift64Star, poset: Poset) -> dict[str, Fraction]:
+    return {e: Fraction(rng.randint(0, 6)) for e in poset.elements}
+
+
+def _check_pairs(poset, matching, values, monkeypatch) -> tuple[int, int]:
+    """Compare every route on one poset; return the (trivial, nontrivial)
+    counts of the collapse checks on the free intervals of `values`."""
+    for coefficients in ("int", "rat"):
+        levels = sorted(set(values.values()))
+        for a, b in zip(levels, levels[1:]):
+            lower, upper = sublevel(poset, values, a), sublevel(poset, values, b)
+            assert (cellular_pair_homology(poset, upper, lower, coefficients)
+                    == order_complex_pair_homology(poset, upper, lower, coefficients))
+        dec = basic_sets(poset, matching)
+        for members in [(e,) for e in dec.critical] + [c.elements for c in dec.orbit_classes]:
+            bar = poset.down_closure(members)
+            assert (basic_set_relative_homology(poset, members, coefficients)
+                    == order_complex_pair_homology(poset, bar, set(bar) - set(members),
+                                                   coefficients))
+        for fn in (morse_bott_numbers, lemma_basic_set_window):
+            assert (fn(poset, matching, coefficients)
+                    == _with_oracle(monkeypatch, "inequalities", fn, poset, matching, coefficients))
+    # a function that does not integrate the matching: its critical-value-free
+    # intervals may change homology, so collapse checks can come out either way
+    function = MorseBottFunction(poset, values, matching)
+    free = [v for v in sorted(set(values.values())) if v not in function.critical_values()]
+    verdicts = [0, 0]
+    for a, b in combinations(free, 2):
+        if not any(a <= c <= b for c in function.critical_values()):
+            got = verify_collapse(poset, function, a, b)
+            assert got == _with_oracle(monkeypatch, "morse", verify_collapse, poset, function, a, b)
+            verdicts[got] += 1
+    return verdicts[1], verdicts[0]
+
+
+def test_pairs_match_definition_on_fixtures(monkeypatch):
+    for poset, matching in _fixture_runs():
+        function = integrate_matching(poset, matching)
+        if len(poset) < 100:
+            _check_pairs(poset, matching, function.values, monkeypatch)
+        reports, ok = filtration_sweep(poset, function, matching)
+        assert ok
+        assert (reports, ok) == _with_oracle(monkeypatch, "morse", filtration_sweep, poset,
+                                             function, matching)
+        for coefficients in ("int", "rat"):
+            for fn in (morse_bott_numbers, lemma_basic_set_window):
+                assert (fn(poset, matching, coefficients) == _with_oracle(
+                    monkeypatch, "inequalities", fn, poset, matching, coefficients))
+
+
+def test_pairs_match_definition_on_random_admissible_posets(monkeypatch):
+    posets = trivial = nontrivial = orbits = 0
+    for rng, poset in _admissible_posets(3301):
+        posets += 1
+        matching = random_matching(rng, poset)
+        orbits += len(basic_sets(poset, matching).orbit_classes)
+        t, n = _check_pairs(poset, matching, _random_values(rng, poset), monkeypatch)
+        trivial, nontrivial = trivial + t, nontrivial + n
+        function = integrate_matching(poset, matching)
+        assert filtration_sweep(poset, function, matching)[1]
+    assert posets >= 100
+    assert trivial >= 20 and nontrivial >= 20 and orbits >= 10, (trivial, nontrivial, orbits)
+
+
+def test_pair_homology_rejects_bad_pairs(t3):
+    with pytest.raises(NotASubcomplex):
+        cellular_pair_homology(t3, ["v1", "v2", "e12"], ["v1", "v3"])
+    with pytest.raises(NotASubcomplex):
+        cellular_pair_homology(t3, ["v1", "e12"])
+    with pytest.raises(NotASubcomplex):
+        cellular_pair_homology(t3, ["v1", "v2", "e12"], ["e12"])
+    with pytest.raises(UnknownElement):
+        cellular_pair_homology(t3, ["v1", "zz"])
+    chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(NotCellular):
+        cellular_pair_homology(chain, ["a", "b", "c"])
+    assert cellular_pair_homology(t3, ["v1", "v2", "e12"], ["v1", "v2"]).nontrivial() == {
+        1: (1, ())}
+    assert cellular_pair_homology(t3, []).is_trivial()
+
+
+def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
+    import sys
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the order-complex path was taken")
+
+    runs = [_sphere_with_cone_matching(n) for n in range(1, 7)] + list(_fixture_runs())
+    monkeypatch.setattr(Poset, "chains_by_maximum", forbidden)
+    for module in ("cellular", "homology"):
+        monkeypatch.setattr(sys.modules[f"posetmorse.{module}"], "subposet_chain_complex",
+                            forbidden)
+    for poset, matching in runs:
+        assert filtration_sweep(poset, integrate_matching(poset, matching), matching)[1]
+        for coefficients in ("int", "rat"):
+            morse_bott_numbers(poset, matching, coefficients)
+            assert lemma_basic_set_window(poset, matching, coefficients)
+    assert run(["sweep", "--input", str(DATA / "boundary_6simplex.txt"), "--kind", "simplicial",
+                "--matching", str(DATA / "boundary_6simplex_cone_matching.txt")]) == 0
+    assert capsys.readouterr().out.endswith("sweep: ok\n")

@@ -361,3 +361,34 @@ def test_theorem_checks_build_no_induced_poset(space, kind, matching, monkeypatc
     monkeypatch.setattr(Poset, "induced", forbidden)
     for argv, (code, captured) in zip(argvs, expected):
         assert (run(argv), capsys.readouterr()) == (code, captured), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["hccat"],
+    ["cellular", "--coeff", "rat"],
+    ["inequalities", "--matching", "rp2_star5_matching.txt"],
+    ["inequalities", "--matching", "rp2_star5_matching.txt", "--coeff", "rat"],
+])
+def test_cli_builds_the_whole_order_complex_once(argv, monkeypatch, capsys):
+    """Integral and rational homology of the whole poset come from one
+    order complex, and hccat's face-poset check builds no second one."""
+    import sys
+
+    data = Path(__file__).resolve().parent.parent / "data"
+    argv = [argv[0], "--input", str(data / "rp2_6.txt"), "--kind", "simplicial",
+            "--format", "doc"] + [str(data / a) if a.endswith(".txt") else a for a in argv[1:]]
+    original = sys.modules["posetmorse.homology"].subposet_chain_complex
+    builds = []
+
+    def counted(poset, members, *args, **kwargs):
+        members = tuple(members)
+        if set(members) == set(poset.elements):
+            builds.append(len(members))
+        return original(poset, members, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("posetmorse") and hasattr(module, "subposet_chain_complex"):
+            monkeypatch.setattr(module, "subposet_chain_complex", counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert builds == [31]

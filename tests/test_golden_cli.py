@@ -35,6 +35,7 @@ MATCHINGS = {
     "t3_m2": ("t3", "data/t3_matching_m2.txt"),
     "mobius_ring": ("mobius", "data/mobius_ring_matching.txt"),
     "rp2_star": ("rp2", "data/rp2_star5_matching.txt"),
+    "sphere6_cone": ("sphere6", "data/boundary_6simplex_cone_matching.txt"),
 }
 
 

@@ -1,5 +1,7 @@
 """The poset front end `subposet_chain_complex` against the paper's
-definition: the order complexes of induced subposets, built one by one."""
+definition: the order complexes of induced subposets, built one by one.
+Pairs of subposets are checked in `test_cellular_pairs.py`, against the
+cellular route that replaced the order-complex one."""
 
 import pytest
 
@@ -13,13 +15,8 @@ from posetmorse import (
     simplicial_chain_complex,
     sphere_generator,
 )
-from posetmorse.errors import NotASubcomplex, UnknownElement
-from posetmorse.homology import (
-    poset_pair_homology,
-    relative_chain_complex,
-    sphere_summary,
-    subposet_chain_complex,
-)
+from posetmorse.errors import UnknownElement
+from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 from posetmorse.snf import kernel_basis
 
@@ -43,23 +40,6 @@ def random_posets(seed: int, count: int):
             yield rng, face_poset(random_simplicial_complex(rng, max_vertices=5))
 
 
-def test_pairs_match_induced_order_complexes():
-    non_graded = 0
-    for rng, poset in random_posets(808, 90):
-        non_graded += not poset.is_graded()
-        members = [e for e in poset.elements if rng.chance(2, 3)]
-        sub_members = [e for e in members if rng.chance(1, 2)]
-        got = subposet_chain_complex(poset, members, sub_members)
-        want = relative_chain_complex(order_complex(poset.induced(members)),
-                                      order_complex(poset.induced(sub_members)))
-        assert got.labels == want.labels
-        assert got.ranks == want.ranks and got.columns == want.columns
-        assert homology(got) == homology(want)
-        assert homology(got, "rat") == homology(want, "rat")
-        assert poset_pair_homology(poset, members, sub_members) == homology(want)
-    assert non_graded >= 10
-
-
 def test_reduced_subposets_match_induced_order_complexes():
     for rng, poset in random_posets(909, 60):
         members = [e for e in poset.elements if rng.chance(1, 2)]
@@ -68,11 +48,6 @@ def test_reduced_subposets_match_induced_order_complexes():
         assert got.labels == want.labels
         assert got.ranks == want.ranks and got.columns == want.columns
         assert homology(got) == homology(want)
-        # for a nonempty B, reduced relative homology is relative homology
-        sub_members = members[:1]
-        if sub_members:
-            assert (homology(subposet_chain_complex(poset, members, sub_members, reduced=True))
-                    == homology(subposet_chain_complex(poset, members, sub_members)))
 
 
 def induced_route_cellularity(poset) -> CellularityReport:
@@ -133,19 +108,12 @@ def test_sphere_generators_match_induced_route(t3, rp2, mobius, tetra_boundary):
 def test_unknown_elements_and_non_subsets_rejected(t3):
     with pytest.raises(UnknownElement):
         subposet_chain_complex(t3, ["v1", "zz"])
-    with pytest.raises(UnknownElement):
-        subposet_chain_complex(t3, ["v1"], ["zz"])
-    with pytest.raises(NotASubcomplex):
-        subposet_chain_complex(t3, ["v1", "e12"], ["v2"])
-    with pytest.raises(NotASubcomplex):
-        poset_pair_homology(t3, ["v1"], ["v1", "v2"])
 
 
 def test_empty_members():
     p = build_poset(["a", "b"], [("a", "b")])
     assert homology(subposet_chain_complex(p, [], reduced=True)) == sphere_summary(-1)
     assert homology(subposet_chain_complex(p, [])).is_trivial()
-    assert homology(subposet_chain_complex(p, ["a", "b"], ["a", "b"])).is_trivial()
 
 
 def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
@@ -162,7 +130,6 @@ def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
     for poset in spaces:
         check_cellularity(poset)
         euler_characteristics(poset)
-        poset_pair_homology(poset, poset.elements, poset.elements[:1])
     for x in spaces[0].elements:
         if spaces[0].heights()[x] >= 1:
             sphere_generator(spaces[0], x)
