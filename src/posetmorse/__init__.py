@@ -9,7 +9,7 @@ Lusternik-Schnirelmann bound via the chain category.
 
 __version__ = "0.1.0"
 
-from .posets import GradedPoset, Poset, build_poset, height_and_degree
+from .posets import Poset, build_poset
 from .simplicial import (
     SimplicialComplex,
     face_poset,

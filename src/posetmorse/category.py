@@ -251,13 +251,13 @@ def flow_operator(poset: Poset, matching: Matching,
     critical part of d Phi^inf(c); the rest is checked against it.  The
     rank check counts the invariant chains apart, as n_p - rank(dV + Vd).
     """
-    graded = require_admissible(poset)
+    require_admissible(poset)
     if not is_morse_matching(poset, matching):
         raise NotMorseMatching("the flow operator needs an acyclic matching")
     if cell is None:
         cell = cellular_chain_complex(poset)
-    top = graded.max_degree()
-    levels = {p: graded.level(p) for p in range(top + 1)}
+    top = poset.max_degree()
+    levels = {p: poset.level(p) for p in range(top + 1)}
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
     d = {p: cell.complex.columns.get(p, [{}] * len(levels[p])) for p in levels}
     V: dict[int, list[Column]] = {p: [] for p in levels}
@@ -348,7 +348,7 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     them, with as many invariant chains as critical elements per degree
     and an invariant complex quasi-isomorphic to the cellular one.
     """
-    graded = require_admissible(poset)
+    require_admissible(poset)
     orbits = prime_orbits(poset, matching)
     dec = basic_sets(poset, matching)
     value = hccat(poset)
@@ -370,7 +370,7 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     mstar = critical_counts(poset, perturbed)
     c = critical_counts(poset, matching)
     A = orbit_counts(orbits)
-    top = graded.max_degree()
+    top = poset.max_degree()
     formula_ok = all(
         mstar.get(p, 0) == c.get(p, 0) + A.get(p, 0) + A.get(p - 1, 0)
         for p in range(top + 1)

@@ -48,7 +48,7 @@ from .homology import (
     subposet_chain_complex,
 )
 from .intmatrix import Column
-from .posets import GradedPoset, Poset
+from .posets import Poset
 from .simplicial import Simplex
 from .snf import kernel_basis
 
@@ -83,7 +83,7 @@ Rows = dict[str, dict[str, int]]  # eps[x][w] for every lower cover w of x
 
 @dataclass(frozen=True)
 class CellularComplexOfPoset:
-    poset: GradedPoset
+    poset: Poset
     complex: ChainComplex
     rows: Rows
     admissible: bool
@@ -250,20 +250,18 @@ def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],
     return 1 if coeff > 0 else -1
 
 
-def require_cellular(poset: Poset) -> GradedPoset:
+def require_cellular(poset: Poset) -> None:
     report = check_cellularity(poset)
     if not report.is_graded:
         raise NotGraded("poset is not graded")
     if not report.is_cellular:
         raise NotCellular(f"poset is not cellular: {report.witnesses[:3]}")
-    return poset.as_graded()
 
 
-def require_admissible(poset: Poset) -> GradedPoset:
+def require_admissible(poset: Poset) -> None:
     report = check_cellularity(poset)
     if not (report.is_graded and report.is_cellular and report.is_homologically_admissible):
         raise NotAdmissible(f"poset is not homologically admissible: {report.witnesses[:3]}")
-    return poset.as_graded()
 
 
 def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
@@ -277,8 +275,7 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     lexicographically first simplex in the support positive: the gauge of
     the incidence numbers, which never build these cycles.
     """
-    graded = poset.as_graded()
-    p = graded.degree(element)
+    p = poset.degree(element)
     if p < 1:
         raise NotCellular("sphere generators exist only in degree >= 1")
     cached = poset.analysis_cache.setdefault("sphere_generators", {})
@@ -314,15 +311,15 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     cached = poset.analysis_cache.get("cellular_complex")
     if cached is not None:
         return cached
-    graded = require_cellular(poset)
+    require_cellular(poset)
     report, eps = _cellular_pass(poset)
-    chain = _cellular_complex(graded, eps, graded.elements)
+    chain = _cellular_complex(poset, eps, poset.elements)
     if report.is_homologically_admissible:
         bad = [(x, w) for x, row in eps.items() for w, e in row.items() if abs(e) != 1]
         if bad:
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
-    cell = CellularComplexOfPoset(poset=graded, complex=chain, rows=eps,
+    cell = CellularComplexOfPoset(poset=poset, complex=chain, rows=eps,
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell

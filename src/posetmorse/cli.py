@@ -345,7 +345,7 @@ def run(argv=None) -> int:
     except PosetMorseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -219,7 +219,6 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
     record = _recurrence(poset, matching)
     if record.decomposition is not None:
         return record.decomposition
-    graded = poset.as_graded()
     matched = matching.matched_elements()
     critical = tuple(e for e in poset.elements if e not in matched)
     order = poset.index
@@ -228,7 +227,7 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
         if len(comp) < 2:
             continue
         elems = tuple(sorted(comp, key=order.__getitem__))
-        degs = sorted({graded.degree(e) for e in elems})
+        degs = sorted({poset.degree(e) for e in elems})
         if len(degs) != 2 or degs[1] != degs[0] + 1:
             raise ConsistencyError("orbit class does not alternate two adjacent degrees")
         orbit_classes.append(OrbitClass(elements=elems, index=degs[0]))
@@ -299,8 +298,7 @@ def _orbit_from_component(poset: Poset, digraph: MatchedDigraph,
         if len(inside) != 1:
             return None
         inner_succ[e] = inside[0]
-    graded = poset.as_graded()
-    lows = [e for e in comp if graded.degree(e) == index]
+    lows = [e for e in comp if poset.degree(e) == index]
     start = min(lows, key=poset.index.__getitem__)
     nodes = [start]
     cur = inner_succ[start]
@@ -373,12 +371,11 @@ def perturb_to_morse(poset: Poset, matching: Matching) -> tuple[Matching, tuple[
 
 def critical_counts(poset: Poset, matching: Matching) -> dict[int, int]:
     """c_p: the number of critical elements in each degree."""
-    graded = poset.as_graded()
     matched = matching.matched_elements()
     counts: dict[int, int] = {}
     for e in poset.elements:
         if e not in matched:
-            p = graded.degree(e)
+            p = poset.degree(e)
             counts[p] = counts.get(p, 0) + 1
     return counts
 

@@ -65,9 +65,9 @@ def morse_bott_numbers(poset: Poset, matching: Matching,
                        coefficients: Coefficients = "int") -> tuple[list[int], list[str]]:
     """m_k per degree, plus notes about torsion met in relative homology
     (the ranks ignore it by definition; we surface it separately)."""
-    graded = require_admissible(poset)
+    require_admissible(poset)
     dec = basic_sets(poset, matching)
-    top = graded.max_degree() + 1
+    top = poset.max_degree() + 1
     m = [0] * (top + 1)
     torsion_notes: list[str] = []
     for e in dec.critical:
@@ -94,10 +94,10 @@ def lemma_basic_set_window(poset: Poset, matching: Matching,
                            coefficients: Coefficients = "int") -> bool:
     """Relative homology of each basic set sits in {p} for a critical
     point (one copy of the coefficients) and in {p, p+1} for an orbit."""
-    graded = require_admissible(poset)
+    require_admissible(poset)
     dec = basic_sets(poset, matching)
     for e in dec.critical:
-        p = graded.degree(e)
+        p = poset.degree(e)
         summary = basic_set_relative_homology(poset, (e,), coefficients)
         if summary.nontrivial() != {p: (1, ())}:
             return False
@@ -122,10 +122,10 @@ def _alternating(seq, k: int) -> int:
 def strong_morse_bott(poset: Poset, matching: Matching,
                       coefficients: Coefficients = "int") -> InequalityReport:
     """Strong inequalities, their weak corollary, and the Euler identity."""
-    graded = require_admissible(poset)
+    require_admissible(poset)
     m, torsion_notes = morse_bott_numbers(poset, matching, coefficients)
     summary = poset_homology(poset, coefficients=coefficients)
-    top = max(graded.max_degree(), len(m) - 1)
+    top = max(poset.max_degree(), len(m) - 1)
     b = [summary.b(k) for k in range(top + 1)]
     rows = []
     weak_rows = []
@@ -157,12 +157,12 @@ def strong_morse_bott(poset: Poset, matching: Matching,
 def orbit_inequalities_torsion(poset: Poset, matching: Matching) -> InequalityReport:
     """A_k + alt-sum of critical counts against mu_k + alt-sum of Betti
     numbers, over the integers; needs a Morse-Smale matching."""
-    graded = require_admissible(poset)
+    require_admissible(poset)
     orbits = prime_orbits(poset, matching)
     c = critical_counts(poset, matching)
     A = orbit_counts(orbits)
     summary = poset_homology(poset)
-    top = graded.max_degree()
+    top = poset.max_degree()
     c_list = [c.get(k, 0) for k in range(top + 1)]
     b_list = [summary.b(k) for k in range(top + 1)]
     rows = []
@@ -186,12 +186,12 @@ def orbit_inequalities_torsion(poset: Poset, matching: Matching) -> InequalityRe
 def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> InequalityReport:
     """A'_k + alt-sum of critical counts against alt-sum of rational
     Betti numbers, counting only multiplicity-one orbits."""
-    graded = require_admissible(poset)
+    require_admissible(poset)
     orbits = prime_orbits(poset, matching)
     cell = cellular_chain_complex(poset)
     c = critical_counts(poset, matching)
     summary = poset_homology(poset, coefficients="rat")
-    top = graded.max_degree()
+    top = poset.max_degree()
     multiplicities = {orbit: orbit_multiplicity(poset, matching, orbit, cell)
                       for orbit in orbits}
     A1: dict[int, int] = {}
@@ -233,8 +233,7 @@ def euler_characteristics(poset: Poset) -> tuple[int | None, int]:
     chi = poset_homology(poset).euler_characteristic() if poset.elements else 0
     if not poset.is_graded():
         return None, chi
-    graded = poset.as_graded()
-    chi_g = sum((-1) ** p * len(graded.level(p)) for p in range(graded.max_degree() + 1))
+    chi_g = sum((-1) ** p * len(poset.level(p)) for p in range(poset.max_degree() + 1))
     report = check_cellularity(poset)
     if report.is_cellular:
         if chi_g != chi:

@@ -4,7 +4,8 @@ Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
 all derived data (reachability, heights, chains, homology) is cached
-lazily on the instance.
+lazily on the instance.  A graded poset is the same value: an element's
+degree is its height, and the degree queries raise NotGraded otherwise.
 
 The chains of a poset, grouped by their maximum, are the one source of
 every order complex in the library: the order complex of an induced
@@ -58,8 +59,7 @@ class Poset:
         self._above: dict[str, frozenset[str]] | None = None
         self._heights: dict[str, int] | None = None
         self._graded: bool | None = None
-        # derived analyses (chains, homology, cellular structure), shared
-        # with the graded view
+        # derived analyses (chains, homology, cellular structure)
         self.analysis_cache: dict = {}
 
     # -- basic queries --------------------------------------------------------
@@ -173,23 +173,23 @@ class Poset:
             self._graded = all(h[x] == h[w] + 1 for w, x in self.covers)
         return self._graded
 
-    def degree(self, element: str) -> int:
+    def _degrees(self) -> dict[str, int]:
         if not self.is_graded():
             raise NotGraded("degrees are only defined on graded posets")
-        return self.heights()[element]
+        return self.heights()
 
-    def as_graded(self) -> "GradedPoset":
-        if isinstance(self, GradedPoset):
-            return self
-        if not self.is_graded():
-            raise NotGraded("poset is not graded")
-        view = self.analysis_cache.get("graded_view")
-        if view is None:
-            view = GradedPoset(self)
-            # share one cache so derived analyses are computed once
-            view.analysis_cache = self.analysis_cache
-            self.analysis_cache["graded_view"] = view
-        return view
+    def degree(self, element: str) -> int:
+        """deg x = height x, on a graded poset."""
+        self.require(element)
+        return self._degrees()[element]
+
+    def max_degree(self) -> int:
+        return max(self._degrees().values(), default=0)
+
+    def level(self, p: int) -> tuple[str, ...]:
+        """The elements of degree exactly p."""
+        degrees = self._degrees()
+        return tuple(e for e in self.elements if degrees[e] == p)
 
     # -- subposets ---------------------------------------------------------
 
@@ -237,7 +237,7 @@ class Poset:
 
     def chains_by_maximum(self) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains grouped by maximum element, each listed in
-        increasing order; computed once and shared with the graded view."""
+        increasing order; computed once per poset."""
         ending = self.analysis_cache.get("chains")
         if ending is None:
             below, _ = self._reach()
@@ -258,33 +258,6 @@ class Poset:
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._upper[e])
-
-
-class GradedPoset(Poset):
-    """A poset whose every U_x is homogeneous; degree(x) = height(x)."""
-
-    def __init__(self, base: Poset):
-        super().__init__(base.elements, base.covers)
-        if not self.is_graded():
-            raise NotGraded("poset is not graded")
-        self.degrees = dict(self.heights())
-
-    def degree(self, element: str) -> int:
-        self.require(element)
-        return self.degrees[element]
-
-    def max_degree(self) -> int:
-        return max(self.degrees.values()) if self.degrees else 0
-
-    def level(self, p: int) -> tuple[str, ...]:
-        """The elements of degree exactly p."""
-        return tuple(e for e in self.elements if self.degrees[e] == p)
-
-    def skeleton(self, p: int) -> Poset:
-        """The subposet of elements of degree at most p."""
-        if p < 0:
-            raise ValueError("skeleton degree must be nonnegative")
-        return self.induced([e for e in self.elements if self.degrees[e] <= p])
 
 
 def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:
@@ -351,10 +324,3 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
             if not any(x in reach[z] for z in reach[w]):
                 covers.append((w, x))
     return Poset(elements, covers)
-
-
-def height_and_degree(poset: Poset):
-    """Heights per element, gradedness verdict, and the graded view if any."""
-    heights = dict(poset.heights())
-    graded = poset.is_graded()
-    return heights, graded, (poset.as_graded() if graded else None)

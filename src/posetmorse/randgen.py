@@ -17,7 +17,8 @@ purely as a search oracle).
 from __future__ import annotations
 
 from .dynamics import Matching, validate_matching
-from .posets import GradedPoset, Poset, build_poset
+from .errors import PosetMorseError
+from .posets import Poset, build_poset
 from .simplicial import SimplicialComplex
 
 MASK64 = (1 << 64) - 1
@@ -69,14 +70,17 @@ class XorShift64Star:
 
 
 def random_graded_poset(rng: XorShift64Star, max_elements: int = 12,
-                        max_levels: int = 3) -> GradedPoset:
+                        max_levels: int = 3) -> Poset:
     """A random graded poset built level by level.
 
     Every element above the bottom covers only elements one level down
     and has at least one lower cover, so height equals level and the
     result is graded by construction.
     """
-    levels = rng.randint(1, max_levels)
+    if max_elements < 1:
+        raise PosetMorseError(f"a random poset needs a size of at least 1, not {max_elements}")
+    # every level holds at least one element
+    levels = min(rng.randint(1, max_levels), max_elements)
     remaining = rng.randint(max(1, levels), max_elements)
     sizes = []
     for lvl in range(levels):
@@ -103,8 +107,7 @@ def random_graded_poset(rng: XorShift64Star, max_elements: int = 12,
             for w in lower:
                 if w != first and rng.chance(1, 3):
                     covers.append((w, x))
-    poset = build_poset([e for row in names for e in row], covers)
-    return poset.as_graded()
+    return build_poset([e for row in names for e in row], covers)
 
 
 def random_simplicial_complex(rng: XorShift64Star, max_vertices: int = 7,
@@ -176,7 +179,7 @@ def dismantlable_to_point(poset: Poset) -> bool:
 
 
 def find_euler_gap_poset(rng: XorShift64Star, max_elements: int = 8,
-                         max_tries: int = 20000) -> GradedPoset | None:
+                         max_tries: int = 20000) -> Poset | None:
     """Search for a graded contractible poset with graded Euler
     characteristic different from 1 (hence not cellular)."""
     from .inequalities import euler_characteristics

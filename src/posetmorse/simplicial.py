@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplex, MalformedLine
-from .posets import GradedPoset, Poset
+from .posets import Poset
 
 Simplex = tuple[str, ...]
 
@@ -115,7 +115,7 @@ def serialize_simplicial_complex(complex: SimplicialComplex) -> str:
     return "\n".join(" ".join(s) for s in complex.maximal) + "\n"
 
 
-def face_poset(complex: SimplicialComplex) -> GradedPoset:
+def face_poset(complex: SimplicialComplex) -> Poset:
     """The poset of simplices ordered by inclusion; degree = dimension."""
     elements = [simplex_id(s) for d in sorted(complex.simplices)
                 for s in complex.simplices[d]]
@@ -127,7 +127,7 @@ def face_poset(complex: SimplicialComplex) -> GradedPoset:
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
                 covers.append((simplex_id(face), simplex_id(s)))
-    return Poset(elements, covers).as_graded()
+    return Poset(elements, covers)
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:
@@ -136,6 +136,6 @@ def order_complex(poset: Poset) -> SimplicialComplex:
     return SimplicialComplex(poset.chains())
 
 
-def subdivision(poset: Poset) -> GradedPoset:
+def subdivision(poset: Poset) -> Poset:
     """First subdivision: the face poset of the order complex."""
     return face_poset(order_complex(poset))

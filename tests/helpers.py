@@ -270,9 +270,8 @@ def incidence_from_generators(poset: Poset) -> dict[tuple[str, str], int]:
     """Incidence numbers by cone decomposition of the order-complex sphere
     generators: group the flags of g_x by their top element w, un-cone,
     and divide by g_w.  Needs a cellular poset."""
-    poset = poset.as_graded()
     incidence: dict[tuple[str, str], int] = {}
-    degrees = poset.degrees
+    degrees = poset.heights()
     generators = {x: sphere_generator(poset, x) for x in poset.elements if degrees[x] >= 1}
     for x in poset.elements:
         p = degrees[x]
@@ -436,14 +435,14 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     The reference for the library's flow on sparse chains; the verdict on
     the invariant complex comes from `snf_quasi_isomorphism`.
     """
-    graded = require_admissible(poset)
+    require_admissible(poset)
     if not is_morse_matching(poset, matching):
         raise NotMorseMatching("the flow operator needs an acyclic matching")
     if cell is None:
         cell = cellular_chain_complex(poset)
     chain = cell.complex
-    top = graded.max_degree()
-    levels = {p: graded.level(p) for p in range(top + 1)}
+    top = poset.max_degree()
+    levels = {p: poset.level(p) for p in range(top + 1)}
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
     V: dict[int, IntMatrix] = {}
     for p in range(top):

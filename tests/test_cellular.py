@@ -91,8 +91,7 @@ def test_sphere_generator_triangle(rp2_poset):
 
 
 def test_s0_generator_shape_everywhere(rp2_poset):
-    graded = rp2_poset.as_graded()
-    for x in graded.level(1):
+    for x in rp2_poset.level(1):
         gen = sphere_generator(rp2_poset, x)
         values = sorted(gen.cycle.values())
         assert values == [-1, 1]
@@ -140,16 +139,15 @@ def test_incidence_units_on_admissible(rp2_poset, t3):
 
 def test_diamond_identity(tetra_boundary, rp2_poset):
     for poset in (face_poset(tetra_boundary), rp2_poset):
-        graded = poset.as_graded()
         cell = cellular_chain_complex(poset)
-        for x in graded.elements:
-            if graded.degree(x) < 2:
+        for x in poset.elements:
+            if poset.degree(x) < 2:
                 continue
-            for w in graded.elements:
-                if graded.degree(w) != graded.degree(x) - 2 or not graded.less(w, x):
+            for w in poset.elements:
+                if poset.degree(w) != poset.degree(x) - 2 or not poset.less(w, x):
                     continue
-                between = [z for z in graded.elements
-                           if graded.less(w, z) and graded.less(z, x)]
+                between = [z for z in poset.elements
+                           if poset.less(w, z) and poset.less(z, x)]
                 assert len(between) == 2  # face posets are diamonds
                 total = sum(cell.epsilon(x, z) * cell.epsilon(z, w) for z in between)
                 assert total == 0
@@ -188,12 +186,11 @@ def test_fast_path_matches_general_method(rp2, tetra_boundary, triangle_boundary
         # the two sign systems differ by one gauge: eps_f/eps_g = s_x * s_w
         # must admit a consistent assignment, found by propagation
         signs: dict[str, int] = {}
-        graded = poset.as_graded()
-        for e in graded.level(0):
+        for e in poset.level(0):
             signs[e] = 1
-        for p in range(1, graded.max_degree() + 1):
-            for x in graded.level(p):
-                w = graded.lower_covers(x)[0]
+        for p in range(1, poset.max_degree() + 1):
+            for x in poset.level(p):
+                w = poset.lower_covers(x)[0]
                 ratio = fast[(x, w)] * general.incidence[(x, w)]
                 signs[x] = ratio * signs[w]
         for (x, w), eps in fast.items():

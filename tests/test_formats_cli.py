@@ -392,3 +392,65 @@ def test_cli_builds_the_whole_order_complex_once(argv, monkeypatch, capsys):
     assert run(argv) == 0
     capsys.readouterr()
     assert builds == [31]
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_cli_gen_rejects_sizes_below_one(size, capsys):
+    assert run(["gen", "--kind", "poset", "--seed", "1", "--size", size]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_gen_posets_smaller_than_the_level_count(capsys):
+    for seed in range(1, 9):
+        for size in (1, 2):
+            assert run(["gen", "--kind", "poset", "--seed", str(seed),
+                        "--size", str(size)]) == 0
+            assert 1 <= len(parse_poset_text(capsys.readouterr().out)) <= size
+
+
+def test_cli_input_under_a_file(capsys):
+    data = Path(__file__).resolve().parent.parent / "data"
+    _fails_cleanly(capsys, data / "t3_poset.txt" / "x")
+
+
+SUBCOMMANDS = [
+    ["validate"], ["homology"], ["homology", "--coeff", "rat"], ["cellular"],
+    ["matching", "--matching", "M"], ["integrate", "--matching", "M"],
+    ["sweep", "--matching", "M"], ["inequalities", "--matching", "M"], ["hccat"],
+    ["ls-check", "--matching", "M"],
+]
+
+
+def _job_id(space: str, argv: list[str]) -> str:
+    return " ".join([space] + [a for a in argv if not a.startswith("-") and a != "M"])
+
+
+@pytest.mark.parametrize("space,kind,matching,argv", [
+    *[pytest.param("t3_poset.txt", "poset", "t3_matching_m2.txt", argv,
+                   id=_job_id("t3", argv))
+      for argv in SUBCOMMANDS + [["gen", "--seed", "3"]]],
+    *[pytest.param("rp2_6.txt", "simplicial", "rp2_star5_matching.txt", argv,
+                   id=_job_id("rp2", argv))
+      for argv in SUBCOMMANDS],
+])
+def test_cli_builds_one_poset_per_run(space, kind, matching, argv, monkeypatch, capsys):
+    """Every subcommand works on the poset it loads: graded queries need
+    no second copy of it."""
+    from posetmorse import Poset
+
+    data = Path(__file__).resolve().parent.parent / "data"
+    kind = "matching" if argv[0] == "gen" else kind
+    argv = [argv[0], "--input", str(data / space), "--kind", kind, "--format", "doc"] + [
+        str(data / matching) if a == "M" else a for a in argv[1:]]
+    original = Poset.__init__
+    builds = []
+
+    def counted(self, *args, **kwargs):
+        builds.append(len(args[0]))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmorse import build_poset, face_poset, height_and_degree
+from posetmorse import build_poset, face_poset
 from posetmorse.errors import (
     CycleDetected,
     DuplicateElement,
     EmptyPoset,
+    NotGraded,
     UnknownElement,
 )
 from posetmorse.posets import Poset
@@ -79,10 +80,9 @@ def test_down_set_unknown_element(t3):
 
 
 def test_heights_and_grading(t3):
-    heights, graded, graded_poset = height_and_degree(t3)
-    assert graded
-    assert heights == {"v1": 0, "v2": 0, "v3": 0, "e12": 1, "e13": 1, "e23": 1}
-    assert graded_poset.degree("e13") == 1
+    assert t3.is_graded()
+    assert t3.heights() == {"v1": 0, "v2": 0, "v3": 0, "e12": 1, "e13": 1, "e23": 1}
+    assert t3.degree("e13") == 1
 
 
 def test_grading_definition_example():
@@ -110,18 +110,22 @@ def test_tetrahedron_face_poset_grading(tetra_boundary):
     assert all(poset.degree(e) == 2 for e in poset.maximal_elements())
 
 
-def test_skeleton(t3, tetra_boundary):
-    g = t3.as_graded()
-    antichain = g.skeleton(0)
-    assert set(antichain.elements) == {"v1", "v2", "v3"}
-    assert antichain.covers == frozenset()
-    assert g.skeleton(1) == t3.induced(t3.elements)
-    assert g.skeleton(99).elements == t3.elements
+def test_levels(t3, tetra_boundary):
+    assert t3.level(0) == ("v1", "v2", "v3")
     tetra = face_poset(tetra_boundary)
-    one_skel = tetra.skeleton(1)
-    assert len(one_skel) == 4 + 6  # K4 graph face poset
-    assert one_skel.as_graded().max_degree() == 1
-    assert g.level(0) == ("v1", "v2", "v3")
+    assert tetra.max_degree() == 2 and len(tetra.level(2)) == 4
+
+
+def test_degree_queries_need_a_graded_poset():
+    p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("b", "d"), ("c", "d")])
+    for query in (lambda: p.degree("a"), p.max_degree, lambda: p.level(0)):
+        with pytest.raises(NotGraded):
+            query()
+
+
+def test_degree_of_unknown_element(t3):
+    with pytest.raises(UnknownElement):
+        t3.degree("nope")
 
 
 def test_strict_vs_nonstrict_union(t3):
@@ -178,6 +182,5 @@ def test_reachability_matches_brute_force(seed):
 
 
 def test_graded_cover_degree_gap(t3):
-    g = t3.as_graded()
-    for w, x in g.covers:
-        assert g.degree(x) - g.degree(w) == 1
+    for w, x in t3.covers:
+        assert t3.degree(x) - t3.degree(w) == 1
