@@ -9,11 +9,14 @@ If it is H(S^{p-1}), p = deg x, then eps(x, .) is the primitive generator
 of ker d_{p-1} on U.x, whose columns are x's lower covers, and by the
 exact sequence of (U.x, U.x - {w}) the cover (w, x) is admissible exactly
 when eps(x, w) = +-1.  Where U.x holds a non-cellular element, the
-order-complex homology of `subposet_chain_complex` decides x and its
-covers.  The sign gauge is that of `sphere_generator`: the first sorted
-full flag of U.x whose steps all have nonzero incidence, found greedily,
-has a positive coefficient, (-1)^(names before w) * eps(x, w) times the
-coefficient of the rest of the flag in w's generator, w its top element.
+beat-point cores of U.x and of each U.x - {w} decide x and its covers
+(`core_homology`): removing a beat point is a strong deformation
+retract, so a core has the homology of its order complex, and most cores
+are antichains, whose homology is their size.  The sign gauge is that of
+`sphere_generator`: the first sorted full flag of U.x whose steps all
+have nonzero incidence, found greedily, has a positive coefficient,
+(-1)^(names before w) * eps(x, w) times the coefficient of the rest of
+the flag in w's generator, w its top element.
 
 One assembler builds every cellular complex from the pass's incidence
 rows: the complex of a down-closed pair (A, B) has the cells of A - B.
@@ -42,6 +45,7 @@ from .homology import (
     ChainComplex,
     Coefficients,
     HomologySummary,
+    core_homology,
     homology,
     poset_homology,
     sphere_summary,
@@ -133,17 +137,19 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
         if p == 0:
             eps[x], reach[x] = {}, below
             continue
-        # where U.x holds a non-cellular element the order complex decides
-        known = all(w in eps for w in lower)
-        down_set = (partial(_cellular_complex, poset, eps) if known
-                    else partial(subposet_chain_complex, poset))
-        chain = down_set(below, reduced=True)
-        summary = homology(chain)
+        if all(w in eps for w in lower):
+            down_set = partial(_cellular_complex, poset, eps, reduced=True)
+            chain = down_set(below)
+            summary = homology(chain)
+            punctured = lambda w: homology(down_set(below - {w}))
+        else:
+            # U.x holds a non-cellular element: beat-point cores decide
+            chain, summary = None, core_homology(poset, below)
+            punctured = lambda w: core_homology(poset, below - {w})
         if summary != sphere_summary(p - 1):
             not_cellular[x] = summary
-        if not known or x in not_cellular:
-            not_admissible += [(w, x) for w in lower if not homology(
-                down_set(below - {w}, reduced=True)).is_trivial()]
+        if chain is None or x in not_cellular:
+            not_admissible += [(w, x) for w in lower if not punctured(w).is_trivial()]
             continue
         eps[x] = dict(zip(lower, _kernel_generator(chain.columns[p - 1])))
         steps = [w for w in lower if eps[x][w]]

@@ -18,7 +18,7 @@ from . import __version__
 from .cellular import cellular_chain_complex, check_cellularity, verify_cellular_agreement
 from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
-from .errors import MalformedLine, PosetMorseError
+from .errors import MalformedLine, NotCellular, NotGraded, PosetMorseError
 from .formats import (
     load_complex,
     load_poset,
@@ -29,7 +29,7 @@ from .formats import (
     serialize_matching,
     serialize_poset,
 )
-from .homology import homology, poset_homology, simplicial_chain_complex
+from .homology import homology, poset_homology, simplicial_chain_complex, subposet_chain_complex
 from .inequalities import (
     euler_characteristics,
     orbit_inequalities_multiplicity,
@@ -217,8 +217,12 @@ def cmd_hccat(args) -> int:
     value = hccat(poset)
     results = {"hccat": value}
     lines = [f"hccat: {value}"]
-    cell = cellular_chain_complex(poset)
-    witness = minimal_subcomplex(cell.complex)
+    try:
+        ambient = cellular_chain_complex(poset).complex
+    except (NotCellular, NotGraded):
+        # no cellular model: the order complex of the whole poset
+        ambient = subposet_chain_complex(poset, poset.elements)
+    witness = minimal_subcomplex(ambient)
     results["minimal_subcomplex_ranks"] = {str(k): v for k, v in sorted(witness.rank_profile.items())}
     results["minimal_subcomplex_quasi_isomorphism"] = witness.quasi_isomorphism_verified
     lines.append("minimal subcomplex ranks: " + " ".join(
@@ -260,10 +264,14 @@ def cmd_ls_check(args) -> int:
 def cmd_gen(args) -> int:
     rng = XorShift64Star(args.seed)
     if args.kind == "poset":
-        poset = random_graded_poset(rng, max_elements=args.size)
+        poset = random_graded_poset(rng, max_elements=10 if args.size is None else args.size)
         sys.stdout.write(serialize_poset(poset))
     elif args.kind == "simplicial":
-        complex = random_simplicial_complex(rng, max_vertices=max(2, min(args.size, 9)))
+        vertices = 9 if args.size is None else args.size
+        if not 2 <= vertices <= 9:
+            raise PosetMorseError(
+                f"a random simplicial complex needs 2 to 9 vertices, not {vertices}")
+        complex = random_simplicial_complex(rng, max_vertices=vertices)
         sys.stdout.write(serialize_simplicial_complex(complex))
     elif args.kind == "matching":
         if not args.input:
@@ -319,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="deterministic random fixtures")
     common(p, needs_input=False, kinds=["poset", "simplicial", "matching"])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=10)
+    p.add_argument("--size", type=int, help="elements (poset, default 10) or vertices "
+                   "(simplicial, 2 to 9, default 9)")
     return parser
 
 

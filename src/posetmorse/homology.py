@@ -14,7 +14,10 @@ One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
 order complex of an induced subposet straight off the poset's cached
 chains: the order complex of the subposet on S is the full subcomplex of
-K(P) on S.  Pairs of subposets are not read here: the theorem checks
+K(P) on S.  `core_homology` reads the reduced homology of a subposet off
+its beat-point core instead, which has the same homotopy type and is
+much smaller; the cellularity pass uses it below non-cellular elements.
+Pairs of subposets are not read here: the theorem checks
 take the homology of down-closed pairs of cellular posets off the
 cellular complex (`cellular.cellular_pair_homology`).  `order_complex`,
 `Poset.induced` and `relative_homology` stay as the paper's definitions,
@@ -277,12 +280,29 @@ def subposet_chain_complex(poset: Poset, members: Iterable[str],
     for e in keep:
         poset.require(e)
     chains = poset.chains_by_maximum()
+    return _chain_complex_of_chains(
+        (c for x in keep for c in chains[x] if keep.issuperset(c)), reduced)
+
+
+def _chain_complex_of_chains(chains: Iterable[tuple[str, ...]], reduced: bool) -> ChainComplex:
+    """The chain complex of the order complex whose simplices are `chains`."""
     simplices: dict[int, list[Simplex]] = {}
-    for x in keep:
-        for c in chains[x]:
-            if keep.issuperset(c):
-                simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
+    for c in chains:
+        simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
     return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
+
+
+def core_homology(poset: Poset, members: Iterable[str]) -> HomologySummary:
+    """Reduced homology of K(A), A = `members`, read off the beat-point
+    core of the subposet on A, which has the same homotopy type.  A core
+    that is an antichain of k points has Z^(k-1) in degree 0, or Z in
+    degree -1 when it is empty, and builds no complex; any other core
+    builds the order complex of its own chains."""
+    core = set(poset.beat_point_core(members))
+    if all(poset.strictly_below(e).isdisjoint(core) for e in core):
+        return HomologySummary(betti={0: len(core) - 1} if core else {-1: 1})
+    chains = poset.chains_within(core).values()
+    return homology(_chain_complex_of_chains((c for local in chains for c in local), True))
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,

@@ -7,11 +7,15 @@ all derived data (reachability, heights, chains, homology) is cached
 lazily on the instance.  A graded poset is the same value: an element's
 degree is its height, and the degree queries raise NotGraded otherwise.
 
-The chains of a poset, grouped by their maximum, are the one source of
-every order complex in the library: the order complex of an induced
-subposet on S is the full subcomplex of K(P) spanned by S, so the
-homology front ends read its simplices off `chains_by_maximum` and never
-build the induced subposet.  `induced` stays as the paper's definition.
+The chains of a poset, grouped by their maximum, are the source of the
+order complexes in the library: the order complex of an induced subposet
+on S is the full subcomplex of K(P) spanned by S, so the homology front
+ends read its simplices off `chains_by_maximum` and never build the
+induced subposet.  Only a beat-point core, the small subposet left once
+elements whose down-set has a maximum or whose up-set a minimum are
+removed, enumerates its own chains (`chains_within`), so that the
+chains of the whole poset are never listed for it.  `induced` stays as
+the paper's definition.
 """
 
 from __future__ import annotations
@@ -240,17 +244,58 @@ class Poset:
         increasing order; computed once per poset."""
         ending = self.analysis_cache.get("chains")
         if ending is None:
-            below, _ = self._reach()
-            order = self.index
-            ending = {}
-            for x in self._topo_order():
-                local: list[tuple[str, ...]] = [(x,)]
-                for y in sorted(below[x], key=order.__getitem__):
-                    for c in ending[y]:
-                        local.append(c + (x,))
-                ending[x] = local
-            self.analysis_cache["chains"] = ending
+            ending = self.analysis_cache["chains"] = self._chains_along(self._topo_order())
         return ending
+
+    def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
+        """The chains of the subposet on `members`, grouped as by
+        `chains_by_maximum`; not cached."""
+        heights, order = self.heights(), self.index
+        return self._chains_along(sorted(members, key=lambda e: (heights[e], order[e])))
+
+    def _chains_along(self, extension: list[str]) -> dict[str, list[tuple[str, ...]]]:
+        """The chains of the subposet on `extension`, a linear extension
+        of it, by maximum."""
+        below, _ = self._reach()
+        keep, order = set(extension), self.index
+        ending: dict[str, list[tuple[str, ...]]] = {}
+        for x in extension:
+            local: list[tuple[str, ...]] = [(x,)]
+            for y in sorted(below[x] & keep, key=order.__getitem__):
+                for c in ending[y]:
+                    local.append(c + (x,))
+            ending[x] = local
+        return ending
+
+    def beat_point_core(self, members: Iterable[str] | None = None) -> tuple[str, ...]:
+        """The core of the subposet on `members` (all of P by default), in
+        poset order: sweeps in poset order remove beat points until none
+        is left, an element being one when its strict down-set in what
+        is left has a maximum or its strict up-set a minimum.  Each
+        removal is a strong deformation retract, so the order complexes
+        of the subposet and of its core are homotopy equivalent, and the
+        core of a contractible space is a point (Stong, Trans. AMS 123,
+        1966)."""
+        below, above = self._reach()
+        heights, order = self.heights(), self.index
+        core = set(self.elements) if members is None else set(members)
+        for e in core:
+            self.require(e)
+
+        def has_extremum(part: frozenset[str], reach: dict[str, frozenset[str]], pick) -> bool:
+            # only the element of extreme height can be the extremum
+            return bool(part) and len(
+                reach[pick(part, key=heights.__getitem__)] & part) == len(part) - 1
+
+        removed = True
+        while removed:
+            removed = False
+            for a in sorted(core, key=order.__getitem__):
+                if (has_extremum(below[a] & core, below, max)
+                        or has_extremum(above[a] & core, above, min)):
+                    core.remove(a)
+                    removed = True
+        return tuple(sorted(core, key=order.__getitem__))
 
     def chains(self) -> list[tuple[str, ...]]:
         """All nonempty chains, each listed in increasing order."""

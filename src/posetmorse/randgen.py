@@ -145,37 +145,10 @@ def random_matching(rng: XorShift64Star, poset: Poset, num: int = 1, den: int = 
     return validate_matching(poset, pairs)
 
 
-# -- beat-point reduction (search oracle only) --------------------------------
-
-
-def _beat_point(poset: Poset) -> str | None:
-    """An element whose strict up-set has a minimum or strict down-set a
-    maximum, if any."""
-    for x in poset.elements:
-        above = poset.strictly_above(x)
-        if above:
-            for m in above:
-                if all(m == y or poset.less(m, y) for y in above):
-                    return x
-        below = poset.strictly_below(x)
-        if below:
-            for m in below:
-                if all(m == y or poset.less(y, m) for y in below):
-                    return x
-    return None
-
-
 def dismantlable_to_point(poset: Poset) -> bool:
-    """Greedy beat-point reduction; reaching a singleton certifies that
-    the finite space is contractible."""
-    current = poset
-    while len(current) > 1:
-        beat = _beat_point(current)
-        if beat is None:
-            return False
-        keep = [e for e in current.elements if e != beat]
-        current = current.induced(keep)
-    return len(current) == 1
+    """The beat-point core is a single point: the finite space is
+    contractible."""
+    return len(poset.beat_point_core()) == 1
 
 
 def find_euler_gap_poset(rng: XorShift64Star, max_elements: int = 8,

@@ -1,0 +1,158 @@
+"""Beat-point cores: the reduced homology of a subposet read off its core
+equals that of its order complex, a core keeps no beat point, and the
+cellularity pass decides non-cellular posets on cores alone, with the
+reports of the order-complex definition."""
+
+import sys
+
+from posetmorse import (
+    Poset,
+    build_poset,
+    check_cellularity,
+    face_poset,
+    poset_homology,
+    subdivision,
+)
+from posetmorse.homology import core_homology
+from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
+
+from helpers import order_complex_cellularity
+
+
+def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
+    """Levels of `width` elements, each above the bottom covering 1 to 3
+    elements one level down: graded and, at this density, not cellular."""
+    names = [[f"r{lvl}_{i}" for i in range(width)] for lvl in range(levels)]
+    covers = [(w, x) for lower, upper in zip(names, names[1:]) for x in upper
+              for w in rng.sample(lower, rng.randint(1, 3))]
+    return Poset([e for level in names for e in level], covers)
+
+
+def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
+    """A random order on `size` elements: i < j with chance 1/4 for i < j."""
+    elements = [f"u{i}" for i in range(size)]
+    return build_poset(elements, [(elements[i], elements[j]) for i in range(size)
+                                  for j in range(i + 1, size) if rng.chance(1, 4)])
+
+
+def join_of_levels(widths: list[int]) -> Poset:
+    """Levels of the given widths, each element covering the whole level
+    below; with a level of 3 points the down-sets above it have cores that
+    are no antichain."""
+    levels = [[f"l{p}_{i}" for i in range(n)] for p, n in enumerate(widths)]
+    return Poset([e for level in levels for e in level],
+                 [(w, x) for lo, hi in zip(levels, levels[1:]) for w in lo for x in hi])
+
+
+def sample_posets(seed: int):
+    rng = XorShift64Star(seed)
+    yield levelled_poset(rng, 4, 12)
+    yield levelled_poset(rng, 4, 20)
+    for _ in range(6):
+        yield random_graded_poset(rng, max_elements=14, max_levels=4)
+    for _ in range(6):
+        yield ungraded_poset(rng, rng.randint(5, 10))
+    for _ in range(6):
+        yield face_poset(random_simplicial_complex(rng, max_vertices=6))
+    for _ in range(3):
+        yield subdivision(random_graded_poset(rng, max_elements=7, max_levels=3))
+    yield join_of_levels([3, 3, 2])
+
+
+def down_closed_sets(poset: Poset, rng: XorShift64Star):
+    """U.x and U.x - {w} for every lower cover w (both down-closed), and
+    the down-closure of a random subset."""
+    for x in poset.elements:
+        below = poset.strictly_below(x)
+        yield below
+        for w in poset.lower_covers(x):
+            yield below - {w}
+    yield frozenset(poset.down_closure(e for e in poset.elements if rng.chance(1, 3)))
+
+
+def beat_points(poset: Poset) -> list[str]:
+    """The beat points of the poset, straight from the definition."""
+    def has_maximum(part):
+        return any(all(y == m or poset.less(y, m) for y in part) for m in part)
+
+    def has_minimum(part):
+        return any(all(y == m or poset.less(m, y) for y in part) for m in part)
+
+    return [e for e in poset.elements
+            if has_maximum(poset.strictly_below(e)) or has_minimum(poset.strictly_above(e))]
+
+
+def test_core_homology_matches_order_complex():
+    rng = XorShift64Star(91)
+    checked = antichains = 0
+    seen = set()
+    for poset in sample_posets(17):
+        for members in down_closed_sets(poset, rng):
+            if (poset, members) in seen:
+                continue
+            seen.add((poset, members))
+            assert core_homology(poset, members) == poset_homology(
+                poset.induced(members), reduced=True), sorted(members)
+            core = set(poset.beat_point_core(members))
+            antichains += all(poset.strictly_below(e).isdisjoint(core) for e in core)
+            checked += 1
+    assert checked >= 200
+    # both routes: antichain cores and cores with an order complex
+    assert 100 <= antichains <= checked - 20, (antichains, checked)
+
+
+def test_cores_keep_no_beat_point():
+    rng = XorShift64Star(5)
+    for poset in sample_posets(23):
+        for members in down_closed_sets(poset, rng):
+            core = poset.beat_point_core(members)
+            assert set(core) <= set(members)
+            assert beat_points(poset.induced(core)) == []
+        assert beat_points(poset.induced(poset.beat_point_core())) == []
+
+
+def test_poset_with_a_maximum_reduces_to_a_point():
+    for poset in sample_posets(29):
+        for x in poset.elements:
+            assert len(poset.beat_point_core(poset.strictly_below(x) | {x})) == 1
+
+
+def test_core_of_a_circle_is_the_circle():
+    circle = join_of_levels([2, 2])
+    assert circle.beat_point_core() == circle.elements
+    assert core_homology(circle, circle.elements) == poset_homology(circle, reduced=True)
+    assert core_homology(circle, ()) == poset_homology(circle.induced(()), reduced=True)
+
+
+def test_pass_matches_definition_on_large_non_cellular_posets():
+    rng = XorShift64Star(4)
+    for width in (130, 140):
+        poset = levelled_poset(rng, 4, width)
+        assert len(poset) >= 500
+        report = check_cellularity(poset)
+        assert not report.is_cellular
+        assert report == order_complex_cellularity(poset)
+
+
+def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch):
+    rng = XorShift64Star(8)
+    spaces = [levelled_poset(rng, 4, 60), levelled_poset(rng, 4, 150),
+              join_of_levels([3, 3, 2, 2]), join_of_levels([2, 3, 3])]
+    expected = [order_complex_cellularity(poset) for poset in spaces]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the chains of the whole poset were enumerated")
+
+    monkeypatch.setattr(Poset, "chains_by_maximum", forbidden)
+    monkeypatch.setattr(sys.modules["posetmorse.homology"], "subposet_chain_complex", forbidden)
+    original, cores_with_chains = Poset.chains_within, []
+
+    def counted(self, members):
+        cores_with_chains.append(len(members))
+        return original(self, members)
+
+    monkeypatch.setattr(Poset, "chains_within", counted)
+    for poset, report in zip(spaces, expected):
+        assert not report.is_cellular
+        assert check_cellularity(poset) == report
+    assert cores_with_chains and max(cores_with_chains) < 10

@@ -454,3 +454,34 @@ def test_cli_builds_one_poset_per_run(space, kind, matching, argv, monkeypatch, 
     assert run(argv) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("text", ["a < b\nb < c\n", "a\nb\nc\nd\na < b\nb < d\nc < d\n"],
+                         ids=["chain", "ungraded"])
+def test_cli_hccat_without_a_cellular_complex(text, tmp_path, capsys):
+    """On a non-cellular or ungraded poset the witness comes from the
+    order complex of the whole poset."""
+    path = tmp_path / "space.txt"
+    path.write_text(text)
+    assert run(["hccat", "--input", str(path), "--format", "doc"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["hccat"] == 1
+    assert results["minimal_subcomplex_ranks"] == {"0": 1}
+    assert results["minimal_subcomplex_quasi_isomorphism"] is True
+
+
+@pytest.mark.parametrize("size", ["-1", "0", "1", "10", "50"])
+def test_cli_gen_rejects_simplicial_sizes_outside_two_to_nine(size, capsys):
+    assert run(["gen", "--kind", "simplicial", "--seed", "1", "--size", size]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_gen_simplicial_default_size_is_nine(capsys):
+    assert run(["gen", "--kind", "simplicial", "--seed", "5"]) == 0
+    default = capsys.readouterr().out
+    assert run(["gen", "--kind", "simplicial", "--seed", "5", "--size", "9"]) == 0
+    assert capsys.readouterr().out == default
+    assert run(["gen", "--kind", "simplicial", "--seed", "5", "--size", "2"]) == 0
+    from posetmorse import parse_simplicial_complex
+    assert len(parse_simplicial_complex(capsys.readouterr().out).n_simplices(0)) <= 2
