@@ -8,8 +8,12 @@ cellular complex restricted to U.x, |U.x| cells instead of its chains.
 If it is H(S^{p-1}), p = deg x, then eps(x, .) is the primitive generator
 of ker d_{p-1} on U.x, whose columns are x's lower covers, and by the
 exact sequence of (U.x, U.x - {w}) the cover (w, x) is admissible exactly
-when eps(x, w) = +-1.  Where U.x holds a non-cellular element, the
-beat-point cores of U.x and of each U.x - {w} decide x and its covers
+when eps(x, w) = +-1.  The same sequence decides the covers of a
+non-cellular x with no homology at all: w is maximal in U.x, so by
+excision the pair has the homology of (U_w, U.w), Z in degree p-1 when w
+is cellular, and then U.x - {w} is acyclic only if U.x has the homology
+of S^{p-1}.  Where U.x holds a non-cellular element, the beat-point
+cores of U.x and of the remaining U.x - {w} decide x and its covers
 (`core_homology`): removing a beat point is a strong deformation
 retract, so a core has the homology of its order complex, and most cores
 are antichains, whose homology is their size.  The sign gauge is that of
@@ -27,7 +31,6 @@ the theorem checks' sublevel and basic-set pairs in |A - B| cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Iterable
 
@@ -138,18 +141,19 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
             eps[x], reach[x] = {}, below
             continue
         if all(w in eps for w in lower):
-            down_set = partial(_cellular_complex, poset, eps, reduced=True)
-            chain = down_set(below)
+            chain = _cellular_complex(poset, eps, below, reduced=True)
             summary = homology(chain)
-            punctured = lambda w: homology(down_set(below - {w}))
         else:
             # U.x holds a non-cellular element: beat-point cores decide
             chain, summary = None, core_homology(poset, below)
-            punctured = lambda w: core_homology(poset, below - {w})
         if summary != sphere_summary(p - 1):
             not_cellular[x] = summary
         if chain is None or x in not_cellular:
-            not_admissible += [(w, x) for w in lower if not punctured(w).is_trivial()]
+            # exact sequence of the pair: below a non-cellular x, U.x - {w}
+            # is not acyclic when w is cellular
+            not_admissible += [(w, x) for w in lower
+                               if x in not_cellular and w not in not_cellular
+                               or not core_homology(poset, below - {w}).is_trivial()]
             continue
         eps[x] = dict(zip(lower, _kernel_generator(chain.columns[p - 1])))
         steps = [w for w in lower if eps[x][w]]

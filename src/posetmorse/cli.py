@@ -11,6 +11,7 @@ a bug.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -220,8 +221,9 @@ def cmd_hccat(args) -> int:
     try:
         ambient = cellular_chain_complex(poset).complex
     except (NotCellular, NotGraded):
-        # no cellular model: the order complex of the whole poset
-        ambient = subposet_chain_complex(poset, poset.elements)
+        # no cellular model: the order complex of the beat-point core, a
+        # strong deformation retract of the poset
+        ambient = subposet_chain_complex(poset, poset.beat_point_core())
     witness = minimal_subcomplex(ambient)
     results["minimal_subcomplex_ranks"] = {str(k): v for k, v in sorted(witness.rank_profile.items())}
     results["minimal_subcomplex_quasi_isomorphism"] = witness.quasi_isomorphism_verified
@@ -284,7 +286,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="posetmorse",
         description="Morse-Bott theory on finite posets: exact homology, "

@@ -64,6 +64,10 @@ def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:
     if not isinstance(covers, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in covers):
         raise MalformedLine("poset document 'covers' must be a list of [w, x] pairs")
+    for value in [*doc["elements"], *(v for pair in covers for v in pair)]:
+        # a JSON boolean is a Python int
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise MalformedLine(f"element ids must be strings or numbers, not {json.dumps(value)}")
     return [str(e) for e in doc["elements"]], [(str(w), str(x)) for w, x in covers]
 
 
@@ -126,6 +130,8 @@ def parse_function_text(poset: Poset, text: str) -> dict[str, Fraction]:
             raise MalformedLine(f"line {lineno}: expected 'element value', got {line!r}")
         name, value = tokens
         poset.require(name)
+        if name in values:
+            raise MalformedLine(f"line {lineno}: second value for element {name!r}")
         try:
             values[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

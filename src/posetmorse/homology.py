@@ -12,14 +12,14 @@ the cellularity check is uniform at degree 0.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
-order complex of an induced subposet straight off the poset's cached
-chains: the order complex of the subposet on S is the full subcomplex of
-K(P) on S.  `core_homology` reads the reduced homology of a subposet off
-its beat-point core instead, which has the same homotopy type and is
-much smaller; the cellularity pass uses it below non-cellular elements.
-Pairs of subposets are not read here: the theorem checks
-take the homology of down-closed pairs of cellular posets off the
-cellular complex (`cellular.cellular_pair_homology`).  `order_complex`,
+order complex of an induced subposet straight off its chains
+(`Poset.chains_within`): the order complex of the subposet on S is the
+full subcomplex of K(P) on S.  `core_homology` takes that complex of a
+subposet's beat-point core instead, which has the same homotopy type and
+is much smaller; the cellularity pass uses it below non-cellular
+elements.  Pairs of subposets are not read here: the theorem checks take
+the homology of down-closed pairs of cellular posets off the cellular
+complex (`cellular.cellular_pair_homology`).  `order_complex`,
 `Poset.induced` and `relative_homology` stay as the paper's definitions,
 which the tests check both routes against.
 """
@@ -271,24 +271,18 @@ def subposet_chain_complex(poset: Poset, members: Iterable[str],
     A = `members`.
 
     K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
-    the cached chains of the poset that lie inside A.  Simplices, their
-    order and their orientation are those of
+    the chains of the poset that lie inside A.  Simplices, their order and
+    their orientation are those of
     `simplicial_chain_complex(order_complex(poset.induced(A)))`.  With
     reduced=True the augmentation slot is added.
     """
     keep = set(members)
     for e in keep:
         poset.require(e)
-    chains = poset.chains_by_maximum()
-    return _chain_complex_of_chains(
-        (c for x in keep for c in chains[x] if keep.issuperset(c)), reduced)
-
-
-def _chain_complex_of_chains(chains: Iterable[tuple[str, ...]], reduced: bool) -> ChainComplex:
-    """The chain complex of the order complex whose simplices are `chains`."""
     simplices: dict[int, list[Simplex]] = {}
-    for c in chains:
-        simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
+    for local in poset.chains_within(keep).values():
+        for c in local:
+            simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
     return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
 
 
@@ -301,8 +295,7 @@ def core_homology(poset: Poset, members: Iterable[str]) -> HomologySummary:
     core = set(poset.beat_point_core(members))
     if all(poset.strictly_below(e).isdisjoint(core) for e in core):
         return HomologySummary(betti={0: len(core) - 1} if core else {-1: 1})
-    chains = poset.chains_within(core).values()
-    return homology(_chain_complex_of_chains((c for local in chains for c in local), True))
+    return homology(subposet_chain_complex(poset, core, reduced=True))
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,

@@ -3,19 +3,18 @@
 Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
-all derived data (reachability, heights, chains, homology) is cached
-lazily on the instance.  A graded poset is the same value: an element's
+all derived data (reachability, heights, homology) is cached lazily on
+the instance.  A graded poset is the same value: an element's
 degree is its height, and the degree queries raise NotGraded otherwise.
 
-The chains of a poset, grouped by their maximum, are the source of the
-order complexes in the library: the order complex of an induced subposet
-on S is the full subcomplex of K(P) spanned by S, so the homology front
-ends read its simplices off `chains_by_maximum` and never build the
-induced subposet.  Only a beat-point core, the small subposet left once
-elements whose down-set has a maximum or whose up-set a minimum are
-removed, enumerates its own chains (`chains_within`), so that the
-chains of the whole poset are never listed for it.  `induced` stays as
-the paper's definition.
+The chains of a subposet, grouped by their maximum, are the source of
+the order complexes in the library: the order complex of an induced
+subposet on S is the full subcomplex of K(P) spanned by S, so the
+homology front ends read its simplices off `chains_within(S)` and never
+build the induced subposet.  Nothing caches chains: each caller lists
+those of the set it needs, often a beat-point core, the small subposet
+left once elements whose down-set has a maximum or whose up-set a
+minimum are removed.  `induced` stays as the paper's definition.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Poset:
         self._above: dict[str, frozenset[str]] | None = None
         self._heights: dict[str, int] | None = None
         self._graded: bool | None = None
-        # derived analyses (chains, homology, cellular structure)
+        # derived analyses (homology, cellular structure)
         self.analysis_cache: dict = {}
 
     # -- basic queries --------------------------------------------------------
@@ -239,31 +238,17 @@ class Poset:
             members.add(element)
         return self.induced(members)
 
-    def chains_by_maximum(self) -> dict[str, list[tuple[str, ...]]]:
-        """All nonempty chains grouped by maximum element, each listed in
-        increasing order; computed once per poset."""
-        ending = self.analysis_cache.get("chains")
-        if ending is None:
-            ending = self.analysis_cache["chains"] = self._chains_along(self._topo_order())
-        return ending
-
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-        """The chains of the subposet on `members`, grouped as by
-        `chains_by_maximum`; not cached."""
-        heights, order = self.heights(), self.index
-        return self._chains_along(sorted(members, key=lambda e: (heights[e], order[e])))
-
-    def _chains_along(self, extension: list[str]) -> dict[str, list[tuple[str, ...]]]:
-        """The chains of the subposet on `extension`, a linear extension
-        of it, by maximum."""
+        """All nonempty chains of the subposet on `members`, grouped by
+        maximum element, each listed in increasing order; not cached."""
         below, _ = self._reach()
-        keep, order = set(extension), self.index
+        heights, order = self.heights(), self.index
+        keep = set(members)
         ending: dict[str, list[tuple[str, ...]]] = {}
-        for x in extension:
+        for x in sorted(keep, key=lambda e: (heights[e], order[e])):
             local: list[tuple[str, ...]] = [(x,)]
             for y in sorted(below[x] & keep, key=order.__getitem__):
-                for c in ending[y]:
-                    local.append(c + (x,))
+                local.extend(c + (x,) for c in ending[y])
             ending[x] = local
         return ending
 
@@ -299,7 +284,7 @@ class Poset:
 
     def chains(self) -> list[tuple[str, ...]]:
         """All nonempty chains, each listed in increasing order."""
-        return [c for local in self.chains_by_maximum().values() for c in local]
+        return [c for local in self.chains_within(self.elements).values() for c in local]
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._upper[e])

@@ -514,3 +514,20 @@ def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
     """hccat through the simplicial chain complex equals hccat through
     the order complex of the face poset."""
     return hccat(simplicial_chain_complex(complex)) == hccat(face_poset(complex))
+
+
+def guard_whole_poset_chains(monkeypatch) -> list[int]:
+    """Patch `Poset.chains_within`, the one chain enumerator, to raise when
+    it is asked for every element of its poset.  Returns the list of the
+    sizes of the sets it was asked for, filled as calls come in."""
+    original, sizes = Poset.chains_within, []
+
+    def guarded(self, members):
+        members = set(members)
+        if members.issuperset(self.elements):
+            raise RuntimeError("the chains of the whole poset were enumerated")
+        sizes.append(len(members))
+        return original(self, members)
+
+    monkeypatch.setattr(Poset, "chains_within", guarded)
+    return sizes

@@ -3,8 +3,6 @@ equals that of its order complex, a core keeps no beat point, and the
 cellularity pass decides non-cellular posets on cores alone, with the
 reports of the order-complex definition."""
 
-import sys
-
 from posetmorse import (
     Poset,
     build_poset,
@@ -16,7 +14,7 @@ from posetmorse import (
 from posetmorse.homology import core_homology
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import order_complex_cellularity
+from helpers import guard_whole_poset_chains, order_complex_cellularity
 
 
 def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
@@ -140,18 +138,7 @@ def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch
               join_of_levels([3, 3, 2, 2]), join_of_levels([2, 3, 3])]
     expected = [order_complex_cellularity(poset) for poset in spaces]
 
-    def forbidden(*args, **kwargs):
-        raise RuntimeError("the chains of the whole poset were enumerated")
-
-    monkeypatch.setattr(Poset, "chains_by_maximum", forbidden)
-    monkeypatch.setattr(sys.modules["posetmorse.homology"], "subposet_chain_complex", forbidden)
-    original, cores_with_chains = Poset.chains_within, []
-
-    def counted(self, members):
-        cores_with_chains.append(len(members))
-        return original(self, members)
-
-    monkeypatch.setattr(Poset, "chains_within", counted)
+    cores_with_chains = guard_whole_poset_chains(monkeypatch)
     for poset, report in zip(spaces, expected):
         assert not report.is_cellular
         assert check_cellularity(poset) == report

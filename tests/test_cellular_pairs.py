@@ -42,7 +42,7 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import order_complex_pair_homology
+from helpers import guard_whole_poset_chains, order_complex_pair_homology
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = [
@@ -196,7 +196,7 @@ def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
         raise RuntimeError("the order-complex path was taken")
 
     runs = [_sphere_with_cone_matching(n) for n in range(1, 7)] + list(_fixture_runs())
-    monkeypatch.setattr(Poset, "chains_by_maximum", forbidden)
+    guard_whole_poset_chains(monkeypatch)
     for module in ("cellular", "homology"):
         monkeypatch.setattr(sys.modules[f"posetmorse.{module}"], "subposet_chain_complex",
                             forbidden)

@@ -21,7 +21,11 @@ from posetmorse import (
 from posetmorse.formats import load_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import incidence_from_generators, order_complex_cellularity
+from helpers import (
+    guard_whole_poset_chains,
+    incidence_from_generators,
+    order_complex_cellularity,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -209,7 +213,7 @@ def test_cellular_inputs_never_enumerate_chains(monkeypatch):
     def forbidden(*args, **kwargs):
         raise RuntimeError("the order-complex path was taken")
 
-    monkeypatch.setattr(Poset, "chains_by_maximum", forbidden)
+    guard_whole_poset_chains(monkeypatch)
     cellular, homology, snf = (sys.modules[f"posetmorse.{m}"]
                                for m in ("cellular", "homology", "snf"))
     for module in (cellular, homology):

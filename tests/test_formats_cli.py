@@ -85,6 +85,20 @@ def test_function_missing_values(t3):
         parse_function_text(t3, "v1 1\n")
 
 
+def test_function_second_value_for_an_element(t3, tmp_path, capsys):
+    text = serialize_function(t3, {e: Fraction(i) for i, e in enumerate(t3.elements)})
+    with pytest.raises(MalformedLine, match="line 7: second value for element 'v1'"):
+        parse_function_text(t3, text + "v1 999\n")
+    data = Path(__file__).resolve().parent.parent / "data"
+    space = ["--input", str(data / "t3_poset.txt"), "--matching", str(data / "t3_matching_m1.txt")]
+    assert run(["integrate", *space]) == 0
+    function = tmp_path / "f.txt"
+    function.write_text(capsys.readouterr().out + "v1 999\n")
+    assert run(["sweep", *space, "--function", str(function)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_document_deterministic():
     a = report_document("demo", {"x": 1, "y": [1, 2]}, {"input": "f"})
     b = report_document("demo", {"y": [1, 2], "x": 1}, {"input": "f"})
@@ -268,6 +282,24 @@ def test_cli_json_covers_not_a_list(tmp_path, capsys):
     _fails_cleanly(capsys, f)
 
 
+@pytest.mark.parametrize("bad", ["null", "true", "false", "[]", '["a"]', "{}", '{"a": 1}'])
+@pytest.mark.parametrize("where", ["element", "lower", "upper"])
+def test_cli_json_ids_must_be_strings_or_numbers(bad, where, tmp_path, capsys):
+    elements = {"element": f'["a", {bad}]', "lower": '["a", "b"]', "upper": '["a", "b"]'}
+    cover = {"element": '["a", "b"]', "lower": f'[{bad}, "b"]', "upper": f'["a", {bad}]'}
+    f = tmp_path / "p.json"
+    f.write_text(f'{{"elements": {elements[where]}, "covers": [{cover[where]}]}}')
+    with pytest.raises(MalformedLine, match="strings or numbers"):
+        load_poset(f.read_text())
+    _fails_cleanly(capsys, f)
+
+
+def test_json_ids_may_be_numbers():
+    poset, _ = load_poset('{"elements": ["a", 1, 2.5], "covers": [[1, "a"], ["a", 2.5]]}')
+    assert poset.elements == ("a", "1", "2.5")
+    assert poset.covers == {("1", "a"), ("a", "2.5")}
+
+
 def test_cli_non_utf8_input(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_bytes(b"a < b\n\xff\xfe < c\n")
@@ -320,6 +352,24 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once(capsys):
+    from posetmorse import __version__
+    from posetmorse.cli import build_parser
+
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"posetmorse {__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["validate"])
+        assert exc.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        assert run(["gen", "--kind", "poset", "--seed", "3"]) == 0
+        assert capsys.readouterr().out
 
 
 def test_cli_consistency_error_is_an_error_line(monkeypatch, capsys):
@@ -460,7 +510,7 @@ def test_cli_builds_one_poset_per_run(space, kind, matching, argv, monkeypatch, 
                          ids=["chain", "ungraded"])
 def test_cli_hccat_without_a_cellular_complex(text, tmp_path, capsys):
     """On a non-cellular or ungraded poset the witness comes from the
-    order complex of the whole poset."""
+    order complex of its beat-point core."""
     path = tmp_path / "space.txt"
     path.write_text(text)
     assert run(["hccat", "--input", str(path), "--format", "doc"]) == 0
@@ -468,6 +518,36 @@ def test_cli_hccat_without_a_cellular_complex(text, tmp_path, capsys):
     assert results["hccat"] == 1
     assert results["minimal_subcomplex_ranks"] == {"0": 1}
     assert results["minimal_subcomplex_quasi_isomorphism"] is True
+
+
+def _with_tail(poset, top: str):
+    """The poset with a new element covering `top` alone: a beat point
+    whose strict down-set is contractible, so the result is not cellular."""
+    from posetmorse import build_poset
+
+    return build_poset(list(poset.elements) + ["tail"], list(poset.covers) + [(top, "tail")])
+
+
+@pytest.mark.parametrize("space", ["circle", "rp2"])
+def test_cli_hccat_witness_of_the_core(space, rp2_poset, tmp_path, capsys):
+    """The beat-point core is a strong deformation retract: its witness
+    has the rank profile of the whole poset's order complex."""
+    from posetmorse import check_cellularity, minimal_subcomplex
+    from posetmorse.homology import subposet_chain_complex
+
+    base = parse_poset_text("a < c\nb < c\na < d\nb < d\n") if space == "circle" else rp2_poset
+    poset = _with_tail(base, base.maximal_elements()[0])
+    assert not check_cellularity(poset).is_cellular
+    assert len(poset.beat_point_core()) < len(poset)
+    path = tmp_path / "space.txt"
+    path.write_text(serialize_poset(poset))
+    assert run(["hccat", "--input", str(path), "--format", "doc"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    whole = minimal_subcomplex(subposet_chain_complex(poset, poset.elements))
+    assert results["minimal_subcomplex_ranks"] == {
+        str(k): v for k, v in sorted(whole.rank_profile.items())}
+    assert results["minimal_subcomplex_quasi_isomorphism"] is True
+    assert results["hccat"] == sum(whole.rank_profile.values()) == (2 if space == "circle" else 3)
 
 
 @pytest.mark.parametrize("size", ["-1", "0", "1", "10", "50"])
