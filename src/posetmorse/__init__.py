@@ -35,6 +35,8 @@ from .cellular import (
     cellular_chain_complex,
     check_cellularity,
     gauge_flip,
+    space_complex,
+    space_homology,
     sphere_generator,
     verify_cellular_agreement,
 )

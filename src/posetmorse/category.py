@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import CellularComplexOfPoset, cellular_chain_complex, require_admissible
+from .cellular import (CellularComplexOfPoset, cellular_chain_complex, require_admissible,
+                       space_homology)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -34,7 +35,7 @@ from .dynamics import (
     prime_orbits,
 )
 from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
-from .homology import ChainComplex, HomologySummary, homology, poset_homology, subposet_chain_complex
+from .homology import ChainComplex, HomologySummary, homology, subposet_chain_complex
 from .intmatrix import Column, IntMatrix
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
@@ -51,14 +52,15 @@ def hccat(space) -> int:
     The value only sees homology, so homology-equivalent spaces score the
     same: any integral homology 3-sphere gets 2 just like the 3-sphere,
     even when finer invariants of the space differ.  An acyclic space
-    scores exactly 1.
+    scores exactly 1.  A poset's homology is `space_homology`: that of
+    its cellular complex, or of the order complex of its beat-point core.
     """
     if isinstance(space, HomologySummary):
         return hccat_of_summary(space)
     if isinstance(space, ChainComplex):
         return hccat_of_summary(homology(space))
     if isinstance(space, Poset):
-        return hccat_of_summary(poset_homology(space))
+        return hccat_of_summary(space_homology(space))
     raise TypeError(f"cannot take hccat of {type(space).__name__}")
 
 

@@ -26,6 +26,13 @@ One assembler builds every cellular complex from the pass's incidence
 rows: the complex of a down-closed pair (A, B) has the cells of A - B.
 It gives the pass its down-sets, the whole complex, and the homology of
 the theorem checks' sublevel and basic-set pairs in |A - B| cells.
+
+The homology of the space itself has one route, `space_homology`: it
+reads `space_complex`, the cellular complex of a cellular poset, else
+the order complex of the poset's beat-point core, a strong deformation
+retract.  Both are built once per poset and shared with the hccat
+witness.  The order complex of the whole poset (`poset_homology`) stays
+the definition that `verify_cellular_agreement` checks this against.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import Iterable
 
 from .errors import (
     ConsistencyError,
+    EmptyPoset,
     NotAChainComplex,
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
@@ -333,6 +341,43 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell
+
+
+def space_complex(poset: Poset) -> ChainComplex:
+    """A chain model of the space, built once per poset: the cellular
+    complex of a cellular poset, |P| cells, and otherwise the order
+    complex of the beat-point core, which has the homotopy type of the
+    poset (Stong, Trans. AMS 123, 1966)."""
+    if check_cellularity(poset).is_cellular:
+        return cellular_chain_complex(poset).complex
+    cached = poset.analysis_cache.get("core_complex")
+    if cached is None:
+        cached = poset.analysis_cache["core_complex"] = subposet_chain_complex(
+            poset, poset.beat_point_core())
+    return cached
+
+
+def space_homology(poset: Poset, reduced: bool = False,
+                   coefficients: Coefficients = "int") -> HomologySummary:
+    """Homology of the finite space, read off `space_complex`; it equals
+    `poset_homology` and lists the same degrees, 0 (or -1 when reduced)
+    up to the height of the poset.  The integral summary is cached; the
+    reduced one takes a free summand off H_0, the rational one drops the
+    torsion."""
+    if not poset.elements:
+        if not reduced:
+            raise EmptyPoset("unreduced homology of the empty poset is undefined")
+        summary = sphere_summary(-1)
+    else:
+        cached = poset.analysis_cache.get("space_homology")
+        if cached is None:
+            found = homology(space_complex(poset))
+            # a core's order complex may stop below the height of the poset
+            cached = poset.analysis_cache["space_homology"] = HomologySummary(
+                {k: found.b(k) for k in range(poset.height() + 1)}, found.torsion)
+        summary = cached if not reduced else HomologySummary(
+            {-1: 0, **cached.betti, 0: cached.b(0) - 1}, cached.torsion)
+    return summary if coefficients == "int" else summary.rational()
 
 
 def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularComplexOfPoset:

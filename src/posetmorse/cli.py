@@ -16,10 +16,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cellular import cellular_chain_complex, check_cellularity, verify_cellular_agreement
+from .cellular import (cellular_chain_complex, check_cellularity, space_complex, space_homology,
+                       verify_cellular_agreement)
 from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
-from .errors import MalformedLine, NotCellular, NotGraded, PosetMorseError
+from .errors import MalformedLine, PosetMorseError
 from .formats import (
     load_complex,
     load_poset,
@@ -30,7 +31,7 @@ from .formats import (
     serialize_matching,
     serialize_poset,
 )
-from .homology import homology, poset_homology, simplicial_chain_complex, subposet_chain_complex
+from .homology import homology, poset_homology, simplicial_chain_complex
 from .inequalities import (
     euler_characteristics,
     orbit_inequalities_multiplicity,
@@ -101,11 +102,13 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     poset, complex, _ = _load_space(args)
-    if args.kind == "simplicial" and not args.via_poset:
+    if args.via_poset:
+        summary = poset_homology(poset, reduced=args.reduced, coefficients=args.coeff)
+    elif args.kind == "simplicial":
         summary = homology(simplicial_chain_complex(complex, reduced=args.reduced),
                            args.coeff)
     else:
-        summary = poset_homology(poset, reduced=args.reduced, coefficients=args.coeff)
+        summary = space_homology(poset, reduced=args.reduced, coefficients=args.coeff)
     results = {"homology": summary.to_doc(), "pretty": str(summary)}
     _emit(args, "homology", results, {"input": args.input, "kind": args.kind},
           [str(summary)])
@@ -218,13 +221,8 @@ def cmd_hccat(args) -> int:
     value = hccat(poset)
     results = {"hccat": value}
     lines = [f"hccat: {value}"]
-    try:
-        ambient = cellular_chain_complex(poset).complex
-    except (NotCellular, NotGraded):
-        # no cellular model: the order complex of the beat-point core, a
-        # strong deformation retract of the poset
-        ambient = subposet_chain_complex(poset, poset.beat_point_core())
-    witness = minimal_subcomplex(ambient)
+    # the model hccat's homology was read off
+    witness = minimal_subcomplex(space_complex(poset))
     results["minimal_subcomplex_ranks"] = {str(k): v for k, v in sorted(witness.rank_profile.items())}
     results["minimal_subcomplex_quasi_isomorphism"] = witness.quasi_isomorphism_verified
     lines.append("minimal subcomplex ranks: " + " ".join(
@@ -313,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", choices=["int", "rat"], default="int")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--via-poset", action="store_true",
-                   help="for simplicial input, go through the face poset")
+                   help="take homology from the order complex of the poset (or of "
+                        "the face poset), the definition, for either --kind")
     p = sub.add_parser("cellular", help="incidence table and pipeline agreement")
     common(p)
     p.add_argument("--coeff", choices=["int", "rat"], default="int")

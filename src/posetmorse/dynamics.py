@@ -276,10 +276,6 @@ class ClosedOrbit:
             out.append((n[i], n[i + 1], n[(i + 2) % len(n)]))
         return tuple(out)
 
-    def rotated_to(self, start: str) -> "ClosedOrbit":
-        i = self.nodes.index(start)
-        return ClosedOrbit(self.nodes[i:] + self.nodes[:i], self.index)
-
 
 @dataclass(frozen=True)
 class MorseSmaleVerdict:

@@ -94,14 +94,6 @@ def serialize_poset(poset: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_document(poset: Poset) -> dict:
-    return {
-        "elements": list(poset.elements),
-        "covers": [[w, x] for w, x in sorted(poset.covers,
-                                             key=lambda c: (poset.index[c[1]], poset.index[c[0]]))],
-    }
-
-
 def parse_matching_text(poset: Poset, text: str) -> Matching:
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -17,11 +17,13 @@ order complex of an induced subposet straight off its chains
 full subcomplex of K(P) on S.  `core_homology` takes that complex of a
 subposet's beat-point core instead, which has the same homotopy type and
 is much smaller; the cellularity pass uses it below non-cellular
-elements.  Pairs of subposets are not read here: the theorem checks take
-the homology of down-closed pairs of cellular posets off the cellular
-complex (`cellular.cellular_pair_homology`).  `order_complex`,
-`Poset.induced` and `relative_homology` stay as the paper's definitions,
-which the tests check both routes against.
+elements.  The homology of a whole poset is not read here either: its
+one route is `cellular.space_homology`, the cellular complex or the
+core's order complex, and pairs of down-closed sets of cellular posets
+come off the cellular complex (`cellular.cellular_pair_homology`).
+`poset_homology`, the order complex of the whole poset, together with
+`order_complex`, `Poset.induced` and `relative_homology`, stays as the
+paper's definitions, which the tests check both routes against.
 """
 
 from __future__ import annotations
@@ -305,8 +307,10 @@ def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,
 
 def poset_homology(poset: Poset, reduced: bool = False,
                    coefficients: Coefficients = "int") -> HomologySummary:
-    """Homology of the finite space via its order complex; the integral
-    summary is cached, the rational one is read off it."""
+    """Homology of the finite space via the order complex of the whole
+    poset, the definition, which `cellular.space_homology` reads off a
+    smaller model; the integral summary is cached, the rational one is
+    read off it."""
     if not poset.elements and not reduced:
         raise EmptyPoset("unreduced homology of the empty poset is undefined")
     key = ("poset_homology", reduced)

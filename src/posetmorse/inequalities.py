@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import (cellular_chain_complex, cellular_pair_homology, check_cellularity,
-                       require_admissible)
+from .cellular import (cellular_chain_complex, cellular_pair_homology, require_admissible,
+                       space_homology)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -24,8 +24,7 @@ from .dynamics import (
     orbit_multiplicity,
     prime_orbits,
 )
-from .errors import ConsistencyError
-from .homology import Coefficients, HomologySummary, poset_homology
+from .homology import Coefficients, HomologySummary
 from .posets import Poset
 
 
@@ -124,7 +123,7 @@ def strong_morse_bott(poset: Poset, matching: Matching,
     """Strong inequalities, their weak corollary, and the Euler identity."""
     require_admissible(poset)
     m, torsion_notes = morse_bott_numbers(poset, matching, coefficients)
-    summary = poset_homology(poset, coefficients=coefficients)
+    summary = space_homology(poset, coefficients=coefficients)
     top = max(poset.max_degree(), len(m) - 1)
     b = [summary.b(k) for k in range(top + 1)]
     rows = []
@@ -161,7 +160,7 @@ def orbit_inequalities_torsion(poset: Poset, matching: Matching) -> InequalityRe
     orbits = prime_orbits(poset, matching)
     c = critical_counts(poset, matching)
     A = orbit_counts(orbits)
-    summary = poset_homology(poset)
+    summary = space_homology(poset)
     top = poset.max_degree()
     c_list = [c.get(k, 0) for k in range(top + 1)]
     b_list = [summary.b(k) for k in range(top + 1)]
@@ -190,7 +189,7 @@ def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> Inequal
     orbits = prime_orbits(poset, matching)
     cell = cellular_chain_complex(poset)
     c = critical_counts(poset, matching)
-    summary = poset_homology(poset, coefficients="rat")
+    summary = space_homology(poset, coefficients="rat")
     top = poset.max_degree()
     multiplicities = {orbit: orbit_multiplicity(poset, matching, orbit, cell)
                       for orbit in orbits}
@@ -223,19 +222,14 @@ def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> Inequal
 
 
 def euler_characteristics(poset: Poset) -> tuple[int | None, int]:
-    """(chi_g, chi of the order complex); equal on cellular posets.
+    """(chi_g, chi of the space); equal on cellular posets, where chi is
+    read off the cellular complex, whose ranks are the level sizes.
 
-    chi_g needs a grading and comes back as None otherwise; the
-    order-complex value is always defined.  Contractible graded posets
-    can still have chi_g != 1, which is what separates cellular posets
-    from merely graded ones.
+    chi_g needs a grading and comes back as None otherwise; chi is always
+    defined.  Contractible graded posets can still have chi_g != 1, which
+    is what separates cellular posets from merely graded ones.
     """
-    chi = poset_homology(poset).euler_characteristic() if poset.elements else 0
+    chi = space_homology(poset).euler_characteristic() if poset.elements else 0
     if not poset.is_graded():
         return None, chi
-    chi_g = sum((-1) ** p * len(poset.level(p)) for p in range(poset.max_degree() + 1))
-    report = check_cellularity(poset)
-    if report.is_cellular:
-        if chi_g != chi:
-            raise ConsistencyError("cellular poset with mismatched Euler characteristics")
-    return chi_g, chi
+    return sum((-1) ** p * len(poset.level(p)) for p in range(poset.max_degree() + 1)), chi

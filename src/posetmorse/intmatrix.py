@@ -34,13 +34,6 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
@@ -105,9 +98,6 @@ class IntMatrix:
                 if v:
                     out[j][i] = v
         return out
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]

@@ -144,10 +144,6 @@ class Poset:
         """True iff a < b in the partial order."""
         return a in self.strictly_below(b)
 
-    def leq(self, a: str, b: str) -> bool:
-        self.require(a)
-        return a == b or self.less(a, b)
-
     # -- heights and grading ---------------------------------------------------
 
     def heights(self) -> dict[str, int]:
@@ -223,21 +219,6 @@ class Poset:
                 closed |= self.strictly_below(x)
         return tuple(sorted(closed, key=self.index.__getitem__))
 
-    def down_set(self, element: str, strict: bool = False) -> "Poset":
-        """U_x, or the strict version without x itself."""
-        self.require(element)
-        members = set(self.strictly_below(element))
-        if not strict:
-            members.add(element)
-        return self.induced(members)
-
-    def up_set(self, element: str, strict: bool = False) -> "Poset":
-        self.require(element)
-        members = set(self.strictly_above(element))
-        if not strict:
-            members.add(element)
-        return self.induced(members)
-
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains of the subposet on `members`, grouped by
         maximum element, each listed in increasing order; not cached."""
@@ -285,9 +266,6 @@ class Poset:
     def chains(self) -> list[tuple[str, ...]]:
         """All nonempty chains, each listed in increasing order."""
         return [c for local in self.chains_within(self.elements).values() for c in local]
-
-    def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if not self._upper[e])
 
 
 def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:

@@ -166,19 +166,3 @@ def find_euler_gap_poset(rng: XorShift64Star, max_elements: int = 8,
             return poset
     return None
 
-
-def find_morse_smale_matching(rng: XorShift64Star, poset: Poset, tries: int = 200,
-                              want_orbit: bool = False) -> Matching | None:
-    """Random search for a Morse-Smale matching, optionally with at
-    least one closed orbit."""
-    from .dynamics import is_morse_smale
-
-    for _ in range(tries):
-        matching = random_matching(rng, poset, 2, 3)
-        verdict = is_morse_smale(poset, matching)
-        if not verdict.is_morse_smale:
-            continue
-        if want_orbit and not verdict.orbits:
-            continue
-        return matching
-    return None

@@ -60,12 +60,6 @@ class SimplicialComplex:
             raise EmptyComplex("the empty complex has no dimension")
         return max(self.simplices)
 
-    def is_empty(self) -> bool:
-        return not self.simplices
-
-    def n_simplices(self, dim: int) -> tuple[Simplex, ...]:
-        return self.simplices.get(dim, ())
-
     def __contains__(self, simplex: Sequence[str]) -> bool:
         s = tuple(sorted(simplex))
         return s in set(self.simplices.get(len(s) - 1, ()))

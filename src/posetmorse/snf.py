@@ -48,9 +48,6 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d != 0)
-
 
 def _snf_core(data: list[list[int]], m: int, n: int, want_transforms: bool):
     """Reduce `data` in place; return (U, Ui, V, Vi) rows when tracked."""

@@ -17,16 +17,19 @@ from dataclasses import dataclass
 
 from posetmorse import (
     ChainComplex,
+    ClosedOrbit,
     IntMatrix,
     Matching,
     Poset,
     SimplicialComplex,
+    build_poset,
     face_poset,
     hccat,
     homology,
     order_complex,
     relative_homology,
     simplicial_chain_complex,
+    is_morse_smale,
 )
 from posetmorse.cellular import (
     CellularComplexOfPoset,
@@ -38,8 +41,9 @@ from posetmorse.cellular import (
 from posetmorse.dynamics import critical_counts, is_morse_matching
 from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorseMatching
 from posetmorse.homology import sphere_summary, subposet_chain_complex
+from posetmorse.randgen import XorShift64Star, random_matching
 from posetmorse.simplicial import Simplex
-from posetmorse.snf import kernel_basis, matrix_rank, smith_normal_form, solve
+from posetmorse.snf import SmithDecomposition, kernel_basis, matrix_rank, smith_normal_form, solve
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -377,7 +381,7 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
             if sub.rank(p - 1):
                 if left != inclusion[p - 1] @ boundary_or_empty(sub, p):
                     return False
-            elif not left.is_zero():
+            elif any(map(any, left.data)):
                 return False
     if homology(sub) != homology(ambient):
         return False
@@ -531,3 +535,54 @@ def guard_whole_poset_chains(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Poset, "chains_within", guarded)
     return sizes
+
+
+def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
+    """Levels of `width` elements, each above the bottom covering 1 to 3
+    elements one level down: graded and, at this density, not cellular."""
+    names = [[f"r{lvl}_{i}" for i in range(width)] for lvl in range(levels)]
+    covers = [(w, x) for lower, upper in zip(names, names[1:]) for x in upper
+              for w in rng.sample(lower, rng.randint(1, 3))]
+    return Poset([e for level in names for e in level], covers)
+
+
+def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
+    """A random order on `size` elements: i < j with chance 1/4 for i < j."""
+    elements = [f"u{i}" for i in range(size)]
+    return build_poset(elements, [(elements[i], elements[j]) for i in range(size)
+                                  for j in range(i + 1, size) if rng.chance(1, 4)])
+
+
+def maximal_elements(poset: Poset) -> tuple[str, ...]:
+    return tuple(e for e in poset.elements if not poset.upper_covers(e))
+
+
+def invariant_factors(snf: SmithDecomposition) -> tuple[int, ...]:
+    return tuple(d for d in snf.diagonal if d != 0)
+
+
+def rotated_to(orbit: ClosedOrbit, start: str) -> ClosedOrbit:
+    """The same orbit listed from `start`."""
+    i = orbit.nodes.index(start)
+    return ClosedOrbit(orbit.nodes[i:] + orbit.nodes[:i], orbit.index)
+
+
+def poset_document(poset: Poset) -> dict:
+    """The JSON document form of a poset that `load_poset` reads."""
+    return {
+        "elements": list(poset.elements),
+        "covers": [[w, x] for w, x in sorted(poset.covers,
+                                             key=lambda c: (poset.index[c[1]], poset.index[c[0]]))],
+    }
+
+
+def find_morse_smale_matching(rng: XorShift64Star, poset: Poset, tries: int = 200,
+                              want_orbit: bool = False) -> Matching | None:
+    """Random search for a Morse-Smale matching, optionally with at
+    least one closed orbit."""
+    for _ in range(tries):
+        matching = random_matching(rng, poset, 2, 3)
+        verdict = is_morse_smale(poset, matching)
+        if verdict.is_morse_smale and (verdict.orbits or not want_orbit):
+            return matching
+    return None

@@ -5,7 +5,6 @@ reports of the order-complex definition."""
 
 from posetmorse import (
     Poset,
-    build_poset,
     check_cellularity,
     face_poset,
     poset_homology,
@@ -14,23 +13,8 @@ from posetmorse import (
 from posetmorse.homology import core_homology
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import guard_whole_poset_chains, order_complex_cellularity
-
-
-def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
-    """Levels of `width` elements, each above the bottom covering 1 to 3
-    elements one level down: graded and, at this density, not cellular."""
-    names = [[f"r{lvl}_{i}" for i in range(width)] for lvl in range(levels)]
-    covers = [(w, x) for lower, upper in zip(names, names[1:]) for x in upper
-              for w in rng.sample(lower, rng.randint(1, 3))]
-    return Poset([e for level in names for e in level], covers)
-
-
-def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
-    """A random order on `size` elements: i < j with chance 1/4 for i < j."""
-    elements = [f"u{i}" for i in range(size)]
-    return build_poset(elements, [(elements[i], elements[j]) for i in range(size)
-                                  for j in range(i + 1, size) if rng.chance(1, 4)])
+from helpers import (guard_whole_poset_chains, levelled_poset, order_complex_cellularity,
+                     ungraded_poset)
 
 
 def join_of_levels(widths: list[int]) -> Poset:

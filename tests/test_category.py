@@ -103,7 +103,7 @@ def test_quasi_isomorphism_rejects_wrong_subcomplex(t3):
     from posetmorse.homology import ChainComplex
     # a single vertex is not quasi-isomorphic to the circle
     sub = ChainComplex({0: 1}, {})
-    inclusion = {0: IntMatrix.from_rows([[1], [0], [0]])}
+    inclusion = {0: IntMatrix(3, 1, [[1], [0], [0]])}
     assert not verify_quasi_isomorphism(sub, inclusion, cell.complex)
 
 

@@ -16,7 +16,7 @@ from posetmorse.cellular import require_admissible, require_cellular
 from posetmorse.errors import NotAdmissible, NotCellular
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
 
-from helpers import simplicial_incidence
+from helpers import invariant_factors, simplicial_incidence
 
 
 def test_t3_report(t3):
@@ -127,7 +127,7 @@ def test_rp2_cellular_differential_single_even_factor(rp2_poset):
     # factor equal to 2: the source of the Z/2 in degree 1
     from posetmorse.snf import smith_normal_form
     cell = cellular_chain_complex(rp2_poset)
-    factors = smith_normal_form(cell.complex.boundary[2]).invariant_factors()
+    factors = invariant_factors(smith_normal_form(cell.complex.boundary[2]))
     assert [f for f in factors if f > 1] == [2]
 
 

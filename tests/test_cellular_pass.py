@@ -24,6 +24,7 @@ from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simpl
 from helpers import (
     guard_whole_poset_chains,
     incidence_from_generators,
+    maximal_elements,
     order_complex_cellularity,
 )
 
@@ -49,7 +50,7 @@ def _capped(poset: Poset, name: str = "cap") -> Poset:
     """The poset with one new element covering every maximal element of
     top degree."""
     top = max(poset.heights().values())
-    tops = [e for e in poset.maximal_elements() if poset.heights()[e] == top]
+    tops = [e for e in maximal_elements(poset) if poset.heights()[e] == top]
     return build_poset(list(poset.elements) + [name],
                        list(poset.covers) + [(e, name) for e in tops])
 

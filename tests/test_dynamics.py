@@ -18,7 +18,7 @@ from posetmorse.dynamics import critical_counts, orbit_counts, prime_orbits
 from posetmorse.errors import ElementMatchedTwice, NotACover, NotGraded, NotMorseSmale
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_matching
 
-from helpers import brute_force_equivalent, brute_force_recurrent
+from helpers import brute_force_equivalent, brute_force_recurrent, rotated_to
 
 
 def test_validate_matching(t3):
@@ -195,7 +195,7 @@ def test_multiplicity_rotation_invariance(t3, t3_m2):
     orbit = prime_orbits(t3, t3_m2)[0]
     base = orbit_multiplicity(t3, t3_m2, orbit, cell)
     for start in ("v2", "v3"):
-        rotated = orbit.rotated_to(start)
+        rotated = rotated_to(orbit, start)
         assert orbit_multiplicity(t3, t3_m2, rotated, cell) == base
 
 

@@ -146,7 +146,7 @@ def test_reduced_complex_from_degree_minus_one():
     assert chain.min_degree() == -1
     assert witness.quasi_isomorphism_verified
     # the augmentation class alone is not quasi-isomorphic to the band
-    inclusion = {-1: IntMatrix.from_rows([[1]])}
+    inclusion = {-1: IntMatrix(1, 1, [[1]])}
     sub = ChainComplex({-1: 1}, {})
     assert not verify_quasi_isomorphism(sub, inclusion, chain)
     assert not snf_quasi_isomorphism(sub, inclusion, chain)

@@ -17,19 +17,21 @@ from posetmorse.errors import EmptyComplex, MalformedLine
 from posetmorse.randgen import XorShift64Star, random_graded_poset
 from posetmorse.simplicial import SimplicialComplex, serialize_simplicial_complex, simplex_id
 
+from helpers import maximal_elements
+
 
 def test_parse_triangle_boundary(triangle_boundary):
-    assert len(triangle_boundary.n_simplices(0)) == 3
-    assert len(triangle_boundary.n_simplices(1)) == 3
+    assert len(triangle_boundary.simplices.get(0, ())) == 3
+    assert len(triangle_boundary.simplices.get(1, ())) == 3
     assert triangle_boundary.dimension() == 1
 
 
 def test_parse_full_triangle(full_triangle):
-    assert [len(full_triangle.n_simplices(d)) for d in range(3)] == [3, 3, 1]
+    assert [len(full_triangle.simplices.get(d, ())) for d in range(3)] == [3, 3, 1]
 
 
 def test_parse_rp2(rp2):
-    counts = [len(rp2.n_simplices(d)) for d in range(3)]
+    counts = [len(rp2.simplices.get(d, ())) for d in range(3)]
     assert counts == [6, 15, 10]
     assert rp2.euler_characteristic() == 6 - 15 + 10 == 1
 
@@ -67,8 +69,8 @@ def test_face_poset_rp2(rp2):
 def test_order_complex_antichain():
     p = build_poset(["a", "b", "c", "d"], [])
     k = order_complex(p)
-    assert len(k.n_simplices(0)) == 4
-    assert not k.n_simplices(1)
+    assert len(k.simplices.get(0, ())) == 4
+    assert not k.simplices.get(1, ())
 
 
 def test_order_complex_t3_is_hexagon(t3):
@@ -79,15 +81,15 @@ def test_order_complex_t3_is_hexagon(t3):
     assert len(singletons) == 6 and len(pairs) == 6
     assert not [c for c in chains if len(c) > 2]
     k = order_complex(t3)
-    assert len(k.n_simplices(0)) == 6
-    assert len(k.n_simplices(1)) == 6
+    assert len(k.simplices.get(0, ())) == 6
+    assert len(k.simplices.get(1, ())) == 6
     assert k.dimension() == 1
 
 
 def test_order_complex_of_face_poset_is_subdivision(triangle_boundary):
     sd = order_complex(face_poset(triangle_boundary))
-    assert len(sd.n_simplices(0)) == 6
-    assert len(sd.n_simplices(1)) == 6
+    assert len(sd.simplices.get(0, ())) == 6
+    assert len(sd.simplices.get(1, ())) == 6
     # same homotopy type as the circle
     assert homology(simplicial_chain_complex(sd)).b(1) == 1
 
@@ -112,7 +114,7 @@ def test_cone_has_trivial_homology():
     for _ in range(10):
         p = random_graded_poset(rng, max_elements=8)
         elements = list(p.elements) + ["TOP"]
-        covers = sorted(p.covers) + [(m, "TOP") for m in p.maximal_elements()]
+        covers = sorted(p.covers) + [(m, "TOP") for m in maximal_elements(p)]
         coned = build_poset(elements, covers)
         summary = poset_homology(coned, reduced=True)
         assert summary.is_trivial()

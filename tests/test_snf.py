@@ -18,7 +18,7 @@ from helpers import determinant
 
 
 def mat(rows):
-    return IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def test_single_entry():

@@ -95,7 +95,7 @@ def induced_route_generator(poset, element) -> dict:
     chain = simplicial_chain_complex(complex, reduced=True)
     (vec,) = kernel_basis(chain.boundary[p - 1])
     sign = next(1 if v > 0 else -1 for v in vec if v)
-    return {s: sign * c for s, c in zip(complex.n_simplices(p - 1), vec) if c}
+    return {s: sign * c for s, c in zip(complex.simplices.get(p - 1, ()), vec) if c}
 
 
 def test_sphere_generators_match_induced_route(t3, rp2, mobius, tetra_boundary):
