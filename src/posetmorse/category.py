@@ -4,19 +4,17 @@ gradient flow, and the Lusternik-Schnirelmann bound.
 hccat of a space or complex is total Betti number plus twice the total
 count of torsion generators; the minimal subcomplex realizes that value
 as an honest quasi-isomorphic subcomplex, with rank b_k + mu_k + mu_{k-1}
-in each degree: cycle representatives for the free classes, cycle
-representatives for the torsion classes, and chains whose boundaries are
-the torsion multiples one degree down.  The Smith form of each boundary
-gives the cycles and the bounding chains; one more per degree aligns the
-cycles with the boundaries.
+in each degree.  It is `homology.minimal_model`: the sparse elimination
+of +-1 pairs, then a Smith basis for the few boundaries of the reduced
+complex that still have unit factors.
 
-The flow-invariant complex of a Morse matching is its Morse complex: one
-basis chain Phi^inf(c) per critical element c, got by iterating the flow
-phi = Id + dV + Vd on sparse chains.  Both the witness inclusion and the
-flow-invariant complex are verified quasi-isomorphisms by the
-mapping-cone criterion: an injective chain map induces isomorphisms on
-all homology exactly when its mapping cone is acyclic, which the sparse
-homology engine decides.
+The flow-invariant complex of a Morse matching is its Morse complex: the
+same elimination, along the matched pairs, leaves one cell per critical
+element c, and the chain it stands for is Phi^inf(c), the limit of
+phi = Id + dV + Vd.  Both the witness inclusion and the flow-invariant
+complex are verified quasi-isomorphisms by the mapping-cone criterion:
+an injective chain map induces isomorphisms on all homology exactly when
+its mapping cone is acyclic, which the sparse homology engine decides.
 """
 
 from __future__ import annotations
@@ -35,11 +33,12 @@ from .dynamics import (
     prime_orbits,
 )
 from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
-from .homology import ChainComplex, HomologySummary, homology, subposet_chain_complex
+from .homology import (ChainComplex, HomologySummary, homology, minimal_model, morse_reduction,
+                       subposet_chain_complex)
 from .intmatrix import Column, IntMatrix
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
-from .snf import SmithDecomposition, matrix_rank, smith_normal_form, solve, sparse_diagonal_form
+from .snf import matrix_rank, sparse_diagonal_form
 
 
 def hccat_of_summary(summary: HomologySummary) -> int:
@@ -117,101 +116,19 @@ class MinimalSubcomplex:
     quasi_isomorphism_verified: bool
 
 
-def _homology_coordinates(complex: ChainComplex, degree: int,
-                          snf_here: SmithDecomposition | None):
-    """SNF-aligned coordinates for H_degree of the complex, given the Smith
-    form d = U*D*V of the boundary out of this degree (None: no boundary).
-
-    Returns (Zprime, factors): the columns of Zprime form a basis of the
-    cycle lattice in which the boundary lattice is spanned by
-    factors[i] * column_i (factor 0 marks a free position).  The cycles
-    are the columns of V^-1 at the zero positions of D, and V sends a
-    cycle to its coordinates there.
-    """
-    n = complex.rank(degree)
-    d_up = complex.boundary.get(degree + 1)
-    if snf_here is None:
-        Z, Y = IntMatrix.identity(n), d_up
-    else:
-        diag = snf_here.diagonal
-        free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-        Z = IntMatrix.from_columns([snf_here.V_inv.column(j) for j in free], n)
-        Y = None
-        if d_up is not None and free:
-            image = snf_here.V @ d_up
-            if any(any(image.data[j]) for j in range(len(diag)) if diag[j]):
-                raise ConsistencyError("boundary image escaped the cycle lattice")
-            Y = IntMatrix(len(free), d_up.cols, [image.data[j] for j in free])
-    if Y is None:
-        return Z, [0] * Z.cols
-    snf_y = smith_normal_form(Y)
-    return Z @ snf_y.U, list(snf_y.diagonal) + [0] * (Z.cols - len(snf_y.diagonal))
-
-
 def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
-    """The minimal-rank quasi-isomorphic subcomplex built from SNF data.
-
-    In degree k the basis is: free homology representatives, torsion
-    representatives (factor >= 2), and for every degree-(k-1) torsion
-    class a chain whose boundary is its torsion multiple.  The boundary
-    is diagonal by construction: the extra chains map onto t_j times the
-    torsion representatives below, everything else is a cycle.
-    """
-    degrees = ambient.degrees()
-    snf = {p: smith_normal_form(d) for p, d in ambient.boundary.items()}
-    basis: dict[int, list[list[int]]] = {p: [] for p in degrees}
-    kinds: dict[int, list[tuple[str, int]]] = {p: [] for p in degrees}
-    torsion_reps: dict[int, list[tuple[list[int], int]]] = {}
-    for p in degrees:
-        Zprime, factors = _homology_coordinates(ambient, p, snf.get(p))
-        reps: list[tuple[list[int], int]] = []
-        for i, t in enumerate(factors):
-            col = Zprime.column(i)
-            if t == 0:
-                basis[p].append(col)
-                kinds[p].append(("free", 0))
-            elif t >= 2:
-                basis[p].append(col)
-                kinds[p].append(("torsion", t))
-                reps.append((col, t))
-        torsion_reps[p] = reps
-    for p in degrees:
-        lower = torsion_reps.get(p - 1, [])
-        if not lower:
-            continue
-        if p not in snf:
-            raise ConsistencyError("torsion below with no boundary above")
-        for rep, t in lower:
-            chain = solve(ambient.boundary[p], [t * v for v in rep], snf[p])
-            if chain is None:
-                raise ConsistencyError("torsion multiple is not a boundary")
-            basis[p].append(chain)
-            kinds[p].append(("bounding", t))
-
-    ranks = {p: len(basis[p]) for p in degrees if basis[p]}
-    inclusion = {p: IntMatrix.from_columns(basis[p], ambient.rank(p))
-                 for p in degrees if basis[p]}
-    boundary: dict[int, IntMatrix] = {}
-    for p in degrees:
-        if not basis[p] or not basis.get(p - 1):
-            continue
-        rows = len(basis[p - 1])
-        cols = len(basis[p])
-        data = [[0] * cols for _ in range(rows)]
-        torsion_positions = [i for i, (kind, _) in enumerate(kinds[p - 1]) if kind == "torsion"]
-        bounding_positions = [j for j, (kind, _) in enumerate(kinds[p]) if kind == "bounding"]
-        if len(torsion_positions) != len(bounding_positions):
-            raise ConsistencyError("torsion classes and bounding chains do not pair up")
-        for i, j in zip(torsion_positions, bounding_positions):
-            data[i][j] = kinds[p][j][1]
-        boundary[p] = IntMatrix(rows, cols, data)
-    sub = ChainComplex(ranks, boundary)
-    verified = verify_quasi_isomorphism(sub, inclusion, ambient)
+    """The minimal-rank quasi-isomorphic subcomplex: the `minimal_model`
+    of the complex, of rank b_k + mu_k + mu_{k-1} in degree k, with its
+    inclusion checked by the mapping-cone criterion."""
+    model = minimal_model(ambient)
+    sub = model.complex
+    inclusion = {p: IntMatrix.from_sparse_columns(cols, ambient.rank(p))
+                 for p, cols in model.inclusion.items()}
     return MinimalSubcomplex(
         complex=sub,
         inclusion=inclusion,
         rank_profile={p: sub.rank(p) for p in sub.degrees()},
-        quasi_isomorphism_verified=verified,
+        quasi_isomorphism_verified=verify_quasi_isomorphism(sub, inclusion, ambient),
     )
 
 
@@ -244,14 +161,13 @@ def flow_operator(poset: Poset, matching: Matching,
                   cell: CellularComplexOfPoset | None = None) -> FlowData:
     """phi = Id + dV + Vd for a Morse matching, with its invariant complex.
 
-    V sends a matched lower element x to -<d t(x), x> t(x).  phi is
-    iterated on each critical element c until it stops changing (a
-    gradient path visits distinct p-cells, so n_p + 1 steps suffice).  The
-    limits Phi^inf(c) have critical coordinates e_c and form a basis of
-    the phi-invariant chains (Forman, "Morse theory for cell complexes",
-    Adv. Math. 1998, sections 6-8), so the boundary in that basis is the
-    critical part of d Phi^inf(c); the rest is checked against it.  The
-    rank check counts the invariant chains apart, as n_p - rank(dV + Vd).
+    V sends a matched lower element x to -<d t(x), x> t(x).  The
+    invariant complex is the Morse complex: `morse_reduction` eliminates
+    the matched pairs of the cellular complex, and the inclusion it
+    tracks is Phi^inf, one phi-invariant chain per critical element c
+    with critical coordinates e_c (Forman, "Morse theory for cell
+    complexes", Adv. Math. 1998, sections 6-8).  The rank check counts
+    the invariant chains apart, as n_p - rank(dV + Vd).
     """
     require_admissible(poset)
     if not is_morse_matching(poset, matching):
@@ -263,50 +179,31 @@ def flow_operator(poset: Poset, matching: Matching,
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
     d = {p: cell.complex.columns.get(p, [{}] * len(levels[p])) for p in levels}
     V: dict[int, list[Column]] = {p: [] for p in levels}
+    pairs: dict[int, list[tuple[int, int]]] = {p: [] for p in levels}
     for p, names in levels.items():
         for x in names:
             y = matching.target(x)
             V[p].append({} if y is None else {position[p + 1][y]: -cell.epsilon(y, x)})
+            if y is not None:
+                pairs[p + 1].append((position[p][x], position[p + 1][y]))
     matched = matching.matched_elements()
-    critical = {p: [position[p][e] for e in levels[p] if e not in matched] for p in levels}
-    limits: dict[int, list[Column]] = {}
+    ranks = {p: sum(1 for e in names if e not in matched) for p, names in levels.items()}
     rank_ok = True
     for p, names in levels.items():
         deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))
                      for j in range(len(names))]  # the columns of dV + Vd
         rank = sum(1 for f in sparse_diagonal_form(deviation, len(names)) if f)
-        rank_ok = rank_ok and len(names) - rank == len(critical[p])
-        limits[p] = []
-        for c in critical[p]:
-            chain = {c: 1}
-            for _ in range(len(names) + 1):
-                image = _apply(deviation, chain, chain)  # phi(chain)
-                if image == chain:
-                    break
-                chain = image
-            else:
-                raise ConsistencyError("the flow does not stabilize on a critical element")
-            limits[p].append(chain)
-    boundary: dict[int, list[Column]] = {}
-    for p in range(1, top + 1):
-        below = {i: k for k, i in enumerate(critical[p - 1])}
-        boundary[p] = []
-        for chain in limits[p]:
-            image = _apply(d[p], chain)
-            coordinates = {below[i]: v for i, v in image.items() if i in below}
-            if image != _apply(limits[p - 1], coordinates):
-                raise ConsistencyError("flow-invariant chains are not closed under d")
-            boundary[p].append(coordinates)
-    ranks = {p: len(critical[p]) for p in levels}
-    invariant = ChainComplex(ranks, boundary)
-    inclusion = {p: IntMatrix.from_sparse_columns(limits[p], len(levels[p]))
-                 for p in levels if limits[p]}
+        rank_ok = rank_ok and len(names) - rank == ranks[p]
+    morse = morse_reduction(cell.complex, pairs)
+    inclusion = {p: IntMatrix.from_sparse_columns(cols, len(levels[p]))
+                 for p, cols in morse.inclusion.items()}
     return FlowData(
         invariant_ranks=ranks,
-        invariant_complex=invariant,
+        invariant_complex=morse.complex,
         inclusion=inclusion,
         rank_matches_critical=rank_ok,
-        quasi_isomorphism_verified=verify_quasi_isomorphism(invariant, inclusion, cell.complex),
+        quasi_isomorphism_verified=verify_quasi_isomorphism(morse.complex, inclusion,
+                                                            cell.complex),
     )
 
 

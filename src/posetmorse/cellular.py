@@ -4,11 +4,13 @@ of a poset with explicitly computed incidence numbers.
 One pass over the elements by degree decides all three, as Massey builds
 incidences for regular CW complexes (for posets: Minian, Topology Appl.
 159, 2012).  Once every element of U.x is cellular, H(U.x) is that of the
-cellular complex restricted to U.x, |U.x| cells instead of its chains.
-If it is H(S^{p-1}), p = deg x, then eps(x, .) is the primitive generator
-of ker d_{p-1} on U.x, whose columns are x's lower covers, and by the
-exact sequence of (U.x, U.x - {w}) the cover (w, x) is admissible exactly
-when eps(x, w) = +-1.  The same sequence decides the covers of a
+cellular complex restricted to U.x, |U.x| cells instead of its chains,
+and its `minimal_model` decides it: U.x is a homology (p-1)-sphere, p =
+deg x, exactly when the model is one cell in degree p-1.  The chain that
+cell stands for generates ker d_{p-1} on U.x, whose columns are x's
+lower covers, so it is eps(x, .), and by the exact sequence of
+(U.x, U.x - {w}) the cover (w, x) is admissible exactly when
+eps(x, w) = +-1.  The same sequence decides the covers of a
 non-cellular x with no homology at all: w is maximal in U.x, so by
 excision the pair has the homology of (U_w, U.w), Z in degree p-1 when w
 is cellular, and then U.x - {w} is acyclic only if U.x has the homology
@@ -38,7 +40,6 @@ the definition that `verify_cellular_agreement` checks this against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable
 
 from .errors import (
@@ -58,11 +59,11 @@ from .homology import (
     HomologySummary,
     core_homology,
     homology,
+    minimal_model,
     poset_homology,
     sphere_summary,
     subposet_chain_complex,
 )
-from .intmatrix import Column
 from .posets import Poset
 from .simplicial import Simplex
 from .snf import kernel_basis
@@ -149,21 +150,24 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
             eps[x], reach[x] = {}, below
             continue
         if all(w in eps for w in lower):
-            chain = _cellular_complex(poset, eps, below, reduced=True)
-            summary = homology(chain)
+            model = minimal_model(_cellular_complex(poset, eps, below, reduced=True))
+            if model.complex.ranks != {p - 1: 1}:
+                not_cellular[x] = homology(model.complex)
         else:
             # U.x holds a non-cellular element: beat-point cores decide
-            chain, summary = None, core_homology(poset, below)
-        if summary != sphere_summary(p - 1):
-            not_cellular[x] = summary
-        if chain is None or x in not_cellular:
+            model, summary = None, core_homology(poset, below)
+            if summary != sphere_summary(p - 1):
+                not_cellular[x] = summary
+        if model is None or x in not_cellular:
             # exact sequence of the pair: below a non-cellular x, U.x - {w}
             # is not acyclic when w is cellular
             not_admissible += [(w, x) for w in lower
                                if x in not_cellular and w not in not_cellular
                                or not core_homology(poset, below - {w}).is_trivial()]
             continue
-        eps[x] = dict(zip(lower, _kernel_generator(chain.columns[p - 1])))
+        # the one cell's inclusion: a generator of the top cycles of U.x
+        generator = model.inclusion[p - 1][0]
+        eps[x] = {w: generator.get(i, 0) for i, w in enumerate(lower)}
         steps = [w for w in lower if eps[x][w]]
         # shares the down-set where every step has nonzero incidence, as on
         # every admissible poset
@@ -222,27 +226,6 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterab
                                for x in part for w in poset.lower_covers(x)):
         raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
     return homology(_cellular_complex(poset, _cellular_pass(poset)[1], keep, drop), coefficients)
-
-
-def _kernel_generator(columns: list[Column]) -> list[int]:
-    """The primitive integer generator of the rank-one kernel of a matrix
-    given by sparse columns.  Each column carries its combination of the
-    given ones under negative row keys; integer column elimination on the
-    other rows reduces one column to its combination alone."""
-    pivots: list[tuple[int, Column]] = []
-    for j, col in enumerate(columns):
-        col = {**col, -1 - j: 1}
-        for row, pivot in pivots:
-            if row in col:
-                a, b = pivot[row], col[row]
-                col = {i: a * col.get(i, 0) - b * pivot.get(i, 0) for i in col.keys() | pivot}
-                g = gcd(*col.values())
-                col = {i: v // g for i, v in col.items() if v}
-        rows = [i for i in col if i >= 0]
-        if not rows:
-            return [col.get(-1 - k, 0) for k in range(len(columns))]
-        pivots.append((min(rows, key=lambda i: (abs(col[i]), i)), col))
-    raise ConsistencyError("top cellular boundary of a sphere has no kernel")
 
 
 def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],

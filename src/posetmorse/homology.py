@@ -10,6 +10,15 @@ boundary.  A formal degree -1 slot holds the augmentation of reduced
 complexes, so the empty poset has reduced homology Z in degree -1 and
 the cellularity check is uniform at degree 0.
 
+One sparse elimination shrinks a complex without changing its homology
+(algebraic Morse theory): `morse_reduction` eliminates pairs of cells
+joined by a +-1 entry of d, given ones or every one it finds, and tracks
+the inclusion of what is left.  `minimal_model` then brings the few
+boundaries that still have unit Smith factors to their Smith form and
+eliminates those too, leaving rank b_k + mu_k + mu_{k-1} in degree k.
+The cellularity pass reads spheres and their generators off it, the flow
+reads the Morse complex of a matching, and the hccat witness is it.
+
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
 order complex of an induced subposet straight off its chains
@@ -35,7 +44,7 @@ from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcompl
 from .intmatrix import Column, IntMatrix
 from .simplicial import SimplicialComplex, Simplex
 from .posets import Poset
-from .snf import sparse_diagonal_form
+from .snf import smith_normal_form, sparse_diagonal_form
 
 Coefficients = Literal["int", "rat"]
 
@@ -219,6 +228,157 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
     if chain_euler != hom_euler:
         raise ConsistencyError("Euler characteristic mismatch")
     return summary if coefficients == "int" else summary.rational()
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """A complex with the homology of the one it was reduced from, and the
+    chain map back: `inclusion[p][j]` is the chain of the input that the
+    j-th cell of degree p stands for."""
+
+    complex: ChainComplex
+    inclusion: dict[int, list[Column]]
+
+
+def _combine(chains: Iterable[Column], coefficients: Iterable[int]) -> Column:
+    out: Column = {}
+    for chain, c in zip(chains, coefficients):
+        for k, v in chain.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+class _Reducer:
+    """A complex under elimination: per degree p, the boundary column of
+    each live cell of C_p (rows are cells of C_{p-1}), the live columns
+    with an entry in each row, and each cell's inclusion g."""
+
+    def __init__(self, complex: ChainComplex):
+        self.cols = {p: {j: dict(complex.columns[p][j]) if p in complex.columns else {}
+                         for j in range(n)} for p, n in complex.ranks.items()}
+        self.g = {p: {j: {j: 1} for j in range(n)} for p, n in complex.ranks.items()}
+        self.rows: dict[int, dict[int, set[int]]] = {}
+        for p in self.cols:
+            self._index(p)
+
+    def _index(self, p: int) -> None:
+        self.rows[p] = {}
+        for j, col in self.cols.get(p, {}).items():
+            for i in col:
+                self.rows[p].setdefault(i, set()).add(j)
+
+    def eliminate(self, p: int, a: int, b: int) -> None:
+        """Eliminate a in C_{p-1} with b in C_p, <db, a> = u = +-1: each other
+        column c of d_p loses <dc, a> u db (the Schur complement), and g(c)
+        loses <dc, a> u g(b)."""
+        u = self.cols[p].get(b, {}).get(a, 0)
+        if u != 1 and u != -1:
+            raise ConsistencyError(f"pivot <d b, a> = {u} in degree {p} is not a unit")
+        col = self.cols[p].pop(b)
+        del col[a]
+        rows, gb = self.rows[p], self.g[p].pop(b)
+        for i in col:
+            rows[i].discard(b)
+        for c in rows.pop(a) - {b}:
+            other = self.cols[p][c]
+            q = other.pop(a) * u
+            for i, v in col.items():
+                new = other.get(i, 0) - q * v
+                if new:
+                    rows[i].add(c)
+                    other[i] = new
+                else:
+                    del other[i]
+                    rows[i].discard(c)
+            self.g[p][c] = _combine((self.g[p][c], gb), (1, -q))
+        for i in self.cols[p - 1].pop(a):
+            self.rows[p - 1][i].discard(a)
+        del self.g[p - 1][a]
+        for c in self.rows.get(p + 1, {}).pop(b, ()):
+            del self.cols[p + 1][c][b]
+
+    def reduce(self, p: int) -> None:
+        """Eliminate +-1 entries of d_p until none is left: each pass visits
+        the columns shortest first, and each takes the +-1 in its row with
+        the fewest entries, as `sparse_diagonal_form` does."""
+        cols, rows = self.cols[p], self.rows[p]
+        progress = True
+        while progress:
+            progress = False
+            for b in sorted(cols, key=lambda j: len(cols[j])):
+                units = [i for i, v in cols[b].items() if v == 1 or v == -1]
+                if units:
+                    self.eliminate(p, min(units, key=lambda i: len(rows[i])), b)
+                    progress = True
+
+    def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
+        """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]."""
+        new = lambda chains: {t: _combine(chains, B.column(t)) for t in range(len(old))}
+        self.g[p] = new([self.g[p][c] for c in old])
+        self.cols[p] = new([self.cols[p][c] for c in old])
+        # coordinates x in the old cells are B^-1 x in the new ones
+        at, columns = {c: j for j, c in enumerate(old)}, B_inv.sparse_columns()
+        for c, col in self.cols.get(p + 1, {}).items():
+            self.cols[p + 1][c] = _combine((columns[at[b]] for b in col), col.values())
+        self._index(p)
+        self._index(p + 1)
+
+    def smith_step(self, p: int) -> list[int]:
+        """Bring d_p = U D V to D, C_p by V^-1 and C_{p-1} by U, if D has a 1;
+        return the positions of its 1s."""
+        upper, lower = list(self.cols[p]), list(self.cols[p - 1])
+        at = {a: t for t, a in enumerate(lower)}
+        snf = smith_normal_form(IntMatrix.from_sparse_columns(
+            [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
+        units = [t for t, f in enumerate(snf.diagonal) if f == 1]
+        if units:
+            self._rebase(p, upper, snf.V_inv, snf.V)
+            self._rebase(p - 1, lower, snf.U, snf.U_inv)
+        return units
+
+    def result(self) -> Reduction:
+        at = {p: {j: k for k, j in enumerate(cols)} for p, cols in self.cols.items()}
+        boundary = {p: [{at[p - 1][i]: v for i, v in col.items()} for col in cols.values()]
+                    for p, cols in self.cols.items() if p - 1 in at}
+        return Reduction(ChainComplex({p: len(cols) for p, cols in self.cols.items()}, boundary),
+                         {p: [self.g[p][j] for j in cols] for p, cols in self.cols.items() if cols})
+
+
+def morse_reduction(complex: ChainComplex,
+                    pairs: dict[int, Iterable[tuple[int, int]]] | None = None) -> Reduction:
+    """Eliminate pairs of cells a in C_{p-1}, b in C_p with <db, a> = +-1,
+    from the top degree down (Kaczynski, Mrozek and Slusarek, Comput.
+    Math. Appl. 1998).  The Schur complement keeps what is left a complex
+    homotopy equivalent to the input, and the tracked inclusion g a chain
+    map; the pairs of an acyclic matching leave its algebraic Morse
+    complex (Skoldberg, Trans. AMS 2006).  `pairs` maps a degree p to
+    index pairs (a, b), eliminated in order, and one whose pivot is not
+    +-1 when it is reached raises ConsistencyError; without them, no +-1
+    entry is left in any boundary."""
+    reducer = _Reducer(complex)
+    for p in sorted(complex.columns, reverse=True):
+        if pairs is None:
+            reducer.reduce(p)
+        for a, b in (pairs or {}).get(p, ()):
+            reducer.eliminate(p, a, b)
+    return reducer.result()
+
+
+def minimal_model(complex: ChainComplex) -> Reduction:
+    """A reduction of rank b_k + mu_k + mu_{k-1} in degree k, the fewest
+    cells a complex with this homology has: `morse_reduction` without
+    pairs, then, from the top degree down, each boundary whose Smith form
+    has a unit factor changes basis to that form, and its 1s are
+    eliminated as pairs.  The Smith forms run only on the reduced
+    complex."""
+    reducer = _Reducer(complex)
+    for p in sorted(complex.columns, reverse=True):
+        reducer.reduce(p)
+    for p in sorted(complex.columns, reverse=True):
+        if any(reducer.cols[p].values()):
+            for t in reducer.smith_step(p):
+                reducer.eliminate(p, t, t)
+    return reducer.result()
 
 
 def _boundary_column(simplex: Simplex, index: dict[Simplex, int]) -> Column:

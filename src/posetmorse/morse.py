@@ -106,17 +106,6 @@ class MorseBottFunction:
     def all_values(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.values.values())))
 
-    def class_values(self) -> dict[tuple[str, ...], Fraction]:
-        dec = self.decomposition()
-        out: dict[tuple[str, ...], Fraction] = {}
-        for e in dec.critical:
-            out[(e,)] = self.values[e]
-        for c in dec.orbit_classes:
-            out[c.elements] = self.values[c.elements[0]]
-        for e in dec.transient:
-            out[(e,)] = self.values[e]
-        return out
-
 
 def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     """A Morse-Bott function integrating the matching (canonical witness).

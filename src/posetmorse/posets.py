@@ -99,13 +99,7 @@ class Poset:
 
     def _reach(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
         if self._below is None:
-            below: dict[str, set[str]] = {}
-            for e in self._topo_order():
-                acc: set[str] = set()
-                for w in self._lower[e]:
-                    acc.add(w)
-                    acc |= below[w]
-                below[e] = acc
+            below = _strictly_below(self.elements, self._lower, self._upper)
             self._below = {e: frozenset(s) for e, s in below.items()}
             above: dict[str, set[str]] = {e: set() for e in self.elements}
             for e, s in self._below.items():
@@ -113,24 +107,6 @@ class Poset:
                     above[w].add(e)
             self._above = {e: frozenset(s) for e, s in above.items()}
         return self._below, self._above
-
-    def _topo_order(self) -> list[str]:
-        # covers are acyclic by construction; order by increasing height
-        pending = {e: len(self._lower[e]) for e in self.elements}
-        queue = [e for e in self.elements if pending[e] == 0]
-        out: list[str] = []
-        i = 0
-        while i < len(queue):
-            e = queue[i]
-            i += 1
-            out.append(e)
-            for x in self._upper[e]:
-                pending[x] -= 1
-                if pending[x] == 0:
-                    queue.append(x)
-        if len(out) != len(self.elements):
-            raise CycleDetected("cover relation contains a cycle")
-        return out
 
     def strictly_below(self, element: str) -> frozenset[str]:
         self.require(element)
@@ -150,7 +126,7 @@ class Poset:
         """height(x) = length of the longest chain ending at x."""
         if self._heights is None:
             h: dict[str, int] = {}
-            for e in self._topo_order():
+            for e in _topological_order(self.elements, self._lower, self._upper):
                 lows = self._lower[e]
                 h[e] = 1 + max(h[w] for w in lows) if lows else 0
             self._heights = h
@@ -268,6 +244,37 @@ class Poset:
         return [c for local in self.chains_within(self.elements).values() for c in local]
 
 
+def _topological_order(elements: Sequence[str], lower: dict[str, Sequence[str]],
+                       upper: dict[str, Sequence[str]]) -> list[str]:
+    """The elements, each after everything in its `lower` list (Kahn's
+    algorithm); a cycle raises CycleDetected."""
+    pending = {e: len(lower[e]) for e in elements}
+    queue = [e for e in elements if pending[e] == 0]
+    i = 0
+    while i < len(queue):
+        for x in upper[queue[i]]:
+            pending[x] -= 1
+            if pending[x] == 0:
+                queue.append(x)
+        i += 1
+    if len(queue) != len(elements):
+        raise CycleDetected("cover relation contains a cycle")
+    return queue
+
+
+def _strictly_below(elements: Sequence[str], lower: dict[str, Sequence[str]],
+                    upper: dict[str, Sequence[str]]) -> dict[str, set[str]]:
+    """The transitive closure of `lower`, read in a topological order."""
+    below: dict[str, set[str]] = {}
+    for e in _topological_order(elements, lower, upper):
+        acc: set[str] = set()
+        for w in lower[e]:
+            acc.add(w)
+            acc |= below[w]
+        below[e] = acc
+    return below
+
+
 def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:
     """Build a poset from declared elements and any generating relation.
 
@@ -278,57 +285,28 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
     elements = [str(e) for e in elements]
     if not elements:
         raise EmptyPoset("empty posets are rejected as inputs")
-    seen = set()
+    lower: dict[str, list[str]] = {}
     for e in elements:
-        if e in seen:
+        if e in lower:
             raise DuplicateElement(f"duplicate element {e!r}")
-        seen.add(e)
-    pairs = []
+        lower[e] = []
+    upper: dict[str, list[str]] = {e: [] for e in elements}
     for w, x in relations:
         w, x = str(w), str(x)
-        if w not in seen:
+        if w not in lower:
             raise UnknownElement(f"unknown element {w!r}")
-        if x not in seen:
+        if x not in lower:
             raise UnknownElement(f"unknown element {x!r}")
         if w == x:
             raise CycleDetected(f"reflexive pair ({w}, {x}) is not allowed")
-        pairs.append((w, x))
-
-    position = {e: i for i, e in enumerate(elements)}
-    succ: dict[str, set[str]] = {e: set() for e in elements}
-    for w, x in pairs:
-        succ[w].add(x)
-
-    # transitive closure with cycle detection (iterative DFS, three colours)
-    reach: dict[str, set[str]] = {}
-    state: dict[str, int] = {}
-    for root in elements:
-        if state.get(root, 0) == 2:
-            continue
-        stack = [(root, iter(sorted(succ[root], key=position.__getitem__)))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if state.get(child, 0) == 1:
-                    raise CycleDetected("input relation is not a partial order")
-                if state.get(child, 0) == 0:
-                    state[child] = 1
-                    stack.append((child, iter(sorted(succ[child], key=position.__getitem__))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                acc: set[str] = set()
-                for child in succ[node]:
-                    acc.add(child)
-                    acc |= reach[child]
-                reach[node] = acc
-                state[node] = 2
-    covers = []
-    for w in elements:
-        for x in sorted(reach[w], key=position.__getitem__):
-            if not any(x in reach[z] for z in reach[w]):
-                covers.append((w, x))
+        lower[x].append(w)
+        upper[w].append(x)
+    # the closure as the poset's own reachability, with the relation as covers
+    try:
+        below = _strictly_below(elements, lower, upper)
+    except CycleDetected:
+        raise CycleDetected("input relation is not a partial order") from None
+    # (w, x) is a cover unless w lies below another lower neighbour of x
+    covers = [(w, x) for x in elements for w in lower[x]
+              if not any(w in below[y] for y in lower[x])]
     return Poset(elements, covers)

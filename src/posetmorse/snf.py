@@ -1,7 +1,8 @@
 """Smith normal form over the integers, with unimodular transforms.
 
 Two entry points share one core.  `smith_normal_form` reduces a dense
-matrix and tracks transforms, for kernels and exact solves.  The
+matrix and tracks transforms, for kernel bases and the change to the
+Smith basis that `homology.minimal_model` makes.  The
 diagonal alone -- ranks and torsion, all that homology needs -- comes
 from `sparse_diagonal_form`, which eliminates +-1 pivots on sparse
 columns first and hands only the leftover block to the dense core
@@ -13,8 +14,9 @@ The decomposition is A = U * D * V with U, V unimodular and D diagonal
 whose nonzero entries form a divisibility chain d1 | d2 | ...  Row and
 column operations applied to the working copy of A are mirrored by the
 inverse operations on U and V, so the identity A = U*D*V holds at every
-step; the forward operations accumulate into U_inv and V_inv, which is
-what makes exact linear solves and kernel bases cheap afterwards.
+step; the forward operations accumulate into U_inv and V_inv, whose
+columns are then a basis adapted to A (the kernel is spanned by the
+columns of V_inv at the zero positions of D).
 
 Dense pivoting picks the smallest nonzero entry in absolute value, which
 keeps intermediate entries small.
@@ -290,22 +292,3 @@ def kernel_basis(A: IntMatrix, snf: SmithDecomposition | None = None) -> list[li
     if len(free) != A.cols - rank:
         raise ConsistencyError("kernel size disagrees with the rank of the Smith form")
     return [snf.V_inv.column(j) for j in free]
-
-
-def solve(A: IntMatrix, b: Sequence[int], snf: SmithDecomposition | None = None) -> list[int] | None:
-    """One integer solution of A x = b, or None if none exists."""
-    if snf is None:
-        snf = smith_normal_form(A)
-    y = snf.U_inv.mul_vec(list(b))
-    diag = snf.diagonal
-    w = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            w[i] = y[i] // d
-    return snf.V_inv.mul_vec(w)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code path with the
 implementations under test.  The dense Smith-form oracles (homology
 coordinates, quasi-isomorphism, flow) call only the library's dense
-`snf` routines, `homology` and the cellular complex they are given.  The
+`snf` routines, `homology` and the cellular complex they are given, and
+`solve`, the exact linear solve on a Smith form that only they use.  The
 cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
 `sphere_generator` and `homology`.  The pair and face-poset oracles build
@@ -43,7 +44,7 @@ from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorseM
 from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_matching
 from posetmorse.simplicial import Simplex
-from posetmorse.snf import SmithDecomposition, kernel_basis, matrix_rank, smith_normal_form, solve
+from posetmorse.snf import SmithDecomposition, kernel_basis, matrix_rank, smith_normal_form
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -211,6 +212,26 @@ def determinant(matrix: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve(A: IntMatrix, b: list[int], snf: SmithDecomposition | None = None) -> list[int] | None:
+    """One integer solution of A x = b, or None if none exists, read off
+    the Smith form A = U D V: x = V^-1 w where D w = U^-1 b."""
+    if snf is None:
+        snf = smith_normal_form(A)
+    y = snf.U_inv.mul_vec(list(b))
+    diag = snf.diagonal
+    w = [0] * A.cols
+    for i in range(A.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        else:
+            if y[i] % d != 0:
+                return None
+            w[i] = y[i] // d
+    return snf.V_inv.mul_vec(w)
 
 
 def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], int]:

@@ -271,30 +271,36 @@ def test_flow_random_face_posets():
         done += 1
 
 
-def test_minimal_subcomplex_one_smith_form_per_boundary(monkeypatch, rp2_poset):
-    import posetmorse.category as category
+def test_minimal_subcomplex_smith_forms_only_on_the_reduced_complex(monkeypatch, rp2_poset):
+    import sys
+    from posetmorse.homology import morse_reduction
+    module = sys.modules["posetmorse.homology"]
     shapes = []
-    real = category.smith_normal_form
+    real = module.smith_normal_form
 
     def counted(matrix):
         shapes.append((matrix.rows, matrix.cols))
         return real(matrix)
 
-    monkeypatch.setattr(category, "smith_normal_form", counted)
-    for chain in (cellular_chain_complex(rp2_poset).complex,
-                  simplicial_chain_complex(random_simplicial_complex(XorShift64Star(9), 6, 5))):
+    monkeypatch.setattr(module, "smith_normal_form", counted)
+    cellular = cellular_chain_complex(rp2_poset).complex
+    simplicial = simplicial_chain_complex(random_simplicial_complex(XorShift64Star(9), 6, 5))
+    for chain in (cellular, simplicial):
         shapes.clear()
         witness = minimal_subcomplex(chain)
         assert witness.quasi_isomorphism_verified
-        boundary_shapes = [(m.rows, m.cols) for m in chain.boundary.values()]
-        # each boundary once, plus at most one cycle-coordinate matrix per degree
-        for shape in boundary_shapes:
-            assert shapes.count(shape) >= 1
-        assert len(shapes) <= len(boundary_shapes) + len(chain.degrees())
+        reduced = morse_reduction(chain).complex
+        # at most one per degree, each within a boundary of the reduced complex
+        assert len(shapes) <= len(reduced.degrees())
+        for rows, cols in shapes:
+            assert any(rows <= reduced.rank(p - 1) and cols <= reduced.rank(p)
+                       for p in reduced.degrees())
+        if chain is cellular:
+            assert all(shape == (1, 1) for shape in shapes)
 
 
-def test_minimal_subcomplex_cycles_match_kernel_solve_oracle(rp2_poset):
-    from helpers import snf_homology_coordinates
+def test_minimal_subcomplex_rank_profile_and_dense_oracle(rp2_poset):
+    from helpers import snf_quasi_isomorphism
     rng = XorShift64Star(31)
     chains = [cellular_chain_complex(rp2_poset).complex]
     for _ in range(15):
@@ -302,8 +308,7 @@ def test_minimal_subcomplex_cycles_match_kernel_solve_oracle(rp2_poset):
         chains += [simplicial_chain_complex(complex), simplicial_chain_complex(complex, True)]
     for chain in chains:
         witness = minimal_subcomplex(chain)
-        for p in chain.degrees():
-            Zprime, factors = snf_homology_coordinates(chain, p)
-            cycles = [Zprime.column(i) for i, t in enumerate(factors) if t != 1]
-            got = witness.inclusion[p].columns()[:len(cycles)] if cycles else []
-            assert got == cycles
+        summary = homology(chain)
+        for k in chain.degrees():
+            assert witness.complex.rank(k) == summary.b(k) + summary.mu(k) + summary.mu(k - 1)
+        assert snf_quasi_isomorphism(witness.complex, witness.inclusion, chain)

@@ -220,7 +220,8 @@ def test_cellular_inputs_never_enumerate_chains(monkeypatch):
     for module in (cellular, homology):
         monkeypatch.setattr(module, "subposet_chain_complex", forbidden)
     monkeypatch.setattr(cellular, "sphere_generator", forbidden)
-    monkeypatch.setattr(snf, "smith_normal_form", forbidden)
+    for module in (snf, homology):
+        monkeypatch.setattr(module, "smith_normal_form", forbidden)
     spaces = [face_poset(_sphere(n)) for n in range(2, 7)]
     spaces += [face_poset(parse_simplicial_complex((DATA / n).read_text())) for n in FIXTURES]
     spaces += [pendant_three_cell(), mobius_with_two_disks()]

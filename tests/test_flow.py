@@ -31,9 +31,9 @@ from posetmorse.randgen import (
     random_graded_poset,
     random_simplicial_complex,
 )
-from posetmorse.snf import smith_normal_form, solve
+from posetmorse.snf import smith_normal_form
 
-from helpers import dense_flow_operator
+from helpers import dense_flow_operator, solve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

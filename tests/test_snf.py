@@ -10,11 +10,10 @@ from posetmorse.snf import (
     kernel_basis,
     matrix_rank,
     smith_normal_form,
-    solve,
     sparse_diagonal_form,
 )
 
-from helpers import determinant
+from helpers import determinant, solve
 
 
 def mat(rows):
