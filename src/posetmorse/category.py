@@ -34,11 +34,10 @@ from .dynamics import (
 )
 from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
 from .homology import (ChainComplex, HomologySummary, homology, minimal_model, morse_reduction,
-                       subposet_chain_complex)
-from .intmatrix import Column, IntMatrix
+                       smith_diagonal, subposet_chain_complex)
+from .intmatrix import Column
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
-from .snf import matrix_rank, sparse_diagonal_form
 
 
 def hccat_of_summary(summary: HomologySummary) -> int:
@@ -66,22 +65,26 @@ def hccat(space) -> int:
 # -- quasi-isomorphism verification -------------------------------------------
 
 
-def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
+def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column]],
                              ambient: ChainComplex) -> bool:
     """Inclusion is an injective chain map inducing isomorphisms on all
-    homology.
+    homology.  `inclusion[p]` holds the image of each cell of C_p(sub) as
+    a sparse column of C_p(ambient).
 
-    After the shape and injectivity checks, the map i is a
-    quasi-isomorphism exactly when its mapping cone, Cone_p = S_{p-1} + A_p
-    with d(s, a) = (-ds, i(s) + da), is acyclic (Weibel, Cor. 1.5.4).  The
-    cone's d*d vanishes exactly when i commutes with the boundaries, so a
-    map that is not a chain map fails the cone's own d*d check.
+    The map needs a column per cell in every degree of `sub`, rows inside
+    the ambient rank, and full rank, read off `smith_diagonal`.  Then i
+    is a quasi-isomorphism exactly when its mapping cone,
+    Cone_p = S_{p-1} + A_p with d(s, a) = (-ds, i(s) + da), is acyclic
+    (Weibel, Cor. 1.5.4).  The cone's d*d vanishes exactly when i commutes
+    with the boundaries, so a map that is not a chain map fails the
+    cone's own d*d check.
     """
     for p in sub.degrees():
-        inc = inclusion.get(p)
-        if inc is None or inc.cols != sub.rank(p) or inc.rows != ambient.rank(p):
+        inc, rows = inclusion.get(p), ambient.rank(p)
+        if inc is None or len(inc) != sub.rank(p) or any(
+                not 0 <= i < rows for col in inc for i in col):
             return False
-        if matrix_rank(inc) != sub.rank(p):
+        if sum(1 for f in smith_diagonal(inc, rows) if f) != sub.rank(p):
             return False
     degrees = sorted({p + 1 for p in sub.ranks} | set(ambient.ranks))
     columns: dict[int, list[Column]] = {}
@@ -90,7 +93,7 @@ def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
         cone: list[Column] = []
         if sub.rank(p - 1):
             s_cols = sub.columns.get(p - 1, [{}] * sub.rank(p - 1))
-            for s_col, i_col in zip(s_cols, inclusion[p - 1].sparse_columns()):
+            for s_col, i_col in zip(s_cols, inclusion[p - 1]):
                 col = {i: -v for i, v in s_col.items()}
                 col.update((shift + i, v) for i, v in i_col.items())
                 cone.append(col)
@@ -111,7 +114,7 @@ def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
 @dataclass(frozen=True)
 class MinimalSubcomplex:
     complex: ChainComplex
-    inclusion: dict[int, IntMatrix]
+    inclusion: dict[int, list[Column]]
     rank_profile: dict[int, int]
     quasi_isomorphism_verified: bool
 
@@ -122,13 +125,11 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
     inclusion checked by the mapping-cone criterion."""
     model = minimal_model(ambient)
     sub = model.complex
-    inclusion = {p: IntMatrix.from_sparse_columns(cols, ambient.rank(p))
-                 for p, cols in model.inclusion.items()}
     return MinimalSubcomplex(
         complex=sub,
-        inclusion=inclusion,
+        inclusion=model.inclusion,
         rank_profile={p: sub.rank(p) for p in sub.degrees()},
-        quasi_isomorphism_verified=verify_quasi_isomorphism(sub, inclusion, ambient),
+        quasi_isomorphism_verified=verify_quasi_isomorphism(sub, model.inclusion, ambient),
     )
 
 
@@ -138,12 +139,13 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
 @dataclass(frozen=True)
 class FlowData:
     """The flow-invariant complex, that is the Morse complex: `inclusion[p]`
-    has one column Phi^inf(c) per critical element c of degree p, in
-    level order, and `invariant_complex` is the boundary in that basis."""
+    has one sparse column Phi^inf(c) per critical element c of degree p,
+    in level order, and `invariant_complex` is the boundary in that
+    basis."""
 
     invariant_ranks: dict[int, int]
     invariant_complex: ChainComplex
-    inclusion: dict[int, IntMatrix]
+    inclusion: dict[int, list[Column]]
     rank_matches_critical: bool
     quasi_isomorphism_verified: bool
 
@@ -192,17 +194,15 @@ def flow_operator(poset: Poset, matching: Matching,
     for p, names in levels.items():
         deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))
                      for j in range(len(names))]  # the columns of dV + Vd
-        rank = sum(1 for f in sparse_diagonal_form(deviation, len(names)) if f)
+        rank = sum(1 for f in smith_diagonal(deviation, len(names)) if f)
         rank_ok = rank_ok and len(names) - rank == ranks[p]
     morse = morse_reduction(cell.complex, pairs)
-    inclusion = {p: IntMatrix.from_sparse_columns(cols, len(levels[p]))
-                 for p, cols in morse.inclusion.items()}
     return FlowData(
         invariant_ranks=ranks,
         invariant_complex=morse.complex,
-        inclusion=inclusion,
+        inclusion=morse.inclusion,
         rank_matches_critical=rank_ok,
-        quasi_isomorphism_verified=verify_quasi_isomorphism(morse.complex, inclusion,
+        quasi_isomorphism_verified=verify_quasi_isomorphism(morse.complex, morse.inclusion,
                                                             cell.complex),
     )
 

@@ -2,22 +2,27 @@
 integers (or rationals), plus the simplicial and poset front ends.
 
 Chain complexes store each boundary map as sparse integer columns
-{row: value}; d*d = 0 is checked column by column, and Betti numbers and
-torsion are read off `sparse_diagonal_form`, which eliminates the +-1
-pivots sparsely before any dense Smith normal form runs.  Betti numbers
-come from boundary ranks, torsion from the invariant factors of the next
-boundary.  A formal degree -1 slot holds the augmentation of reduced
-complexes, so the empty poset has reduced homology Z in degree -1 and
-the cellularity check is uniform at degree 0.
+{row: value}; d*d = 0 is checked column by column.  One sparse
+elimination serves every computation here (algebraic Morse theory):
+`_Reducer` eliminates pairs of cells joined by a +-1 entry of d, from
+the top degree down, by the Schur complement, and it is the only code
+that picks unit pivots.  Each pair splits a Smith factor 1 off its
+boundary without changing homology, so `homology` counts the pairs and
+hands only the block without units that is left to the dense Smith core
+for the rest of the rank and the torsion; `smith_diagonal` does the same
+for one matrix.  Betti numbers come from boundary ranks, torsion from
+the invariant factors of the next boundary.  A formal degree -1 slot
+holds the augmentation of reduced complexes, so the empty poset has
+reduced homology Z in degree -1 and the cellularity check is uniform at
+degree 0.
 
-One sparse elimination shrinks a complex without changing its homology
-(algebraic Morse theory): `morse_reduction` eliminates pairs of cells
-joined by a +-1 entry of d, given ones or every one it finds, and tracks
-the inclusion of what is left.  `minimal_model` then brings the few
-boundaries that still have unit Smith factors to their Smith form and
-eliminates those too, leaving rank b_k + mu_k + mu_{k-1} in degree k.
-The cellularity pass reads spheres and their generators off it, the flow
-reads the Morse complex of a matching, and the hccat witness is it.
+`morse_reduction` runs the same elimination on given pairs or on every
+one it finds, and tracks the inclusion of what is left.  `minimal_model`
+then brings the few boundaries that still have unit Smith factors to
+their Smith form and eliminates those too, leaving rank
+b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass reads spheres
+and their generators off it, the flow reads the Morse complex of a
+matching, and the hccat witness is it.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
@@ -44,7 +49,7 @@ from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcompl
 from .intmatrix import Column, IntMatrix
 from .simplicial import SimplicialComplex, Simplex
 from .posets import Poset
-from .snf import smith_normal_form, sparse_diagonal_form
+from .snf import _snf_core, smith_normal_form
 
 Coefficients = Literal["int", "rat"]
 
@@ -54,30 +59,24 @@ class ChainComplex:
 
     `ranks[p]` is the rank of C_p; `columns[p]` holds the boundary
     C_p -> C_{p-1} as ranks[p] sparse columns with row indices below
-    ranks[p-1].  The constructor takes each boundary either in that form
-    or as a dense IntMatrix of shape ranks[p-1] x ranks[p].  `labels[p]`
-    names the basis of C_p: elements for cellular complexes, sorted vertex
-    tuples for simplicial ones.  Degrees may start at -1 (reduced
-    complexes).  d*d = 0 is validated on construction.  `boundary` is the
-    dense view, built on first use, for callers that need Smith transforms.
+    ranks[p-1]; the constructor takes each boundary in that form.
+    `labels[p]` names the basis of C_p: elements for cellular complexes,
+    sorted vertex tuples for simplicial ones.  Degrees may start at -1
+    (reduced complexes).  d*d = 0 is validated on construction.
+    `boundary` is the dense view, built on first use, for callers that
+    need Smith transforms.
     """
 
-    def __init__(self, ranks: dict[int, int], boundary: dict[int, IntMatrix | list[Column]],
+    def __init__(self, ranks: dict[int, int], boundary: dict[int, list[Column]],
                  labels: dict[int, tuple] | None = None):
         self.ranks = {p: r for p, r in ranks.items() if r > 0}
         self.columns: dict[int, list[Column]] = {}
-        for p, mat in boundary.items():
-            rows, cols = self.rank(p - 1), self.rank(p)
-            if isinstance(mat, IntMatrix):
-                if mat.rows == 0 or mat.cols == 0:
-                    continue
-                if (mat.rows, mat.cols) != (rows, cols):
-                    raise ValueError(f"boundary in degree {p} has wrong shape")
-                mat = mat.sparse_columns()
-            elif len(mat) != cols or any(not 0 <= i < rows for col in mat for i in col):
+        for p, cols in boundary.items():
+            rows = self.rank(p - 1)
+            if len(cols) != self.rank(p) or any(not 0 <= i < rows for col in cols for i in col):
                 raise ValueError(f"boundary in degree {p} has wrong shape")
             if rows and cols:
-                self.columns[p] = mat
+                self.columns[p] = cols
         self.labels = dict(labels or {})
         self._dense: dict[int, IntMatrix] | None = None
         for p, upper in self.columns.items():
@@ -205,20 +204,15 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
     """Homology of the complex; exact in either coefficient ring."""
     if not complex.ranks:
         return HomologySummary(coefficients=coefficients)
-    lo, hi = complex.min_degree(), complex.max_degree()
-    diag: dict[int, tuple[int, ...]] = {}
-    for p in range(lo, hi + 1):
-        cols = complex.columns.get(p)
-        diag[p] = sparse_diagonal_form(cols, complex.rank(p - 1)) if cols is not None else ()
+    factors = _smith_factors(complex.ranks, complex.columns)
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for p in range(lo, hi + 1):
-        rank_d_p = sum(1 for d in diag[p] if d)
-        rank_d_up = sum(1 for d in diag.get(p + 1, ()) if d)
-        betti[p] = complex.rank(p) - rank_d_p - rank_d_up
+    for p in range(complex.min_degree(), complex.max_degree() + 1):
+        up = factors.get(p + 1, ())
+        betti[p] = complex.rank(p) - len(factors.get(p, ())) - len(up)
         if betti[p] < 0:
             raise ConsistencyError("negative betti number: rank bookkeeping bug")
-        tor = tuple(d for d in diag.get(p + 1, ()) if d > 1)
+        tor = tuple(d for d in up if d > 1)
         if tor:
             torsion[p] = tor
     summary = HomologySummary(betti=betti, torsion=torsion)
@@ -228,6 +222,48 @@ def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> Homol
     if chain_euler != hom_euler:
         raise ConsistencyError("Euler characteristic mismatch")
     return summary if coefficients == "int" else summary.rational()
+
+
+def smith_diagonal(columns: Sequence[Column], rows: int) -> tuple[int, ...]:
+    """The Smith diagonal of the rows x len(columns) matrix with these
+    sparse columns: its 1s, then the rest of the divisibility chain, then
+    zeros, min(rows, len(columns)) entries in all.  `columns` is not
+    modified."""
+    factors = _smith_factors({0: rows, 1: len(columns)}, {1: columns}).get(1, [])
+    return tuple(factors + [0] * (min(rows, len(columns)) - len(factors)))
+
+
+def _smith_factors(ranks: dict[int, int],
+                   columns: dict[int, Sequence[Column]]) -> dict[int, list[int]]:
+    """The nonzero Smith factors of each boundary d_p, in divisibility
+    order.  From the top degree down, each pair that `_Reducer.reduce`
+    eliminates from d_p is a factor 1, and the dense core gives those of
+    the block without units that is left.  A pair of the degree above
+    only drops a column of d_p that the other columns span, which keeps
+    its Smith form.  Once read, d_p is dropped from the reducer, so later
+    pairs do not update it."""
+    reducer = _Reducer(ranks, columns, track=False)
+    factors: dict[int, list[int]] = {}
+    for p in sorted(columns, reverse=True):
+        ones = reducer.reduce(p)
+        factors[p] = [1] * ones + _dense_factors(reducer.cols.pop(p).values())
+        del reducer.rows[p]
+    return factors
+
+
+def _dense_factors(columns: Iterable[Column]) -> list[int]:
+    """The nonzero Smith factors of the matrix with these sparse columns,
+    from the dense core on its nonzero rows and columns."""
+    columns = [col for col in columns if col]
+    if not columns:
+        return []
+    at = {i: r for r, i in enumerate(sorted({i for col in columns for i in col}))}
+    data = [[0] * len(columns) for _ in at]
+    for c, col in enumerate(columns):
+        for i, v in col.items():
+            data[at[i]][c] = v
+    _snf_core(data, len(at), len(columns), want_transforms=False)
+    return [data[t][t] for t in range(min(len(at), len(columns))) if data[t][t]]
 
 
 @dataclass(frozen=True)
@@ -251,21 +287,26 @@ def _combine(chains: Iterable[Column], coefficients: Iterable[int]) -> Column:
 class _Reducer:
     """A complex under elimination: per degree p, the boundary column of
     each live cell of C_p (rows are cells of C_{p-1}), the live columns
-    with an entry in each row, and each cell's inclusion g."""
+    with an entry in each row, and, when tracked, each cell's inclusion
+    g.  It is the one place that picks and eliminates unit pivots."""
 
-    def __init__(self, complex: ChainComplex):
-        self.cols = {p: {j: dict(complex.columns[p][j]) if p in complex.columns else {}
-                         for j in range(n)} for p, n in complex.ranks.items()}
-        self.g = {p: {j: {j: 1} for j in range(n)} for p, n in complex.ranks.items()}
+    def __init__(self, ranks: dict[int, int], columns: dict[int, Sequence[Column]],
+                 track: bool = True):
+        self.cols = {p: dict(enumerate(map(dict, columns[p]))) if p in columns
+                     else {j: {} for j in range(n)} for p, n in ranks.items()}
+        self.g = {p: {j: {j: 1} for j in range(n)} for p, n in ranks.items()} if track else None
         self.rows: dict[int, dict[int, set[int]]] = {}
         for p in self.cols:
             self._index(p)
 
     def _index(self, p: int) -> None:
-        self.rows[p] = {}
+        rows = self.rows[p] = {}
         for j, col in self.cols.get(p, {}).items():
             for i in col:
-                self.rows[p].setdefault(i, set()).add(j)
+                if i in rows:
+                    rows[i].add(j)
+                else:
+                    rows[i] = {j}
 
     def eliminate(self, p: int, a: int, b: int) -> None:
         """Eliminate a in C_{p-1} with b in C_p, <db, a> = u = +-1: each other
@@ -276,40 +317,57 @@ class _Reducer:
             raise ConsistencyError(f"pivot <d b, a> = {u} in degree {p} is not a unit")
         col = self.cols[p].pop(b)
         del col[a]
-        rows, gb = self.rows[p], self.g[p].pop(b)
+        rows, g = self.rows[p], self.g
+        gb = g[p].pop(b) if g is not None else None
         for i in col:
             rows[i].discard(b)
-        for c in rows.pop(a) - {b}:
+        others = rows.pop(a)
+        others.discard(b)
+        for c in others:
             other = self.cols[p][c]
             q = other.pop(a) * u
             for i, v in col.items():
                 new = other.get(i, 0) - q * v
                 if new:
-                    rows[i].add(c)
+                    if i not in other:
+                        rows[i].add(c)
                     other[i] = new
                 else:
                     del other[i]
                     rows[i].discard(c)
-            self.g[p][c] = _combine((self.g[p][c], gb), (1, -q))
+            if g is not None:
+                g[p][c] = _combine((g[p][c], gb), (1, -q))
         for i in self.cols[p - 1].pop(a):
             self.rows[p - 1][i].discard(a)
-        del self.g[p - 1][a]
+        if g is not None:
+            del g[p - 1][a]
         for c in self.rows.get(p + 1, {}).pop(b, ()):
             del self.cols[p + 1][c][b]
 
-    def reduce(self, p: int) -> None:
-        """Eliminate +-1 entries of d_p until none is left: each pass visits
-        the columns shortest first, and each takes the +-1 in its row with
-        the fewest entries, as `sparse_diagonal_form` does."""
+    def reduce(self, p: int) -> int:
+        """Eliminate +-1 entries of d_p until none is left; return how many
+        pairs that took.  Each pass visits the columns shortest first, and
+        each takes the +-1 whose row has the fewest entries (a
+        Markowitz-style choice that keeps fill-in low): the first whose row
+        it alone occupies, else the first of the fewest."""
         cols, rows = self.cols[p], self.rows[p]
-        progress = True
+        pairs, progress = 0, True
         while progress:
             progress = False
             for b in sorted(cols, key=lambda j: len(cols[j])):
-                units = [i for i, v in cols[b].items() if v == 1 or v == -1]
-                if units:
-                    self.eliminate(p, min(units, key=lambda i: len(rows[i])), b)
+                pivot, fewest = None, 0
+                for i, v in cols[b].items():
+                    if v == 1 or v == -1:
+                        count = len(rows[i])
+                        if pivot is None or count < fewest:
+                            pivot, fewest = i, count
+                            if count == 1:
+                                break
+                if pivot is not None:
+                    self.eliminate(p, pivot, b)
+                    pairs += 1
                     progress = True
+        return pairs
 
     def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
         """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]."""
@@ -355,7 +413,7 @@ def morse_reduction(complex: ChainComplex,
     index pairs (a, b), eliminated in order, and one whose pivot is not
     +-1 when it is reached raises ConsistencyError; without them, no +-1
     entry is left in any boundary."""
-    reducer = _Reducer(complex)
+    reducer = _Reducer(complex.ranks, complex.columns)
     for p in sorted(complex.columns, reverse=True):
         if pairs is None:
             reducer.reduce(p)
@@ -371,7 +429,7 @@ def minimal_model(complex: ChainComplex) -> Reduction:
     has a unit factor changes basis to that form, and its 1s are
     eliminated as pairs.  The Smith forms run only on the reduced
     complex."""
-    reducer = _Reducer(complex)
+    reducer = _Reducer(complex.ranks, complex.columns)
     for p in sorted(complex.columns, reverse=True):
         reducer.reduce(p)
     for p in sorted(complex.columns, reverse=True):

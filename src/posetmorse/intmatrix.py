@@ -1,10 +1,12 @@
 """Exact integer matrices, dense and sparse.
 
-`IntMatrix` is the dense, immutable form that transforms, kernels and
-reports use.  A sparse column is a dict {row: value} holding only the
-nonzero entries; a list of them is the form chain complexes store and
-the homology engine reduces, because boundary matrices have at most p+1
-nonzeros (all +-1) per column.
+A sparse column is a dict {row: value} holding only the nonzero entries.
+Chain complexes store their boundaries as lists of them, and the chain
+maps that reductions track (the hccat witness, the flow's Morse complex)
+are lists of them too, because boundary matrices have at most p+1
+nonzeros (all +-1) per column.  `IntMatrix` is the dense, immutable form
+that the Smith core, its transforms and kernel bases, and the
+`ChainComplex.boundary` view use.
 
 Python ints are arbitrary precision, so every computation here is exact by
 construction; no floating point is used anywhere in the library.

@@ -1,14 +1,13 @@
-"""Smith normal form over the integers, with unimodular transforms.
+"""Dense Smith normal form over the integers, with unimodular transforms.
 
-Two entry points share one core.  `smith_normal_form` reduces a dense
-matrix and tracks transforms, for kernel bases and the change to the
-Smith basis that `homology.minimal_model` makes.  The
-diagonal alone -- ranks and torsion, all that homology needs -- comes
-from `sparse_diagonal_form`, which eliminates +-1 pivots on sparse
-columns first and hands only the leftover block to the dense core
-(Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
-normal form computations", J. Symb. Comput. 2001); `diagonal_form` and
-`matrix_rank` take that path for dense matrices too.
+`_snf_core` reduces a dense matrix in place.  `smith_normal_form` runs
+it with transforms, for kernel bases and the change to the Smith basis
+that `homology.minimal_model` makes; `diagonal_form` runs it without,
+for the diagonal alone.  Sparse matrices do not come here whole:
+`homology` eliminates their +-1 pivots first and hands only the block
+without units that is left to `_snf_core` (Dumas, Saunders and Villard,
+"On efficient sparse integer matrix Smith normal form computations",
+J. Symb. Comput. 2001).
 
 The decomposition is A = U * D * V with U, V unimodular and D diagonal
 whose nonzero entries form a divisibility chain d1 | d2 | ...  Row and
@@ -25,10 +24,8 @@ keeps intermediate entries small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import ConsistencyError
-from .intmatrix import Column, IntMatrix
+from .intmatrix import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -196,89 +193,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
 
 
-def sparse_diagonal_form(columns: Sequence[Column], rows: int) -> tuple[int, ...]:
-    """The Smith diagonal of the rows x len(columns) matrix with these
-    sparse columns: its 1s, then the rest of the divisibility chain, then
-    zeros, min(rows, len(columns)) entries in all.  `columns` is not
-    modified.
-
-    Each pass visits the live columns shortest first.  In each it takes
-    the +-1 whose row has the fewest entries (a Markowitz-style choice
-    that keeps fill-in low), clears the rest of that row by column
-    operations, and drops the pivot's row and column, which splits off a
-    Smith factor 1.  Passes repeat while they find units; the dense core
-    reduces the nonzero block that is left.
-    """
-    cols: dict[int, Column] = {}
-    row_of: dict[int, set[int]] = {}  # row -> live columns with an entry in it
-    for j, col in enumerate(columns):
-        col = {i: v for i, v in col.items() if v}
-        if col:
-            cols[j] = col
-            for i in col:
-                row_of.setdefault(i, set()).add(j)
-    ones = 0
-    progress = True
-    while progress and cols:
-        progress = False
-        for j in sorted(cols, key=lambda j: len(cols[j])):
-            col = cols.get(j)
-            if col is None:
-                continue  # emptied by an earlier elimination in this pass
-            pivot_row, fewest = None, 0
-            for i, v in col.items():
-                if v == 1 or v == -1:
-                    count = len(row_of[i])
-                    if pivot_row is None or count < fewest:
-                        pivot_row, fewest = i, count
-                        if count == 1:
-                            break
-            if pivot_row is None:
-                continue
-            progress = True
-            ones += 1
-            del cols[j]
-            pivot = col.pop(pivot_row)
-            for i in col:
-                row_of[i].discard(j)
-            others = row_of.pop(pivot_row)
-            others.discard(j)
-            for k in others:
-                other = cols[k]
-                q = other.pop(pivot_row) * pivot  # exact division: pivot is +-1
-                for i, v in col.items():
-                    new = other.get(i, 0) - q * v
-                    if new:
-                        if i not in other:
-                            row_of[i].add(k)
-                        other[i] = new
-                    else:
-                        del other[i]
-                        row_of[i].discard(k)
-                if not other:
-                    del cols[k]
-    rest: list[int] = []
-    if cols:
-        order = sorted(cols)
-        live = sorted(i for i, js in row_of.items() if js)
-        position = {i: r for r, i in enumerate(live)}
-        data = [[0] * len(order) for _ in live]
-        for c, j in enumerate(order):
-            for i, v in cols[j].items():
-                data[position[i]][c] = v
-        _snf_core(data, len(live), len(order), want_transforms=False)
-        rest = [data[t][t] for t in range(min(len(live), len(order))) if data[t][t]]
-    diagonal = [1] * ones + rest
-    return tuple(diagonal + [0] * (min(rows, len(columns)) - len(diagonal)))
-
-
 def diagonal_form(A: IntMatrix) -> tuple[int, ...]:
     """Just the diagonal of the Smith form, without transform bookkeeping."""
-    return sparse_diagonal_form(A.sparse_columns(), A.rows)
-
-
-def matrix_rank(A: IntMatrix) -> int:
-    return sum(1 for d in diagonal_form(A) if d != 0)
+    data = A.to_lists()
+    _snf_core(data, A.rows, A.cols, want_transforms=False)
+    return tuple(data[t][t] for t in range(min(A.rows, A.cols)))
 
 
 def kernel_basis(A: IntMatrix, snf: SmithDecomposition | None = None) -> list[list[int]]:

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code path with the
 implementations under test.  The dense Smith-form oracles (homology
 coordinates, quasi-isomorphism, flow) call only the library's dense
 `snf` routines, `homology` and the cellular complex they are given, and
-`solve`, the exact linear solve on a Smith form that only they use.  The
+`solve` and `matrix_rank`, the exact linear solve and the rank on a
+dense Smith form that only they use.  The
 cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
 `sphere_generator` and `homology`.  The pair and face-poset oracles build
@@ -43,8 +44,9 @@ from posetmorse.dynamics import critical_counts, is_morse_matching
 from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorseMatching
 from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_matching
+from posetmorse.intmatrix import Column
 from posetmorse.simplicial import Simplex
-from posetmorse.snf import SmithDecomposition, kernel_basis, matrix_rank, smith_normal_form
+from posetmorse.snf import SmithDecomposition, diagonal_form, kernel_basis, smith_normal_form
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -214,6 +216,10 @@ def determinant(matrix: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def matrix_rank(A: IntMatrix) -> int:
+    return sum(1 for d in diagonal_form(A) if d != 0)
+
+
 def solve(A: IntMatrix, b: list[int], snf: SmithDecomposition | None = None) -> list[int] | None:
     """One integer solution of A x = b, or None if none exists, read off
     the Smith form A = U D V: x = V^-1 w where D w = U^-1 b."""
@@ -254,6 +260,14 @@ def boundary_or_empty(complex: ChainComplex, p: int) -> IntMatrix:
     if mat is None:
         return IntMatrix.zeros(complex.rank(p - 1), complex.rank(p))
     return mat
+
+
+def dense_inclusion(inclusion: dict[int, list[Column]],
+                    ambient: ChainComplex) -> dict[int, IntMatrix]:
+    """The dense matrices of a chain map given, as the library gives its
+    inclusions, by sparse columns into `ambient`."""
+    return {p: IntMatrix.from_sparse_columns(cols, ambient.rank(p))
+            for p, cols in inclusion.items()}
 
 
 def order_complex_cellularity(poset: Poset) -> CellularityReport:
@@ -376,7 +390,7 @@ def snf_homology_coordinates(complex: ChainComplex, degree: int):
     return Zprime, factors
 
 
-def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
+def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column]],
                           ambient: ChainComplex) -> bool:
     """Inclusion is a chain map inducing isomorphisms on all homology,
     decided with dense Smith-normal-form coordinates.
@@ -385,16 +399,21 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, IntMatrix],
     summaries, and surjectivity of the induced map in every degree (a
     surjection between isomorphic finitely generated abelian groups is an
     isomorphism).  The reference for the library's mapping-cone test; the
-    two share only `homology` and `matrix_rank`.
+    two share only `homology`.  The inclusion comes as sparse columns, as
+    the library's do, and is read densely once its shape checks out.
     """
     degrees = sorted(set(sub.degrees()) | set(ambient.degrees()))
+    for p in sub.degrees():
+        cols = inclusion.get(p)
+        if cols is None or len(cols) != sub.rank(p) or any(
+                not 0 <= i < ambient.rank(p) for col in cols for i in col):
+            return False
+    inclusion = dense_inclusion({p: inclusion[p] for p in sub.degrees()}, ambient)
     for p in degrees:
         ns = sub.rank(p)
         if ns == 0:
             continue
-        inc = inclusion.get(p)
-        if inc is None or inc.cols != ns or inc.rows != ambient.rank(p):
-            return False
+        inc = inclusion[p]
         if matrix_rank(inc) != ns:
             return False
         if ambient.rank(p - 1):
@@ -496,7 +515,7 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     inclusion = {p: IntMatrix.from_columns(cols, len(levels[p]))
                  for p, cols in invariant_basis.items() if cols}
     ranks = {p: len(cols) for p, cols in invariant_basis.items() if cols}
-    boundary: dict[int, IntMatrix] = {}
+    boundary: dict[int, list[Column]] = {}
     for p in sorted(ranks):
         d_p = boundary_or_empty(chain, p)
         images = [d_p.mul_vec(vec) for vec in invariant_basis[p]]
@@ -512,11 +531,12 @@ def dense_flow_operator(poset: Poset, matching: Matching,
             if sol is None:
                 raise ConsistencyError("flow-invariant chains are not closed under d")
             cols.append(sol)
-        boundary[p] = IntMatrix.from_columns(cols, ranks[p - 1])
+        boundary[p] = IntMatrix.from_columns(cols, ranks[p - 1]).sparse_columns()
     invariant = ChainComplex(ranks, boundary)
     crit = critical_counts(poset, matching)
     rank_ok = all(ranks.get(p, 0) == crit.get(p, 0) for p in range(top + 1))
-    quasi = snf_quasi_isomorphism(invariant, inclusion, chain)
+    quasi = snf_quasi_isomorphism(
+        invariant, {p: m.sparse_columns() for p, m in inclusion.items()}, chain)
     return DenseFlow(
         V=V,
         phi=phi,
@@ -607,3 +627,63 @@ def find_morse_smale_matching(rng: XorShift64Star, poset: Poset, tries: int = 20
         if verdict.is_morse_smale and (verdict.orbits or not want_orbit):
             return matching
     return None
+
+
+SCRAMBLE_FACTORS = (1, 2, 3, 4, 6)
+
+
+def _unimodular(rng: XorShift64Star, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A random unimodular n x n matrix and its inverse, as products of
+    elementary row operations."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pi = [row[:] for row in P]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # P <- E P with E adding c times row j to row i; P^-1 <- P^-1 E^-1
+        P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        for row in Pi:
+            row[j] -= c * row[i]
+        if rng.chance(1, 3):
+            P[i] = [-a for a in P[i]]
+            for row in Pi:
+                row[i] = -row[i]
+    return P, Pi
+
+
+def scramble(rng: XorShift64Star, complex: ChainComplex) -> ChainComplex:
+    """d_k -> P_{k-1} d_k P_k^-1 for random unimodular P_k."""
+    changes = {p: _unimodular(rng, n) for p, n in complex.ranks.items()}
+    boundary = {}
+    for p, d in complex.boundary.items():
+        P = IntMatrix(d.rows, d.rows, changes[p - 1][0])
+        Pi = IntMatrix(d.cols, d.cols, changes[p][1])
+        boundary[p] = (P @ d @ Pi).sparse_columns()
+    return ChainComplex(complex.ranks, boundary)
+
+
+def scrambled_complex(rng: XorShift64Star):
+    """A scrambled complex of 3 to 5 degrees with its known homology: a
+    direct sum of Z in one degree and Z --t--> Z with t in
+    SCRAMBLE_FACTORS, seen through `scramble`.  Returns the complex, its
+    free ranks and its torsion counts mu per degree."""
+    top = rng.randint(2, 4)
+    free = {k: rng.randint(0, 2) for k in range(top + 1)}
+    pieces = [(k, rng.choice(SCRAMBLE_FACTORS)) for k in range(1, top + 1)
+              for _ in range(rng.randint(0, 3))]
+    cells = {k: [("free", None)] * free[k] for k in range(top + 1)}
+    for i, (k, t) in enumerate(pieces):
+        cells[k].append(("top", i))
+        cells[k - 1].append(("bottom", i))
+    for k in cells:
+        rng.shuffle(cells[k])
+    boundary = {}
+    for k in range(1, top + 1):
+        rows = {cell: r for r, cell in enumerate(cells[k - 1]) if cell[0] == "bottom"}
+        boundary[k] = [{rows[("bottom", cell[1])]: pieces[cell[1]][1]} if cell[0] == "top" else {}
+                       for cell in cells[k]]
+    known = ChainComplex({k: len(c) for k, c in cells.items()}, boundary)
+    # invariant factors of diag(t): as many as the prime 2 or 3 divides most
+    mu = {k: max(sum(1 for j, t in pieces if j == k + 1 and t % prime == 0) for prime in (2, 3))
+          for k in range(top + 1)}
+    return scramble(rng, known), free, mu

@@ -39,7 +39,7 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import boundary_or_empty, check_integration_conditions
+from helpers import boundary_or_empty, check_integration_conditions, dense_inclusion
 
 
 def _random_admissible_posets(seed: int, count: int, max_vertices: int = 6,
@@ -203,10 +203,11 @@ def test_criterion_6_hccat_exactness(t3, rp2_poset, full_triangle):
         s = homology(cell.complex)
         for k, rank in witness.rank_profile.items():
             assert rank == s.b(k) + s.mu(k) + s.mu(k - 1)
+        inclusion = dense_inclusion(witness.inclusion, cell.complex)
         for p in witness.complex.degrees():
             if p - 1 in witness.complex.ranks:
-                left = boundary_or_empty(cell.complex, p) @ witness.inclusion[p]
-                right = witness.inclusion[p - 1] @ boundary_or_empty(witness.complex, p)
+                left = boundary_or_empty(cell.complex, p) @ inclusion[p]
+                right = inclusion[p - 1] @ boundary_or_empty(witness.complex, p)
                 assert left == right
         assert witness.quasi_isomorphism_verified
         assert sum(witness.rank_profile.values()) == hccat(poset)

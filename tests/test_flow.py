@@ -33,7 +33,7 @@ from posetmorse.randgen import (
 )
 from posetmorse.snf import smith_normal_form
 
-from helpers import dense_flow_operator, solve
+from helpers import dense_flow_operator, dense_inclusion, solve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -100,7 +100,7 @@ def _check_against_oracle(poset, matching):
     assert set(flow.inclusion) == set(dense.inclusion)
     matched = matching.matched_elements()
     longest = 0
-    for p, inc in flow.inclusion.items():
+    for p, inc in dense_inclusion(flow.inclusion, cellular_chain_complex(poset).complex).items():
         assert _solves_in(inc, dense.inclusion[p])
         assert _solves_in(dense.inclusion[p], inc)
         assert dense.phi[p] @ inc == inc

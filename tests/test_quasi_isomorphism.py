@@ -4,7 +4,9 @@ Every case runs `verify_quasi_isomorphism` and `helpers.snf_quasi_isomorphism`
 on the same (sub, inclusion, ambient) triple and requires equal verdicts.
 The triples are the minimal subcomplexes and flow-invariant complexes of
 the bundled fixtures and of seeded random simplicial complexes (reduced
-ones start in degree -1), each also with perturbed inclusions.
+ones start in degree -1), each also with perturbed inclusions.  The
+inclusions are sparse columns, as the library gives them; the
+perturbations are built on their dense matrices (`helpers.dense_inclusion`).
 """
 
 from pathlib import Path
@@ -21,11 +23,9 @@ from posetmorse import (
 )
 from posetmorse.category import verify_quasi_isomorphism
 from posetmorse.formats import load_complex, load_poset, parse_matching_text
-from posetmorse.intmatrix import IntMatrix
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
-from posetmorse.snf import matrix_rank
 
-from helpers import boundary_or_empty, snf_quasi_isomorphism
+from helpers import boundary_or_empty, dense_inclusion, matrix_rank, snf_quasi_isomorphism
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -70,9 +70,10 @@ def _random_triples():
 
 
 def _with_column(inclusion, p, j, column):
-    cols = inclusion[p].columns()
-    cols[j] = column
-    return {**inclusion, p: IntMatrix.from_columns(cols, inclusion[p].rows)}
+    """The inclusion with its j-th column of degree p set to a dense one."""
+    cols = list(inclusion[p])
+    cols[j] = {i: v for i, v in enumerate(column) if v}
+    return {**inclusion, p: cols}
 
 
 def _is_free_cycle(sub, p, j):
@@ -85,8 +86,9 @@ def _is_free_cycle(sub, p, j):
 
 def _perturbations(sub, inclusion, ambient, rng):
     """(kind, inclusion) pairs built from a valid quasi-isomorphism."""
+    dense = dense_inclusion(inclusion, ambient)
     for p in sub.degrees():
-        inc = inclusion[p]
+        inc = dense[p]
         free = [j for j in range(inc.cols) if _is_free_cycle(sub, p, j)]
         if free:
             j = free[0]
@@ -105,13 +107,16 @@ def _perturbations(sub, inclusion, ambient, rng):
             for k in non_cycles:
                 moved = [v + (i == k) for i, v in enumerate(inc.column(j))]
                 changed = _with_column(inclusion, p, j, moved)
-                if matrix_rank(changed[p]) == inc.cols:
+                if matrix_rank(dense_inclusion(changed, ambient)[p]) == inc.cols:
                     yield "non-chain-map", changed
                     break
         twin = inc.column(0) if inc.cols > 1 else [0] * inc.rows
         yield "non-injective", _with_column(inclusion, p, inc.cols - 1, twin)
-        yield "wrong-shape", {**inclusion, p: IntMatrix.from_columns(inc.columns()[1:], inc.rows)}
-        yield "wrong-shape", {q: m for q, m in inclusion.items() if q != p}
+        yield "wrong-count", {**inclusion, p: inclusion[p][1:]}
+        yield "wrong-count", {**inclusion, p: inclusion[p] + [{}]}
+        yield "row-out-of-range", {**inclusion, p: [{**inclusion[p][0], inc.rows: 1},
+                                                    *inclusion[p][1:]]}
+        yield "missing-degree", {q: m for q, m in inclusion.items() if q != p}
         # one entry changed at random: mostly not a chain map, sometimes harmless
         j, i = rng.randint(0, inc.cols - 1), rng.randint(0, inc.rows - 1)
         column = inc.column(j)
@@ -132,7 +137,8 @@ def test_cone_verifier_matches_snf_oracle():
             verdicts.setdefault(kind, []).append(verdict)
             if kind == "doubled":
                 assert homology(sub) == homology(ambient)
-    for kind in ("doubled", "non-chain-map", "non-injective", "wrong-shape"):
+    for kind in ("doubled", "non-chain-map", "non-injective", "wrong-count", "row-out-of-range",
+                 "missing-degree"):
         assert verdicts[kind] and not any(verdicts[kind]), kind
     assert all(verdicts["plus-boundary"])
     assert False in verdicts["random-entry"]
@@ -146,7 +152,7 @@ def test_reduced_complex_from_degree_minus_one():
     assert chain.min_degree() == -1
     assert witness.quasi_isomorphism_verified
     # the augmentation class alone is not quasi-isomorphic to the band
-    inclusion = {-1: IntMatrix(1, 1, [[1]])}
+    inclusion = {-1: [{0: 1}]}
     sub = ChainComplex({-1: 1}, {})
     assert not verify_quasi_isomorphism(sub, inclusion, chain)
     assert not snf_quasi_isomorphism(sub, inclusion, chain)
@@ -160,8 +166,7 @@ def test_non_injective_quasi_isomorphism_is_rejected():
     ambient = cellular_chain_complex(poset).complex
     n0, n1 = ambient.rank(0), ambient.rank(1)
     sub = ChainComplex({0: n0 + 1, 1: n1 + 1}, {1: ambient.columns[1] + [{n0: 1}]})
-    inclusion = {p: IntMatrix.from_columns(IntMatrix.identity(n).columns() + [[0] * n], n)
-                 for p, n in ((0, n0), (1, n1))}
+    inclusion = {p: [{i: 1} for i in range(n)] + [{}] for p, n in ((0, n0), (1, n1))}
     assert homology(sub) == homology(ambient)
     assert not verify_quasi_isomorphism(sub, inclusion, ambient)
     assert not snf_quasi_isomorphism(sub, inclusion, ambient)

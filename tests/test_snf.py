@@ -3,17 +3,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetmorse.homology import smith_diagonal
 from posetmorse.intmatrix import IntMatrix
-from posetmorse.snf import (
-    _snf_core,
-    diagonal_form,
-    kernel_basis,
-    matrix_rank,
-    smith_normal_form,
-    sparse_diagonal_form,
-)
+from posetmorse.snf import diagonal_form, kernel_basis, smith_normal_form
 
-from helpers import determinant, solve
+from helpers import determinant, matrix_rank, solve
 
 
 def mat(rows):
@@ -111,12 +105,6 @@ def test_rank():
     assert matrix_rank(mat([[0, 0], [0, 0]])) == 0
 
 
-def _dense_core_diagonal(A):
-    data = A.to_lists()
-    _snf_core(data, A.rows, A.cols, want_transforms=False)
-    return tuple(data[i][i] for i in range(min(A.rows, A.cols)))
-
-
 def _random_matrix(rng):
     m, n = rng.randint(0, 9), rng.randint(0, 9)
     density = rng.choice([0.15, 0.4, 1.0])
@@ -138,8 +126,8 @@ def test_sparse_engine_matches_dense_core():
         A = _random_matrix(rng)
         columns = A.sparse_columns()
         snapshot = [dict(c) for c in columns]
-        expected = _dense_core_diagonal(A)
-        assert sparse_diagonal_form(columns, A.rows) == expected
+        expected = smith_normal_form(A).diagonal
+        assert smith_diagonal(columns, A.rows) == expected
         assert columns == snapshot
         assert diagonal_form(A) == expected
         shapes.add((A.rows == 0 or A.cols == 0, A.rows == A.cols))
@@ -149,9 +137,9 @@ def test_sparse_engine_matches_dense_core():
 def test_sparse_engine_leftover_block():
     # no unit anywhere: the dense core does all the work
     A = mat([[2, 4, 0], [6, 8, 0], [0, 0, 0]])
-    assert sparse_diagonal_form(A.sparse_columns(), 3) == (2, 4, 0)
+    assert smith_diagonal(A.sparse_columns(), 3) == (2, 4, 0) == diagonal_form(A)
     # one unit pivot, then a torsion block: 1 first, then the chain 2 | 6
     B = mat([[1, 1, 1], [0, 2, 0], [0, 0, 3]])
-    assert sparse_diagonal_form(B.sparse_columns(), 3) == (1, 1, 6)
-    assert sparse_diagonal_form([], 4) == ()
-    assert sparse_diagonal_form([{}, {}], 0) == ()
+    assert smith_diagonal(B.sparse_columns(), 3) == (1, 1, 6) == diagonal_form(B)
+    assert smith_diagonal([], 4) == ()
+    assert smith_diagonal([{}, {}], 0) == ()
