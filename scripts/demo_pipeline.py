@@ -58,7 +58,7 @@ def main():
           f"orbits={[(o.nodes[0], o.index) for o in verdict.orbits]}")
     for orbit in verdict.orbits:
         print(f"  orbit multiplicity: "
-              f"{orbit_multiplicity(poset, matching, orbit, cell):+d}")
+              f"{orbit_multiplicity(orbit, cell):+d}")
     function = integrate_matching(poset, matching)
     _, ok = filtration_sweep(poset, function)
     print(f"filtration sweep: {'ok' if ok else 'FAILED'}")

@@ -240,7 +240,7 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     """hccat(X) <= sum over basic sets of hccat(basic set).
 
     Critical points count 1 and closed orbits 2, exactly as the theorem's
-    proof evaluates them; a cross-check recomputes each orbit class as a
+    proof evaluates them; a cross-check recomputes each basic set as a
     subspace and warns (not errs) on disagreement.  The intermediate
     bound sum_p m*_p = sum_p (c_p + A_p + A_{p-1}) counts the critical
     elements of the perturbed matching; its flow operator must confirm
@@ -249,22 +249,18 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     """
     require_admissible(poset)
     orbits = prime_orbits(poset, matching)
-    dec = basic_sets(poset, matching)
     value = hccat(poset)
-    rhs = len(dec.critical) + 2 * len(dec.orbit_classes)
     warnings: list[str] = []
     class_values: list[tuple[str, int, int]] = []
-    for e in dec.critical:
-        recomputed = hccat(subposet_chain_complex(poset, (e,)))
-        class_values.append((e, 1, recomputed))
-        if recomputed != 1:
-            warnings.append(f"critical point {e} recomputed hccat {recomputed} != 1")
-    for cls in dec.orbit_classes:
-        recomputed = hccat(subposet_chain_complex(poset, cls.elements))
-        class_values.append((cls.elements[0], 2, recomputed))
-        if recomputed != 2:
+    for members in basic_sets(poset, matching).classes:
+        expected = 1 if len(members) == 1 else 2
+        recomputed = hccat(subposet_chain_complex(poset, members))
+        class_values.append((members[0], expected, recomputed))
+        if recomputed != expected:
+            what = "critical point" if expected == 1 else "orbit class at"
             warnings.append(
-                f"orbit class at {cls.elements[0]} recomputed hccat {recomputed} != 2")
+                f"{what} {members[0]} recomputed hccat {recomputed} != {expected}")
+    rhs = sum(expected for _, expected, _ in class_values)
     perturbed, _removed = perturb_to_morse(poset, matching)
     mstar = critical_counts(poset, perturbed)
     c = critical_counts(poset, matching)

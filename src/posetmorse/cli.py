@@ -152,7 +152,7 @@ def cmd_matching(args) -> int:
         if verdict.is_morse_smale and verdict.orbits:
             cell = cellular_chain_complex(poset)
             mults = [{"start": o.nodes[0], "index": o.index,
-                      "multiplicity": orbit_multiplicity(poset, matching, o, cell)}
+                      "multiplicity": orbit_multiplicity(o, cell)}
                      for o in verdict.orbits]
             results["orbit_multiplicities"] = mults
             for m in mults:
@@ -185,7 +185,7 @@ def cmd_sweep(args) -> int:
         function = MorseBottFunction(poset=poset, values=values, matching=matching)
     else:
         function = integrate_matching(poset, matching)
-    reports, ok = filtration_sweep(poset, function, matching)
+    reports, ok = filtration_sweep(poset, function)
     results = {"ok": ok, "intervals": [r.to_doc() for r in reports]}
     lines = []
     for r in reports:

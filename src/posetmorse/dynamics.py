@@ -5,7 +5,9 @@ chain recurrent set is the critical elements together with everything on
 a directed cycle, and the nontrivial strongly connected components are
 the orbit classes.  Closed walks can never leave a band of two adjacent
 degrees, so every orbit class alternates between degrees p and p+1; its
-index is p.
+index is p.  The basic sets form one list, the critical points as
+one-element classes in poset order and then the orbit classes, and every
+theorem check walks that list.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class MatchedDigraph:
 def matched_digraph(poset: Poset, matching: Matching) -> MatchedDigraph:
     succ: dict[str, list[str]] = {e: [] for e in poset.elements}
     arcs = []
-    for w, x in sorted(poset.covers, key=lambda c: (poset.index[c[1]], poset.index[c[0]])):
+    for w, x in poset.covers:
         if (w, x) in matching.pairs:
             succ[w].append(x)
             arcs.append((w, x))
@@ -159,21 +161,21 @@ class OrbitClass:
 
 @dataclass(frozen=True)
 class BasicSetDecomposition:
+    """The basic sets: `classes` lists each critical point as a one-element
+    tuple, in poset order, then the elements of each orbit class (at least
+    two) in the order of `orbit_classes`."""
+
     critical: tuple[str, ...]
     orbit_classes: tuple[OrbitClass, ...]
     recurrent_set: frozenset[str]
     transient: tuple[str, ...]
-    _class_of: dict[str, object] = field(repr=False, default_factory=dict)
-
-    def class_of(self, element: str):
-        """The basic set of a recurrent element, or "transient"."""
-        return self._class_of.get(element, "transient")
+    classes: tuple[tuple[str, ...], ...]
 
     def class_elements(self, element: str) -> tuple[str, ...]:
         """[x]: the orbit class, or the singleton for anything else."""
-        got = self.class_of(element)
-        if isinstance(got, OrbitClass):
-            return got.elements
+        for cls in self.orbit_classes:
+            if element in cls.elements:
+                return cls.elements
         return (element,)
 
     def to_doc(self) -> dict:
@@ -232,20 +234,15 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
             raise ConsistencyError("orbit class does not alternate two adjacent degrees")
         orbit_classes.append(OrbitClass(elements=elems, index=degs[0]))
     orbit_classes.sort(key=lambda c: order[c.elements[0]])
-    class_of: dict[str, object] = {}
-    for e in critical:
-        class_of[e] = "critical"
-    for cls in orbit_classes:
-        for e in cls.elements:
-            class_of[e] = cls
-    recurrent = frozenset(critical) | {e for c in orbit_classes for e in c.elements}
+    classes = tuple((e,) for e in critical) + tuple(c.elements for c in orbit_classes)
+    recurrent = frozenset(e for members in classes for e in members)
     transient = tuple(e for e in poset.elements if e not in recurrent)
     record.decomposition = BasicSetDecomposition(
         critical=critical,
         orbit_classes=tuple(orbit_classes),
         recurrent_set=recurrent,
         transient=transient,
-        _class_of=class_of,
+        classes=classes,
     )
     return record.decomposition
 
@@ -331,8 +328,7 @@ def prime_orbits(poset: Poset, matching: Matching) -> tuple[ClosedOrbit, ...]:
     return verdict.orbits
 
 
-def orbit_multiplicity(poset: Poset, matching: Matching, orbit: ClosedOrbit,
-                       cell: CellularComplexOfPoset) -> int:
+def orbit_multiplicity(orbit: ClosedOrbit, cell: CellularComplexOfPoset) -> int:
     """Product of -<d y_i, x_i><d y_i, x_{i+1}> around the orbit.
 
     Always +-1 on homologically admissible posets, and invariant both

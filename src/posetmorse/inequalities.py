@@ -1,13 +1,14 @@
 """Morse-Bott numbers and the inequality theorems.
 
-m_k sums, over the basic sets, the free rank of the relative homology of
-the closure of the set against its lower closure; a critical point of
-degree p contributes a single unit in degree p, an orbit of index p one
-unit in each of degrees p and p+1.  The strong inequalities compare the
-alternating partial sums of m against those of the Betti numbers; the
-orbit theorems additionally count prime orbits, with torsion generators
-on the right for integer coefficients and only multiplicity-one orbits on
-the left for rational ones.
+m_k sums, over the one list of basic sets, the free rank of the relative
+homology of the closure of the set against its lower closure; a critical
+point of degree p contributes a single unit in degree p, an orbit of
+index p one unit in each of degrees p and p+1.  The strong inequalities
+compare the alternating partial sums of m against those of the Betti
+numbers; the orbit theorems additionally count prime orbits, with torsion
+generators on the right for integer coefficients and only
+multiplicity-one orbits on the left for rational ones.  All three reports
+build their rows the same way, from the two sides' lists.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class IneqRow:
     rhs: int
     ok: bool
 
+    def to_doc(self) -> dict:
+        return {"k": self.k, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -47,7 +51,7 @@ class InequalityReport:
         return {
             "name": self.name,
             "holds": self.holds,
-            "rows": [{"k": r.k, "lhs": r.lhs, "rhs": r.rhs, "ok": r.ok} for r in self.rows],
+            "rows": [r.to_doc() for r in self.rows],
             "data": {key: value for key, value in sorted(self.data.items())},
         }
 
@@ -69,21 +73,13 @@ def morse_bott_numbers(poset: Poset, matching: Matching,
     top = poset.max_degree() + 1
     m = [0] * (top + 1)
     torsion_notes: list[str] = []
-    for e in dec.critical:
-        summary = basic_set_relative_homology(poset, (e,), coefficients)
+    for members in dec.classes:
+        summary = basic_set_relative_homology(poset, members, coefficients)
+        where = "critical" if len(members) == 1 else "orbit at"
         for k in summary.degrees():
-            if summary.b(k):
-                m[k] += summary.b(k)
+            m[k] += summary.b(k)
             if summary.t(k):
-                torsion_notes.append(f"critical {e}: torsion {summary.t(k)} in degree {k}")
-    for cls in dec.orbit_classes:
-        summary = basic_set_relative_homology(poset, cls.elements, coefficients)
-        for k in summary.degrees():
-            if summary.b(k):
-                m[k] += summary.b(k)
-            if summary.t(k):
-                torsion_notes.append(
-                    f"orbit at {cls.elements[0]}: torsion {summary.t(k)} in degree {k}")
+                torsion_notes.append(f"{where} {members[0]}: torsion {summary.t(k)} in degree {k}")
     while len(m) > 1 and m[-1] == 0:
         m.pop()
     return m, torsion_notes
@@ -94,28 +90,31 @@ def lemma_basic_set_window(poset: Poset, matching: Matching,
     """Relative homology of each basic set sits in {p} for a critical
     point (one copy of the coefficients) and in {p, p+1} for an orbit."""
     require_admissible(poset)
-    dec = basic_sets(poset, matching)
-    for e in dec.critical:
-        p = poset.degree(e)
-        summary = basic_set_relative_homology(poset, (e,), coefficients)
-        if summary.nontrivial() != {p: (1, ())}:
-            return False
-    for cls in dec.orbit_classes:
-        summary = basic_set_relative_homology(poset, cls.elements, coefficients)
-        for k, (b, tor) in summary.nontrivial().items():
-            if k not in (cls.index, cls.index + 1):
+    for members in basic_sets(poset, matching).classes:
+        p = min(poset.degree(e) for e in members)
+        nontrivial = basic_set_relative_homology(poset, members, coefficients).nontrivial()
+        if len(members) == 1:
+            if nontrivial != {p: (1, ())}:
                 return False
+        elif not set(nontrivial) <= {p, p + 1}:
+            return False
     return True
 
 
-def _alternating(seq, k: int) -> int:
-    """sum_{i=0..k} (-1)^i seq[k-i], missing entries count as zero."""
-    total = 0
-    for i in range(k + 1):
-        j = k - i
-        v = seq[j] if 0 <= j < len(seq) else 0
-        total += v if i % 2 == 0 else -v
-    return total
+def _alternating(seq, top: int) -> list[int]:
+    """sum_{i=0..k} (-1)^i seq[k-i] for k = 0..top, missing entries
+    counting as zero; each sum is seq[k] minus the one before."""
+    sums, total = [], 0
+    for k in range(top + 1):
+        total = (seq[k] if k < len(seq) else 0) - total
+        sums.append(total)
+    return sums
+
+
+def _rows(lhs: list[int], rhs: list[int]) -> tuple[IneqRow, ...]:
+    """One row lhs[k] >= rhs[k] per degree."""
+    return tuple(IneqRow(k, left, right, left >= right)
+                 for k, (left, right) in enumerate(zip(lhs, rhs)))
 
 
 def strong_morse_bott(poset: Poset, matching: Matching,
@@ -126,25 +125,20 @@ def strong_morse_bott(poset: Poset, matching: Matching,
     summary = space_homology(poset, coefficients=coefficients)
     top = max(poset.max_degree(), len(m) - 1)
     b = [summary.b(k) for k in range(top + 1)]
-    rows = []
-    weak_rows = []
-    for k in range(top + 1):
-        lhs = _alternating(m, k)
-        rhs = _alternating(b, k)
-        rows.append(IneqRow(k, lhs, rhs, lhs >= rhs))
-        mk = m[k] if k < len(m) else 0
-        weak_rows.append(IneqRow(k, mk, b[k], mk >= b[k]))
-    euler_m = sum((-1) ** k * (m[k] if k < len(m) else 0) for k in range(top + 1))
-    euler_b = sum((-1) ** k * b[k] for k in range(top + 1))
-    holds = all(r.ok for r in rows) and all(r.ok for r in weak_rows) and euler_m == euler_b
+    m_top = m + [0] * (top + 1 - len(m))
+    rows = _rows(_alternating(m, top), _alternating(b, top))
+    weak_rows = _rows(m_top, b)
+    euler_m = sum((-1) ** k * v for k, v in enumerate(m_top))
+    euler_b = sum((-1) ** k * v for k, v in enumerate(b))
+    holds = all(r.ok for r in rows + weak_rows) and euler_m == euler_b
     return InequalityReport(
         name="strong-morse-bott",
-        rows=tuple(rows),
+        rows=rows,
         holds=holds,
         data={
             "m": m,
             "betti": b,
-            "weak": [{"k": r.k, "lhs": r.lhs, "rhs": r.rhs, "ok": r.ok} for r in weak_rows],
+            "weak": [r.to_doc() for r in weak_rows],
             "euler_m": euler_m,
             "euler_b": euler_b,
             "torsion_notes": torsion_notes,
@@ -164,14 +158,11 @@ def orbit_inequalities_torsion(poset: Poset, matching: Matching) -> InequalityRe
     top = poset.max_degree()
     c_list = [c.get(k, 0) for k in range(top + 1)]
     b_list = [summary.b(k) for k in range(top + 1)]
-    rows = []
-    for k in range(top + 1):
-        lhs = A.get(k, 0) + _alternating(c_list, k)
-        rhs = summary.mu(k) + _alternating(b_list, k)
-        rows.append(IneqRow(k, lhs, rhs, lhs >= rhs))
+    rows = _rows([A.get(k, 0) + alt for k, alt in enumerate(_alternating(c_list, top))],
+                 [summary.mu(k) + alt for k, alt in enumerate(_alternating(b_list, top))])
     return InequalityReport(
         name="orbit-torsion",
-        rows=tuple(rows),
+        rows=rows,
         holds=all(r.ok for r in rows),
         data={
             "c": c_list,
@@ -191,22 +182,18 @@ def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> Inequal
     c = critical_counts(poset, matching)
     summary = space_homology(poset, coefficients="rat")
     top = poset.max_degree()
-    multiplicities = {orbit: orbit_multiplicity(poset, matching, orbit, cell)
-                      for orbit in orbits}
+    multiplicities = {orbit: orbit_multiplicity(orbit, cell) for orbit in orbits}
     A1: dict[int, int] = {}
     for orbit, mult in multiplicities.items():
         if mult == 1:
             A1[orbit.index] = A1.get(orbit.index, 0) + 1
     c_list = [c.get(k, 0) for k in range(top + 1)]
     b_list = [summary.b(k) for k in range(top + 1)]
-    rows = []
-    for k in range(top + 1):
-        lhs = A1.get(k, 0) + _alternating(c_list, k)
-        rhs = _alternating(b_list, k)
-        rows.append(IneqRow(k, lhs, rhs, lhs >= rhs))
+    rows = _rows([A1.get(k, 0) + alt for k, alt in enumerate(_alternating(c_list, top))],
+                 _alternating(b_list, top))
     return InequalityReport(
         name="orbit-multiplicity-one",
-        rows=tuple(rows),
+        rows=rows,
         holds=all(r.ok for r in rows),
         data={
             "c": c_list,

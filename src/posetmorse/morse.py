@@ -11,11 +11,14 @@ allows.
 The two verification operations implement the fundamental theorems as
 exact computations: a regular interval must leave relative homology of
 the sublevel pair trivial, and crossing a single critical value must
-attach exactly the class [x] along its lower boundary.
+attach exactly the class [x] along its lower boundary.  Both, and the
+sweep over the whole filtration, read the basic sets of the matching
+the function carries, as one list.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,10 +101,8 @@ class MorseBottFunction:
 
     def critical_values(self) -> tuple[Fraction, ...]:
         """Images of the basic sets, sorted increasingly."""
-        dec = self.decomposition()
-        out = {self.values[e] for e in dec.critical}
-        out |= {self.values[c.elements[0]] for c in dec.orbit_classes}
-        return tuple(sorted(out))
+        return tuple(sorted({self.values[members[0]]
+                             for members in self.decomposition().classes}))
 
     def all_values(self) -> tuple[Fraction, ...]:
         return tuple(sorted(set(self.values.values())))
@@ -129,21 +130,21 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
         if ca != cb and cb not in succ[ca]:
             succ[ca].add(cb)
             indeg[cb] += 1
-    # deterministic Kahn order, ties broken by smallest member position
-    key = {i: min(poset.index[e] for e in comp) for i, comp in enumerate(components)}
-    ready = sorted((i for i in range(n) if indeg[i] == 0), key=key.__getitem__)
+    # deterministic Kahn order: the ready component with the earliest
+    # element comes first (components are disjoint, so keys are distinct)
+    key = [min(poset.index[e] for e in comp) for comp in components]
+    ready = [(key[i], i) for i in range(n) if indeg[i] == 0]
+    heapq.heapify(ready)
     rank: dict[int, int] = {}
     processed = 0
     while ready:
-        i = ready.pop(0)
+        _, i = heapq.heappop(ready)
         rank[i] = n - processed
         processed += 1
-        opened = []
-        for j in sorted(succ[i], key=key.__getitem__):
+        for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                opened.append(j)
-        ready = sorted(ready + opened, key=key.__getitem__)
+                heapq.heappush(ready, (key[j], j))
     if processed != n:
         raise ConsistencyError("condensation of the matched digraph has a cycle")
     values = {e: Fraction(rank[comp_id[e]]) for e in poset.elements}
@@ -206,8 +207,7 @@ class AttachmentReport:
         }
 
 
-def verify_attachment(poset: Poset, function: MorseBottFunction,
-                      matching: Matching, a, b) -> AttachmentReport:
+def verify_attachment(poset: Poset, function: MorseBottFunction, a, b) -> AttachmentReport:
     """Crossing one critical value attaches exactly the class [x].
 
     Checks the set identities X_b \\ X_a = [x], boundary([x]) inside X_a,
@@ -218,22 +218,15 @@ def verify_attachment(poset: Poset, function: MorseBottFunction,
     crit = [c for c in function.critical_values() if a <= c <= b]
     if len(crit) != 1:
         raise WrongCriticalCount(f"[{a}, {b}] contains {len(crit)} critical values")
-    value = crit[0]
-    dec = basic_sets(poset, matching)
-    classes = []
-    for e in dec.critical:
-        if function.values[e] == value:
-            classes.append((e,))
-    for c in dec.orbit_classes:
-        if function.values[c.elements[0]] == value:
-            classes.append(c.elements)
+    classes = [members for members in function.decomposition().classes
+               if function.values[members[0]] == crit[0]]
     if len(classes) != 1:
         raise WrongCriticalCount(
-            f"critical value {value} is shared by {len(classes)} basic sets")
+            f"critical value {crit[0]} is shared by {len(classes)} basic sets")
     members = classes[0]
     lower = set(sublevel(poset, function.values, a))
     upper = set(sublevel(poset, function.values, b))
-    boundary = boundary_of_class(poset, matching, members[0])
+    boundary = boundary_of_class(poset, function.matching, members[0])
     identities = {
         "new_elements_equal_class": upper - lower == set(members),
         "boundary_inside_lower": boundary <= lower,
@@ -250,13 +243,12 @@ def verify_attachment(poset: Poset, function: MorseBottFunction,
     )
 
 
-def filtration_sweep(poset: Poset, function: MorseBottFunction,
-                     matching: Matching | None = None) -> tuple[list[AttachmentReport], bool]:
-    """Walk the whole filtration: tight attachment checks around every
-    critical value, collapse checks across every maximal regular gap."""
-    if matching is None:
-        matching = function.matching
-    if matching is None:
+def filtration_sweep(poset: Poset,
+                     function: MorseBottFunction) -> tuple[list[AttachmentReport], bool]:
+    """Walk the whole filtration of the function's matching: tight
+    attachment checks around every critical value, collapse checks across
+    every maximal regular gap."""
+    if function.matching is None:
         raise NotMorse("sweep needs the matching behind the function")
     require_admissible(poset)
     values = function.all_values()
@@ -273,7 +265,7 @@ def filtration_sweep(poset: Poset, function: MorseBottFunction,
     # attachment at each critical value, on the tight straddling interval
     for i, v in enumerate(values):
         if v in critical:
-            report = verify_attachment(poset, function, matching, cuts[i], cuts[i + 1])
+            report = verify_attachment(poset, function, cuts[i], cuts[i + 1])
             reports.append(report)
             ok = ok and report.ok
     # collapse across each maximal interval free of critical values

@@ -100,11 +100,11 @@ def test_criterion_2_incidence_soundness(t3, rp2_poset, mobius_poset, tetra_boun
     for poset, matching in ((t3, t3_m2), (mobius_poset, mobius_ring_matching)):
         cell = cellular_chain_complex(poset)
         for orbit in prime_orbits(poset, matching):
-            base_mult = orbit_multiplicity(poset, matching, orbit, cell)
+            base_mult = orbit_multiplicity(orbit, cell)
             for _ in range(5):
                 signs = {e: -1 for e in poset.elements if rng.chance(1, 2)}
                 flipped = gauge_flip(cell, signs)
-                assert orbit_multiplicity(poset, matching, orbit, flipped) == base_mult
+                assert orbit_multiplicity(orbit, flipped) == base_mult
     print("\nACCEPTANCE 2 PASS: d*d=0, unit incidence numbers, and gauge "
           "invariance of homology and multiplicities")
 
@@ -181,7 +181,7 @@ def test_criterion_5_inequalities(t3, t3_m2, mobius_poset, mobius_ring_matching)
     orbits = prime_orbits(t3, t3_m2)
     assert orbit_counts(orbits) == {0: 1}
     cell = cellular_chain_complex(t3)
-    assert orbit_multiplicity(t3, t3_m2, orbits[0], cell) == 1
+    assert orbit_multiplicity(orbits[0], cell) == 1
     torsion = orbit_inequalities_torsion(t3, t3_m2)
     assert torsion.rows[0].lhs == torsion.rows[0].rhs == 1
     mult = orbit_inequalities_multiplicity(t3, t3_m2)

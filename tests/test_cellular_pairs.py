@@ -148,10 +148,10 @@ def test_pairs_match_definition_on_fixtures(monkeypatch):
         function = integrate_matching(poset, matching)
         if len(poset) < 100:
             _check_pairs(poset, matching, function.values, monkeypatch)
-        reports, ok = filtration_sweep(poset, function, matching)
+        reports, ok = filtration_sweep(poset, function)
         assert ok
         assert (reports, ok) == _with_oracle(monkeypatch, "morse", filtration_sweep, poset,
-                                             function, matching)
+                                             function)
         for coefficients in ("int", "rat"):
             for fn in (morse_bott_numbers, lemma_basic_set_window):
                 assert (fn(poset, matching, coefficients) == _with_oracle(
@@ -167,7 +167,7 @@ def test_pairs_match_definition_on_random_admissible_posets(monkeypatch):
         t, n = _check_pairs(poset, matching, _random_values(rng, poset), monkeypatch)
         trivial, nontrivial = trivial + t, nontrivial + n
         function = integrate_matching(poset, matching)
-        assert filtration_sweep(poset, function, matching)[1]
+        assert filtration_sweep(poset, function)[1]
     assert posets >= 100
     assert trivial >= 20 and nontrivial >= 20 and orbits >= 10, (trivial, nontrivial, orbits)
 
@@ -201,7 +201,7 @@ def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
         monkeypatch.setattr(sys.modules[f"posetmorse.{module}"], "subposet_chain_complex",
                             forbidden)
     for poset, matching in runs:
-        assert filtration_sweep(poset, integrate_matching(poset, matching), matching)[1]
+        assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
         for coefficients in ("int", "rat"):
             morse_bott_numbers(poset, matching, coefficients)
             assert lemma_basic_set_window(poset, matching, coefficients)

@@ -174,29 +174,29 @@ def test_two_triangle_poset_never_fails_morse_smale():
 def test_multiplicity_t3(t3, t3_m2):
     cell = cellular_chain_complex(t3)
     orbit = prime_orbits(t3, t3_m2)[0]
-    assert orbit_multiplicity(t3, t3_m2, orbit, cell) == 1
+    assert orbit_multiplicity(orbit, cell) == 1
 
 
 def test_multiplicity_gauge_invariance(t3, t3_m2):
     cell = cellular_chain_complex(t3)
     orbit = prime_orbits(t3, t3_m2)[0]
-    base = orbit_multiplicity(t3, t3_m2, orbit, cell)
+    base = orbit_multiplicity(orbit, cell)
     rng = XorShift64Star(3)
     for _ in range(8):
         signs = {e: -1 for e in t3.elements if rng.chance(1, 2)}
         flipped = gauge_flip(cell, signs)
-        assert orbit_multiplicity(t3, t3_m2, orbit, flipped) == base
+        assert orbit_multiplicity(orbit, flipped) == base
     # single flip too
-    assert orbit_multiplicity(t3, t3_m2, orbit, gauge_flip(cell, {"e12": -1})) == base
+    assert orbit_multiplicity(orbit, gauge_flip(cell, {"e12": -1})) == base
 
 
 def test_multiplicity_rotation_invariance(t3, t3_m2):
     cell = cellular_chain_complex(t3)
     orbit = prime_orbits(t3, t3_m2)[0]
-    base = orbit_multiplicity(t3, t3_m2, orbit, cell)
+    base = orbit_multiplicity(orbit, cell)
     for start in ("v2", "v3"):
         rotated = rotated_to(orbit, start)
-        assert orbit_multiplicity(t3, t3_m2, rotated, cell) == base
+        assert orbit_multiplicity(rotated, cell) == base
 
 
 def test_mobius_orbit_has_multiplicity_minus_one(mobius_poset, mobius_ring_matching):
@@ -206,7 +206,7 @@ def test_mobius_orbit_has_multiplicity_minus_one(mobius_poset, mobius_ring_match
     orbit = verdict.orbits[0]
     assert orbit.index == 1
     cell = cellular_chain_complex(mobius_poset)
-    assert orbit_multiplicity(mobius_poset, mobius_ring_matching, orbit, cell) == -1
+    assert orbit_multiplicity(orbit, cell) == -1
 
 
 def test_rp2_star_orbit(rp2_poset, rp2_star5_matching):
@@ -215,8 +215,7 @@ def test_rp2_star_orbit(rp2_poset, rp2_star5_matching):
     assert len(verdict.orbits) == 1
     assert verdict.orbits[0].index == 1
     cell = cellular_chain_complex(rp2_poset)
-    assert orbit_multiplicity(rp2_poset, rp2_star5_matching,
-                              verdict.orbits[0], cell) in (1, -1)
+    assert orbit_multiplicity(verdict.orbits[0], cell) in (1, -1)
 
 
 def test_matching_partner_stays_outside_orbit(t3, t3_m2, mobius_poset, mobius_ring_matching):

@@ -174,7 +174,7 @@ def test_collapse_rejects_critical_value(t3, t3_m1):
 
 def test_attachment_e13(t3, t3_m1):
     f = integrate_matching(t3, t3_m1)
-    report = verify_attachment(t3, f, t3_m1, Fraction(11, 2), Fraction(13, 2))
+    report = verify_attachment(t3, f, Fraction(11, 2), Fraction(13, 2))
     assert report.ok
     assert report.new_elements == ("e13",)
     assert set(report.boundary) == {"v1", "v3"}
@@ -183,7 +183,7 @@ def test_attachment_e13(t3, t3_m1):
 
 def test_attachment_orbit(t3, t3_m2):
     f = integrate_matching(t3, t3_m2)
-    report = verify_attachment(t3, f, t3_m2, Fraction(1, 2), Fraction(3, 2))
+    report = verify_attachment(t3, f, Fraction(1, 2), Fraction(3, 2))
     assert report.ok
     assert set(report.new_elements) == set(t3.elements)
     assert report.boundary == ()
@@ -192,9 +192,9 @@ def test_attachment_orbit(t3, t3_m2):
 def test_attachment_wrong_count(t3, t3_m1):
     f = integrate_matching(t3, t3_m1)
     with pytest.raises(WrongCriticalCount):
-        verify_attachment(t3, f, t3_m1, 0, 10)  # two critical values
+        verify_attachment(t3, f, 0, 10)  # two critical values
     with pytest.raises(WrongCriticalCount):
-        verify_attachment(t3, f, t3_m1, 2, 5)  # none
+        verify_attachment(t3, f, 2, 5)  # none
 
 
 def test_sweep_t3(t3, t3_m1, t3_m2):
