@@ -245,6 +245,7 @@ def _smith_factors(ranks: dict[int, int],
     reducer = _Reducer(ranks, columns, track=False)
     factors: dict[int, list[int]] = {}
     for p in sorted(columns, reverse=True):
+        reducer.reach(p)
         ones = reducer.reduce(p)
         factors[p] = [1] * ones + _dense_factors(reducer.cols.pop(p).values())
         del reducer.rows[p]
@@ -288,16 +289,34 @@ class _Reducer:
     """A complex under elimination: per degree p, the boundary column of
     each live cell of C_p (rows are cells of C_{p-1}), the live columns
     with an entry in each row, and, when tracked, each cell's inclusion
-    g.  It is the one place that picks and eliminates unit pivots."""
+    g.  It is the one place that picks and eliminates unit pivots.  A
+    degree is copied from the input when it is first reached, so the
+    top-down sweeps hold few degrees at once."""
 
     def __init__(self, ranks: dict[int, int], columns: dict[int, Sequence[Column]],
                  track: bool = True):
-        self.cols = {p: dict(enumerate(map(dict, columns[p]))) if p in columns
-                     else {j: {} for j in range(n)} for p, n in ranks.items()}
-        self.g = {p: {j: {j: 1} for j in range(n)} for p, n in ranks.items()} if track else None
+        self.ranks, self.columns = ranks, columns
+        self.cols: dict[int, dict[int, Column]] = {}
+        self.g: dict[int, dict[int, Column]] | None = {} if track else None
         self.rows: dict[int, dict[int, set[int]]] = {}
-        for p in self.cols:
-            self._index(p)
+        self.loaded: set[int] = set()
+
+    def reach(self, p: int) -> None:
+        """Load C_p and C_{p-1}, each only the first time it is reached."""
+        for q in (p, p - 1):
+            if q not in self.loaded:
+                self._load(q)
+
+    def _load(self, p: int) -> None:
+        """Copy the columns of C_p, index its rows and, when tracked, start
+        its inclusion."""
+        self.loaded.add(p)
+        n = self.ranks[p]
+        self.cols[p] = (dict(enumerate(map(dict, self.columns[p]))) if p in self.columns
+                        else {j: {} for j in range(n)})
+        if self.g is not None:
+            self.g[p] = {j: {j: 1} for j in range(n)}
+        self._index(p)
 
     def _index(self, p: int) -> None:
         rows = self.rows[p] = {}
@@ -395,11 +414,14 @@ class _Reducer:
         return units
 
     def result(self) -> Reduction:
-        at = {p: {j: k for k, j in enumerate(cols)} for p, cols in self.cols.items()}
+        for p in self.ranks.keys() - self.loaded:
+            self._load(p)
+        live = {p: self.cols[p] for p in self.ranks}
+        at = {p: {j: k for k, j in enumerate(cols)} for p, cols in live.items()}
         boundary = {p: [{at[p - 1][i]: v for i, v in col.items()} for col in cols.values()]
-                    for p, cols in self.cols.items() if p - 1 in at}
-        return Reduction(ChainComplex({p: len(cols) for p, cols in self.cols.items()}, boundary),
-                         {p: [self.g[p][j] for j in cols] for p, cols in self.cols.items() if cols})
+                    for p, cols in live.items() if p - 1 in at}
+        return Reduction(ChainComplex({p: len(cols) for p, cols in live.items()}, boundary),
+                         {p: [self.g[p][j] for j in cols] for p, cols in live.items() if cols})
 
 
 def morse_reduction(complex: ChainComplex,
@@ -415,6 +437,7 @@ def morse_reduction(complex: ChainComplex,
     entry is left in any boundary."""
     reducer = _Reducer(complex.ranks, complex.columns)
     for p in sorted(complex.columns, reverse=True):
+        reducer.reach(p)
         if pairs is None:
             reducer.reduce(p)
         for a, b in (pairs or {}).get(p, ()):
@@ -431,6 +454,7 @@ def minimal_model(complex: ChainComplex) -> Reduction:
     complex."""
     reducer = _Reducer(complex.ranks, complex.columns)
     for p in sorted(complex.columns, reverse=True):
+        reducer.reach(p)
         reducer.reduce(p)
     for p in sorted(complex.columns, reverse=True):
         if any(reducer.cols[p].values()):

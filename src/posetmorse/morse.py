@@ -11,9 +11,10 @@ allows.
 The two verification operations implement the fundamental theorems as
 exact computations: a regular interval must leave relative homology of
 the sublevel pair trivial, and crossing a single critical value must
-attach exactly the class [x] along its lower boundary.  Both, and the
-sweep over the whole filtration, read the basic sets of the matching
-the function carries, as one list.
+attach exactly the class [x] along its lower boundary.  Both read the
+basic sets of the matching the function carries, as one list; the
+sweep makes both checks in one walk over the filtration, growing each
+sublevel set from the one before it.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class MorseBottFunction:
     values: dict[str, Fraction]
     matching: Matching | None = None
 
-    def value(self, element: str) -> Fraction:
-        return self.values[element]
-
     def decomposition(self) -> BasicSetDecomposition:
         if self.matching is None:
             raise NotMorse("no matching attached to this function")
@@ -103,9 +101,6 @@ class MorseBottFunction:
         """Images of the basic sets, sorted increasingly."""
         return tuple(sorted({self.values[members[0]]
                              for members in self.decomposition().classes}))
-
-    def all_values(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.values.values())))
 
 
 def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
@@ -158,16 +153,15 @@ def sublevel(poset: Poset, values: dict[str, Fraction], level) -> tuple[str, ...
     return poset.down_closure(x for x in poset.elements if values[x] <= level)
 
 
+def _leaving_covers(poset: Poset, members: tuple[str, ...]) -> frozenset[str]:
+    """The lower covers of the class `members` that lie outside it."""
+    inside = set(members)
+    return frozenset(w for x in members for w in poset.lower_covers(x) if w not in inside)
+
+
 def boundary_of_class(poset: Poset, matching: Matching, element: str) -> frozenset[str]:
     """The lower boundary of [x]: covers leaving the class downward."""
-    dec = basic_sets(poset, matching)
-    members = set(dec.class_elements(element))
-    out: set[str] = set()
-    for x in members:
-        for w in poset.lower_covers(x):
-            if w not in members:
-                out.add(w)
-    return frozenset(out)
+    return _leaving_covers(poset, basic_sets(poset, matching).class_elements(element))
 
 
 def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
@@ -223,63 +217,63 @@ def verify_attachment(poset: Poset, function: MorseBottFunction, a, b) -> Attach
     if len(classes) != 1:
         raise WrongCriticalCount(
             f"critical value {crit[0]} is shared by {len(classes)} basic sets")
-    members = classes[0]
-    lower = set(sublevel(poset, function.values, a))
-    upper = set(sublevel(poset, function.values, b))
-    boundary = boundary_of_class(poset, function.matching, members[0])
+    return _attachment(poset, classes[0], frozenset(sublevel(poset, function.values, a)),
+                       frozenset(sublevel(poset, function.values, b)), a, b)
+
+
+def _attachment(poset: Poset, members: tuple[str, ...], lower: frozenset[str],
+                upper: frozenset[str], a: Fraction, b: Fraction) -> AttachmentReport:
+    """The identities of attaching `members` from `lower` = X_a to `upper` = X_b."""
+    boundary, new = _leaving_covers(poset, members), upper - lower
     identities = {
-        "new_elements_equal_class": upper - lower == set(members),
+        "new_elements_equal_class": new == set(members),
         "boundary_inside_lower": boundary <= lower,
-        "class_misses_lower": not (set(members) & lower),
+        "class_misses_lower": lower.isdisjoint(members),
     }
     return AttachmentReport(
-        interval=(a, b),
-        kind="critical-attachment",
-        class_elements=members,
-        boundary=tuple(sorted(boundary)),
-        new_elements=tuple(sorted(upper - lower)),
-        identities=identities,
-        ok=all(identities.values()),
-    )
+        interval=(a, b), kind="critical-attachment", class_elements=members,
+        boundary=tuple(sorted(boundary)), new_elements=tuple(sorted(new)),
+        identities=identities, ok=all(identities.values()))
 
 
 def filtration_sweep(poset: Poset,
                      function: MorseBottFunction) -> tuple[list[AttachmentReport], bool]:
-    """Walk the whole filtration of the function's matching: tight
-    attachment checks around every critical value, collapse checks across
-    every maximal regular gap."""
+    """Walk the filtration of the function's matching once, in value
+    order: tight attachment checks around every critical value, then
+    collapse checks across every maximal regular gap.  The cuts lie one
+    below the least value, halfway between consecutive values and one
+    above the greatest; the sublevel set at a cut is the one at the cut
+    before it plus the down-closure of the elements between them."""
     if function.matching is None:
         raise NotMorse("sweep needs the matching behind the function")
     require_admissible(poset)
-    values = function.all_values()
-    critical = set(function.critical_values())
+    classes: dict[Fraction, list[tuple[str, ...]]] = {}
+    for members in function.decomposition().classes:
+        classes.setdefault(Fraction(function.values[members[0]]), []).append(members)
+    for v in sorted(classes):
+        if len(classes[v]) != 1:
+            raise WrongCriticalCount(
+                f"critical value {v} is shared by {len(classes[v])} basic sets")
+    level: dict[Fraction, list[str]] = {}
+    for x in poset.elements:
+        level.setdefault(Fraction(function.values[x]), []).append(x)
+    values = sorted(level)
     if not values:
         return [], True
-    # midpoints between consecutive distinct values, padded on both ends
-    cuts = [values[0] - 1]
-    for lo, hi in zip(values, values[1:]):
-        cuts.append((lo + hi) / 2)
-    cuts.append(values[-1] + 1)
-    reports: list[AttachmentReport] = []
-    ok = True
-    # attachment at each critical value, on the tight straddling interval
+    cuts = [values[0] - 1, *((lo + hi) / 2 for lo, hi in zip(values, values[1:])), values[-1] + 1]
+    attachments, gaps = [], []
+    # the regular gap open since cut `start`, whose sublevel set is `bottom`
+    start, bottom, lower = 0, frozenset(), frozenset()
     for i, v in enumerate(values):
-        if v in critical:
-            report = verify_attachment(poset, function, cuts[i], cuts[i + 1])
-            reports.append(report)
-            ok = ok and report.ok
-    # collapse across each maximal interval free of critical values
-    crit_sorted = sorted(critical)
-    anchors = [cuts[0]]
-    for v in crit_sorted:
-        i = values.index(v)
-        anchors.extend([cuts[i], cuts[i + 1]])
-    anchors.append(cuts[-1])
-    for lo, hi in zip(anchors[::2], anchors[1::2]):
-        if lo > hi:
-            continue
-        passed = verify_collapse(poset, function, lo, hi)
-        reports.append(AttachmentReport(
-            interval=(lo, hi), kind="regular-interval", ok=passed))
-        ok = ok and passed
-    return reports, ok
+        upper = lower.union(poset.down_closure(level[v]))
+        if v in classes:
+            gaps.append((start, i, cellular_pair_homology(poset, lower, bottom)))
+            attachments.append(
+                _attachment(poset, classes[v][0], lower, upper, cuts[i], cuts[i + 1]))
+            start, bottom = i + 1, upper
+        lower = upper
+    gaps.append((start, len(values), cellular_pair_homology(poset, lower, bottom)))
+    reports = attachments + [
+        AttachmentReport(interval=(cuts[lo], cuts[hi]), kind="regular-interval", ok=h.is_trivial())
+        for lo, hi, h in gaps]
+    return reports, all(r.ok for r in reports)

@@ -10,7 +10,9 @@ cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
 `sphere_generator` and `homology`.  The pair and face-poset oracles build
 induced subposets, face posets and their order complexes as the paper
-defines them.
+defines them.  The per-interval sweep is the filtration sweep as one
+call of the public single-interval checks per interval, each of which
+rebuilds its sublevel sets from the function's values.
 """
 
 from __future__ import annotations
@@ -41,8 +43,14 @@ from posetmorse.cellular import (
     sphere_generator,
 )
 from posetmorse.dynamics import critical_counts, is_morse_matching
-from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorseMatching
+from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorse, NotMorseMatching
 from posetmorse.homology import sphere_summary, subposet_chain_complex
+from posetmorse.morse import (
+    AttachmentReport,
+    MorseBottFunction,
+    verify_attachment,
+    verify_collapse,
+)
 from posetmorse.randgen import XorShift64Star, random_matching
 from posetmorse.intmatrix import Column
 from posetmorse.simplicial import Simplex
@@ -553,6 +561,34 @@ def order_complex_pair_homology(poset: Poset, members, sub_members, coefficients
     subposets on `members` and `sub_members`: the paper's definition."""
     return relative_homology(order_complex(poset.induced(members)),
                              order_complex(poset.induced(sub_members)), coefficients)
+
+
+def per_interval_sweep(poset: Poset,
+                       function: MorseBottFunction) -> tuple[list[AttachmentReport], bool]:
+    """The filtration sweep one interval at a time: `verify_attachment`
+    on the tight interval around each critical value, then
+    `verify_collapse` across each maximal gap between them, with the cuts
+    halfway between consecutive values and one beyond either end."""
+    if function.matching is None:
+        raise NotMorse("sweep needs the matching behind the function")
+    require_admissible(poset)
+    values = sorted(set(function.values.values()))
+    critical = function.critical_values()
+    if not values:
+        return [], True
+    cuts = [values[0] - 1, *((lo + hi) / 2 for lo, hi in zip(values, values[1:])),
+            values[-1] + 1]
+    reports = [verify_attachment(poset, function, cuts[i], cuts[i + 1])
+               for i, v in enumerate(values) if v in critical]
+    anchors = [cuts[0]]
+    for v in critical:
+        i = values.index(v)
+        anchors += [cuts[i], cuts[i + 1]]
+    anchors.append(cuts[-1])
+    for lo, hi in zip(anchors[::2], anchors[1::2]):
+        reports.append(AttachmentReport(interval=(lo, hi), kind="regular-interval",
+                                        ok=verify_collapse(poset, function, lo, hi)))
+    return reports, all(r.ok for r in reports)
 
 
 def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
