@@ -50,8 +50,8 @@ def hccat(space) -> int:
     The value only sees homology, so homology-equivalent spaces score the
     same: any integral homology 3-sphere gets 2 just like the 3-sphere,
     even when finer invariants of the space differ.  An acyclic space
-    scores exactly 1.  A poset's homology is `space_homology`: that of
-    its cellular complex, or of the order complex of its beat-point core.
+    scores exactly 1.  A poset's homology is `space_homology`, read off
+    the chain model of the cellularity pass.
     """
     if isinstance(space, HomologySummary):
         return hccat_of_summary(space)

@@ -1,46 +1,43 @@
 """Cellularity, homological admissibility, and the cellular chain complex
 of a poset with explicitly computed incidence numbers.
 
-One pass over the elements by degree decides all three, as Massey builds
-incidences for regular CW complexes (for posets: Minian, Topology Appl.
-159, 2012).  Once every element of U.x is cellular, H(U.x) is that of the
-cellular complex restricted to U.x, |U.x| cells instead of its chains,
-and its `minimal_model` decides it: U.x is a homology (p-1)-sphere, p =
-deg x, exactly when the model is one cell in degree p-1.  The chain that
-cell stands for generates ker d_{p-1} on U.x, whose columns are x's
-lower covers, so it is eps(x, .), and by the exact sequence of
-(U.x, U.x - {w}) the cover (w, x) is admissible exactly when
-eps(x, w) = +-1.  The same sequence decides the covers of a
-non-cellular x with no homology at all: w is maximal in U.x, so by
-excision the pair has the homology of (U_w, U.w), Z in degree p-1 when w
-is cellular, and then U.x - {w} is acyclic only if U.x has the homology
-of S^{p-1}.  Where U.x holds a non-cellular element, the beat-point
-cores of U.x and of the remaining U.x - {w} decide x and its covers
-(`core_homology`): removing a beat point is a strong deformation
-retract, so a core has the homology of its order complex, and most cores
-are antichains, whose homology is their size.  The sign gauge is that of
-`sphere_generator`: the first sorted full flag of U.x whose steps all
-have nonzero incidence, found greedily, has a positive coefficient,
-(-1)^(names before w) * eps(x, w) times the coefficient of the rest of
-the flag in w's generator, w its top element.
+One pass over the elements by height builds a reduced chain model of
+the poset and decides all three, as Massey builds incidences for regular
+CW complexes (for posets: Minian, Topology Appl. 159, 2012).  The new
+element x is maximal, so K(X u {x}) = K(X) u cone(K(U.x)) and the
+reduced chains of the union are a mapping cone (Quillen, Adv. Math. 28,
+1978; Barmak, LNM 2032): with M the `minimal_model` of the cells of
+U.x and g its inclusion, x adds a cell (x, m) in degree k+1 for each
+cell m of M in degree k, with boundary g(m) - (x, d_M m).  This is
+exact over Z, and by induction the cells of any down-set model it.  On
+a graded poset U.x is a homology (p-1)-sphere, p = deg x, exactly when
+M is one cell in degree p-1: x is then cellular and its own cell, whose
+boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  An ungraded
+poset gets its model from the same walk, which decides nothing there.
 
-One assembler builds every cellular complex from the pass's incidence
-rows: the complex of a down-closed pair (A, B) has the cells of A - B.
-It gives the pass its down-sets, the whole complex, and the homology of
-the theorem checks' sublevel and basic-set pairs in |A - B| cells.
+w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
+of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
+cellular, that is Z in degree p-1 and the cover (w, x) is admissible
+exactly when eps(x, w) = +-1.  Elsewhere U.x - {w} is not acyclic when
+H~(U.x) differs from H~(U.w) one degree up, acyclic when both are
+trivial, and only when both agree and are not does its model decide.
+The sign gauge is that of `sphere_generator`: the first sorted full flag
+of U.x whose steps all have nonzero incidence, found greedily, has a
+positive coefficient, (-1)^(names before w) * eps(x, w) times the
+coefficient of the rest of the flag in w's generator, w its top element.
 
-The homology of the space itself has one route, `space_homology`: it
-reads `space_complex`, the cellular complex of a cellular poset, else
-the order complex of the poset's beat-point core, a strong deformation
-retract.  Both are built once per poset and shared with the hccat
-witness.  The order complex of the whole poset (`poset_homology`) stays
-the definition that `verify_cellular_agreement` checks this against.
+One assembler builds every complex from the cells of the pass, those of
+A - B for a down-closed pair (A, B): the pass's down-sets, the theorem
+checks' sublevel and basic-set pairs, and `space_complex`, the model of
+the space without its augmentation cell, which `space_homology` and the
+hccat witness read.  The order complex (`poset_homology`) stays the
+definition that `verify_cellular_agreement` checks it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .errors import (
     ConsistencyError,
@@ -57,7 +54,7 @@ from .homology import (
     ChainComplex,
     Coefficients,
     HomologySummary,
-    core_homology,
+    Reduction,
     homology,
     minimal_model,
     poset_homology,
@@ -94,7 +91,9 @@ class SphereGenerator:
     cycle: dict[Simplex, int]
 
 
-Rows = dict[str, dict[str, int]]  # eps[x][w] for every lower cover w of x
+# the boundary row of each cell of the pass: a cellular x is its own cell, with
+# row eps(x, .); any other x owns a list of cells (x, k, j), the j-th in degree k
+Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[str, int, int]]"]
 
 
 @dataclass(frozen=True)
@@ -117,57 +116,57 @@ class CellularComplexOfPoset:
 
 def check_cellularity(poset: Poset) -> CellularityReport:
     """Verify gradedness, sphere down-sets, and punctured acyclicity."""
-    return _cellular_pass(poset)[0]
-
-
-def _cellular_pass(poset: Poset) -> tuple[CellularityReport, Rows | None]:
-    """The cellularity report and, on cellular posets, the incidence
-    rows, from one pass over the elements by degree; cached per poset."""
-    cached = poset.analysis_cache.get("cellularity")
-    if cached is None:
-        cached = poset.analysis_cache["cellularity"] = (
-            _degree_induction(poset) if poset.is_graded() else (_ungraded_report(poset), None))
-    return cached
-
-
-def _ungraded_report(poset: Poset) -> CellularityReport:
+    if poset.is_graded():
+        return _cellular_pass(poset)[0]
+    # an ungraded poset's report reads only the heights
     bad = [(w, x) for w, x in poset.covers if poset.heights()[x] != poset.heights()[w] + 1]
     return CellularityReport(False, False, False, tuple(
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
-    degrees = poset.heights()
-    # eps[x] once every element of U_x is cellular; reach[x]: the elements
-    # below x along covers of nonzero incidence
+def _cellular_pass(poset: Poset) -> tuple[CellularityReport | None, Rows]:
+    """The report (graded posets only) and the cells of the pass, cached."""
+    cached = poset.analysis_cache.get("cellularity")
+    if cached is None:
+        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset)
+    return cached
+
+
+def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
+    graded, degrees = poset.is_graded(), poset.heights()
     eps: Rows = {}
+    # reach[x]: the elements below x along covers of nonzero incidence, on
+    # the cellular x over cellular elements only, which take the gauge
     reach: dict[str, frozenset[str]] = {}
+    # H(U_x, U.x), the nontrivial degrees of H~(U.x) one degree up
+    cone: dict[str, tuple] = {}
     not_cellular: dict[str, HomologySummary] = {}
     not_admissible: list[tuple[str, str]] = []
     for x in sorted(poset.elements, key=degrees.__getitem__):
         p, lower, below = degrees[x], poset.lower_covers(x), poset.strictly_below(x)
         if p == 0:
-            eps[x], reach[x] = {}, below
+            eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
             continue
-        if all(w in eps for w in lower):
-            model = minimal_model(_cellular_complex(poset, eps, below, reduced=True))
-            if model.complex.ranks != {p - 1: 1}:
-                not_cellular[x] = homology(model.complex)
+        down = _cellular_complex(poset, eps, below, reduced=True)
+        model = minimal_model(down)
+        if graded and model.complex.ranks == {p - 1: 1}:
+            # the one cell's inclusion: a generator of the top cycles of U.x
+            generator = model.inclusion[p - 1][0]
+            eps[x] = {w: generator.get(i, 0) for i, w in enumerate(down.labels[p - 1])}
+            here = ((p - 1, (1, ())),)
         else:
-            # U.x holds a non-cellular element: beat-point cores decide
-            model, summary = None, core_homology(poset, below)
-            if summary != sphere_summary(p - 1):
-                not_cellular[x] = summary
-        if model is None or x in not_cellular:
-            # exact sequence of the pair: below a non-cellular x, U.x - {w}
-            # is not acyclic when w is cellular
-            not_admissible += [(w, x) for w in lower
-                               if x in not_cellular and w not in not_cellular
-                               or not core_homology(poset, below - {w}).is_trivial()]
+            eps[x] = _cone_cells(x, down, model, eps)
+            if not graded:
+                continue
+            not_cellular[x] = homology(model.complex)
+            here = tuple(not_cellular[x].nontrivial().items())
+        cone[x] = tuple((k + 1, group) for k, group in here)
+        if x in not_cellular or not not_cellular.keys().isdisjoint(below):
+            # the exact sequence of (U.x, U.x - {w}), as the module docstring says
+            not_admissible += [
+                (w, x) for w in lower if cone[w] != here or here and not homology(
+                    _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
             continue
-        # the one cell's inclusion: a generator of the top cycles of U.x
-        generator = model.inclusion[p - 1][0]
-        eps[x] = {w: generator.get(i, 0) for i, w in enumerate(lower)}
         steps = [w for w in lower if eps[x][w]]
         # shares the down-set where every step has nonzero incidence, as on
         # every admissible poset
@@ -177,6 +176,8 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
         if _gauge_sign(x, p, eps, reach, degrees) < 0:
             eps[x] = {w: -e for w, e in eps[x].items()}
         not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+    if not graded:
+        return None, eps
     witnesses = [("not-cellular", x, f"strict down-set has {not_cellular[x]}")
                  for x in poset.elements if x in not_cellular]
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
@@ -185,27 +186,45 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport, Rows | None]:
     # admissibility forces cellularity (with the empty set not acyclic)
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
-    # kept rows copied in one go pin none of the memory the pass freed (peak RSS)
+    # rows copied in one go pin none of the memory the pass freed (peak RSS)
     return CellularityReport(True, cellular, admissible, tuple(witnesses)), (
-        {x: dict(row) for x, row in eps.items()} if cellular else None)
+        {x: dict(row) for x, row in eps.items()} if cellular else eps)
+
+
+def _cone_cells(x: str, down: ChainComplex, model: Reduction, eps: Rows) -> list[tuple]:
+    """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
+    k of the model M of `down`, bounded by g(m) - (x, d_M m), g M's inclusion."""
+    cells = []
+    for k in sorted(model.inclusion):
+        columns, labels = model.complex.columns.get(k), down.labels[k]
+        for j, chain in enumerate(model.inclusion[k]):
+            row = eps[x, k + 1, j] = {labels[i]: v for i, v in chain.items()}
+            if columns:
+                row.update(((x, k, i), -v) for i, v in columns[j].items())
+            cells.append((x, k + 1, j))
+    return cells
 
 
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
                       dropped: Iterable[str] = (), reduced: bool = False) -> ChainComplex:
-    """The cellular chain complex of a down-closed pair (A, B) = (members,
-    dropped): the cells of A - B by degree, in poset order, each with
-    its row of `eps`, less the cells of B, as boundary.  With
-    reduced=True and B empty an augmentation slot C_{-1} = Z is added,
-    onto which every degree-0 cell maps.  A d*d failure can only come
-    from the incidences, so it raises InconsistentIncidence."""
+    """The chain complex of a down-closed pair (A, B) = (members, dropped):
+    the cells of A - B, the labels, by degree, in poset order, each with
+    its row of `eps`, less the cells of B, as boundary.  With reduced=True
+    and B empty an augmentation slot C_{-1} = Z is added, onto which every
+    degree-0 cell maps.  A d*d failure can only come from the incidences,
+    so it raises InconsistentIncidence."""
     degrees, index, drop = poset.heights(), poset.index, set(dropped)
-    levels: dict[int, list[str]] = {}
+    levels: dict[int, list[Hashable]] = {}
     for e in sorted(set(members) - drop, key=lambda e: (degrees[e], index[e])):
-        levels.setdefault(degrees[e], []).append(e)
-    rows = {e: i for cells in levels.values() for i, e in enumerate(cells)}
+        if isinstance(eps[e], dict):
+            levels.setdefault(degrees[e], []).append(e)
+        else:  # an element that is not a cell owns a list of them
+            for cell in eps[e]:
+                levels.setdefault(cell[1], []).append(cell)
+    at = {c: i for cells in levels.values() for i, c in enumerate(cells)}
     ranks = {p: len(cells) for p, cells in levels.items()}
-    boundary = {p: [{rows[w]: e for w, e in eps[x].items() if e and w in rows}
-                    for x in levels[p]] for p in levels if p - 1 in levels}
+    boundary = {p: [{at[w]: e for w, e in eps[c].items() if e and w in at}
+                    for c in levels[p]] for p in levels if p - 1 in levels}
     if reduced and not drop:
         ranks[-1] = 1
         boundary[0] = [{0: 1} for _ in levels.get(0, ())]
@@ -225,7 +244,14 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterab
     if not drop <= keep or any(w not in part for part in (keep, drop)
                                for x in part for w in poset.lower_covers(x)):
         raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
-    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], keep, drop), coefficients)
+    return _pair_homology(poset, keep, drop, coefficients)
+
+
+def _pair_homology(poset: Poset, members: Iterable[str], dropped: Iterable[str],
+                   coefficients: Coefficients = "int") -> HomologySummary:
+    """`cellular_pair_homology` unchecked, for sets down-closed by construction."""
+    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], members, dropped),
+                    coefficients)
 
 
 def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],
@@ -314,29 +340,24 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
         return cached
     require_cellular(poset)
     report, eps = _cellular_pass(poset)
-    chain = _cellular_complex(poset, eps, poset.elements)
     if report.is_homologically_admissible:
         bad = [(x, w) for x, row in eps.items() for w, e in row.items() if abs(e) != 1]
         if bad:
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
-    cell = CellularComplexOfPoset(poset=poset, complex=chain, rows=eps,
+    cell = CellularComplexOfPoset(poset=poset, complex=space_complex(poset), rows=eps,
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell
 
 
 def space_complex(poset: Poset) -> ChainComplex:
-    """A chain model of the space, built once per poset: the cellular
-    complex of a cellular poset, |P| cells, and otherwise the order
-    complex of the beat-point core, which has the homotopy type of the
-    poset (Stong, Trans. AMS 123, 1966)."""
-    if check_cellularity(poset).is_cellular:
-        return cellular_chain_complex(poset).complex
-    cached = poset.analysis_cache.get("core_complex")
+    """The chain model of the space, built once per poset: the cells of the
+    pass without the augmentation cell, the cellular complex if cellular."""
+    cached = poset.analysis_cache.get("space_complex")
     if cached is None:
-        cached = poset.analysis_cache["core_complex"] = subposet_chain_complex(
-            poset, poset.beat_point_core())
+        cached = poset.analysis_cache["space_complex"] = _cellular_complex(
+            poset, _cellular_pass(poset)[1], poset.elements)
     return cached
 
 
@@ -355,7 +376,7 @@ def space_homology(poset: Poset, reduced: bool = False,
         cached = poset.analysis_cache.get("space_homology")
         if cached is None:
             found = homology(space_complex(poset))
-            # a core's order complex may stop below the height of the poset
+            # the model may stop below the height of the poset
             cached = poset.analysis_cache["space_homology"] = HomologySummary(
                 {k: found.b(k) for k in range(poset.height() + 1)}, found.torsion)
         summary = cached if not reduced else HomologySummary(

@@ -20,24 +20,18 @@ degree 0.
 one it finds, and tracks the inclusion of what is left.  `minimal_model`
 then brings the few boundaries that still have unit Smith factors to
 their Smith form and eliminates those too, leaving rank
-b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass reads spheres
-and their generators off it, the flow reads the Morse complex of a
-matching, and the hccat witness is it.
+b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass builds its
+chain model of a poset, the mapping cones over these models of its
+down-sets, the flow reads the Morse complex of a matching, and the hccat
+witness is it.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
-order complex of an induced subposet straight off its chains
-(`Poset.chains_within`): the order complex of the subposet on S is the
-full subcomplex of K(P) on S.  `core_homology` takes that complex of a
-subposet's beat-point core instead, which has the same homotopy type and
-is much smaller; the cellularity pass uses it below non-cellular
-elements.  The homology of a whole poset is not read here either: its
-one route is `cellular.space_homology`, the cellular complex or the
-core's order complex, and pairs of down-closed sets of cellular posets
-come off the cellular complex (`cellular.cellular_pair_homology`).
-`poset_homology`, the order complex of the whole poset, together with
-`order_complex`, `Poset.induced` and `relative_homology`, stays as the
-paper's definitions, which the tests check both routes against.
+order complex of an induced subposet, the full subcomplex of K(P) on its
+elements, straight off its chains (`Poset.chains_within`).  Only the
+paper's definitions build it: `poset_homology`, `is_acyclic` and
+`cellular.sphere_generator`.  With `order_complex`, `Poset.induced` and
+`relative_homology`, the tests check the chain model against them.
 """
 
 from __future__ import annotations
@@ -138,15 +132,10 @@ class HomologySummary:
         return len(self.t(k))
 
     def degrees(self) -> list[int]:
-        keys = set(self.betti) | set(self.torsion)
-        return sorted(keys)
+        return sorted(set(self.betti) | set(self.torsion))
 
     def nontrivial(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        out = {}
-        for k in self.degrees():
-            if self.b(k) or self.t(k):
-                out[k] = (self.b(k), self.t(k))
-        return out
+        return {k: (self.b(k), self.t(k)) for k in self.degrees() if self.b(k) or self.t(k)}
 
     def is_trivial(self) -> bool:
         return not self.nontrivial()
@@ -355,7 +344,13 @@ class _Reducer:
                     del other[i]
                     rows[i].discard(c)
             if g is not None:
-                g[p][c] = _combine((g[p][c], gb), (1, -q))
+                chain = g[p][c]
+                for i, v in gb.items():
+                    new = chain.get(i, 0) - q * v
+                    if new:
+                        chain[i] = new
+                    else:
+                        del chain[i]
         for i in self.cols[p - 1].pop(a):
             self.rows[p - 1][i].discard(a)
         if g is not None:
@@ -373,7 +368,7 @@ class _Reducer:
         pairs, progress = 0, True
         while progress:
             progress = False
-            for b in sorted(cols, key=lambda j: len(cols[j])):
+            for b in sorted((j for j in cols if cols[j]), key=lambda j: len(cols[j])):
                 pivot, fewest = None, 0
                 for i, v in cols[b].items():
                     if v == 1 or v == -1:
@@ -419,7 +414,7 @@ class _Reducer:
         live = {p: self.cols[p] for p in self.ranks}
         at = {p: {j: k for k, j in enumerate(cols)} for p, cols in live.items()}
         boundary = {p: [{at[p - 1][i]: v for i, v in col.items()} for col in cols.values()]
-                    for p, cols in live.items() if p - 1 in at}
+                    for p, cols in live.items() if at.get(p - 1)}
         return Reduction(ChainComplex({p: len(cols) for p, cols in live.items()}, boundary),
                          {p: [self.g[p][j] for j in cols] for p, cols in live.items() if cols})
 
@@ -528,18 +523,6 @@ def subposet_chain_complex(poset: Poset, members: Iterable[str],
         for c in local:
             simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
     return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
-
-
-def core_homology(poset: Poset, members: Iterable[str]) -> HomologySummary:
-    """Reduced homology of K(A), A = `members`, read off the beat-point
-    core of the subposet on A, which has the same homotopy type.  A core
-    that is an antichain of k points has Z^(k-1) in degree 0, or Z in
-    degree -1 when it is empty, and builds no complex; any other core
-    builds the order complex of its own chains."""
-    core = set(poset.beat_point_core(members))
-    if all(poset.strictly_below(e).isdisjoint(core) for e in core):
-        return HomologySummary(betti={0: len(core) - 1} if core else {-1: 1})
-    return homology(subposet_chain_complex(poset, core, reduced=True))
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,

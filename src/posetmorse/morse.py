@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cellular import cellular_pair_homology, require_admissible
+from .cellular import _pair_homology, cellular_pair_homology, require_admissible
 from .dynamics import (
     BasicSetDecomposition,
     Matching,
@@ -267,12 +267,12 @@ def filtration_sweep(poset: Poset,
     for i, v in enumerate(values):
         upper = lower.union(poset.down_closure(level[v]))
         if v in classes:
-            gaps.append((start, i, cellular_pair_homology(poset, lower, bottom)))
+            gaps.append((start, i, _pair_homology(poset, lower, bottom)))
             attachments.append(
                 _attachment(poset, classes[v][0], lower, upper, cuts[i], cuts[i + 1]))
             start, bottom = i + 1, upper
         lower = upper
-    gaps.append((start, len(values), cellular_pair_homology(poset, lower, bottom)))
+    gaps.append((start, len(values), _pair_homology(poset, lower, bottom)))
     reports = attachments + [
         AttachmentReport(interval=(cuts[lo], cuts[hi]), kind="regular-interval", ok=h.is_trivial())
         for lo, hi, h in gaps]

@@ -11,10 +11,9 @@ The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
 subposet on S is the full subcomplex of K(P) spanned by S, so the
 homology front ends read its simplices off `chains_within(S)` and never
-build the induced subposet.  Nothing caches chains: each caller lists
-those of the set it needs, often a beat-point core, the small subposet
-left once elements whose down-set has a maximum or whose up-set a
-minimum are removed.  `induced` stays as the paper's definition.
+build the induced subposet.  Nothing caches chains, and only the
+paper's definitions list them.  `induced` stays as the paper's
+definition too, and `beat_point_core` serves the random generators.
 """
 
 from __future__ import annotations
@@ -209,20 +208,17 @@ class Poset:
             ending[x] = local
         return ending
 
-    def beat_point_core(self, members: Iterable[str] | None = None) -> tuple[str, ...]:
-        """The core of the subposet on `members` (all of P by default), in
-        poset order: sweeps in poset order remove beat points until none
-        is left, an element being one when its strict down-set in what
-        is left has a maximum or its strict up-set a minimum.  Each
-        removal is a strong deformation retract, so the order complexes
-        of the subposet and of its core are homotopy equivalent, and the
-        core of a contractible space is a point (Stong, Trans. AMS 123,
-        1966)."""
+    def beat_point_core(self) -> tuple[str, ...]:
+        """The core of the poset, in poset order: sweeps in poset order
+        remove beat points until none is left, an element being one when
+        its strict down-set in what is left has a maximum or its strict
+        up-set a minimum.  Each removal is a strong deformation retract,
+        so the order complexes of the poset and of its core are homotopy
+        equivalent, and the core of a contractible space is a point
+        (Stong, Trans. AMS 123, 1966)."""
         below, above = self._reach()
         heights, order = self.heights(), self.index
-        core = set(self.elements) if members is None else set(members)
-        for e in core:
-            self.require(e)
+        core = set(self.elements)
 
         def has_extremum(part: frozenset[str], reach: dict[str, frozenset[str]], pick) -> bool:
             # only the element of extreme height can be the extremum

@@ -1,20 +1,25 @@
-"""Beat-point cores: the reduced homology of a subposet read off its core
-equals that of its order complex, a core keeps no beat point, and the
-cellularity pass decides non-cellular posets on cores alone, with the
-reports of the order-complex definition."""
+"""Beat-point cores, which the random generators use to certify
+contractible posets: a core keeps no beat point, a poset with a maximum
+reduces to a point, and a circle is its own core.  The cellularity pass
+decides non-cellular posets on its chain model alone, with the reports
+of the order-complex definition and without listing a single chain."""
+
+import json
 
 from posetmorse import (
     Poset,
     check_cellularity,
     face_poset,
+    hccat,
     poset_homology,
+    space_homology,
     subdivision,
 )
-from posetmorse.homology import core_homology
+from posetmorse.cli import run
+from posetmorse.formats import serialize_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import (guard_whole_poset_chains, levelled_poset, order_complex_cellularity,
-                     ungraded_poset)
+from helpers import levelled_poset, order_complex_cellularity, ungraded_poset
 
 
 def join_of_levels(widths: list[int]) -> Poset:
@@ -64,30 +69,11 @@ def beat_points(poset: Poset) -> list[str]:
             if has_maximum(poset.strictly_below(e)) or has_minimum(poset.strictly_above(e))]
 
 
-def test_core_homology_matches_order_complex():
-    rng = XorShift64Star(91)
-    checked = antichains = 0
-    seen = set()
-    for poset in sample_posets(17):
-        for members in down_closed_sets(poset, rng):
-            if (poset, members) in seen:
-                continue
-            seen.add((poset, members))
-            assert core_homology(poset, members) == poset_homology(
-                poset.induced(members), reduced=True), sorted(members)
-            core = set(poset.beat_point_core(members))
-            antichains += all(poset.strictly_below(e).isdisjoint(core) for e in core)
-            checked += 1
-    assert checked >= 200
-    # both routes: antichain cores and cores with an order complex
-    assert 100 <= antichains <= checked - 20, (antichains, checked)
-
-
 def test_cores_keep_no_beat_point():
     rng = XorShift64Star(5)
     for poset in sample_posets(23):
         for members in down_closed_sets(poset, rng):
-            core = poset.beat_point_core(members)
+            core = poset.induced(members).beat_point_core()
             assert set(core) <= set(members)
             assert beat_points(poset.induced(core)) == []
         assert beat_points(poset.induced(poset.beat_point_core())) == []
@@ -96,14 +82,14 @@ def test_cores_keep_no_beat_point():
 def test_poset_with_a_maximum_reduces_to_a_point():
     for poset in sample_posets(29):
         for x in poset.elements:
-            assert len(poset.beat_point_core(poset.strictly_below(x) | {x})) == 1
+            assert len(poset.induced(poset.strictly_below(x) | {x}).beat_point_core()) == 1
 
 
 def test_core_of_a_circle_is_the_circle():
     circle = join_of_levels([2, 2])
     assert circle.beat_point_core() == circle.elements
-    assert core_homology(circle, circle.elements) == poset_homology(circle, reduced=True)
-    assert core_homology(circle, ()) == poset_homology(circle.induced(()), reduced=True)
+    assert circle.induced(()).beat_point_core() == ()
+    assert space_homology(circle, reduced=True) == poset_homology(circle, reduced=True)
 
 
 def test_pass_matches_definition_on_large_non_cellular_posets():
@@ -116,14 +102,32 @@ def test_pass_matches_definition_on_large_non_cellular_posets():
         assert report == order_complex_cellularity(poset)
 
 
-def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch):
+def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch, tmp_path,
+                                                                     capsys):
+    """validate, homology --kind poset and hccat, on non-cellular and
+    ungraded posets, with `Poset.chains_within`, the one chain
+    enumerator, raising on every call."""
     rng = XorShift64Star(8)
     spaces = [levelled_poset(rng, 4, 60), levelled_poset(rng, 4, 150),
-              join_of_levels([3, 3, 2, 2]), join_of_levels([2, 3, 3])]
-    expected = [order_complex_cellularity(poset) for poset in spaces]
+              join_of_levels([3, 3, 2, 2]), join_of_levels([2, 3, 3]),
+              ungraded_poset(rng, 9), ungraded_poset(rng, 12)]
+    expected = [(order_complex_cellularity(poset), poset_homology(poset)) for poset in spaces]
 
-    cores_with_chains = guard_whole_poset_chains(monkeypatch)
-    for poset, report in zip(spaces, expected):
+    def forbidden(self, members):
+        raise RuntimeError("chains were enumerated")
+
+    monkeypatch.setattr(Poset, "chains_within", forbidden)
+    for i, (poset, (report, summary)) in enumerate(zip(spaces, expected)):
         assert not report.is_cellular
         assert check_cellularity(poset) == report
-    assert cores_with_chains and max(cores_with_chains) < 10
+        path = tmp_path / f"space{i}.txt"
+        path.write_text(serialize_poset(poset))
+        results = {}
+        for command in ("validate", "homology", "hccat"):
+            assert run([command, "--input", str(path), "--kind", "poset", "--format", "doc"]) == 0
+            results[command] = json.loads(capsys.readouterr().out)["results"]
+        assert results["validate"]["cellularity"] == report.to_doc()
+        assert results["homology"]["homology"] == summary.to_doc()
+        assert results["hccat"]["hccat"] == hccat(summary)
+        assert results["hccat"]["minimal_subcomplex_quasi_isomorphism"] is True
+    assert sum(not poset.is_graded() for poset in spaces) == 2

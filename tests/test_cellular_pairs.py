@@ -102,9 +102,12 @@ def _admissible_posets(seed: int):
 
 def _with_oracle(monkeypatch, module: str, fn, *args):
     """fn(*args) with the named module's pair homology replaced by the
-    order-complex definition."""
+    order-complex definition: `cellular_pair_homology` and, in `morse`,
+    the unchecked form that the filtration sweep calls."""
     with monkeypatch.context() as m:
         m.setattr(f"posetmorse.{module}.cellular_pair_homology", order_complex_pair_homology)
+        if module == "morse":
+            m.setattr("posetmorse.morse._pair_homology", order_complex_pair_homology)
         return fn(*args)
 
 

@@ -129,7 +129,7 @@ def test_shared_critical_value_raises_before_any_collapse_check(t3, t3_m1, monke
     def forbidden(*args, **kwargs):
         raise RuntimeError("a collapse check ran")
 
-    monkeypatch.setattr("posetmorse.morse.cellular_pair_homology", forbidden)
+    monkeypatch.setattr("posetmorse.morse._pair_homology", forbidden)
     with pytest.raises(WrongCriticalCount, match="critical value 6 is shared by 2 basic sets"):
         filtration_sweep(t3, MorseBottFunction(t3, values, t3_m1))
 

@@ -514,7 +514,7 @@ def test_cli_builds_one_poset_per_run(space, kind, matching, argv, monkeypatch, 
                          ids=["chain", "ungraded"])
 def test_cli_hccat_without_a_cellular_complex(text, tmp_path, capsys):
     """On a non-cellular or ungraded poset the witness comes from the
-    order complex of its beat-point core."""
+    chain model of the cellularity pass."""
     path = tmp_path / "space.txt"
     path.write_text(text)
     assert run(["hccat", "--input", str(path), "--format", "doc"]) == 0
@@ -534,8 +534,9 @@ def _with_tail(poset, top: str):
 
 @pytest.mark.parametrize("space", ["circle", "rp2"])
 def test_cli_hccat_witness_of_the_core(space, rp2_poset, tmp_path, capsys):
-    """The beat-point core is a strong deformation retract: its witness
-    has the rank profile of the whole poset's order complex."""
+    """A beat point keeps the homotopy type, so the witness of the model
+    of the poset with one added has the rank profile of the whole
+    poset's order complex."""
     from posetmorse import check_cellularity, minimal_subcomplex
     from posetmorse.homology import subposet_chain_complex
 

@@ -1,16 +1,17 @@
 """Punctured down-sets decided by the exact sequence of the pair.
 
-Below a non-cellular x, the cellularity pass marks every cover (w, x)
-with w cellular as not admissible without computing homology: w is
-maximal in U.x, so (U.x, U.x - {w}) has the homology of (U_w, U.w), Z in
-degree deg x - 1, and U.x - {w} could only be acyclic if U.x were a
-homology sphere.  These tests hold the pass to the order-complex
-definition on dense posets, where most non-cellular elements have ten or
-more lower covers, and count the homology it still computes."""
+w is maximal in U.x, so (U.x, U.x - {w}) has the homology of (U_w, U.w),
+H~(U.w) one degree up.  The cellularity pass marks the cover (w, x) as
+not admissible when that differs from H~(U.x), as admissible when both
+are trivial, and reads the homology of U.x - {w} off its chain model
+only when both agree and are not trivial.  These tests hold the pass to
+the order-complex definition on dense posets, where most non-cellular
+elements have ten or more lower covers, and count the punctured homology
+it still computes."""
 
 from collections import Counter
 
-from posetmorse import Poset, check_cellularity
+from posetmorse import Poset, check_cellularity, poset_homology
 from posetmorse.randgen import XorShift64Star
 
 from helpers import order_complex_cellularity
@@ -56,39 +57,53 @@ def test_pass_matches_definition_on_dense_posets():
     assert crowded >= 40
 
 
+def suspended_whiskered_circle(times: int) -> Poset:
+    """The circle a, b < c, d with a whisker t over a alone, which is not
+    cellular and keeps the homotopy type, suspended `times` times: each
+    suspension adds two cellular elements over a non-cellular one."""
+    elements = ["a", "b", "c", "d", "t"]
+    covers = [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("a", "t")]
+    top = ["c", "d", "t"]
+    for i in range(times):
+        new = [f"n{i}", f"s{i}"]
+        covers += [(e, x) for e in top for x in new]
+        elements, top = elements + new, new
+    return Poset(elements, covers)
+
+
 def test_pass_computes_only_the_punctured_homology_it_needs(monkeypatch):
     import sys
 
     cellular = sys.modules["posetmorse.cellular"]
-    posets = list(dense_posets(11))
+    # dense posets, and spheres over a non-cellular element, where H~(U.x)
+    # and H(U_w, U.w) agree without being trivial
+    posets = list(dense_posets(11)) + [suspended_whiskered_circle(n) for n in (1, 2, 3)]
     reports = [order_complex_cellularity(poset) for poset in posets]
-    cores, complexes = [], []
-    core_homology, cellular_complex = cellular.core_homology, cellular._cellular_complex
-
-    def counted_core(poset, members):
-        cores.append(frozenset(members))
-        return core_homology(poset, members)
+    complexes = []
+    cellular_complex = cellular._cellular_complex
 
     def counted_complex(poset, eps, members, *args, **kwargs):
         complexes.append(frozenset(members))
         return cellular_complex(poset, eps, members, *args, **kwargs)
 
-    monkeypatch.setattr(cellular, "core_homology", counted_core)
     monkeypatch.setattr(cellular, "_cellular_complex", counted_complex)
-    skipped = punctured = 0
+    decided = computed = 0
     for poset, report in zip(posets, reports):
-        cores.clear()
         complexes.clear()
         assert check_cellularity(poset) == report
-        bad = {w[1] for w in report.witnesses if w[0] == "not-cellular"}
         below = {x: poset.strictly_below(x) for x in poset.elements}
-        # a down-set's cellular complex is built at most once per element
+        # a down-set's complex is built at most once per element
         owners = Counter(below[x] for x in poset.elements)
-        assert all(n <= owners[members] for members, n in Counter(complexes).items())
-        # the punctured cores left: w non-cellular, or x cellular
-        needed = {below[x] - {w} for w, x in poset.covers if w in bad or x not in bad}
-        down_sets = {below[x] for x in poset.elements if below[x] & bad}
-        assert set(cores) <= needed | down_sets
-        skipped += sum(1 for w, x in poset.covers if x in bad and w not in bad)
-        punctured += sum(1 for members in cores if members not in down_sets)
-    assert skipped >= 300 and punctured >= 10, (skipped, punctured)
+        strict = {members: n for members, n in Counter(complexes).items() if members in owners}
+        assert all(n <= owners[members] for members, n in strict.items())
+        # the punctured ones, once per cover where both summaries agree and
+        # are not trivial
+        punctured = Counter(members for members in complexes if members not in owners)
+        reduced = {x: poset_homology(poset.induced(below[x]), reduced=True).nontrivial()
+                   for x in poset.elements}
+        needed = Counter(below[x] - {w} for w, x in poset.covers if reduced[x] and {
+            k + 1: group for k, group in reduced[w].items()} == reduced[x])
+        assert all(n <= needed[members] for members, n in punctured.items())
+        decided += len(poset.covers) - sum(punctured.values())
+        computed += sum(punctured.values())
+    assert decided >= 700 and computed >= 20, (decided, computed)

@@ -2,8 +2,8 @@
 order-complex definition `poset_homology`: reduced and unreduced, over
 the integers and the rationals, with the same degrees listed, on the
 `data/` fixtures, on random face posets (cellular) and on random graded,
-ungraded and Euler-gap posets (mostly not cellular, read off the order
-complex of the beat-point core).  The Euler characteristics are checked
+ungraded and Euler-gap posets (mostly not cellular, read off the chain
+model of the cellularity pass).  The Euler characteristics are checked
 against the definition here too."""
 
 import functools
@@ -19,7 +19,8 @@ from posetmorse import (
     hccat,
     poset_homology,
 )
-from posetmorse.cellular import cellular_chain_complex, space_complex, space_homology
+from posetmorse.cellular import (_cellular_complex, _cellular_pass, cellular_chain_complex,
+                                 space_complex, space_homology)
 from posetmorse.errors import EmptyPoset
 from posetmorse.formats import load_complex, load_poset, parse_matching_text
 from posetmorse.homology import homology, subposet_chain_complex
@@ -99,7 +100,7 @@ def test_routes_agree_on_non_cellular_and_ungraded_posets():
     non_cellular = [p for p in posets if not check_cellularity(p).is_cellular]
     assert len(non_cellular) >= 15
     assert sum(not p.is_graded() for p in posets) >= 5
-    # cores of lower dimension than the poset, whose summaries are padded
+    # models of lower dimension than the poset, whose summaries are padded
     assert sum(space_complex(p).max_degree() < p.height() for p in non_cellular) >= 10
     for poset in posets:
         assert_routes_agree(poset)
@@ -119,9 +120,14 @@ def test_the_witness_shares_the_model():
     cellular = fixture_posets()[0]
     assert space_complex(cellular) is cellular_chain_complex(cellular).complex
     gap = find_euler_gap_poset(XorShift64Star(5), max_elements=8)
+    assert not check_cellularity(gap).is_cellular
     model = space_complex(gap)
     assert model is space_complex(gap)
-    assert model.labels == subposet_chain_complex(gap, gap.beat_point_core()).labels
+    # the cells of the pass, an element or (element, degree, index), without
+    # the augmentation: not the order complex of the beat-point core
+    assert model.labels == _cellular_complex(gap, _cellular_pass(gap)[1], gap.elements).labels
+    assert model.labels != subposet_chain_complex(gap, gap.beat_point_core()).labels
+    assert -1 not in model.ranks
     assert hccat(gap) == hccat(model) == hccat(poset_homology(gap))
 
 
