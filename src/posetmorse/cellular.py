@@ -12,8 +12,17 @@ cell m of M in degree k, with boundary g(m) - (x, d_M m).  This is
 exact over Z, and by induction the cells of any down-set model it.  On
 a graded poset U.x is a homology (p-1)-sphere, p = deg x, exactly when
 M is one cell in degree p-1: x is then cellular and its own cell, whose
-boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  An ungraded
-poset gets its model from the same walk, which decides nothing there.
+boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  In degree 1
+that is U.x of two points, whose difference needs no reduction.  An
+ungraded poset gets its model from the same walk, which decides nothing
+there.  The reducer takes the raw cells of U.x, unchecked, and builds
+only the inclusions it is asked for: the generator, or those of the
+model on the mapping-cone branch.  d*d = 0 is checked once, after the
+walk, on the whole reduced complex, whose check restricted to the
+columns of a down-set is that down-set's, and a failure raises
+InconsistentIncidence.  A bad row that a later down-set reads can stop
+the walk before the check, in the reducer or the model; the same check
+then runs on the rows so far.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -26,12 +35,14 @@ of U.x whose steps all have nonzero incidence, found greedily, has a
 positive coefficient, (-1)^(names before w) * eps(x, w) times the
 coefficient of the rest of the flag in w's generator, w its top element.
 
-One assembler builds every complex from the cells of the pass, those of
-A - B for a down-closed pair (A, B): the pass's down-sets, the theorem
-checks' sublevel and basic-set pairs, and `space_complex`, the model of
-the space without its augmentation cell, which `space_homology` and the
-hccat witness read.  The order complex (`poset_homology`) stays the
-definition that `verify_cellular_agreement` checks it against.
+One assembler, `_cells`, lists the cells of the pass of A - B for a
+down-closed pair (A, B): the pass's down-sets, and, through
+`_cellular_complex`, which checks them into a chain complex, the pass's
+once-check, the punctured down-sets, the theorem checks' sublevel and
+basic-set pairs, and `space_complex`, the model of the space without its
+augmentation cell, which `space_homology` and the hccat witness read.
+The order complex (`poset_homology`) stays the definition that
+`verify_cellular_agreement` checks it against.
 """
 
 from __future__ import annotations
@@ -55,8 +66,8 @@ from .homology import (
     Coefficients,
     HomologySummary,
     Reduction,
+    _minimal_reducer,
     homology,
-    minimal_model,
     poset_homology,
     sphere_summary,
     subposet_chain_complex,
@@ -142,40 +153,60 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     cone: dict[str, tuple] = {}
     not_cellular: dict[str, HomologySummary] = {}
     not_admissible: list[tuple[str, str]] = []
-    for x in sorted(poset.elements, key=degrees.__getitem__):
-        p, lower, below = degrees[x], poset.lower_covers(x), poset.strictly_below(x)
-        if p == 0:
-            eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
-            continue
-        down = _cellular_complex(poset, eps, below, reduced=True)
-        model = minimal_model(down)
-        if graded and model.complex.ranks == {p - 1: 1}:
-            # the one cell's inclusion: a generator of the top cycles of U.x
-            generator = model.inclusion[p - 1][0]
-            eps[x] = {w: generator.get(i, 0) for i, w in enumerate(down.labels[p - 1])}
-            here = ((p - 1, (1, ())),)
-        else:
-            eps[x] = _cone_cells(x, down, model, eps)
-            if not graded:
+    downsets: dict[str, frozenset[str]] = {}
+    try:
+        for x in sorted(poset.elements, key=degrees.__getitem__):
+            p, lower = degrees[x], poset.lower_covers(x)
+            below = downsets[x] = poset.strictly_below(x)
+            if p == 0:
+                eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
                 continue
-            not_cellular[x] = homology(model.complex)
-            here = tuple(not_cellular[x].nontrivial().items())
-        cone[x] = tuple((k + 1, group) for k, group in here)
-        if x in not_cellular or not not_cellular.keys().isdisjoint(below):
-            # the exact sequence of (U.x, U.x - {w}), as the module docstring says
-            not_admissible += [
-                (w, x) for w in lower if cone[w] != here or here and not homology(
-                    _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
-            continue
-        steps = [w for w in lower if eps[x][w]]
-        # shares the down-set where every step has nonzero incidence, as on
-        # every admissible poset
-        shared = len(steps) == len(lower) and all(
-            reach[w] is poset.strictly_below(w) for w in steps)
-        reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
-        if _gauge_sign(x, p, eps, reach, degrees) < 0:
-            eps[x] = {w: -e for w, e in eps[x].items()}
-        not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+            if graded and p == 1 and len(lower) == 2:
+                # U.x is two points, a 0-sphere; its generator is their
+                # difference, up to the sign that the gauge fixes below
+                sphere = dict(zip(lower, (1, -1)))
+            else:
+                ranks, columns, labels = _cells(poset, eps, below, reduced=True)
+                reducer = _minimal_reducer(ranks, columns)
+                live = {k: cells for k, cells in reducer.survivors().items() if cells}
+                sphere = None
+                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+                    # the one cell's inclusion: a generator of the top cycles of U.x
+                    (generator,) = reducer.inclusions(p - 1, live[p - 1])
+                    sphere = {w: generator.get(i, 0) for i, w in enumerate(labels[p - 1])}
+            if sphere is not None:
+                eps[x], here = sphere, ((p - 1, (1, ())),)
+            else:
+                model = reducer.result()
+                eps[x] = _cone_cells(x, labels, model, eps)
+                if not graded:
+                    continue
+                # a model with no differential is its own homology
+                not_cellular[x] = (homology(model.complex) if model.complex.columns
+                                   else HomologySummary(dict(model.complex.ranks)))
+                here = tuple(not_cellular[x].nontrivial().items())
+            cone[x] = tuple((k + 1, group) for k, group in here)
+            if x in not_cellular or not not_cellular.keys().isdisjoint(below):
+                # the exact sequence of (U.x, U.x - {w}), as the module docstring says
+                not_admissible += [
+                    (w, x) for w in lower if cone[w] != here or here and not homology(
+                        _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
+                continue
+            steps = [w for w in lower if eps[x][w]]
+            # shares the down-set where every step has nonzero incidence, as on
+            # every admissible poset
+            shared = len(steps) == len(lower) and all(reach[w] is downsets[w] for w in steps)
+            reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
+            if _gauge_sign(x, p, eps, reach, degrees) < 0:
+                eps[x] = {w: -e for w, e in eps[x].items()}
+            not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+    except Exception:
+        # a bad row that a later down-set read can stop the walk first: the
+        # check on the rows so far names it, or the walk's own error stands
+        _cellular_complex(poset, eps, [e for e in poset.elements if e in eps], reduced=True)
+        raise
+    # d*d = 0 once, on every cell of the pass; the complex is not kept (peak RSS)
+    _cellular_complex(poset, eps, poset.elements, reduced=True)
     if not graded:
         return None, eps
     witnesses = [("not-cellular", x, f"strict down-set has {not_cellular[x]}")
@@ -191,14 +222,15 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
         {x: dict(row) for x, row in eps.items()} if cellular else eps)
 
 
-def _cone_cells(x: str, down: ChainComplex, model: Reduction, eps: Rows) -> list[tuple]:
+def _cone_cells(x: str, labels: dict[int, tuple], model: Reduction, eps: Rows) -> list[tuple]:
     """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
-    k of the model M of `down`, bounded by g(m) - (x, d_M m), g M's inclusion."""
+    k of the model M of the cells with these labels, bounded by
+    g(m) - (x, d_M m), g M's inclusion."""
     cells = []
     for k in sorted(model.inclusion):
-        columns, labels = model.complex.columns.get(k), down.labels[k]
+        columns = model.complex.columns.get(k)
         for j, chain in enumerate(model.inclusion[k]):
-            row = eps[x, k + 1, j] = {labels[i]: v for i, v in chain.items()}
+            row = eps[x, k + 1, j] = {labels[k][i]: v for i, v in chain.items()}
             if columns:
                 row.update(((x, k, i), -v) for i, v in columns[j].items())
             cells.append((x, k + 1, j))
@@ -207,12 +239,23 @@ def _cone_cells(x: str, down: ChainComplex, model: Reduction, eps: Rows) -> list
 
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
                       dropped: Iterable[str] = (), reduced: bool = False) -> ChainComplex:
-    """The chain complex of a down-closed pair (A, B) = (members, dropped):
-    the cells of A - B, the labels, by degree, in poset order, each with
-    its row of `eps`, less the cells of B, as boundary.  With reduced=True
-    and B empty an augmentation slot C_{-1} = Z is added, onto which every
-    degree-0 cell maps.  A d*d failure can only come from the incidences,
+    """The chain complex of a down-closed pair (A, B) = (members, dropped),
+    from its `_cells`.  A d*d failure can only come from the incidences,
     so it raises InconsistentIncidence."""
+    try:
+        return ChainComplex(*_cells(poset, eps, members, dropped, reduced))
+    except NotAChainComplex as exc:
+        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
+
+
+def _cells(poset: Poset, eps: Rows, members: Iterable[str], dropped: Iterable[str] = (),
+           reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
+    """The ranks, boundary columns and labels of a down-closed pair
+    (A, B) = (members, dropped), unchecked: the cells of A - B, the
+    labels, by degree, in poset order, each with its row of `eps`, less
+    the cells of B, as boundary.  With reduced=True and B empty an
+    augmentation slot C_{-1} = Z is added, onto which every degree-0 cell
+    maps."""
     degrees, index, drop = poset.heights(), poset.index, set(dropped)
     levels: dict[int, list[Hashable]] = {}
     for e in sorted(set(members) - drop, key=lambda e: (degrees[e], index[e])):
@@ -228,10 +271,7 @@ def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
     if reduced and not drop:
         ranks[-1] = 1
         boundary[0] = [{0: 1} for _ in levels.get(0, ())]
-    try:
-        return ChainComplex(ranks, boundary, {p: tuple(cells) for p, cells in levels.items()})
-    except NotAChainComplex as exc:
-        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
+    return ranks, boundary, {p: tuple(cells) for p, cells in levels.items()}
 
 
 def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterable[str] = (),

@@ -17,13 +17,19 @@ reduced homology Z in degree -1 and the cellularity check is uniform at
 degree 0.
 
 `morse_reduction` runs the same elimination on given pairs or on every
-one it finds, and tracks the inclusion of what is left.  `minimal_model`
-then brings the few boundaries that still have unit Smith factors to
-their Smith form and eliminates those too, leaving rank
-b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass builds its
-chain model of a poset, the mapping cones over these models of its
-down-sets, the flow reads the Morse complex of a matching, and the hccat
-witness is it.
+one it finds.  Each elimination records an edge from every cell it
+changes to the cell it removes, and the inclusion of what is left is
+built from those edges only for the cells that survive, as the sum over
+gradient paths (Forman 1998, section 8; Harker, Mischaikow, Mrozek and
+Nanda, Found. Comput. Math. 2014).  `minimal_model` then brings the few
+boundaries that still have unit Smith factors to their Smith form, on
+the inclusions of the cells left, and eliminates those too, leaving
+rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass runs it on
+the raw cells of each down-set (`_minimal_reducer`), reads the sphere
+verdict and the generator off the survivors, and builds the mapping
+cones of its chain model over the other models; the flow reads the
+Morse complex of a matching, and the hccat witness is the minimal
+model.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
@@ -276,19 +282,24 @@ def _combine(chains: Iterable[Column], coefficients: Iterable[int]) -> Column:
 
 class _Reducer:
     """A complex under elimination: per degree p, the boundary column of
-    each live cell of C_p (rows are cells of C_{p-1}), the live columns
-    with an entry in each row, and, when tracked, each cell's inclusion
-    g.  It is the one place that picks and eliminates unit pivots.  A
-    degree is copied from the input when it is first reached, so the
-    top-down sweeps hold few degrees at once."""
+    each live cell of C_p (rows are cells of C_{p-1}) and the live columns
+    with an entry in each row.  It is the one place that picks and
+    eliminates unit pivots.  When tracked, eliminating b records an edge
+    c -> b of weight -<dc, a> u for each column c it changes, the multiple
+    of g(b) that g(c) gains; g is built from the edges only for the cells
+    asked for (`inclusions`).  A degree is copied from the input when it
+    is first reached, so the top-down sweeps hold few degrees at once."""
 
     def __init__(self, ranks: dict[int, int], columns: dict[int, Sequence[Column]],
                  track: bool = True):
         self.ranks, self.columns = ranks, columns
         self.cols: dict[int, dict[int, Column]] = {}
-        self.g: dict[int, dict[int, Column]] | None = {} if track else None
         self.rows: dict[int, dict[int, set[int]]] = {}
         self.loaded: set[int] = set()
+        # edges[p][c]: the (b, weight) pairs recorded on c, in order
+        self.edges: dict[int, dict[int, list[tuple[int, int]]]] | None = {} if track else None
+        # base[p][c]: the chain of c once a Smith step has changed the basis of C_p
+        self.base: dict[int, dict[int, Column]] = {}
 
     def reach(self, p: int) -> None:
         """Load C_p and C_{p-1}, each only the first time it is reached."""
@@ -297,14 +308,13 @@ class _Reducer:
                 self._load(q)
 
     def _load(self, p: int) -> None:
-        """Copy the columns of C_p, index its rows and, when tracked, start
-        its inclusion."""
+        """Copy the columns of C_p and index its rows."""
         self.loaded.add(p)
         n = self.ranks[p]
         self.cols[p] = (dict(enumerate(map(dict, self.columns[p]))) if p in self.columns
                         else {j: {} for j in range(n)})
-        if self.g is not None:
-            self.g[p] = {j: {j: 1} for j in range(n)}
+        if self.edges is not None:
+            self.edges[p] = {}
         self._index(p)
 
     def _index(self, p: int) -> None:
@@ -318,15 +328,15 @@ class _Reducer:
 
     def eliminate(self, p: int, a: int, b: int) -> None:
         """Eliminate a in C_{p-1} with b in C_p, <db, a> = u = +-1: each other
-        column c of d_p loses <dc, a> u db (the Schur complement), and g(c)
-        loses <dc, a> u g(b)."""
+        column c of d_p loses <dc, a> u db (the Schur complement), and, when
+        tracked, c gets the edge c -> b of weight -<dc, a> u."""
         u = self.cols[p].get(b, {}).get(a, 0)
         if u != 1 and u != -1:
             raise ConsistencyError(f"pivot <d b, a> = {u} in degree {p} is not a unit")
         col = self.cols[p].pop(b)
         del col[a]
-        rows, g = self.rows[p], self.g
-        gb = g[p].pop(b) if g is not None else None
+        rows = self.rows[p]
+        edges = self.edges[p] if self.edges is not None else None
         for i in col:
             rows[i].discard(b)
         others = rows.pop(a)
@@ -343,18 +353,13 @@ class _Reducer:
                 else:
                     del other[i]
                     rows[i].discard(c)
-            if g is not None:
-                chain = g[p][c]
-                for i, v in gb.items():
-                    new = chain.get(i, 0) - q * v
-                    if new:
-                        chain[i] = new
-                    else:
-                        del chain[i]
+            if edges is not None:
+                if c in edges:
+                    edges[c].append((b, -q))
+                else:
+                    edges[c] = [(b, -q)]
         for i in self.cols[p - 1].pop(a):
             self.rows[p - 1][i].discard(a)
-        if g is not None:
-            del g[p - 1][a]
         for c in self.rows.get(p + 1, {}).pop(b, ()):
             del self.cols[p + 1][c][b]
 
@@ -383,10 +388,61 @@ class _Reducer:
                     progress = True
         return pairs
 
+    def inclusions(self, p: int, cells: Sequence[int]) -> list[Column]:
+        """g of each of these live cells of C_p: its own cell (its chain after
+        a Smith step) plus the weight times g(b) over each edge c -> b, in
+        the order the edges were recorded.  That is the sum over the
+        gradient paths from the cell (Forman 1998, section 8).  Edges
+        only lead to dead cells, so the cells they reach form a DAG; each
+        reached cell's g is built once, after those it leads to, and
+        dropped once every edge into it has been read."""
+        edges, base = self.edges[p], self.base.get(p, {})
+        # each reached cell, with the number of edges into it not yet read
+        waiting: dict[int, int] = {}
+        order: list[int] = []
+        for cell in cells:
+            waiting[cell] = 0
+            stack = [(cell, iter(edges.get(cell, ())))]
+            while stack:
+                c, out = stack[-1]
+                for b, _ in out:
+                    if b in waiting:
+                        waiting[b] += 1
+                    else:
+                        waiting[b] = 1
+                        stack.append((b, iter(edges.get(b, ()))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(c)
+        memo: dict[int, Column] = {}
+        for c in order:
+            chain = dict(base[c]) if c in base else {c: 1}
+            for b, w in edges.get(c, ()):
+                for i, v in memo[b].items():
+                    new = chain.get(i, 0) + w * v
+                    if new:
+                        chain[i] = new
+                    else:
+                        del chain[i]
+                waiting[b] -= 1
+                if not waiting[b]:
+                    del memo[b]
+            memo[c] = chain
+        return [memo[c] for c in cells]
+
+    def survivors(self) -> dict[int, list[int]]:
+        """The live cells of each degree, loading the degrees never reached."""
+        for p in self.ranks.keys() - self.loaded:
+            self._load(p)
+        return {p: list(self.cols[p]) for p in self.ranks}
+
     def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
-        """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]."""
+        """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]; its
+        inclusion, built for the old cells, becomes its base chain."""
         new = lambda chains: {t: _combine(chains, B.column(t)) for t in range(len(old))}
-        self.g[p] = new([self.g[p][c] for c in old])
+        self.base[p] = new(self.inclusions(p, old))
+        self.edges[p] = {}
         self.cols[p] = new([self.cols[p][c] for c in old])
         # coordinates x in the old cells are B^-1 x in the new ones
         at, columns = {c: j for j, c in enumerate(old)}, B_inv.sparse_columns()
@@ -409,14 +465,12 @@ class _Reducer:
         return units
 
     def result(self) -> Reduction:
-        for p in self.ranks.keys() - self.loaded:
-            self._load(p)
-        live = {p: self.cols[p] for p in self.ranks}
-        at = {p: {j: k for k, j in enumerate(cols)} for p, cols in live.items()}
-        boundary = {p: [{at[p - 1][i]: v for i, v in col.items()} for col in cols.values()]
-                    for p, cols in live.items() if at.get(p - 1)}
-        return Reduction(ChainComplex({p: len(cols) for p, cols in live.items()}, boundary),
-                         {p: [self.g[p][j] for j in cols] for p, cols in live.items() if cols})
+        live = self.survivors()
+        at = {p: {j: k for k, j in enumerate(cells)} for p, cells in live.items()}
+        boundary = {p: [{at[p - 1][i]: v for i, v in self.cols[p][j].items()} for j in cells]
+                    for p, cells in live.items() if at.get(p - 1)}
+        return Reduction(ChainComplex({p: len(cells) for p, cells in live.items()}, boundary),
+                         {p: self.inclusions(p, cells) for p, cells in live.items() if cells})
 
 
 def morse_reduction(complex: ChainComplex,
@@ -424,12 +478,13 @@ def morse_reduction(complex: ChainComplex,
     """Eliminate pairs of cells a in C_{p-1}, b in C_p with <db, a> = +-1,
     from the top degree down (Kaczynski, Mrozek and Slusarek, Comput.
     Math. Appl. 1998).  The Schur complement keeps what is left a complex
-    homotopy equivalent to the input, and the tracked inclusion g a chain
-    map; the pairs of an acyclic matching leave its algebraic Morse
-    complex (Skoldberg, Trans. AMS 2006).  `pairs` maps a degree p to
-    index pairs (a, b), eliminated in order, and one whose pivot is not
-    +-1 when it is reached raises ConsistencyError; without them, no +-1
-    entry is left in any boundary."""
+    homotopy equivalent to the input, and the inclusion g, built for the
+    cells that survive, a chain map; the pairs of an acyclic matching
+    leave its algebraic Morse complex (Skoldberg, Trans. AMS 2006).
+    `pairs` maps a degree p to index pairs (a, b), eliminated in order,
+    and one whose pivot is not +-1 when it is reached raises
+    ConsistencyError; without them, no +-1 entry is left in any
+    boundary."""
     reducer = _Reducer(complex.ranks, complex.columns)
     for p in sorted(complex.columns, reverse=True):
         reducer.reach(p)
@@ -440,22 +495,29 @@ def morse_reduction(complex: ChainComplex,
     return reducer.result()
 
 
+def _minimal_reducer(ranks: dict[int, int], columns: dict[int, Sequence[Column]]) -> _Reducer:
+    """The reducer of `minimal_model` on these cells, before the result is
+    built, so a caller can read the survivors and build only the
+    inclusions it needs.  `columns` is not modified."""
+    reducer = _Reducer(ranks, columns)
+    for p in sorted(columns, reverse=True):
+        reducer.reach(p)
+        reducer.reduce(p)
+    for p in sorted(columns, reverse=True):
+        if any(reducer.cols[p].values()):
+            for t in reducer.smith_step(p):
+                reducer.eliminate(p, t, t)
+    return reducer
+
+
 def minimal_model(complex: ChainComplex) -> Reduction:
     """A reduction of rank b_k + mu_k + mu_{k-1} in degree k, the fewest
     cells a complex with this homology has: `morse_reduction` without
     pairs, then, from the top degree down, each boundary whose Smith form
     has a unit factor changes basis to that form, and its 1s are
     eliminated as pairs.  The Smith forms run only on the reduced
-    complex."""
-    reducer = _Reducer(complex.ranks, complex.columns)
-    for p in sorted(complex.columns, reverse=True):
-        reducer.reach(p)
-        reducer.reduce(p)
-    for p in sorted(complex.columns, reverse=True):
-        if any(reducer.cols[p].values()):
-            for t in reducer.smith_step(p):
-                reducer.eliminate(p, t, t)
-    return reducer.result()
+    complex, and on the inclusions of its cells."""
+    return _minimal_reducer(complex.ranks, complex.columns).result()
 
 
 def _boundary_column(simplex: Simplex, index: dict[Simplex, int]) -> Column:

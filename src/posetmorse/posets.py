@@ -302,7 +302,11 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
         below = _strictly_below(elements, lower, upper)
     except CycleDetected:
         raise CycleDetected("input relation is not a partial order") from None
-    # (w, x) is a cover unless w lies below another lower neighbour of x
-    covers = [(w, x) for x in elements for w in lower[x]
-              if not any(w in below[y] for y in lower[x])]
+    # (w, x) is a cover unless w lies below another lower neighbour of x; each
+    # intersection walks the smaller of its two sets
+    covers = []
+    for x in elements:
+        under = set(lower[x])
+        redundant = set().union(*(below[y] & under for y in under))
+        covers += [(w, x) for w in under - redundant]
     return Poset(elements, covers)

@@ -13,6 +13,13 @@ induced subposets, face posets and their order complexes as the paper
 defines them.  The per-interval sweep is the filtration sweep as one
 call of the public single-interval checks per interval, each of which
 rebuilds its sublevel sets from the function's values.
+
+Three references are earlier forms of library code kept as oracles for
+the faster forms that replaced them: the cover reduction as one
+comprehension, the reducer that updates every cell's inclusion on every
+elimination (`EagerReducer`), and the cellularity pass that builds and
+checks a chain complex per strict down-set (`reference_cellular_pass`,
+which shares `_cellular_complex` and `_gauge_sign` with the library).
 """
 
 from __future__ import annotations
@@ -38,13 +45,15 @@ from posetmorse import (
 from posetmorse.cellular import (
     CellularComplexOfPoset,
     CellularityReport,
+    _cellular_complex,
+    _gauge_sign,
     cellular_chain_complex,
     require_admissible,
     sphere_generator,
 )
 from posetmorse.dynamics import critical_counts, is_morse_matching
 from posetmorse.errors import ConsistencyError, InconsistentIncidence, NotMorse, NotMorseMatching
-from posetmorse.homology import sphere_summary, subposet_chain_complex
+from posetmorse.homology import Reduction, sphere_summary, subposet_chain_complex
 from posetmorse.morse import (
     AttachmentReport,
     MorseBottFunction,
@@ -723,3 +732,224 @@ def scrambled_complex(rng: XorShift64Star):
     mu = {k: max(sum(1 for j, t in pieces if j == k + 1 and t % prime == 0) for prime in (2, 3))
           for k in range(top + 1)}
     return scramble(rng, known), free, mu
+
+
+def comprehension_covers(elements, relations) -> frozenset[tuple[str, str]]:
+    """The cover reduction of a generating relation as one comprehension:
+    (w, x) is a cover unless w lies below another lower neighbour of x,
+    with the transitive closure found by a search from each element."""
+    lower: dict[str, list[str]] = {e: [] for e in elements}
+    for w, x in relations:
+        lower[x].append(w)
+    below: dict[str, set[str]] = {}
+    for e in elements:
+        seen, stack = set(), list(lower[e])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack += lower[w]
+        below[e] = seen
+    return frozenset((w, x) for x in elements for w in lower[x]
+                     if not any(w in below[y] for y in lower[x]))
+
+
+class EagerReducer:
+    """The unit-pivot elimination with the inclusion g of every cell
+    updated on every elimination, g(c) <- g(c) - <dc, a> u g(b): the eager
+    form the library's reducer replaces by edges and builds only for the
+    cells that survive.  Pivots are picked by the same rule."""
+
+    def __init__(self, ranks, columns):
+        self.ranks, self.columns = ranks, columns
+        self.cols, self.g, self.rows, self.loaded = {}, {}, {}, set()
+
+    def reach(self, p):
+        for q in (p, p - 1):
+            if q not in self.loaded:
+                self._load(q)
+
+    def _load(self, p):
+        self.loaded.add(p)
+        self.cols[p] = (dict(enumerate(map(dict, self.columns[p]))) if p in self.columns
+                        else {j: {} for j in range(self.ranks[p])})
+        self.g[p] = {j: {j: 1} for j in range(self.ranks[p])}
+        self._index(p)
+
+    def _index(self, p):
+        rows = self.rows[p] = {}
+        for j, col in self.cols.get(p, {}).items():
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+
+    def eliminate(self, p, a, b):
+        u = self.cols[p].get(b, {}).get(a, 0)
+        if u != 1 and u != -1:
+            raise ConsistencyError(f"pivot <d b, a> = {u} in degree {p} is not a unit")
+        col = self.cols[p].pop(b)
+        del col[a]
+        rows, gb = self.rows[p], self.g[p].pop(b)
+        for i in col:
+            rows[i].discard(b)
+        others = rows.pop(a)
+        others.discard(b)
+        for c in others:
+            other = self.cols[p][c]
+            q = other.pop(a) * u
+            for i, v in col.items():
+                new = other.get(i, 0) - q * v
+                if new:
+                    if i not in other:
+                        rows[i].add(c)
+                    other[i] = new
+                else:
+                    del other[i]
+                    rows[i].discard(c)
+            chain = self.g[p][c]
+            for i, v in gb.items():
+                new = chain.get(i, 0) - q * v
+                if new:
+                    chain[i] = new
+                else:
+                    del chain[i]
+        for i in self.cols[p - 1].pop(a):
+            self.rows[p - 1][i].discard(a)
+        del self.g[p - 1][a]
+        for c in self.rows.get(p + 1, {}).pop(b, ()):
+            del self.cols[p + 1][c][b]
+
+    def reduce(self, p):
+        cols, rows = self.cols[p], self.rows[p]
+        progress = True
+        while progress:
+            progress = False
+            for b in sorted((j for j in cols if cols[j]), key=lambda j: len(cols[j])):
+                pivot, fewest = None, 0
+                for i, v in cols[b].items():
+                    if v == 1 or v == -1:
+                        count = len(rows[i])
+                        if pivot is None or count < fewest:
+                            pivot, fewest = i, count
+                            if count == 1:
+                                break
+                if pivot is not None:
+                    self.eliminate(p, pivot, b)
+                    progress = True
+
+    def _rebase(self, p, old, B, B_inv):
+        def combine(chains, coefficients):
+            out = {}
+            for chain, c in zip(chains, coefficients):
+                for k, v in chain.items():
+                    out[k] = out.get(k, 0) + c * v
+            return {k: v for k, v in out.items() if v}
+
+        new = lambda chains: {t: combine(chains, B.column(t)) for t in range(len(old))}
+        self.g[p] = new([self.g[p][c] for c in old])
+        self.cols[p] = new([self.cols[p][c] for c in old])
+        at, columns = {c: j for j, c in enumerate(old)}, B_inv.sparse_columns()
+        for c, col in self.cols.get(p + 1, {}).items():
+            self.cols[p + 1][c] = combine((columns[at[b]] for b in col), col.values())
+        self._index(p)
+        self._index(p + 1)
+
+    def smith_step(self, p):
+        upper, lower = list(self.cols[p]), list(self.cols[p - 1])
+        at = {a: t for t, a in enumerate(lower)}
+        snf = smith_normal_form(IntMatrix.from_sparse_columns(
+            [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
+        units = [t for t, f in enumerate(snf.diagonal) if f == 1]
+        if units:
+            self._rebase(p, upper, snf.V_inv, snf.V)
+            self._rebase(p - 1, lower, snf.U, snf.U_inv)
+        return units
+
+    def result(self) -> Reduction:
+        for p in self.ranks.keys() - self.loaded:
+            self._load(p)
+        live = {p: self.cols[p] for p in self.ranks}
+        at = {p: {j: k for k, j in enumerate(cols)} for p, cols in live.items()}
+        boundary = {p: [{at[p - 1][i]: v for i, v in col.items()} for col in cols.values()]
+                    for p, cols in live.items() if at.get(p - 1)}
+        return Reduction(ChainComplex({p: len(cols) for p, cols in live.items()}, boundary),
+                         {p: [self.g[p][j] for j in cols] for p, cols in live.items() if cols})
+
+
+def eager_morse_reduction(complex: ChainComplex, pairs=None) -> Reduction:
+    """`morse_reduction` with the inclusion tracked eagerly."""
+    reducer = EagerReducer(complex.ranks, complex.columns)
+    for p in sorted(complex.columns, reverse=True):
+        reducer.reach(p)
+        if pairs is None:
+            reducer.reduce(p)
+        for a, b in (pairs or {}).get(p, ()):
+            reducer.eliminate(p, a, b)
+    return reducer.result()
+
+
+def eager_minimal_model(complex: ChainComplex) -> Reduction:
+    """`minimal_model` with the inclusion tracked eagerly."""
+    reducer = EagerReducer(complex.ranks, complex.columns)
+    for p in sorted(complex.columns, reverse=True):
+        reducer.reach(p)
+        reducer.reduce(p)
+    for p in sorted(complex.columns, reverse=True):
+        if any(reducer.cols[p].values()):
+            for t in reducer.smith_step(p):
+                reducer.eliminate(p, t, t)
+    return reducer.result()
+
+
+def reference_cellular_pass(poset: Poset):
+    """The cellularity pass one down-set at a time: at each element the
+    checked complex of its strict down-set (`_cellular_complex`, which
+    checks d*d), its `eager_minimal_model`, and the mapping-cone cells read
+    off that model's complex and labels.  Returns (report or None, rows)
+    as `cellular._degree_induction` does."""
+    graded, degrees = poset.is_graded(), poset.heights()
+    eps, reach, cone, not_cellular, not_admissible = {}, {}, {}, {}, []
+    for x in sorted(poset.elements, key=degrees.__getitem__):
+        p, lower, below = degrees[x], poset.lower_covers(x), poset.strictly_below(x)
+        if p == 0:
+            eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
+            continue
+        down = _cellular_complex(poset, eps, below, reduced=True)
+        model = eager_minimal_model(down)
+        if graded and model.complex.ranks == {p - 1: 1}:
+            generator = model.inclusion[p - 1][0]
+            eps[x] = {w: generator.get(i, 0) for i, w in enumerate(down.labels[p - 1])}
+            here = ((p - 1, (1, ())),)
+        else:
+            cells = []
+            for k in sorted(model.inclusion):
+                columns, labels = model.complex.columns.get(k), down.labels[k]
+                for j, chain in enumerate(model.inclusion[k]):
+                    row = eps[x, k + 1, j] = {labels[i]: v for i, v in chain.items()}
+                    if columns:
+                        row.update(((x, k, i), -v) for i, v in columns[j].items())
+                    cells.append((x, k + 1, j))
+            eps[x] = cells
+            if not graded:
+                continue
+            not_cellular[x] = homology(model.complex)
+            here = tuple(not_cellular[x].nontrivial().items())
+        cone[x] = tuple((k + 1, group) for k, group in here)
+        if x in not_cellular or not not_cellular.keys().isdisjoint(below):
+            not_admissible += [
+                (w, x) for w in lower if cone[w] != here or here and not homology(
+                    _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
+            continue
+        steps = [w for w in lower if eps[x][w]]
+        shared = len(steps) == len(lower) and all(
+            reach[w] is poset.strictly_below(w) for w in steps)
+        reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
+        if _gauge_sign(x, p, eps, reach, degrees) < 0:
+            eps[x] = {w: -e for w, e in eps[x].items()}
+        not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+    if not graded:
+        return None, eps
+    witnesses = [("not-cellular", x, f"strict down-set has {not_cellular[x]}")
+                 for x in poset.elements if x in not_cellular]
+    witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
+                  for w, x in sorted(not_admissible)]
+    return CellularityReport(True, not not_cellular, not not_admissible, tuple(witnesses)), eps

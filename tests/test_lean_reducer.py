@@ -1,0 +1,278 @@
+"""The reducer builds inclusions only for the cells that survive, and the
+cellularity pass reduces each strict down-set straight from its rows and
+checks d*d once, on the whole reduced complex.
+
+Both are checked bit for bit, dict order included, against the forms
+they replace, kept in `helpers`: `EagerReducer`, which updates every
+cell's inclusion on every elimination, and `reference_cellular_pass`,
+which builds, checks and reduces a chain complex per strict down-set.
+Pivots follow the order of the columns' entries, so equal order is what
+keeps the mapping-cone cells of non-cellular posets the same."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from posetmorse import (
+    ChainComplex,
+    Poset,
+    cellular_chain_complex,
+    check_cellularity,
+    face_poset,
+    simplicial_chain_complex,
+    subdivision,
+)
+from posetmorse.cellular import _degree_induction, space_complex
+from posetmorse.dynamics import is_morse_matching
+from posetmorse.errors import InconsistentIncidence
+from posetmorse.formats import load_complex, load_poset
+from posetmorse.homology import _Reducer, minimal_model, morse_reduction
+from posetmorse.randgen import (
+    XorShift64Star,
+    random_graded_poset,
+    random_matching,
+    random_simplicial_complex,
+)
+from posetmorse.simplicial import SimplicialComplex
+
+from helpers import (
+    eager_minimal_model,
+    eager_morse_reduction,
+    levelled_poset,
+    reference_cellular_pass,
+    scrambled_complex,
+    ungraded_poset,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _bits(reduction):
+    """A reduction as plain data, every dict as its list of items."""
+    complex = reduction.complex
+    return (complex.ranks,
+            {p: [list(col.items()) for col in cols] for p, cols in complex.columns.items()},
+            {p: [list(chain.items()) for chain in chains]
+             for p, chains in reduction.inclusion.items()})
+
+
+def _is_chain_map(reduction, chain: ChainComplex) -> bool:
+    """d g = g d_M on every cell of the reduced complex."""
+    model, g = reduction.complex, reduction.inclusion
+    for k, chains in g.items():
+        for j, cell in enumerate(chains):
+            left: dict[int, int] = {}
+            for i, v in cell.items():
+                for r, w in chain.columns.get(k, [{}] * chain.rank(k))[i].items():
+                    left[r] = left.get(r, 0) + v * w
+            right: dict[int, int] = {}
+            for t, v in model.columns.get(k, [{}] * model.rank(k))[j].items():
+                for r, w in g[k - 1][t].items():
+                    right[r] = right.get(r, 0) + v * w
+            if {r: v for r, v in left.items() if v} != {r: v for r, v in right.items() if v}:
+                return False
+    return True
+
+
+def _complexes(rng: XorShift64Star):
+    for _ in range(30):
+        complex = random_simplicial_complex(rng, max_vertices=7, max_triangles=6)
+        yield simplicial_chain_complex(complex)
+        yield simplicial_chain_complex(complex, reduced=True)
+    for _ in range(20):
+        poset = random_graded_poset(rng, max_elements=14, max_levels=4)
+        yield space_complex(poset)
+
+
+def test_lazy_inclusions_equal_eager_tracking_without_pairs():
+    for chain in _complexes(XorShift64Star(2014)):
+        reduction = morse_reduction(chain)
+        assert _bits(reduction) == _bits(eager_morse_reduction(chain))
+        assert _is_chain_map(reduction, chain)
+
+
+def test_lazy_inclusions_equal_eager_tracking_along_matchings():
+    rng = XorShift64Star(1998)
+    checked = 0
+    while checked < 25:
+        poset = face_poset(random_simplicial_complex(rng, max_vertices=7))
+        matching = random_matching(rng, poset, 2, 3)
+        if not is_morse_matching(poset, matching):
+            continue
+        position = {e: poset.level(poset.degree(e)).index(e) for e in poset.elements}
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for x in poset.elements:
+            y = matching.target(x)
+            if y is not None:
+                pairs.setdefault(poset.degree(y), []).append((position[x], position[y]))
+        chain = cellular_chain_complex(poset).complex
+        reduction = morse_reduction(chain, pairs)
+        assert _bits(reduction) == _bits(eager_morse_reduction(chain, pairs))
+        assert _is_chain_map(reduction, chain)
+        checked += 1
+
+
+def test_lazy_inclusions_equal_eager_tracking_through_the_smith_step(monkeypatch):
+    module = sys.modules["posetmorse.homology"]
+    real, steps = module._Reducer.smith_step, []
+
+    def recorded(self, p):
+        units = real(self, p)
+        steps.append(bool(units))
+        return units
+
+    monkeypatch.setattr(module._Reducer, "smith_step", recorded)
+    rng = XorShift64Star(2006)
+    for _ in range(300):
+        chain, _, _ = scrambled_complex(rng)
+        model = minimal_model(chain)
+        assert _bits(model) == _bits(eager_minimal_model(chain))
+    assert sum(steps) >= 100
+
+
+def test_lazy_inclusions_where_most_cells_survive():
+    # a dense graded poset of height 1: its 1-cells are mostly cycles
+    poset = random_graded_poset(XorShift64Star(6), max_elements=200, max_levels=2)
+    chain = space_complex(poset)
+    model = minimal_model(chain)
+    assert sum(model.complex.ranks.values()) * 2 > sum(chain.ranks.values())
+    assert _bits(model) == _bits(eager_minimal_model(chain))
+    assert _is_chain_map(model, chain)
+
+
+def test_reducer_keeps_no_inclusion_per_cell():
+    chain = simplicial_chain_complex(SimplicialComplex([("a", "b", "c"), ("c", "d")]))
+    reducer = _Reducer(chain.ranks, chain.columns)
+    for p in sorted(chain.columns, reverse=True):
+        reducer.reach(p)
+        reducer.reduce(p)
+    assert not hasattr(reducer, "g")
+    # a survivor with no edge is its own cell
+    (survivor,) = reducer.survivors()[0]
+    assert reducer.inclusions(0, [survivor]) == [{survivor: 1}]
+
+
+def sphere(n: int) -> SimplicialComplex:
+    """The boundary of the n-simplex."""
+    vertices = [str(i) for i in range(n + 1)]
+    return SimplicialComplex([vertices[:i] + vertices[i + 1:] for i in range(n + 1)])
+
+
+def sd2_rp2() -> Poset:
+    return subdivision(subdivision(face_poset(load_complex((DATA / "rp2_6.txt").read_text()))))
+
+
+def fixtures():
+    for path in sorted(DATA.glob("*.txt")):
+        text = path.read_text()
+        if "matching" in path.name:
+            continue
+        yield path.name, (load_poset(text)[0] if "poset" in path.name
+                          else face_poset(load_complex(text)))
+
+
+def sample_posets():
+    yield from fixtures()
+    yield "sd2 RP^2", sd2_rp2()
+    rng = XorShift64Star(2012)
+    kinds = {"cellular": 0, "non-cellular": 0}
+    while min(kinds.values()) < 15:
+        poset = random_graded_poset(rng, max_elements=16, max_levels=4)
+        kind = "cellular" if check_cellularity(poset).is_cellular else "non-cellular"
+        kinds[kind] += 1
+        yield kind, poset
+    for i in range(4):
+        yield "levelled", levelled_poset(rng, 4, 8)
+    for i in range(15):
+        yield "ungraded", ungraded_poset(rng, rng.randint(5, 11))
+
+
+def _plain(rows):
+    return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
+
+
+def test_pass_equals_the_per_down_set_reference():
+    seen = set()
+    for name, poset in sample_posets():
+        report, rows = _degree_induction(poset)
+        expected_report, expected_rows = reference_cellular_pass(poset)
+        assert report == expected_report, name
+        assert _plain(rows) == _plain(expected_rows), name
+        seen.add(name)
+    assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2"} <= seen
+
+
+def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
+    built = []
+    real = ChainComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counted)
+    for poset in (sd2_rp2(), face_poset(sphere(5))):
+        built.clear()
+        assert check_cellularity(poset).is_cellular
+        # O(1), not one or two per element: only the check of d*d
+        assert len(built) == 1, len(built)
+
+
+def _corrupting(monkeypatch, element: str, corrupt):
+    """Make the pass corrupt the row of `element` once it is computed."""
+    cellular = sys.modules["posetmorse.cellular"]
+    real = cellular._gauge_sign
+
+    def gauge(x, p, eps, reach, degrees):
+        if x == element:
+            corrupt(eps[x])
+        return real(x, p, eps, reach, degrees)
+
+    monkeypatch.setattr(cellular, "_gauge_sign", gauge)
+
+
+def test_a_corrupted_row_fails_the_once_check(monkeypatch):
+    # the boundary of the 3-simplex: a triangle is maximal, so only the
+    # check on the whole complex reads its row
+    poset = face_poset(sphere(3))
+    triangle = next(e for e in poset.elements if poset.degree(e) == 2)
+
+    def flip_one(row):
+        w = next(iter(row))
+        row[w] = -row[w]
+
+    _corrupting(monkeypatch, triangle, flip_one)
+    with pytest.raises(InconsistentIncidence):
+        check_cellularity(poset)
+
+
+def test_a_degree_one_row_must_sum_to_zero(monkeypatch):
+    # a circle of three edges: each edge is maximal, and its row only meets
+    # the augmentation slot
+    poset = face_poset(SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")]))
+    edge = next(e for e in poset.elements if poset.degree(e) == 1)
+
+    def same_signs(row):
+        for w in row:
+            row[w] = 1
+
+    _corrupting(monkeypatch, edge, same_signs)
+    with pytest.raises(InconsistentIncidence):
+        check_cellularity(poset)
+
+
+@pytest.mark.parametrize("corrupt", ["flip", "double"])
+def test_a_corrupted_row_read_by_later_down_sets_fails_the_check(monkeypatch, corrupt):
+    # an edge of the boundary of the 3-simplex lies in two triangles' down-sets,
+    # whose reduction meets the bad row before the check after the walk
+    poset = face_poset(sphere(3))
+    edge = next(e for e in poset.elements if poset.degree(e) == 1)
+
+    def bad(row):
+        w = next(iter(row))
+        row[w] = -row[w] if corrupt == "flip" else 2 * row[w]
+
+    _corrupting(monkeypatch, edge, bad)
+    with pytest.raises(InconsistentIncidence):
+        check_cellularity(poset)

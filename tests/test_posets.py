@@ -13,7 +13,12 @@ from posetmorse.errors import (
 from posetmorse.posets import Poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset
 
-from helpers import brute_force_is_graded, brute_force_relation, maximal_elements
+from helpers import (
+    brute_force_is_graded,
+    brute_force_relation,
+    comprehension_covers,
+    maximal_elements,
+)
 
 
 def test_singleton():
@@ -178,6 +183,24 @@ def test_reachability_matches_brute_force(seed):
     oracle = brute_force_relation(p)
     for x in p.elements:
         assert set(p.strictly_below(x)) == oracle[x]
+
+
+def test_cover_reduction_matches_the_comprehension():
+    rng = XorShift64Star(1966)
+    for trial in range(200):
+        size = rng.randint(1, 14)
+        elements = rng.shuffle([f"e{i}" for i in range(size)])
+        # any acyclic relation: pairs oriented along the shuffled order
+        pairs = [(elements[i], elements[j]) for i in range(size) for j in range(i + 1, size)
+                 if rng.chance(1, rng.randint(2, 5))]
+        if trial % 4 == 0:  # a chain through every element
+            pairs += list(zip(elements, elements[1:]))
+        if trial % 4 == 1:  # the transitive closure of what is there
+            below = build_poset(elements, pairs)
+            pairs += [(w, x) for x in elements for w in below.strictly_below(x)]
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # duplicate pairs
+        rng.shuffle(pairs)
+        assert build_poset(elements, pairs).covers == comprehension_covers(elements, pairs)
 
 
 def test_graded_cover_degree_gap(t3):

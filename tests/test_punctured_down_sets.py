@@ -91,6 +91,9 @@ def test_pass_computes_only_the_punctured_homology_it_needs(monkeypatch):
     for poset, report in zip(posets, reports):
         complexes.clear()
         assert check_cellularity(poset) == report
+        # the check of d*d once, on every cell of the pass
+        complexes.remove(frozenset(poset.elements))
+        assert frozenset(poset.elements) not in complexes
         below = {x: poset.strictly_below(x) for x in poset.elements}
         # a down-set's complex is built at most once per element
         owners = Counter(below[x] for x in poset.elements)
