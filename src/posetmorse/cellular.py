@@ -35,8 +35,8 @@ of U.x whose steps all have nonzero incidence, found greedily, has a
 positive coefficient, (-1)^(names before w) * eps(x, w) times the
 coefficient of the rest of the flag in w's generator, w its top element.
 
-One assembler, `_cells`, lists the cells of the pass of A - B for a
-down-closed pair (A, B): the pass's down-sets, and, through
+One assembler, `_cells`, lists the cells of A - B for a down-closed pair
+(A, B), given A - B alone: the pass's down-sets, and, through
 `_cellular_complex`, which checks them into a chain complex, the pass's
 once-check, the punctured down-sets, the theorem checks' sublevel and
 basic-set pairs, and `space_complex`, the model of the space without its
@@ -238,27 +238,26 @@ def _cone_cells(x: str, labels: dict[int, tuple], model: Reduction, eps: Rows) -
 
 
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
-                      dropped: Iterable[str] = (), reduced: bool = False) -> ChainComplex:
-    """The chain complex of a down-closed pair (A, B) = (members, dropped),
-    from its `_cells`.  A d*d failure can only come from the incidences,
-    so it raises InconsistentIncidence."""
+                      reduced: bool = False) -> ChainComplex:
+    """The chain complex of the elements `members`, A - B for a
+    down-closed pair (A, B), from their `_cells`.  A d*d failure can only
+    come from the incidences, so it raises InconsistentIncidence."""
     try:
-        return ChainComplex(*_cells(poset, eps, members, dropped, reduced))
+        return ChainComplex(*_cells(poset, eps, members, reduced))
     except NotAChainComplex as exc:
         raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
 
 
-def _cells(poset: Poset, eps: Rows, members: Iterable[str], dropped: Iterable[str] = (),
+def _cells(poset: Poset, eps: Rows, members: Iterable[str],
            reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
-    """The ranks, boundary columns and labels of a down-closed pair
-    (A, B) = (members, dropped), unchecked: the cells of A - B, the
-    labels, by degree, in poset order, each with its row of `eps`, less
-    the cells of B, as boundary.  With reduced=True and B empty an
-    augmentation slot C_{-1} = Z is added, onto which every degree-0 cell
-    maps."""
-    degrees, index, drop = poset.heights(), poset.index, set(dropped)
+    """The ranks, boundary columns and labels of the cells of `members`,
+    A - B for a down-closed pair (A, B), unchecked: by degree, in poset
+    order, each with its row of `eps`, less the cells outside, as
+    boundary.  With reduced=True (B empty) an augmentation slot
+    C_{-1} = Z is added, onto which every degree-0 cell maps."""
+    degrees, index = poset.heights(), poset.index
     levels: dict[int, list[Hashable]] = {}
-    for e in sorted(set(members) - drop, key=lambda e: (degrees[e], index[e])):
+    for e in sorted(members, key=lambda e: (degrees[e], index[e])):
         if isinstance(eps[e], dict):
             levels.setdefault(degrees[e], []).append(e)
         else:  # an element that is not a cell owns a list of them
@@ -268,7 +267,7 @@ def _cells(poset: Poset, eps: Rows, members: Iterable[str], dropped: Iterable[st
     ranks = {p: len(cells) for p, cells in levels.items()}
     boundary = {p: [{at[w]: e for w, e in eps[c].items() if e and w in at}
                     for c in levels[p]] for p in levels if p - 1 in levels}
-    if reduced and not drop:
+    if reduced:
         ranks[-1] = 1
         boundary[0] = [{0: 1} for _ in levels.get(0, ())]
     return ranks, boundary, {p: tuple(cells) for p, cells in levels.items()}
@@ -284,14 +283,13 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterab
     if not drop <= keep or any(w not in part for part in (keep, drop)
                                for x in part for w in poset.lower_covers(x)):
         raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
-    return _pair_homology(poset, keep, drop, coefficients)
+    return _pair_homology(poset, keep - drop, coefficients)
 
 
-def _pair_homology(poset: Poset, members: Iterable[str], dropped: Iterable[str],
+def _pair_homology(poset: Poset, cells: Iterable[str],
                    coefficients: Coefficients = "int") -> HomologySummary:
-    """`cellular_pair_homology` unchecked, for sets down-closed by construction."""
-    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], members, dropped),
-                    coefficients)
+    """`cellular_pair_homology` of a pair down-closed by construction, from A - B."""
+    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], cells), coefficients)
 
 
 def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],

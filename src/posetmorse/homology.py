@@ -34,10 +34,11 @@ model.
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
 order complex of an induced subposet, the full subcomplex of K(P) on its
-elements, straight off its chains (`Poset.chains_within`).  Only the
-paper's definitions build it: `poset_homology`, `is_acyclic` and
-`cellular.sphere_generator`.  With `order_complex`, `Poset.induced` and
-`relative_homology`, the tests check the chain model against them.
+elements, straight off its chains (`Poset.chains_within`).  The
+paper's definitions build it, `poset_homology`, `is_acyclic` and
+`cellular.sphere_generator`, and so does `category.ls_theorem_check`
+for the hccat of each basic set.  With `order_complex`, `Poset.induced`
+and `relative_homology`, the tests check the chain model against them.
 """
 
 from __future__ import annotations

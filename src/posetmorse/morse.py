@@ -13,8 +13,8 @@ exact computations: a regular interval must leave relative homology of
 the sublevel pair trivial, and crossing a single critical value must
 attach exactly the class [x] along its lower boundary.  Both read the
 basic sets of the matching the function carries, as one list; the
-sweep makes both checks in one walk over the filtration, growing each
-sublevel set from the one before it.
+sweep makes both checks in one walk over the filtration, growing one
+sublevel set and handing each collapse check what its gap added.
 """
 
 from __future__ import annotations
@@ -53,18 +53,15 @@ def is_morse_function(poset: Poset, values: dict[str, Fraction]) -> MorseVerdict
     for e in poset.elements:
         if e not in values:
             raise NotMorse(f"function has no value at {e!r}")
-    critical = []
-    violations = []
-    morse = True
+    critical, violations = [], []
     for x in poset.elements:
         up = [y for y in poset.upper_covers(x) if values[x] >= values[y]]
         down = [z for z in poset.lower_covers(x) if values[z] >= values[x]]
         if len(up) > 1 or len(down) > 1:
-            morse = False
             violations.append(x)
         if not up and not down:
             critical.append(x)
-    return MorseVerdict(morse, tuple(critical), tuple(violations))
+    return MorseVerdict(not violations, tuple(critical), tuple(violations))
 
 
 def morse_function_to_matching(poset: Poset, values: dict[str, Fraction]) -> Matching:
@@ -217,14 +214,14 @@ def verify_attachment(poset: Poset, function: MorseBottFunction, a, b) -> Attach
     if len(classes) != 1:
         raise WrongCriticalCount(
             f"critical value {crit[0]} is shared by {len(classes)} basic sets")
-    return _attachment(poset, classes[0], frozenset(sublevel(poset, function.values, a)),
-                       frozenset(sublevel(poset, function.values, b)), a, b)
+    lower, upper = (set(sublevel(poset, function.values, t)) for t in (a, b))
+    return _attachment(poset, classes[0], lower, upper - lower, a, b)
 
 
-def _attachment(poset: Poset, members: tuple[str, ...], lower: frozenset[str],
-                upper: frozenset[str], a: Fraction, b: Fraction) -> AttachmentReport:
-    """The identities of attaching `members` from `lower` = X_a to `upper` = X_b."""
-    boundary, new = _leaving_covers(poset, members), upper - lower
+def _attachment(poset: Poset, members: tuple[str, ...], lower: set[str], new: set[str],
+                a: Fraction, b: Fraction) -> AttachmentReport:
+    """The identities of attaching `members` to `lower` = X_a, `new` = X_b - X_a."""
+    boundary = _leaving_covers(poset, members)
     identities = {
         "new_elements_equal_class": new == set(members),
         "boundary_inside_lower": boundary <= lower,
@@ -242,8 +239,8 @@ def filtration_sweep(poset: Poset,
     order: tight attachment checks around every critical value, then
     collapse checks across every maximal regular gap.  The cuts lie one
     below the least value, halfway between consecutive values and one
-    above the greatest; the sublevel set at a cut is the one at the cut
-    before it plus the down-closure of the elements between them."""
+    above the greatest.  One sublevel set grows by the down-closure of
+    the elements between cuts; a gap's check reads only what it added."""
     if function.matching is None:
         raise NotMorse("sweep needs the matching behind the function")
     require_admissible(poset)
@@ -262,17 +259,19 @@ def filtration_sweep(poset: Poset,
         return [], True
     cuts = [values[0] - 1, *((lo + hi) / 2 for lo, hi in zip(values, values[1:])), values[-1] + 1]
     attachments, gaps = [], []
-    # the regular gap open since cut `start`, whose sublevel set is `bottom`
-    start, bottom, lower = 0, frozenset(), frozenset()
+    # the sublevel set at the cut, and what the regular gap open since cut `start` added
+    start, lower, added = 0, set(), []
     for i, v in enumerate(values):
-        upper = lower.union(poset.down_closure(level[v]))
+        new = {x for x in poset.down_closure(level[v]) if x not in lower}
         if v in classes:
-            gaps.append((start, i, _pair_homology(poset, lower, bottom)))
+            gaps.append((start, i, _pair_homology(poset, added)))
             attachments.append(
-                _attachment(poset, classes[v][0], lower, upper, cuts[i], cuts[i + 1]))
-            start, bottom = i + 1, upper
-        lower = upper
-    gaps.append((start, len(values), _pair_homology(poset, lower, bottom)))
+                _attachment(poset, classes[v][0], lower, new, cuts[i], cuts[i + 1]))
+            start, added = i + 1, []
+        else:
+            added += new
+        lower.update(new)
+    gaps.append((start, len(values), _pair_homology(poset, added)))
     reports = attachments + [
         AttachmentReport(interval=(cuts[lo], cuts[hi]), kind="regular-interval", ok=h.is_trivial())
         for lo, hi, h in gaps]

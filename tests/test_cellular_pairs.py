@@ -42,7 +42,7 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import guard_whole_poset_chains, order_complex_pair_homology
+from helpers import guard_whole_poset_chains, order_complex_pair_homology, per_interval_sweep
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = [
@@ -101,13 +101,10 @@ def _admissible_posets(seed: int):
 
 
 def _with_oracle(monkeypatch, module: str, fn, *args):
-    """fn(*args) with the named module's pair homology replaced by the
-    order-complex definition: `cellular_pair_homology` and, in `morse`,
-    the unchecked form that the filtration sweep calls."""
+    """fn(*args) with the named module's `cellular_pair_homology` replaced
+    by the order-complex definition."""
     with monkeypatch.context() as m:
         m.setattr(f"posetmorse.{module}.cellular_pair_homology", order_complex_pair_homology)
-        if module == "morse":
-            m.setattr("posetmorse.morse._pair_homology", order_complex_pair_homology)
         return fn(*args)
 
 
@@ -153,7 +150,9 @@ def test_pairs_match_definition_on_fixtures(monkeypatch):
             _check_pairs(poset, matching, function.values, monkeypatch)
         reports, ok = filtration_sweep(poset, function)
         assert ok
-        assert (reports, ok) == _with_oracle(monkeypatch, "morse", filtration_sweep, poset,
+        # the sweep one interval at a time, every gap and attachment judged
+        # by the order-complex pair
+        assert (reports, ok) == _with_oracle(monkeypatch, "morse", per_interval_sweep, poset,
                                              function)
         for coefficients in ("int", "rat"):
             for fn in (morse_bott_numbers, lemma_basic_set_window):

@@ -5,6 +5,7 @@ fixtures and on seeded matchings of admissible posets, with integrated
 functions, random Fraction-valued functions and functions where two
 basic sets share a value."""
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +143,35 @@ def test_int_valued_functions_get_exact_cut_points(t3, t3_m1):
     assert all(type(end) is Fraction for r in reports for end in r.interval)
     assert [r.to_doc()["interval"] for r in reports] == [
         ["0", "3/2"], ["11/2", "7"], ["0", "0"], ["3/2", "11/2"], ["7", "7"]]
+
+
+def test_each_element_reaches_one_collapse_check_or_one_attachment(monkeypatch):
+    """The cells handed to the collapse checks add up to |P| less the
+    attached classes: a gap's check reads only the elements it added."""
+    import sys
+
+    morse = sys.modules["posetmorse.morse"]
+    pair_homology, handed = morse._pair_homology, []
+
+    def counted(poset, cells, *args):
+        handed.append(list(cells))
+        return pair_homology(poset, cells, *args)
+
+    monkeypatch.setattr(morse, "_pair_homology", counted)
+    rp2 = face_poset(parse_simplicial_complex((DATA / "rp2_6.txt").read_text()))
+    sd2 = subdivision(subdivision(rp2))
+    runs = [*_fixture_runs(), (sd2, random_matching(XorShift64Star(3), sd2))]
+    orbits = 0
+    for poset, matching in runs:
+        handed.clear()
+        reports, ok = filtration_sweep(poset, integrate_matching(poset, matching))
+        attached = [e for r in reports for e in r.class_elements]
+        orbits += sum(len(r.class_elements) > 1 for r in reports)
+        assert ok
+        assert sum(map(len, handed)) == len(poset) - len(attached)
+        assert Counter(e for cells in handed for e in cells) + Counter(attached) == Counter(
+            poset.elements)
+    assert orbits >= 2
 
 
 def test_walk_makes_no_per_interval_call(monkeypatch):
