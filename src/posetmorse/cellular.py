@@ -24,6 +24,19 @@ InconsistentIncidence.  A bad row that a later down-set reads can stop
 the walk before the check, in the reducer or the model; the same check
 then runs on the rows so far.
 
+On face posets and subdivisions every element of a degree hands the
+reducer the same local complex, so the pass reduces each distinct
+sphere complex once: its generator, in local indices, is stored under
+the whole input of the sphere decision, p with the ranks and boundary
+columns of the cells in `_cells` order, and a later down-set with that
+key maps it onto its own cells.  p is in the key because the verdict
+reads it.  A key is built only where it can hit: on a graded poset,
+over cellular elements only, and where the reduced Euler characteristic
+is (-1)^(p-1), as on every homology (p-1)-sphere.  The gauge, the
+admissibility test and the mapping-cone branch still run per element,
+and only generators are stored: the models of other down-sets are freed
+per element, as they would pin far more memory.
+
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
 cellular, that is Z in degree p-1 and the cover (w, x) is admissible
@@ -154,6 +167,8 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     not_cellular: dict[str, HomologySummary] = {}
     not_admissible: list[tuple[str, str]] = []
     downsets: dict[str, frozenset[str]] = {}
+    # the generator, in local indices, of each sphere complex reduced so far
+    spheres: dict[tuple, tuple[int, ...]] = {}
     try:
         for x in sorted(poset.elements, key=degrees.__getitem__):
             p, lower = degrees[x], poset.lower_covers(x)
@@ -161,19 +176,31 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
                 continue
+            over_cellular = not_cellular.keys().isdisjoint(below)
             if graded and p == 1 and len(lower) == 2:
                 # U.x is two points, a 0-sphere; its generator is their
                 # difference, up to the sign that the gauge fixes below
                 sphere = dict(zip(lower, (1, -1)))
             else:
                 ranks, columns, labels = _cells(poset, eps, below, reduced=True)
-                reducer = _minimal_reducer(ranks, columns)
-                live = {k: cells for k, cells in reducer.survivors().items() if cells}
-                sphere = None
-                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
-                    # the one cell's inclusion: a generator of the top cycles of U.x
-                    (generator,) = reducer.inclusions(p - 1, live[p - 1])
-                    sphere = {w: generator.get(i, 0) for i, w in enumerate(labels[p - 1])}
+                key = generator = None
+                if graded and over_cellular and sum(
+                        r if k % 2 == 0 else -r for k, r in ranks.items()) == (-1) ** (p - 1):
+                    # the reduced Euler characteristic of a homology (p-1)-sphere
+                    key = (p, tuple(ranks.items()), tuple(
+                        (k, tuple(tuple(column.items()) for column in cells))
+                        for k, cells in columns.items()))
+                    generator = spheres.get(key)
+                if generator is None:
+                    reducer = _minimal_reducer(ranks, columns)
+                    live = {k: cells for k, cells in reducer.survivors().items() if cells}
+                    if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+                        # the one cell's inclusion: a generator of the top cycles of U.x
+                        (chain,) = reducer.inclusions(p - 1, live[p - 1])
+                        generator = tuple(chain.get(i, 0) for i in range(ranks[p - 1]))
+                        if key is not None:
+                            spheres[key] = generator
+                sphere = None if generator is None else dict(zip(labels[p - 1], generator))
             if sphere is not None:
                 eps[x], here = sphere, ((p - 1, (1, ())),)
             else:
@@ -186,7 +213,7 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                                    else HomologySummary(dict(model.complex.ranks)))
                 here = tuple(not_cellular[x].nontrivial().items())
             cone[x] = tuple((k + 1, group) for k, group in here)
-            if x in not_cellular or not not_cellular.keys().isdisjoint(below):
+            if x in not_cellular or not over_cellular:
                 # the exact sequence of (U.x, U.x - {w}), as the module docstring says
                 not_admissible += [
                     (w, x) for w in lower if cone[w] != here or here and not homology(

@@ -25,11 +25,11 @@ Nanda, Found. Comput. Math. 2014).  `minimal_model` then brings the few
 boundaries that still have unit Smith factors to their Smith form, on
 the inclusions of the cells left, and eliminates those too, leaving
 rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass runs it on
-the raw cells of each down-set (`_minimal_reducer`), reads the sphere
-verdict and the generator off the survivors, and builds the mapping
-cones of its chain model over the other models; the flow reads the
-Morse complex of a matching, and the hccat witness is the minimal
-model.
+the raw cells of each down-set (`_minimal_reducer`), once per distinct
+sphere complex, reads the sphere verdict and the generator off the
+survivors, and builds the mapping cones of its chain model over the
+other models; the flow reads the Morse complex of a matching, and the
+hccat witness is the minimal model.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the

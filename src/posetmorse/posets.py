@@ -3,9 +3,11 @@
 Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
-all derived data (reachability, heights, homology) is cached lazily on
-the instance.  A graded poset is the same value: an element's
-degree is its height, and the degree queries raise NotGraded otherwise.
+all derived data (down-sets, heights, homology) is cached lazily on the
+instance; the up-sets are built only when `strictly_above` first asks for
+them, which in the library only `beat_point_core` does.  A graded poset
+is the same value: an element's degree is its height, and the degree
+queries raise NotGraded otherwise.
 
 The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
@@ -97,24 +99,28 @@ class Poset:
 
     # -- reachability ----------------------------------------------------------
 
-    def _reach(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    def _reach(self) -> dict[str, frozenset[str]]:
         if self._below is None:
             below = _strictly_below(self.elements, self._lower, self._upper)
             self._below = {e: frozenset(s) for e, s in below.items()}
+        return self._below
+
+    def _up_sets(self) -> dict[str, frozenset[str]]:
+        if self._above is None:
             above: dict[str, set[str]] = {e: set() for e in self.elements}
-            for e, s in self._below.items():
+            for e, s in self._reach().items():
                 for w in s:
                     above[w].add(e)
             self._above = {e: frozenset(s) for e, s in above.items()}
-        return self._below, self._above
+        return self._above
 
     def strictly_below(self, element: str) -> frozenset[str]:
         self.require(element)
-        return self._reach()[0][element]
+        return self._reach()[element]
 
     def strictly_above(self, element: str) -> frozenset[str]:
         self.require(element)
-        return self._reach()[1][element]
+        return self._up_sets()[element]
 
     def less(self, a: str, b: str) -> bool:
         """True iff a < b in the partial order."""
@@ -175,7 +181,7 @@ class Poset:
         for e in keep:
             self.require(e)
         elements = [e for e in self.elements if e in keep]
-        below, _ = self._reach()
+        below = self._reach()
         covers = []
         for x in elements:
             under = below[x] & keep
@@ -198,7 +204,7 @@ class Poset:
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains of the subposet on `members`, grouped by
         maximum element, each listed in increasing order; not cached."""
-        below, _ = self._reach()
+        below = self._reach()
         heights, order = self.heights(), self.index
         keep = set(members)
         ending: dict[str, list[tuple[str, ...]]] = {}
@@ -217,7 +223,7 @@ class Poset:
         so the order complexes of the poset and of its core are homotopy
         equivalent, and the core of a contractible space is a point
         (Stong, Trans. AMS 123, 1966)."""
-        below, above = self._reach()
+        below, above = self._reach(), self._up_sets()
         heights, order = self.heights(), self.index
         core = set(self.elements)
 

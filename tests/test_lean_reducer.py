@@ -21,6 +21,7 @@ from posetmorse import (
     check_cellularity,
     face_poset,
     simplicial_chain_complex,
+    space_homology,
     subdivision,
 )
 from posetmorse.cellular import _degree_induction, space_complex
@@ -217,6 +218,44 @@ def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
         assert check_cellularity(poset).is_cellular
         # O(1), not one or two per element: only the check of d*d
         assert len(built) == 1, len(built)
+
+
+def test_check_cellularity_reduces_each_distinct_sphere_once(monkeypatch):
+    cellular = sys.modules["posetmorse.cellular"]
+    real, calls = cellular._minimal_reducer, []
+
+    def counted(ranks, columns):
+        calls.append(1)
+        return real(ranks, columns)
+
+    monkeypatch.setattr(cellular, "_minimal_reducer", counted)
+    # every triangle of sd2 RP^2 has the same down-set; each degree p = 2..4
+    # of the boundary of the 5-simplex has one (degree 1 needs no reduction)
+    for poset, distinct in ((sd2_rp2(), 1), (face_poset(sphere(5)), 3)):
+        calls.clear()
+        assert check_cellularity(poset).is_homologically_admissible
+        assert len(calls) == distinct, len(calls)
+
+
+def test_the_pass_and_the_chain_model_build_no_up_sets():
+    rng = XorShift64Star(2019)
+    for poset in (sd2_rp2(), random_graded_poset(rng, max_elements=40, max_levels=5)):
+        check_cellularity(poset)
+        space_homology(poset)
+        poset.chains_within(poset.elements[:10])
+        poset.down_closure(poset.elements[-5:])
+        assert poset._above is None
+
+
+def test_up_sets_are_the_transposed_down_sets():
+    rng = XorShift64Star(2020)
+    posets = [poset for _, poset in fixtures()]
+    posets += [random_graded_poset(rng, max_elements=16, max_levels=4) for _ in range(10)]
+    posets += [ungraded_poset(rng, rng.randint(5, 11)) for _ in range(10)]
+    for poset in posets:
+        for e in poset.elements:
+            assert poset.strictly_above(e) == {
+                x for x in poset.elements if e in poset.strictly_below(x)}
 
 
 def _corrupting(monkeypatch, element: str, corrupt):
