@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cellular import (cellular_chain_complex, check_cellularity, space_complex, space_homology,
-                       verify_cellular_agreement)
+from .cellular import cellular_chain_complex, check_cellularity, space_complex, space_homology
 from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
 from .errors import MalformedLine, PosetMorseError
@@ -118,8 +117,9 @@ def cmd_homology(args) -> int:
 def cmd_cellular(args) -> int:
     poset, _, _ = _load_space(args)
     cell = cellular_chain_complex(poset)
-    agrees = verify_cellular_agreement(poset)
-    summary = homology(cell.complex, args.coeff)
+    integral = homology(cell.complex)
+    agrees = integral == poset_homology(poset)
+    summary = integral if args.coeff == "int" else integral.rational()
     results = {
         "incidence": cell.incidence_table(),
         "boundaries": {str(p): mat.to_lists()

@@ -104,7 +104,7 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     """A Morse-Bott function integrating the matching (canonical witness).
 
     Values are the reverse topological ranks of the condensation of the
-    matched digraph, as exact integers (Fractions).
+    matched digraph, as plain ints.
     """
     if not poset.is_graded():
         raise NotGraded("integration needs a graded poset")
@@ -139,7 +139,7 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
                 heapq.heappush(ready, (key[j], j))
     if processed != n:
         raise ConsistencyError("condensation of the matched digraph has a cycle")
-    values = {e: Fraction(rank[comp_id[e]]) for e in poset.elements}
+    values = {e: rank[comp_id[e]] for e in poset.elements}
     return MorseBottFunction(poset=poset, values=values, matching=matching)
 
 
@@ -246,18 +246,19 @@ def filtration_sweep(poset: Poset,
     require_admissible(poset)
     classes: dict[Fraction, list[tuple[str, ...]]] = {}
     for members in function.decomposition().classes:
-        classes.setdefault(Fraction(function.values[members[0]]), []).append(members)
+        classes.setdefault(function.values[members[0]], []).append(members)
     for v in sorted(classes):
         if len(classes[v]) != 1:
             raise WrongCriticalCount(
                 f"critical value {v} is shared by {len(classes[v])} basic sets")
     level: dict[Fraction, list[str]] = {}
     for x in poset.elements:
-        level.setdefault(Fraction(function.values[x]), []).append(x)
+        level.setdefault(function.values[x], []).append(x)
     values = sorted(level)
     if not values:
         return [], True
-    cuts = [values[0] - 1, *((lo + hi) / 2 for lo, hi in zip(values, values[1:])), values[-1] + 1]
+    cuts = [Fraction(values[0] - 1), *(Fraction(lo + hi, 2) for lo, hi in zip(values, values[1:])),
+            Fraction(values[-1] + 1)]
     attachments, gaps = [], []
     # the sublevel set at the cut, and what the regular gap open since cut `start` added
     start, lower, added = 0, set(), []

@@ -4,10 +4,15 @@ Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
 all derived data (down-sets, heights, homology) is cached lazily on the
-instance; the up-sets are built only when `strictly_above` first asks for
-them, which in the library only `beat_point_core` does.  A graded poset
-is the same value: an element's degree is its height, and the degree
-queries raise NotGraded otherwise.
+instance.  The order is worked out once per poset: one topological walk,
+cached, which the heights and the one transitive closure (the down-sets)
+both read.  `build_poset` hands the poset the walk and the closure it
+made of its raw relation, which has the same order as its covers, and
+one helper, `_cover_reduction`, reduces an order to covers for both
+`build_poset` and `induced`.  The up-sets are built only when
+`strictly_above` first asks for them, which in the library only
+`beat_point_core` does.  A graded poset is the same value: an element's
+degree is its height, and the degree queries raise NotGraded otherwise.
 
 The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
@@ -21,7 +26,7 @@ too, and `beat_point_core` serves the random generators.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import (
     CycleDetected,
@@ -36,19 +41,20 @@ class Poset:
     """A finite poset; `covers` holds pairs (w, x) meaning w is covered by x.
 
     The constructor trusts its arguments to already be a transitive
-    reduction; use :func:`build_poset` for raw input.  Empty posets are
-    legal values (they arise as strict down-sets) but are rejected as
-    top-level inputs by :func:`build_poset`.
+    reduction of string identifiers; use :func:`build_poset` for raw
+    input.  It builds the sorted cover lists once.  The heights are
+    computed on first use, and so are the topological order and the
+    down-sets unless :func:`build_poset` has handed them over.  Empty
+    posets are legal values (they arise as strict down-sets) but are
+    rejected as top-level inputs by :func:`build_poset`.
     """
 
     def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
         self.elements = tuple(elements)
-        self.covers = frozenset((str(w), str(x)) for w, x in covers)
+        self.covers = frozenset(covers)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise DuplicateElement("duplicate element identifiers")
-        self._upper: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
-        self._lower: dict[str, tuple[str, ...]] = {e: () for e in self.elements}
         up: dict[str, list[str]] = {e: [] for e in self.elements}
         dn: dict[str, list[str]] = {e: [] for e in self.elements}
         for w, x in self.covers:
@@ -56,10 +62,10 @@ class Poset:
                 raise UnknownElement(f"cover ({w}, {x}) references undeclared element")
             up[w].append(x)
             dn[x].append(w)
-        order = self.index
-        for e in self.elements:
-            self._upper[e] = tuple(sorted(up[e], key=order.__getitem__))
-            self._lower[e] = tuple(sorted(dn[e], key=order.__getitem__))
+        key = self.index.__getitem__
+        self._upper = {e: tuple(sorted(up[e], key=key)) for e in self.elements}
+        self._lower = {e: tuple(sorted(dn[e], key=key)) for e in self.elements}
+        self._order: list[str] | None = None
         self._below: dict[str, frozenset[str]] | None = None
         self._above: dict[str, frozenset[str]] | None = None
         self._heights: dict[str, int] | None = None
@@ -99,10 +105,14 @@ class Poset:
 
     # -- reachability ----------------------------------------------------------
 
+    def _topo_order(self) -> list[str]:
+        if self._order is None:
+            self._order = _topological_order(self.elements, self._lower, self._upper)
+        return self._order
+
     def _reach(self) -> dict[str, frozenset[str]]:
         if self._below is None:
-            below = _strictly_below(self.elements, self._lower, self._upper)
-            self._below = {e: frozenset(s) for e, s in below.items()}
+            self._below = _strictly_below(self._topo_order(), self._lower)
         return self._below
 
     def _up_sets(self) -> dict[str, frozenset[str]]:
@@ -132,7 +142,7 @@ class Poset:
         """height(x) = length of the longest chain ending at x."""
         if self._heights is None:
             h: dict[str, int] = {}
-            for e in _topological_order(self.elements, self._lower, self._upper):
+            for e in self._topo_order():
                 lows = self._lower[e]
                 h[e] = 1 + max(h[w] for w in lows) if lows else 0
             self._heights = h
@@ -182,14 +192,7 @@ class Poset:
             self.require(e)
         elements = [e for e in self.elements if e in keep]
         below = self._reach()
-        covers = []
-        for x in elements:
-            under = below[x] & keep
-            for w in under:
-                # w covers x inside `keep` iff nothing of `keep` sits between
-                if not any(w in below[z] for z in under):
-                    covers.append((w, x))
-        return Poset(elements, covers)
+        return Poset(elements, _cover_reduction({x: below[x] & keep for x in elements}, below))
 
     def down_closure(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The union of the minimal open sets U_x for x in the subset, in
@@ -265,17 +268,29 @@ def _topological_order(elements: Sequence[str], lower: dict[str, Sequence[str]],
     return queue
 
 
-def _strictly_below(elements: Sequence[str], lower: dict[str, Sequence[str]],
-                    upper: dict[str, Sequence[str]]) -> dict[str, set[str]]:
-    """The transitive closure of `lower`, read in a topological order."""
-    below: dict[str, set[str]] = {}
-    for e in _topological_order(elements, lower, upper):
-        acc: set[str] = set()
+def _strictly_below(order: Sequence[str],
+                    lower: dict[str, Sequence[str]]) -> dict[str, frozenset[str]]:
+    """The transitive closure of `lower`, read along a topological order."""
+    below: dict[str, frozenset[str]] = {}
+    for e in order:
+        acc = set(lower[e])
         for w in lower[e]:
-            acc.add(w)
             acc |= below[w]
-        below[e] = acc
+        below[e] = frozenset(acc)
     return below
+
+
+def _cover_reduction(under: dict[str, AbstractSet[str]],
+                     below: dict[str, AbstractSet[str]]) -> list[tuple[str, str]]:
+    """The pairs (w, x) with w in under[x] and w below no other element of
+    under[x]: the covers of an order, given for each x a set of elements
+    below it that holds its lower covers and the closure `below` of that
+    order.  Each intersection walks the smaller of its two sets."""
+    covers = []
+    for x, lows in under.items():
+        redundant = set().union(*(below[y] & lows for y in lows))
+        covers += [(w, x) for w in lows - redundant]
+    return covers
 
 
 def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:
@@ -283,7 +298,8 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
 
     The relation is closed transitively and then reduced to covers; cyclic
     input raises CycleDetected, empty input raises EmptyPoset.  Returns the
-    canonical Hasse-diagram representation.
+    canonical Hasse-diagram representation, holding the relation's
+    topological order and closure: the covers generate the same order.
     """
     elements = [str(e) for e in elements]
     if not elements:
@@ -304,16 +320,11 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
             raise CycleDetected(f"reflexive pair ({w}, {x}) is not allowed")
         lower[x].append(w)
         upper[w].append(x)
-    # the closure as the poset's own reachability, with the relation as covers
     try:
-        below = _strictly_below(elements, lower, upper)
+        order = _topological_order(elements, lower, upper)
     except CycleDetected:
         raise CycleDetected("input relation is not a partial order") from None
-    # (w, x) is a cover unless w lies below another lower neighbour of x; each
-    # intersection walks the smaller of its two sets
-    covers = []
-    for x in elements:
-        under = set(lower[x])
-        redundant = set().union(*(below[y] & under for y in under))
-        covers += [(w, x) for w in under - redundant]
-    return Poset(elements, covers)
+    below = _strictly_below(order, lower)
+    poset = Poset(elements, _cover_reduction({x: set(lower[x]) for x in elements}, below))
+    poset._order, poset._below = order, below
+    return poset

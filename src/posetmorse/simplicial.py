@@ -111,17 +111,10 @@ def serialize_simplicial_complex(complex: SimplicialComplex) -> str:
 
 def face_poset(complex: SimplicialComplex) -> Poset:
     """The poset of simplices ordered by inclusion; degree = dimension."""
-    elements = [simplex_id(s) for d in sorted(complex.simplices)
-                for s in complex.simplices[d]]
-    covers = []
-    for d in sorted(complex.simplices):
-        if d == 0:
-            continue
-        for s in complex.simplices[d]:
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                covers.append((simplex_id(face), simplex_id(s)))
-    return Poset(elements, covers)
+    ids = {s: simplex_id(s) for d in sorted(complex.simplices) for s in complex.simplices[d]}
+    covers = [(ids[s[:i] + s[i + 1:]], sid) for s, sid in ids.items() if len(s) > 1
+              for i in range(len(s))]
+    return Poset(list(ids.values()), covers)
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmorse import build_poset, face_poset
+from posetmorse import build_poset, face_poset, posets
 from posetmorse.errors import (
     CycleDetected,
     DuplicateElement,
@@ -10,6 +10,7 @@ from posetmorse.errors import (
     NotGraded,
     UnknownElement,
 )
+from posetmorse.formats import load_complex, load_poset
 from posetmorse.posets import Poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset
 
@@ -201,6 +202,39 @@ def test_cover_reduction_matches_the_comprehension():
         pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # duplicate pairs
         rng.shuffle(pairs)
         assert build_poset(elements, pairs).covers == comprehension_covers(elements, pairs)
+
+
+def test_induced_covers_match_the_comprehension():
+    rng = XorShift64Star(1972)
+    for trial in range(120):
+        if trial % 2:
+            p = random_graded_poset(rng, max_elements=14, max_levels=4)
+        else:  # ungraded: any acyclic relation, pairs oriented along a shuffled order
+            size = rng.randint(1, 14)
+            elements = rng.shuffle([f"e{i}" for i in range(size)])
+            p = build_poset(elements, [(elements[i], elements[j]) for i in range(size)
+                                       for j in range(i + 1, size) if rng.chance(1, 3)])
+        keep = rng.sample(list(p.elements), rng.randint(0, len(p)))
+        relation = [(w, x) for x in keep for w in p.strictly_below(x) if w in keep]
+        assert p.induced(keep).covers == comprehension_covers(keep, relation)
+
+
+@pytest.mark.parametrize("load", [
+    lambda: load_poset("a < b\nb < c\na < c\nd < c\n")[0],
+    lambda: face_poset(load_complex("a b c\nc d\n")),
+], ids=["loaded", "face"])
+def test_one_walk_and_one_closure_per_poset(load, monkeypatch):
+    calls = {"_topological_order": 0, "_strictly_below": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(posets, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(posets, name, counted)
+    poset = load()
+    poset.heights()
+    for x in poset.elements:
+        poset.strictly_below(x)
+    assert calls == {"_topological_order": 1, "_strictly_below": 1}
 
 
 def test_graded_cover_degree_gap(t3):
