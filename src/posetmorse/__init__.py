@@ -59,6 +59,7 @@ from .morse import (
     integrate_matching,
     is_morse_function,
     morse_function_to_matching,
+    require_morse_bott,
     sublevel,
     verify_attachment,
     verify_collapse,

@@ -12,17 +12,21 @@ cell m of M in degree k, with boundary g(m) - (x, d_M m).  This is
 exact over Z, and by induction the cells of any down-set model it.  On
 a graded poset U.x is a homology (p-1)-sphere, p = deg x, exactly when
 M is one cell in degree p-1: x is then cellular and its own cell, whose
-boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  In degree 1
-that is U.x of two points, whose difference needs no reduction.  An
-ungraded poset gets its model from the same walk, which decides nothing
-there.  The reducer takes the raw cells of U.x, unchecked, and builds
-only the inclusions it is asked for: the generator, or those of the
-model on the mapping-cone branch.  d*d = 0 is checked once, after the
-walk, on the whole reduced complex, whose check restricted to the
-columns of a down-set is that down-set's, and a failure raises
-InconsistentIncidence.  A bad row that a later down-set reads can stop
-the walk before the check, in the reducer or the model; the same check
-then runs on the rows so far.
+boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  Two kinds of
+U.x need no cells listed and no reduction.  An x with one lower cover w
+has U.x = U_w, a cone with apex w, contractible (Stong, Trans. AMS 123,
+1966): M has no cells, so x owns none and is not cellular.  In degree 1
+U.x of two points is a 0-sphere, whose difference, gauged, is +1 on the
+smaller name.  An ungraded poset gets its model from the same walk,
+which decides nothing there.  The reducer takes the raw cells of U.x,
+unchecked, and builds only the inclusions it is asked for: the
+generator, or on the mapping-cone branch those of its surviving cells,
+whose cone cells and H~(U.x) are read straight off it.  d*d = 0 is
+checked once, after the walk, on the whole reduced complex, every cone
+cell included, whose check restricted to the columns of a down-set is
+that down-set's, and a failure raises InconsistentIncidence.  A bad row
+that a later down-set reads can stop the walk before the check, in the
+reducer or the model; the same check then runs on the rows so far.
 
 On face posets and subdivisions every element of a degree hands the
 reducer the same local complex, so the pass reduces each distinct
@@ -44,9 +48,10 @@ exactly when eps(x, w) = +-1.  Elsewhere U.x - {w} is not acyclic when
 H~(U.x) differs from H~(U.w) one degree up, acyclic when both are
 trivial, and only when both agree and are not does its model decide.
 The sign gauge is that of `sphere_generator`: the first sorted full flag
-of U.x whose steps all have nonzero incidence, found greedily, has a
-positive coefficient, (-1)^(names before w) * eps(x, w) times the
-coefficient of the rest of the flag in w's generator, w its top element.
+of U.x whose steps all have nonzero incidence, found greedily in one
+walk over the sorted names, has a positive coefficient,
+(-1)^(names before w) * eps(x, w) times the coefficient of the rest of
+the flag in w's generator, w its top element.
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given A - B alone: the pass's down-sets, and, through
@@ -78,13 +83,15 @@ from .homology import (
     ChainComplex,
     Coefficients,
     HomologySummary,
-    Reduction,
+    _Reducer,
+    _homology,
     _minimal_reducer,
     homology,
     poset_homology,
     sphere_summary,
     subposet_chain_complex,
 )
+from .intmatrix import Column
 from .posets import Poset
 from .simplicial import Simplex
 from .snf import kernel_basis
@@ -170,47 +177,56 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     # the generator, in local indices, of each sphere complex reduced so far
     spheres: dict[tuple, tuple[int, ...]] = {}
     try:
-        for x in sorted(poset.elements, key=degrees.__getitem__):
+        for x in poset.height_order():
             p, lower = degrees[x], poset.lower_covers(x)
             below = downsets[x] = poset.strictly_below(x)
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
                 continue
-            over_cellular = not_cellular.keys().isdisjoint(below)
+            if len(lower) == 1:
+                # U.x has a maximum, so it is a cone: its model has no cells
+                eps[x] = []
+                if graded:
+                    not_cellular[x], cone[x] = HomologySummary(), ()
+                    # the exact sequence of (U.x, U.x - {w}) with H~(U.x) = 0
+                    not_admissible += [(w, x) for w in lower if cone[w]]
+                continue
             if graded and p == 1 and len(lower) == 2:
-                # U.x is two points, a 0-sphere; its generator is their
-                # difference, up to the sign that the gauge fixes below
-                sphere = dict(zip(lower, (1, -1)))
+                # U.x is two points, a 0-sphere: their difference, gauged
+                # to +1 on the smaller name
+                a, b = lower
+                eps[x] = {a: 1, b: -1} if a < b else {a: -1, b: 1}
+                reach[x], cone[x] = below, ((1, (1, ())),)
+                continue
+            over_cellular = not_cellular.keys().isdisjoint(below)
+            ranks, columns, labels = _cells(poset, eps, below, reduced=True)
+            key = generator = None
+            if graded and over_cellular and sum(
+                    r if k % 2 == 0 else -r for k, r in ranks.items()) == (-1) ** (p - 1):
+                # the reduced Euler characteristic of a homology (p-1)-sphere
+                key = (p, tuple(ranks.items()), tuple(
+                    (k, tuple(tuple(column.items()) for column in cells))
+                    for k, cells in columns.items()))
+                generator = spheres.get(key)
+            if generator is None:
+                reducer = _minimal_reducer(ranks, columns)
+                live = {k: cells for k, cells in reducer.survivors().items() if cells}
+                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+                    # the one cell's inclusion: a generator of the top cycles of U.x
+                    (chain,) = reducer.inclusions(p - 1, live[p - 1])
+                    generator = tuple(chain.get(i, 0) for i in range(ranks[p - 1]))
+                    if key is not None:
+                        spheres[key] = generator
+            if generator is not None:
+                eps[x], here = dict(zip(labels[p - 1], generator)), ((p - 1, (1, ())),)
             else:
-                ranks, columns, labels = _cells(poset, eps, below, reduced=True)
-                key = generator = None
-                if graded and over_cellular and sum(
-                        r if k % 2 == 0 else -r for k, r in ranks.items()) == (-1) ** (p - 1):
-                    # the reduced Euler characteristic of a homology (p-1)-sphere
-                    key = (p, tuple(ranks.items()), tuple(
-                        (k, tuple(tuple(column.items()) for column in cells))
-                        for k, cells in columns.items()))
-                    generator = spheres.get(key)
-                if generator is None:
-                    reducer = _minimal_reducer(ranks, columns)
-                    live = {k: cells for k, cells in reducer.survivors().items() if cells}
-                    if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
-                        # the one cell's inclusion: a generator of the top cycles of U.x
-                        (chain,) = reducer.inclusions(p - 1, live[p - 1])
-                        generator = tuple(chain.get(i, 0) for i in range(ranks[p - 1]))
-                        if key is not None:
-                            spheres[key] = generator
-                sphere = None if generator is None else dict(zip(labels[p - 1], generator))
-            if sphere is not None:
-                eps[x], here = sphere, ((p - 1, (1, ())),)
-            else:
-                model = reducer.result()
-                eps[x] = _cone_cells(x, labels, model, eps)
+                eps[x], (model_ranks, model_columns) = _cone_cells(x, labels, reducer, live, eps)
                 if not graded:
                     continue
                 # a model with no differential is its own homology
-                not_cellular[x] = (homology(model.complex) if model.complex.columns
-                                   else HomologySummary(dict(model.complex.ranks)))
+                not_cellular[x] = (_homology(model_ranks, model_columns)
+                                   if any(map(any, model_columns.values()))
+                                   else HomologySummary(model_ranks))
                 here = tuple(not_cellular[x].nontrivial().items())
             cone[x] = tuple((k + 1, group) for k, group in here)
             if x in not_cellular or not over_cellular:
@@ -249,19 +265,24 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
         {x: dict(row) for x, row in eps.items()} if cellular else eps)
 
 
-def _cone_cells(x: str, labels: dict[int, tuple], model: Reduction, eps: Rows) -> list[tuple]:
+def _cone_cells(x: str, labels: dict[int, tuple], reducer: _Reducer, live: dict[int, list[int]],
+                eps: Rows) -> tuple[list[tuple], tuple[dict[int, int], dict[int, list[Column]]]]:
     """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
-    k of the model M of the cells with these labels, bounded by
-    g(m) - (x, d_M m), g M's inclusion."""
+    k of the minimal model M that `reducer` left of the cells with these
+    labels, `live` its surviving cells, bounded by g(m) - (x, d_M m), g M's
+    inclusion.  Returns the cells, and M's ranks and boundary columns."""
+    at = {k: {c: j for j, c in enumerate(cells)} for k, cells in live.items()}
+    boundary = {k: [{at[k - 1][i]: v for i, v in reducer.cols[k][c].items()} for c in cells]
+                for k, cells in live.items() if k - 1 in at}
     cells = []
-    for k in sorted(model.inclusion):
-        columns = model.complex.columns.get(k)
-        for j, chain in enumerate(model.inclusion[k]):
+    for k in sorted(live):
+        columns = boundary.get(k)
+        for j, chain in enumerate(reducer.inclusions(k, live[k])):
             row = eps[x, k + 1, j] = {labels[k][i]: v for i, v in chain.items()}
             if columns:
                 row.update(((x, k, i), -v) for i, v in columns[j].items())
             cells.append((x, k + 1, j))
-    return cells
+    return cells, ({k: len(cells) for k, cells in live.items()}, boundary)
 
 
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
@@ -278,13 +299,13 @@ def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
 def _cells(poset: Poset, eps: Rows, members: Iterable[str],
            reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
     """The ranks, boundary columns and labels of the cells of `members`,
-    A - B for a down-closed pair (A, B), unchecked: by degree, in poset
-    order, each with its row of `eps`, less the cells outside, as
-    boundary.  With reduced=True (B empty) an augmentation slot
+    A - B for a down-closed pair (A, B), unchecked: by degree, in
+    `Poset.height_order`, each with its row of `eps`, less the cells
+    outside, as boundary.  With reduced=True (B empty) an augmentation slot
     C_{-1} = Z is added, onto which every degree-0 cell maps."""
-    degrees, index = poset.heights(), poset.index
+    degrees = poset.heights()
     levels: dict[int, list[Hashable]] = {}
-    for e in sorted(members, key=lambda e: (degrees[e], index[e])):
+    for e in sorted(members, key=poset.height_order().__getitem__):
         if isinstance(eps[e], dict):
             levels.setdefault(degrees[e], []).append(e)
         else:  # an element that is not a cell owns a list of them
@@ -322,22 +343,30 @@ def _pair_homology(poset: Poset, cells: Iterable[str],
 def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],
                 reach: dict[str, frozenset[str]], degrees: dict[str, int]) -> int:
     """The sign, in x's sphere generator, of the first sorted full flag of
-    U.x along nonzero incidences: p times the smallest name still on such
-    a flag with those taken so far."""
-    names, flag = sorted(reach[x]), []
-    while len(flag) < p:
-        start = names.index(flag[-1]) + 1 if flag else 0
-        for name in names[start:]:
-            chain = sorted(flag + [name], key=degrees.__getitem__, reverse=True)
-            if all(e in reach[top] for top, e in zip([x] + chain, chain)):
-                flag.append(name)
+    U.x along nonzero incidences: one walk over the sorted names takes each
+    name that extends the flag so far, which holds one name per degree,
+    as the new element of a chain from x: x or the flag's next name above
+    steps to it, and it steps to the flag's next name below."""
+    flag: list[str | None] = [None] * p
+    found = 0
+    for name in sorted(reach[x]):
+        d = degrees[name]
+        if flag[d] is not None:
+            continue
+        top = next((w for w in flag[d + 1:] if w is not None), x)
+        bottom = next((w for w in reversed(flag[:d]) if w is not None), None)
+        if name in reach[top] and (bottom is None or bottom in reach[name]):
+            flag[d] = name
+            found += 1
+            if found == p:
                 break
-        else:
-            raise ConsistencyError(f"no full flag below {x!r} along nonzero incidences")
+    else:
+        raise ConsistencyError(f"no full flag below {x!r} along nonzero incidences")
+    # each name's sign is (-1)^(names before it among those still below)
     coeff, top = 1, x
-    for w in sorted(flag, key=degrees.__getitem__, reverse=True):
-        coeff *= (-1) ** flag.index(w) * eps[top][w]
-        flag.remove(w)
+    for d in range(p - 1, -1, -1):
+        w = flag[d]
+        coeff *= (-1) ** sum(v < w for v in flag[:d]) * eps[top][w]
         top = w
     return 1 if coeff > 0 else -1
 

@@ -37,7 +37,7 @@ from .inequalities import (
     orbit_inequalities_torsion,
     strong_morse_bott,
 )
-from .morse import MorseBottFunction, filtration_sweep, integrate_matching
+from .morse import MorseBottFunction, filtration_sweep, integrate_matching, require_morse_bott
 from .randgen import XorShift64Star, random_graded_poset, random_matching, random_simplicial_complex
 from .simplicial import face_poset, serialize_simplicial_complex
 
@@ -183,6 +183,7 @@ def cmd_sweep(args) -> int:
     if args.function:
         values = parse_function_text(poset, _read(args.function))
         function = MorseBottFunction(poset=poset, values=values, matching=matching)
+        require_morse_bott(function)
     else:
         function = integrate_matching(poset, matching)
     reports, ok = filtration_sweep(poset, function)

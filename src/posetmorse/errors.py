@@ -98,6 +98,11 @@ class NotMorse(PosetMorseError):
     """The function violates the at-most-one-exceptional-cover conditions."""
 
 
+class NotMorseBott(PosetMorseError):
+    """The function is not Morse-Bott for its matching: not constant on a
+    basic set, or increasing along the matched digraph between classes."""
+
+
 class CriticalValueInInterval(PosetMorseError):
     """A collapse check was requested across a critical value."""
 

@@ -26,10 +26,10 @@ boundaries that still have unit Smith factors to their Smith form, on
 the inclusions of the cells left, and eliminates those too, leaving
 rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass runs it on
 the raw cells of each down-set (`_minimal_reducer`), once per distinct
-sphere complex, reads the sphere verdict and the generator off the
-survivors, and builds the mapping cones of its chain model over the
-other models; the flow reads the Morse complex of a matching, and the
-hccat witness is the minimal model.
+sphere complex, and reads the sphere verdict and the generator, or the
+mapping cone of its chain model over the other models, straight off
+the survivors and their inclusions; the flow reads the Morse complex
+of a matching, and the hccat witness is the minimal model.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
@@ -198,26 +198,33 @@ def sphere_summary(dim: int) -> HomologySummary:
 
 def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> HomologySummary:
     """Homology of the complex; exact in either coefficient ring."""
-    if not complex.ranks:
-        return HomologySummary(coefficients=coefficients)
-    factors = _smith_factors(complex.ranks, complex.columns)
+    summary = _homology(complex.ranks, complex.columns)
+    return summary if coefficients == "int" else summary.rational()
+
+
+def _homology(ranks: dict[int, int], columns: dict[int, Sequence[Column]]) -> HomologySummary:
+    """The integral homology of the complex with these ranks, all positive,
+    and boundary columns, each d_p listed only where C_{p-1} has a rank;
+    d*d = 0 is not checked."""
+    if not ranks:
+        return HomologySummary()
+    factors = _smith_factors(ranks, columns)
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for p in range(complex.min_degree(), complex.max_degree() + 1):
+    for p in range(min(ranks), max(ranks) + 1):
         up = factors.get(p + 1, ())
-        betti[p] = complex.rank(p) - len(factors.get(p, ())) - len(up)
+        betti[p] = ranks.get(p, 0) - len(factors.get(p, ())) - len(up)
         if betti[p] < 0:
             raise ConsistencyError("negative betti number: rank bookkeeping bug")
         tor = tuple(d for d in up if d > 1)
         if tor:
             torsion[p] = tor
-    summary = HomologySummary(betti=betti, torsion=torsion)
     # Euler characteristic must agree between chain ranks and homology
-    chain_euler = sum((-1) ** p * r for p, r in complex.ranks.items())
+    chain_euler = sum((-1) ** p * r for p, r in ranks.items())
     hom_euler = sum((-1) ** p * b for p, b in betti.items())
     if chain_euler != hom_euler:
         raise ConsistencyError("Euler characteristic mismatch")
-    return summary if coefficients == "int" else summary.rational()
+    return HomologySummary(betti=betti, torsion=torsion)
 
 
 def smith_diagonal(columns: Sequence[Column], rows: int) -> tuple[int, ...]:

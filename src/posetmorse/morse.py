@@ -36,6 +36,7 @@ from .errors import (
     CriticalValueInInterval,
     NotGraded,
     NotMorse,
+    NotMorseBott,
     WrongCriticalCount,
 )
 from .posets import Poset
@@ -98,6 +99,23 @@ class MorseBottFunction:
         """Images of the basic sets, sorted increasingly."""
         return tuple(sorted({self.values[members[0]]
                              for members in self.decomposition().classes}))
+
+
+def require_morse_bott(function: MorseBottFunction) -> None:
+    """Raise NotMorseBott unless the function is Morse-Bott for its
+    matching: constant on each basic set, and nowhere increasing along an
+    arc of the matched digraph between two of its strongly connected
+    components, along which `integrate_matching` strictly decreases."""
+    values = function.values
+    for members in function.decomposition().classes:
+        if len({values[e] for e in members}) > 1:
+            raise NotMorseBott(f"function is not constant on the basic set {list(members)}")
+    record = _recurrence(function.poset, function.matching)
+    component = {e: i for i, members in enumerate(record.components) for e in members}
+    for a, b in record.digraph.arcs:
+        if values[a] < values[b] and component[a] != component[b]:
+            raise NotMorseBott(f"function increases along the arc {a} -> {b} "
+                               f"of the matched digraph, from {values[a]} to {values[b]}")
 
 
 def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:

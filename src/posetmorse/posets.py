@@ -69,6 +69,7 @@ class Poset:
         self._below: dict[str, frozenset[str]] | None = None
         self._above: dict[str, frozenset[str]] | None = None
         self._heights: dict[str, int] | None = None
+        self._by_height: dict[str, int] | None = None
         self._graded: bool | None = None
         # derived analyses (homology, cellular structure)
         self.analysis_cache: dict = {}
@@ -148,6 +149,15 @@ class Poset:
             self._heights = h
         return self._heights
 
+    def height_order(self) -> dict[str, int]:
+        """Each element's place in the order by height, then declared
+        index, in that order: a topological order, cached, which the
+        cellularity pass walks and the chain lists sort by."""
+        if self._by_height is None:
+            self._by_height = {e: i for i, e in enumerate(
+                sorted(self.elements, key=self.heights().__getitem__))}
+        return self._by_height
+
     def height(self, element: str | None = None) -> int:
         if element is None:
             if not self.elements:
@@ -207,11 +217,10 @@ class Poset:
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains of the subposet on `members`, grouped by
         maximum element, each listed in increasing order; not cached."""
-        below = self._reach()
-        heights, order = self.heights(), self.index
+        below, order = self._reach(), self.index
         keep = set(members)
         ending: dict[str, list[tuple[str, ...]]] = {}
-        for x in sorted(keep, key=lambda e: (heights[e], order[e])):
+        for x in sorted(keep, key=self.height_order().__getitem__):
             local: list[tuple[str, ...]] = [(x,)]
             for y in sorted(below[x] & keep, key=order.__getitem__):
                 local.extend(c + (x,) for c in ending[y])

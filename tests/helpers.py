@@ -17,9 +17,11 @@ rebuilds its sublevel sets from the function's values.
 Three references are earlier forms of library code kept as oracles for
 the faster forms that replaced them: the cover reduction as one
 comprehension, the reducer that updates every cell's inclusion on every
-elimination (`EagerReducer`), and the cellularity pass that builds and
-checks a chain complex per strict down-set (`reference_cellular_pass`,
-which shares `_cellular_complex` and `_gauge_sign` with the library).
+elimination (`EagerReducer`), and the cellularity pass that builds,
+checks and reduces a chain complex per strict down-set, contractible
+ones and 0-spheres too (`reference_cellular_pass`, which shares
+`_cellular_complex` with the library and takes its gauge from the
+brute-force first-flag search `first_flag_sign`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from posetmorse.cellular import (
     CellularComplexOfPoset,
     CellularityReport,
     _cellular_complex,
-    _gauge_sign,
     cellular_chain_complex,
     require_admissible,
     sphere_generator,
@@ -900,12 +901,36 @@ def eager_minimal_model(complex: ChainComplex) -> Reduction:
     return reducer.result()
 
 
+def first_flag_sign(x: str, p: int, eps: dict[str, dict[str, int]],
+                    reach: dict[str, frozenset[str]], degrees: dict[str, int]) -> int:
+    """The sign, in x's sphere generator, of the first sorted full flag of
+    U.x along nonzero incidences, searched by brute force: p times the
+    smallest name, after the last one taken, that forms such a chain with
+    those taken so far, each chain sorted and checked step by step."""
+    names, flag = sorted(reach[x]), []
+    while len(flag) < p:
+        start = names.index(flag[-1]) + 1 if flag else 0
+        for name in names[start:]:
+            chain = sorted(flag + [name], key=degrees.__getitem__, reverse=True)
+            if all(e in reach[top] for top, e in zip([x] + chain, chain)):
+                flag.append(name)
+                break
+        else:
+            raise ConsistencyError(f"no full flag below {x!r} along nonzero incidences")
+    coeff, top = 1, x
+    for w in sorted(flag, key=degrees.__getitem__, reverse=True):
+        coeff *= (-1) ** flag.index(w) * eps[top][w]
+        flag.remove(w)
+        top = w
+    return 1 if coeff > 0 else -1
+
+
 def reference_cellular_pass(poset: Poset):
     """The cellularity pass one down-set at a time: at each element the
     checked complex of its strict down-set (`_cellular_complex`, which
     checks d*d), its `eager_minimal_model`, and the mapping-cone cells read
-    off that model's complex and labels.  Returns (report or None, rows)
-    as `cellular._degree_induction` does."""
+    off that model's complex and labels; the gauge is `first_flag_sign`.
+    Returns (report or None, rows) as `cellular._degree_induction` does."""
     graded, degrees = poset.is_graded(), poset.heights()
     eps, reach, cone, not_cellular, not_admissible = {}, {}, {}, {}, []
     for x in sorted(poset.elements, key=degrees.__getitem__):
@@ -943,7 +968,7 @@ def reference_cellular_pass(poset: Poset):
         shared = len(steps) == len(lower) and all(
             reach[w] is poset.strictly_below(w) for w in steps)
         reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
-        if _gauge_sign(x, p, eps, reach, degrees) < 0:
+        if first_flag_sign(x, p, eps, reach, degrees) < 0:
             eps[x] = {w: -e for w, e in eps[x].items()}
         not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
     if not graded:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from posetmorse.cli import run
+from posetmorse.formats import load_poset
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,6 +83,30 @@ def test_cli_matches_golden_report(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert want["argv"] == CASES[name]
     assert _run(CASES[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(MATCHINGS))
+def test_integrated_function_sweeps_as_its_golden_report(name, tmp_path):
+    space, path = MATCHINGS[name]
+    with_matching = [*SPACES[space], "--matching", path]
+    function = tmp_path / "function.txt"
+    function.write_text(_run(["integrate", *with_matching])["stdout"])
+    got = _run(["sweep", *with_matching, "--function", str(function), "--format", "doc"])
+    want = json.loads((GOLDEN / f"sweep-{name}.json").read_text(encoding="utf-8"))
+    assert got["exit"] == 0
+    assert json.loads(got["stdout"])["results"] == json.loads(want["stdout"])["results"]
+
+
+def test_sweep_rejects_a_function_that_is_not_morse_bott(tmp_path):
+    # under m2 all six elements of t3 form one orbit class: only a constant fits
+    t3 = load_poset((ROOT / "data" / "t3_poset.txt").read_text())[0]
+    function = tmp_path / "function.txt"
+    function.write_text("".join(f"{e} {i}\n" for i, e in enumerate(t3.elements)))
+    got = _run(["sweep", *SPACES["t3"], "--matching", "data/t3_matching_m2.txt",
+                "--function", str(function)])
+    assert got["exit"] == 1 and got["stdout"] == ""
+    assert got["stderr"].startswith("error: function is not constant on the basic set")
+    assert got["stderr"].count("\n") == 1
 
 
 def test_golden_directory_has_no_stale_reports():

@@ -176,7 +176,11 @@ def fixtures():
 def sample_posets():
     yield from fixtures()
     yield "sd2 RP^2", sd2_rp2()
+    yield "boundary of the 5-simplex", face_poset(sphere(5))
     rng = XorShift64Star(2012)
+    # levels of 60, each element covering 1 to 3 one level down: about a
+    # third of the elements above the bottom cover only one
+    yield "rand-like", levelled_poset(rng, 4, 60)
     kinds = {"cellular": 0, "non-cellular": 0}
     while min(kinds.values()) < 15:
         poset = random_graded_poset(rng, max_elements=16, max_levels=4)
@@ -193,15 +197,53 @@ def _plain(rows):
     return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
 
 
-def test_pass_equals_the_per_down_set_reference():
-    seen = set()
+def test_pass_equals_the_per_down_set_reference(monkeypatch):
+    cellular = sys.modules["posetmorse.cellular"]
+    listed, reduced, cones = [], [], []
+
+    def spy(name, calls):
+        real = getattr(cellular, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cellular, name, counted)
+
+    spy("_cells", listed)
+    spy("_minimal_reducer", reduced)
+    spy("_cone_cells", cones)
+    seen, branches = set(), {"contractible": 0, "0-sphere": 0, "memo hit": 0, "mapping cone": 0}
     for name, poset in sample_posets():
+        for calls in (listed, reduced, cones):
+            calls.clear()
         report, rows = _degree_induction(poset)
+        # the down-sets the walk listed, by identity
+        down_sets = {id(args[2]) for args in listed}
         expected_report, expected_rows = reference_cellular_pass(poset)
         assert report == expected_report, name
         assert _plain(rows) == _plain(expected_rows), name
         seen.add(name)
-    assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2"} <= seen
+        walked = 0
+        for x in poset.elements:
+            lower = poset.lower_covers(x)
+            if len(lower) == 1:
+                kind = "contractible"
+            elif len(lower) == 2 and poset.is_graded() and poset.height(x) == 1:
+                kind = "0-sphere"
+            elif lower:
+                kind, walked = None, walked + 1
+            else:
+                continue
+            # a shortcut lists no cells of its down-set; every other element does
+            assert (id(poset.strictly_below(x)) in down_sets) == (kind is None), (name, x)
+            if kind:
+                branches[kind] += 1
+        branches["memo hit"] += walked - len(reduced)
+        branches["mapping cone"] += len(cones)
+    assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2", "rand-like",
+            "boundary of the 5-simplex"} <= seen
+    assert all(branches.values()), branches
 
 
 def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
@@ -258,17 +300,26 @@ def test_up_sets_are_the_transposed_down_sets():
                 x for x in poset.elements if e in poset.strictly_below(x)}
 
 
-def _corrupting(monkeypatch, element: str, corrupt):
-    """Make the pass corrupt the row of `element` once it is computed."""
+def _corrupting(monkeypatch, element: str, corrupt) -> list[str]:
+    """Make the pass corrupt the row of `element` once it is computed: at
+    the next listing of cells, which reads every row, in a later down-set
+    or in the check after the walk.  Returns the elements corrupted."""
     cellular = sys.modules["posetmorse.cellular"]
-    real = cellular._gauge_sign
+    real, done = cellular._cells, []
 
-    def gauge(x, p, eps, reach, degrees):
-        if x == element:
-            corrupt(eps[x])
-        return real(x, p, eps, reach, degrees)
+    def cells(poset, eps, members, reduced=False):
+        if element in eps and not done:
+            corrupt(eps[element])
+            done.append(element)
+        return real(poset, eps, members, reduced)
 
-    monkeypatch.setattr(cellular, "_gauge_sign", gauge)
+    monkeypatch.setattr(cellular, "_cells", cells)
+    return done
+
+
+def _flip_one(row):
+    w = next(iter(row))
+    row[w] = -row[w]
 
 
 def test_a_corrupted_row_fails_the_once_check(monkeypatch):
@@ -276,14 +327,22 @@ def test_a_corrupted_row_fails_the_once_check(monkeypatch):
     # check on the whole complex reads its row
     poset = face_poset(sphere(3))
     triangle = next(e for e in poset.elements if poset.degree(e) == 2)
-
-    def flip_one(row):
-        w = next(iter(row))
-        row[w] = -row[w]
-
-    _corrupting(monkeypatch, triangle, flip_one)
+    done = _corrupting(monkeypatch, triangle, _flip_one)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
+    assert done == [triangle]
+
+
+def test_a_corrupted_edge_row_under_a_cone_fails_the_once_check(monkeypatch):
+    # a circle of three edges with a point over one edge: the point's
+    # down-set is that edge's, a cone, whose rows the walk never reads
+    circle = face_poset(SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")]))
+    edge = next(e for e in circle.elements if circle.degree(e) == 1)
+    poset = Poset([*circle.elements, "top"], [*circle.covers, (edge, "top")])
+    done = _corrupting(monkeypatch, edge, _flip_one)
+    with pytest.raises(InconsistentIncidence):
+        check_cellularity(poset)
+    assert done == [edge]
 
 
 def test_a_degree_one_row_must_sum_to_zero(monkeypatch):
@@ -296,9 +355,10 @@ def test_a_degree_one_row_must_sum_to_zero(monkeypatch):
         for w in row:
             row[w] = 1
 
-    _corrupting(monkeypatch, edge, same_signs)
+    done = _corrupting(monkeypatch, edge, same_signs)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
+    assert done == [edge]
 
 
 @pytest.mark.parametrize("corrupt", ["flip", "double"])
@@ -312,6 +372,7 @@ def test_a_corrupted_row_read_by_later_down_sets_fails_the_check(monkeypatch, co
         w = next(iter(row))
         row[w] = -row[w] if corrupt == "flip" else 2 * row[w]
 
-    _corrupting(monkeypatch, edge, bad)
+    done = _corrupting(monkeypatch, edge, bad)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
+    assert done == [edge]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from posetmorse import (
+    MorseBottFunction,
     basic_sets,
     boundary_of_class,
     build_poset,
@@ -12,6 +13,7 @@ from posetmorse import (
     is_morse_function,
     morse_function_to_matching,
     parse_simplicial_complex,
+    require_morse_bott,
     sublevel,
     validate_matching,
     verify_attachment,
@@ -21,6 +23,7 @@ from posetmorse.errors import (
     CriticalValueInInterval,
     NotGraded,
     NotMorse,
+    NotMorseBott,
     WrongCriticalCount,
 )
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_matching
@@ -102,6 +105,22 @@ def test_integration_random_instances():
         matching = random_matching(rng, poset)
         f = integrate_matching(poset, matching)
         assert check_integration_conditions(poset, matching, f.values) == []
+        require_morse_bott(f)
+
+
+def test_a_function_must_be_constant_on_basic_sets(t3, t3_m2):
+    # under m2 all six elements form one orbit class
+    values = {e: Fraction(i) for i, e in enumerate(t3.elements)}
+    with pytest.raises(NotMorseBott, match="not constant on the basic set"):
+        require_morse_bott(MorseBottFunction(t3, values, t3_m2))
+
+
+def test_a_function_must_not_increase_between_classes(t3, t3_m1):
+    f = integrate_matching(t3, t3_m1)
+    # constant on every class still, and increasing along every arc between two
+    upside_down = MorseBottFunction(t3, {e: -v for e, v in f.values.items()}, t3_m1)
+    with pytest.raises(NotMorseBott, match="increases along the arc"):
+        require_morse_bott(upside_down)
 
 
 def test_morse_matching_round_trip_random():
