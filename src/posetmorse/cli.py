@@ -6,6 +6,14 @@ data (--format table).  Exit codes: 0 when every verdict holds, 1 for
 input or precondition errors, 2 when a theorem verdict comes back false,
 which the theorems say cannot happen on valid input and therefore flags
 a bug.
+
+Each report subcommand's handler, bound to its subparser, loads its
+inputs and returns (results, table lines, ok) without writing anything.
+`run` is the one place that writes a report, echoing the command name
+and its inputs (the matching file, else the kind) into the document, and
+that sets the exit code: 0 or 2 from ok, and 1 when loading, computing
+or writing raises a PosetMorseError or an OSError.  `gen` writes its
+fixture text itself and returns None.
 """
 
 from __future__ import annotations
@@ -59,13 +67,14 @@ def _load_space(args):
     return poset, None, reduced
 
 
-def _emit(args, command: str, results: dict, inputs: dict | None = None,
-          table_lines: list[str] | None = None) -> None:
-    if args.format == "doc":
-        sys.stdout.write(report_document(command, results, inputs))
-    else:
-        for line in table_lines or []:
-            print(line)
+def _load_matched(args):
+    """The poset and the matching of the subcommands that take --matching."""
+    poset, _, _ = _load_space(args)
+    return poset, parse_matching_text(poset, _read(args.matching))
+
+
+# what a report subcommand returns: results, table lines, every verdict holds
+Report = tuple[dict, list[str], bool]
 
 
 def _rows_table(report) -> list[str]:
@@ -77,7 +86,7 @@ def _rows_table(report) -> list[str]:
     return lines
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Report:
     poset, complex, reduced = _load_space(args)
     if reduced:
         print("warning: input covers were not transitively reduced; "
@@ -95,11 +104,10 @@ def cmd_validate(args) -> int:
         lines.insert(0, "f-vector: " + " ".join(f"{d}:{c}" for d, c in sorted(counts.items())))
     for w in report.witnesses[:10]:
         lines.append(f"  witness: {w}")
-    _emit(args, "validate", results, {"input": args.input, "kind": args.kind}, lines)
-    return 0
+    return results, lines, True
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> Report:
     poset, complex, _ = _load_space(args)
     if args.via_poset:
         summary = poset_homology(poset, reduced=args.reduced, coefficients=args.coeff)
@@ -108,13 +116,10 @@ def cmd_homology(args) -> int:
                            args.coeff)
     else:
         summary = space_homology(poset, reduced=args.reduced, coefficients=args.coeff)
-    results = {"homology": summary.to_doc(), "pretty": str(summary)}
-    _emit(args, "homology", results, {"input": args.input, "kind": args.kind},
-          [str(summary)])
-    return 0
+    return {"homology": summary.to_doc(), "pretty": str(summary)}, [str(summary)], True
 
 
-def cmd_cellular(args) -> int:
+def cmd_cellular(args) -> Report:
     poset, _, _ = _load_space(args)
     cell = cellular_chain_complex(poset)
     integral = homology(cell.complex)
@@ -130,13 +135,11 @@ def cmd_cellular(args) -> int:
     }
     lines = [f"cellular homology: {summary}", f"pipelines agree: {agrees}"]
     lines += [f"  eps({x}, {w}) = {e}" for x, w, e in cell.incidence_table()]
-    _emit(args, "cellular", results, {"input": args.input, "kind": args.kind}, lines)
-    return 0 if agrees else 2
+    return results, lines, agrees
 
 
-def cmd_matching(args) -> int:
-    poset, _, _ = _load_space(args)
-    matching = parse_matching_text(poset, _read(args.matching))
+def cmd_matching(args) -> Report:
+    poset, matching = _load_matched(args)
     dec = basic_sets(poset, matching)
     morse = is_morse_matching(poset, matching)
     results = {"basic_sets": dec.to_doc(), "morse": morse}
@@ -158,28 +161,19 @@ def cmd_matching(args) -> int:
             for m in mults:
                 lines.append(f"orbit at {m['start']}: index {m['index']}, "
                              f"multiplicity {m['multiplicity']:+d}")
-    _emit(args, "matching", results,
-          {"input": args.input, "matching": args.matching}, lines)
-    return 0
+    return results, lines, True
 
 
-def cmd_integrate(args) -> int:
-    poset, _, _ = _load_space(args)
-    matching = parse_matching_text(poset, _read(args.matching))
+def cmd_integrate(args) -> Report:
+    poset, matching = _load_matched(args)
     function = integrate_matching(poset, matching)
-    text = serialize_function(poset, function.values)
-    if args.format == "doc":
-        results = {"function": {e: str(v) for e, v in function.values.items()}}
-        _emit(args, "integrate", results,
-              {"input": args.input, "matching": args.matching})
-    else:
-        sys.stdout.write(text)
-    return 0
+    results = {"function": {e: str(v) for e, v in function.values.items()}}
+    # the table is the function file itself, whose text ends with a newline
+    return results, serialize_function(poset, function.values).split("\n")[:-1], True
 
 
-def cmd_sweep(args) -> int:
-    poset, _, _ = _load_space(args)
-    matching = parse_matching_text(poset, _read(args.matching))
+def cmd_sweep(args) -> Report:
+    poset, matching = _load_matched(args)
     if args.function:
         values = parse_function_text(poset, _read(args.function))
         function = MorseBottFunction(poset=poset, values=values, matching=matching)
@@ -193,14 +187,11 @@ def cmd_sweep(args) -> int:
         lo, hi = r.interval
         lines.append(f"[{lo}, {hi}] {r.kind}: {'ok' if r.ok else 'FAILED'}")
     lines.append(f"sweep: {'ok' if ok else 'FAILED'}")
-    _emit(args, "sweep", results,
-          {"input": args.input, "matching": args.matching}, lines)
-    return 0 if ok else 2
+    return results, lines, ok
 
 
-def cmd_inequalities(args) -> int:
-    poset, _, _ = _load_space(args)
-    matching = parse_matching_text(poset, _read(args.matching))
+def cmd_inequalities(args) -> Report:
+    poset, matching = _load_matched(args)
     reports = [strong_morse_bott(poset, matching, args.coeff)]
     verdict = is_morse_smale(poset, matching)
     if verdict.is_morse_smale:
@@ -208,44 +199,34 @@ def cmd_inequalities(args) -> int:
         reports.append(orbit_inequalities_multiplicity(poset, matching))
     results = {r.name: r.to_doc() for r in reports}
     results["morse_smale"] = verdict.is_morse_smale
-    lines = []
-    for r in reports:
-        lines.extend(_rows_table(r))
-    ok = all(r.holds for r in reports)
-    _emit(args, "inequalities", results,
-          {"input": args.input, "matching": args.matching}, lines)
-    return 0 if ok else 2
+    lines = [line for r in reports for line in _rows_table(r)]
+    return results, lines, all(r.holds for r in reports)
 
 
-def cmd_hccat(args) -> int:
+def cmd_hccat(args) -> Report:
     poset, complex, _ = _load_space(args)
     value = hccat(poset)
-    results = {"hccat": value}
-    lines = [f"hccat: {value}"]
     # the model hccat's homology was read off
     witness = minimal_subcomplex(space_complex(poset))
-    results["minimal_subcomplex_ranks"] = {str(k): v for k, v in sorted(witness.rank_profile.items())}
-    results["minimal_subcomplex_quasi_isomorphism"] = witness.quasi_isomorphism_verified
-    lines.append("minimal subcomplex ranks: " + " ".join(
-        f"{k}:{v}" for k, v in sorted(witness.rank_profile.items())))
-    ok = witness.quasi_isomorphism_verified
-    ok = ok and sum(witness.rank_profile.values()) == value
+    ranks = sorted(witness.rank_profile.items())
+    results = {"hccat": value, "minimal_subcomplex_ranks": {str(k): v for k, v in ranks},
+               "minimal_subcomplex_quasi_isomorphism": witness.quasi_isomorphism_verified}
+    lines = [f"hccat: {value}",
+             "minimal subcomplex ranks: " + " ".join(f"{k}:{v}" for k, v in ranks)]
+    ok = witness.quasi_isomorphism_verified and sum(witness.rank_profile.values()) == value
     if complex is not None:
         consistent = hccat(simplicial_chain_complex(complex)) == value
         results["face_poset_consistent"] = consistent
         lines.append(f"face-poset consistency: {consistent}")
         ok = ok and consistent
     chi_g, chi = euler_characteristics(poset)
-    results["chi_g"] = chi_g
-    results["chi"] = chi
+    results |= {"chi_g": chi_g, "chi": chi}
     lines.append(f"chi_g: {chi_g}  chi: {chi}")
-    _emit(args, "hccat", results, {"input": args.input, "kind": args.kind}, lines)
-    return 0 if ok else 2
+    return results, lines, ok
 
 
-def cmd_ls_check(args) -> int:
-    poset, _, _ = _load_space(args)
-    matching = parse_matching_text(poset, _read(args.matching))
+def cmd_ls_check(args) -> Report:
+    poset, matching = _load_matched(args)
     report = ls_theorem_check(poset, matching)
     ok = report.holds and report.intermediate_holds and report.counts_match_formula
     lines = [
@@ -255,34 +236,30 @@ def cmd_ls_check(args) -> int:
         f"intermediate bound (sum m*): {report.intermediate_holds}",
         f"m* matches c_p + A_p + A_(p-1) and flow ranks: {report.counts_match_formula}",
     ]
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
-    _emit(args, "ls-check", report.to_doc() | {"ok": ok},
-          {"input": args.input, "matching": args.matching}, lines)
-    return 0 if ok else 2
+    lines += [f"warning: {w}" for w in report.warnings]
+    return report.to_doc() | {"ok": ok}, lines, ok
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
+    """Write the fixture text itself; there is no report to write."""
     rng = XorShift64Star(args.seed)
     if args.kind == "poset":
         poset = random_graded_poset(rng, max_elements=10 if args.size is None else args.size)
-        sys.stdout.write(serialize_poset(poset))
+        text = serialize_poset(poset)
     elif args.kind == "simplicial":
         vertices = 9 if args.size is None else args.size
         if not 2 <= vertices <= 9:
             raise PosetMorseError(
                 f"a random simplicial complex needs 2 to 9 vertices, not {vertices}")
-        complex = random_simplicial_complex(rng, max_vertices=vertices)
-        sys.stdout.write(serialize_simplicial_complex(complex))
+        text = serialize_simplicial_complex(random_simplicial_complex(rng, max_vertices=vertices))
     elif args.kind == "matching":
         if not args.input:
             raise PosetMorseError("gen --kind matching needs --input POSET")
         poset, _, _ = _load_space(args)
-        matching = random_matching(rng, poset)
-        sys.stdout.write(serialize_matching(matching))
+        text = serialize_matching(random_matching(rng, poset))
     else:
         raise PosetMorseError(f"cannot generate kind {args.kind!r}")
-    return 0
+    sys.stdout.write(text)
 
 
 @functools.cache
@@ -296,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matching=False, function=False, needs_input=True, kinds=None):
+    def command(name, handler, help, matching=False, function=False, coeff=False,
+                needs_input=True, kinds=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=needs_input, help="input file")
         p.add_argument("--kind", choices=kinds or ["poset", "simplicial"],
                        default="poset")
@@ -305,60 +285,51 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--matching", required=True, help="matching file")
         if function:
             p.add_argument("--function", help="function file (element value lines)")
+        if coeff:
+            p.add_argument("--coeff", choices=["int", "rat"], default="int")
+        return p
 
-    common(sub.add_parser("validate", help="poset/complex checks and cellularity report"))
-    p = sub.add_parser("homology", help="homology of a poset or complex")
-    common(p)
-    p.add_argument("--coeff", choices=["int", "rat"], default="int")
+    command("validate", cmd_validate, "poset/complex checks and cellularity report")
+    p = command("homology", cmd_homology, "homology of a poset or complex", coeff=True)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--via-poset", action="store_true",
                    help="take homology from the order complex of the poset (or of "
                         "the face poset), the definition, for either --kind")
-    p = sub.add_parser("cellular", help="incidence table and pipeline agreement")
-    common(p)
-    p.add_argument("--coeff", choices=["int", "rat"], default="int")
-    common(sub.add_parser("matching", help="basic sets and matching verdicts"), matching=True)
-    common(sub.add_parser("integrate", help="emit an integrated Morse-Bott function"),
-           matching=True)
-    common(sub.add_parser("sweep", help="collapse/attachment checks over the filtration"),
-           matching=True, function=True)
-    p = sub.add_parser("inequalities", help="all applicable inequality theorems")
-    common(p, matching=True)
-    p.add_argument("--coeff", choices=["int", "rat"], default="int")
-    common(sub.add_parser("hccat", help="homological chain category and its subcomplex witness"))
-    common(sub.add_parser("ls-check", help="Lusternik-Schnirelmann theorem verdicts"),
-           matching=True)
-    p = sub.add_parser("gen", help="deterministic random fixtures")
-    common(p, needs_input=False, kinds=["poset", "simplicial", "matching"])
+    command("cellular", cmd_cellular, "incidence table and pipeline agreement", coeff=True)
+    command("matching", cmd_matching, "basic sets and matching verdicts", matching=True)
+    command("integrate", cmd_integrate, "emit an integrated Morse-Bott function",
+            matching=True)
+    command("sweep", cmd_sweep, "collapse/attachment checks over the filtration",
+            matching=True, function=True)
+    command("inequalities", cmd_inequalities, "all applicable inequality theorems",
+            matching=True, coeff=True)
+    command("hccat", cmd_hccat, "homological chain category and its subcomplex witness")
+    command("ls-check", cmd_ls_check, "Lusternik-Schnirelmann theorem verdicts",
+            matching=True)
+    p = command("gen", cmd_gen, "deterministic random fixtures", needs_input=False,
+                kinds=["poset", "simplicial", "matching"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, help="elements (poset, default 10) or vertices "
                    "(simplicial, 2 to 9, default 9)")
     return parser
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "homology": cmd_homology,
-    "cellular": cmd_cellular,
-    "matching": cmd_matching,
-    "integrate": cmd_integrate,
-    "sweep": cmd_sweep,
-    "inequalities": cmd_inequalities,
-    "hccat": cmd_hccat,
-    "ls-check": cmd_ls_check,
-    "gen": cmd_gen,
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; write its report and return its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
-    except PosetMorseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        outcome = args.handler(args)
+        if outcome is None:  # gen wrote its fixture
+            return 0
+        results, lines, ok = outcome
+        if args.format == "doc":
+            echoed = "matching" if "matching" in vars(args) else "kind"
+            inputs = {"input": args.input, echoed: getattr(args, echoed)}
+            sys.stdout.write(report_document(args.command, results, inputs))
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return 0 if ok else 2
+    except (PosetMorseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

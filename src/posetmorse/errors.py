@@ -100,7 +100,8 @@ class NotMorse(PosetMorseError):
 
 class NotMorseBott(PosetMorseError):
     """The function is not Morse-Bott for its matching: not constant on a
-    basic set, or increasing along the matched digraph between classes."""
+    basic set, increasing along the matched digraph between classes, or
+    constant along an unmatched arc between them."""
 
 
 class CriticalValueInInterval(PosetMorseError):

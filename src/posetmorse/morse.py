@@ -103,9 +103,12 @@ class MorseBottFunction:
 
 def require_morse_bott(function: MorseBottFunction) -> None:
     """Raise NotMorseBott unless the function is Morse-Bott for its
-    matching: constant on each basic set, and nowhere increasing along an
-    arc of the matched digraph between two of its strongly connected
-    components, along which `integrate_matching` strictly decreases."""
+    matching, i.e. meets the conditions `integrate_matching` realizes:
+    constant on each basic set, and along an arc of the matched digraph
+    between two of its strongly connected components, strictly decreasing
+    when the arc is an unmatched cover read downward and nowhere
+    increasing when it is a matched pair read upward.  Such a function is
+    Morse away from the basic sets."""
     values = function.values
     for members in function.decomposition().classes:
         if len({values[e] for e in members}) > 1:
@@ -113,9 +116,14 @@ def require_morse_bott(function: MorseBottFunction) -> None:
     record = _recurrence(function.poset, function.matching)
     component = {e: i for i, members in enumerate(record.components) for e in members}
     for a, b in record.digraph.arcs:
-        if values[a] < values[b] and component[a] != component[b]:
+        if component[a] == component[b]:
+            continue
+        if values[a] < values[b]:
             raise NotMorseBott(f"function increases along the arc {a} -> {b} "
                                f"of the matched digraph, from {values[a]} to {values[b]}")
+        if values[a] == values[b] and (a, b) not in function.matching:
+            raise NotMorseBott(f"function does not decrease along the unmatched arc {a} -> {b} "
+                               f"of the matched digraph: both ends take the value {values[a]}")
 
 
 def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:

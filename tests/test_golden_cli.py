@@ -1,9 +1,11 @@
 """Every subcommand on the bundled `data/` fixtures, compared byte for
-byte with committed `--format doc` reports: stdout, stderr and exit code.
+byte with committed reports: stdout, stderr and exit code, in both
+output formats.
 
-The reports under `tests/golden/` pin the library's output, so a change
-that is meant to compute the same answers faster must leave them as they
-are.  Regenerate them (only on purpose) from the repository root with
+The reports under `tests/golden/` (`--format doc`) and `tests/golden/table/`
+(`--format table`) pin the library's output, so a change that is meant to
+compute the same answers faster must leave them as they are.  Regenerate
+both (only on purpose) from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -24,6 +26,7 @@ from posetmorse.formats import load_poset
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TABLE_GOLDEN = GOLDEN / "table"
 
 SPACES = {
     "t3": ["--input", "data/t3_poset.txt", "--kind", "poset"],
@@ -40,7 +43,7 @@ MATCHINGS = {
 }
 
 
-def _cases() -> dict[str, list[str]]:
+def _cases(output_format: str) -> dict[str, list[str]]:
     cases: dict[str, list[str]] = {}
     for name, space in SPACES.items():
         cases[f"validate-{name}"] = ["validate", *space]
@@ -60,14 +63,15 @@ def _cases() -> dict[str, list[str]]:
     cases["gen-poset"] = ["gen", "--kind", "poset", "--seed", "7", "--size", "12"]
     cases["gen-simplicial"] = ["gen", "--kind", "simplicial", "--seed", "7"]
     cases["gen-matching"] = ["gen", "--kind", "matching", "--seed", "7", *SPACES["t3"][:2]]
-    return {name: argv + ["--format", "doc"] for name, argv in cases.items()}
+    return {name: argv + ["--format", output_format] for name, argv in cases.items()}
 
 
-CASES = _cases()
+CASES = _cases("doc")
+TABLE_CASES = _cases("table")
 
 
-def _run(argv: list[str]) -> dict:
-    out, err = io.StringIO(), io.StringIO()
+def _run(argv: list[str], out: io.StringIO | None = None) -> dict:
+    out, err = out or io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
@@ -83,6 +87,13 @@ def test_cli_matches_golden_report(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert want["argv"] == CASES[name]
     assert _run(CASES[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_cli_matches_golden_table(name):
+    want = json.loads((TABLE_GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert want["argv"] == TABLE_CASES[name]
+    assert _run(TABLE_CASES[name]) == want
 
 
 @pytest.mark.parametrize("name", sorted(MATCHINGS))
@@ -109,15 +120,42 @@ def test_sweep_rejects_a_function_that_is_not_morse_bott(tmp_path):
     assert got["stderr"].count("\n") == 1
 
 
+def test_sweep_rejects_a_tie_along_an_unmatched_arc(tmp_path):
+    # e23 -> v3 is unmatched under m1, so f(e23) = f(v3) leaves e23 two
+    # exceptional lower covers
+    function = tmp_path / "function.txt"
+    function.write_text("v3 1\ne23 1\nv2 3\ne12 4\nv1 5\ne13 6\n")
+    got = _run(["sweep", *SPACES["t3"], "--matching", "data/t3_matching_m1.txt",
+                "--function", str(function)])
+    assert got["exit"] == 1 and got["stdout"] == ""
+    assert got["stderr"].startswith("error: function does not decrease along the unmatched arc")
+    assert got["stderr"].count("\n") == 1
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [CASES["sweep-t3_m1"], TABLE_CASES["validate-t3"]])
+def test_a_failed_report_write_is_an_error_line(argv):
+    got = _run(argv, _BrokenPipe())
+    assert got["exit"] == 1
+    assert got["stderr"] == "error: [Errno 32] Broken pipe\n"
+
+
 def test_golden_directory_has_no_stale_reports():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert sorted(p.stem for p in TABLE_GOLDEN.glob("*.json")) == sorted(TABLE_CASES)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --write")
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        got = _run(argv)
-        (GOLDEN / f"{name}.json").write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
-        print(f"{name}: exit {got['exit']}")
+    for folder, cases in ((GOLDEN, CASES), (TABLE_GOLDEN, TABLE_CASES)):
+        folder.mkdir(exist_ok=True)
+        for name, argv in cases.items():
+            got = _run(argv)
+            (folder / f"{name}.json").write_text(json.dumps(got, indent=1) + "\n",
+                                                 encoding="utf-8")
+            print(f"{folder.name}/{name}: exit {got['exit']}")

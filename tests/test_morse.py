@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,12 @@ from posetmorse.errors import (
     NotMorseBott,
     WrongCriticalCount,
 )
-from posetmorse.randgen import XorShift64Star, random_graded_poset, random_matching
+from posetmorse.randgen import (
+    XorShift64Star,
+    random_graded_poset,
+    random_matching,
+    random_simplicial_complex,
+)
 
 from helpers import check_integration_conditions
 
@@ -121,6 +127,39 @@ def test_a_function_must_not_increase_between_classes(t3, t3_m1):
     upside_down = MorseBottFunction(t3, {e: -v for e, v in f.values.items()}, t3_m1)
     with pytest.raises(NotMorseBott, match="increases along the arc"):
         require_morse_bott(upside_down)
+
+
+def test_a_function_must_strictly_decrease_along_unmatched_arcs_between_classes(t3, t3_m1):
+    # e23 -> v3 is an unmatched arc between two classes; a tie there gives
+    # e23 two exceptional lower covers, so the function is not Morse there
+    values = {"v3": 1, "e23": 1, "v2": 3, "e12": 4, "v1": 5, "e13": 6}
+    with pytest.raises(NotMorseBott, match="does not decrease along the unmatched arc e23 -> v3"):
+        require_morse_bott(MorseBottFunction(t3, values, t3_m1))
+
+
+def test_require_morse_bott_is_the_integration_conditions():
+    """On integrated functions with two values merged, the check raises
+    exactly when the independent checker finds a violation; matched arcs
+    may tie (weak), unmatched ones between classes may not (strict)."""
+    raised = total = 0
+    for seed in range(1, 60):
+        rng = XorShift64Star(seed)
+        poset = face_poset(random_simplicial_complex(rng, max_vertices=6))
+        matching = random_matching(rng, poset)
+        integrated = integrate_matching(poset, matching).values
+        for low, high in combinations(sorted(set(integrated.values())), 2):
+            values = {e: low if v == high else v for e, v in integrated.items()}
+            violations = check_integration_conditions(poset, matching, values)
+            try:
+                require_morse_bott(MorseBottFunction(poset, values, matching))
+            except NotMorseBott:
+                assert violations, (seed, low, high)
+                raised += 1
+            else:
+                assert not violations, (seed, low, high, violations)
+            total += 1
+    # both outcomes occur often on this family
+    assert 0 < raised < total
 
 
 def test_morse_matching_round_trip_random():
