@@ -11,10 +11,11 @@ complex that still have unit factors.
 The flow-invariant complex of a Morse matching is its Morse complex: the
 same elimination, along the matched pairs, leaves one cell per critical
 element c, and the chain it stands for is Phi^inf(c), the limit of
-phi = Id + dV + Vd.  Both the witness inclusion and the flow-invariant
-complex are verified quasi-isomorphisms by the mapping-cone criterion:
-an injective chain map induces isomorphisms on all homology exactly when
-its mapping cone is acyclic, which the sparse homology engine decides.
+phi = Id + dV + Vd, on the cells in the order of the cellular complex's
+labels.  Both the witness inclusion and the flow-invariant complex are
+verified quasi-isomorphisms by the mapping-cone criterion: an injective
+chain map induces isomorphisms on all homology exactly when its mapping
+cone is acyclic, which the sparse homology engine decides.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .dynamics import (
     prime_orbits,
 )
 from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
-from .homology import (ChainComplex, HomologySummary, homology, minimal_model, morse_reduction,
-                       smith_diagonal, subposet_chain_complex)
+from .homology import (ChainComplex, HomologySummary, _apply, homology, minimal_model,
+                       morse_reduction, smith_diagonal, subposet_chain_complex)
 from .intmatrix import Column
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
@@ -140,23 +141,14 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
 class FlowData:
     """The flow-invariant complex, that is the Morse complex: `inclusion[p]`
     has one sparse column Phi^inf(c) per critical element c of degree p,
-    in level order, and `invariant_complex` is the boundary in that
-    basis."""
+    in the order of the cellular complex's labels, and `invariant_complex`
+    is the boundary in that basis."""
 
     invariant_ranks: dict[int, int]
     invariant_complex: ChainComplex
     inclusion: dict[int, list[Column]]
     rank_matches_critical: bool
     quasi_isomorphism_verified: bool
-
-
-def _apply(columns: list[Column], chain: Column, start: Column | None = None) -> Column:
-    """start + the image of a sparse chain under the map with these columns."""
-    out = dict(start or {})
-    for j, a in chain.items():
-        for i, v in columns[j].items():
-            out[i] = out.get(i, 0) + a * v
-    return {i: v for i, v in out.items() if v}
 
 
 def flow_operator(poset: Poset, matching: Matching,
@@ -176,8 +168,7 @@ def flow_operator(poset: Poset, matching: Matching,
         raise NotMorseMatching("the flow operator needs an acyclic matching")
     if cell is None:
         cell = cellular_chain_complex(poset)
-    top = poset.max_degree()
-    levels = {p: poset.level(p) for p in range(top + 1)}
+    levels = cell.complex.labels  # the cells of each degree, in column order
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
     d = {p: cell.complex.columns.get(p, [{}] * len(levels[p])) for p in levels}
     V: dict[int, list[Column]] = {p: [] for p in levels}
@@ -188,8 +179,8 @@ def flow_operator(poset: Poset, matching: Matching,
             V[p].append({} if y is None else {position[p + 1][y]: -cell.epsilon(y, x)})
             if y is not None:
                 pairs[p + 1].append((position[p][x], position[p + 1][y]))
-    matched = matching.matched_elements()
-    ranks = {p: sum(1 for e in names if e not in matched) for p, names in levels.items()}
+    critical = critical_counts(poset, matching)
+    ranks = {p: critical.get(p, 0) for p in levels}
     rank_ok = True
     for p, names in levels.items():
         deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))

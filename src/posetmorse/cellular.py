@@ -173,13 +173,12 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     cone: dict[str, tuple] = {}
     not_cellular: dict[str, HomologySummary] = {}
     not_admissible: list[tuple[str, str]] = []
-    downsets: dict[str, frozenset[str]] = {}
     # the generator, in local indices, of each sphere complex reduced so far
     spheres: dict[tuple, tuple[int, ...]] = {}
     try:
         for x in poset.height_order():
             p, lower = degrees[x], poset.lower_covers(x)
-            below = downsets[x] = poset.strictly_below(x)
+            below = poset.strictly_below(x)
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
                 continue
@@ -210,7 +209,7 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 generator = spheres.get(key)
             if generator is None:
                 reducer = _minimal_reducer(ranks, columns)
-                live = {k: cells for k, cells in reducer.survivors().items() if cells}
+                live = reducer.survivors()
                 if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
                     # the one cell's inclusion: a generator of the top cycles of U.x
                     (chain,) = reducer.inclusions(p - 1, live[p - 1])
@@ -238,7 +237,8 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
             steps = [w for w in lower if eps[x][w]]
             # shares the down-set where every step has nonzero incidence, as on
             # every admissible poset
-            shared = len(steps) == len(lower) and all(reach[w] is downsets[w] for w in steps)
+            shared = len(steps) == len(lower) and all(
+                reach[w] is poset.strictly_below(w) for w in steps)
             reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
             if _gauge_sign(x, p, eps, reach, degrees) < 0:
                 eps[x] = {w: -e for w, e in eps[x].items()}
@@ -270,19 +270,17 @@ def _cone_cells(x: str, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
     k of the minimal model M that `reducer` left of the cells with these
     labels, `live` its surviving cells, bounded by g(m) - (x, d_M m), g M's
-    inclusion.  Returns the cells, and M's ranks and boundary columns."""
-    at = {k: {c: j for j, c in enumerate(cells)} for k, cells in live.items()}
-    boundary = {k: [{at[k - 1][i]: v for i, v in reducer.cols[k][c].items()} for c in cells]
-                for k, cells in live.items() if k - 1 in at}
+    inclusion.  Returns the cells, and M's ranks and boundary columns from `_Reducer.model`."""
+    model = reducer.model(live)
     cells = []
     for k in sorted(live):
-        columns = boundary.get(k)
+        columns = model[1].get(k)
         for j, chain in enumerate(reducer.inclusions(k, live[k])):
             row = eps[x, k + 1, j] = {labels[k][i]: v for i, v in chain.items()}
             if columns:
                 row.update(((x, k, i), -v) for i, v in columns[j].items())
             cells.append((x, k + 1, j))
-    return cells, ({k: len(cells) for k, cells in live.items()}, boundary)
+    return cells, model
 
 
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],

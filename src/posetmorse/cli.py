@@ -127,8 +127,9 @@ def cmd_cellular(args) -> Report:
     summary = integral if args.coeff == "int" else integral.rational()
     results = {
         "incidence": cell.incidence_table(),
-        "boundaries": {str(p): mat.to_lists()
-                       for p, mat in sorted(cell.complex.boundary.items())},
+        "boundaries": {str(p): [[col.get(i, 0) for col in cols]
+                                for i in range(cell.complex.rank(p - 1))]
+                       for p, cols in sorted(cell.complex.columns.items())},
         "cellular_homology": summary.to_doc(),
         "order_complex_homology": poset_homology(poset, coefficients=args.coeff).to_doc(),
         "pipelines_agree": agrees,

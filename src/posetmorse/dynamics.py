@@ -191,12 +191,13 @@ class BasicSetDecomposition:
 
 @dataclass
 class _Recurrence:
-    """One matching's digraph and strongly connected components, with the
-    basic sets and the Morse-Smale verdict once they are asked for."""
+    """One matching's digraph, strongly connected components and each element's
+    component index, with the basic sets and Morse-Smale verdict once asked for."""
 
     matching: Matching
     digraph: MatchedDigraph
     components: list[list[str]]
+    component: dict[str, int]
     decomposition: BasicSetDecomposition | None = None
     verdict: MorseSmaleVerdict | None = None
 
@@ -208,8 +209,9 @@ def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
     cached = poset.analysis_cache.get("recurrence")
     if cached is None or cached.matching != matching:
         digraph = matched_digraph(poset, matching)
-        cached = _Recurrence(matching, digraph,
-                             _strongly_connected_components(digraph.nodes, digraph.successors))
+        components = _strongly_connected_components(digraph.nodes, digraph.successors)
+        cached = _Recurrence(matching, digraph, components, {
+            e: i for i, members in enumerate(components) for e in members})
         poset.analysis_cache["recurrence"] = cached
     return cached
 

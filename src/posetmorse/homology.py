@@ -16,20 +16,20 @@ holds the augmentation of reduced complexes, so the empty poset has
 reduced homology Z in degree -1 and the cellularity check is uniform at
 degree 0.
 
-`morse_reduction` runs the same elimination on given pairs or on every
-one it finds.  Each elimination records an edge from every cell it
-changes to the cell it removes, and the inclusion of what is left is
-built from those edges only for the cells that survive, as the sum over
-gradient paths (Forman 1998, section 8; Harker, Mischaikow, Mrozek and
-Nanda, Found. Comput. Math. 2014).  `minimal_model` then brings the few
-boundaries that still have unit Smith factors to their Smith form, on
-the inclusions of the cells left, and eliminates those too, leaving
-rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity pass runs it on
-the raw cells of each down-set (`_minimal_reducer`), once per distinct
-sphere complex, and reads the sphere verdict and the generator, or the
-mapping cone of its chain model over the other models, straight off
-the survivors and their inclusions; the flow reads the Morse complex
-of a matching, and the hccat witness is the minimal model.
+`morse_reduction` runs the same elimination, `_Reducer.sweep`, on given
+pairs or on every one it finds.  Each elimination records an edge from
+every cell it changes to the cell it removes, and the inclusion of what
+is left is built from those edges only for the cells that survive, as
+the sum over gradient paths (Forman 1998, section 8; Harker, Mischaikow,
+Mrozek and Nanda, Found. Comput. Math. 2014).  `minimal_model` then
+brings the few boundaries that still have unit Smith factors to their
+Smith form, on the inclusions of the cells left, and eliminates those
+too, leaving rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity
+pass runs it on the raw cells of each down-set (`_minimal_reducer`),
+once per distinct sphere complex, and reads the sphere verdict and the
+generator, or the mapping cone of its chain model over the other models,
+straight off the survivors, numbered by `_Reducer.model`; the flow reads
+a matching's Morse complex, and the hccat witness is the minimal model.
 
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
@@ -280,19 +280,23 @@ class Reduction:
     inclusion: dict[int, list[Column]]
 
 
-def _combine(chains: Iterable[Column], coefficients: Iterable[int]) -> Column:
-    out: Column = {}
-    for chain, c in zip(chains, coefficients):
-        for k, v in chain.items():
-            out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v}
+def _apply(columns, chain: Column, start: Column | None = None) -> Column:
+    """start + the image of a sparse chain under the map whose column j is
+    columns[j], a list or a dict keyed like the chain: the one sparse sum of
+    the Smith step's change of basis and of the flow's dV + Vd."""
+    out = dict(start or {})
+    for j, a in chain.items():
+        for i, v in columns[j].items():
+            out[i] = out.get(i, 0) + a * v
+    return {i: v for i, v in out.items() if v}
 
 
 class _Reducer:
     """A complex under elimination: per degree p, the boundary column of
     each live cell of C_p (rows are cells of C_{p-1}) and the live columns
     with an entry in each row.  It is the one place that picks and
-    eliminates unit pivots.  When tracked, eliminating b records an edge
+    eliminates unit pivots, orders the eliminations (`sweep`) and numbers
+    the cells left (`model`).  When tracked, eliminating b records an edge
     c -> b of weight -<dc, a> u for each column c it changes, the multiple
     of g(b) that g(c) gains; g is built from the edges only for the cells
     asked for (`inclusions`).  A degree is copied from the input when it
@@ -396,6 +400,17 @@ class _Reducer:
                     progress = True
         return pairs
 
+    def sweep(self, pairs: dict[int, Iterable[tuple[int, int]]] | None = None) -> _Reducer:
+        """The top-down elimination of `morse_reduction`: per degree the given
+        pairs, in order, or without them every +-1 that `reduce` finds."""
+        for p in sorted(self.columns, reverse=True):
+            self.reach(p)
+            if pairs is None:
+                self.reduce(p)
+            for a, b in (pairs or {}).get(p, ()):
+                self.eliminate(p, a, b)
+        return self
+
     def inclusions(self, p: int, cells: Sequence[int]) -> list[Column]:
         """g of each of these live cells of C_p: its own cell (its chain after
         a Smith step) plus the weight times g(b) over each edge c -> b, in
@@ -440,22 +455,32 @@ class _Reducer:
         return [memo[c] for c in cells]
 
     def survivors(self) -> dict[int, list[int]]:
-        """The live cells of each degree, loading the degrees never reached."""
+        """The live cells of each degree that has any, loading those never reached."""
         for p in self.ranks.keys() - self.loaded:
             self._load(p)
-        return {p: list(self.cols[p]) for p in self.ranks}
+        return {p: list(self.cols[p]) for p in self.ranks if self.cols[p]}
+
+    def model(self, live: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, list[Column]]]:
+        """The ranks and boundary columns of the complex spanned by the live
+        cells of `survivors()`, numbered in their order there."""
+        at = {p: {c: j for j, c in enumerate(cells)} for p, cells in live.items()}
+        boundary = {p: [{at[p - 1][i]: v for i, v in self.cols[p][c].items()} for c in cells]
+                    for p, cells in live.items() if p - 1 in at}
+        return {p: len(cells) for p, cells in live.items()}, boundary
 
     def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
         """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]; its
         inclusion, built for the old cells, becomes its base chain."""
-        new = lambda chains: {t: _combine(chains, B.column(t)) for t in range(len(old))}
+        # every old cell, zero coefficients too: pivots follow the entries' order
+        new = lambda chains: {t: _apply(chains, dict(enumerate(B.column(t))))
+                              for t in range(len(old))}
         self.base[p] = new(self.inclusions(p, old))
         self.edges[p] = {}
         self.cols[p] = new([self.cols[p][c] for c in old])
         # coordinates x in the old cells are B^-1 x in the new ones
-        at, columns = {c: j for j, c in enumerate(old)}, B_inv.sparse_columns()
+        columns = dict(zip(old, B_inv.sparse_columns()))
         for c, col in self.cols.get(p + 1, {}).items():
-            self.cols[p + 1][c] = _combine((columns[at[b]] for b in col), col.values())
+            self.cols[p + 1][c] = _apply(columns, col)
         self._index(p)
         self._index(p + 1)
 
@@ -474,11 +499,8 @@ class _Reducer:
 
     def result(self) -> Reduction:
         live = self.survivors()
-        at = {p: {j: k for k, j in enumerate(cells)} for p, cells in live.items()}
-        boundary = {p: [{at[p - 1][i]: v for i, v in self.cols[p][j].items()} for j in cells]
-                    for p, cells in live.items() if at.get(p - 1)}
-        return Reduction(ChainComplex({p: len(cells) for p, cells in live.items()}, boundary),
-                         {p: self.inclusions(p, cells) for p, cells in live.items() if cells})
+        return Reduction(ChainComplex(*self.model(live)),
+                         {p: self.inclusions(p, cells) for p, cells in live.items()})
 
 
 def morse_reduction(complex: ChainComplex,
@@ -493,24 +515,14 @@ def morse_reduction(complex: ChainComplex,
     and one whose pivot is not +-1 when it is reached raises
     ConsistencyError; without them, no +-1 entry is left in any
     boundary."""
-    reducer = _Reducer(complex.ranks, complex.columns)
-    for p in sorted(complex.columns, reverse=True):
-        reducer.reach(p)
-        if pairs is None:
-            reducer.reduce(p)
-        for a, b in (pairs or {}).get(p, ()):
-            reducer.eliminate(p, a, b)
-    return reducer.result()
+    return _Reducer(complex.ranks, complex.columns).sweep(pairs).result()
 
 
 def _minimal_reducer(ranks: dict[int, int], columns: dict[int, Sequence[Column]]) -> _Reducer:
     """The reducer of `minimal_model` on these cells, before the result is
     built, so a caller can read the survivors and build only the
     inclusions it needs.  `columns` is not modified."""
-    reducer = _Reducer(ranks, columns)
-    for p in sorted(columns, reverse=True):
-        reducer.reach(p)
-        reducer.reduce(p)
+    reducer = _Reducer(ranks, columns).sweep()
     for p in sorted(columns, reverse=True):
         if any(reducer.cols[p].values()):
             for t in reducer.smith_step(p):

@@ -147,28 +147,37 @@ def strong_morse_bott(poset: Poset, matching: Matching,
     )
 
 
+def _orbit_rows(poset: Poset, matching: Matching, orbits: dict[int, int], summary: HomologySummary
+                ) -> tuple[tuple[IneqRow, ...], list[int], list[int], list[int]]:
+    """The rows orbits_k + alt-sum of critical counts against mu_k + alt-sum
+    of Betti numbers, and the lists of c, orbits and b they read, per
+    degree; a rational summary has mu = 0."""
+    top = poset.max_degree()
+    c = critical_counts(poset, matching)
+    c_list = [c.get(k, 0) for k in range(top + 1)]
+    o_list = [orbits.get(k, 0) for k in range(top + 1)]
+    b_list = [summary.b(k) for k in range(top + 1)]
+    rows = _rows([o + alt for o, alt in zip(o_list, _alternating(c_list, top))],
+                 [summary.mu(k) + alt for k, alt in enumerate(_alternating(b_list, top))])
+    return rows, c_list, o_list, b_list
+
+
 def orbit_inequalities_torsion(poset: Poset, matching: Matching) -> InequalityReport:
     """A_k + alt-sum of critical counts against mu_k + alt-sum of Betti
     numbers, over the integers; needs a Morse-Smale matching."""
     require_admissible(poset)
-    orbits = prime_orbits(poset, matching)
-    c = critical_counts(poset, matching)
-    A = orbit_counts(orbits)
+    orbits = orbit_counts(prime_orbits(poset, matching))
     summary = space_homology(poset)
-    top = poset.max_degree()
-    c_list = [c.get(k, 0) for k in range(top + 1)]
-    b_list = [summary.b(k) for k in range(top + 1)]
-    rows = _rows([A.get(k, 0) + alt for k, alt in enumerate(_alternating(c_list, top))],
-                 [summary.mu(k) + alt for k, alt in enumerate(_alternating(b_list, top))])
+    rows, c, A, b = _orbit_rows(poset, matching, orbits, summary)
     return InequalityReport(
         name="orbit-torsion",
         rows=rows,
         holds=all(r.ok for r in rows),
         data={
-            "c": c_list,
-            "A": [A.get(k, 0) for k in range(top + 1)],
-            "betti": b_list,
-            "mu": [summary.mu(k) for k in range(top + 1)],
+            "c": c,
+            "A": A,
+            "betti": b,
+            "mu": [summary.mu(k) for k in range(len(c))],
         },
     )
 
@@ -179,26 +188,17 @@ def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> Inequal
     require_admissible(poset)
     orbits = prime_orbits(poset, matching)
     cell = cellular_chain_complex(poset)
-    c = critical_counts(poset, matching)
-    summary = space_homology(poset, coefficients="rat")
-    top = poset.max_degree()
     multiplicities = {orbit: orbit_multiplicity(orbit, cell) for orbit in orbits}
-    A1: dict[int, int] = {}
-    for orbit, mult in multiplicities.items():
-        if mult == 1:
-            A1[orbit.index] = A1.get(orbit.index, 0) + 1
-    c_list = [c.get(k, 0) for k in range(top + 1)]
-    b_list = [summary.b(k) for k in range(top + 1)]
-    rows = _rows([A1.get(k, 0) + alt for k, alt in enumerate(_alternating(c_list, top))],
-                 _alternating(b_list, top))
+    ones = orbit_counts(tuple(orbit for orbit, mult in multiplicities.items() if mult == 1))
+    rows, c, A1, b = _orbit_rows(poset, matching, ones, space_homology(poset, coefficients="rat"))
     return InequalityReport(
         name="orbit-multiplicity-one",
         rows=rows,
         holds=all(r.ok for r in rows),
         data={
-            "c": c_list,
-            "A1": [A1.get(k, 0) for k in range(top + 1)],
-            "betti_rational": b_list,
+            "c": c,
+            "A1": A1,
+            "betti_rational": b,
             "multiplicities": [
                 {"start": orbit.nodes[0], "index": orbit.index, "multiplicity": mult}
                 for orbit, mult in sorted(multiplicities.items(),

@@ -114,9 +114,8 @@ def require_morse_bott(function: MorseBottFunction) -> None:
         if len({values[e] for e in members}) > 1:
             raise NotMorseBott(f"function is not constant on the basic set {list(members)}")
     record = _recurrence(function.poset, function.matching)
-    component = {e: i for i, members in enumerate(record.components) for e in members}
     for a, b in record.digraph.arcs:
-        if component[a] == component[b]:
+        if record.component[a] == record.component[b]:
             continue
         if values[a] < values[b]:
             raise NotMorseBott(f"function increases along the arc {a} -> {b} "
@@ -135,16 +134,12 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     if not poset.is_graded():
         raise NotGraded("integration needs a graded poset")
     record = _recurrence(poset, matching)
-    digraph, components = record.digraph, record.components
-    comp_id = {}
-    for i, comp in enumerate(components):
-        for e in comp:
-            comp_id[e] = i
+    components, component = record.components, record.component
     n = len(components)
     succ: dict[int, set[int]] = {i: set() for i in range(n)}
     indeg = {i: 0 for i in range(n)}
-    for a, b in digraph.arcs:
-        ca, cb = comp_id[a], comp_id[b]
+    for a, b in record.digraph.arcs:
+        ca, cb = component[a], component[b]
         if ca != cb and cb not in succ[ca]:
             succ[ca].add(cb)
             indeg[cb] += 1
@@ -165,7 +160,7 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
                 heapq.heappush(ready, (key[j], j))
     if processed != n:
         raise ConsistencyError("condensation of the matched digraph has a cycle")
-    values = {e: rank[comp_id[e]] for e in poset.elements}
+    values = {e: rank[component[e]] for e in poset.elements}
     return MorseBottFunction(poset=poset, values=values, matching=matching)
 
 

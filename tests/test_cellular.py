@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from posetmorse import (
+    ChainComplex,
     build_poset,
     cellular_chain_complex,
     check_cellularity,
@@ -12,9 +15,11 @@ from posetmorse import (
     sphere_generator,
     verify_cellular_agreement,
 )
-from posetmorse.cellular import require_admissible, require_cellular
+from posetmorse.cellular import require_admissible, require_cellular, space_complex
+from posetmorse.cli import run
 from posetmorse.errors import NotAdmissible, NotCellular
-from posetmorse.randgen import XorShift64Star, random_simplicial_complex
+from posetmorse.formats import load_complex, load_poset, serialize_poset
+from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
 from helpers import invariant_factors, simplicial_incidence
 
@@ -208,3 +213,33 @@ def test_cellular_agreement_random_face_posets():
         poset = face_poset(complex)
         assert verify_cellular_agreement(poset)
         done += 1
+
+
+def test_printed_boundaries_equal_the_dense_view(tmp_path, capsys, monkeypatch):
+    """`cellular --format doc` prints each boundary from its sparse columns,
+    never the dense view; the rows it prints are those of the dense view of
+    `space_complex`, on random face posets and cellular random posets."""
+    rng = XorShift64Star(2030)
+    cases = []
+    for _ in range(12):
+        complex = random_simplicial_complex(rng, max_vertices=6, max_triangles=5)
+        cases.append(("simplicial", "".join(" ".join(s) + "\n"
+                                            for sims in complex.simplices.values() for s in sims)))
+    while len(cases) < 24:
+        poset = random_graded_poset(rng, max_elements=14, max_levels=4)
+        if check_cellularity(poset).is_cellular:
+            cases.append(("poset", serialize_poset(poset)))
+    degrees = set()
+    for i, (kind, text) in enumerate(cases):
+        path = tmp_path / f"space{i}.txt"
+        path.write_text(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(ChainComplex, "boundary",
+                          property(lambda self: pytest.fail("the dense view was read")))
+            assert run(["cellular", "--input", str(path), "--kind", kind, "--format", "doc"]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]["boundaries"]
+        poset = face_poset(load_complex(text)) if kind == "simplicial" else load_poset(text)[0]
+        assert printed == {str(p): mat.to_lists()
+                           for p, mat in space_complex(poset).boundary.items()}, text
+        degrees |= set(printed)
+    assert degrees == {"1", "2"}

@@ -2,6 +2,7 @@ import pytest
 
 from posetmorse import (
     build_poset,
+    cellular_chain_complex,
     euler_characteristics,
     face_poset,
     lemma_basic_set_window,
@@ -12,6 +13,7 @@ from posetmorse import (
     strong_morse_bott,
     validate_matching,
 )
+from posetmorse.dynamics import critical_counts, is_morse_smale, orbit_multiplicity
 from posetmorse.errors import NotAdmissible, NotMorseSmale
 from posetmorse.inequalities import basic_set_relative_homology
 from posetmorse.randgen import (
@@ -21,6 +23,8 @@ from posetmorse.randgen import (
     random_matching,
     random_simplicial_complex,
 )
+
+from helpers import find_morse_smale_matching
 
 
 def test_morse_bott_numbers_t3(t3, t3_m1, t3_m2, t3_empty_matching):
@@ -189,3 +193,43 @@ def test_random_inequality_suite_small():
         report = strong_morse_bott(poset, matching)
         assert report.holds
         done += 1
+
+
+def test_orbit_rows_equal_the_paper_inequalities(t3, t3_m2, rp2_poset, rp2_star5_matching,
+                                                 mobius_poset, mobius_ring_matching):
+    """The rows of both orbit reports equal the paper's inequalities, each
+    side evaluated here from the critical counts, the orbits and their
+    multiplicities, and the order-complex homology, on the fixtures'
+    orbit matchings and on seeded Morse-Smale matchings with orbits."""
+    cases = [(t3, t3_m2), (rp2_poset, rp2_star5_matching), (mobius_poset, mobius_ring_matching)]
+    rng = XorShift64Star(1207)
+    while len(cases) < 15:
+        poset = face_poset(random_simplicial_complex(rng, max_vertices=6, max_triangles=5))
+        matching = find_morse_smale_matching(rng, poset, tries=20, want_orbit=True)
+        if matching is not None:
+            cases.append((poset, matching))
+    alt = lambda seq, k: sum((-1) ** i * seq[k - i] for i in range(k + 1))
+    multiplicities, torsion = set(), 0
+    for poset, matching in cases:
+        degrees = range(poset.max_degree() + 1)
+        orbits = is_morse_smale(poset, matching).orbits
+        mult = {o: orbit_multiplicity(o, cellular_chain_complex(poset)) for o in orbits}
+        counts = critical_counts(poset, matching)
+        c = [counts.get(k, 0) for k in degrees]
+        A = [sum(o.index == k for o in orbits) for k in degrees]
+        A1 = [sum(o.index == k and mult[o] == 1 for o in orbits) for k in degrees]
+        integral, rational = poset_homology(poset), poset_homology(poset, coefficients="rat")
+        b, b_rat = [integral.b(k) for k in degrees], [rational.b(k) for k in degrees]
+        mu = [integral.mu(k) for k in degrees]
+        sides = {
+            "orbit-torsion": [(A[k] + alt(c, k), mu[k] + alt(b, k)) for k in degrees],
+            "orbit-multiplicity-one": [(A1[k] + alt(c, k), alt(b_rat, k)) for k in degrees],
+        }
+        for report in (orbit_inequalities_torsion(poset, matching),
+                       orbit_inequalities_multiplicity(poset, matching)):
+            expected = [(k, lhs, rhs, lhs >= rhs) for k, (lhs, rhs) in enumerate(sides[report.name])]
+            assert [(r.k, r.lhs, r.rhs, r.ok) for r in report.rows] == expected
+            assert report.holds
+        multiplicities |= set(mult.values())
+        torsion += sum(mu)
+    assert multiplicities == {1, -1} and torsion
