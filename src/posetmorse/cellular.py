@@ -53,12 +53,20 @@ walk over the sorted names, has a positive coefficient,
 (-1)^(names before w) * eps(x, w) times the coefficient of the rest of
 the flag in w's generator, w its top element.
 
+The pass walks the poset's int core (`posets`): ids run in height
+order, so a down-set lists its cells by sorting its ids with no key, and
+the rows of the pass are keyed by ids.  The two gauges compare names,
+through each id's rank among the sorted names, taken once per pass.  The
+report speaks names, and the rows are turned into names once, when
+`_cellular_pass` first hands them out; a report alone never names them.
+
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
-(A, B), given A - B alone: the pass's down-sets, and, through
-`_cellular_complex`, which checks them into a chain complex, the pass's
-once-check, the punctured down-sets, the theorem checks' sublevel and
-basic-set pairs, and `space_complex`, the model of the space without its
-augmentation cell, which `space_homology` and the hccat witness read.
+(A, B), given A - B alone: on ids, the pass's down-sets, its punctured
+down-sets and its once-check, which `_checked` turns into chain
+complexes; on names, through `_cellular_complex`, the theorem checks'
+sublevel and basic-set pairs, and `space_complex`, the model of the
+space without its augmentation cell, which `space_homology` and the
+hccat witness read.
 The order complex (`poset_homology`) stays the definition that
 `verify_cellular_agreement` checks it against.
 """
@@ -66,7 +74,7 @@ The order complex (`poset_homology`) stays the definition that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -123,8 +131,9 @@ class SphereGenerator:
 
 
 # the boundary row of each cell of the pass: a cellular x is its own cell, with
-# row eps(x, .); any other x owns a list of cells (x, k, j), the j-th in degree k
-Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[str, int, int]]"]
+# row eps(x, .); any other x owns a list of cells (x, k, j), the j-th in degree k;
+# x is an id in the pass and a name once the rows are handed out
+Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[Hashable, int, int]]"]
 
 
 @dataclass(frozen=True)
@@ -148,37 +157,55 @@ class CellularComplexOfPoset:
 def check_cellularity(poset: Poset) -> CellularityReport:
     """Verify gradedness, sphere down-sets, and punctured acyclicity."""
     if poset.is_graded():
-        return _cellular_pass(poset)[0]
+        return _walked(poset)[0]
     # an ungraded poset's report reads only the heights
     bad = [(w, x) for w, x in poset.covers if poset.heights()[x] != poset.heights()[w] + 1]
     return CellularityReport(False, False, False, tuple(
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _cellular_pass(poset: Poset) -> tuple[CellularityReport | None, Rows]:
-    """The report (graded posets only) and the cells of the pass, cached."""
+def _walked(poset: Poset) -> tuple[CellularityReport | None, Rows, bool]:
+    """The pass, cached: its report, its rows and whether they are keyed by
+    names yet.  They stay keyed by ids, as the pass made them, until
+    `_cellular_pass` asks for them."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None:
-        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset)
+        cached = poset.analysis_cache["cellularity"] = (*_degree_induction(poset), False)
     return cached
 
 
+def _cellular_pass(poset: Poset) -> tuple[CellularityReport | None, Rows]:
+    """The report (graded posets only) and the cells of the pass keyed by
+    names, cached: the ids are turned into names once, on the first call."""
+    report, rows, named = _walked(poset)
+    if not named:
+        rows = _named_rows(poset._names, rows, report is not None and report.is_cellular)
+        poset.analysis_cache["cellularity"] = (report, rows, True)
+    return report, rows
+
+
 def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
-    graded, degrees = poset.is_graded(), poset.heights()
+    """The pass, on the poset's ids: the report, in names, and the rows,
+    keyed by ids."""
+    graded, degrees, names = poset.is_graded(), poset._height, poset._names
+    lower_covers, down = poset._lower, poset._reach()
+    # each id's place among the sorted names, which the two gauges compare
+    rank = [0] * len(names)
+    for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+        rank[i] = r
     eps: Rows = {}
     # reach[x]: the elements below x along covers of nonzero incidence, on
     # the cellular x over cellular elements only, which take the gauge
-    reach: dict[str, frozenset[str]] = {}
+    reach: dict[int, frozenset[int]] = {}
     # H(U_x, U.x), the nontrivial degrees of H~(U.x) one degree up
-    cone: dict[str, tuple] = {}
-    not_cellular: dict[str, HomologySummary] = {}
-    not_admissible: list[tuple[str, str]] = []
+    cone: dict[int, tuple] = {}
+    not_cellular: dict[int, HomologySummary] = {}
+    not_admissible: list[tuple[int, int]] = []
     # the generator, in local indices, of each sphere complex reduced so far
     spheres: dict[tuple, tuple[int, ...]] = {}
     try:
-        for x in poset.height_order():
-            p, lower = degrees[x], poset.lower_covers(x)
-            below = poset.strictly_below(x)
+        for x, lower in enumerate(lower_covers):
+            p, below = degrees[x], down[x]
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
                 continue
@@ -194,11 +221,11 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 # U.x is two points, a 0-sphere: their difference, gauged
                 # to +1 on the smaller name
                 a, b = lower
-                eps[x] = {a: 1, b: -1} if a < b else {a: -1, b: 1}
+                eps[x] = {a: 1, b: -1} if rank[a] < rank[b] else {a: -1, b: 1}
                 reach[x], cone[x] = below, ((1, (1, ())),)
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
-            ranks, columns, labels = _cells(poset, eps, below, reduced=True)
+            ranks, columns, labels = _cells(eps, degrees, below, reduced=True)
             key = generator = None
             if graded and over_cellular and sum(
                     r if k % 2 == 0 else -r for k, r in ranks.items()) == (-1) ** (p - 1):
@@ -232,40 +259,52 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 # the exact sequence of (U.x, U.x - {w}), as the module docstring says
                 not_admissible += [
                     (w, x) for w in lower if cone[w] != here or here and not homology(
-                        _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
+                        _checked(_cells(eps, degrees, below - {w}, reduced=True))
+                    ).is_trivial()]
                 continue
             steps = [w for w in lower if eps[x][w]]
             # shares the down-set where every step has nonzero incidence, as on
             # every admissible poset
-            shared = len(steps) == len(lower) and all(
-                reach[w] is poset.strictly_below(w) for w in steps)
+            shared = len(steps) == len(lower) and all(reach[w] is down[w] for w in steps)
             reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
-            if _gauge_sign(x, p, eps, reach, degrees) < 0:
+            if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
                 eps[x] = {w: -e for w, e in eps[x].items()}
             not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
-        _cellular_complex(poset, eps, [e for e in poset.elements if e in eps], reduced=True)
+        _checked(_cells(eps, degrees, eps.keys() & range(len(names)), reduced=True))
         raise
     # d*d = 0 once, on every cell of the pass; the complex is not kept (peak RSS)
-    _cellular_complex(poset, eps, poset.elements, reduced=True)
+    _checked(_cells(eps, degrees, range(len(names)), reduced=True))
     if not graded:
         return None, eps
-    witnesses = [("not-cellular", x, f"strict down-set has {not_cellular[x]}")
-                 for x in poset.elements if x in not_cellular]
+    witnesses = [("not-cellular", names[x], f"strict down-set has {not_cellular[x]}")
+                 for x in poset._by_declared(not_cellular)]
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
-                  for w, x in sorted(not_admissible)]
+                  for w, x in sorted((names[w], names[x]) for w, x in not_admissible)]
     cellular, admissible = not not_cellular, not not_admissible
     # admissibility forces cellularity (with the empty set not acyclic)
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
-    # rows copied in one go pin none of the memory the pass freed (peak RSS)
-    return CellularityReport(True, cellular, admissible, tuple(witnesses)), (
-        {x: dict(row) for x, row in eps.items()} if cellular else eps)
+    return CellularityReport(True, cellular, admissible, tuple(witnesses)), eps
 
 
-def _cone_cells(x: str, labels: dict[int, tuple], reducer: _Reducer, live: dict[int, list[int]],
+def _named_rows(names: Sequence[str], eps: Rows, cellular: bool) -> Rows:
+    """The pass's rows with each id turned into its name, in one go, which
+    also pins none of the memory the pass freed (peak RSS).  On a cellular
+    poset every row is an element's, over elements."""
+    if cellular:
+        return {names[x]: {names[w]: e for w, e in row.items()} for x, row in eps.items()}
+
+    def name(cell):
+        return names[cell] if type(cell) is int else (names[cell[0]], cell[1], cell[2])
+
+    return {name(c): [name(cell) for cell in row] if isinstance(row, list)
+            else {name(w): e for w, e in row.items()} for c, row in eps.items()}
+
+
+def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[int, list[int]],
                 eps: Rows) -> tuple[list[tuple], tuple[dict[int, int], dict[int, list[Column]]]]:
     """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
     k of the minimal model M that `reducer` left of the cells with these
@@ -286,24 +325,31 @@ def _cone_cells(x: str, labels: dict[int, tuple], reducer: _Reducer, live: dict[
 def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
                       reduced: bool = False) -> ChainComplex:
     """The chain complex of the elements `members`, A - B for a
-    down-closed pair (A, B), from their `_cells`.  A d*d failure can only
-    come from the incidences, so it raises InconsistentIncidence."""
+    down-closed pair (A, B), from their `_cells`, with the rows of `eps`
+    keyed by names."""
+    return _checked(_cells(eps, poset.heights(), members, reduced,
+                           key=poset.height_order().__getitem__))
+
+
+def _checked(cells: tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]) -> ChainComplex:
+    """The chain complex of `_cells`; a d*d failure can only come from the
+    incidences, so it raises InconsistentIncidence."""
     try:
-        return ChainComplex(*_cells(poset, eps, members, reduced))
+        return ChainComplex(*cells)
     except NotAChainComplex as exc:
         raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
 
 
-def _cells(poset: Poset, eps: Rows, members: Iterable[str],
-           reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
+def _cells(eps: Rows, degrees, members: Iterable[Hashable], reduced: bool = False,
+           key=None) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
     """The ranks, boundary columns and labels of the cells of `members`,
     A - B for a down-closed pair (A, B), unchecked: by degree, in
-    `Poset.height_order`, each with its row of `eps`, less the cells
-    outside, as boundary.  With reduced=True (B empty) an augmentation slot
-    C_{-1} = Z is added, onto which every degree-0 cell maps."""
-    degrees = poset.heights()
+    `Poset.height_order`, which `key` reads off a name and an id is,
+    each with its row of `eps`, less the cells outside, as boundary.
+    With reduced=True (B empty) an augmentation slot C_{-1} = Z is added,
+    onto which every degree-0 cell maps."""
     levels: dict[int, list[Hashable]] = {}
-    for e in sorted(members, key=poset.height_order().__getitem__):
+    for e in sorted(members, key=key):
         if isinstance(eps[e], dict):
             levels.setdefault(degrees[e], []).append(e)
         else:  # an element that is not a cell owns a list of them
@@ -338,33 +384,34 @@ def _pair_homology(poset: Poset, cells: Iterable[str],
     return homology(_cellular_complex(poset, _cellular_pass(poset)[1], cells), coefficients)
 
 
-def _gauge_sign(x: str, p: int, eps: dict[str, dict[str, int]],
-                reach: dict[str, frozenset[str]], degrees: dict[str, int]) -> int:
+def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],
+                degrees: list[int], rank: list[int], names: Sequence[str]) -> int:
     """The sign, in x's sphere generator, of the first sorted full flag of
-    U.x along nonzero incidences: one walk over the sorted names takes each
-    name that extends the flag so far, which holds one name per degree,
-    as the new element of a chain from x: x or the flag's next name above
-    steps to it, and it steps to the flag's next name below."""
-    flag: list[str | None] = [None] * p
+    U.x along nonzero incidences, names compared by their `rank`: one walk
+    over the sorted names takes each name that extends the flag so far,
+    which holds one name per degree, as the new element of a chain from x:
+    x or the flag's next name above steps to it, and it steps to the
+    flag's next name below."""
+    flag: list[int | None] = [None] * p
     found = 0
-    for name in sorted(reach[x]):
-        d = degrees[name]
+    for v in sorted(reach[x], key=rank.__getitem__):
+        d = degrees[v]
         if flag[d] is not None:
             continue
         top = next((w for w in flag[d + 1:] if w is not None), x)
         bottom = next((w for w in reversed(flag[:d]) if w is not None), None)
-        if name in reach[top] and (bottom is None or bottom in reach[name]):
-            flag[d] = name
+        if v in reach[top] and (bottom is None or bottom in reach[v]):
+            flag[d] = v
             found += 1
             if found == p:
                 break
     else:
-        raise ConsistencyError(f"no full flag below {x!r} along nonzero incidences")
+        raise ConsistencyError(f"no full flag below {names[x]!r} along nonzero incidences")
     # each name's sign is (-1)^(names before it among those still below)
     coeff, top = 1, x
     for d in range(p - 1, -1, -1):
         w = flag[d]
-        coeff *= (-1) ** sum(v < w for v in flag[:d]) * eps[top][w]
+        coeff *= (-1) ** sum(rank[v] < rank[w] for v in flag[:d]) * eps[top][w]
         top = w
     return 1 if coeff > 0 else -1
 

@@ -58,12 +58,12 @@ def _read(path: str) -> str:
 
 
 def _load_space(args):
-    """The poset under analysis, plus the raw complex when kind=simplicial."""
-    text = _read(args.input)
+    """The poset under analysis, plus the raw complex when kind=simplicial.
+    No text is kept while the poset is built from it (peak RSS)."""
     if args.kind == "simplicial":
-        complex = load_complex(text)
+        complex = load_complex(_read(args.input))
         return face_poset(complex), complex, False
-    poset, reduced = load_poset(text)
+    poset, reduced = load_poset(_read(args.input))
     return poset, None, reduced
 
 

@@ -12,6 +12,7 @@ theorem check walks that list.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .cellular import CellularComplexOfPoset, require_admissible
@@ -64,9 +65,12 @@ def validate_matching(poset: Poset, pairs) -> Matching:
     """Check the pairs are covers and no element is used twice."""
     seen: set[str] = set()
     out = []
+    ident, lower = poset._id, poset._lower
     for w, x in pairs:
         w, x = str(w), str(x)
-        if (w, x) not in poset.covers:
+        i, j = ident.get(w), ident.get(x)
+        # read off the poset's int covers
+        if i is None or j is None or i not in lower[j]:
             raise NotACover(f"({w}, {x}) is not a cover of the poset")
         for e in (w, x):
             if e in seen:
@@ -86,21 +90,23 @@ class MatchedDigraph:
 
 
 def matched_digraph(poset: Poset, matching: Matching) -> MatchedDigraph:
-    succ: dict[str, list[str]] = {e: [] for e in poset.elements}
+    """Read off the poset's int covers: each element points to its lower
+    covers but a matched one, and up to its match above, in declared order."""
+    names, ident, lower = poset._names, poset._id, poset._lower
+    up = {ident[w]: ident[x] for w, x in matching.pairs}
+    down = {x: w for w, x in up.items()}
+    key = None if poset._declared is None else poset._declared.__getitem__
+    successors = {}
     arcs = []
-    for w, x in poset.covers:
-        if (w, x) in matching.pairs:
-            succ[w].append(x)
-            arcs.append((w, x))
-        else:
-            succ[x].append(w)
-            arcs.append((x, w))
-    order = poset.index
-    return MatchedDigraph(
-        nodes=poset.elements,
-        arcs=tuple(sorted(arcs, key=lambda a: (order[a[0]], order[a[1]]))),
-        successors={e: tuple(sorted(s, key=order.__getitem__)) for e, s in succ.items()},
-    )
+    for e in poset._declared_ids():
+        matched = down.get(e)
+        targets = [w for w in lower[e] if w != matched]
+        if e in up:
+            insort(targets, up[e], key=key)
+        name = names[e]
+        successors[name] = targets = tuple([names[w] for w in targets])
+        arcs += [(name, t) for t in targets]
+    return MatchedDigraph(nodes=poset.elements, arcs=tuple(arcs), successors=successors)
 
 
 def _strongly_connected_components(nodes, successors) -> list[list[str]]:
@@ -109,45 +115,38 @@ def _strongly_connected_components(nodes, successors) -> list[list[str]]:
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = 0
     components: list[list[str]] = []
     for root in nodes:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
         while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succ = successors[node]
-            for k in range(child_i, len(succ)):
-                child = succ[k]
+            node, children = work[-1]
+            for child in children:
                 if child not in index:
-                    work[-1] = (node, k + 1)
-                    work.append((child, 0))
-                    advanced = True
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors[child])))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                components.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    components.append(comp)
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return components
 
 

@@ -2,10 +2,15 @@
 and the structured report document.
 
 Poset text: one `w < x` line per cover, a bare identifier declares an
-isolated element, `#` starts a comment.  The JSON alternative is a
-document with "elements" and "covers" fields.  Matchings are `x y` lines
-(x covered by y); functions are `element value` lines with integer or
-p/q rational values.
+isolated element, and a line whose first character is `#` is a comment.
+Identifiers hold no whitespace, as in matching and function files, so a
+`#` comment takes a whole line: `a b < c` and `a < b  # note` are
+rejected with their line number.  The text is read once, each
+identifier interned as it is first mentioned, and the relation goes to
+`posets._build` as ints.  The JSON alternative is a document with
+"elements" and "covers" fields.  Matchings are `x y` lines (x covered by
+y); functions are `element value` lines with integer or p/q rational
+values.
 """
 
 from __future__ import annotations
@@ -14,42 +19,54 @@ import json
 from fractions import Fraction
 
 from .dynamics import Matching, validate_matching
-from .errors import MalformedLine
-from .posets import Poset, build_poset
+from .errors import CycleDetected, MalformedLine
+from .posets import Poset, _build, _declare
 from .simplicial import SimplicialComplex, parse_simplicial_complex
 
 SCHEMA_VERSION = 1
 
 
-def _poset_lines(text: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """Declared elements, in order of first mention, and the relations."""
+def _poset_lines(text: str) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    """Declared elements, in order of first mention, each name's declared
+    index, and the relation as the declared indices under each element,
+    in one pass over the lines.  A name is checked once, when it is first
+    mentioned: it must be one token with no `<`."""
     elements: list[str] = []
-    seen: set[str] = set()
-    relations: list[tuple[str, str]] = []
+    index: dict[str, int] = {}
+    lower: list[list[int]] = []
+    reflexive = None
 
-    def declare(name: str):
-        if name not in seen:
-            seen.add(name)
-            elements.append(name)
+    def declare(name: str, lineno: int, line: str, relation: bool) -> int:
+        if name.split() != [name] or "<" in name:
+            expected = "'w < x'" if relation else "one identifier"
+            raise MalformedLine(f"line {lineno}: expected {expected}, got {line!r}")
+        index[name] = len(elements)
+        elements.append(name)
+        lower.append([])
+        return index[name]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if "<" in line:
-            parts = [p.strip() for p in line.split("<")]
-            if len(parts) != 2 or not all(parts):
-                raise MalformedLine(f"line {lineno}: expected 'w < x', got {line!r}")
-            w, x = parts
-            declare(w)
-            declare(x)
-            relations.append((w, x))
-        else:
-            tokens = line.split()
-            if len(tokens) != 1:
-                raise MalformedLine(f"line {lineno}: expected one identifier, got {line!r}")
-            declare(tokens[0])
-    return elements, relations
+        w, lt, x = line.partition("<")
+        if not lt:
+            if line not in index:
+                declare(line, lineno, line, False)
+            continue
+        w, x = w.rstrip(), x.lstrip()
+        i = index.get(w)
+        if i is None:
+            i = declare(w, lineno, line, True)
+        j = index.get(x)
+        if j is None:
+            j = declare(x, lineno, line, True)
+        lower[j].append(i)
+        if i == j and reflexive is None:
+            reflexive = w
+    if reflexive is not None:
+        raise CycleDetected(f"reflexive pair ({reflexive}, {reflexive}) is not allowed")
+    return elements, index, lower
 
 
 def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:
@@ -72,22 +89,23 @@ def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:
 
 
 def parse_poset_text(text: str) -> Poset:
-    return build_poset(*_poset_lines(text))
+    return _build(*_poset_lines(text))[0]
 
 
 def load_poset(text: str) -> tuple[Poset, bool]:
     """Parse either format; also report whether input covers got reduced."""
     if text.lstrip().startswith("{"):
-        elements, relations = _poset_document(text)
+        parsed = _declare(*_poset_document(text))
     else:
-        elements, relations = _poset_lines(text)
-    poset = build_poset(elements, relations)
-    return poset, not set(relations) <= poset.covers
+        parsed = _poset_lines(text)
+    # the text is not kept while the poset is built (peak RSS)
+    del text
+    return _build(*parsed)
 
 
 def serialize_poset(poset: Poset) -> str:
-    lines = [f"{w} < {x}" for w, x in sorted(poset.covers,
-                                             key=lambda c: (poset.index[c[1]], poset.index[c[0]]))]
+    # the covers come ordered by their upper, then their lower element
+    lines = [f"{w} < {x}" for w, x in poset.covers]
     isolated = [e for e in poset.elements
                 if not poset.upper_covers(e) and not poset.lower_covers(e)]
     lines.extend(isolated)

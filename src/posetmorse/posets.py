@@ -3,16 +3,32 @@
 Element identifiers are opaque strings.  The declared element order fixes
 every iteration order in the library, which keeps matrix layouts and
 reports deterministic.  Poset values are immutable after construction and
-all derived data (down-sets, heights, homology) is cached lazily on the
-instance.  The order is worked out once per poset: one topological walk,
-cached, which the heights and the one transitive closure (the down-sets)
-both read.  `build_poset` hands the poset the walk and the closure it
-made of its raw relation, which has the same order as its covers, and
-one helper, `_cover_reduction`, reduces an order to covers for both
-`build_poset` and `induced`.  The up-sets are built only when
-`strictly_above` first asks for them, which in the library only
-`beat_point_core` does.  A graded poset is the same value: an element's
-degree is its height, and the degree queries raise NotGraded otherwise.
+all derived data (down-sets, homology) is cached lazily on the instance.
+
+Each element is interned once, as an int id, and ids run in (height,
+declared index) order: sorting ids with no key puts them in a
+topological order, and each height is a run of consecutive ids in
+declared order.  The poset keeps this int core: per id its name, its
+height, its lower and upper covers as int tuples in declared order, and,
+once asked for, its strict down-set as a frozenset of ids.  The order is
+worked out once per poset: one topological walk, which gives the heights
+and so the ids, and one transitive closure (the down-sets) read along a
+topological order.  `build_poset` and the text loader make both in
+`_build`, which closes the raw relation and reduces it to covers with
+`_cover_reduction`, the one cover reduction, which `induced` shares.
+`simplicial.face_poset` hands its core over directly: its covers are
+already reduced and its heights are the dimensions.  The up-sets are
+built only when `strictly_above` first asks for them, which in the
+library only `beat_point_core` does.  A graded poset is the same value:
+an element's degree is its height, and the degree queries raise
+NotGraded otherwise.
+
+The public queries speak names (`elements`, `index`, `covers`,
+`lower_covers`, `strictly_below`, `heights`, `height_order`), through
+views built when asked for: `covers` reads the int covers on demand, and
+`heights` and `index` are built once, on first use, unless the loader
+already made the index.  The cellularity pass and the dynamics read the
+int core itself.
 
 The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
@@ -26,7 +42,9 @@ too, and `beat_point_core` serves the random generators.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Set
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CycleDetected,
@@ -42,37 +60,60 @@ class Poset:
 
     The constructor trusts its arguments to already be a transitive
     reduction of string identifiers; use :func:`build_poset` for raw
-    input.  It builds the sorted cover lists once.  The heights are
-    computed on first use, and so are the topological order and the
-    down-sets unless :func:`build_poset` has handed them over.  Empty
-    posets are legal values (they arise as strict down-sets) but are
-    rejected as top-level inputs by :func:`build_poset`.
+    input.  It walks the covers once for the heights and the ids; the
+    down-sets are computed on first use.  The library's loaders hand it
+    their int core (`_Core`) in place of the covers.  Empty posets are
+    legal values (they arise as strict down-sets) but are rejected as
+    top-level inputs by :func:`build_poset`.
     """
 
-    def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
-        self.elements = tuple(elements)
-        self.covers = frozenset(covers)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+    def __init__(self, elements: Sequence[str],
+                 covers: Iterable[tuple[str, str]] | "_Core"):
+        elements = tuple(elements)
+        core = covers if isinstance(covers, _Core) else _name_core(elements, covers)
+        n = len(elements)
+        self.elements = elements
+        self._declared = declared = core.declared
+        self._names = elements if declared is None else tuple(elements[j] for j in declared)
+        self._id = {e: i for i, e in enumerate(self._names)}
+        if len(self._id) != n:
             raise DuplicateElement("duplicate element identifiers")
-        up: dict[str, list[str]] = {e: [] for e in self.elements}
-        dn: dict[str, list[str]] = {e: [] for e in self.elements}
-        for w, x in self.covers:
-            if w not in self.index or x not in self.index:
-                raise UnknownElement(f"cover ({w}, {x}) references undeclared element")
-            up[w].append(x)
-            dn[x].append(w)
-        key = self.index.__getitem__
-        self._upper = {e: tuple(sorted(up[e], key=key)) for e in self.elements}
-        self._lower = {e: tuple(sorted(dn[e], key=key)) for e in self.elements}
-        self._order: list[str] | None = None
-        self._below: dict[str, frozenset[str]] | None = None
-        self._above: dict[str, frozenset[str]] | None = None
+        self._index = core.index
+        self._height = core.heights
+        key = None if declared is None else declared.__getitem__
+        self._lower = [tuple(sorted(lows, key=key)) for lows in core.lower]
+        upper: list[list[int]] = [[] for _ in range(n)]
+        for x in self._declared_ids():
+            for w in self._lower[x]:
+                upper[w].append(x)
+        self._upper = [tuple(ups) for ups in upper]
+        self._order = core.order
+        self._below = core.below
+        self._above: list[frozenset[int]] | None = None
         self._heights: dict[str, int] | None = None
-        self._by_height: dict[str, int] | None = None
         self._graded: bool | None = None
         # derived analyses (homology, cellular structure)
         self.analysis_cache: dict = {}
+
+    # -- the int core ----------------------------------------------------------
+
+    def _ident(self, element: str) -> int:
+        """The id of a name; an unknown name raises UnknownElement."""
+        try:
+            return self._id[element]
+        except KeyError:
+            raise UnknownElement(f"unknown element {element!r}") from None
+
+    def _declared_ids(self) -> Iterable[int]:
+        """Every id, in declared order."""
+        if self._declared is None:
+            return range(len(self._names))
+        return map(self._id.__getitem__, self.elements)
+
+    def _by_declared(self, ids: Iterable[int]) -> list[int]:
+        """The ids sorted by declared index."""
+        key = None if self._declared is None else self._declared.__getitem__
+        return sorted(ids, key=key)
 
     # -- basic queries --------------------------------------------------------
 
@@ -80,152 +121,158 @@ class Poset:
         return len(self.elements)
 
     def __contains__(self, element: str) -> bool:
-        return element in self.index
+        return element in self._id
 
     def __eq__(self, other):
+        # equal elements and covers give equal heights, so equal ids
         return (isinstance(other, Poset) and self.elements == other.elements
-                and self.covers == other.covers)
+                and self._names == other._names and self._lower == other._lower)
 
     def __hash__(self):
-        return hash((self.elements, self.covers))
+        return hash((self.elements, frozenset(self.covers)))
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
 
+    @property
+    def covers(self) -> "CoverView":
+        return CoverView(self)
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Each name's declared index."""
+        if self._index is None:
+            self._index = (self._id if self._declared is None
+                           else {e: j for j, e in enumerate(self.elements)})
+        return self._index
+
     def require(self, element: str) -> None:
-        if element not in self.index:
+        if element not in self._id:
             raise UnknownElement(f"unknown element {element!r}")
 
     def upper_covers(self, element: str) -> tuple[str, ...]:
-        self.require(element)
-        return self._upper[element]
+        return tuple(map(self._names.__getitem__, self._upper[self._ident(element)]))
 
     def lower_covers(self, element: str) -> tuple[str, ...]:
-        self.require(element)
-        return self._lower[element]
+        return tuple(map(self._names.__getitem__, self._lower[self._ident(element)]))
 
     # -- reachability ----------------------------------------------------------
 
-    def _topo_order(self) -> list[str]:
+    def _topo_order(self) -> Sequence[int]:
         if self._order is None:
-            self._order = _topological_order(self.elements, self._lower, self._upper)
+            self._order = _topological_order(len(self._names), self._lower, self._upper)
         return self._order
 
-    def _reach(self) -> dict[str, frozenset[str]]:
+    def _reach(self) -> list[frozenset[int]]:
+        """The strict down-set of each id, as ids."""
         if self._below is None:
             self._below = _strictly_below(self._topo_order(), self._lower)
         return self._below
 
-    def _up_sets(self) -> dict[str, frozenset[str]]:
+    def _up_sets(self) -> list[frozenset[int]]:
         if self._above is None:
-            above: dict[str, set[str]] = {e: set() for e in self.elements}
-            for e, s in self._reach().items():
+            above: list[set[int]] = [set() for _ in self._names]
+            for e, s in enumerate(self._reach()):
                 for w in s:
                     above[w].add(e)
-            self._above = {e: frozenset(s) for e, s in above.items()}
+            self._above = [frozenset(s) for s in above]
         return self._above
 
     def strictly_below(self, element: str) -> frozenset[str]:
-        self.require(element)
-        return self._reach()[element]
+        return frozenset(map(self._names.__getitem__, self._reach()[self._ident(element)]))
 
     def strictly_above(self, element: str) -> frozenset[str]:
-        self.require(element)
-        return self._up_sets()[element]
+        return frozenset(map(self._names.__getitem__, self._up_sets()[self._ident(element)]))
 
     def less(self, a: str, b: str) -> bool:
         """True iff a < b in the partial order."""
-        return a in self.strictly_below(b)
+        return self._id.get(a) in self._reach()[self._ident(b)]
 
     # -- heights and grading ---------------------------------------------------
 
     def heights(self) -> dict[str, int]:
         """height(x) = length of the longest chain ending at x."""
         if self._heights is None:
-            h: dict[str, int] = {}
-            for e in self._topo_order():
-                lows = self._lower[e]
-                h[e] = 1 + max(h[w] for w in lows) if lows else 0
-            self._heights = h
+            self._heights = dict(zip(self._names, self._height))
         return self._heights
 
     def height_order(self) -> dict[str, int]:
         """Each element's place in the order by height, then declared
-        index, in that order: a topological order, cached, which the
-        cellularity pass walks and the chain lists sort by."""
-        if self._by_height is None:
-            self._by_height = {e: i for i, e in enumerate(
-                sorted(self.elements, key=self.heights().__getitem__))}
-        return self._by_height
+        index: its id, which the cellularity pass walks and the chain
+        lists sort by."""
+        return self._id
 
     def height(self, element: str | None = None) -> int:
         if element is None:
             if not self.elements:
                 raise EmptyPoset("height of the empty poset is undefined")
-            return max(self.heights().values())
-        self.require(element)
-        return self.heights()[element]
+            return self._height[-1]
+        return self._height[self._ident(element)]
 
     def is_graded(self) -> bool:
         """Graded means every U_x is homogeneous; equivalently the height
         increases by exactly one along every cover."""
         if self._graded is None:
-            h = self.heights()
-            self._graded = all(h[x] == h[w] + 1 for w, x in self.covers)
+            h = self._height
+            self._graded = all(h[w] == h[x] - 1 for x, lows in enumerate(self._lower)
+                               for w in lows)
         return self._graded
 
-    def _degrees(self) -> dict[str, int]:
+    def _degrees(self) -> list[int]:
         if not self.is_graded():
             raise NotGraded("degrees are only defined on graded posets")
-        return self.heights()
+        return self._height
 
     def degree(self, element: str) -> int:
         """deg x = height x, on a graded poset."""
-        self.require(element)
-        return self._degrees()[element]
+        i = self._ident(element)
+        return self._degrees()[i]
 
     def max_degree(self) -> int:
-        return max(self._degrees().values(), default=0)
+        return max(self._degrees(), default=0)
 
     def level(self, p: int) -> tuple[str, ...]:
-        """The elements of degree exactly p."""
+        """The elements of degree exactly p: a run of ids, in declared order."""
         degrees = self._degrees()
-        return tuple(e for e in self.elements if degrees[e] == p)
+        return self._names[bisect_left(degrees, p):bisect_right(degrees, p)]
 
     # -- subposets ---------------------------------------------------------
 
     def induced(self, subset: Iterable[str]) -> "Poset":
         """The induced subposet: covers are recomputed from the restricted
         order, so skipped levels become covers."""
-        keep = set(subset)
-        for e in keep:
-            self.require(e)
-        elements = [e for e in self.elements if e in keep]
-        below = self._reach()
-        return Poset(elements, _cover_reduction({x: below[x] & keep for x in elements}, below))
+        keep = {self._ident(e) for e in subset}
+        below, names = self._reach(), self._names
+        ids = self._by_declared(keep)
+        covers = _cover_reduction([below[x] & keep for x in ids], below)
+        return Poset([names[x] for x in ids],
+                     [(names[w], names[x]) for x, lows in zip(ids, covers) for w in lows])
 
     def down_closure(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The union of the minimal open sets U_x for x in the subset, in
         poset order."""
-        closed: set[str] = set()
-        for x in subset:
+        below = self._reach()
+        closed: set[int] = set()
+        for e in subset:
+            x = self._ident(e)
             if x not in closed:
                 closed.add(x)
-                closed |= self.strictly_below(x)
-        return tuple(sorted(closed, key=self.index.__getitem__))
+                closed |= below[x]
+        return tuple(map(self._names.__getitem__, self._by_declared(closed)))
 
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains of the subposet on `members`, grouped by
         maximum element, each listed in increasing order; not cached."""
-        below, order = self._reach(), self.index
-        keep = set(members)
-        ending: dict[str, list[tuple[str, ...]]] = {}
-        for x in sorted(keep, key=self.height_order().__getitem__):
-            local: list[tuple[str, ...]] = [(x,)]
-            for y in sorted(below[x] & keep, key=order.__getitem__):
-                local.extend(c + (x,) for c in ending[y])
+        below, names = self._reach(), self._names
+        keep = {self._id[e] for e in members}
+        ending: dict[int, list[tuple[str, ...]]] = {}
+        for x in sorted(keep):
+            top = (names[x],)
+            local = [top]
+            for y in self._by_declared(below[x] & keep):
+                local.extend(c + top for c in ending[y])
             ending[x] = local
-        return ending
+        return {names[x]: local for x, local in ending.items()}
 
     def beat_point_core(self) -> tuple[str, ...]:
         """The core of the poset, in poset order: sweeps in poset order
@@ -235,11 +282,10 @@ class Poset:
         so the order complexes of the poset and of its core are homotopy
         equivalent, and the core of a contractible space is a point
         (Stong, Trans. AMS 123, 1966)."""
-        below, above = self._reach(), self._up_sets()
-        heights, order = self.heights(), self.index
-        core = set(self.elements)
+        below, above, heights = self._reach(), self._up_sets(), self._height
+        core = set(range(len(self._names)))
 
-        def has_extremum(part: frozenset[str], reach: dict[str, frozenset[str]], pick) -> bool:
+        def has_extremum(part: set[int], reach: list[frozenset[int]], pick) -> bool:
             # only the element of extreme height can be the extremum
             return bool(part) and len(
                 reach[pick(part, key=heights.__getitem__)] & part) == len(part) - 1
@@ -247,59 +293,194 @@ class Poset:
         removed = True
         while removed:
             removed = False
-            for a in sorted(core, key=order.__getitem__):
+            for a in self._by_declared(core):
                 if (has_extremum(below[a] & core, below, max)
                         or has_extremum(above[a] & core, above, min)):
                     core.remove(a)
                     removed = True
-        return tuple(sorted(core, key=order.__getitem__))
+        return tuple(map(self._names.__getitem__, self._by_declared(core)))
 
     def chains(self) -> list[tuple[str, ...]]:
         """All nonempty chains, each listed in increasing order."""
         return [c for local in self.chains_within(self.elements).values() for c in local]
 
 
-def _topological_order(elements: Sequence[str], lower: dict[str, Sequence[str]],
-                       upper: dict[str, Sequence[str]]) -> list[str]:
-    """The elements, each after everything in its `lower` list (Kahn's
+class CoverView(Set):
+    """The covers of a poset as (w, x) name pairs, read off its int
+    covers when asked: x in declared order, then w in declared order."""
+
+    __slots__ = ("_poset",)
+
+    def __init__(self, poset: Poset):
+        self._poset = poset
+
+    def __len__(self) -> int:
+        return sum(map(len, self._poset._lower))
+
+    def __contains__(self, pair) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        ident = self._poset._id
+        w, x = ident.get(pair[0]), ident.get(pair[1])
+        return w is not None and x is not None and w in self._poset._lower[x]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        names, lower = self._poset._names, self._poset._lower
+        for x in self._poset._declared_ids():
+            for w in lower[x]:
+                yield names[w], names[x]
+
+    @classmethod
+    def _from_iterable(cls, pairs):
+        return frozenset(pairs)
+
+    def __repr__(self):
+        return f"CoverView({list(self)!r})"
+
+
+class _Core(NamedTuple):
+    """The int core a loader hands to `Poset` in place of name covers:
+    `declared[i]` is the declared index of id i (None when every id is its
+    declared index), `heights[i]` its height and `lower[i]` its lower
+    covers as ids, in any order.  `index` is each name's declared index,
+    `below` the down-sets and `order` a topological order of the ids,
+    where the loader already has them."""
+
+    declared: list[int] | None
+    heights: list[int]
+    lower: Sequence[Iterable[int]]
+    index: dict[str, int] | None = None
+    below: list[frozenset[int]] | None = None
+    order: Sequence[int] | None = None
+
+
+def _name_core(elements: tuple[str, ...], covers: Iterable[tuple[str, str]]) -> _Core:
+    """The core of covers given as name pairs, which are trusted to be
+    reduced: one walk gives the heights and the ids."""
+    index = {e: j for j, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise DuplicateElement("duplicate element identifiers")
+    lower: list[set[int]] = [set() for _ in elements]
+    for w, x in covers:
+        if w not in index or x not in index:
+            raise UnknownElement(f"cover ({w}, {x}) references undeclared element")
+        lower[index[x]].add(index[w])
+    declared, heights, under = _height_ids(lower)
+    # ids run in height order, so counting up is a topological order
+    return _Core(declared, heights, under, index, order=range(len(elements)))
+
+
+def _topological_order(n: int, lower: Sequence[Sequence[int]],
+                       upper: Sequence[Sequence[int]]) -> list[int]:
+    """The ints 0..n-1, each after everything in its `lower` list (Kahn's
     algorithm); a cycle raises CycleDetected."""
-    pending = {e: len(lower[e]) for e in elements}
-    queue = [e for e in elements if pending[e] == 0]
-    i = 0
-    while i < len(queue):
-        for x in upper[queue[i]]:
+    pending = [len(lows) for lows in lower]
+    queue = [e for e in range(n) if not pending[e]]
+    for e in queue:
+        for x in upper[e]:
             pending[x] -= 1
-            if pending[x] == 0:
+            if not pending[x]:
                 queue.append(x)
-        i += 1
-    if len(queue) != len(elements):
+    if len(queue) != n:
         raise CycleDetected("cover relation contains a cycle")
     return queue
 
 
-def _strictly_below(order: Sequence[str],
-                    lower: dict[str, Sequence[str]]) -> dict[str, frozenset[str]]:
+def _strictly_below(order: Iterable[int],
+                    lower: Sequence[Iterable[int]]) -> list[frozenset[int]]:
     """The transitive closure of `lower`, read along a topological order."""
-    below: dict[str, frozenset[str]] = {}
+    below: list[frozenset[int]] = [frozenset()] * len(lower)
     for e in order:
-        acc = set(lower[e])
-        for w in lower[e]:
+        lows = lower[e]
+        acc = set(lows)
+        for w in lows:
             acc |= below[w]
         below[e] = frozenset(acc)
     return below
 
 
-def _cover_reduction(under: dict[str, AbstractSet[str]],
-                     below: dict[str, AbstractSet[str]]) -> list[tuple[str, str]]:
-    """The pairs (w, x) with w in under[x] and w below no other element of
-    under[x]: the covers of an order, given for each x a set of elements
-    below it that holds its lower covers and the closure `below` of that
-    order.  Each intersection walks the smaller of its two sets."""
-    covers = []
-    for x, lows in under.items():
-        redundant = set().union(*(below[y] & lows for y in lows))
-        covers += [(w, x) for w in lows - redundant]
+def _cover_reduction(under: Sequence[AbstractSet[int]],
+                     below: Sequence[AbstractSet[int]]) -> list[AbstractSet[int]]:
+    """For each set under[i] of elements below some x, holding x's lower
+    covers, the w in it below no other element of it: the lower covers of
+    x, given the closure `below` of the order.  Each intersection walks
+    the smaller of its two sets."""
+    covers: list[AbstractSet[int]] = []
+    for lows in under:
+        redundant = [w for y in lows for w in below[y] & lows] if len(lows) > 1 else ()
+        covers.append(lows - set(redundant) if redundant else lows)
     return covers
+
+
+def _height_ids(lower: Sequence[Iterable[int]]) -> tuple[list[int] | None, list[int],
+                                                          list[set[int]]]:
+    """The one walk over a relation given by declared index, `lower[j]`
+    holding what lies under element j: the heights along it, and the ids in
+    (height, declared index) order.  Returns each id's declared index (None
+    when that is the id), the heights by id and `lower` relabelled to ids."""
+    n = len(lower)
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for x, lows in enumerate(lower):
+        for w in lows:
+            upper[w].append(x)
+    height = [0] * n
+    for x in _topological_order(n, lower, upper):
+        if lower[x]:
+            height[x] = 1 + max([height[w] for w in lower[x]])
+    levels: list[list[int]] = [[] for _ in range(max(height, default=-1) + 1)]
+    for j, h in enumerate(height):
+        levels[h].append(j)
+    declared = [j for level in levels for j in level]
+    ident = [0] * n
+    for i, j in enumerate(declared):
+        ident[j] = i
+    under = [set(map(ident.__getitem__, lower[j])) for j in declared]
+    heights = [height[j] for j in declared]
+    return (None if declared == list(range(n)) else declared), heights, under
+
+
+def _declare(elements: Iterable[str], relations: Iterable[tuple[str, str]]
+             ) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    """The declared elements, each name's declared index, and the relation
+    as lists of declared indices under each element, checked: an empty,
+    duplicate, unknown or reflexive input raises."""
+    elements = [str(e) for e in elements]
+    if not elements:
+        raise EmptyPoset("empty posets are rejected as inputs")
+    index: dict[str, int] = {}
+    for e in elements:
+        if e in index:
+            raise DuplicateElement(f"duplicate element {e!r}")
+        index[e] = len(index)
+    lower: list[list[int]] = [[] for _ in elements]
+    for w, x in relations:
+        w, x = str(w), str(x)
+        if w not in index:
+            raise UnknownElement(f"unknown element {w!r}")
+        if x not in index:
+            raise UnknownElement(f"unknown element {x!r}")
+        if w == x:
+            raise CycleDetected(f"reflexive pair ({w}, {x}) is not allowed")
+        lower[index[x]].append(index[w])
+    return elements, index, lower
+
+
+def _build(elements: list[str], index: dict[str, int],
+           lower: list[list[int]]) -> tuple[Poset, bool]:
+    """The poset of a generating relation without reflexive pairs, given
+    by declared index, and whether reducing it to covers dropped a pair:
+    the one walk interns the elements, the one closure, of the relation,
+    is handed to the poset, and `_cover_reduction` gives the covers."""
+    if not elements:
+        raise EmptyPoset("empty posets are rejected as inputs")
+    try:
+        declared, heights, under = _height_ids(lower)
+    except CycleDetected:
+        raise CycleDetected("input relation is not a partial order") from None
+    below = _strictly_below(range(len(elements)), under)
+    covers = _cover_reduction(under, below)
+    poset = Poset(elements, _Core(declared, heights, covers, index, below))
+    return poset, sum(map(len, covers)) != sum(map(len, under))
 
 
 def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:
@@ -308,32 +489,6 @@ def build_poset(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -
     The relation is closed transitively and then reduced to covers; cyclic
     input raises CycleDetected, empty input raises EmptyPoset.  Returns the
     canonical Hasse-diagram representation, holding the relation's
-    topological order and closure: the covers generate the same order.
+    closure: the covers generate the same order.
     """
-    elements = [str(e) for e in elements]
-    if not elements:
-        raise EmptyPoset("empty posets are rejected as inputs")
-    lower: dict[str, list[str]] = {}
-    for e in elements:
-        if e in lower:
-            raise DuplicateElement(f"duplicate element {e!r}")
-        lower[e] = []
-    upper: dict[str, list[str]] = {e: [] for e in elements}
-    for w, x in relations:
-        w, x = str(w), str(x)
-        if w not in lower:
-            raise UnknownElement(f"unknown element {w!r}")
-        if x not in lower:
-            raise UnknownElement(f"unknown element {x!r}")
-        if w == x:
-            raise CycleDetected(f"reflexive pair ({w}, {x}) is not allowed")
-        lower[x].append(w)
-        upper[w].append(x)
-    try:
-        order = _topological_order(elements, lower, upper)
-    except CycleDetected:
-        raise CycleDetected("input relation is not a partial order") from None
-    below = _strictly_below(order, lower)
-    poset = Poset(elements, _cover_reduction({x: set(lower[x]) for x in elements}, below))
-    poset._order, poset._below = order, below
-    return poset
+    return _build(*_declare(elements, relations))[0]

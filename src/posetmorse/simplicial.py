@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplex, MalformedLine
-from .posets import Poset
+from .posets import Poset, _Core
 
 Simplex = tuple[str, ...]
 
@@ -110,11 +110,17 @@ def serialize_simplicial_complex(complex: SimplicialComplex) -> str:
 
 
 def face_poset(complex: SimplicialComplex) -> Poset:
-    """The poset of simplices ordered by inclusion; degree = dimension."""
-    ids = {s: simplex_id(s) for d in sorted(complex.simplices) for s in complex.simplices[d]}
-    covers = [(ids[s[:i] + s[i + 1:]], sid) for s, sid in ids.items() if len(s) > 1
-              for i in range(len(s))]
-    return Poset(list(ids.values()), covers)
+    """The poset of simplices ordered by inclusion; degree = dimension.
+    Simplices are declared by dimension, then in sorted order, which is
+    already the order of the poset's ids, so the core is handed over as
+    it is: the codimension-1 faces are the covers, the dimensions the
+    heights."""
+    simplices = [s for d in sorted(complex.simplices) for s in complex.simplices[d]]
+    ids = {s: i for i, s in enumerate(simplices)}
+    lower = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] if len(s) > 1 else ()
+             for s in simplices]
+    return Poset([simplex_id(s) for s in simplices],
+                 _Core(None, [len(s) - 1 for s in simplices], lower))
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:

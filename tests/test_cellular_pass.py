@@ -18,6 +18,7 @@ from posetmorse import (
     parse_simplicial_complex,
     subdivision,
 )
+from posetmorse.cellular import _cellular_pass
 from posetmorse.formats import load_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -26,6 +27,7 @@ from helpers import (
     incidence_from_generators,
     maximal_elements,
     order_complex_cellularity,
+    reference_cellular_pass,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -166,6 +168,37 @@ def test_pass_matches_definition_on_spheres():
 @pytest.mark.parametrize("make", [pendant_two_cell, pendant_three_cell, mobius_with_two_disks])
 def test_pass_matches_definition_on_cellular_non_admissible(make):
     assert _agrees(make()) == (True, False)
+
+
+def _relabelled(poset: Poset, order: str) -> Poset:
+    """The poset under new names whose sorted order is not the order of
+    its ids: the reverse of it, or a seeded shuffle of it."""
+    ids = poset.height_order()
+    places = list(range(len(poset)))[::-1]
+    if order == "shuffled":
+        places = XorShift64Star(1966).shuffle(places)
+    new = {e: f"n{places[ids[e]]:05d}" for e in poset.elements}
+    return Poset([new[e] for e in poset.elements], [(new[w], new[x]) for w, x in poset.covers])
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("make", [
+    lambda: subdivision(subdivision(face_poset(parse_simplicial_complex(
+        (DATA / "rp2_6.txt").read_text())))),
+    lambda: face_poset(_sphere(4)),
+    pendant_three_cell,
+    mobius_with_two_disks,
+], ids=["sd2 RP^2", "boundary of the 4-simplex", "pendant 3-cell", "two disks"])
+def test_gauges_read_names_not_ids(make, order):
+    # the pass walks ids but gauges by names: with names sorted against the
+    # ids, both gauges must still pick the definition's signs
+    poset = _relabelled(make(), order)
+    ids = poset.height_order()
+    assert [ids[e] for e in sorted(poset.elements)] != sorted(ids.values())
+    report, rows = reference_cellular_pass(poset)
+    assert check_cellularity(poset) == report
+    assert _cellular_pass(poset)[1] == rows
+    assert cellular_chain_complex(poset).incidence == incidence_from_generators(poset)
 
 
 def test_pendant_incidence_is_zero():

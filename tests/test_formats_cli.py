@@ -53,6 +53,23 @@ def test_poset_text_malformed():
         parse_poset_text("a b\n")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("a b < c\n", "line 1: expected 'w < x', got 'a b < c'"),
+    ("x < y\na < b  # note\n", "line 2: expected 'w < x', got 'a < b  # note'"),
+    ("a < b\nb <\tc d\n", "line 2: expected 'w < x', got 'b <\\tc d'"),
+    ("a\n# a comment line\nb c\n", "line 3: expected one identifier, got 'b c'"),
+], ids=["lower", "comment", "tab", "bare"])
+def test_identifiers_hold_no_whitespace(text, line, tmp_path, capsys):
+    # identifiers are single tokens everywhere, so a relation line may not
+    # declare `a b` or `b  # note`, which no matching or function file could name
+    with pytest.raises(MalformedLine) as raised:
+        load_poset(text)
+    assert str(raised.value) == line
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    _fails_cleanly(capsys, path)
+
+
 def test_poset_json_document():
     poset = parse_poset_text(T3_TEXT)
     doc = poset_document(poset)

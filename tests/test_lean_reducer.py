@@ -24,7 +24,7 @@ from posetmorse import (
     space_homology,
     subdivision,
 )
-from posetmorse.cellular import _degree_induction, space_complex
+from posetmorse.cellular import _degree_induction, _named_rows, space_complex
 from posetmorse.dynamics import is_morse_matching
 from posetmorse.errors import InconsistentIncidence
 from posetmorse.formats import load_complex, load_poset
@@ -218,7 +218,9 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
         for calls in (listed, reduced, cones):
             calls.clear()
         report, rows = _degree_induction(poset)
-        # the down-sets the walk listed, by identity
+        # the pass keys its rows by id
+        rows = _named_rows(poset._names, rows, False)
+        # the down-sets the walk listed, by identity: the pass lists ids
         down_sets = {id(args[2]) for args in listed}
         expected_report, expected_rows = reference_cellular_pass(poset)
         assert report == expected_report, name
@@ -236,7 +238,8 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             else:
                 continue
             # a shortcut lists no cells of its down-set; every other element does
-            assert (id(poset.strictly_below(x)) in down_sets) == (kind is None), (name, x)
+            below = poset._reach()[poset.height_order()[x]]
+            assert (id(below) in down_sets) == (kind is None), (name, x)
             if kind:
                 branches[kind] += 1
         branches["memo hit"] += walked - len(reduced)
@@ -300,18 +303,20 @@ def test_up_sets_are_the_transposed_down_sets():
                 x for x in poset.elements if e in poset.strictly_below(x)}
 
 
-def _corrupting(monkeypatch, element: str, corrupt) -> list[str]:
+def _corrupting(monkeypatch, poset, element: str, corrupt) -> list[str]:
     """Make the pass corrupt the row of `element` once it is computed: at
     the next listing of cells, which reads every row, in a later down-set
-    or in the check after the walk.  Returns the elements corrupted."""
+    or in the check after the walk.  The pass keys its rows by id.
+    Returns the elements corrupted."""
     cellular = sys.modules["posetmorse.cellular"]
     real, done = cellular._cells, []
+    key = poset.height_order()[element]
 
-    def cells(poset, eps, members, reduced=False):
-        if element in eps and not done:
-            corrupt(eps[element])
+    def cells(eps, degrees, members, *args, **kwargs):
+        if key in eps and not done:
+            corrupt(eps[key])
             done.append(element)
-        return real(poset, eps, members, reduced)
+        return real(eps, degrees, members, *args, **kwargs)
 
     monkeypatch.setattr(cellular, "_cells", cells)
     return done
@@ -327,7 +332,7 @@ def test_a_corrupted_row_fails_the_once_check(monkeypatch):
     # check on the whole complex reads its row
     poset = face_poset(sphere(3))
     triangle = next(e for e in poset.elements if poset.degree(e) == 2)
-    done = _corrupting(monkeypatch, triangle, _flip_one)
+    done = _corrupting(monkeypatch, poset, triangle, _flip_one)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [triangle]
@@ -339,7 +344,7 @@ def test_a_corrupted_edge_row_under_a_cone_fails_the_once_check(monkeypatch):
     circle = face_poset(SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")]))
     edge = next(e for e in circle.elements if circle.degree(e) == 1)
     poset = Poset([*circle.elements, "top"], [*circle.covers, (edge, "top")])
-    done = _corrupting(monkeypatch, edge, _flip_one)
+    done = _corrupting(monkeypatch, poset, edge, _flip_one)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [edge]
@@ -355,7 +360,7 @@ def test_a_degree_one_row_must_sum_to_zero(monkeypatch):
         for w in row:
             row[w] = 1
 
-    done = _corrupting(monkeypatch, edge, same_signs)
+    done = _corrupting(monkeypatch, poset, edge, same_signs)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [edge]
@@ -372,7 +377,7 @@ def test_a_corrupted_row_read_by_later_down_sets_fails_the_check(monkeypatch, co
         w = next(iter(row))
         row[w] = -row[w] if corrupt == "flip" else 2 * row[w]
 
-    done = _corrupting(monkeypatch, edge, bad)
+    done = _corrupting(monkeypatch, poset, edge, bad)
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [edge]
