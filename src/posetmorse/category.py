@@ -141,8 +141,8 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
 class FlowData:
     """The flow-invariant complex, that is the Morse complex: `inclusion[p]`
     has one sparse column Phi^inf(c) per critical element c of degree p,
-    in the order of the cellular complex's labels, and `invariant_complex`
-    is the boundary in that basis."""
+    in the order of the cellular complex's labels, `invariant_complex`
+    is the boundary in that basis and `invariant_ranks` its ranks."""
 
     invariant_ranks: dict[int, int]
     invariant_complex: ChainComplex
@@ -160,8 +160,9 @@ def flow_operator(poset: Poset, matching: Matching,
     the matched pairs of the cellular complex, and the inclusion it
     tracks is Phi^inf, one phi-invariant chain per critical element c
     with critical coordinates e_c (Forman, "Morse theory for cell
-    complexes", Adv. Math. 1998, sections 6-8).  The rank check counts
-    the invariant chains apart, as n_p - rank(dV + Vd).
+    complexes", Adv. Math. 1998, sections 6-8).  The invariant ranks are
+    the Morse complex's; the rank check counts the invariant chains apart,
+    as n_p - rank(dV + Vd), and requires both to be c_p.
     """
     require_admissible(poset)
     if not is_morse_matching(poset, matching):
@@ -179,15 +180,15 @@ def flow_operator(poset: Poset, matching: Matching,
             V[p].append({} if y is None else {position[p + 1][y]: -cell.epsilon(y, x)})
             if y is not None:
                 pairs[p + 1].append((position[p][x], position[p + 1][y]))
+    morse = morse_reduction(cell.complex, pairs)
+    ranks = {p: morse.complex.rank(p) for p in levels}
     critical = critical_counts(poset, matching)
-    ranks = {p: critical.get(p, 0) for p in levels}
     rank_ok = True
     for p, names in levels.items():
         deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))
                      for j in range(len(names))]  # the columns of dV + Vd
         rank = sum(1 for f in smith_diagonal(deviation, len(names)) if f)
-        rank_ok = rank_ok and len(names) - rank == ranks[p]
-    morse = morse_reduction(cell.complex, pairs)
+        rank_ok = rank_ok and len(names) - rank == ranks[p] == critical.get(p, 0)
     return FlowData(
         invariant_ranks=ranks,
         invariant_complex=morse.complex,

@@ -55,18 +55,19 @@ the flag in w's generator, w its top element.
 
 The pass walks the poset's int core (`posets`): ids run in height
 order, so a down-set lists its cells by sorting its ids with no key, and
-the rows of the pass are keyed by ids.  The two gauges compare names,
-through each id's rank among the sorted names, taken once per pass.  The
-report speaks names, and the rows are turned into names once, when
-`_cellular_pass` first hands them out; a report alone never names them.
+the rows of the pass are keyed by ids, the only keying of the chain
+model.  The two gauges compare names, through each id's rank among the
+sorted names, taken once per pass.  Names are made only for output: the
+report speaks them, `space_complex` names its labels, and
+`cellular_chain_complex` names its public rows, once per poset.
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
-(A, B), given A - B alone: on ids, the pass's down-sets, its punctured
-down-sets and its once-check, which `_checked` turns into chain
-complexes; on names, through `_cellular_complex`, the theorem checks'
-sublevel and basic-set pairs, and `space_complex`, the model of the
-space without its augmentation cell, which `space_homology` and the
-hccat witness read.
+(A, B), given the ids of A - B alone: the pass's down-sets, its
+punctured down-sets and its once-check, which `_checked` turns into
+chain complexes, the theorem checks' sublevel and basic-set pairs
+(`_pair_homology`, which maps their names to ids), and `space_complex`,
+the model of the space without its augmentation cell, which
+`space_homology` and the hccat witness read.
 The order complex (`poset_homology`) stays the definition that
 `verify_cellular_agreement` checks it against.
 """
@@ -130,17 +131,19 @@ class SphereGenerator:
     cycle: dict[Simplex, int]
 
 
-# the boundary row of each cell of the pass: a cellular x is its own cell, with
-# row eps(x, .); any other x owns a list of cells (x, k, j), the j-th in degree k;
-# x is an id in the pass and a name once the rows are handed out
-Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[Hashable, int, int]]"]
+# the boundary row of each cell of the pass, keyed by ids: a cellular x is its
+# own cell, with row eps(x, .); any other x owns a list of cells (x, k, j), the
+# j-th in degree k
+Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[int, int, int]]"]
 
 
 @dataclass(frozen=True)
 class CellularComplexOfPoset:
+    """A cellular poset's complex; its labels and `rows`, eps(x, .), speak names."""
+
     poset: Poset
     complex: ChainComplex
-    rows: Rows
+    rows: dict[str, dict[str, int]]
     admissible: bool
 
     @property
@@ -164,24 +167,13 @@ def check_cellularity(poset: Poset) -> CellularityReport:
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _walked(poset: Poset) -> tuple[CellularityReport | None, Rows, bool]:
-    """The pass, cached: its report, its rows and whether they are keyed by
-    names yet.  They stay keyed by ids, as the pass made them, until
-    `_cellular_pass` asks for them."""
+def _walked(poset: Poset) -> tuple[CellularityReport | None, Rows]:
+    """The pass, cached: its report (graded posets only) and its rows,
+    keyed by ids."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None:
-        cached = poset.analysis_cache["cellularity"] = (*_degree_induction(poset), False)
+        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset)
     return cached
-
-
-def _cellular_pass(poset: Poset) -> tuple[CellularityReport | None, Rows]:
-    """The report (graded posets only) and the cells of the pass keyed by
-    names, cached: the ids are turned into names once, on the first call."""
-    report, rows, named = _walked(poset)
-    if not named:
-        rows = _named_rows(poset._names, rows, report is not None and report.is_cellular)
-        poset.analysis_cache["cellularity"] = (report, rows, True)
-    return report, rows
 
 
 def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
@@ -290,18 +282,9 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     return CellularityReport(True, cellular, admissible, tuple(witnesses)), eps
 
 
-def _named_rows(names: Sequence[str], eps: Rows, cellular: bool) -> Rows:
-    """The pass's rows with each id turned into its name, in one go, which
-    also pins none of the memory the pass freed (peak RSS).  On a cellular
-    poset every row is an element's, over elements."""
-    if cellular:
-        return {names[x]: {names[w]: e for w, e in row.items()} for x, row in eps.items()}
-
-    def name(cell):
-        return names[cell] if type(cell) is int else (names[cell[0]], cell[1], cell[2])
-
-    return {name(c): [name(cell) for cell in row] if isinstance(row, list)
-            else {name(w): e for w, e in row.items()} for c, row in eps.items()}
+def _named(names: Sequence[str], cell: int | tuple[int, int, int]):
+    """The name of a cell: an element's, or (name, k, j) for a cell (x, k, j)."""
+    return names[cell] if type(cell) is int else (names[cell[0]], cell[1], cell[2])
 
 
 def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[int, list[int]],
@@ -322,15 +305,6 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     return cells, model
 
 
-def _cellular_complex(poset: Poset, eps: Rows, members: Iterable[str],
-                      reduced: bool = False) -> ChainComplex:
-    """The chain complex of the elements `members`, A - B for a
-    down-closed pair (A, B), from their `_cells`, with the rows of `eps`
-    keyed by names."""
-    return _checked(_cells(eps, poset.heights(), members, reduced,
-                           key=poset.height_order().__getitem__))
-
-
 def _checked(cells: tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]) -> ChainComplex:
     """The chain complex of `_cells`; a d*d failure can only come from the
     incidences, so it raises InconsistentIncidence."""
@@ -340,16 +314,15 @@ def _checked(cells: tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple
         raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
 
 
-def _cells(eps: Rows, degrees, members: Iterable[Hashable], reduced: bool = False,
-           key=None) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
-    """The ranks, boundary columns and labels of the cells of `members`,
-    A - B for a down-closed pair (A, B), unchecked: by degree, in
-    `Poset.height_order`, which `key` reads off a name and an id is,
-    each with its row of `eps`, less the cells outside, as boundary.
-    With reduced=True (B empty) an augmentation slot C_{-1} = Z is added,
-    onto which every degree-0 cell maps."""
+def _cells(eps: Rows, degrees: Sequence[int], members: Iterable[int],
+           reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
+    """The ranks, boundary columns and labels of the cells of the ids
+    `members`, A - B for a down-closed pair (A, B), unchecked: by degree,
+    in id order, each with its row of `eps`, less the cells outside, as
+    boundary.  With reduced=True (B empty) an augmentation slot
+    C_{-1} = Z is added, onto which every degree-0 cell maps."""
     levels: dict[int, list[Hashable]] = {}
-    for e in sorted(members, key=key):
+    for e in sorted(members):
         if isinstance(eps[e], dict):
             levels.setdefault(degrees[e], []).append(e)
         else:  # an element that is not a cell owns a list of them
@@ -380,8 +353,10 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterab
 
 def _pair_homology(poset: Poset, cells: Iterable[str],
                    coefficients: Coefficients = "int") -> HomologySummary:
-    """`cellular_pair_homology` of a pair down-closed by construction, from A - B."""
-    return homology(_cellular_complex(poset, _cellular_pass(poset)[1], cells), coefficients)
+    """`cellular_pair_homology` of a pair down-closed by construction, from
+    A - B, a locally closed set of names."""
+    ids = map(poset._id.__getitem__, cells)
+    return homology(_checked(_cells(_walked(poset)[1], poset._height, ids)), coefficients)
 
 
 def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],
@@ -478,13 +453,16 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     if cached is not None:
         return cached
     require_cellular(poset)
-    report, eps = _cellular_pass(poset)
+    report, eps = _walked(poset)
+    names = poset._names
+    # the public rows, every one an element's over elements, named once
+    rows = {names[x]: {names[w]: e for w, e in row.items()} for x, row in eps.items()}
     if report.is_homologically_admissible:
-        bad = [(x, w) for x, row in eps.items() for w, e in row.items() if abs(e) != 1]
+        bad = [(x, w) for x, row in rows.items() for w, e in row.items() if abs(e) != 1]
         if bad:
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
-    cell = CellularComplexOfPoset(poset=poset, complex=space_complex(poset), rows=eps,
+    cell = CellularComplexOfPoset(poset=poset, complex=space_complex(poset), rows=rows,
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
     return cell
@@ -495,9 +473,16 @@ def space_complex(poset: Poset) -> ChainComplex:
     pass without the augmentation cell, the cellular complex if cellular."""
     cached = poset.analysis_cache.get("space_complex")
     if cached is None:
-        cached = poset.analysis_cache["space_complex"] = _cellular_complex(
-            poset, _cellular_pass(poset)[1], poset.elements)
+        cached = poset.analysis_cache["space_complex"] = _space(poset, _walked(poset)[1])
     return cached
+
+
+def _space(poset: Poset, eps: Rows) -> ChainComplex:
+    """The checked complex of every cell of the rows `eps`, its labels named."""
+    ranks, columns, labels = _cells(eps, poset._height, range(len(poset)))
+    names = poset._names
+    return _checked((ranks, columns, {
+        p: tuple([_named(names, c) for c in cells]) for p, cells in labels.items()}))
 
 
 def space_homology(poset: Poset, reduced: bool = False,
@@ -527,9 +512,10 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     """Flip the canonical sign of selected generators: the incidence row
     and column of each flipped element change sign, homology does not."""
     sign = lambda e: signs.get(e, 1)
-    eps = {x: {w: sign(x) * e * sign(w) for w, e in row.items()} for x, row in cell.rows.items()}
-    chain = _cellular_complex(cell.poset, eps, cell.poset.elements)
-    return CellularComplexOfPoset(poset=cell.poset, complex=chain, rows=eps,
+    rows = {x: {w: sign(x) * e * sign(w) for w, e in row.items()} for x, row in cell.rows.items()}
+    ident = cell.poset._id
+    eps = {ident[x]: {ident[w]: e for w, e in row.items()} for x, row in rows.items()}
+    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, eps), rows=rows,
                                   admissible=cell.admissible)
 
 

@@ -8,12 +8,21 @@ degrees, so every orbit class alternates between degrees p and p+1; its
 index is p.  The basic sets form one list, the critical points as
 one-element classes in poset order and then the orbit classes, and every
 theorem check walks that list.
+
+The matched digraph, a list of successor ids per id in declared order,
+and its strongly connected components (Tarjan, SIAM J. Comput. 1, 1972),
+lists of ids, are built once per matching in `_recurrence`; basic sets,
+orbits, integration and `morse.require_morse_bott` read them, and names
+are made only for public results (`matched_digraph` is the name view).
+Declared order, not id order, fixes the order of what reaches output.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import count
+from typing import Iterator, Sequence
 
 from .cellular import CellularComplexOfPoset, require_admissible
 from .errors import (
@@ -90,64 +99,69 @@ class MatchedDigraph:
 
 
 def matched_digraph(poset: Poset, matching: Matching) -> MatchedDigraph:
-    """Read off the poset's int covers: each element points to its lower
-    covers but a matched one, and up to its match above, in declared order."""
-    names, ident, lower = poset._names, poset._id, poset._lower
+    """The name view of `_matched_successors`, in declared order."""
+    names, successors = poset._names, _matched_successors(poset, matching)
+    named = {names[e]: tuple([names[w] for w in successors[e]]) for e in poset._declared_ids()}
+    return MatchedDigraph(poset.elements, tuple((x, t) for x in named for t in named[x]), named)
+
+
+def _matched_successors(poset: Poset, matching: Matching) -> list[list[int]]:
+    """The matched digraph on ids, read off the int covers: each id points
+    to its lower covers but a matched one, and up to its match above, in
+    declared order."""
+    ident, lower = poset._id, poset._lower
     up = {ident[w]: ident[x] for w, x in matching.pairs}
     down = {x: w for w, x in up.items()}
     key = None if poset._declared is None else poset._declared.__getitem__
-    successors = {}
-    arcs = []
-    for e in poset._declared_ids():
-        matched = down.get(e)
-        targets = [w for w in lower[e] if w != matched]
+    successors = []
+    for e, lows in enumerate(lower):
+        targets = [w for w in lows if w != down.get(e)]
         if e in up:
             insort(targets, up[e], key=key)
-        name = names[e]
-        successors[name] = targets = tuple([names[w] for w in targets])
-        arcs += [(name, t) for t in targets]
-    return MatchedDigraph(nodes=poset.elements, arcs=tuple(arcs), successors=successors)
+        successors.append(targets)
+    return successors
 
 
-def _strongly_connected_components(nodes, successors) -> list[list[str]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors[root]))]
+def _strongly_connected_components(
+        successors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Iterative Tarjan over the ids 0..n-1, `successors[i]` the ids i points
+    to: the components, in reverse topological order, and each id's
+    component.  A visited id is on the stack until it has a component."""
+    n = len(successors)
+    index, low, component = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    work: list[tuple[int, Iterator[int]]] = []
+    counter = count()
+
+    def visit(node: int) -> None:
+        index[node] = low[node] = next(counter)
+        stack.append(node)
+        work.append((node, iter(successors[node])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
         while work:
             node, children = work[-1]
             for child in children:
-                if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors[child])))
+                if index[child] < 0:
+                    visit(child)
                     break
-                if child in on_stack and index[child] < low[node]:
+                if component[child] < 0 and index[child] < low[node]:
                     low[node] = index[child]
             else:
                 work.pop()
                 if low[node] == index[node]:
-                    comp = []
-                    while True:
+                    comp, top = [], None
+                    while top != node:
                         top = stack.pop()
-                        on_stack.discard(top)
+                        component[top] = len(components)
                         comp.append(top)
-                        if top == node:
-                            break
                     components.append(comp)
                 if work and low[node] < low[work[-1][0]]:
                     low[work[-1][0]] = low[node]
-    return components
+    return components, component
 
 
 @dataclass(frozen=True)
@@ -190,13 +204,13 @@ class BasicSetDecomposition:
 
 @dataclass
 class _Recurrence:
-    """One matching's digraph, strongly connected components and each element's
-    component index, with the basic sets and Morse-Smale verdict once asked for."""
+    """One matching's digraph and strongly connected components on ids, each
+    id's component, and the basic sets and Morse-Smale verdict once asked for."""
 
     matching: Matching
-    digraph: MatchedDigraph
-    components: list[list[str]]
-    component: dict[str, int]
+    successors: list[list[int]]
+    components: list[list[int]]
+    component: list[int]
     decomposition: BasicSetDecomposition | None = None
     verdict: MorseSmaleVerdict | None = None
 
@@ -207,10 +221,8 @@ def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
     candidate)."""
     cached = poset.analysis_cache.get("recurrence")
     if cached is None or cached.matching != matching:
-        digraph = matched_digraph(poset, matching)
-        components = _strongly_connected_components(digraph.nodes, digraph.successors)
-        cached = _Recurrence(matching, digraph, components, {
-            e: i for i, members in enumerate(components) for e in members})
+        successors = _matched_successors(poset, matching)
+        cached = _Recurrence(matching, successors, *_strongly_connected_components(successors))
         poset.analysis_cache["recurrence"] = cached
     return cached
 
@@ -224,17 +236,18 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
         return record.decomposition
     matched = matching.matched_elements()
     critical = tuple(e for e in poset.elements if e not in matched)
-    order = poset.index
-    orbit_classes = []
+    names, degrees = poset._names, poset._height
+    # each orbit class under its first id in declared order
+    found: dict[int, OrbitClass] = {}
     for comp in record.components:
         if len(comp) < 2:
             continue
-        elems = tuple(sorted(comp, key=order.__getitem__))
-        degs = sorted({poset.degree(e) for e in elems})
+        ids = poset._by_declared(comp)
+        degs = sorted({degrees[e] for e in ids})
         if len(degs) != 2 or degs[1] != degs[0] + 1:
             raise ConsistencyError("orbit class does not alternate two adjacent degrees")
-        orbit_classes.append(OrbitClass(elements=elems, index=degs[0]))
-    orbit_classes.sort(key=lambda c: order[c.elements[0]])
+        found[ids[0]] = OrbitClass(elements=tuple([names[e] for e in ids]), index=degs[0])
+    orbit_classes = [found[first] for first in poset._by_declared(found)]
     classes = tuple((e,) for e in critical) + tuple(c.elements for c in orbit_classes)
     recurrent = frozenset(e for members in classes for e in members)
     transient = tuple(e for e in poset.elements if e not in recurrent)
@@ -282,18 +295,18 @@ class MorseSmaleVerdict:
     offender: str | None = None
 
 
-def _orbit_from_component(poset: Poset, digraph: MatchedDigraph,
-                          comp: tuple[str, ...], index: int) -> ClosedOrbit | None:
-    """The component as a simple cycle, or None if it is not one."""
+def _orbit_from_component(poset: Poset, successors: list[list[int]],
+                          comp: list[int], index: int) -> ClosedOrbit | None:
+    """The component, a list of ids, as a simple cycle, or None."""
     members = set(comp)
     inner_succ = {}
     for e in comp:
-        inside = [s for s in digraph.successors[e] if s in members]
+        inside = [s for s in successors[e] if s in members]
         if len(inside) != 1:
             return None
         inner_succ[e] = inside[0]
-    lows = [e for e in comp if poset.degree(e) == index]
-    start = min(lows, key=poset.index.__getitem__)
+    # the ids of one degree run in declared order: the least is the first declared
+    start = min(e for e in comp if poset._height[e] == index)
     nodes = [start]
     cur = inner_succ[start]
     while cur != start:
@@ -301,7 +314,7 @@ def _orbit_from_component(poset: Poset, digraph: MatchedDigraph,
         cur = inner_succ[cur]
     if len(nodes) != len(comp):
         return None
-    return ClosedOrbit(tuple(nodes), index)
+    return ClosedOrbit(tuple([poset._names[e] for e in nodes]), index)
 
 
 def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
@@ -313,7 +326,8 @@ def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
     if record.verdict is None:
         orbits = []
         for cls in basic_sets(poset, matching).orbit_classes:
-            orbit = _orbit_from_component(poset, record.digraph, cls.elements, cls.index)
+            comp = record.components[record.component[poset._id[cls.elements[0]]]]
+            orbit = _orbit_from_component(poset, record.successors, comp, cls.index)
             if orbit is None:
                 record.verdict = MorseSmaleVerdict(False, (), offender=cls.elements[0])
                 return record.verdict

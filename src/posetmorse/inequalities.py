@@ -3,10 +3,12 @@
 m_k sums, over the one list of basic sets, the free rank of the relative
 homology of the closure of the set against its lower closure; a critical
 point of degree p contributes a single unit in degree p, an orbit of
-index p one unit in each of degrees p and p+1.  The strong inequalities
-compare the alternating partial sums of m against those of the Betti
-numbers; the orbit theorems additionally count prime orbits, with torsion
-generators on the right for integer coefficients and only
+index p one unit in each of degrees p and p+1.  On a graded poset a
+basic set spans at most two adjacent degrees, so it is locally closed,
+and that homology is read off the cells of the set alone.  The strong
+inequalities compare the alternating partial sums of m against those of
+the Betti numbers; the orbit theorems additionally count prime orbits,
+with torsion generators on the right for integer coefficients and only
 multiplicity-one orbits on the left for rational ones.  All three reports
 build their rows the same way, from the two sides' lists.
 """
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import (cellular_chain_complex, cellular_pair_homology, require_admissible,
-                       space_homology)
+from .cellular import (_pair_homology, cellular_chain_complex, cellular_pair_homology,
+                       require_admissible, space_homology)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -59,7 +61,7 @@ class InequalityReport:
 def basic_set_relative_homology(poset: Poset, members,
                                 coefficients: Coefficients = "int") -> HomologySummary:
     """Homology of the closure of a basic set (the union of its minimal
-    open sets) relative to the closure minus the set."""
+    open sets) relative to the closure minus the set, checked down-closed."""
     bar = poset.down_closure(members)
     return cellular_pair_homology(poset, bar, set(bar) - set(members), coefficients)
 
@@ -74,7 +76,7 @@ def morse_bott_numbers(poset: Poset, matching: Matching,
     m = [0] * (top + 1)
     torsion_notes: list[str] = []
     for members in dec.classes:
-        summary = basic_set_relative_homology(poset, members, coefficients)
+        summary = _pair_homology(poset, members, coefficients)
         where = "critical" if len(members) == 1 else "orbit at"
         for k in summary.degrees():
             m[k] += summary.b(k)
@@ -92,7 +94,7 @@ def lemma_basic_set_window(poset: Poset, matching: Matching,
     require_admissible(poset)
     for members in basic_sets(poset, matching).classes:
         p = min(poset.degree(e) for e in members)
-        nontrivial = basic_set_relative_homology(poset, members, coefficients).nontrivial()
+        nontrivial = _pair_homology(poset, members, coefficients).nontrivial()
         if len(members) == 1:
             if nontrivial != {p: (1, ())}:
                 return False

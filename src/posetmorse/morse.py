@@ -113,16 +113,20 @@ def require_morse_bott(function: MorseBottFunction) -> None:
     for members in function.decomposition().classes:
         if len({values[e] for e in members}) > 1:
             raise NotMorseBott(f"function is not constant on the basic set {list(members)}")
-    record = _recurrence(function.poset, function.matching)
-    for a, b in record.digraph.arcs:
-        if record.component[a] == record.component[b]:
-            continue
-        if values[a] < values[b]:
-            raise NotMorseBott(f"function increases along the arc {a} -> {b} "
-                               f"of the matched digraph, from {values[a]} to {values[b]}")
-        if values[a] == values[b] and (a, b) not in function.matching:
-            raise NotMorseBott(f"function does not decrease along the unmatched arc {a} -> {b} "
-                               f"of the matched digraph: both ends take the value {values[a]}")
+    record, names = _recurrence(function.poset, function.matching), function.poset._names
+    # the arcs in declared order, so the first one rejected is the first declared
+    for i in function.poset._declared_ids():
+        for j in record.successors[i]:
+            if record.component[i] == record.component[j]:
+                continue
+            a, b = names[i], names[j]
+            if values[a] < values[b]:
+                raise NotMorseBott(f"function increases along the arc {a} -> {b} "
+                                   f"of the matched digraph, from {values[a]} to {values[b]}")
+            if values[a] == values[b] and (a, b) not in function.matching:
+                raise NotMorseBott(
+                    f"function does not decrease along the unmatched arc {a} -> {b} "
+                    f"of the matched digraph: both ends take the value {values[a]}")
 
 
 def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
@@ -136,16 +140,17 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     record = _recurrence(poset, matching)
     components, component = record.components, record.component
     n = len(components)
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    indeg = {i: 0 for i in range(n)}
-    for a, b in record.digraph.arcs:
-        ca, cb = component[a], component[b]
-        if ca != cb and cb not in succ[ca]:
-            succ[ca].add(cb)
-            indeg[cb] += 1
-    # deterministic Kahn order: the ready component with the earliest
+    succ: list[set[int]] = [set() for _ in range(n)]
+    indeg = [0] * n
+    for ca, targets in zip(component, record.successors):
+        for cb in map(component.__getitem__, targets):
+            if ca != cb and cb not in succ[ca]:
+                succ[ca].add(cb)
+                indeg[cb] += 1
+    # deterministic Kahn order: the ready component with the earliest declared
     # element comes first (components are disjoint, so keys are distinct)
-    key = [min(poset.index[e] for e in comp) for comp in components]
+    declared = poset._declared or range(len(poset))
+    key = [min(map(declared.__getitem__, comp)) for comp in components]
     ready = [(key[i], i) for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     rank: dict[int, int] = {}
@@ -160,7 +165,7 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
                 heapq.heappush(ready, (key[j], j))
     if processed != n:
         raise ConsistencyError("condensation of the matched digraph has a cycle")
-    values = {e: rank[component[e]] for e in poset.elements}
+    values = {e: rank[component[i]] for e, i in zip(poset.elements, poset._declared_ids())}
     return MorseBottFunction(poset=poset, values=values, matching=matching)
 
 

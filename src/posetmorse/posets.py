@@ -10,14 +10,16 @@ declared index) order: sorting ids with no key puts them in a
 topological order, and each height is a run of consecutive ids in
 declared order.  The poset keeps this int core: per id its name, its
 height, its lower and upper covers as int tuples in declared order, and,
-once asked for, its strict down-set as a frozenset of ids.  The order is
-worked out once per poset: one topological walk, which gives the heights
-and so the ids, and one transitive closure (the down-sets) read along a
-topological order.  `build_poset` and the text loader make both in
-`_build`, which closes the raw relation and reduces it to covers with
-`_cover_reduction`, the one cover reduction, which `induced` shares.
-`simplicial.face_poset` hands its core over directly: its covers are
-already reduced and its heights are the dimensions.  The up-sets are
+once asked for, its strict down-set as a frozenset of ids.  Only the
+interning walks the order: one topological walk (`_height_ids`) gives
+the heights and so the ids, and from then on counting the ids up is a
+topological order, so the poset caches none.  The one transitive
+closure (the down-sets) is read counting up.  `build_poset` and the text
+loader make both in `_build`, which closes the raw relation and reduces
+it to covers with `_cover_reduction`, the one cover reduction, which
+`induced` shares.  `simplicial.face_poset` hands its core over
+directly: its covers are already reduced and its heights are the
+dimensions, so a face poset takes no walk at all.  The up-sets are
 built only when `strictly_above` first asks for them, which in the
 library only `beat_point_core` does.  A graded poset is the same value:
 an element's degree is its height, and the degree queries raise
@@ -87,7 +89,6 @@ class Poset:
             for w in self._lower[x]:
                 upper[w].append(x)
         self._upper = [tuple(ups) for ups in upper]
-        self._order = core.order
         self._below = core.below
         self._above: list[frozenset[int]] | None = None
         self._heights: dict[str, int] | None = None
@@ -158,15 +159,10 @@ class Poset:
 
     # -- reachability ----------------------------------------------------------
 
-    def _topo_order(self) -> Sequence[int]:
-        if self._order is None:
-            self._order = _topological_order(len(self._names), self._lower, self._upper)
-        return self._order
-
     def _reach(self) -> list[frozenset[int]]:
         """The strict down-set of each id, as ids."""
         if self._below is None:
-            self._below = _strictly_below(self._topo_order(), self._lower)
+            self._below = _strictly_below(self._lower)
         return self._below
 
     def _up_sets(self) -> list[frozenset[int]]:
@@ -342,16 +338,14 @@ class _Core(NamedTuple):
     """The int core a loader hands to `Poset` in place of name covers:
     `declared[i]` is the declared index of id i (None when every id is its
     declared index), `heights[i]` its height and `lower[i]` its lower
-    covers as ids, in any order.  `index` is each name's declared index,
-    `below` the down-sets and `order` a topological order of the ids,
-    where the loader already has them."""
+    covers as ids, in any order.  `index` is each name's declared index
+    and `below` the down-sets, where the loader already has them."""
 
     declared: list[int] | None
     heights: list[int]
     lower: Sequence[Iterable[int]]
     index: dict[str, int] | None = None
     below: list[frozenset[int]] | None = None
-    order: Sequence[int] | None = None
 
 
 def _name_core(elements: tuple[str, ...], covers: Iterable[tuple[str, str]]) -> _Core:
@@ -365,9 +359,7 @@ def _name_core(elements: tuple[str, ...], covers: Iterable[tuple[str, str]]) -> 
         if w not in index or x not in index:
             raise UnknownElement(f"cover ({w}, {x}) references undeclared element")
         lower[index[x]].add(index[w])
-    declared, heights, under = _height_ids(lower)
-    # ids run in height order, so counting up is a topological order
-    return _Core(declared, heights, under, index, order=range(len(elements)))
+    return _Core(*_height_ids(lower), index)
 
 
 def _topological_order(n: int, lower: Sequence[Sequence[int]],
@@ -386,12 +378,11 @@ def _topological_order(n: int, lower: Sequence[Sequence[int]],
     return queue
 
 
-def _strictly_below(order: Iterable[int],
-                    lower: Sequence[Iterable[int]]) -> list[frozenset[int]]:
-    """The transitive closure of `lower`, read along a topological order."""
+def _strictly_below(lower: Sequence[Iterable[int]]) -> list[frozenset[int]]:
+    """The transitive closure of `lower`, given by ids, read counting up:
+    ids run in height order, so that is a topological order."""
     below: list[frozenset[int]] = [frozenset()] * len(lower)
-    for e in order:
-        lows = lower[e]
+    for e, lows in enumerate(lower):
         acc = set(lows)
         for w in lows:
             acc |= below[w]
@@ -477,7 +468,7 @@ def _build(elements: list[str], index: dict[str, int],
         declared, heights, under = _height_ids(lower)
     except CycleDetected:
         raise CycleDetected("input relation is not a partial order") from None
-    below = _strictly_below(range(len(elements)), under)
+    below = _strictly_below(under)
     covers = _cover_reduction(under, below)
     poset = Poset(elements, _Core(declared, heights, covers, index, below))
     return poset, sum(map(len, covers)) != sum(map(len, under))

@@ -14,21 +14,25 @@ defines them.  The per-interval sweep is the filtration sweep as one
 call of the public single-interval checks per interval, each of which
 rebuilds its sublevel sets from the function's values.
 
-Four references are earlier forms of library code kept as oracles for
+Five references are earlier forms of library code kept as oracles for
 the faster forms that replaced them: the cover reduction as one
 comprehension, the reducer that updates every cell's inclusion on every
 elimination (`EagerReducer`), the cellularity pass that builds,
 checks and reduces a chain complex per strict down-set, contractible
-ones and 0-spheres too (`reference_cellular_pass`, which shares
-`_cellular_complex` with the library and takes its gauge from the
-brute-force first-flag search `first_flag_sign`), and the name-keyed
+ones and 0-spheres too (`reference_cellular_pass`, which keys its rows
+by names, shares the assembler `_cells` with the library through the
+adapter `name_keyed_cellular_complex` and takes its gauge from the
+brute-force first-flag search `first_flag_sign`), the name-keyed
 poset construction (`NameKeyedPoset`, `name_keyed_build_poset` and
 `name_keyed_load_poset`), which shares only the JSON document reader
-with the library.
+with the library, and the name-keyed matched digraph and its Tarjan
+(`name_keyed_dynamics`), which read the basic sets, orbits, integrated
+values and rejected arcs off names in declared order.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -51,12 +55,15 @@ from posetmorse import (
 from posetmorse.cellular import (
     CellularComplexOfPoset,
     CellularityReport,
-    _cellular_complex,
+    _cells,
+    _checked,
+    _named,
+    _walked,
     cellular_chain_complex,
     require_admissible,
     sphere_generator,
 )
-from posetmorse.dynamics import critical_counts, is_morse_matching
+from posetmorse.dynamics import MatchedDigraph, critical_counts, is_morse_matching
 from posetmorse.errors import (
     ConsistencyError,
     CycleDetected,
@@ -943,10 +950,11 @@ def first_flag_sign(x: str, p: int, eps: dict[str, dict[str, int]],
 
 def reference_cellular_pass(poset: Poset):
     """The cellularity pass one down-set at a time: at each element the
-    checked complex of its strict down-set (`_cellular_complex`, which
-    checks d*d), its `eager_minimal_model`, and the mapping-cone cells read
-    off that model's complex and labels; the gauge is `first_flag_sign`.
-    Returns (report or None, rows) as `cellular._cellular_pass` does."""
+    checked complex of its strict down-set (`name_keyed_cellular_complex`,
+    which checks d*d), its `eager_minimal_model`, and the mapping-cone
+    cells read off that model's complex and labels; the gauge is
+    `first_flag_sign`.  Returns (report or None, rows) as `named_pass`
+    does."""
     graded, degrees = poset.is_graded(), poset.heights()
     eps, reach, cone, not_cellular, not_admissible = {}, {}, {}, {}, []
     for x in sorted(poset.elements, key=degrees.__getitem__):
@@ -954,7 +962,7 @@ def reference_cellular_pass(poset: Poset):
         if p == 0:
             eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
             continue
-        down = _cellular_complex(poset, eps, below, reduced=True)
+        down = name_keyed_cellular_complex(poset, eps, below, reduced=True)
         model = eager_minimal_model(down)
         if graded and model.complex.ranks == {p - 1: 1}:
             generator = model.inclusion[p - 1][0]
@@ -978,7 +986,8 @@ def reference_cellular_pass(poset: Poset):
         if x in not_cellular or not not_cellular.keys().isdisjoint(below):
             not_admissible += [
                 (w, x) for w in lower if cone[w] != here or here and not homology(
-                    _cellular_complex(poset, eps, below - {w}, reduced=True)).is_trivial()]
+                    name_keyed_cellular_complex(poset, eps, below - {w}, reduced=True)
+                ).is_trivial()]
             continue
         steps = [w for w in lower if eps[x][w]]
         shared = len(steps) == len(lower) and all(
@@ -994,6 +1003,44 @@ def reference_cellular_pass(poset: Poset):
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
                   for w, x in sorted(not_admissible)]
     return CellularityReport(True, not not_cellular, not not_admissible, tuple(witnesses)), eps
+
+
+def named_rows(poset: Poset, rows: dict) -> dict:
+    """Rows of the cellularity pass, keyed by ids, with every element's id
+    turned into its name and every cell (x, k, j) into (name, k, j)."""
+    names = poset._names
+    return {_named(names, c): [_named(names, cell) for cell in row] if isinstance(row, list)
+            else {_named(names, w): e for w, e in row.items()} for c, row in rows.items()}
+
+
+def named_pass(poset: Poset):
+    """The cached cellularity pass (`cellular._walked`): its report and its
+    rows, named by `named_rows`."""
+    report, rows = _walked(poset)
+    return report, named_rows(poset, rows)
+
+
+def name_keyed_cellular_complex(poset: Poset, eps: dict, members,
+                                reduced: bool = False) -> ChainComplex:
+    """The checked chain complex of the cells of the names `members`,
+    A - B for a down-closed pair (A, B), from rows keyed by names: the
+    library's assembler `_cells` on the rows it reads, turned to ids, with
+    the labels named back."""
+    ident, names = poset._id, poset._names
+
+    def to_id(cell):
+        return ident[cell] if isinstance(cell, str) else (ident[cell[0]], cell[1], cell[2])
+
+    rows = {}
+    for e in members:
+        owned = eps[e] if isinstance(eps[e], list) else []
+        for cell in [e, *owned]:
+            row = eps[cell]
+            rows[to_id(cell)] = ([to_id(c) for c in row] if isinstance(row, list)
+                                 else {to_id(w): v for w, v in row.items()})
+    ranks, columns, labels = _cells(rows, poset._height, [ident[e] for e in members], reduced)
+    return _checked((ranks, columns, {
+        p: tuple(_named(names, c) for c in cells) for p, cells in labels.items()}))
 
 
 # -- The name-keyed poset construction: the library's `Poset`, `build_poset`
@@ -1350,3 +1397,152 @@ def name_keyed_face_poset(complex: SimplicialComplex) -> NameKeyedPoset:
     covers = [(ids[s[:i] + s[i + 1:]], sid) for s, sid in ids.items() if len(s) > 1
               for i in range(len(s))]
     return NameKeyedPoset(list(ids.values()), covers)
+
+
+# -- The name-keyed matched digraph: `dynamics.matched_digraph` and
+# `dynamics._strongly_connected_components` as they were before the dynamics
+# ran on ids, kept verbatim up to their names, with the basic sets, the orbits,
+# the integrated function and the first arc `require_morse_bott` rejects read
+# off them by name, as the oracle the id-keyed dynamics are checked against.
+
+def name_keyed_matched_digraph(poset: Poset, matching: Matching) -> MatchedDigraph:
+    """Read off the poset's int covers: each element points to its lower
+    covers but a matched one, and up to its match above, in declared order."""
+    names, ident, lower = poset._names, poset._id, poset._lower
+    up = {ident[w]: ident[x] for w, x in matching.pairs}
+    down = {x: w for w, x in up.items()}
+    key = None if poset._declared is None else poset._declared.__getitem__
+    successors = {}
+    arcs = []
+    for e in poset._declared_ids():
+        matched = down.get(e)
+        targets = [w for w in lower[e] if w != matched]
+        if e in up:
+            insort(targets, up[e], key=key)
+        name = names[e]
+        successors[name] = targets = tuple([names[w] for w in targets])
+        arcs += [(name, t) for t in targets]
+    return MatchedDigraph(nodes=poset.elements, arcs=tuple(arcs), successors=successors)
+
+
+def name_keyed_components(nodes, successors) -> list[list[str]]:
+    """Iterative Tarjan; components come out in reverse topological order."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                if child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    components.append(comp)
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    return components
+
+
+@dataclass(frozen=True)
+class NameKeyedDynamics:
+    """What the name-keyed digraph gives: the critical elements and the
+    orbit classes (elements, index) in declared order, each class's cycle
+    from its first declared lower element or None where it is not one
+    simple cycle, and the values of the integrated function."""
+
+    digraph: MatchedDigraph
+    critical: tuple[str, ...]
+    orbit_classes: tuple[tuple[tuple[str, ...], int], ...]
+    cycles: tuple[tuple[str, ...] | None, ...]
+    values: dict[str, int]
+    component: dict[str, int]
+
+
+def name_keyed_dynamics(poset: Poset, matching: Matching) -> NameKeyedDynamics:
+    digraph = name_keyed_matched_digraph(poset, matching)
+    components = name_keyed_components(digraph.nodes, digraph.successors)
+    component = {e: i for i, members in enumerate(components) for e in members}
+    order, degrees = poset.index, poset.heights()
+    matched = matching.matched_elements()
+    classes = sorted((tuple(sorted(comp, key=order.__getitem__)) for comp in components
+                      if len(comp) > 1), key=lambda c: order[c[0]])
+    orbit_classes, cycles = [], []
+    for elements in classes:
+        index = min(degrees[e] for e in elements)
+        orbit_classes.append((elements, index))
+        inner = {e: [s for s in digraph.successors[e] if s in elements] for e in elements}
+        start = min((e for e in elements if degrees[e] == index), key=order.__getitem__)
+        simple, nodes = all(len(s) == 1 for s in inner.values()), [start]
+        while simple and inner[nodes[-1]][0] != start:
+            nodes.append(inner[nodes[-1]][0])
+        cycles.append(tuple(nodes) if simple and len(nodes) == len(elements) else None)
+    # the condensation ranked by Kahn's algorithm, the earliest declared first
+    n = len(components)
+    succ = [set() for _ in range(n)]
+    for a, b in digraph.arcs:
+        if component[a] != component[b]:
+            succ[component[a]].add(component[b])
+    indeg = [0] * n
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    key = [min(order[e] for e in comp) for comp in components]
+    ready, rank = sorted((key[i], i) for i in range(n) if not indeg[i]), {}
+    while ready:
+        _, i = ready.pop(0)
+        rank[i] = n - len(rank)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                insort(ready, (key[j], j))
+    return NameKeyedDynamics(
+        digraph=digraph,
+        critical=tuple(e for e in poset.elements if e not in matched),
+        orbit_classes=tuple(orbit_classes),
+        cycles=tuple(cycles),
+        values={e: rank[component[e]] for e in poset.elements},
+        component=component,
+    )
+
+
+def name_keyed_first_rejection(dynamics: NameKeyedDynamics, matching: Matching,
+                               values) -> str | None:
+    """The message of the NotMorseBott that `require_morse_bott` raises
+    first on `values`, read off the name-keyed digraph, or None."""
+    for members in [(e,) for e in dynamics.critical] + [c for c, _ in dynamics.orbit_classes]:
+        if len({values[e] for e in members}) > 1:
+            return f"function is not constant on the basic set {list(members)}"
+    component = dynamics.component
+    for a, b in dynamics.digraph.arcs:
+        if component[a] == component[b]:
+            continue
+        if values[a] < values[b]:
+            return (f"function increases along the arc {a} -> {b} "
+                    f"of the matched digraph, from {values[a]} to {values[b]}")
+        if values[a] == values[b] and (a, b) not in matching:
+            return (f"function does not decrease along the unmatched arc {a} -> {b} "
+                    f"of the matched digraph: both ends take the value {values[a]}")
+    return None

@@ -179,6 +179,35 @@ def test_ls_counts_need_the_flow_verdicts(monkeypatch, t3, t3_m2, rp2_poset, rp2
         assert not report.counts_match_formula
 
 
+def test_flow_ranks_count_the_morse_complex(monkeypatch, t3, t3_m2, rp2_poset,
+                                            rp2_star5_matching):
+    """flow_ranks are the ranks of the Morse complex the flow operator
+    builds, not a second count of critical elements: with a cell dropped
+    from that complex they differ from perturbed_counts, and the counts no
+    longer match."""
+    import posetmorse.category
+    from posetmorse.homology import ChainComplex, Reduction
+
+    reduce = posetmorse.category.morse_reduction
+
+    def dropped(*args):
+        # the Morse complex less its last cell of degree 0, whose rows leave d_1
+        morse = reduce(*args)
+        ranks, columns = dict(morse.complex.ranks), dict(morse.complex.columns)
+        last = ranks[0] = ranks[0] - 1
+        if 1 in columns:
+            columns[1] = [{i: v for i, v in col.items() if i != last} for col in columns[1]]
+        return Reduction(ChainComplex(ranks, columns),
+                         {**morse.inclusion, 0: morse.inclusion[0][:last]})
+
+    monkeypatch.setattr(posetmorse.category, "morse_reduction", dropped)
+    for poset, matching in ((t3, t3_m2), (rp2_poset, rp2_star5_matching)):
+        report = ls_theorem_check(poset, matching)
+        assert report.flow_ranks == {**report.perturbed_counts, 0: report.perturbed_counts[0] - 1}
+        assert report.holds and report.intermediate_holds
+        assert not report.counts_match_formula
+
+
 def test_ls_theorem_rp2_star(rp2_poset, rp2_star5_matching):
     report = ls_theorem_check(rp2_poset, rp2_star5_matching)
     assert report.hccat_value == 3

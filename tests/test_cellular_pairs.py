@@ -30,7 +30,7 @@ from posetmorse import (
     validate_matching,
     verify_collapse,
 )
-from posetmorse.cellular import cellular_pair_homology
+from posetmorse.cellular import _pair_homology, cellular_pair_homology
 from posetmorse.cli import run
 from posetmorse.errors import NotASubcomplex, NotCellular, UnknownElement
 from posetmorse.formats import load_poset, parse_matching_text
@@ -100,11 +100,19 @@ def _admissible_posets(seed: int):
             yield rng, poset
 
 
+def _oracle_cells(poset: Poset, cells, coefficients="int"):
+    """The pair (A, A - cells), A the down-closure of the locally closed set
+    `cells`, by the order-complex definition."""
+    bar = poset.down_closure(cells)
+    return order_complex_pair_homology(poset, bar, set(bar) - set(cells), coefficients)
+
+
 def _with_oracle(monkeypatch, module: str, fn, *args):
-    """fn(*args) with the named module's `cellular_pair_homology` replaced
-    by the order-complex definition."""
+    """fn(*args) with the named module's `cellular_pair_homology` and
+    `_pair_homology` replaced by the order-complex definition."""
     with monkeypatch.context() as m:
         m.setattr(f"posetmorse.{module}.cellular_pair_homology", order_complex_pair_homology)
+        m.setattr(f"posetmorse.{module}._pair_homology", _oracle_cells)
         return fn(*args)
 
 
@@ -172,6 +180,23 @@ def test_pairs_match_definition_on_random_admissible_posets(monkeypatch):
         assert filtration_sweep(poset, function)[1]
     assert posets >= 100
     assert trivial >= 20 and nontrivial >= 20 and orbits >= 10, (trivial, nontrivial, orbits)
+
+
+def test_basic_sets_read_off_their_cells_alone():
+    """A basic set spans at most two adjacent degrees, so it is locally
+    closed: the homology of its cells alone, which the Morse-Bott numbers
+    and the window lemma read, is that of its closure relative to the
+    closure less the set, in both coefficient rings."""
+    classes = orbits = 0
+    for rng, poset in _admissible_posets(4127):
+        dec = basic_sets(poset, random_matching(rng, poset))
+        orbits += len(dec.orbit_classes)
+        for members in dec.classes:
+            classes += 1
+            for coefficients in ("int", "rat"):
+                assert (_pair_homology(poset, members, coefficients)
+                        == basic_set_relative_homology(poset, members, coefficients)), members
+    assert classes >= 300 and orbits >= 10, (classes, orbits)
 
 
 def test_pair_homology_rejects_bad_pairs(t3):

@@ -18,7 +18,6 @@ from posetmorse import (
     parse_simplicial_complex,
     subdivision,
 )
-from posetmorse.cellular import _cellular_pass
 from posetmorse.formats import load_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -26,6 +25,7 @@ from helpers import (
     guard_whole_poset_chains,
     incidence_from_generators,
     maximal_elements,
+    named_pass,
     order_complex_cellularity,
     reference_cellular_pass,
 )
@@ -197,7 +197,7 @@ def test_gauges_read_names_not_ids(make, order):
     assert [ids[e] for e in sorted(poset.elements)] != sorted(ids.values())
     report, rows = reference_cellular_pass(poset)
     assert check_cellularity(poset) == report
-    assert _cellular_pass(poset)[1] == rows
+    assert named_pass(poset)[1] == rows
     assert cellular_chain_complex(poset).incidence == incidence_from_generators(poset)
 
 

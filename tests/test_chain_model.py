@@ -7,12 +7,12 @@ posets, among them sd RP^2 with extra relations, graded or not."""
 from pathlib import Path
 
 from posetmorse import Poset, build_poset, face_poset, poset_homology, subdivision
-from posetmorse.cellular import _cellular_complex, _cellular_pass, check_cellularity
+from posetmorse.cellular import check_cellularity
 from posetmorse.formats import load_complex
 from posetmorse.homology import homology
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import levelled_poset, ungraded_poset
+from helpers import levelled_poset, name_keyed_cellular_complex, named_pass, ungraded_poset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -78,14 +78,14 @@ def test_model_of_down_sets_matches_order_complex():
     rng = XorShift64Star(91)
     checked, torsion, kinds = 0, {True: 0, False: 0}, {"ungraded": 0, "non-cellular": 0}
     for poset in sample_posets(17):
-        cells = _cellular_pass(poset)[1]
+        cells = named_pass(poset)[1]
         if not poset.is_graded():
             kinds["ungraded"] += 1
         elif not check_cellularity(poset).is_cellular:
             kinds["non-cellular"] += 1
         for members in set(down_sets(poset, rng)):
             expected = poset_homology(poset.induced(members), reduced=True)
-            model = _cellular_complex(poset, cells, members, reduced=True)
+            model = name_keyed_cellular_complex(poset, cells, members, reduced=True)
             assert homology(model) == expected, sorted(members)
             torsion[poset.is_graded()] += expected.total_mu() > 0
             checked += 1

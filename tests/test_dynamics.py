@@ -310,7 +310,7 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
     from posetmorse.cli import run
 
     dynamics, cli = sys.modules["posetmorse.dynamics"], sys.modules["posetmorse.cli"]
-    calls = {"matched_digraph": 0, "is_morse_smale": 0}
+    calls = {"_matched_successors": 0, "is_morse_smale": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -318,8 +318,9 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dynamics, "matched_digraph",
-                        counted("matched_digraph", dynamics.matched_digraph))
+    # the digraph on ids, which `_recurrence` builds once per matching
+    monkeypatch.setattr(dynamics, "_matched_successors",
+                        counted("_matched_successors", dynamics._matched_successors))
     verdict = counted("is_morse_smale", dynamics.is_morse_smale)
     for module in (dynamics, cli):
         monkeypatch.setattr(module, "is_morse_smale", verdict)
@@ -327,4 +328,4 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
     assert run([command, "--input", str(data / "rp2_6.txt"), "--kind", "simplicial",
                 "--matching", str(data / "rp2_star5_matching.txt")]) == 0
     capsys.readouterr()
-    assert calls == {"matched_digraph": digraphs, "is_morse_smale": verdicts}
+    assert calls == {"_matched_successors": digraphs, "is_morse_smale": verdicts}

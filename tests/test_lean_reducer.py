@@ -24,7 +24,7 @@ from posetmorse import (
     space_homology,
     subdivision,
 )
-from posetmorse.cellular import _degree_induction, _named_rows, space_complex
+from posetmorse.cellular import _degree_induction, space_complex
 from posetmorse.dynamics import is_morse_matching
 from posetmorse.errors import InconsistentIncidence
 from posetmorse.formats import load_complex, load_poset
@@ -41,6 +41,7 @@ from helpers import (
     eager_minimal_model,
     eager_morse_reduction,
     levelled_poset,
+    named_rows,
     reference_cellular_pass,
     scrambled_complex,
     ungraded_poset,
@@ -219,7 +220,7 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             calls.clear()
         report, rows = _degree_induction(poset)
         # the pass keys its rows by id
-        rows = _named_rows(poset._names, rows, False)
+        rows = named_rows(poset, rows)
         # the down-sets the walk listed, by identity: the pass lists ids
         down_sets = {id(args[2]) for args in listed}
         expected_report, expected_rows = reference_cellular_pass(poset)

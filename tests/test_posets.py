@@ -219,11 +219,12 @@ def test_induced_covers_match_the_comprehension():
         assert p.induced(keep).covers == comprehension_covers(keep, relation)
 
 
-@pytest.mark.parametrize("load", [
-    lambda: load_poset("a < b\nb < c\na < c\nd < c\n")[0],
-    lambda: face_poset(load_complex("a b c\nc d\n")),
+@pytest.mark.parametrize("load,walks", [
+    (lambda: load_poset("a < b\nb < c\na < c\nd < c\n")[0], 1),
+    # a face poset's ids come in dimension order: it takes no walk
+    (lambda: face_poset(load_complex("a b c\nc d\n")), 0),
 ], ids=["loaded", "face"])
-def test_one_walk_and_one_closure_per_poset(load, monkeypatch):
+def test_one_walk_and_one_closure_per_poset(load, walks, monkeypatch):
     calls = {"_topological_order": 0, "_strictly_below": 0}
     for name in calls:
         def counted(*args, _inner=getattr(posets, name), _name=name):
@@ -234,7 +235,7 @@ def test_one_walk_and_one_closure_per_poset(load, monkeypatch):
     poset.heights()
     for x in poset.elements:
         poset.strictly_below(x)
-    assert calls == {"_topological_order": 1, "_strictly_below": 1}
+    assert calls == {"_topological_order": walks, "_strictly_below": 1}
 
 
 def test_graded_cover_degree_gap(t3):

@@ -19,8 +19,7 @@ from posetmorse import (
     hccat,
     poset_homology,
 )
-from posetmorse.cellular import (_cellular_complex, _cellular_pass, cellular_chain_complex,
-                                 space_complex, space_homology)
+from posetmorse.cellular import cellular_chain_complex, space_complex, space_homology
 from posetmorse.errors import EmptyPoset
 from posetmorse.formats import load_complex, load_poset, parse_matching_text
 from posetmorse.homology import homology, subposet_chain_complex
@@ -37,7 +36,8 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import guard_whole_poset_chains, levelled_poset, ungraded_poset
+from helpers import (guard_whole_poset_chains, levelled_poset, name_keyed_cellular_complex,
+                     named_pass, ungraded_poset)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = {"t3_poset.txt": "poset", "mobius_5.txt": "simplicial", "rp2_6.txt": "simplicial",
@@ -125,7 +125,8 @@ def test_the_witness_shares_the_model():
     assert model is space_complex(gap)
     # the cells of the pass, an element or (element, degree, index), without
     # the augmentation: not the order complex of the beat-point core
-    assert model.labels == _cellular_complex(gap, _cellular_pass(gap)[1], gap.elements).labels
+    assert model.labels == name_keyed_cellular_complex(gap, named_pass(gap)[1],
+                                                       gap.elements).labels
     assert model.labels != subposet_chain_complex(gap, gap.beat_point_core()).labels
     assert -1 not in model.ranks
     assert hccat(gap) == hccat(model) == hccat(poset_homology(gap))
