@@ -58,8 +58,8 @@ order, so a down-set lists its cells by sorting its ids with no key, and
 the rows of the pass are keyed by ids, the only keying of the chain
 model.  The two gauges compare names, through each id's rank among the
 sorted names, taken once per pass.  Names are made only for output: the
-report speaks them, `space_complex` names its labels, and
-`cellular_chain_complex` names its public rows, once per poset.
+report speaks them, `space_complex` names its labels, and `epsilon` and
+`incidence` name the pass's rows, which `cellular_chain_complex` keeps.
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given the ids of A - B alone: the pass's down-sets, its
@@ -133,25 +133,28 @@ class SphereGenerator:
 
 # the boundary row of each cell of the pass, keyed by ids: a cellular x is its
 # own cell, with row eps(x, .); any other x owns a list of cells (x, k, j), the
-# j-th in degree k
+# j-th in degree k; on a cellular poset, `CellularComplexOfPoset.rows`
 Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[int, int, int]]"]
 
 
 @dataclass(frozen=True)
 class CellularComplexOfPoset:
-    """A cellular poset's complex; its labels and `rows`, eps(x, .), speak names."""
+    """A cellular poset's complex, its labels named, and `rows`, eps(x, .): the
+    pass's own rows, keyed by ids, which `epsilon` and `incidence` name."""
 
     poset: Poset
     complex: ChainComplex
-    rows: dict[str, dict[str, int]]
+    rows: dict[int, dict[int, int]]
     admissible: bool
 
     @property
     def incidence(self) -> dict[tuple[str, str], int]:
-        return {(x, w): e for x, row in self.rows.items() for w, e in row.items()}
+        names = self.poset._names
+        return {(names[x], names[w]): e for x, row in self.rows.items() for w, e in row.items()}
 
     def epsilon(self, x: str, w: str) -> int:
-        return self.rows[x][w]
+        ident = self.poset._id
+        return self.rows[ident[x]][ident[w]]
 
     def incidence_table(self) -> list[list]:
         return [[x, w, e] for (x, w), e in sorted(self.incidence.items())]
@@ -453,15 +456,13 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     if cached is not None:
         return cached
     require_cellular(poset)
-    report, eps = _walked(poset)
-    names = poset._names
-    # the public rows, every one an element's over elements, named once
-    rows = {names[x]: {names[w]: e for w, e in row.items()} for x, row in eps.items()}
+    report, rows = _walked(poset)
     if report.is_homologically_admissible:
         bad = [(x, w) for x, row in rows.items() for w, e in row.items() if abs(e) != 1]
         if bad:
+            named = sorted((poset._names[x], poset._names[w]) for x, w in bad)
             raise NonUnitIncidenceOnAdmissible(
-                f"admissible poset produced non-unit incidence at {sorted(bad)[:3]}")
+                f"admissible poset produced non-unit incidence at {named[:3]}")
     cell = CellularComplexOfPoset(poset=poset, complex=space_complex(poset), rows=rows,
                                   admissible=report.is_homologically_admissible)
     poset.analysis_cache["cellular_complex"] = cell
@@ -511,11 +512,9 @@ def space_homology(poset: Poset, reduced: bool = False,
 def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularComplexOfPoset:
     """Flip the canonical sign of selected generators: the incidence row
     and column of each flipped element change sign, homology does not."""
-    sign = lambda e: signs.get(e, 1)
-    rows = {x: {w: sign(x) * e * sign(w) for w, e in row.items()} for x, row in cell.rows.items()}
-    ident = cell.poset._id
-    eps = {ident[x]: {ident[w]: e for w, e in row.items()} for x, row in rows.items()}
-    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, eps), rows=rows,
+    sign = [signs.get(e, 1) for e in cell.poset._names]
+    rows = {x: {w: sign[x] * e * sign[w] for w, e in row.items()} for x, row in cell.rows.items()}
+    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, rows), rows=rows,
                                   admissible=cell.admissible)
 
 

@@ -125,17 +125,15 @@ def cmd_cellular(args) -> Report:
     integral = homology(cell.complex)
     agrees = integral == poset_homology(poset)
     summary = integral if args.coeff == "int" else integral.rational()
+    incidence = cell.incidence_table()
     results = {
-        "incidence": cell.incidence_table(),
-        "boundaries": {str(p): [[col.get(i, 0) for col in cols]
-                                for i in range(cell.complex.rank(p - 1))]
-                       for p, cols in sorted(cell.complex.columns.items())},
+        "incidence": incidence,
         "cellular_homology": summary.to_doc(),
         "order_complex_homology": poset_homology(poset, coefficients=args.coeff).to_doc(),
         "pipelines_agree": agrees,
     }
     lines = [f"cellular homology: {summary}", f"pipelines agree: {agrees}"]
-    lines += [f"  eps({x}, {w}) = {e}" for x, w, e in cell.incidence_table()]
+    lines += [f"  eps({x}, {w}) = {e}" for x, w, e in incidence]
     return results, lines, agrees
 
 

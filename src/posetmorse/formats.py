@@ -23,7 +23,7 @@ from .errors import CycleDetected, MalformedLine
 from .posets import Poset, _build, _declare
 from .simplicial import SimplicialComplex, parse_simplicial_complex
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _poset_lines(text: str) -> tuple[list[str], dict[str, int], list[list[int]]]:

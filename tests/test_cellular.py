@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +16,15 @@ from posetmorse import (
     sphere_generator,
     verify_cellular_agreement,
 )
-from posetmorse.cellular import require_admissible, require_cellular, space_complex
+from posetmorse.cellular import _walked, require_admissible, require_cellular, space_complex
 from posetmorse.cli import run
 from posetmorse.errors import NotAdmissible, NotCellular
 from posetmorse.formats import load_complex, load_poset, serialize_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
 from helpers import invariant_factors, simplicial_incidence
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_t3_report(t3):
@@ -215,10 +218,11 @@ def test_cellular_agreement_random_face_posets():
         done += 1
 
 
-def test_printed_boundaries_equal_the_dense_view(tmp_path, capsys, monkeypatch):
-    """`cellular --format doc` prints each boundary from its sparse columns,
-    never the dense view; the rows it prints are those of the dense view of
-    `space_complex`, on random face posets and cellular random posets."""
+def test_printed_incidence_rebuilds_the_space_complex(tmp_path, capsys, monkeypatch):
+    """`cellular --format doc` prints no boundary matrices and never reads
+    the dense view; its (x, w, eps) triples, placed by the labels of
+    `space_complex`, rebuild every boundary column of it, on random face
+    posets and cellular random posets."""
     rng = XorShift64Star(2030)
     cases = []
     for _ in range(12):
@@ -237,9 +241,42 @@ def test_printed_boundaries_equal_the_dense_view(tmp_path, capsys, monkeypatch):
             patch.setattr(ChainComplex, "boundary",
                           property(lambda self: pytest.fail("the dense view was read")))
             assert run(["cellular", "--input", str(path), "--kind", kind, "--format", "doc"]) == 0
-        printed = json.loads(capsys.readouterr().out)["results"]["boundaries"]
+        printed = json.loads(capsys.readouterr().out)["results"]
+        assert "boundaries" not in printed
         poset = face_poset(load_complex(text)) if kind == "simplicial" else load_poset(text)[0]
-        assert printed == {str(p): mat.to_lists()
-                           for p, mat in space_complex(poset).boundary.items()}, text
-        degrees |= set(printed)
-    assert degrees == {"1", "2"}
+        space = space_complex(poset)
+        at = {p: {x: i for i, x in enumerate(cells)} for p, cells in space.labels.items()}
+        rebuilt = {p: [{} for _ in space.labels[p]] for p in space.columns}
+        for x, w, e in printed["incidence"]:
+            p = poset.degree(x)
+            if e:
+                rebuilt[p][at[p][x]][at[p - 1][w]] = e
+            degrees.add(p)
+        assert rebuilt == space.columns, text
+    assert degrees == {1, 2}
+
+
+def test_the_complex_keeps_the_one_copy_of_the_pass_rows(t3):
+    """`CellularComplexOfPoset.rows` is the pass's rows object, which
+    `gauge_flip` leaves alone, and `epsilon` names it: it agrees with
+    `incidence` on every cover and raises KeyError off the covers."""
+    rng = XorShift64Star(515)
+    rp2_6 = face_poset(load_complex((DATA / "rp2_6.txt").read_text()))
+    drawn = face_poset(random_simplicial_complex(rng, max_vertices=6, max_triangles=5))
+    for poset in (t3, rp2_6, drawn):
+        cell = cellular_chain_complex(poset)
+        assert cell.rows is _walked(poset)[1]
+        rows, incidence = {x: dict(row) for x, row in cell.rows.items()}, cell.incidence
+        signs = {e: -1 for e in poset.elements if rng.chance(1, 2)}
+        flipped = gauge_flip(cell, signs)
+        assert flipped.incidence == {(x, w): signs.get(x, 1) * e * signs.get(w, 1)
+                                     for (x, w), e in incidence.items()}
+        assert cell.rows == rows and cell.incidence == incidence
+        assert set(incidence) == {(x, w) for w, x in poset.covers}
+        for x, w in incidence:
+            assert cell.epsilon(x, w) == incidence[(x, w)]
+        top = poset.level(poset.max_degree())[0]
+        for w in poset.elements:
+            if w not in poset.lower_covers(top):
+                with pytest.raises(KeyError):
+                    cell.epsilon(top, w)

@@ -122,7 +122,7 @@ def test_report_document_deterministic():
     b = report_document("demo", {"y": [1, 2], "x": 1}, {"input": "f"})
     assert a == b
     doc = json.loads(a)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 # -- CLI ------------------------------------------------------------------
