@@ -6,7 +6,8 @@ count of torsion generators; the minimal subcomplex realizes that value
 as an honest quasi-isomorphic subcomplex, with rank b_k + mu_k + mu_{k-1}
 in each degree.  It is `homology.minimal_model`: the sparse elimination
 of +-1 pairs, then a Smith basis for the few boundaries of the reduced
-complex that still have unit factors.
+complex that still have unit factors.  The Lusternik-Schnirelmann check
+reads each basic set's hccat off its cells, and lists no chains.
 
 The flow-invariant complex of a Morse matching is its Morse complex: the
 same elimination, along the matched pairs, leaves one cell per critical
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import (CellularComplexOfPoset, cellular_chain_complex, require_admissible,
-                       space_homology)
+from .cellular import (CellularComplexOfPoset, _pair_homology, cellular_chain_complex,
+                       require_admissible, space_homology)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -35,7 +36,7 @@ from .dynamics import (
 )
 from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
 from .homology import (ChainComplex, HomologySummary, _apply, homology, minimal_model,
-                       morse_reduction, smith_diagonal, subposet_chain_complex)
+                       morse_reduction, smith_diagonal)
 from .intmatrix import Column
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
@@ -232,12 +233,17 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     """hccat(X) <= sum over basic sets of hccat(basic set).
 
     Critical points count 1 and closed orbits 2, exactly as the theorem's
-    proof evaluates them; a cross-check recomputes each basic set as a
-    subspace and warns (not errs) on disagreement.  The intermediate
-    bound sum_p m*_p = sum_p (c_p + A_p + A_{p-1}) counts the critical
-    elements of the perturbed matching; its flow operator must confirm
-    them, with as many invariant chains as critical elements per degree
-    and an invariant complex quasi-isomorphic to the cellular one.
+    proof evaluates them; a cross-check reads each basic set's hccat off
+    its cells (`_pair_homology`) and warns (not errs) on disagreement.  A
+    critical cell of degree p gives Z in degree p.  On a Morse-Smale orbit
+    x_1 < y_1 > x_2 < ... > x_1 of index p, y_i matched with x_i, d on the
+    class is bidiagonal up to a cyclic shift, with determinant
+    prod eps(y_i, x_i) * (1 - multiplicity): Z in p and p+1, or Z/2 in p,
+    hccat 2 either way, as for the class as a subspace, a circle.  The
+    intermediate bound sum_p m*_p = sum_p (c_p + A_p + A_{p-1}) counts the
+    critical elements of the perturbed matching; its flow operator must
+    confirm them, with as many invariant chains as critical elements per
+    degree and an invariant complex quasi-isomorphic to the cellular one.
     """
     require_admissible(poset)
     orbits = prime_orbits(poset, matching)
@@ -246,12 +252,11 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     class_values: list[tuple[str, int, int]] = []
     for members in basic_sets(poset, matching).classes:
         expected = 1 if len(members) == 1 else 2
-        recomputed = hccat(subposet_chain_complex(poset, members))
+        recomputed = hccat(_pair_homology(poset, members))
         class_values.append((members[0], expected, recomputed))
         if recomputed != expected:
             what = "critical point" if expected == 1 else "orbit class at"
-            warnings.append(
-                f"{what} {members[0]} recomputed hccat {recomputed} != {expected}")
+            warnings.append(f"{what} {members[0]} recomputed hccat {recomputed} != {expected}")
     rhs = sum(expected for _, expected, _ in class_values)
     perturbed, _removed = perturb_to_morse(poset, matching)
     mstar = critical_counts(poset, perturbed)

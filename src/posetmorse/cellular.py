@@ -90,7 +90,6 @@ from .errors import (
 )
 from .homology import (
     ChainComplex,
-    Coefficients,
     HomologySummary,
     _Reducer,
     _homology,
@@ -341,8 +340,8 @@ def _cells(eps: Rows, degrees: Sequence[int], members: Iterable[int],
     return ranks, boundary, {p: tuple(cells) for p, cells in levels.items()}
 
 
-def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterable[str] = (),
-                           coefficients: Coefficients = "int") -> HomologySummary:
+def cellular_pair_homology(poset: Poset, members: Iterable[str],
+                           dropped: Iterable[str] = ()) -> HomologySummary:
     """Homology of the down-closed pair (A, B) = (members, dropped) of
     a cellular poset, read off the cells of A - B.  It equals that of the
     order-complex pair (K(A), K(B)) of the induced subposets."""
@@ -351,15 +350,14 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str], dropped: Iterab
     if not drop <= keep or any(w not in part for part in (keep, drop)
                                for x in part for w in poset.lower_covers(x)):
         raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
-    return _pair_homology(poset, keep - drop, coefficients)
+    return _pair_homology(poset, keep - drop)
 
 
-def _pair_homology(poset: Poset, cells: Iterable[str],
-                   coefficients: Coefficients = "int") -> HomologySummary:
+def _pair_homology(poset: Poset, cells: Iterable[str]) -> HomologySummary:
     """`cellular_pair_homology` of a pair down-closed by construction, from
     A - B, a locally closed set of names."""
     ids = map(poset._id.__getitem__, cells)
-    return homology(_checked(_cells(_walked(poset)[1], poset._height, ids)), coefficients)
+    return homology(_checked(_cells(_walked(poset)[1], poset._height, ids)))
 
 
 def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],
@@ -486,27 +484,23 @@ def _space(poset: Poset, eps: Rows) -> ChainComplex:
         p: tuple([_named(names, c) for c in cells]) for p, cells in labels.items()}))
 
 
-def space_homology(poset: Poset, reduced: bool = False,
-                   coefficients: Coefficients = "int") -> HomologySummary:
+def space_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     """Homology of the finite space, read off `space_complex`; it equals
     `poset_homology` and lists the same degrees, 0 (or -1 when reduced)
-    up to the height of the poset.  The integral summary is cached; the
-    reduced one takes a free summand off H_0, the rational one drops the
-    torsion."""
+    up to the height of the poset.  The summary is cached; the reduced
+    one takes a free summand off H_0."""
     if not poset.elements:
         if not reduced:
             raise EmptyPoset("unreduced homology of the empty poset is undefined")
-        summary = sphere_summary(-1)
-    else:
-        cached = poset.analysis_cache.get("space_homology")
-        if cached is None:
-            found = homology(space_complex(poset))
-            # the model may stop below the height of the poset
-            cached = poset.analysis_cache["space_homology"] = HomologySummary(
-                {k: found.b(k) for k in range(poset.height() + 1)}, found.torsion)
-        summary = cached if not reduced else HomologySummary(
-            {-1: 0, **cached.betti, 0: cached.b(0) - 1}, cached.torsion)
-    return summary if coefficients == "int" else summary.rational()
+        return sphere_summary(-1)
+    cached = poset.analysis_cache.get("space_homology")
+    if cached is None:
+        found = homology(space_complex(poset))
+        # the model may stop below the height of the poset
+        cached = poset.analysis_cache["space_homology"] = HomologySummary(
+            {k: found.b(k) for k in range(poset.height() + 1)}, found.torsion)
+    return cached if not reduced else HomologySummary(
+        {-1: 0, **cached.betti, 0: cached.b(0) - 1}, cached.torsion)
 
 
 def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularComplexOfPoset:
@@ -520,6 +514,7 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
 
 def verify_cellular_agreement(poset: Poset) -> bool:
     """Cellular homology agrees with order-complex homology (betti and
-    torsion in every degree)."""
-    cell = cellular_chain_complex(poset)
-    return homology(cell.complex) == poset_homology(poset)
+    torsion in every degree), once `cellular_chain_complex` has checked
+    that the poset is cellular."""
+    cellular_chain_complex(poset)
+    return space_homology(poset) == poset_homology(poset)

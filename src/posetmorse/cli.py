@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cellular import cellular_chain_complex, check_cellularity, space_complex, space_homology
+from .cellular import (cellular_chain_complex, check_cellularity, space_complex, space_homology,
+                       verify_cellular_agreement)
 from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
 from .errors import MalformedLine, PosetMorseError
@@ -110,26 +111,27 @@ def cmd_validate(args) -> Report:
 def cmd_homology(args) -> Report:
     poset, complex, _ = _load_space(args)
     if args.via_poset:
-        summary = poset_homology(poset, reduced=args.reduced, coefficients=args.coeff)
+        summary = poset_homology(poset, reduced=args.reduced)
     elif args.kind == "simplicial":
-        summary = homology(simplicial_chain_complex(complex, reduced=args.reduced),
-                           args.coeff)
+        summary = homology(simplicial_chain_complex(complex, reduced=args.reduced))
     else:
-        summary = space_homology(poset, reduced=args.reduced, coefficients=args.coeff)
+        summary = space_homology(poset, reduced=args.reduced)
+    if args.coeff == "rat":
+        summary = summary.rational()
     return {"homology": summary.to_doc(), "pretty": str(summary)}, [str(summary)], True
 
 
 def cmd_cellular(args) -> Report:
     poset, _, _ = _load_space(args)
-    cell = cellular_chain_complex(poset)
-    integral = homology(cell.complex)
-    agrees = integral == poset_homology(poset)
-    summary = integral if args.coeff == "int" else integral.rational()
-    incidence = cell.incidence_table()
+    incidence = cellular_chain_complex(poset).incidence_table()
+    agrees = verify_cellular_agreement(poset)
+    summary, order = space_homology(poset), poset_homology(poset)
+    if args.coeff == "rat":
+        summary, order = summary.rational(), order.rational()
     results = {
         "incidence": incidence,
         "cellular_homology": summary.to_doc(),
-        "order_complex_homology": poset_homology(poset, coefficients=args.coeff).to_doc(),
+        "order_complex_homology": order.to_doc(),
         "pipelines_agree": agrees,
     }
     lines = [f"cellular homology: {summary}", f"pipelines agree: {agrees}"]

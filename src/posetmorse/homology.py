@@ -1,5 +1,6 @@
 """Exact homology of finitely generated free chain complexes over the
-integers (or rationals), plus the simplicial and poset front ends.
+integers, plus the simplicial and poset front ends; a rational answer is
+the integral one without its torsion (`HomologySummary.rational`).
 
 Chain complexes store each boundary map as sparse integer columns
 {row: value}; d*d = 0 is checked column by column.  One sparse
@@ -34,11 +35,11 @@ a matching's Morse complex, and the hccat witness is the minimal model.
 One assembler turns sorted simplices into sparse columns for every
 simplicial front end.  The poset one, `subposet_chain_complex`, reads the
 order complex of an induced subposet, the full subcomplex of K(P) on its
-elements, straight off its chains (`Poset.chains_within`).  The
-paper's definitions build it, `poset_homology`, `is_acyclic` and
-`cellular.sphere_generator`, and so does `category.ls_theorem_check`
-for the hccat of each basic set.  With `order_complex`, `Poset.induced`
-and `relative_homology`, the tests check the chain model against them.
+elements, straight off its chains (`Poset.chains_within`).  Only the
+paper's definitions build it: `poset_homology`, `is_acyclic` and
+`cellular.sphere_generator`.  No theorem check lists chains.  With
+`order_complex`, `Poset.induced` and `relative_homology`, the tests
+check the chain model against them.
 """
 
 from __future__ import annotations
@@ -196,10 +197,9 @@ def sphere_summary(dim: int) -> HomologySummary:
     return HomologySummary(betti={dim: 1})
 
 
-def homology(complex: ChainComplex, coefficients: Coefficients = "int") -> HomologySummary:
-    """Homology of the complex; exact in either coefficient ring."""
-    summary = _homology(complex.ranks, complex.columns)
-    return summary if coefficients == "int" else summary.rational()
+def homology(complex: ChainComplex) -> HomologySummary:
+    """Integral homology of the complex, exact."""
+    return _homology(complex.ranks, complex.columns)
 
 
 def _homology(ranks: dict[int, int], columns: dict[int, Sequence[Column]]) -> HomologySummary:
@@ -607,17 +607,14 @@ def subposet_chain_complex(poset: Poset, members: Iterable[str],
     return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
 
 
-def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex,
-                      coefficients: Coefficients = "int") -> HomologySummary:
-    return homology(relative_chain_complex(complex, subcomplex), coefficients)
+def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex) -> HomologySummary:
+    return homology(relative_chain_complex(complex, subcomplex))
 
 
-def poset_homology(poset: Poset, reduced: bool = False,
-                   coefficients: Coefficients = "int") -> HomologySummary:
+def poset_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     """Homology of the finite space via the order complex of the whole
     poset, the definition, which `cellular.space_homology` reads off a
-    smaller model; the integral summary is cached, the rational one is
-    read off it."""
+    smaller model; the summary is cached."""
     if not poset.elements and not reduced:
         raise EmptyPoset("unreduced homology of the empty poset is undefined")
     key = ("poset_homology", reduced)
@@ -625,7 +622,7 @@ def poset_homology(poset: Poset, reduced: bool = False,
     if cached is None:
         cached = poset.analysis_cache[key] = homology(
             subposet_chain_complex(poset, poset.elements, reduced=reduced))
-    return cached if coefficients == "int" else cached.rational()
+    return cached
 
 
 def is_acyclic(poset: Poset) -> bool:

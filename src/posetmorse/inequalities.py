@@ -9,8 +9,10 @@ and that homology is read off the cells of the set alone.  The strong
 inequalities compare the alternating partial sums of m against those of
 the Betti numbers; the orbit theorems additionally count prime orbits,
 with torsion generators on the right for integer coefficients and only
-multiplicity-one orbits on the left for rational ones.  All three reports
-build their rows the same way, from the two sides' lists.
+multiplicity-one orbits on the left for rational ones.  Every count is
+read off integral homology; over Q, m and the Betti numbers are the same
+free ranks.  All three reports build their rows the same way, from the
+two sides' lists.
 """
 
 from __future__ import annotations
@@ -58,16 +60,14 @@ class InequalityReport:
         }
 
 
-def basic_set_relative_homology(poset: Poset, members,
-                                coefficients: Coefficients = "int") -> HomologySummary:
+def basic_set_relative_homology(poset: Poset, members) -> HomologySummary:
     """Homology of the closure of a basic set (the union of its minimal
     open sets) relative to the closure minus the set, checked down-closed."""
     bar = poset.down_closure(members)
-    return cellular_pair_homology(poset, bar, set(bar) - set(members), coefficients)
+    return cellular_pair_homology(poset, bar, set(bar) - set(members))
 
 
-def morse_bott_numbers(poset: Poset, matching: Matching,
-                       coefficients: Coefficients = "int") -> tuple[list[int], list[str]]:
+def morse_bott_numbers(poset: Poset, matching: Matching) -> tuple[list[int], list[str]]:
     """m_k per degree, plus notes about torsion met in relative homology
     (the ranks ignore it by definition; we surface it separately)."""
     require_admissible(poset)
@@ -76,7 +76,7 @@ def morse_bott_numbers(poset: Poset, matching: Matching,
     m = [0] * (top + 1)
     torsion_notes: list[str] = []
     for members in dec.classes:
-        summary = _pair_homology(poset, members, coefficients)
+        summary = _pair_homology(poset, members)
         where = "critical" if len(members) == 1 else "orbit at"
         for k in summary.degrees():
             m[k] += summary.b(k)
@@ -87,14 +87,13 @@ def morse_bott_numbers(poset: Poset, matching: Matching,
     return m, torsion_notes
 
 
-def lemma_basic_set_window(poset: Poset, matching: Matching,
-                           coefficients: Coefficients = "int") -> bool:
+def lemma_basic_set_window(poset: Poset, matching: Matching) -> bool:
     """Relative homology of each basic set sits in {p} for a critical
-    point (one copy of the coefficients) and in {p, p+1} for an orbit."""
+    point (one copy of Z) and in {p, p+1} for an orbit."""
     require_admissible(poset)
     for members in basic_sets(poset, matching).classes:
         p = min(poset.degree(e) for e in members)
-        nontrivial = _pair_homology(poset, members, coefficients).nontrivial()
+        nontrivial = _pair_homology(poset, members).nontrivial()
         if len(members) == 1:
             if nontrivial != {p: (1, ())}:
                 return False
@@ -121,10 +120,12 @@ def _rows(lhs: list[int], rhs: list[int]) -> tuple[IneqRow, ...]:
 
 def strong_morse_bott(poset: Poset, matching: Matching,
                       coefficients: Coefficients = "int") -> InequalityReport:
-    """Strong inequalities, their weak corollary, and the Euler identity."""
+    """Strong inequalities, their weak corollary, and the Euler identity, over "int" or "rat"."""
+    if coefficients not in ("int", "rat"):
+        raise ValueError(f"coefficients must be 'int' or 'rat', not {coefficients!r}")
     require_admissible(poset)
-    m, torsion_notes = morse_bott_numbers(poset, matching, coefficients)
-    summary = space_homology(poset, coefficients=coefficients)
+    m, torsion_notes = morse_bott_numbers(poset, matching)
+    summary = space_homology(poset)
     top = max(poset.max_degree(), len(m) - 1)
     b = [summary.b(k) for k in range(top + 1)]
     m_top = m + [0] * (top + 1 - len(m))
@@ -143,7 +144,7 @@ def strong_morse_bott(poset: Poset, matching: Matching,
             "weak": [r.to_doc() for r in weak_rows],
             "euler_m": euler_m,
             "euler_b": euler_b,
-            "torsion_notes": torsion_notes,
+            "torsion_notes": torsion_notes if coefficients == "int" else [],
             "coefficients": coefficients,
         },
     )
@@ -192,7 +193,7 @@ def orbit_inequalities_multiplicity(poset: Poset, matching: Matching) -> Inequal
     cell = cellular_chain_complex(poset)
     multiplicities = {orbit: orbit_multiplicity(orbit, cell) for orbit in orbits}
     ones = orbit_counts(tuple(orbit for orbit, mult in multiplicities.items() if mult == 1))
-    rows, c, A1, b = _orbit_rows(poset, matching, ones, space_homology(poset, coefficients="rat"))
+    rows, c, A1, b = _orbit_rows(poset, matching, ones, space_homology(poset).rational())
     return InequalityReport(
         name="orbit-multiplicity-one",
         rows=rows,

@@ -36,10 +36,10 @@ The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
 subposet on S is the full subcomplex of K(P) spanned by S, so the
 homology front ends read its simplices off `chains_within(S)` and never
-build the induced subposet.  Nothing caches chains.  The paper's
-definitions list them, and so does `category.ls_theorem_check` for the
-hccat of each basic set.  `induced` stays as the paper's definition
-too, and `beat_point_core` serves the random generators.
+build the induced subposet.  Nothing caches chains.  Only the paper's
+definitions list them; no theorem check does.  `induced` stays as the
+paper's definition too, and `beat_point_core` serves the random
+generators.
 """
 
 from __future__ import annotations

@@ -200,14 +200,12 @@ def diagonal_form(A: IntMatrix) -> tuple[int, ...]:
     return tuple(data[t][t] for t in range(min(A.rows, A.cols)))
 
 
-def kernel_basis(A: IntMatrix, snf: SmithDecomposition | None = None) -> list[list[int]]:
+def kernel_basis(A: IntMatrix) -> list[list[int]]:
     """A basis of the saturated lattice {x : A x = 0}, as column vectors."""
-    if snf is None:
-        snf = smith_normal_form(A)
+    snf = smith_normal_form(A)
     diag = snf.diagonal
-    rank = snf.rank
     # zero diagonal positions plus columns beyond the diagonal
     free = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
-    if len(free) != A.cols - rank:
+    if len(free) != A.cols - snf.rank:
         raise ConsistencyError("kernel size disagrees with the rank of the Smith form")
     return [snf.V_inv.column(j) for j in free]

@@ -589,11 +589,11 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     )
 
 
-def order_complex_pair_homology(poset: Poset, members, sub_members, coefficients="int"):
+def order_complex_pair_homology(poset: Poset, members, sub_members):
     """Relative homology of the pair of order complexes of the induced
     subposets on `members` and `sub_members`: the paper's definition."""
     return relative_homology(order_complex(poset.induced(members)),
-                             order_complex(poset.induced(sub_members)), coefficients)
+                             order_complex(poset.induced(sub_members)))
 
 
 def per_interval_sweep(poset: Poset,

@@ -4,7 +4,7 @@ induced subposets.  Covers `cellular_pair_homology` and the theorem
 checks routed through it (collapse checks, basic-set homology,
 Morse-Bott numbers and the basic-set window lemma) on the bundled
 fixtures and on seeded admissible posets with random sublevel pairs and
-random matchings, and shows that those checks never enumerate chains."""
+random matchings, and shows that no theorem check enumerates chains."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -23,6 +23,7 @@ from posetmorse import (
     filtration_sweep,
     integrate_matching,
     lemma_basic_set_window,
+    ls_theorem_check,
     morse_bott_numbers,
     parse_simplicial_complex,
     subdivision,
@@ -42,7 +43,7 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import guard_whole_poset_chains, order_complex_pair_homology, per_interval_sweep
+from helpers import order_complex_pair_homology, per_interval_sweep
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = [
@@ -100,11 +101,11 @@ def _admissible_posets(seed: int):
             yield rng, poset
 
 
-def _oracle_cells(poset: Poset, cells, coefficients="int"):
+def _oracle_cells(poset: Poset, cells):
     """The pair (A, A - cells), A the down-closure of the locally closed set
     `cells`, by the order-complex definition."""
     bar = poset.down_closure(cells)
-    return order_complex_pair_homology(poset, bar, set(bar) - set(cells), coefficients)
+    return order_complex_pair_homology(poset, bar, set(bar) - set(cells))
 
 
 def _with_oracle(monkeypatch, module: str, fn, *args):
@@ -123,21 +124,21 @@ def _random_values(rng: XorShift64Star, poset: Poset) -> dict[str, Fraction]:
 def _check_pairs(poset, matching, values, monkeypatch) -> tuple[int, int]:
     """Compare every route on one poset; return the (trivial, nontrivial)
     counts of the collapse checks on the free intervals of `values`."""
-    for coefficients in ("int", "rat"):
-        levels = sorted(set(values.values()))
-        for a, b in zip(levels, levels[1:]):
-            lower, upper = sublevel(poset, values, a), sublevel(poset, values, b)
-            assert (cellular_pair_homology(poset, upper, lower, coefficients)
-                    == order_complex_pair_homology(poset, upper, lower, coefficients))
-        dec = basic_sets(poset, matching)
-        for members in [(e,) for e in dec.critical] + [c.elements for c in dec.orbit_classes]:
-            bar = poset.down_closure(members)
-            assert (basic_set_relative_homology(poset, members, coefficients)
-                    == order_complex_pair_homology(poset, bar, set(bar) - set(members),
-                                                   coefficients))
-        for fn in (morse_bott_numbers, lemma_basic_set_window):
-            assert (fn(poset, matching, coefficients)
-                    == _with_oracle(monkeypatch, "inequalities", fn, poset, matching, coefficients))
+    levels = sorted(set(values.values()))
+    for a, b in zip(levels, levels[1:]):
+        lower, upper = sublevel(poset, values, a), sublevel(poset, values, b)
+        got = cellular_pair_homology(poset, upper, lower)
+        expected = order_complex_pair_homology(poset, upper, lower)
+        assert got == expected and got.rational() == expected.rational()
+    dec = basic_sets(poset, matching)
+    for members in [(e,) for e in dec.critical] + [c.elements for c in dec.orbit_classes]:
+        bar = poset.down_closure(members)
+        got = basic_set_relative_homology(poset, members)
+        expected = order_complex_pair_homology(poset, bar, set(bar) - set(members))
+        assert got == expected and got.rational() == expected.rational()
+    for fn in (morse_bott_numbers, lemma_basic_set_window):
+        assert fn(poset, matching) == _with_oracle(monkeypatch, "inequalities", fn, poset,
+                                                   matching)
     # a function that does not integrate the matching: its critical-value-free
     # intervals may change homology, so collapse checks can come out either way
     function = MorseBottFunction(poset, values, matching)
@@ -162,10 +163,9 @@ def test_pairs_match_definition_on_fixtures(monkeypatch):
         # by the order-complex pair
         assert (reports, ok) == _with_oracle(monkeypatch, "morse", per_interval_sweep, poset,
                                              function)
-        for coefficients in ("int", "rat"):
-            for fn in (morse_bott_numbers, lemma_basic_set_window):
-                assert (fn(poset, matching, coefficients) == _with_oracle(
-                    monkeypatch, "inequalities", fn, poset, matching, coefficients))
+        for fn in (morse_bott_numbers, lemma_basic_set_window):
+            assert fn(poset, matching) == _with_oracle(monkeypatch, "inequalities", fn, poset,
+                                                       matching)
 
 
 def test_pairs_match_definition_on_random_admissible_posets(monkeypatch):
@@ -193,9 +193,9 @@ def test_basic_sets_read_off_their_cells_alone():
         orbits += len(dec.orbit_classes)
         for members in dec.classes:
             classes += 1
-            for coefficients in ("int", "rat"):
-                assert (_pair_homology(poset, members, coefficients)
-                        == basic_set_relative_homology(poset, members, coefficients)), members
+            got = _pair_homology(poset, members)
+            expected = basic_set_relative_homology(poset, members)
+            assert got == expected and got.rational() == expected.rational(), members
     assert classes >= 300 and orbits >= 10, (classes, orbits)
 
 
@@ -217,21 +217,27 @@ def test_pair_homology_rejects_bad_pairs(t3):
 
 
 def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
-    import sys
-
-    def forbidden(*args, **kwargs):
-        raise RuntimeError("the order-complex path was taken")
+    """The sweep, the Morse-Bott numbers, the window lemma and the
+    Lusternik-Schnirelmann check, and the ls-check, hccat and rational
+    inequalities reports, with `Poset.chains_within`, the one chain
+    enumerator, raising on every call."""
+    def forbidden(self, members):
+        raise RuntimeError("chains were enumerated")
 
     runs = [_sphere_with_cone_matching(n) for n in range(1, 7)] + list(_fixture_runs())
-    guard_whole_poset_chains(monkeypatch)
-    for module in ("cellular", "homology"):
-        monkeypatch.setattr(sys.modules[f"posetmorse.{module}"], "subposet_chain_complex",
-                            forbidden)
+    monkeypatch.setattr(Poset, "chains_within", forbidden)
     for poset, matching in runs:
         assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
-        for coefficients in ("int", "rat"):
-            morse_bott_numbers(poset, matching, coefficients)
-            assert lemma_basic_set_window(poset, matching, coefficients)
-    assert run(["sweep", "--input", str(DATA / "boundary_6simplex.txt"), "--kind", "simplicial",
-                "--matching", str(DATA / "boundary_6simplex_cone_matching.txt")]) == 0
+        morse_bott_numbers(poset, matching)
+        assert lemma_basic_set_window(poset, matching)
+        report = ls_theorem_check(poset, matching)
+        assert report.holds and not report.warnings
+        assert all(expected == recomputed for _, expected, recomputed in report.class_values)
+    sphere = ["--input", str(DATA / "boundary_6simplex.txt"), "--kind", "simplicial"]
+    cone = ["--matching", str(DATA / "boundary_6simplex_cone_matching.txt")]
+    assert run(["sweep", *sphere, *cone]) == 0
     assert capsys.readouterr().out.endswith("sweep: ok\n")
+    for argv in (["ls-check", *sphere, *cone], ["hccat", *sphere],
+                 ["inequalities", *sphere, *cone, "--coeff", "rat"]):
+        assert run(argv) == 0, argv
+    assert "hccat: 2\n" in capsys.readouterr().out

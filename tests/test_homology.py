@@ -60,7 +60,7 @@ def test_full_triangle_contractible(full_triangle):
 
 
 def test_rationals_drop_torsion(rp2):
-    summary = homology(simplicial_chain_complex(rp2), "rat")
+    summary = homology(simplicial_chain_complex(rp2)).rational()
     assert summary.b(0) == 1 and summary.b(1) == 0 and summary.b(2) == 0
     assert not summary.torsion
 
@@ -69,7 +69,7 @@ def test_betti_agree_between_coefficients(rp2, tetra_boundary):
     for complex in (rp2, tetra_boundary):
         chain = simplicial_chain_complex(complex)
         integral = homology(chain)
-        rational = homology(chain, "rat")
+        rational = integral.rational()
         assert all(integral.b(k) == rational.b(k) for k in range(4))
 
 

@@ -77,6 +77,21 @@ def test_strong_morse_bott_t3(t3, t3_m1, t3_m2, t3_empty_matching):
     assert r0.data["euler_m"] == r0.data["euler_b"] == 0
 
 
+def test_strong_morse_bott_names_its_ring(mobius_poset, mobius_ring_matching):
+    """m and the Betti numbers are the same free ranks in both rings; the
+    orientation-reversing orbit's Z/2 is noted over Z only, and a ring
+    other than int or rat is rejected."""
+    integral = strong_morse_bott(mobius_poset, mobius_ring_matching)
+    rational = strong_morse_bott(mobius_poset, mobius_ring_matching, "rat")
+    assert integral.data["torsion_notes"] == ["orbit at 1|2: torsion (2,) in degree 1"]
+    assert rational.data["torsion_notes"] == []
+    assert (integral.data["coefficients"], rational.data["coefficients"]) == ("int", "rat")
+    assert integral.rows == rational.rows
+    for ring in ("Z", "integers"):
+        with pytest.raises(ValueError):
+            strong_morse_bott(mobius_poset, mobius_ring_matching, ring)
+
+
 def test_strong_implies_weak(t3, t3_m1):
     report = strong_morse_bott(t3, t3_m1)
     assert all(row["ok"] for row in report.data["weak"])
@@ -218,7 +233,8 @@ def test_orbit_rows_equal_the_paper_inequalities(t3, t3_m2, rp2_poset, rp2_star5
         c = [counts.get(k, 0) for k in degrees]
         A = [sum(o.index == k for o in orbits) for k in degrees]
         A1 = [sum(o.index == k and mult[o] == 1 for o in orbits) for k in degrees]
-        integral, rational = poset_homology(poset), poset_homology(poset, coefficients="rat")
+        integral = poset_homology(poset)
+        rational = integral.rational()
         b, b_rat = [integral.b(k) for k in degrees], [rational.b(k) for k in degrees]
         mu = [integral.mu(k) for k in degrees]
         sides = {
