@@ -13,18 +13,19 @@ The flow-invariant complex of a Morse matching is its Morse complex: the
 same elimination, along the matched pairs, leaves one cell per critical
 element c, and the chain it stands for is Phi^inf(c), the limit of
 phi = Id + dV + Vd, on the cells in the order of the cellular complex's
-labels.  Both the witness inclusion and the flow-invariant complex are
-verified quasi-isomorphisms by the mapping-cone criterion: an injective
-chain map induces isomorphisms on all homology exactly when its mapping
-cone is acyclic, which the sparse homology engine decides.
+labels, the poset's ids of each degree in order.  Both the witness
+inclusion and the flow-invariant complex are verified quasi-isomorphisms:
+each map is checked to commute with d, and an injective chain map induces
+isomorphisms on all homology exactly when its mapping cone is acyclic,
+which the sparse homology engine decides on the ambient's own columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .cellular import (CellularComplexOfPoset, _pair_homology, cellular_chain_complex,
-                       require_admissible, space_homology)
+from .cellular import _pair_homology, cellular_chain_complex, require_admissible, space_homology
 from .dynamics import (
     Matching,
     basic_sets,
@@ -34,9 +35,9 @@ from .dynamics import (
     perturb_to_morse,
     prime_orbits,
 )
-from .errors import ConsistencyError, NotAChainComplex, NotMorse, NotMorseMatching
-from .homology import (ChainComplex, HomologySummary, _apply, homology, minimal_model,
-                       morse_reduction, smith_diagonal)
+from .errors import ConsistencyError, NotMorse, NotMorseMatching
+from .homology import (ChainComplex, HomologySummary, _apply, _homology, homology,
+                       minimal_model, morse_reduction, smith_diagonal)
 from .intmatrix import Column
 from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
@@ -74,12 +75,14 @@ def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column
     a sparse column of C_p(ambient).
 
     The map needs a column per cell in every degree of `sub`, rows inside
-    the ambient rank, and full rank, read off `smith_diagonal`.  Then i
-    is a quasi-isomorphism exactly when its mapping cone,
-    Cone_p = S_{p-1} + A_p with d(s, a) = (-ds, i(s) + da), is acyclic
-    (Weibel, Cor. 1.5.4).  The cone's d*d vanishes exactly when i commutes
-    with the boundaries, so a map that is not a chain map fails the
-    cone's own d*d check.
+    the ambient rank, full rank, read off `smith_diagonal`, and
+    d(i(s)) = i(d(s)) for every cell s.  Then i is a quasi-isomorphism
+    exactly when its mapping cone, Cone_p = A_p + S_{p-1} with
+    d(a, s) = (da + i(s), -ds), is acyclic (Weibel, Cor. 1.5.4).  The
+    rows of S_{p-2} follow those of A_{p-1}, so the ambient's own columns
+    enter the cone as they are.  Both complexes were checked when built,
+    and a chain map makes the cone's d*d vanish, so its ranks and columns
+    go to `_homology` unchecked.
     """
     for p in sub.degrees():
         inc, rows = inclusion.get(p), ambient.rank(p)
@@ -88,26 +91,19 @@ def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column
             return False
         if sum(1 for f in smith_diagonal(inc, rows) if f) != sub.rank(p):
             return False
-    degrees = sorted({p + 1 for p in sub.ranks} | set(ambient.ranks))
+        d_a, d_s = ambient.columns.get(p, [{}] * rows), sub.columns.get(p, [{}] * len(inc))
+        if any(_apply(d_a, a) != _apply(inclusion.get(p - 1), s) for a, s in zip(inc, d_s)):
+            return False
+    ranks = {p: ambient.rank(p) + sub.rank(p - 1)
+             for p in sorted({p + 1 for p in sub.ranks} | set(ambient.ranks))}
     columns: dict[int, list[Column]] = {}
-    for p in degrees:
-        shift = sub.rank(p - 2)  # the S_{p-2} rows come first in Cone_{p-1}
-        cone: list[Column] = []
-        if sub.rank(p - 1):
-            s_cols = sub.columns.get(p - 1, [{}] * sub.rank(p - 1))
-            for s_col, i_col in zip(s_cols, inclusion[p - 1]):
-                col = {i: -v for i, v in s_col.items()}
-                col.update((shift + i, v) for i, v in i_col.items())
-                cone.append(col)
-        for a_col in ambient.columns.get(p, [{}] * ambient.rank(p)):
-            cone.append({shift + i: v for i, v in a_col.items()})
-        columns[p] = cone
-    try:
-        cone_complex = ChainComplex({p: sub.rank(p - 1) + ambient.rank(p) for p in degrees},
-                                    columns)
-    except NotAChainComplex:
-        return False
-    return homology(cone_complex).is_trivial()
+    for p in ranks:
+        if p - 1 in ranks:  # the S_{p-2} rows follow the A_{p-1} rows
+            shift, d_s = ambient.rank(p - 1), sub.columns.get(p - 1, [{}] * sub.rank(p - 1))
+            columns[p] = ambient.columns.get(p, [{}] * ambient.rank(p)) + [
+                {**a, **{shift + i: -v for i, v in s.items()}}
+                for a, s in zip(inclusion.get(p - 1, ()), d_s)]
+    return _homology(ranks, columns).is_trivial()
 
 
 # -- minimal quasi-isomorphic subcomplex ---------------------------------------
@@ -152,8 +148,7 @@ class FlowData:
     quasi_isomorphism_verified: bool
 
 
-def flow_operator(poset: Poset, matching: Matching,
-                  cell: CellularComplexOfPoset | None = None) -> FlowData:
+def flow_operator(poset: Poset, matching: Matching) -> FlowData:
     """phi = Id + dV + Vd for a Morse matching, with its invariant complex.
 
     V sends a matched lower element x to -<d t(x), x> t(x).  The
@@ -163,35 +158,36 @@ def flow_operator(poset: Poset, matching: Matching,
     with critical coordinates e_c (Forman, "Morse theory for cell
     complexes", Adv. Math. 1998, sections 6-8).  The invariant ranks are
     the Morse complex's; the rank check counts the invariant chains apart,
-    as n_p - rank(dV + Vd), and requires both to be c_p.
+    as n_p - rank(dV + Vd), and requires both to be c_p.  Cells are read
+    by id: the cells of degree p are its ids in order, column j the id
+    `bisect_left(poset._height, p) + j`, so V and the pairs come from the
+    matching's pairs, as ids, and the pass's rows; every unmatched cell
+    shares one empty column of V.
     """
     require_admissible(poset)
     if not is_morse_matching(poset, matching):
         raise NotMorseMatching("the flow operator needs an acyclic matching")
-    if cell is None:
-        cell = cellular_chain_complex(poset)
-    levels = cell.complex.labels  # the cells of each degree, in column order
-    position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
-    d = {p: cell.complex.columns.get(p, [{}] * len(levels[p])) for p in levels}
-    V: dict[int, list[Column]] = {p: [] for p in levels}
-    pairs: dict[int, list[tuple[int, int]]] = {p: [] for p in levels}
-    for p, names in levels.items():
-        for x in names:
-            y = matching.target(x)
-            V[p].append({} if y is None else {position[p + 1][y]: -cell.epsilon(y, x)})
-            if y is not None:
-                pairs[p + 1].append((position[p][x], position[p + 1][y]))
+    cell, heights = cellular_chain_complex(poset), poset._height
+    ranks = cell.complex.ranks
+    first = {p: bisect_left(heights, p) for p in ranks}  # the id of column 0
+    d = {p: cell.complex.columns.get(p, [{}] * n) for p, n in ranks.items()}
+    V: dict[int, list[Column]] = {p: [{}] * n for p, n in ranks.items()}
+    pairs: dict[int, list[tuple[int, int]]] = {p: [] for p in ranks}
+    for x, y in sorted((poset._id[w], poset._id[v]) for w, v in matching.pairs):
+        a, b = x - first[heights[x]], y - first[heights[y]]
+        V[heights[x]][a] = {b: -cell.rows[y][x]}
+        pairs[heights[y]].append((a, b))
     morse = morse_reduction(cell.complex, pairs)
-    ranks = {p: morse.complex.rank(p) for p in levels}
+    invariant = {p: morse.complex.rank(p) for p in ranks}
     critical = critical_counts(poset, matching)
     rank_ok = True
-    for p, names in levels.items():
+    for p, n in ranks.items():
         deviation = [_apply(V.get(p - 1, []), d[p][j], _apply(d.get(p + 1, []), V[p][j]))
-                     for j in range(len(names))]  # the columns of dV + Vd
-        rank = sum(1 for f in smith_diagonal(deviation, len(names)) if f)
-        rank_ok = rank_ok and len(names) - rank == ranks[p] == critical.get(p, 0)
+                     for j in range(n)]  # the columns of dV + Vd
+        rank = sum(1 for f in smith_diagonal(deviation, n) if f)
+        rank_ok = rank_ok and n - rank == invariant[p] == critical.get(p, 0)
     return FlowData(
-        invariant_ranks=ranks,
+        invariant_ranks=invariant,
         invariant_complex=morse.complex,
         inclusion=morse.inclusion,
         rank_matches_critical=rank_ok,

@@ -26,11 +26,11 @@ from .simplicial import SimplicialComplex, parse_simplicial_complex
 SCHEMA_VERSION = 2
 
 
-def _poset_lines(text: str) -> tuple[list[str], dict[str, int], list[list[int]]]:
-    """Declared elements, in order of first mention, each name's declared
-    index, and the relation as the declared indices under each element,
-    in one pass over the lines.  A name is checked once, when it is first
-    mentioned: it must be one token with no `<`."""
+def _poset_lines(text: str) -> tuple[list[str], list[list[int]]]:
+    """Declared elements, in order of first mention, and the relation as
+    the declared indices under each element, in one pass over the lines.
+    A name is checked once, when it is first mentioned: it must be one
+    token with no `<`."""
     elements: list[str] = []
     index: dict[str, int] = {}
     lower: list[list[int]] = []
@@ -66,7 +66,7 @@ def _poset_lines(text: str) -> tuple[list[str], dict[str, int], list[list[int]]]
             reflexive = w
     if reflexive is not None:
         raise CycleDetected(f"reflexive pair ({reflexive}, {reflexive}) is not allowed")
-    return elements, index, lower
+    return elements, lower
 
 
 def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:

@@ -28,9 +28,9 @@ NotGraded otherwise.
 The public queries speak names (`elements`, `index`, `covers`,
 `lower_covers`, `strictly_below`, `heights`, `height_order`), through
 views built when asked for: `covers` reads the int covers on demand, and
-`heights` and `index` are built once, on first use, unless the loader
-already made the index.  The cellularity pass and the dynamics read the
-int core itself.
+`heights` and `index` are built once, on first use; the loaders keep
+no name index of their own.  The cellularity pass and the dynamics read
+the int core itself.
 
 The chains of a subposet, grouped by their maximum, are the source of
 the order complexes in the library: the order complex of an induced
@@ -80,7 +80,7 @@ class Poset:
         self._id = {e: i for i, e in enumerate(self._names)}
         if len(self._id) != n:
             raise DuplicateElement("duplicate element identifiers")
-        self._index = core.index
+        self._index: dict[str, int] | None = None
         self._height = core.heights
         key = None if declared is None else declared.__getitem__
         self._lower = [tuple(sorted(lows, key=key)) for lows in core.lower]
@@ -338,13 +338,12 @@ class _Core(NamedTuple):
     """The int core a loader hands to `Poset` in place of name covers:
     `declared[i]` is the declared index of id i (None when every id is its
     declared index), `heights[i]` its height and `lower[i]` its lower
-    covers as ids, in any order.  `index` is each name's declared index
-    and `below` the down-sets, where the loader already has them."""
+    covers as ids, in any order.  `below` holds the down-sets, where the
+    loader already has them."""
 
     declared: list[int] | None
     heights: list[int]
     lower: Sequence[Iterable[int]]
-    index: dict[str, int] | None = None
     below: list[frozenset[int]] | None = None
 
 
@@ -359,7 +358,7 @@ def _name_core(elements: tuple[str, ...], covers: Iterable[tuple[str, str]]) -> 
         if w not in index or x not in index:
             raise UnknownElement(f"cover ({w}, {x}) references undeclared element")
         lower[index[x]].add(index[w])
-    return _Core(*_height_ids(lower), index)
+    return _Core(*_height_ids(lower))
 
 
 def _topological_order(n: int, lower: Sequence[Sequence[int]],
@@ -431,10 +430,10 @@ def _height_ids(lower: Sequence[Iterable[int]]) -> tuple[list[int] | None, list[
 
 
 def _declare(elements: Iterable[str], relations: Iterable[tuple[str, str]]
-             ) -> tuple[list[str], dict[str, int], list[list[int]]]:
-    """The declared elements, each name's declared index, and the relation
-    as lists of declared indices under each element, checked: an empty,
-    duplicate, unknown or reflexive input raises."""
+             ) -> tuple[list[str], list[list[int]]]:
+    """The declared elements and the relation as lists of declared indices
+    under each element, checked: an empty, duplicate, unknown or reflexive
+    input raises."""
     elements = [str(e) for e in elements]
     if not elements:
         raise EmptyPoset("empty posets are rejected as inputs")
@@ -453,11 +452,10 @@ def _declare(elements: Iterable[str], relations: Iterable[tuple[str, str]]
         if w == x:
             raise CycleDetected(f"reflexive pair ({w}, {x}) is not allowed")
         lower[index[x]].append(index[w])
-    return elements, index, lower
+    return elements, lower
 
 
-def _build(elements: list[str], index: dict[str, int],
-           lower: list[list[int]]) -> tuple[Poset, bool]:
+def _build(elements: list[str], lower: list[list[int]]) -> tuple[Poset, bool]:
     """The poset of a generating relation without reflexive pairs, given
     by declared index, and whether reducing it to covers dropped a pair:
     the one walk interns the elements, the one closure, of the relation,
@@ -470,7 +468,7 @@ def _build(elements: list[str], index: dict[str, int],
         raise CycleDetected("input relation is not a partial order") from None
     below = _strictly_below(under)
     covers = _cover_reduction(under, below)
-    poset = Poset(elements, _Core(declared, heights, covers, index, below))
+    poset = Poset(elements, _Core(declared, heights, covers, below))
     return poset, sum(map(len, covers)) != sum(map(len, under))
 
 

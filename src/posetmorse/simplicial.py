@@ -114,12 +114,13 @@ def face_poset(complex: SimplicialComplex) -> Poset:
     Simplices are declared by dimension, then in sorted order, which is
     already the order of the poset's ids, so the core is handed over as
     it is: the codimension-1 faces are the covers, the dimensions the
-    heights."""
+    heights.  Each simplex is already sorted, so its name, its
+    `simplex_id`, is its vertices joined by `|`."""
     simplices = [s for d in sorted(complex.simplices) for s in complex.simplices[d]]
     ids = {s: i for i, s in enumerate(simplices)}
     lower = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] if len(s) > 1 else ()
              for s in simplices]
-    return Poset([simplex_id(s) for s in simplices],
+    return Poset(["|".join(s) for s in simplices],
                  _Core(None, [len(s) - 1 for s in simplices], lower))
 
 

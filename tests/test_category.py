@@ -140,10 +140,12 @@ def test_flow_operator_rejects_cyclic_matching(t3, t3_m2):
         flow_operator(t3, t3_m2)
 
 
-def test_flow_operator_gauge_invariant_ranks(t3, t3_m1):
-    cell = cellular_chain_complex(t3)
-    flipped = gauge_flip(cell, {"e12": -1, "v3": -1})
-    flow = flow_operator(t3, t3_m1, flipped)
+def test_flow_operator_gauge_invariant_ranks(monkeypatch, t3, t3_m1):
+    import posetmorse.category
+
+    flipped = gauge_flip(cellular_chain_complex(t3), {"e12": -1, "v3": -1})
+    monkeypatch.setattr(posetmorse.category, "cellular_chain_complex", lambda poset: flipped)
+    flow = flow_operator(t3, t3_m1)
     assert flow.invariant_ranks == {0: 1, 1: 1}
     assert flow.quasi_isomorphism_verified
 

@@ -15,12 +15,14 @@ import pytest
 
 from posetmorse import (
     IntMatrix,
+    Poset,
     cellular_chain_complex,
     check_cellularity,
     face_poset,
     flow_operator,
     homology,
     is_morse_matching,
+    ls_theorem_check,
     perturb_to_morse,
     poset_homology,
     validate_matching,
@@ -151,3 +153,57 @@ def test_flow_takes_no_dense_smith_form(monkeypatch):
     for poset, matching in cases:
         flow = flow_operator(poset, matching)
         assert flow.rank_matches_critical and flow.quasi_isomorphism_verified
+
+
+def _redeclared(poset, order):
+    """The same poset with its elements declared in reverse, or in a
+    seeded shuffle: the same names, other ids in each degree."""
+    elements = list(poset.elements)
+    elements = elements[::-1] if order == "reversed" else XorShift64Star(1966).shuffle(elements)
+    return Poset(elements, list(poset.covers))
+
+
+def _named_flow(poset, matching, flow):
+    """The flow in names: each critical element's invariant chain and its
+    Morse boundary.  The cells of the Morse complex are the critical
+    elements in column order, each with critical coordinate 1."""
+    labels = cellular_chain_complex(poset).complex.labels
+    matched = matching.matched_elements()
+    critical = {p: [e for e in cells if e not in matched] for p, cells in labels.items()}
+    chains, boundary = {}, {}
+    for p, cols in flow.inclusion.items():
+        for c, col in zip(critical[p], cols, strict=True):
+            chains[c] = {labels[p][i]: v for i, v in col.items()}
+            assert chains[c][c] == 1
+    for p, cols in flow.invariant_complex.columns.items():
+        for c, col in zip(critical[p], cols, strict=True):
+            boundary[c] = {critical[p - 1][i]: v for i, v in col.items()}
+    return (flow.invariant_ranks, chains, boundary, flow.rank_matches_critical,
+            flow.quasi_isomorphism_verified)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("space,kind,matching_name", FIXTURES)
+def test_flow_reads_cells_by_id_in_any_declared_order(space, kind, matching_name, order):
+    # the flow reads cells by id; with the ids of each degree in another
+    # order, it must give the same chains, named, and the same verdicts
+    poset, matching = _fixture_case(space, kind, matching_name)
+    again = _redeclared(poset, order)
+    assert again.level(1) != poset.level(1)
+    moved = validate_matching(again, matching.pairs)
+    named = _named_flow(poset, matching, flow_operator(poset, matching))
+    assert named[3] and named[4]
+    assert _named_flow(again, moved, flow_operator(again, moved)) == named
+    _check_against_oracle(again, moved)
+    # the theorem check perturbs the fixture's own matching itself
+    original = (DATA / matching_name).read_text()
+    report = ls_theorem_check(poset, parse_matching_text(poset, original))
+    moved_report = ls_theorem_check(again, parse_matching_text(again, original))
+    assert moved_report.holds and moved_report.counts_match_formula
+    assert moved_report.warnings == ()
+    for field in ("hccat_value", "basic_set_bound", "perturbed_counts", "flow_ranks", "holds",
+                  "intermediate_holds", "counts_match_formula"):
+        assert getattr(moved_report, field) == getattr(report, field), field
+    # a class is named by its first declared member, so only the values compare
+    assert (sorted(v[1:] for v in moved_report.class_values)
+            == sorted(v[1:] for v in report.class_values))

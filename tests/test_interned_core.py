@@ -175,3 +175,15 @@ def test_bad_covers_raise_as_before(elements, covers):
     with pytest.raises(type(expected.value)) as raised:
         Poset(elements, covers)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("text", [
+    "b < a\nc < a\nd\n",  # declared order is not height order
+    "x\ny\nx < z\n",  # declared order is height order: the ids are the index
+    json.dumps({"elements": ["top", "p", "q"], "covers": [["p", "top"], ["q", "top"]]}),
+])
+def test_index_is_built_on_first_use(text):
+    poset, _ = load_poset(text)
+    assert poset._index is None
+    assert poset.index == {e: j for j, e in enumerate(poset.elements)}
+    assert poset._index is not None

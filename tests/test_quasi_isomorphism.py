@@ -20,6 +20,7 @@ from posetmorse import (
     minimal_subcomplex,
     perturb_to_morse,
     simplicial_chain_complex,
+    subdivision,
 )
 from posetmorse.category import verify_quasi_isomorphism
 from posetmorse.formats import load_complex, load_poset, parse_matching_text
@@ -170,3 +171,49 @@ def test_non_injective_quasi_isomorphism_is_rejected():
     assert homology(sub) == homology(ambient)
     assert not verify_quasi_isomorphism(sub, inclusion, ambient)
     assert not snf_quasi_isomorphism(sub, inclusion, ambient)
+
+
+def test_cone_borrows_the_ambient_columns(monkeypatch):
+    """The cone lists A_p before S_{p-1}, so each degree of the cone starts
+    with the ambient's own column objects, and it goes to the homology
+    engine as ranks and columns: no ChainComplex is built, so nothing is
+    copied or checked again."""
+    import posetmorse.category as category
+
+    rp2 = face_poset(load_complex((DATA / "rp2_6.txt").read_text()))
+    spaces = [load_poset((DATA / "t3_poset.txt").read_text())[0],
+              face_poset(load_complex((DATA / "mobius_5.txt").read_text())),
+              subdivision(subdivision(rp2))]
+    triples = []
+    for poset in spaces:
+        ambient = cellular_chain_complex(poset).complex
+        witness = minimal_subcomplex(ambient)
+        triples.append((witness.complex, witness.inclusion, ambient))
+    matching = parse_matching_text(rp2, (DATA / "rp2_star5_matching.txt").read_text())
+    flow = flow_operator(rp2, perturb_to_morse(rp2, matching)[0])
+    triples.append((flow.invariant_complex, flow.inclusion, cellular_chain_complex(rp2).complex))
+
+    calls, built = [], []
+    homology_engine, init = category._homology, ChainComplex.__init__
+
+    def record(ranks, columns):
+        calls.append((ranks, columns))
+        return homology_engine(ranks, columns)
+
+    def build(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(category, "_homology", record)
+    monkeypatch.setattr(ChainComplex, "__init__", build)
+    for sub, inclusion, ambient in triples:
+        calls.clear()
+        assert verify_quasi_isomorphism(sub, inclusion, ambient)
+        assert not built
+        [(ranks, columns)] = calls
+        assert ranks == {p: ambient.rank(p) + sub.rank(p - 1)
+                         for p in {*ambient.ranks, *(p + 1 for p in sub.ranks)}}
+        assert ambient.columns and set(ambient.columns) <= set(columns)
+        for p, cols in ambient.columns.items():
+            assert len(columns[p]) == ranks[p]
+            assert all(cone is own for cone, own in zip(columns[p], cols))
