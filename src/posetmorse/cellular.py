@@ -22,24 +22,30 @@ which decides nothing there.  The reducer takes the raw cells of U.x,
 unchecked, and builds only the inclusions it is asked for: the
 generator, or on the mapping-cone branch those of its surviving cells,
 whose cone cells and H~(U.x) are read straight off it.  d*d = 0 is
-checked once, after the walk, on the whole reduced complex, every cone
-cell included, whose check restricted to the columns of a down-set is
-that down-set's, and a failure raises InconsistentIncidence.  A bad row
-that a later down-set reads can stop the walk before the check, in the
-reducer or the model; the same check then runs on the rows so far.
+checked once, after the walk, on the rows themselves, and no complex of
+the whole pass is built: each cell's row, every cone cell included,
+times the rows of its cells, degree-0 cells mapping onto the
+augmentation as in the reduced complex.  Restricted to the cells of a
+down-set this is that down-set's check, and a failure raises
+InconsistentIncidence.  A bad row that a later down-set reads can stop
+the walk before the check, in the reducer or the model; the same check
+then runs on the rows so far.
 
 On face posets and subdivisions every element of a degree hands the
 reducer the same local complex, so the pass reduces each distinct
 sphere complex once: its generator, in local indices, is stored under
-the whole input of the sphere decision, p with the ranks and boundary
-columns of the cells in `_cells` order, and a later down-set with that
-key maps it onto its own cells.  p is in the key because the verdict
-reads it.  A key is built only where it can hit: on a graded poset,
-over cellular elements only, and where the reduced Euler characteristic
-is (-1)^(p-1), as on every homology (p-1)-sphere.  The gauge, the
-admissibility test and the mapping-cone branch still run per element,
-and only generators are stored: the models of other down-sets are freed
-per element, as they would pin far more memory.
+the whole input of the sphere decision, and a later down-set with that
+key maps it onto its own cells.  A key is built only where it can hit:
+on a graded poset, over cellular elements only, and where the reduced
+Euler characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.
+It is read off the rows (`_sphere_key`): U.x is sorted once, each
+degree's run of sorted ids is its cells in `_cells` order, and the key
+is p, where each run starts, and each member's nonzero row in local
+indices, its place in its degree's run.  p is in the key because the
+verdict reads it.  The cells of U.x are listed only on a miss.  The
+gauge, the admissibility test and the mapping-cone branch still run
+per element, and only generators are stored: the models of other
+down-sets are freed per element, as they would pin far more memory.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -62,19 +68,21 @@ report speaks them, `space_complex` names its labels, and `epsilon` and
 `incidence` name the pass's rows, which `cellular_chain_complex` keeps.
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
-(A, B), given the ids of A - B alone: the pass's down-sets, its
-punctured down-sets and its once-check, which `_checked` turns into
-chain complexes, the theorem checks' sublevel and basic-set pairs
-(`_pair_homology`, which maps their names to ids), and `space_complex`,
-the model of the space without its augmentation cell, which
-`space_homology` and the hccat witness read.
+(A, B), given the ids of A - B alone: the down-sets the pass reduces,
+its memo misses and those off the memo, its punctured down-sets, which
+`_checked` turns into chain complexes, the theorem checks' sublevel and
+basic-set pairs (`_pair_homology`, which maps their names to ids), and
+`space_complex`, the model of the space without its augmentation cell,
+which `space_homology` and the hccat witness read.
 The order complex (`poset_homology`) stays the definition that
 `verify_cellular_agreement` checks it against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (
@@ -193,7 +201,10 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     reach: dict[int, frozenset[int]] = {}
     # H(U_x, U.x), the nontrivial degrees of H~(U.x) one degree up
     cone: dict[int, tuple] = {}
-    not_cellular: dict[int, HomologySummary] = {}
+    # the nontrivial degrees of H~(U.x) of each non-cellular x, and the
+    # witness text of each distinct one, formatted once
+    not_cellular: dict[int, tuple] = {}
+    texts: dict[tuple, str] = {(): f"strict down-set has {HomologySummary()}"}
     not_admissible: list[tuple[int, int]] = []
     # the generator, in local indices, of each sphere complex reduced so far
     spheres: dict[tuple, tuple[int, ...]] = {}
@@ -207,7 +218,7 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 # U.x has a maximum, so it is a cone: its model has no cells
                 eps[x] = []
                 if graded:
-                    not_cellular[x], cone[x] = HomologySummary(), ()
+                    not_cellular[x] = cone[x] = ()
                     # the exact sequence of (U.x, U.x - {w}) with H~(U.x) = 0
                     not_admissible += [(w, x) for w in lower if cone[w]]
                 continue
@@ -219,35 +230,35 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 reach[x], cone[x] = below, ((1, (1, ())),)
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
-            ranks, columns, labels = _cells(eps, degrees, below, reduced=True)
-            key = generator = None
-            if graded and over_cellular and sum(
-                    r if k % 2 == 0 else -r for k, r in ranks.items()) == (-1) ** (p - 1):
-                # the reduced Euler characteristic of a homology (p-1)-sphere
-                key = (p, tuple(ranks.items()), tuple(
-                    (k, tuple(tuple(column.items()) for column in cells))
-                    for k, cells in columns.items()))
-                generator = spheres.get(key)
+            members, key, generator = below, None, None
+            if graded and over_cellular:
+                members, key, top = _sphere_key(eps, degrees, below, p)
+                if key is not None:
+                    generator = spheres.get(key)
             if generator is None:
+                ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
                 reducer = _minimal_reducer(ranks, columns)
                 live = reducer.survivors()
                 if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
                     # the one cell's inclusion: a generator of the top cycles of U.x
-                    (chain,) = reducer.inclusions(p - 1, live[p - 1])
-                    generator = tuple(chain.get(i, 0) for i in range(ranks[p - 1]))
+                    (cycle,) = reducer.inclusions(p - 1, live[p - 1])
+                    generator = tuple(cycle.get(i, 0) for i in range(ranks[p - 1]))
+                    top = labels[p - 1]
                     if key is not None:
                         spheres[key] = generator
             if generator is not None:
-                eps[x], here = dict(zip(labels[p - 1], generator)), ((p - 1, (1, ())),)
+                eps[x], here = dict(zip(top, generator)), ((p - 1, (1, ())),)
             else:
                 eps[x], (model_ranks, model_columns) = _cone_cells(x, labels, reducer, live, eps)
                 if not graded:
                     continue
                 # a model with no differential is its own homology
-                not_cellular[x] = (_homology(model_ranks, model_columns)
-                                   if any(map(any, model_columns.values()))
-                                   else HomologySummary(model_ranks))
-                here = tuple(not_cellular[x].nontrivial().items())
+                summary = (_homology(model_ranks, model_columns)
+                           if any(map(any, model_columns.values()))
+                           else HomologySummary(model_ranks))
+                here = not_cellular[x] = tuple(summary.nontrivial().items())
+                if here not in texts:
+                    texts[here] = f"strict down-set has {summary}"
             cone[x] = tuple((k + 1, group) for k, group in here)
             if x in not_cellular or not over_cellular:
                 # the exact sequence of (U.x, U.x - {w}), as the module docstring says
@@ -267,13 +278,13 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
-        _checked(_cells(eps, degrees, eps.keys() & range(len(names)), reduced=True))
+        _check_rows(eps, degrees, eps.keys() & range(len(names)))
         raise
-    # d*d = 0 once, on every cell of the pass; the complex is not kept (peak RSS)
-    _checked(_cells(eps, degrees, range(len(names)), reduced=True))
+    # d*d = 0 once, on every cell of the pass, read off the rows themselves
+    _check_rows(eps, degrees, range(len(names)))
     if not graded:
         return None, eps
-    witnesses = [("not-cellular", names[x], f"strict down-set has {not_cellular[x]}")
+    witnesses = [("not-cellular", names[x], texts[not_cellular[x]])
                  for x in poset._by_declared(not_cellular)]
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
                   for w, x in sorted((names[w], names[x]) for w, x in not_admissible)]
@@ -307,6 +318,50 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     return cells, model
 
 
+def _sphere_key(eps: Rows, degrees: Sequence[int], below: frozenset[int],
+                p: int) -> tuple[list[int], tuple | None, list[int]]:
+    """The ids of U.x, sorted, for an x of degree p over cellular elements,
+    its memo key, and its cells in degree p-1.  Each member is a cell, and
+    each degree's run of sorted ids lists its cells in `_cells` order, so
+    the key, p, where each run starts and each member's nonzero row in
+    local indices (its place in its degree's run), is the input of the
+    sphere decision.  The key is None unless the reduced Euler
+    characteristic is (-1)^(p-1), as on every homology (p-1)-sphere."""
+    members = sorted(below)
+    cuts = [bisect_left(members, k, key=degrees.__getitem__) for k in range(p + 1)]
+    if sum((-1) ** k * (cuts[k + 1] - cuts[k]) for k in range(p)) - 1 != (-1) ** (p - 1):
+        return members, None, []
+    at = dict(zip(members, chain.from_iterable(range(cuts[k + 1] - cuts[k]) for k in range(p))))
+    key = (p, tuple(cuts), tuple(tuple((at[w], e) for w, e in eps[c].items() if e)
+                                 for c in members[cuts[1]:]))
+    return members, key, members[cuts[p - 1]:]
+
+
+def _check_rows(eps: Rows, degrees: Sequence[int], members: Iterable[int]) -> None:
+    """d*d = 0 on the cells of the ids `members`, each row times its cells'
+    rows, as `_checked` finds it on `_cells(eps, degrees, members,
+    reduced=True)`, degree-0 cells mapping onto the augmentation: a
+    failure raises InconsistentIncidence."""
+    for e in members:
+        owned = eps[e]
+        for p, row in ([(degrees[e], owned)] if isinstance(owned, dict)
+                       else [(cell[1], eps[cell]) for cell in owned]):
+            if p == 1:
+                bad = sum(row.values())
+            elif p > 1:
+                image: dict[Hashable, int] = {}
+                for w, v in row.items():
+                    if v:
+                        for u, t in eps[w].items():
+                            image[u] = image.get(u, 0) + v * t
+                bad = any(image.values())
+            else:
+                continue
+            if bad:
+                raise InconsistentIncidence(
+                    f"cellular differential fails d*d=0: d_{p - 1} . d_{p} != 0")
+
+
 def _checked(cells: tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]) -> ChainComplex:
     """The chain complex of `_cells`; a d*d failure can only come from the
     incidences, so it raises InconsistentIncidence."""
@@ -320,9 +375,11 @@ def _cells(eps: Rows, degrees: Sequence[int], members: Iterable[int],
            reduced: bool = False) -> tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]:
     """The ranks, boundary columns and labels of the cells of the ids
     `members`, A - B for a down-closed pair (A, B), unchecked: by degree,
-    in id order, each with its row of `eps`, less the cells outside, as
-    boundary.  With reduced=True (B empty) an augmentation slot
-    C_{-1} = Z is added, onto which every degree-0 cell maps."""
+    in id order, each with its nonzero row of `eps`, less the cells
+    outside, as boundary.  With reduced=True (B empty) an augmentation
+    slot C_{-1} = Z is added, onto which every degree-0 cell maps.  The
+    pass's memo key (`_sphere_key`) and its check of d*d (`_check_rows`)
+    read the rows in this layout without listing them."""
     levels: dict[int, list[Hashable]] = {}
     for e in sorted(members):
         if isinstance(eps[e], dict):
@@ -369,25 +426,31 @@ def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],
     x or the flag's next name above steps to it, and it steps to the
     flag's next name below."""
     flag: list[int | None] = [None] * p
-    found = 0
+    # the flag's nearest name above and below each open degree
+    up: list[int] = [x] * p
+    down: list[int | None] = [None] * p
+    found = odd = 0
     for v in sorted(reach[x], key=rank.__getitem__):
         d = degrees[v]
         if flag[d] is not None:
             continue
-        top = next((w for w in flag[d + 1:] if w is not None), x)
-        bottom = next((w for w in reversed(flag[:d]) if w is not None), None)
+        top, bottom = up[d], down[d]
         if v in reach[top] and (bottom is None or bottom in reach[v]):
             flag[d] = v
+            # the names below v in the flag so far all sort before it
+            odd ^= (d - flag[:d].count(None)) & 1
+            lo = -1 if bottom is None else degrees[bottom]
+            up[lo + 1:d] = [v] * (d - lo - 1)
+            down[d + 1:degrees[top]] = [v] * (degrees[top] - d - 1)
             found += 1
             if found == p:
                 break
     else:
         raise ConsistencyError(f"no full flag below {names[x]!r} along nonzero incidences")
     # each name's sign is (-1)^(names before it among those still below)
-    coeff, top = 1, x
-    for d in range(p - 1, -1, -1):
-        w = flag[d]
-        coeff *= (-1) ** sum(rank[v] < rank[w] for v in flag[:d]) * eps[top][w]
+    coeff, top = -1 if odd else 1, x
+    for w in reversed(flag):
+        coeff *= eps[top][w]
         top = w
     return 1 if coeff > 0 else -1
 

@@ -85,10 +85,6 @@ class SimplicialComplex:
         return sum((-1) ** d * len(s) for d, s in self.simplices.items())
 
 
-def simplex_id(simplex: Sequence[str]) -> str:
-    return "|".join(sorted(simplex))
-
-
 def parse_simplicial_complex(text: str) -> SimplicialComplex:
     """One maximal simplex per nonempty line, vertices whitespace-separated."""
     maximal = []
@@ -114,8 +110,8 @@ def face_poset(complex: SimplicialComplex) -> Poset:
     Simplices are declared by dimension, then in sorted order, which is
     already the order of the poset's ids, so the core is handed over as
     it is: the codimension-1 faces are the covers, the dimensions the
-    heights.  Each simplex is already sorted, so its name, its
-    `simplex_id`, is its vertices joined by `|`."""
+    heights.  Each simplex is already sorted, and its name is its
+    vertices joined by `|`."""
     simplices = [s for d in sorted(complex.simplices) for s in complex.simplices[d]]
     ids = {s: i for i, s in enumerate(simplices)}
     lower = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] if len(s) > 1 else ()

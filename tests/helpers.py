@@ -86,7 +86,7 @@ from posetmorse.morse import (
 )
 from posetmorse.randgen import XorShift64Star, random_matching
 from posetmorse.intmatrix import Column
-from posetmorse.simplicial import Simplex, simplex_id
+from posetmorse.simplicial import Simplex
 from posetmorse.snf import SmithDecomposition, diagonal_form, kernel_basis, smith_normal_form
 
 
@@ -1389,6 +1389,11 @@ def name_keyed_load_poset(text: str) -> tuple[NameKeyedPoset, bool]:
         elements, relations = name_keyed_poset_lines(text)
     poset = name_keyed_build_poset(elements, relations)
     return poset, not set(relations) <= poset.covers
+
+
+def simplex_id(simplex: Sequence[str]) -> str:
+    """The name `face_poset` gives a simplex: its sorted vertices joined by `|`."""
+    return "|".join(sorted(simplex))
 
 
 def name_keyed_face_poset(complex: SimplicialComplex) -> NameKeyedPoset:

@@ -1,6 +1,7 @@
 """The reducer builds inclusions only for the cells that survive, and the
-cellularity pass reduces each strict down-set straight from its rows and
-checks d*d once, on the whole reduced complex.
+cellularity pass reduces each strict down-set straight from its rows,
+lists the cells only of the down-sets it reduces, and checks d*d once, on
+the rows of the whole reduced complex.
 
 Both are checked bit for bit, dict order included, against the forms
 they replace, kept in `helpers`: `EagerReducer`, which updates every
@@ -10,6 +11,7 @@ Pivots follow the order of the columns' entries, so equal order is what
 keeps the mapping-cone cells of non-cellular posets the same."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,15 @@ from posetmorse import (
     space_homology,
     subdivision,
 )
-from posetmorse.cellular import _degree_induction, space_complex
+from posetmorse.cellular import (
+    _cells,
+    _check_rows,
+    _degree_induction,
+    _sphere_key,
+    space_complex,
+)
 from posetmorse.dynamics import is_morse_matching
-from posetmorse.errors import InconsistentIncidence
+from posetmorse.errors import InconsistentIncidence, NotAChainComplex
 from posetmorse.formats import load_complex, load_poset
 from posetmorse.homology import _Reducer, minimal_model, morse_reduction
 from posetmorse.randgen import (
@@ -174,10 +182,21 @@ def fixtures():
                           else face_poset(load_complex(text)))
 
 
+def relabelled(rng: XorShift64Star, poset: Poset) -> Poset:
+    """The poset with its names shuffled: the gauges compare names, so the
+    signs of equal-shaped down-sets' rows then differ in local indices."""
+    rename = dict(zip(poset.elements, rng.shuffle(list(poset.elements))))
+    return Poset([rename[e] for e in poset.elements],
+                 [(rename[w], rename[x]) for w, x in poset.covers])
+
+
 def sample_posets():
     yield from fixtures()
     yield "sd2 RP^2", sd2_rp2()
     yield "boundary of the 5-simplex", face_poset(sphere(5))
+    yield "relabelled sd2 RP^2", relabelled(XorShift64Star(2013), sd2_rp2())
+    yield "relabelled boundary of the 5-simplex", relabelled(XorShift64Star(2014),
+                                                             face_poset(sphere(5)))
     rng = XorShift64Star(2012)
     # levels of 60, each element covering 1 to 3 one level down: about a
     # third of the elements above the bottom cover only one
@@ -198,56 +217,152 @@ def _plain(rows):
     return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
 
 
+def _memo_hits(poset, rows, walked: list[int]) -> set[int]:
+    """The walked ids whose down-set takes a stored sphere generator: on a
+    graded poset, over cellular elements only, with the reduced Euler
+    characteristic of a (p-1)-sphere, the same degree, ranks and boundary
+    columns (from the final rows: each row is final once its element is
+    walked) as an earlier such down-set that was a sphere."""
+    hits, spheres, degrees, down = set(), set(), poset._height, poset._reach()
+    if not poset.is_graded():
+        return hits
+    for x in walked:
+        p, below = degrees[x], down[x]
+        if not all(isinstance(rows[w], dict) for w in below):
+            continue
+        ranks, columns, _ = _cells(rows, degrees, below, reduced=True)
+        if sum(r if k % 2 == 0 else -r for k, r in ranks.items()) != (-1) ** (p - 1):
+            continue
+        key = (p, tuple(ranks.items()), tuple(
+            (k, tuple(tuple(column.items()) for column in cells)) for k, cells in columns.items()))
+        if key in spheres:
+            hits.add(x)
+        elif isinstance(rows[x], dict):
+            spheres.add(key)
+    return hits
+
+
 def test_pass_equals_the_per_down_set_reference(monkeypatch):
     cellular = sys.modules["posetmorse.cellular"]
-    listed, reduced, cones = [], [], []
+    calls = []
 
-    def spy(name, calls):
+    def spy(name):
         real = getattr(cellular, name)
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((name, args))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cellular, name, counted)
 
-    spy("_cells", listed)
-    spy("_minimal_reducer", reduced)
-    spy("_cone_cells", cones)
+    for name in ("_cells", "_minimal_reducer", "_cone_cells"):
+        spy(name)
     seen, branches = set(), {"contractible": 0, "0-sphere": 0, "memo hit": 0, "mapping cone": 0}
     for name, poset in sample_posets():
-        for calls in (listed, reduced, cones):
-            calls.clear()
-        report, rows = _degree_induction(poset)
+        calls.clear()
+        report, id_rows = _degree_induction(poset)
         # the pass keys its rows by id
-        rows = named_rows(poset, rows)
-        # the down-sets the walk listed, by identity: the pass lists ids
-        down_sets = {id(args[2]) for args in listed}
+        rows = named_rows(poset, id_rows)
         expected_report, expected_rows = reference_cellular_pass(poset)
         assert report == expected_report, name
         assert _plain(rows) == _plain(expected_rows), name
         seen.add(name)
-        walked = 0
-        for x in poset.elements:
-            lower = poset.lower_covers(x)
+        walked = []
+        for x, lower in enumerate(poset._lower):
             if len(lower) == 1:
-                kind = "contractible"
-            elif len(lower) == 2 and poset.is_graded() and poset.height(x) == 1:
-                kind = "0-sphere"
+                branches["contractible"] += 1
+            elif len(lower) == 2 and poset.is_graded() and poset._height[x] == 1:
+                branches["0-sphere"] += 1
             elif lower:
-                kind, walked = None, walked + 1
-            else:
-                continue
-            # a shortcut lists no cells of its down-set; every other element does
-            below = poset._reach()[poset.height_order()[x]]
-            assert (id(below) in down_sets) == (kind is None), (name, x)
-            if kind:
-                branches[kind] += 1
-        branches["memo hit"] += walked - len(reduced)
-        branches["mapping cone"] += len(cones)
+                walked.append(x)
+        # every reduction lists its down-set's cells just before, and every
+        # other listing is a punctured down-set: a shortcut and a memo hit
+        # list nothing
+        called = [fn for fn, _ in calls]
+        listed = [(frozenset(args[2]), then == "_minimal_reducer")
+                  for (fn, args), then in zip(calls, called[1:] + [None]) if fn == "_cells"]
+        reduced = [members for members, reduces in listed if reduces]
+        assert len(reduced) == called.count("_minimal_reducer"), name
+        down = poset._reach()
+        hits = _memo_hits(poset, id_rows, walked)
+        assert Counter(reduced) == Counter(down[x] for x in walked if x not in hits), name
+        punctured = {down[x] - {w} for x in walked for w in poset._lower[x]}
+        assert all(members in punctured for members, reduces in listed if not reduces), name
+        branches["memo hit"] += len(hits)
+        branches["mapping cone"] += called.count("_cone_cells")
     assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2", "rand-like",
             "boundary of the 5-simplex"} <= seen
     assert all(branches.values()), branches
+
+
+def _corrupted(rng: XorShift64Star, row: dict, kind: str, lower: tuple) -> dict:
+    """`row` with one entry flipped, doubled or zeroed, or with a spurious
+    entry on a cell of `lower`, the cells one degree down."""
+    row = dict(row)
+    w = rng.choice(list(row))
+    if kind == "flip":
+        row[w] = -row[w]
+    elif kind == "double":
+        row[w] *= 2
+    elif kind == "zero":
+        row[w] = 0
+    else:
+        row[rng.choice([u for u in lower if u not in row] or [w])] = rng.choice((1, -1, 2))
+    return row
+
+
+def test_the_row_check_agrees_with_the_complex_check():
+    rng = XorShift64Star(2029)
+    outcomes = Counter()
+    for name, poset in sample_posets():
+        _, rows = _degree_induction(poset)
+        degrees, ids = poset._height, range(len(poset))
+        labels = _cells(rows, degrees, ids, reduced=True)[2]
+        cells = [(p, c) for p, level in labels.items() if p > 0 for c in level if rows[c]]
+        for kind in ["none"] + [rng.choice(("flip", "double", "zero", "spurious"))
+                                for _ in range(min(8, len(cells)))]:
+            if kind == "none":
+                row = c = None
+            else:
+                p, c = rng.choice(cells)
+                row, rows[c] = rows[c], _corrupted(rng, rows[c], kind, labels[p - 1])
+            try:
+                ChainComplex(*_cells(rows, degrees, ids, reduced=True))
+                expected = False
+            except NotAChainComplex:
+                expected = True
+            try:
+                _check_rows(rows, degrees, ids)
+                raised = False
+            except InconsistentIncidence:
+                raised = True
+            assert raised == expected, (name, kind, c)
+            outcomes[kind, raised] += 1
+            if row is not None:
+                rows[c] = row
+        # equal memo keys stand for equal complexes, laid out as `_cells` lays them
+        if poset.is_graded():
+            complexes, keyed = {}, 0
+            for x, below in enumerate(poset._reach()):
+                if degrees[x] < 1 or not all(isinstance(rows[w], dict) for w in below):
+                    continue
+                members, key, top = _sphere_key(rows, degrees, below, degrees[x])
+                ranks, columns, layout = _cells(rows, degrees, below, reduced=True)
+                assert members == sorted(below)
+                if key is None:
+                    continue
+                assert top == list(layout[degrees[x] - 1]), (name, x)
+                bits = (list(ranks.items()),
+                        [(k, [list(column.items()) for column in cells])
+                         for k, cells in columns.items()])
+                assert complexes.setdefault(key, bits) == bits, (name, x)
+                keyed += 1
+            outcomes["shared keys"] += keyed - len(complexes)
+    assert outcomes["none", False] >= 50 and not outcomes["none", True], outcomes
+    assert all(outcomes[kind, True] >= 20 for kind in ("flip", "double", "zero", "spurious"))
+    # some corruptions keep d*d = 0, and both checks pass them
+    assert sum(outcomes[kind, False] for kind in ("flip", "double", "zero", "spurious"))
+    assert outcomes["shared keys"] >= 500, outcomes
 
 
 def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
@@ -262,8 +377,8 @@ def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
     for poset in (sd2_rp2(), face_poset(sphere(5))):
         built.clear()
         assert check_cellularity(poset).is_cellular
-        # O(1), not one or two per element: only the check of d*d
-        assert len(built) == 1, len(built)
+        # none, not one or two per element: d*d is checked on the rows
+        assert not built, len(built)
 
 
 def test_check_cellularity_reduces_each_distinct_sphere_once(monkeypatch):
@@ -304,22 +419,23 @@ def test_up_sets_are_the_transposed_down_sets():
                 x for x in poset.elements if e in poset.strictly_below(x)}
 
 
-def _corrupting(monkeypatch, poset, element: str, corrupt) -> list[str]:
+def _corrupting(monkeypatch, poset, element: str, corrupt, hook: str = "_check_rows") -> list[str]:
     """Make the pass corrupt the row of `element` once it is computed: at
-    the next listing of cells, which reads every row, in a later down-set
-    or in the check after the walk.  The pass keys its rows by id.
-    Returns the elements corrupted."""
+    the next call of `hook`, `_check_rows` (the check of d*d on the rows,
+    after the walk or on the rows so far) or `_cells` (the listing of a
+    later down-set's cells), both of which take the rows first.  The pass
+    keys its rows by id.  Returns the elements corrupted."""
     cellular = sys.modules["posetmorse.cellular"]
-    real, done = cellular._cells, []
+    real, done = getattr(cellular, hook), []
     key = poset.height_order()[element]
 
-    def cells(eps, degrees, members, *args, **kwargs):
+    def hooked(eps, degrees, members, *args, **kwargs):
         if key in eps and not done:
             corrupt(eps[key])
             done.append(element)
         return real(eps, degrees, members, *args, **kwargs)
 
-    monkeypatch.setattr(cellular, "_cells", cells)
+    monkeypatch.setattr(cellular, hook, hooked)
     return done
 
 
@@ -378,7 +494,7 @@ def test_a_corrupted_row_read_by_later_down_sets_fails_the_check(monkeypatch, co
         w = next(iter(row))
         row[w] = -row[w] if corrupt == "flip" else 2 * row[w]
 
-    done = _corrupting(monkeypatch, poset, edge, bad)
+    done = _corrupting(monkeypatch, poset, edge, bad, hook="_cells")
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [edge]

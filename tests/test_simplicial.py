@@ -15,9 +15,9 @@ from posetmorse import (
 )
 from posetmorse.errors import EmptyComplex, MalformedLine
 from posetmorse.randgen import XorShift64Star, random_graded_poset
-from posetmorse.simplicial import SimplicialComplex, serialize_simplicial_complex, simplex_id
+from posetmorse.simplicial import SimplicialComplex, serialize_simplicial_complex
 
-from helpers import maximal_elements
+from helpers import maximal_elements, simplex_id
 
 
 def test_parse_triangle_boundary(triangle_boundary):
