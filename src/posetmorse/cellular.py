@@ -69,11 +69,13 @@ report speaks them, `space_complex` names its labels, and `epsilon` and
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given the ids of A - B alone: the down-sets the pass reduces,
-its memo misses and those off the memo, its punctured down-sets, which
-`_checked` turns into chain complexes, the theorem checks' sublevel and
-basic-set pairs (`_pair_homology`, which maps their names to ids), and
-`space_complex`, the model of the space without its augmentation cell,
-which `space_homology` and the hccat witness read.
+its memo misses and those off the memo, its punctured down-sets, the
+theorem checks' sublevel and basic-set pairs (`_pair_homology`, which
+maps their names to ids), and `space_complex`, the model of the space
+without its augmentation cell, which `space_homology` and the hccat
+witness read.  The rows are checked once, by `_check_rows`: the pairs
+and punctured down-sets go to the homology engine as ranks and columns,
+and only the space's complex, which callers keep, is a ChainComplex.
 The order complex (`poset_homology`) stays the definition that
 `verify_cellular_agreement` checks it against.
 """
@@ -88,7 +90,6 @@ from typing import Hashable, Iterable, Sequence
 from .errors import (
     ConsistencyError,
     EmptyPoset,
-    NotAChainComplex,
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
     NotAdmissible,
@@ -261,11 +262,11 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                     texts[here] = f"strict down-set has {summary}"
             cone[x] = tuple((k + 1, group) for k, group in here)
             if x in not_cellular or not over_cellular:
-                # the exact sequence of (U.x, U.x - {w}), as the module docstring says
+                # the exact sequence of (U.x, U.x - {w}), as the module docstring says;
+                # x has another lower cover, so U.x - {w} keeps a cell in degree 0
                 not_admissible += [
-                    (w, x) for w in lower if cone[w] != here or here and not homology(
-                        _checked(_cells(eps, degrees, below - {w}, reduced=True))
-                    ).is_trivial()]
+                    (w, x) for w in lower if cone[w] != here or here and not _homology(
+                        *_cells(eps, degrees, below - {w}, reduced=True)[:2]).is_trivial()]
                 continue
             steps = [w for w in lower if eps[x][w]]
             # shares the down-set where every step has nonzero incidence, as on
@@ -339,9 +340,9 @@ def _sphere_key(eps: Rows, degrees: Sequence[int], below: frozenset[int],
 
 def _check_rows(eps: Rows, degrees: Sequence[int], members: Iterable[int]) -> None:
     """d*d = 0 on the cells of the ids `members`, each row times its cells'
-    rows, as `_checked` finds it on `_cells(eps, degrees, members,
-    reduced=True)`, degree-0 cells mapping onto the augmentation: a
-    failure raises InconsistentIncidence."""
+    rows, as the ChainComplex constructor finds it on `_cells(eps, degrees,
+    members, reduced=True)`, degree-0 cells mapping onto the augmentation:
+    a failure raises InconsistentIncidence, the only place that does."""
     for e in members:
         owned = eps[e]
         for p, row in ([(degrees[e], owned)] if isinstance(owned, dict)
@@ -360,15 +361,6 @@ def _check_rows(eps: Rows, degrees: Sequence[int], members: Iterable[int]) -> No
             if bad:
                 raise InconsistentIncidence(
                     f"cellular differential fails d*d=0: d_{p - 1} . d_{p} != 0")
-
-
-def _checked(cells: tuple[dict[int, int], dict[int, list[dict]], dict[int, tuple]]) -> ChainComplex:
-    """The chain complex of `_cells`; a d*d failure can only come from the
-    incidences, so it raises InconsistentIncidence."""
-    try:
-        return ChainComplex(*cells)
-    except NotAChainComplex as exc:
-        raise InconsistentIncidence(f"cellular differential fails d*d=0: {exc}") from exc
 
 
 def _cells(eps: Rows, degrees: Sequence[int], members: Iterable[int],
@@ -412,9 +404,10 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str],
 
 def _pair_homology(poset: Poset, cells: Iterable[str]) -> HomologySummary:
     """`cellular_pair_homology` of a pair down-closed by construction, from
-    A - B, a locally closed set of names."""
+    A - B, a locally closed set of names: its cells' ranks and columns,
+    read off the pass's checked rows, go to the engine unchecked."""
     ids = map(poset._id.__getitem__, cells)
-    return homology(_checked(_cells(_walked(poset)[1], poset._height, ids)))
+    return _homology(*_cells(_walked(poset)[1], poset._height, ids)[:2])
 
 
 def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],
@@ -510,8 +503,9 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     """The cellular chain complex of the poset, with the incidence numbers
     of the cellularity pass.
 
-    Validates d*d = 0 and, on homologically admissible posets, that every
-    incidence number is +-1.
+    The pass has checked d*d = 0 on its rows, and the space complex's
+    constructor checks it again; this validates, on homologically
+    admissible posets, that every incidence number is +-1.
     """
     cached = poset.analysis_cache.get("cellular_complex")
     if cached is not None:
@@ -540,11 +534,11 @@ def space_complex(poset: Poset) -> ChainComplex:
 
 
 def _space(poset: Poset, eps: Rows) -> ChainComplex:
-    """The checked complex of every cell of the rows `eps`, its labels named."""
+    """The chain complex of every cell of the rows `eps`, its labels named."""
     ranks, columns, labels = _cells(eps, poset._height, range(len(poset)))
     names = poset._names
-    return _checked((ranks, columns, {
-        p: tuple([_named(names, c) for c in cells]) for p, cells in labels.items()}))
+    return ChainComplex(ranks, columns, {
+        p: tuple([_named(names, c) for c in cells]) for p, cells in labels.items()})
 
 
 def space_homology(poset: Poset, reduced: bool = False) -> HomologySummary:

@@ -56,7 +56,6 @@ from posetmorse.cellular import (
     CellularComplexOfPoset,
     CellularityReport,
     _cells,
-    _checked,
     _named,
     _walked,
     cellular_chain_complex,
@@ -1039,8 +1038,8 @@ def name_keyed_cellular_complex(poset: Poset, eps: dict, members,
             rows[to_id(cell)] = ([to_id(c) for c in row] if isinstance(row, list)
                                  else {to_id(w): v for w, v in row.items()})
     ranks, columns, labels = _cells(rows, poset._height, [ident[e] for e in members], reduced)
-    return _checked((ranks, columns, {
-        p: tuple(_named(names, c) for c in cells) for p, cells in labels.items()}))
+    return ChainComplex(ranks, columns, {
+        p: tuple(_named(names, c) for c in cells) for p, cells in labels.items()})
 
 
 # -- The name-keyed poset construction: the library's `Poset`, `build_poset`

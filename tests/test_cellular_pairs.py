@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from posetmorse import (
+    ChainComplex,
     MorseBottFunction,
     Poset,
     SimplicialComplex,
@@ -214,6 +215,42 @@ def test_pair_homology_rejects_bad_pairs(t3):
     assert cellular_pair_homology(t3, ["v1", "v2", "e12"], ["v1", "v2"]).nontrivial() == {
         1: (1, ())}
     assert cellular_pair_homology(t3, []).is_trivial()
+
+
+@pytest.mark.parametrize("space", ["t3", "sd2 RP^2"])
+def test_theorem_checks_build_no_complex_per_pair(space, monkeypatch):
+    """The Morse-Bott numbers, the window lemma and the sweep build no
+    ChainComplex: each basic set and each gap goes from the pass's checked
+    rows straight to the engine.  The Lusternik-Schnirelmann check builds
+    two, the space complex and the flow's Morse complex."""
+    def runs():
+        # a fresh poset per check, so that no check reads another's cache
+        if space == "t3":
+            poset = _load("t3_poset.txt", "poset")
+            return poset, parse_matching_text(poset, (DATA / "t3_matching_m2.txt").read_text())
+        poset = subdivision(subdivision(_load("rp2_6.txt", "simplicial")))
+        # the matching of `gen --kind matching --seed 3` on it
+        return poset, random_matching(XorShift64Star(3), poset)
+
+    built = []
+    real = ChainComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counted)
+    checks = [
+        (morse_bott_numbers, 0),
+        (lemma_basic_set_window, 0),
+        (lambda poset, matching: filtration_sweep(poset, integrate_matching(poset, matching)), 0),
+        (ls_theorem_check, 2),
+    ]
+    for check, expected in checks:
+        poset, matching = runs()
+        built.clear()
+        check(poset, matching)
+        assert len(built) == expected, (check, len(built))
 
 
 def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):

@@ -374,11 +374,18 @@ def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(ChainComplex, "__init__", counted)
-    for poset in (sd2_rp2(), face_poset(sphere(5))):
+    kinds = Counter()
+    for name, poset in sample_posets():
         built.clear()
-        assert check_cellularity(poset).is_cellular
-        # none, not one or two per element: d*d is checked on the rows
-        assert not built, len(built)
+        report = check_cellularity(poset)
+        # the pass itself, uncached, which the report of an ungraded poset skips
+        _degree_induction(poset)
+        # none, not one or two per element nor one per punctured down-set:
+        # d*d is checked on the rows, and every cut of them goes to the engine
+        assert not built, (name, len(built))
+        kinds[report.is_graded, report.is_cellular, report.is_homologically_admissible] += 1
+    # admissible, non-cellular (so not admissible) and ungraded posets all ran
+    assert kinds.keys() == {(True, True, True), (True, False, False), (False, False, False)}, kinds
 
 
 def test_check_cellularity_reduces_each_distinct_sphere_once(monkeypatch):
