@@ -22,7 +22,7 @@ which decides nothing there.  The reducer takes the raw cells of U.x,
 unchecked, and builds only the inclusions it is asked for: the
 generator, or on the mapping-cone branch those of its surviving cells,
 whose cone cells and H~(U.x) are read straight off it.  d*d = 0 is
-checked once, after the walk, on the rows themselves, and no complex of
+checked once, after the walk, on the rows it built, and no complex of
 the whole pass is built: each cell's row, every cone cell included,
 times the rows of its cells, degree-0 cells mapping onto the
 augmentation as in the reduced complex.  Restricted to the cells of a
@@ -59,6 +59,19 @@ walk over the sorted names, has a positive coefficient,
 (-1)^(names before w) * eps(x, w) times the coefficient of the rest of
 the flag in w's generator, w its top element.
 
+A maximal x without a memo key, over a non-cellular element or with an
+Euler characteristic no sphere has, is decided by excision too: the
+down-set U_w of the lower cover w with the largest down-set has the
+maximum w, so it is a cone, and the exact sequence of the pair (U.x,
+U_w) gives H~(U.x) = H(U.x, U_w), read off the cells of U.x - U_w alone.
+x is its own cell exactly when that is Z in degree p-1 and nothing
+else, and its witness text and its covers' admissibility follow as
+above.  No down-set reads the rows of x, so a pass that
+`check_cellularity` starts defers them (`_walked`): `space_complex`
+builds them on first call, from the minimal model of U.x as the walk
+builds those it reduces, and checks d*d on them before it assembles.
+A pass that `space_complex` starts builds every row directly.
+
 The pass walks the poset's int core (`posets`): ids run in height
 order, so a down-set lists its cells by sorting its ids with no key, and
 the rows of the pass are keyed by ids, the only keying of the chain
@@ -70,6 +83,7 @@ report speaks them, `space_complex` names its labels, and `epsilon` and
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given the ids of A - B alone: the down-sets the pass reduces,
 its memo misses and those off the memo, its punctured down-sets, the
+pairs (U.x, U_w) of the maximal elements it decides by excision, the
 theorem checks' sublevel and basic-set pairs (`_pair_homology`, which
 maps their names to ids), and `space_complex`, the model of the space
 without its augmentation cell, which `space_homology` and the hccat
@@ -178,25 +192,34 @@ def check_cellularity(poset: Poset) -> CellularityReport:
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _walked(poset: Poset) -> tuple[CellularityReport | None, Rows]:
+def _walked(poset: Poset, complete: bool = False) -> tuple[CellularityReport | None, Rows]:
     """The pass, cached: its report (graded posets only) and its rows,
-    keyed by ids."""
+    keyed by ids.  A pass that `check_cellularity` starts defers the rows
+    of the maximal elements it decides by excision, which no other
+    element's down-set reads; complete=True, which `space_complex` asks
+    for, builds and checks them on first call, and a pass it starts
+    builds every row directly."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None:
-        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset)
-    return cached
+        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset, defer=not complete)
+    report, eps, deferred = cached
+    if complete and deferred:
+        _complete(poset, eps, deferred)
+    return report, eps
 
 
-def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
-    """The pass, on the poset's ids: the report, in names, and the rows,
-    keyed by ids."""
+def _degree_induction(poset: Poset, defer: bool = False
+                      ) -> tuple[CellularityReport | None, Rows, list[int]]:
+    """The pass, on the poset's ids: the report, in names, the rows, keyed
+    by ids, and the maximal elements whose rows it deferred (defer=True)."""
     graded, degrees, names = poset.is_graded(), poset._height, poset._names
-    lower_covers, down = poset._lower, poset._reach()
+    lower_covers, upper_covers, down = poset._lower, poset._upper, poset._reach()
     # each id's place among the sorted names, which the two gauges compare
     rank = [0] * len(names)
     for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
         rank[i] = r
     eps: Rows = {}
+    deferred: list[int] = []
     # reach[x]: the elements below x along covers of nonzero incidence, on
     # the cellular x over cellular elements only, which take the gauge
     reach: dict[int, frozenset[int]] = {}
@@ -231,32 +254,37 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
                 reach[x], cone[x] = below, ((1, (1, ())),)
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
-            members, key, generator = below, None, None
+            members, key, generator, summary = below, None, None, None
             if graded and over_cellular:
                 members, key, top = _sphere_key(eps, degrees, below, p)
                 if key is not None:
                     generator = spheres.get(key)
-            if generator is None:
-                ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
-                reducer = _minimal_reducer(ranks, columns)
-                live = reducer.survivors()
-                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
-                    # the one cell's inclusion: a generator of the top cycles of U.x
-                    (cycle,) = reducer.inclusions(p - 1, live[p - 1])
-                    generator = tuple(cycle.get(i, 0) for i in range(ranks[p - 1]))
-                    top = labels[p - 1]
+            if key is None and defer and graded and not upper_covers[x]:
+                # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
+                deferred.append(x)
+                w = max(lower, key=lambda v: len(down[v]))
+                summary = _homology(*_cells(eps, degrees, below - down[w] - {w})[:2])
+                if summary.nontrivial() == {p - 1: (1, ())}:
+                    summary = None
+            elif generator is None:
+                generator, found = _reduced(x, p, graded, eps, degrees, members)
+                if generator is not None:
+                    top = found
                     if key is not None:
                         spheres[key] = generator
-            if generator is not None:
-                eps[x], here = dict(zip(top, generator)), ((p - 1, (1, ())),)
-            else:
-                eps[x], (model_ranks, model_columns) = _cone_cells(x, labels, reducer, live, eps)
-                if not graded:
+                elif not graded:
                     continue
-                # a model with no differential is its own homology
-                summary = (_homology(model_ranks, model_columns)
-                           if any(map(any, model_columns.values()))
-                           else HomologySummary(model_ranks))
+                else:
+                    # a model with no differential is its own homology
+                    model_ranks, model_columns = found
+                    summary = (_homology(model_ranks, model_columns)
+                               if any(map(any, model_columns.values()))
+                               else HomologySummary(model_ranks))
+            if generator is not None:
+                eps[x] = dict(zip(top, generator))
+            if summary is None:
+                here = ((p - 1, (1, ())),)
+            else:
                 here = not_cellular[x] = tuple(summary.nontrivial().items())
                 if here not in texts:
                     texts[here] = f"strict down-set has {summary}"
@@ -279,12 +307,12 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
-        _check_rows(eps, degrees, eps.keys() & range(len(names)))
+        _check_rows(eps, degrees, filter(eps.__contains__, range(len(names))))
         raise
     # d*d = 0 once, on every cell of the pass, read off the rows themselves
-    _check_rows(eps, degrees, range(len(names)))
+    _check_rows(eps, degrees, filter(eps.__contains__, range(len(names))))
     if not graded:
-        return None, eps
+        return None, eps, deferred
     witnesses = [("not-cellular", names[x], texts[not_cellular[x]])
                  for x in poset._by_declared(not_cellular)]
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
@@ -293,7 +321,46 @@ def _degree_induction(poset: Poset) -> tuple[CellularityReport | None, Rows]:
     # admissibility forces cellularity (with the empty set not acyclic)
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
-    return CellularityReport(True, cellular, admissible, tuple(witnesses)), eps
+    return CellularityReport(True, cellular, admissible, tuple(witnesses)), eps, deferred
+
+
+def _reduced(x: int, p: int, graded: bool, eps: Rows, degrees: Sequence[int],
+             members: Iterable[int]) -> tuple[tuple[int, ...] | None, tuple]:
+    """Reduce the cells of U.x, the ids `members`.  Where they model a
+    homology (p-1)-sphere on a graded poset, returns x's generator, in
+    local indices, and the cells of U.x in degree p-1 it lives on; else
+    puts x's mapping-cone cells in `eps` and returns None and their
+    model's ranks and boundary columns."""
+    ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
+    reducer = _minimal_reducer(ranks, columns)
+    live = reducer.survivors()
+    if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+        # the one cell's inclusion: a generator of the top cycles of U.x
+        (cycle,) = reducer.inclusions(p - 1, live[p - 1])
+        return tuple(cycle.get(i, 0) for i in range(ranks[p - 1])), labels[p - 1]
+    eps[x], model = _cone_cells(x, labels, reducer, live, eps)
+    return None, model
+
+
+def _complete(poset: Poset, eps: Rows, deferred: list[int]) -> None:
+    """Build the rows the pass deferred as its walk builds those it
+    reduces, and check d*d on them before any reader sees them: on a
+    failure they are taken out again and stay deferred."""
+    degrees, down = poset._height, poset._reach()
+    try:
+        for x in deferred:
+            generator, top = _reduced(x, degrees[x], True, eps, degrees, down[x])
+            if generator is not None:
+                eps[x] = dict(zip(top, generator))
+        _check_rows(eps, degrees, deferred)
+    except Exception:
+        for x in deferred:
+            owned = eps.pop(x, None)
+            if isinstance(owned, list):
+                for cell in owned:
+                    del eps[cell]
+        raise
+    deferred.clear()
 
 
 def _named(names: Sequence[str], cell: int | tuple[int, int, int]):
@@ -405,7 +472,8 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str],
 def _pair_homology(poset: Poset, cells: Iterable[str]) -> HomologySummary:
     """`cellular_pair_homology` of a pair down-closed by construction, from
     A - B, a locally closed set of names: its cells' ranks and columns,
-    read off the pass's checked rows, go to the engine unchecked."""
+    read off the pass's checked rows, go to the engine unchecked.  Its
+    callers require a cellular poset, whose pass defers no row."""
     ids = map(poset._id.__getitem__, cells)
     return _homology(*_cells(_walked(poset)[1], poset._height, ids)[:2])
 
@@ -526,10 +594,13 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
 
 def space_complex(poset: Poset) -> ChainComplex:
     """The chain model of the space, built once per poset: the cells of the
-    pass without the augmentation cell, the cellular complex if cellular."""
+    pass without the augmentation cell, the cellular complex if cellular.
+    The rows of the maximal elements that a pass `check_cellularity`
+    started decided by excision are built here first, and checked."""
     cached = poset.analysis_cache.get("space_complex")
     if cached is None:
-        cached = poset.analysis_cache["space_complex"] = _space(poset, _walked(poset)[1])
+        cached = poset.analysis_cache["space_complex"] = _space(
+            poset, _walked(poset, complete=True)[1])
     return cached
 
 

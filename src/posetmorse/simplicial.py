@@ -9,6 +9,7 @@ with "|" so reports diff cleanly.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EmptyComplex, MalformedLine
@@ -21,37 +22,53 @@ class SimplicialComplex:
     """An abstract simplicial complex, closed under faces on construction."""
 
     def __init__(self, simplices: Iterable[Sequence[str]]):
-        closed: set[Simplex] = set()
+        given: dict[int, set[Simplex]] = {}
         for s in simplices:
-            s = tuple(sorted(str(v) for v in s))
+            s = tuple(sorted(map(str, s)))
             if len(set(s)) != len(s):
                 raise MalformedLine(f"repeated vertex in simplex {s}")
             if s:
-                closed.add(s)
-        # close under codimension-1 faces; every simplex is expanded once
-        faces: set[Simplex] = set()
-        todo = list(closed)
-        while todo:
-            s = todo.pop()
-            if len(s) == 1:
-                continue
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                if f not in faces:
-                    faces.add(f)
-                    if f not in closed:
-                        closed.add(f)
-                        todo.append(f)
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self.simplices: dict[int, tuple[Simplex, ...]] = {
-            d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+                given.setdefault(len(s) - 1, set()).add(s)
+        # close by dimension, from the top down: each simplex's codimension-1
+        # faces are sliced once and interned in the dimension below, numbered
+        # in the order found; a simplex no face reached is maximal
+        found: dict[int, dict[Simplex, int]] = {}
+        faces: dict[int, list[list[int]]] = {}
+        maximal: list[Simplex] = []
+        for d in range(max(given, default=-1), -1, -1):
+            here = found.setdefault(d, {})
+            for s in given.pop(d, ()):
+                if s not in here:
+                    here[s] = len(here)
+                    maximal.append(s)
+            if d:
+                below: dict[Simplex, int] = {}
+                intern = below.setdefault
+                found[d - 1] = below
+                faces[d] = [[intern(f, len(below)) for f in combinations(s, d)] for s in here]
+        # sorted per dimension, the face numbers relabelled to the ids of
+        # `face_poset`: by dimension, then in sorted order
+        self.simplices: dict[int, tuple[Simplex, ...]] = {}
+        self._lower: list[Sequence[int]] = []
+        ids: list[int] = []
+        for d in sorted(found):
+            here = found.pop(d)
+            ordered = self.simplices[d] = tuple(sorted(here))
+            relabel, ids = ids, [0] * len(ordered)
+            numbers = list(map(here.__getitem__, ordered))
+            del here
+            for k, t in enumerate(numbers, len(self._lower)):
+                ids[t] = k
+            if d:
+                rows = faces.pop(d)
+                self._lower += [[relabel[j] for j in rows[t]] for t in numbers]
+            else:
+                self._lower += [()] * len(ordered)
         self.vertices: tuple[str, ...] = tuple(v for (v,) in self.simplices.get(0, ()))
-        # a simplex is a proper face of another exactly when it is a
-        # codimension-1 face of one, because the complex is closed
-        self.maximal: tuple[Simplex, ...] = tuple(
-            sorted(closed - faces, key=lambda s: (len(s), s)))
+        # by dimension, then in sorted order
+        maximal.sort()
+        maximal.sort(key=len)
+        self.maximal: tuple[Simplex, ...] = tuple(maximal)
 
     # -- queries ----------------------------------------------------------
 
@@ -109,15 +126,13 @@ def face_poset(complex: SimplicialComplex) -> Poset:
     """The poset of simplices ordered by inclusion; degree = dimension.
     Simplices are declared by dimension, then in sorted order, which is
     already the order of the poset's ids, so the core is handed over as
-    it is: the codimension-1 faces are the covers, the dimensions the
-    heights.  Each simplex is already sorted, and its name is its
-    vertices joined by `|`."""
+    it is: the codimension-1 faces the complex numbered when it closed
+    its simplices are the covers, the dimensions the heights.  Each
+    simplex is already sorted, and its name is its vertices joined by
+    `|`."""
     simplices = [s for d in sorted(complex.simplices) for s in complex.simplices[d]]
-    ids = {s: i for i, s in enumerate(simplices)}
-    lower = [[ids[s[:i] + s[i + 1:]] for i in range(len(s))] if len(s) > 1 else ()
-             for s in simplices]
     return Poset(["|".join(s) for s in simplices],
-                 _Core(None, [len(s) - 1 for s in simplices], lower))
+                 _Core(None, [len(s) - 1 for s in simplices], complex._lower))
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:

@@ -655,6 +655,15 @@ def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
     return Poset([e for level in names for e in level], covers)
 
 
+def whiskered_disk() -> Poset:
+    """A circle of two edges c, d over the points a, b, a whisker t over a
+    alone, which is not cellular, and a disk x over all three: x is its
+    own cell over a non-cellular element, and maximal."""
+    return Poset(["a", "b", "c", "d", "t", "x"],
+                 [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("a", "t"),
+                  ("c", "x"), ("d", "x"), ("t", "x")])
+
+
 def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
     """A random order on `size` elements: i < j with chance 1/4 for i < j."""
     elements = [f"u{i}" for i in range(size)]
@@ -1013,9 +1022,9 @@ def named_rows(poset: Poset, rows: dict) -> dict:
 
 
 def named_pass(poset: Poset):
-    """The cached cellularity pass (`cellular._walked`): its report and its
-    rows, named by `named_rows`."""
-    report, rows = _walked(poset)
+    """The cached cellularity pass (`cellular._walked`), completed: its
+    report and every row, the deferred ones built, named by `named_rows`."""
+    report, rows = _walked(poset, complete=True)
     return report, named_rows(poset, rows)
 
 

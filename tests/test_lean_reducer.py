@@ -8,7 +8,9 @@ they replace, kept in `helpers`: `EagerReducer`, which updates every
 cell's inclusion on every elimination, and `reference_cellular_pass`,
 which builds, checks and reduces a chain complex per strict down-set.
 Pivots follow the order of the columns' entries, so equal order is what
-keeps the mapping-cone cells of non-cellular posets the same."""
+keeps the mapping-cone cells of non-cellular posets the same.  A pass
+that defers the rows of maximal elements is held to the same reference
+once `_complete` has built them."""
 
 import sys
 from collections import Counter
@@ -29,8 +31,10 @@ from posetmorse import (
 from posetmorse.cellular import (
     _cells,
     _check_rows,
+    _complete,
     _degree_induction,
     _sphere_key,
+    _walked,
     space_complex,
 )
 from posetmorse.dynamics import is_morse_matching
@@ -53,6 +57,7 @@ from helpers import (
     reference_cellular_pass,
     scrambled_complex,
     ungraded_poset,
+    whiskered_disk,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -217,15 +222,16 @@ def _plain(rows):
     return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
 
 
-def _memo_hits(poset, rows, walked: list[int]) -> set[int]:
-    """The walked ids whose down-set takes a stored sphere generator: on a
-    graded poset, over cellular elements only, with the reduced Euler
-    characteristic of a (p-1)-sphere, the same degree, ranks and boundary
-    columns (from the final rows: each row is final once its element is
-    walked) as an earlier such down-set that was a sphere."""
-    hits, spheres, degrees, down = set(), set(), poset._height, poset._reach()
+def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int]]:
+    """The walked ids whose down-set has a memo key, and those of them that
+    take a stored sphere generator: on a graded poset, over cellular
+    elements only, with the reduced Euler characteristic of a (p-1)-sphere,
+    the same degree, ranks and boundary columns (from the final rows: each
+    row is final once its element is walked) as an earlier such down-set
+    that was a sphere."""
+    keyed, hits, spheres, degrees, down = set(), set(), set(), poset._height, poset._reach()
     if not poset.is_graded():
-        return hits
+        return keyed, hits
     for x in walked:
         p, below = degrees[x], down[x]
         if not all(isinstance(rows[w], dict) for w in below):
@@ -233,13 +239,22 @@ def _memo_hits(poset, rows, walked: list[int]) -> set[int]:
         ranks, columns, _ = _cells(rows, degrees, below, reduced=True)
         if sum(r if k % 2 == 0 else -r for k, r in ranks.items()) != (-1) ** (p - 1):
             continue
+        keyed.add(x)
         key = (p, tuple(ranks.items()), tuple(
             (k, tuple(tuple(column.items()) for column in cells)) for k, cells in columns.items()))
         if key in spheres:
             hits.add(x)
         elif isinstance(rows[x], dict):
             spheres.add(key)
-    return hits
+    return keyed, hits
+
+
+def _listings(calls):
+    """The `_cells` calls among the spied ones: the ids listed, whether with
+    the augmentation slot, and whether a reduction of them follows."""
+    called = [fn for fn, _, _ in calls]
+    return [(frozenset(args[2]), kwargs.get("reduced", False), then == "_minimal_reducer")
+            for (fn, args, kwargs), then in zip(calls, called[1:] + [None]) if fn == "_cells"]
 
 
 def test_pass_equals_the_per_down_set_reference(monkeypatch):
@@ -250,24 +265,19 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
         real = getattr(cellular, name)
 
         def counted(*args, **kwargs):
-            calls.append((name, args))
+            calls.append((name, args, kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cellular, name, counted)
 
     for name in ("_cells", "_minimal_reducer", "_cone_cells"):
         spy(name)
-    seen, branches = set(), {"contractible": 0, "0-sphere": 0, "memo hit": 0, "mapping cone": 0}
+    seen = set()
+    branches = {"contractible": 0, "0-sphere": 0, "memo hit": 0, "mapping cone": 0,
+                "deferred sphere": 0, "deferred mapping cone": 0}
     for name, poset in sample_posets():
-        calls.clear()
-        report, id_rows = _degree_induction(poset)
-        # the pass keys its rows by id
-        rows = named_rows(poset, id_rows)
         expected_report, expected_rows = reference_cellular_pass(poset)
-        assert report == expected_report, name
-        assert _plain(rows) == _plain(expected_rows), name
-        seen.add(name)
-        walked = []
+        walked, down = [], poset._reach()
         for x, lower in enumerate(poset._lower):
             if len(lower) == 1:
                 branches["contractible"] += 1
@@ -275,21 +285,51 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
                 branches["0-sphere"] += 1
             elif lower:
                 walked.append(x)
-        # every reduction lists its down-set's cells just before, and every
-        # other listing is a punctured down-set: a shortcut and a memo hit
-        # list nothing
-        called = [fn for fn, _ in calls]
-        listed = [(frozenset(args[2]), then == "_minimal_reducer")
-                  for (fn, args), then in zip(calls, called[1:] + [None]) if fn == "_cells"]
-        reduced = [members for members, reduces in listed if reduces]
-        assert len(reduced) == called.count("_minimal_reducer"), name
-        down = poset._reach()
-        hits = _memo_hits(poset, id_rows, walked)
-        assert Counter(reduced) == Counter(down[x] for x in walked if x not in hits), name
-        punctured = {down[x] - {w} for x in walked for w in poset._lower[x]}
-        assert all(members in punctured for members, reduces in listed if not reduces), name
-        branches["memo hit"] += len(hits)
-        branches["mapping cone"] += called.count("_cone_cells")
+        # a pass that `space_complex` starts builds every row; one that
+        # `check_cellularity` starts defers those of maximal elements
+        # without a memo key, on graded posets, until `_complete`
+        for defer in (False, True):
+            calls.clear()
+            report, id_rows, deferred = _degree_induction(poset, defer=defer)
+            assert report == expected_report, name
+            walk, postponed = list(calls), list(deferred)
+            calls.clear()
+            if defer:
+                assert all(x not in id_rows for x in postponed), name
+                _complete(poset, id_rows, deferred)
+                assert not deferred, name
+            seen.add(name)
+            # the pass keys its rows by id
+            assert _plain(named_rows(poset, id_rows)) == _plain(expected_rows), name
+            keyed, hits = _memo_keys(poset, id_rows, walked)
+            assert postponed == [x for x in walked if defer and poset.is_graded()
+                                 and not poset._upper[x] and x not in keyed], name
+            # every reduction lists its down-set's cells just before; a
+            # deferred element lists U.x - U_w, w a lower cover with the
+            # largest down-set, and reduces nothing; every other listing is a
+            # punctured down-set: a shortcut and a memo hit list nothing
+            listed = _listings(walk)
+            reduced = [members for members, _, reduces in listed if reduces]
+            assert len(reduced) == sum(fn == "_minimal_reducer" for fn, _, _ in walk), name
+            assert Counter(reduced) == Counter(
+                down[x] for x in walked if x not in hits and x not in postponed), name
+            excised = [members for members, augmented, _ in listed if not augmented]
+            assert len(excised) == len(postponed), name
+            for x, members in zip(postponed, excised):
+                largest = max(len(down[w]) for w in poset._lower[x])
+                assert any(members == down[x] - down[w] - {w} for w in poset._lower[x]
+                           if len(down[w]) == largest), (name, x)
+            punctured = {down[x] - {w} for x in walked for w in poset._lower[x]}
+            assert all(members in punctured
+                       for members, augmented, reduces in listed if augmented and not reduces), name
+            # completion reduces each deferred down-set once and lists nothing else
+            assert [(members, reduces) for members, _, reduces in _listings(calls)] == [
+                (down[x], True) for x in postponed], name
+            branches["memo hit"] += len(hits)
+            branches["mapping cone"] += sum(fn == "_cone_cells" for fn, _, _ in walk)
+            for x in postponed:
+                branches["deferred sphere" if isinstance(id_rows[x], dict)
+                         else "deferred mapping cone"] += 1
     assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2", "rand-like",
             "boundary of the 5-simplex"} <= seen
     assert all(branches.values()), branches
@@ -315,7 +355,7 @@ def test_the_row_check_agrees_with_the_complex_check():
     rng = XorShift64Star(2029)
     outcomes = Counter()
     for name, poset in sample_posets():
-        _, rows = _degree_induction(poset)
+        _, rows, _ = _degree_induction(poset)
         degrees, ids = poset._height, range(len(poset))
         labels = _cells(rows, degrees, ids, reduced=True)[2]
         cells = [(p, c) for p, level in labels.items() if p > 0 for c in level if rows[c]]
@@ -505,3 +545,29 @@ def test_a_corrupted_row_read_by_later_down_sets_fails_the_check(monkeypatch, co
     with pytest.raises(InconsistentIncidence):
         check_cellularity(poset)
     assert done == [edge]
+
+
+def test_a_corrupted_row_a_deferred_element_reads_fails_the_check(monkeypatch):
+    # x is decided by excision, over the non-cellular whisker t: the edge d
+    # lies only in x's down-set, and x's pair (U.x, U_c) lists it
+    poset = whiskered_disk()
+    done = _corrupting(monkeypatch, poset, "d", _flip_one, hook="_cells")
+    with pytest.raises(InconsistentIncidence):
+        check_cellularity(poset)
+    assert done == ["d"]
+
+
+def test_a_corrupted_deferred_row_fails_the_check_of_the_completion(monkeypatch):
+    poset = whiskered_disk()
+    report, x = check_cellularity(poset), poset._id["x"]
+    done = _corrupting(monkeypatch, poset, "x", _flip_one)
+    with pytest.raises(InconsistentIncidence):
+        space_complex(poset)
+    assert done == ["x"]
+    # no reader sees the unchecked rows: they are taken out and stay deferred
+    assert x not in _walked(poset)[1]
+    assert poset.analysis_cache["cellularity"][2] == [x]
+    assert "space_complex" not in poset.analysis_cache
+    assert check_cellularity(poset) is report
+    monkeypatch.undo()
+    assert space_complex(poset).labels[2] == ("x",)

@@ -82,9 +82,9 @@ def test_pass_computes_only_the_punctured_homology_it_needs(monkeypatch):
     listed = []
     cells = cellular._cells
 
-    def counted_cells(eps, degrees, members, *args, **kwargs):
-        listed.append(frozenset(members))
-        return cells(eps, degrees, members, *args, **kwargs)
+    def counted_cells(eps, degrees, members, reduced=False):
+        listed.append((frozenset(members), reduced))
+        return cells(eps, degrees, members, reduced)
 
     monkeypatch.setattr(cellular, "_cells", counted_cells)
     decided = computed = 0
@@ -93,10 +93,18 @@ def test_pass_computes_only_the_punctured_homology_it_needs(monkeypatch):
         assert check_cellularity(poset) == report
         # the pass lists cells by id
         names = sorted(poset.elements, key=poset.height_order().__getitem__)
-        complexes = [frozenset(names[i] for i in members) for members in listed]
+        complexes = [frozenset(names[i] for i in members) for members, reduced in listed if reduced]
         # d*d is checked on the rows: no listing of every cell of the pass
         assert frozenset(poset.elements) not in complexes
         below = {x: poset.strictly_below(x) for x in poset.elements}
+        # the pair (U.x, U_w) of a maximal x, at most once each, w a lower
+        # cover with the largest down-set: the only listings without C_{-1}
+        excised = Counter(frozenset(names[i] for i in members)
+                          for members, reduced in listed if not reduced)
+        cones = Counter(below[x] - below[w] - {w} for x in poset.elements
+                        if not poset.upper_covers(x) for w in poset.lower_covers(x)
+                        if len(below[w]) == max(len(below[v]) for v in poset.lower_covers(x)))
+        assert all(n <= cones[members] for members, n in excised.items())
         # a down-set's complex is built at most once per element
         owners = Counter(below[x] for x in poset.elements)
         strict = {members: n for members, n in Counter(complexes).items() if members in owners}
