@@ -30,42 +30,22 @@ class SimplicialComplex:
             if s:
                 given.setdefault(len(s) - 1, set()).add(s)
         # close by dimension, from the top down: each simplex's codimension-1
-        # faces are sliced once and interned in the dimension below, numbered
-        # in the order found; a simplex no face reached is maximal
-        found: dict[int, dict[Simplex, int]] = {}
-        faces: dict[int, list[list[int]]] = {}
+        # faces are sliced once; a simplex no face reached is maximal
+        closed: dict[int, set[Simplex]] = {}
         maximal: list[Simplex] = []
         for d in range(max(given, default=-1), -1, -1):
-            here = found.setdefault(d, {})
-            for s in given.pop(d, ()):
-                if s not in here:
-                    here[s] = len(here)
-                    maximal.append(s)
+            here = closed.setdefault(d, set())
+            maximal += given.get(d, set()) - here
+            here |= given.pop(d, set())
             if d:
-                below: dict[Simplex, int] = {}
-                intern = below.setdefault
-                found[d - 1] = below
-                faces[d] = [[intern(f, len(below)) for f in combinations(s, d)] for s in here]
-        # sorted per dimension, the face numbers relabelled to the ids of
-        # `face_poset`: by dimension, then in sorted order
-        self.simplices: dict[int, tuple[Simplex, ...]] = {}
-        self._lower: list[Sequence[int]] = []
-        ids: list[int] = []
-        for d in sorted(found):
-            here = found.pop(d)
-            ordered = self.simplices[d] = tuple(sorted(here))
-            relabel, ids = ids, [0] * len(ordered)
-            numbers = list(map(here.__getitem__, ordered))
-            del here
-            for k, t in enumerate(numbers, len(self._lower)):
-                ids[t] = k
-            if d:
-                rows = faces.pop(d)
-                self._lower += [[relabel[j] for j in rows[t]] for t in numbers]
-            else:
-                self._lower += [()] * len(ordered)
+                below = closed[d - 1] = set()
+                for t in here:
+                    below.update(combinations(t, d))
+        self.simplices: dict[int, tuple[Simplex, ...]] = {
+            d: tuple(sorted(closed[d])) for d in sorted(closed)}
         self.vertices: tuple[str, ...] = tuple(v for (v,) in self.simplices.get(0, ()))
-        # by dimension, then in sorted order
+        # by dimension, then in sorted order: two plain sorts, the second
+        # stable, are cheaper than one with a key
         maximal.sort()
         maximal.sort(key=len)
         self.maximal: tuple[Simplex, ...] = tuple(maximal)
@@ -126,13 +106,20 @@ def face_poset(complex: SimplicialComplex) -> Poset:
     """The poset of simplices ordered by inclusion; degree = dimension.
     Simplices are declared by dimension, then in sorted order, which is
     already the order of the poset's ids, so the core is handed over as
-    it is: the codimension-1 faces the complex numbered when it closed
-    its simplices are the covers, the dimensions the heights.  Each
+    it is: the codimension-1 faces are the covers, looked up in an index
+    of the dimension below alone, and the dimensions the heights.  Each
     simplex is already sorted, and its name is its vertices joined by
     `|`."""
-    simplices = [s for d in sorted(complex.simplices) for s in complex.simplices[d]]
+    simplices, lower = [], []
+    index: dict[Simplex, int] = {}
+    for d in sorted(complex.simplices):
+        here = complex.simplices[d]
+        lower += ([[index[f] for f in combinations(t, d)] for t in here] if d
+                  else [()] * len(here))
+        index = {t: k for k, t in enumerate(here, len(simplices))}
+        simplices += here
     return Poset(["|".join(s) for s in simplices],
-                 _Core(None, [len(s) - 1 for s in simplices], complex._lower))
+                 _Core(None, [len(s) - 1 for s in simplices], lower))
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:

@@ -131,3 +131,44 @@ def test_completion_does_not_depend_on_the_order_of_calls():
         assert check_cellularity(fresh) == report
         assert _bits(checked_first) == _bits(fresh)
     assert deferred >= 100, deferred
+
+
+def test_every_row_is_checked_once_before_it_is_read(monkeypatch):
+    import posetmorse.cellular as cellular
+
+    checked: list[int] = []
+    check = cellular._check_rows
+
+    def recording(eps, degrees, members):
+        members = list(members)
+        checked.extend(members)
+        check(eps, degrees, members)
+
+    monkeypatch.setattr(cellular, "_check_rows", recording)
+    for name, poset in non_cellular_posets():
+        checked.clear()
+        check_cellularity(poset)
+        deferred = list(_deferred(poset))
+        # the walk checks every id but the deferred ones, whose rows it lacks
+        assert deferred and sorted(checked) == sorted(set(range(len(poset))) - set(deferred)), name
+        assert all(x not in _walked(poset)[1] for x in deferred), name
+        checked.clear()
+        space_complex(poset)
+        # the completion checks the deferred ids, and no id is checked twice
+        assert checked == deferred, name
+
+
+def test_the_walk_check_skips_only_the_deferred_rows(monkeypatch):
+    import posetmorse.cellular as cellular
+
+    poset = whiskered_disk()
+    c, check = poset._id["c"], cellular._check_rows
+
+    def dropping(eps, degrees, members):
+        # c is an edge, so the walk built its row: a row lost by mistake
+        del eps[c]
+        check(eps, degrees, members)
+
+    monkeypatch.setattr(cellular, "_check_rows", dropping)
+    with pytest.raises(KeyError):
+        check_cellularity(poset)
