@@ -10,10 +10,11 @@ the face poset of the order complex, so depths 2, 3 and 4 give 1081,
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from posetmorse import face_poset, subdivision
-from posetmorse.formats import load_complex, serialize_poset
+from posetmorse.formats import load_complex, poset_text_lines
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -29,7 +30,8 @@ def main():
     poset = face_poset(load_complex((DATA / "rp2_6.txt").read_text()))
     for _ in range(args.depth):
         poset = subdivision(poset)
-    print(serialize_poset(poset), end="")
+    # line by line: the joined text of sd^5 would outweigh the poset
+    sys.stdout.writelines(poset_text_lines(poset))
 
 
 if __name__ == "__main__":

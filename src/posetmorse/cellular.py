@@ -67,10 +67,10 @@ U_w) gives H~(U.x) = H(U.x, U_w), read off the cells of U.x - U_w alone.
 x is its own cell exactly when that is Z in degree p-1 and nothing
 else, and its witness text and its covers' admissibility follow as
 above.  No down-set reads the rows of x, so a pass that
-`check_cellularity` starts defers them (`_walked`): `space_complex`
-builds them on first call, from the minimal model of U.x as the walk
-builds those it reduces, and checks d*d on them before it assembles.
-A pass that `space_complex` starts builds every row directly.
+`check_cellularity` starts defers them (`_walked`).  `space_complex`
+needs them: a pass it starts builds every row directly, and where the
+cached pass deferred rows it walks again, building and checking every
+row, and replaces the cached pass.
 
 The pass walks the poset's int core (`posets`): ids run in height
 order, so a down-set lists its cells by sorting its ids with no key, and
@@ -196,18 +196,19 @@ def _walked(poset: Poset, complete: bool = False) -> tuple[CellularityReport | N
     """The pass, cached: its report (graded posets only) and its rows,
     keyed by ids.  A pass that `check_cellularity` starts defers the rows
     of the maximal elements it decides by excision, which no other
-    element's down-set reads; complete=True, which `space_complex` asks
-    for, builds and checks them on first call, and a pass it starts
-    builds every row directly: there the excision would only add its
-    pair homology to the reductions, about a fifth more time on the
-    pass of `gen --kind poset --seed 5 --size 1000`."""
+    element's down-set reads.  complete=True, which `space_complex` asks
+    for, needs every row: a pass it starts builds them all directly, and a
+    cached pass that deferred some is replaced by a second walk that
+    builds them all; a walk that fails raises before it is cached, so the
+    deferring pass stays.  The walk is the only code that builds and
+    checks rows.  A pass that always deferred, its rows built afterwards,
+    would spend more: the excision adds its pair homology to the
+    reductions, about a fifth more time on the pass of
+    `gen --kind poset --seed 5 --size 1000`."""
     cached = poset.analysis_cache.get("cellularity")
-    if cached is None:
+    if cached is None or complete and cached[2]:
         cached = poset.analysis_cache["cellularity"] = _degree_induction(poset, defer=not complete)
-    report, eps, deferred = cached
-    if complete and deferred:
-        _complete(poset, eps, deferred)
-    return report, eps
+    return cached[0], cached[1]
 
 
 def _degree_induction(poset: Poset, defer: bool = False
@@ -269,19 +270,23 @@ def _degree_induction(poset: Poset, defer: bool = False
                 if summary.nontrivial() == {p - 1: (1, ())}:
                     summary = None
             elif generator is None:
-                generator, found = _reduced(x, p, graded, eps, degrees, members)
-                if generator is not None:
-                    top = found
+                ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
+                reducer = _minimal_reducer(ranks, columns)
+                live = reducer.survivors()
+                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+                    # the one cell's inclusion: a generator of the top cycles of U.x
+                    (cycle,) = reducer.inclusions(p - 1, live[p - 1])
+                    generator = tuple(cycle.get(i, 0) for i in range(ranks[p - 1]))
+                    top = labels[p - 1]
                     if key is not None:
                         spheres[key] = generator
-                elif not graded:
-                    continue
                 else:
+                    eps[x], model = _cone_cells(x, labels, reducer, live, eps)
+                    if not graded:
+                        continue
                     # a model with no differential is its own homology
-                    model_ranks, model_columns = found
-                    summary = (_homology(model_ranks, model_columns)
-                               if any(map(any, model_columns.values()))
-                               else HomologySummary(model_ranks))
+                    summary = (_homology(*model) if any(map(any, model[1].values()))
+                               else HomologySummary(model[0]))
             if generator is not None:
                 eps[x] = dict(zip(top, generator))
             if summary is None:
@@ -326,45 +331,6 @@ def _degree_induction(poset: Poset, defer: bool = False
     if admissible and not cellular:
         raise ConsistencyError("admissible but non-cellular: check bug")
     return CellularityReport(True, cellular, admissible, tuple(witnesses)), eps, deferred
-
-
-def _reduced(x: int, p: int, graded: bool, eps: Rows, degrees: Sequence[int],
-             members: Iterable[int]) -> tuple[tuple[int, ...] | None, tuple]:
-    """Reduce the cells of U.x, the ids `members`.  Where they model a
-    homology (p-1)-sphere on a graded poset, returns x's generator, in
-    local indices, and the cells of U.x in degree p-1 it lives on; else
-    puts x's mapping-cone cells in `eps` and returns None and their
-    model's ranks and boundary columns."""
-    ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
-    reducer = _minimal_reducer(ranks, columns)
-    live = reducer.survivors()
-    if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
-        # the one cell's inclusion: a generator of the top cycles of U.x
-        (cycle,) = reducer.inclusions(p - 1, live[p - 1])
-        return tuple(cycle.get(i, 0) for i in range(ranks[p - 1])), labels[p - 1]
-    eps[x], model = _cone_cells(x, labels, reducer, live, eps)
-    return None, model
-
-
-def _complete(poset: Poset, eps: Rows, deferred: list[int]) -> None:
-    """Build the rows the pass deferred as its walk builds those it
-    reduces, and check d*d on them before any reader sees them: on a
-    failure they are taken out again and stay deferred."""
-    degrees, down = poset._height, poset._reach()
-    try:
-        for x in deferred:
-            generator, top = _reduced(x, degrees[x], True, eps, degrees, down[x])
-            if generator is not None:
-                eps[x] = dict(zip(top, generator))
-        _check_rows(eps, degrees, deferred)
-    except Exception:
-        for x in deferred:
-            owned = eps.pop(x, None)
-            if isinstance(owned, list):
-                for cell in owned:
-                    del eps[cell]
-        raise
-    deferred.clear()
 
 
 def _named(names: Sequence[str], cell: int | tuple[int, int, int]):
@@ -599,8 +565,9 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
 def space_complex(poset: Poset) -> ChainComplex:
     """The chain model of the space, built once per poset: the cells of the
     pass without the augmentation cell, the cellular complex if cellular.
-    The rows of the maximal elements that a pass `check_cellularity`
-    started decided by excision are built here first, and checked."""
+    Where the cached pass, started by `check_cellularity`, deferred the
+    rows of maximal elements, the pass walks again and builds them all
+    (`_walked`)."""
     cached = poset.analysis_cache.get("space_complex")
     if cached is None:
         cached = poset.analysis_cache["space_complex"] = _space(

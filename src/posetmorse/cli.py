@@ -34,10 +34,10 @@ from .formats import (
     load_poset,
     parse_function_text,
     parse_matching_text,
+    poset_text_lines,
     report_document,
     serialize_function,
     serialize_matching,
-    serialize_poset,
 )
 from .homology import homology, poset_homology, simplicial_chain_complex
 from .inequalities import (
@@ -246,8 +246,10 @@ def cmd_gen(args) -> None:
     rng = XorShift64Star(args.seed)
     if args.kind == "poset":
         poset = random_graded_poset(rng, max_elements=10 if args.size is None else args.size)
-        text = serialize_poset(poset)
-    elif args.kind == "simplicial":
+        # written line by line, with no copy of the text beside the poset
+        sys.stdout.writelines(poset_text_lines(poset))
+        return
+    if args.kind == "simplicial":
         vertices = 9 if args.size is None else args.size
         if not 2 <= vertices <= 9:
             raise PosetMorseError(

@@ -20,7 +20,7 @@ Declared order, not id order, fixes the order of what reaches output.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Sequence
 
@@ -40,12 +40,6 @@ class Matching:
     """A set of covers, each poset element in at most one pair."""
 
     pairs: frozenset[tuple[str, str]]
-    _up: dict[str, str] = field(init=False, repr=False, compare=False)
-    _down: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_up", dict(self.pairs))
-        object.__setattr__(self, "_down", {x: w for w, x in self.pairs})
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -55,13 +49,6 @@ class Matching:
 
     def matched_elements(self) -> frozenset[str]:
         return frozenset(e for pair in self.pairs for e in pair)
-
-    def target(self, x: str) -> str | None:
-        """t(x): the upper partner of a matched source, else None."""
-        return self._up.get(x)
-
-    def source(self, y: str) -> str | None:
-        return self._down.get(y)
 
     def without(self, removed: frozenset[tuple[str, str]]) -> "Matching":
         return Matching(self.pairs - removed)

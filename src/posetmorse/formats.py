@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Iterator
 
 from .dynamics import Matching, validate_matching
 from .errors import CycleDetected, MalformedLine
@@ -103,13 +104,20 @@ def load_poset(text: str) -> tuple[Poset, bool]:
     return _build(*parsed)
 
 
+def poset_text_lines(poset: Poset) -> Iterator[str]:
+    """The lines of the poset text, each with its newline, made one at a
+    time so that a writer holds no copy of the text: the covers, ordered
+    by their upper, then their lower element, then the isolated elements."""
+    for w, x in poset.covers:
+        yield f"{w} < {x}\n"
+    for e in poset.elements:
+        if not poset.upper_covers(e) and not poset.lower_covers(e):
+            yield f"{e}\n"
+
+
 def serialize_poset(poset: Poset) -> str:
-    # the covers come ordered by their upper, then their lower element
-    lines = [f"{w} < {x}" for w, x in poset.covers]
-    isolated = [e for e in poset.elements
-                if not poset.upper_covers(e) and not poset.lower_covers(e)]
-    lines.extend(isolated)
-    return "\n".join(lines) + "\n"
+    # the empty poset's text is one empty line
+    return "".join(poset_text_lines(poset)) or "\n"
 
 
 def parse_matching_text(poset: Poset, text: str) -> Matching:

@@ -528,13 +528,14 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     top = poset.max_degree()
     levels = {p: poset.level(p) for p in range(top + 1)}
     position = {p: {e: i for i, e in enumerate(levels[p])} for p in levels}
+    up = dict(matching.pairs)
     V: dict[int, IntMatrix] = {}
     for p in range(top):
         rows = len(levels[p + 1])
         cols = len(levels[p])
         data = [[0] * cols for _ in range(rows)]
         for j, x in enumerate(levels[p]):
-            y = matching.target(x)
+            y = up.get(x)
             if y is not None:
                 data[position[p + 1][y]][j] = -cell.epsilon(y, x)
         V[p] = IntMatrix(rows, cols, data)
@@ -1022,8 +1023,8 @@ def named_rows(poset: Poset, rows: dict) -> dict:
 
 
 def named_pass(poset: Poset):
-    """The cached cellularity pass (`cellular._walked`), completed: its
-    report and every row, the deferred ones built, named by `named_rows`."""
+    """The cached cellularity pass (`cellular._walked`), walked again where
+    it deferred rows: its report and every row, named by `named_rows`."""
     report, rows = _walked(poset, complete=True)
     return report, named_rows(poset, rows)
 

@@ -6,11 +6,12 @@ decided without its cells: U_w, w the lower cover with the largest
 down-set, has a maximum, so it is a contractible cone (Stong, Trans. AMS
 123, 1966), and the exact sequence of the pair gives H~(U.x) = H(U.x, U_w).
 No down-set reads x's rows, so a pass that `check_cellularity` starts
-leaves them to `space_complex`, which builds them as the walk builds
-those it reduces and checks d*d on them first.  These tests hold the
-excision to the order-complex definition and the completed pass to the
-one that builds every row directly; `test_lean_reducer` holds the
-completion to its check."""
+leaves them out, and `space_complex`, which needs them, walks again,
+building every row directly.  These tests hold the excision to the
+order-complex definition, the pass that walked again to one that
+`space_complex` starts, and the CLI to one walk per report: no report
+takes the order that walks twice.  `test_lean_reducer` holds the second
+walk to its check."""
 
 from pathlib import Path
 
@@ -154,8 +155,9 @@ def test_every_row_is_checked_once_before_it_is_read(monkeypatch):
         assert all(x not in _walked(poset)[1] for x in deferred), name
         checked.clear()
         space_complex(poset)
-        # the completion checks the deferred ids, and no id is checked twice
-        assert checked == deferred, name
+        # the second walk builds every row and checks each id exactly once
+        assert sorted(checked) == list(range(len(poset))), name
+        assert not _deferred(poset) and all(x in _walked(poset)[1] for x in deferred), name
 
 
 def test_the_walk_check_skips_only_the_deferred_rows(monkeypatch):
@@ -172,3 +174,46 @@ def test_the_walk_check_skips_only_the_deferred_rows(monkeypatch):
     monkeypatch.setattr(cellular, "_check_rows", dropping)
     with pytest.raises(KeyError):
         check_cellularity(poset)
+
+
+# every report subcommand, and the options that change what it computes
+REPORTS = (["validate"], ["homology"], ["homology", "--reduced"], ["homology", "--via-poset"],
+           ["homology", "--coeff", "rat"], ["cellular"], ["cellular", "--coeff", "rat"],
+           ["hccat"], ["matching"], ["integrate"], ["sweep"], ["inequalities"],
+           ["inequalities", "--coeff", "rat"], ["ls-check"])
+MATCHED = {"matching", "integrate", "sweep", "inequalities", "ls-check"}
+
+
+def test_no_report_walks_a_poset_twice(monkeypatch, tmp_path, capsys):
+    import posetmorse.cellular as cellular
+    from posetmorse.cli import run
+
+    # a non-cellular poset, whose report defers rows, and an admissible one
+    poset, matching = tmp_path / "poset.txt", tmp_path / "matching.txt"
+    assert run(["gen", "--kind", "poset", "--seed", "2", "--size", "60"]) == 0
+    poset.write_text(capsys.readouterr().out)
+    assert run(["gen", "--kind", "matching", "--seed", "3", "--input", str(poset)]) == 0
+    matching.write_text(capsys.readouterr().out)
+    assert not check_cellularity(load_poset(poset.read_text())[0]).is_cellular
+    inputs = ((poset, matching), (DATA / "t3_poset.txt", DATA / "t3_matching_m2.txt"))
+
+    walks, walk = [], cellular._degree_induction
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(cellular, "_degree_induction", counted)
+    runs = 0
+    for poset_path, matching_path in inputs:
+        for report in REPORTS:
+            argv = [*report, "--input", str(poset_path)]
+            if report[0] in MATCHED:
+                argv += ["--matching", str(matching_path)]
+            for fmt in ("table", "doc"):
+                walks.clear()
+                run([*argv, "--format", fmt])
+                capsys.readouterr()
+                assert len(walks) <= 1, (argv, fmt, len(walks))
+                runs += bool(walks)
+    assert runs >= 40, runs

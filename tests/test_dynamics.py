@@ -24,9 +24,10 @@ from helpers import brute_force_equivalent, brute_force_recurrent, rotated_to
 def test_validate_matching(t3):
     m = validate_matching(t3, [("v1", "e12"), ("v2", "e23")])
     assert len(m) == 2
-    assert m.target("v1") == "e12"
-    assert m.source("e12") == "v1"
-    assert m.target("v3") is None
+    up = dict(m.pairs)
+    assert up["v1"] == "e12"
+    assert {x: w for w, x in m.pairs}["e12"] == "v1"
+    assert "v3" not in up
 
 
 def test_validate_matching_errors(t3):
