@@ -32,18 +32,24 @@ generator, or the mapping cone of its chain model over the other models,
 straight off the survivors, numbered by `_Reducer.model`; the flow reads
 a matching's Morse complex, and the hccat witness is the minimal model.
 
-One assembler turns sorted simplices into sparse columns for every
-simplicial front end.  The poset one, `subposet_chain_complex`, reads the
-order complex of an induced subposet, the full subcomplex of K(P) on its
-elements, straight off its chains (`Poset.chains_within`).  Only the
-paper's definitions build it: `poset_homology`, `is_acyclic` and
-`cellular.sphere_generator`.  No theorem check lists chains.  With
-`order_complex`, `Poset.induced` and `relative_homology`, the tests
-check the chain model against them.
+One assembler, `_assemble`, turns sorted simplices into sparse columns
+for the simplicial front ends.  The order complex of a poset needs
+none: `Poset._chain_cones` builds it as iterated cones, K(U_x) =
+x * K(U.x) (Quillen 1978), and d(c.x) = (dc).x + (-1)^(dim c + 1) c
+gives the column of each chain c.x from the column of c.  Two
+orientations are read off it.  `poset_homology` and `is_acyclic` take
+the complex as built, unlabelled and oriented by the poset's order.
+`subposet_chain_complex`, for `cellular.sphere_generator` and the tests,
+labels each chain by its vertex names, sorted, and orders and signs the
+chains by those labels, which is exactly the simplicial chain complex of
+the order complex of the induced subposet.  Only these definitions list
+chains; no theorem check does.  With `order_complex`, `Poset.induced`
+and `relative_homology`, the tests check the chain model against them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -589,22 +595,51 @@ def relative_chain_complex(complex: SimplicialComplex,
 def subposet_chain_complex(poset: Poset, members: Iterable[str],
                            reduced: bool = False) -> ChainComplex:
     """The chain complex of the order complex K(A) of the subposet on
-    A = `members`.
+    A = `members`, labelled.
 
     K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
-    the chains of the poset that lie inside A.  Simplices, their order and
-    their orientation are those of
+    the chains of the poset that lie inside A, which `Poset._chain_cones`
+    builds as iterated cones, oriented by the poset's order.  Here each
+    chain is named by its vertices sorted by name, the chains of each
+    dimension are sorted by those names, and each basis element takes the
+    sign of the permutation that sorts its chain, so simplices, their
+    order and their orientation are those of
     `simplicial_chain_complex(order_complex(poset.induced(A)))`.  With
     reduced=True the augmentation slot is added.
     """
-    keep = set(members)
-    for e in keep:
-        poset.require(e)
-    simplices: dict[int, list[Simplex]] = {}
-    for local in poset.chains_within(keep).values():
-        for c in local:
-            simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
-    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
+    columns, spans = poset._chain_cones(members)
+    names = sorted(poset._names[x] for x in spans)
+    rank = dict(zip(sorted(spans, key=poset._names.__getitem__), range(len(names))))
+    # per (d-1)-chain: the name ranks of its vertices, sorted, the sign of
+    # the permutation that sorts them, and its place among the sorted
+    # chains; d = 0 reads the empty chain
+    keys: list[tuple[int, ...]] = [()]
+    signs, at = [1], [0]
+    ranks, boundary, labels = {-1: 1}, {}, {-1: ((),)}
+    for d, cols in enumerate(columns):
+        here, flips = [()] * len(cols), [1] * len(cols)
+        for x, ranges in spans.items():
+            if d < len(ranges):
+                r = rank[x]
+                for j in ranges[d]:
+                    # c.x is c, then x: sort c, then move x left past the names above it
+                    c = next(reversed(cols[j]))
+                    key = keys[c]
+                    k = bisect_right(key, r)
+                    here[j] = key[:k] + (r,) + key[k:]
+                    flips[j] = -signs[c] if (len(key) - k) % 2 else signs[c]
+        order = sorted(range(len(cols)), key=here.__getitem__)
+        boundary[d] = [{at[i]: flips[j] * signs[i] * v for i, v in cols[j].items()}
+                       for j in order]
+        labels[d] = tuple(tuple(names[r] for r in here[j]) for j in order)
+        ranks[d] = len(cols)
+        keys, signs, at = here, flips, [0] * len(cols)
+        for new, j in enumerate(order):
+            at[j] = new
+    if not reduced:
+        del ranks[-1], labels[-1]
+        boundary.pop(0, None)
+    return ChainComplex(ranks, boundary, labels)
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex) -> HomologySummary:
@@ -614,14 +649,21 @@ def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex)
 def poset_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     """Homology of the finite space via the order complex of the whole
     poset, the definition, which `cellular.space_homology` reads off a
-    smaller model; the summary is cached."""
+    smaller model; the summary is cached.  The complex is
+    `Poset._chain_cones` as built: unlabelled, oriented by the poset's
+    order, and checked for d*d = 0 by `ChainComplex`."""
     if not poset.elements and not reduced:
         raise EmptyPoset("unreduced homology of the empty poset is undefined")
     key = ("poset_homology", reduced)
     cached = poset.analysis_cache.get(key)
     if cached is None:
-        cached = poset.analysis_cache[key] = homology(
-            subposet_chain_complex(poset, poset.elements, reduced=reduced))
+        boundary = dict(enumerate(poset._chain_cones(poset.elements)[0]))
+        ranks = {d: len(cols) for d, cols in boundary.items()}
+        if reduced:
+            ranks[-1] = 1
+        else:
+            del boundary[0]
+        cached = poset.analysis_cache[key] = homology(ChainComplex(ranks, boundary))
     return cached
 
 

@@ -44,11 +44,6 @@ class IntMatrix:
         return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        cols = len(columns)
-        return cls(rows, cols, [[columns[j][i] for j in range(cols)] for i in range(rows)])
-
-    @classmethod
     def from_sparse_columns(cls, columns: Sequence[Column], rows: int) -> "IntMatrix":
         data = [[0] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
@@ -81,11 +76,6 @@ class IntMatrix:
                 for j in range(other.cols)
             ])
         return IntMatrix(self.rows, other.cols, out)
-
-    def mul_vec(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum(row[k] * vec[k] for k in range(self.cols)) for row in self.data]
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]

@@ -32,14 +32,17 @@ views built when asked for: `covers` reads the int covers on demand, and
 no name index of their own.  The cellularity pass and the dynamics read
 the int core itself.
 
-The chains of a subposet, grouped by their maximum, are the source of
-the order complexes in the library: the order complex of an induced
-subposet on S is the full subcomplex of K(P) spanned by S, so the
-homology front ends read its simplices off `chains_within(S)` and never
-build the induced subposet.  Nothing caches chains.  Only the paper's
-definitions list them; no theorem check does.  `induced` stays as the
-paper's definition too, and `beat_point_core` serves the random
-generators.
+The order complex of the induced subposet on a set A is the full
+subcomplex of K(P) spanned by A, so it is built straight off the poset,
+without the induced subposet, by `_chain_cones(A)`, the one function
+that lists chains.  It walks the ids of A counting up, a linear
+extension, and builds the chains with maximum x as the cone x * K(U.x &
+A) (Quillen 1978), each boundary column read off the column of the
+chain it extends.  `chains_within` names those chains; the homology
+front ends read the columns, oriented by the poset's order.  Nothing
+caches chains.  Only the paper's definitions list them; no theorem
+check does.  `induced` stays as the paper's definition too, and
+`beat_point_core` serves the random generators.
 """
 
 from __future__ import annotations
@@ -256,19 +259,73 @@ class Poset:
                 closed |= below[x]
         return tuple(map(self._names.__getitem__, self._by_declared(closed)))
 
-    def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-        """All nonempty chains of the subposet on `members`, grouped by
-        maximum element, each listed in increasing order; not cached."""
-        below, names = self._reach(), self._names
-        keep = {self._id[e] for e in members}
-        ending: dict[int, list[tuple[str, ...]]] = {}
+    def _chain_cones(self, members: Iterable[str]) -> tuple[list[list[dict[int, int]]],
+                                                            dict[int, list[range]]]:
+        """The order complex of the subposet A on `members`, built as
+        iterated cones: counting the ids of A up is a linear extension, and
+        the chains of A with maximum x are x itself and c.x for each chain
+        c of U.x & A, built before it.  Returns the augmented boundary
+        columns of the chains, oriented by the poset's order, and where
+        each id's chains lie among them.
+
+        `columns[d][j]` is the column of the j-th d-chain, its rows the
+        (d-1)-chains; a 0-chain x has {0: 1}, on the empty chain.  Since
+        d(c.x) = (dc).x + (-1)^(dim c + 1) c, the column of c.x is that of
+        c with each face f moved to f.x, by one map per cone, and then the
+        entry on c, its last key.  `spans[x][d]` is the range of x's
+        d-chains among them: c.x for each (d-1)-chain c of each id below
+        x, the ids in declared order.  This is the one function that lists
+        chains; nothing caches them."""
+        below = self._reach()
+        keep = {self._ident(e) for e in members}
+        columns: list[list[dict[int, int]]] = []
+        spans: dict[int, list[range]] = {}
         for x in sorted(keep):
-            top = (names[x],)
-            local = [top]
-            for y in self._by_declared(below[x] & keep):
-                local.extend(c + top for c in ending[y])
-            ending[x] = local
-        return {names[x]: local for x, local in ending.items()}
+            under = self._by_declared(below[x] & keep)
+            here = spans[x] = []
+            bases: Sequence[int] = (0,)  # the (d-1)-chains below x; d = 0: the empty chain
+            d = 0
+            while bases:
+                if d == len(columns):
+                    columns.append([])
+                cols = columns[d]
+                start = len(cols)
+                if d:
+                    # the sign (-1)^(dim c + 1) of the entry on c, dim c = d - 1
+                    lower, moved, sign = columns[d - 1], cone.__getitem__, -1 if d % 2 else 1
+                    for c in bases:
+                        col = lower[c]
+                        new = dict(zip(map(moved, col), col.values()))
+                        new[c] = sign
+                        cols.append(new)
+                else:
+                    cols.append({0: 1})
+                here.append(range(start, len(cols)))
+                cone = dict(zip(bases, here[d]))  # each chain c below x to c.x
+                bases = [c for y in under if d < len(spans[y]) for c in spans[y][d]]
+                d += 1
+        return columns, spans
+
+    def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
+        """All nonempty chains of the subposet on `members`, each listed in
+        increasing order, grouped by maximum element in poset order, and
+        each group by dimension.  They are the chains of `_chain_cones`,
+        named: the chain c.x of a column is the chain c of its last key,
+        then x.  Not cached."""
+        columns, spans = self._chain_cones(members)
+        names = self._names
+        ending: dict[str, list[tuple[str, ...]]] = {names[x]: [] for x in spans}
+        named: list[tuple[str, ...]] = [()]  # the (d-1)-chains; d = 0: the empty chain
+        for d, cols in enumerate(columns):
+            here: list[tuple[str, ...]] = [()] * len(cols)
+            for x, ranges in spans.items():
+                if d < len(ranges):
+                    top = (names[x],)
+                    for j in ranges[d]:
+                        here[j] = named[next(reversed(cols[j]))] + top
+                    ending[names[x]].extend(here[j] for j in ranges[d])
+            named = here
+        return ending
 
     def beat_point_core(self) -> tuple[str, ...]:
         """The core of the poset, in poset order: sweeps in poset order

@@ -5,7 +5,8 @@ implementations under test.  The dense Smith-form oracles (homology
 coordinates, quasi-isomorphism, flow) call only the library's dense
 `snf` routines, `homology` and the cellular complex they are given, and
 `solve` and `matrix_rank`, the exact linear solve and the rank on a
-dense Smith form that only they use.  The
+dense Smith form that only they use, with `from_columns` and `mul_vec`,
+which build a dense matrix and apply it.  The
 cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
 `sphere_generator` and `homology`.  The pair and face-poset oracles build
@@ -230,6 +231,18 @@ def check_integration_conditions(poset: Poset, matching: Matching, values) -> li
     return failures
 
 
+def from_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """The rows x len(columns) matrix with these dense columns."""
+    return IntMatrix(rows, len(columns), [[col[i] for col in columns] for i in range(rows)])
+
+
+def mul_vec(matrix: IntMatrix, vec: Sequence[int]) -> list[int]:
+    """The product of the matrix and a dense vector."""
+    if len(vec) != matrix.cols:
+        raise ValueError("vector length does not match column count")
+    return [sum(a * v for a, v in zip(row, vec)) for row in matrix.data]
+
+
 def determinant(matrix: IntMatrix) -> int:
     """Exact determinant via the fraction-free Bareiss elimination."""
     if matrix.rows != matrix.cols:
@@ -265,7 +278,7 @@ def solve(A: IntMatrix, b: list[int], snf: SmithDecomposition | None = None) -> 
     the Smith form A = U D V: x = V^-1 w where D w = U^-1 b."""
     if snf is None:
         snf = smith_normal_form(A)
-    y = snf.U_inv.mul_vec(list(b))
+    y = mul_vec(snf.U_inv, list(b))
     diag = snf.diagonal
     w = [0] * A.cols
     for i in range(A.rows):
@@ -277,7 +290,7 @@ def solve(A: IntMatrix, b: list[int], snf: SmithDecomposition | None = None) -> 
             if y[i] % d != 0:
                 return None
             w[i] = y[i] // d
-    return snf.V_inv.mul_vec(w)
+    return mul_vec(snf.V_inv, w)
 
 
 def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], int]:
@@ -410,7 +423,7 @@ def snf_homology_coordinates(complex: ChainComplex, degree: int):
     else:
         kernel = kernel_basis(d_here)
     z = len(kernel)
-    Z = IntMatrix.from_columns(kernel, n) if z else IntMatrix.zeros(n, 0)
+    Z = from_columns(kernel, n) if z else IntMatrix.zeros(n, 0)
     d_up = complex.boundary.get(degree + 1)
     if d_up is None or z == 0:
         Y = IntMatrix.zeros(z, 0)
@@ -422,7 +435,7 @@ def snf_homology_coordinates(complex: ChainComplex, degree: int):
             if sol is None:
                 raise ConsistencyError("boundary image escaped the cycle lattice")
             cols.append(sol)
-        Y = IntMatrix.from_columns(cols, z) if cols else IntMatrix.zeros(z, 0)
+        Y = from_columns(cols, z) if cols else IntMatrix.zeros(z, 0)
     snf_y = smith_normal_form(Y)
     diag = snf_y.diagonal
     factors = [diag[i] if i < len(diag) else 0 for i in range(z)]
@@ -478,7 +491,7 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column]],
             for j in range(sub_coords.cols):
                 if sub_factors[j] == 1:
                     continue  # trivial class
-                ambient_cycle = inc.mul_vec(sub_coords.column(j))
+                ambient_cycle = mul_vec(inc, sub_coords.column(j))
                 alpha = solve(Zprime, ambient_cycle, snf_zp)
                 if alpha is None:
                     return False
@@ -488,7 +501,7 @@ def snf_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column]],
         all_cols = image_cols + relation_cols
         if not all_cols:
             return False
-        combined = IntMatrix.from_columns(all_cols, z)
+        combined = from_columns(all_cols, z)
         diag = smith_normal_form(combined).diagonal
         if sum(1 for d in diag if d == 1) != z:
             return False
@@ -553,13 +566,13 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     invariant_basis: dict[int, list[list[int]]] = {}
     for p in range(top + 1):
         invariant_basis[p] = kernel_basis(deviation[p]) if levels[p] else []
-    inclusion = {p: IntMatrix.from_columns(cols, len(levels[p]))
+    inclusion = {p: from_columns(cols, len(levels[p]))
                  for p, cols in invariant_basis.items() if cols}
     ranks = {p: len(cols) for p, cols in invariant_basis.items() if cols}
     boundary: dict[int, list[Column]] = {}
     for p in sorted(ranks):
         d_p = boundary_or_empty(chain, p)
-        images = [d_p.mul_vec(vec) for vec in invariant_basis[p]]
+        images = [mul_vec(d_p, vec) for vec in invariant_basis[p]]
         if p - 1 not in ranks:
             if any(any(v) for v in images):
                 raise ConsistencyError("flow-invariant chains are not closed under d")
@@ -572,7 +585,7 @@ def dense_flow_operator(poset: Poset, matching: Matching,
             if sol is None:
                 raise ConsistencyError("flow-invariant chains are not closed under d")
             cols.append(sol)
-        boundary[p] = IntMatrix.from_columns(cols, ranks[p - 1]).sparse_columns()
+        boundary[p] = from_columns(cols, ranks[p - 1]).sparse_columns()
     invariant = ChainComplex(ranks, boundary)
     crit = critical_counts(poset, matching)
     rank_ok = all(ranks.get(p, 0) == crit.get(p, 0) for p in range(top + 1))
@@ -631,10 +644,10 @@ def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
 
 
 def guard_whole_poset_chains(monkeypatch) -> list[int]:
-    """Patch `Poset.chains_within`, the one chain enumerator, to raise when
+    """Patch `Poset._chain_cones`, the one chain enumerator, to raise when
     it is asked for every element of its poset.  Returns the list of the
     sizes of the sets it was asked for, filled as calls come in."""
-    original, sizes = Poset.chains_within, []
+    original, sizes = Poset._chain_cones, []
 
     def guarded(self, members):
         members = set(members)
@@ -643,7 +656,7 @@ def guard_whole_poset_chains(monkeypatch) -> list[int]:
         sizes.append(len(members))
         return original(self, members)
 
-    monkeypatch.setattr(Poset, "chains_within", guarded)
+    monkeypatch.setattr(Poset, "_chain_cones", guarded)
     return sizes
 
 
@@ -1236,7 +1249,8 @@ class NameKeyedPoset:
 
     def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
         """All nonempty chains of the subposet on `members`, grouped by
-        maximum element, each listed in increasing order; not cached."""
+        maximum element, each group by dimension, each listed in increasing
+        order; not cached."""
         below, order = self._reach(), self.index
         keep = set(members)
         ending: dict[str, list[tuple[str, ...]]] = {}
@@ -1244,7 +1258,7 @@ class NameKeyedPoset:
             local: list[tuple[str, ...]] = [(x,)]
             for y in sorted(below[x] & keep, key=order.__getitem__):
                 local.extend(c + (x,) for c in ending[y])
-            ending[x] = local
+            ending[x] = sorted(local, key=len)
         return ending
 
     def beat_point_core(self) -> tuple[str, ...]:

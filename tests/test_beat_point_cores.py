@@ -105,7 +105,7 @@ def test_pass_matches_definition_on_large_non_cellular_posets():
 def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch, tmp_path,
                                                                      capsys):
     """validate, homology --kind poset and hccat, on non-cellular and
-    ungraded posets, with `Poset.chains_within`, the one chain
+    ungraded posets, with `Poset._chain_cones`, the one chain
     enumerator, raising on every call."""
     rng = XorShift64Star(8)
     spaces = [levelled_poset(rng, 4, 60), levelled_poset(rng, 4, 150),
@@ -116,7 +116,7 @@ def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch
     def forbidden(self, members):
         raise RuntimeError("chains were enumerated")
 
-    monkeypatch.setattr(Poset, "chains_within", forbidden)
+    monkeypatch.setattr(Poset, "_chain_cones", forbidden)
     for i, (poset, (report, summary)) in enumerate(zip(spaces, expected)):
         assert not report.is_cellular
         assert check_cellularity(poset) == report

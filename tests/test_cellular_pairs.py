@@ -256,13 +256,13 @@ def test_theorem_checks_build_no_complex_per_pair(space, monkeypatch):
 def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
     """The sweep, the Morse-Bott numbers, the window lemma and the
     Lusternik-Schnirelmann check, and the ls-check, hccat and rational
-    inequalities reports, with `Poset.chains_within`, the one chain
+    inequalities reports, with `Poset._chain_cones`, the one chain
     enumerator, raising on every call."""
     def forbidden(self, members):
         raise RuntimeError("chains were enumerated")
 
     runs = [_sphere_with_cone_matching(n) for n in range(1, 7)] + list(_fixture_runs())
-    monkeypatch.setattr(Poset, "chains_within", forbidden)
+    monkeypatch.setattr(Poset, "_chain_cones", forbidden)
     for poset, matching in runs:
         assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
         morse_bott_numbers(poset, matching)

@@ -35,7 +35,7 @@ from posetmorse.randgen import (
 )
 from posetmorse.snf import smith_normal_form
 
-from helpers import dense_flow_operator, dense_inclusion, solve
+from helpers import dense_flow_operator, dense_inclusion, mul_vec, solve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -113,8 +113,8 @@ def _check_against_oracle(poset, matching):
         for j in range(inc.cols):
             col = [1 if i == critical[j] else 0 for i in range(inc.rows)]
             steps = 0
-            while dense.phi[p].mul_vec(col) != col:
-                col = dense.phi[p].mul_vec(col)
+            while mul_vec(dense.phi[p], col) != col:
+                col = mul_vec(dense.phi[p], col)
                 steps += 1
             longest = max(longest, steps)
     assert homology(flow.invariant_complex) == homology(dense.invariant_complex)

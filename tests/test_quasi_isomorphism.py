@@ -26,7 +26,8 @@ from posetmorse.category import verify_quasi_isomorphism
 from posetmorse.formats import load_complex, load_poset, parse_matching_text
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
 
-from helpers import boundary_or_empty, dense_inclusion, matrix_rank, snf_quasi_isomorphism
+from helpers import (boundary_or_empty, dense_inclusion, matrix_rank, mul_vec,
+                     snf_quasi_isomorphism)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -97,7 +98,7 @@ def _perturbations(sub, inclusion, ambient, rng):
             # adding a boundary to a free cycle keeps the induced map
             c = [rng.randint(-1, 1) for _ in range(ambient.rank(p + 1))]
             if c:
-                image = boundary_or_empty(ambient, p + 1).mul_vec(c)
+                image = mul_vec(boundary_or_empty(ambient, p + 1), c)
                 moved = [v + w for v, w in zip(inc.column(j), image)]
                 yield "plus-boundary", _with_column(inclusion, p, j, moved)
         cycles = [j for j in range(inc.cols) if not sub.columns.get(p, [{}] * inc.cols)[j]]

@@ -1,24 +1,33 @@
-"""The poset front end `subposet_chain_complex` against the paper's
-definition: the order complexes of induced subposets, built one by one.
-Pairs of subposets are checked in `test_cellular_pairs.py`, against the
-cellular route that replaced the order-complex one."""
+"""The order complexes built as iterated cones (`Poset._chain_cones`)
+against the paper's definition: `subposet_chain_complex` against the
+order complexes of induced subposets, built one by one, and
+`poset_homology` and `is_acyclic` against the homology of the simplicial
+complex of chains.  Pairs of subposets are checked in
+`test_cellular_pairs.py`, against the cellular route that replaced the
+order-complex one."""
 
 import pytest
 
 from posetmorse import (
     CellularityReport,
+    ChainComplex,
+    SimplicialComplex,
     build_poset,
     check_cellularity,
     face_poset,
     homology,
+    is_acyclic,
     order_complex,
+    poset_homology,
     simplicial_chain_complex,
     sphere_generator,
 )
-from posetmorse.errors import UnknownElement
+from posetmorse.errors import NotAChainComplex, UnknownElement
 from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 from posetmorse.snf import kernel_basis
+
+from helpers import brute_force_maximal_chains
 
 
 def random_poset(rng: XorShift64Star, n: int):
@@ -108,10 +117,13 @@ def test_sphere_generators_match_induced_route(t3, rp2, mobius, tetra_boundary):
 def test_unknown_elements_and_non_subsets_rejected(t3):
     with pytest.raises(UnknownElement):
         subposet_chain_complex(t3, ["v1", "zz"])
+    with pytest.raises(UnknownElement):
+        t3.chains_within(["v1", "zz"])
 
 
 def test_empty_members():
     p = build_poset(["a", "b"], [("a", "b")])
+    assert p._chain_cones([]) == ([], {})
     assert homology(subposet_chain_complex(p, [], reduced=True)) == sphere_summary(-1)
     assert homology(subposet_chain_complex(p, [])).is_trivial()
 
@@ -133,3 +145,58 @@ def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
     for x in spaces[0].elements:
         if spaces[0].heights()[x] >= 1:
             sphere_generator(spaces[0], x)
+
+
+def whole_posets(rng: XorShift64Star):
+    """Graded random posets, cellular or not, ungraded ones, face posets,
+    a disconnected poset and a single point."""
+    for k in range(45):
+        if k % 3 == 0:
+            yield random_graded_poset(rng, max_elements=12, max_levels=4)
+        elif k % 3 == 1:
+            yield random_poset(rng, rng.randint(3, 9))
+        else:
+            yield face_poset(random_simplicial_complex(rng, max_vertices=6))
+    yield build_poset(["a", "b", "c", "d", "e", "f", "g"],
+                      [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("e", "f")])
+    yield build_poset(["a"], [])
+
+
+def test_poset_homology_is_the_homology_of_the_order_complex(rp2):
+    posets = [face_poset(rp2), *whole_posets(XorShift64Star(2026))]
+    kinds, acyclic = set(), set()
+    for poset in posets:
+        chains = order_complex(poset)
+        # the chains listed by exhaustive extension, not by the cones
+        assert chains == SimplicialComplex(
+            brute_force_maximal_chains(poset, set(poset.elements)))
+        for reduced in (False, True):
+            want = homology(simplicial_chain_complex(chains, reduced=reduced))
+            assert poset_homology(poset, reduced=reduced) == want
+        assert is_acyclic(poset) == want.is_trivial()
+        kinds.add((poset.is_graded(), check_cellularity(poset).is_cellular))
+        acyclic.add(want.is_trivial())
+    assert kinds == {(True, True), (True, False), (False, False)} and acyclic == {True, False}
+    assert poset_homology(posets[0]).t(1) == (2,)
+    assert poset_homology(posets[-2]).b(0) == 3
+
+
+def test_flipped_cone_signs_are_not_a_chain_complex(rp2, tetra_boundary):
+    """The entry (-1)^(dim c + 1) on c in the column of c.x is what makes
+    d*d vanish: flipping it in one dimension, or in every dimension above
+    the augmentation, makes `ChainComplex` raise."""
+    for complex in (rp2, tetra_boundary):
+        poset = face_poset(complex)
+        columns = poset._chain_cones(poset.elements)[0]
+        ranks = {-1: 1, **{d: len(cols) for d, cols in enumerate(columns)}}
+        ChainComplex(ranks, dict(enumerate(columns)))
+
+        def flipped(cols):
+            return [{**col, next(reversed(col)): -col[next(reversed(col))]} for col in cols]
+
+        for d in range(1, len(columns)):
+            with pytest.raises(NotAChainComplex):
+                ChainComplex(ranks, {**dict(enumerate(columns)), d: flipped(columns[d])})
+        with pytest.raises(NotAChainComplex):
+            ChainComplex(ranks, {0: columns[0], **{d: flipped(cols) for d, cols
+                                                   in enumerate(columns) if d}})
