@@ -125,7 +125,6 @@ from .homology import (
 from .intmatrix import Column
 from .posets import Poset
 from .simplicial import Simplex
-from .snf import kernel_basis
 
 
 @dataclass(frozen=True)
@@ -505,11 +504,13 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     down-set of `element`.
 
     The order complex of the strict down-set has dimension p-1, so its
-    top reduced cycles are exactly its top reduced homology; cellularity
-    makes that group infinite cyclic and the kernel of the boundary has
-    rank one.  The sign is fixed by making the coefficient of the
-    lexicographically first simplex in the support positive: the gauge of
-    the incidence numbers, which never build these cycles.
+    top reduced cycles are exactly its top reduced homology, which
+    cellularity makes infinite cyclic.  Its minimal model spans those
+    cycles by its (p-1)-cells with empty columns; there must be one, and
+    the cycle is that cell's inclusion.  The sign is fixed by making the
+    coefficient of the lexicographically first simplex in the support
+    positive: the gauge of the incidence numbers, which never build these
+    cycles.
     """
     p = poset.degree(element)
     if p < 1:
@@ -518,21 +519,15 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     if element in cached:
         return cached[element]
     chain = subposet_chain_complex(poset, poset.strictly_below(element), reduced=True)
-    top = chain.labels.get(p - 1, ())
-    mat = chain.boundary.get(p - 1)
-    if mat is None or chain.rank(p) != 0:
-        raise NotCellular(f"strict down-set of {element!r} has wrong dimension")
-    basis = kernel_basis(mat)
-    if len(basis) != 1:
+    reducer = _minimal_reducer(chain.ranks, chain.columns)
+    cycles = [c for c in reducer.survivors().get(p - 1, ()) if not reducer.cols[p - 1][c]]
+    if len(cycles) != 1:
         raise NotCellular(
-            f"top homology below {element!r} has rank {len(basis)}, expected 1")
-    vec = basis[0]
-    for v in vec:
-        if v != 0:
-            if v < 0:
-                vec = [-c for c in vec]
-            break
-    gen = SphereGenerator(element, {s: c for s, c in zip(top, vec) if c != 0})
+            f"top homology below {element!r} has rank {len(cycles)}, expected 1")
+    (cycle,) = reducer.inclusions(p - 1, cycles)
+    sign = 1 if cycle[min(cycle)] > 0 else -1
+    top = chain.labels[p - 1]
+    gen = SphereGenerator(element, {top[i]: sign * cycle[i] for i in sorted(cycle)})
     cached[element] = gen
     return gen
 

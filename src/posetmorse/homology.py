@@ -23,33 +23,34 @@ every cell it changes to the cell it removes, and the inclusion of what
 is left is built from those edges only for the cells that survive, as
 the sum over gradient paths (Forman 1998, section 8; Harker, Mischaikow,
 Mrozek and Nanda, Found. Comput. Math. 2014).  `minimal_model` then
-brings the few boundaries that still have unit Smith factors to their
-Smith form, on the inclusions of the cells left, and eliminates those
-too, leaving rank b_k + mu_k + mu_{k-1} in degree k.  The cellularity
-pass runs it on the raw cells of each down-set (`_minimal_reducer`),
-once per distinct sphere complex, and reads the sphere verdict and the
-generator, or the mapping cone of its chain model over the other models,
-straight off the survivors, numbered by `_Reducer.model`; the flow reads
-a matching's Morse complex, and the hccat witness is the minimal model.
+brings the few boundaries that still have unit Smith factors or
+dependent columns to their Smith form, on the inclusions of the cells
+left, and eliminates the units too, leaving rank b_k + mu_k + mu_{k-1}
+in degree k, whose cycles are spanned by the cells with empty columns.
+The cellularity pass runs it on the raw cells of each down-set
+(`_minimal_reducer`), once per distinct sphere complex, and reads the
+sphere verdict and the generator, or the mapping cone of its chain model
+over the other models, straight off the survivors, numbered by
+`_Reducer.model`; `cellular.sphere_generator` reads its cycle off the
+same survivors, the flow a matching's Morse complex, and the hccat
+witness is the minimal model.
 
 One assembler, `_assemble`, turns sorted simplices into sparse columns
-for the simplicial front ends.  The order complex of a poset needs
-none: `Poset._chain_cones` builds it as iterated cones, K(U_x) =
-x * K(U.x) (Quillen 1978), and d(c.x) = (dc).x + (-1)^(dim c + 1) c
-gives the column of each chain c.x from the column of c.  Two
-orientations are read off it.  `poset_homology` and `is_acyclic` take
-the complex as built, unlabelled and oriented by the poset's order.
-`subposet_chain_complex`, for `cellular.sphere_generator` and the tests,
-labels each chain by its vertex names, sorted, and orders and signs the
-chains by those labels, which is exactly the simplicial chain complex of
-the order complex of the induced subposet.  Only these definitions list
-chains; no theorem check does.  With `order_complex`, `Poset.induced`
-and `relative_homology`, the tests check the chain model against them.
+for the front ends that label their cells.  `Poset._chain_cones` builds
+the order complex of a poset as iterated cones, K(U_x) = x * K(U.x)
+(Quillen 1978), where d(c.x) = (dc).x + (-1)^(dim c + 1) c gives the
+column of each chain c.x from the column of c.  `poset_homology` and
+`is_acyclic` take those columns as built, unlabelled and oriented by the
+poset's order.  `subposet_chain_complex`, for `sphere_generator` and the
+tests, takes the same chains by name (`Poset.chains_within`), sorts each
+and hands them to `_assemble`: the simplicial chain complex of the order
+complex of the induced subposet.  Only these definitions list chains; no
+theorem check does.  With `order_complex`, `Poset.induced` and
+`relative_homology`, the tests check the chain model against them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -71,8 +72,8 @@ class ChainComplex:
     `labels[p]` names the basis of C_p: elements for cellular complexes,
     sorted vertex tuples for simplicial ones.  Degrees may start at -1
     (reduced complexes).  d*d = 0 is validated on construction.
-    `boundary` is the dense view, built on first use, for callers that
-    need Smith transforms.
+    `boundary` is the dense view, built on first use, which only the
+    tests and the benchmark read.
     """
 
     def __init__(self, ranks: dict[int, int], boundary: dict[int, list[Column]],
@@ -491,14 +492,15 @@ class _Reducer:
         self._index(p + 1)
 
     def smith_step(self, p: int) -> list[int]:
-        """Bring d_p = U D V to D, C_p by V^-1 and C_{p-1} by U, if D has a 1;
-        return the positions of its 1s."""
+        """Bring d_p = U D V to D, C_p by V^-1 and C_{p-1} by U, if D has a 1
+        or d_p has dependent nonzero columns, so that the cells with empty
+        columns span the cycles of C_p; return the positions of its 1s."""
         upper, lower = list(self.cols[p]), list(self.cols[p - 1])
         at = {a: t for t, a in enumerate(lower)}
         snf = smith_normal_form(IntMatrix.from_sparse_columns(
             [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
         units = [t for t, f in enumerate(snf.diagonal) if f == 1]
-        if units:
+        if units or sum(map(bool, snf.diagonal)) < sum(map(bool, self.cols[p].values())):
             self._rebase(p, upper, snf.V_inv, snf.V)
             self._rebase(p - 1, lower, snf.U, snf.U_inv)
         return units
@@ -540,9 +542,11 @@ def minimal_model(complex: ChainComplex) -> Reduction:
     """A reduction of rank b_k + mu_k + mu_{k-1} in degree k, the fewest
     cells a complex with this homology has: `morse_reduction` without
     pairs, then, from the top degree down, each boundary whose Smith form
-    has a unit factor changes basis to that form, and its 1s are
-    eliminated as pairs.  The Smith forms run only on the reduced
-    complex, and on the inclusions of its cells."""
+    has a unit factor or whose nonzero columns are dependent changes basis
+    to that form, and its 1s are eliminated as pairs.  So the cycles of
+    each degree are spanned by its cells with empty columns.  The Smith
+    forms run only on the reduced complex, and on the inclusions of its
+    cells."""
     return _minimal_reducer(complex.ranks, complex.columns).result()
 
 
@@ -595,51 +599,19 @@ def relative_chain_complex(complex: SimplicialComplex,
 def subposet_chain_complex(poset: Poset, members: Iterable[str],
                            reduced: bool = False) -> ChainComplex:
     """The chain complex of the order complex K(A) of the subposet on
-    A = `members`, labelled.
+    A = `members`.
 
     K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
-    the chains of the poset that lie inside A, which `Poset._chain_cones`
-    builds as iterated cones, oriented by the poset's order.  Here each
-    chain is named by its vertices sorted by name, the chains of each
-    dimension are sorted by those names, and each basis element takes the
-    sign of the permutation that sorts its chain, so simplices, their
-    order and their orientation are those of
+    the chains of the poset that lie inside A (`Poset.chains_within`).
+    Simplices, their order and their orientation are those of
     `simplicial_chain_complex(order_complex(poset.induced(A)))`.  With
     reduced=True the augmentation slot is added.
     """
-    columns, spans = poset._chain_cones(members)
-    names = sorted(poset._names[x] for x in spans)
-    rank = dict(zip(sorted(spans, key=poset._names.__getitem__), range(len(names))))
-    # per (d-1)-chain: the name ranks of its vertices, sorted, the sign of
-    # the permutation that sorts them, and its place among the sorted
-    # chains; d = 0 reads the empty chain
-    keys: list[tuple[int, ...]] = [()]
-    signs, at = [1], [0]
-    ranks, boundary, labels = {-1: 1}, {}, {-1: ((),)}
-    for d, cols in enumerate(columns):
-        here, flips = [()] * len(cols), [1] * len(cols)
-        for x, ranges in spans.items():
-            if d < len(ranges):
-                r = rank[x]
-                for j in ranges[d]:
-                    # c.x is c, then x: sort c, then move x left past the names above it
-                    c = next(reversed(cols[j]))
-                    key = keys[c]
-                    k = bisect_right(key, r)
-                    here[j] = key[:k] + (r,) + key[k:]
-                    flips[j] = -signs[c] if (len(key) - k) % 2 else signs[c]
-        order = sorted(range(len(cols)), key=here.__getitem__)
-        boundary[d] = [{at[i]: flips[j] * signs[i] * v for i, v in cols[j].items()}
-                       for j in order]
-        labels[d] = tuple(tuple(names[r] for r in here[j]) for j in order)
-        ranks[d] = len(cols)
-        keys, signs, at = here, flips, [0] * len(cols)
-        for new, j in enumerate(order):
-            at[j] = new
-    if not reduced:
-        del ranks[-1], labels[-1]
-        boundary.pop(0, None)
-    return ChainComplex(ranks, boundary, labels)
+    simplices: dict[int, list[Simplex]] = {}
+    for local in poset.chains_within(members).values():
+        for c in local:
+            simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
+    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
 
 
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex) -> HomologySummary:

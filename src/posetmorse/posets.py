@@ -38,11 +38,12 @@ without the induced subposet, by `_chain_cones(A)`, the one function
 that lists chains.  It walks the ids of A counting up, a linear
 extension, and builds the chains with maximum x as the cone x * K(U.x &
 A) (Quillen 1978), each boundary column read off the column of the
-chain it extends.  `chains_within` names those chains; the homology
-front ends read the columns, oriented by the poset's order.  Nothing
-caches chains.  Only the paper's definitions list them; no theorem
-check does.  `induced` stays as the paper's definition too, and
-`beat_point_core` serves the random generators.
+chain it extends.  `poset_homology` and `is_acyclic` read the columns,
+oriented by the poset's order; `chains_within` names the chains, which
+`subposet_chain_complex` sorts and assembles.  Nothing caches chains.
+Only the paper's definitions list them; no theorem check does.
+`induced` stays as the paper's definition too, and `beat_point_core`
+serves the random generators.
 """
 
 from __future__ import annotations

@@ -58,8 +58,8 @@ class SimplicialComplex:
         return max(self.simplices)
 
     def __contains__(self, simplex: Sequence[str]) -> bool:
-        s = tuple(sorted(simplex))
-        return s in set(self.simplices.get(len(s) - 1, ()))
+        s = tuple(sorted(map(str, simplex)))
+        return s in self.simplices.get(len(s) - 1, ())
 
     def contains_complex(self, other: "SimplicialComplex") -> bool:
         for d, sims in other.simplices.items():
@@ -124,7 +124,7 @@ def face_poset(complex: SimplicialComplex) -> Poset:
 
 def order_complex(poset: Poset) -> SimplicialComplex:
     """The complex of nonempty chains of the poset: the paper's definition,
-    which the tests check `homology.subposet_chain_complex` against."""
+    which the tests check `poset_homology` and `subposet_chain_complex` against."""
     return SimplicialComplex(poset.chains())
 
 

@@ -905,7 +905,7 @@ class EagerReducer:
         snf = smith_normal_form(IntMatrix.from_sparse_columns(
             [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
         units = [t for t, f in enumerate(snf.diagonal) if f == 1]
-        if units:
+        if units or sum(map(bool, snf.diagonal)) < sum(map(bool, self.cols[p].values())):
             self._rebase(p, upper, snf.V_inv, snf.V)
             self._rebase(p - 1, lower, snf.U, snf.U_inv)
         return units

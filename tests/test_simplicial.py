@@ -36,6 +36,15 @@ def test_parse_rp2(rp2):
     assert rp2.euler_characteristic() == 6 - 15 + 10 == 1
 
 
+def test_membership_names_vertices_as_the_constructor_does():
+    k = SimplicialComplex([[1, 2, 10]])
+    assert k.simplices[2] == (("1", "10", "2"),)
+    for face in ([1, 2], [10, 2], [2, 10, 1], (10,), ["1", "10"], [1, "2"]):
+        assert face in k
+    for other in ([3], [1, 3], [1, 2, 3], [1, 2, 10, 3]):
+        assert other not in k
+
+
 def test_parse_errors():
     with pytest.raises(EmptyComplex):
         parse_simplicial_complex("\n# nothing here\n")

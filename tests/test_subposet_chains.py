@@ -6,8 +6,11 @@ complex of chains.  Pairs of subposets are checked in
 `test_cellular_pairs.py`, against the cellular route that replaced the
 order-complex one."""
 
+from pathlib import Path
+
 import pytest
 
+import posetmorse.snf
 from posetmorse import (
     CellularityReport,
     ChainComplex,
@@ -22,12 +25,15 @@ from posetmorse import (
     simplicial_chain_complex,
     sphere_generator,
 )
-from posetmorse.errors import NotAChainComplex, UnknownElement
+from posetmorse.errors import NotAChainComplex, NotCellular, UnknownElement
+from posetmorse.formats import load_complex
 from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 from posetmorse.snf import kernel_basis
 
 from helpers import brute_force_maximal_chains
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def random_poset(rng: XorShift64Star, n: int):
@@ -107,11 +113,44 @@ def induced_route_generator(poset, element) -> dict:
     return {s: sign * c for s, c in zip(complex.simplices.get(p - 1, ()), vec) if c}
 
 
+def with_top(complex: SimplicialComplex):
+    """The face poset of the complex with one element over its maximal simplices."""
+    faces = face_poset(complex)
+    tops = ["|".join(s) for s in complex.maximal]
+    return build_poset([*faces.elements, "top"], [*faces.covers, *((t, "top") for t in tops)])
+
+
+def rp2_with_h2():
+    """RP^2 wedged at a vertex with the boundary of the tetrahedron, and
+    two copies of RP^2 glued along the loop 1-2-3, a generator of H_1: both
+    have H_2 = Z beside H_1 = Z/2."""
+    rp2 = (DATA / "rp2_6.txt").read_text()
+    copy = rp2.translate(str.maketrans("456", "789"))
+    return (load_complex(rp2 + "1 10 11\n1 10 12\n1 11 12\n10 11 12\n"),
+            load_complex(rp2 + copy))
+
+
 def test_sphere_generators_match_induced_route(t3, rp2, mobius, tetra_boundary):
-    for poset in (t3, face_poset(rp2), face_poset(mobius), face_poset(tetra_boundary)):
+    wedge, double = rp2_with_h2()
+    for complex in (wedge, double):
+        summary = homology(simplicial_chain_complex(complex))
+        assert summary.b(2) == 1 and summary.t(1) == (2,)
+    # the minimal models below "top" keep a 2-cell that is not a cycle
+    for poset in (t3, face_poset(rp2), face_poset(mobius), face_poset(tetra_boundary),
+                  with_top(wedge), with_top(double)):
         for x in poset.elements:
             if poset.heights()[x] >= 1:
                 assert sphere_generator(poset, x).cycle == induced_route_generator(poset, x)
+
+
+def test_sphere_generator_needs_top_homology_of_rank_one():
+    # H_2 = 0 beside H_1 = Z/2
+    rp2 = with_top(load_complex((DATA / "rp2_6.txt").read_text()))
+    with pytest.raises(NotCellular, match="below 'top' has rank 0, expected 1"):
+        sphere_generator(rp2, "top")
+    two_circles = with_top(SimplicialComplex([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+    with pytest.raises(NotCellular, match="below 'top' has rank 2, expected 1"):
+        sphere_generator(two_circles, "top")
 
 
 def test_unknown_elements_and_non_subsets_rejected(t3):
@@ -142,6 +181,13 @@ def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
     for poset in spaces:
         check_cellularity(poset)
         euler_characteristics(poset)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense boundary or kernel basis built")
+
+    # sphere generators read their cycle off the sparse reducer
+    monkeypatch.setattr(ChainComplex, "boundary", property(dense))
+    monkeypatch.setattr(posetmorse.snf, "kernel_basis", dense)
     for x in spaces[0].elements:
         if spaces[0].heights()[x] >= 1:
             sphere_generator(spaces[0], x)
