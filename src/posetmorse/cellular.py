@@ -72,6 +72,15 @@ needs them: a pass it starts builds every row directly, and where the
 cached pass deferred rows it walks again, building and checking every
 row, and replaces the cached pass.
 
+`matching` reads only the verdict, whether the poset is admissible
+(`is_admissible`).  Its walk stops at the first failure, a non-cellular
+element or a cover that is not admissible, which nothing after it can
+undo, and checks d*d on every row it built before it answers.  A walk
+that stops lists no witnesses and is not cached; one that runs to the
+end is the pass `check_cellularity` starts, and is cached as that.
+`validate` and `require_admissible` / `require_cellular`, whose texts
+list witnesses, take the whole pass.
+
 The pass walks the poset's int core (`posets`): ids run in height
 order, so a down-set lists its cells by sorting its ids with no key, and
 the rows of the pass are keyed by ids, the only keying of the chain
@@ -203,17 +212,42 @@ def _walked(poset: Poset, complete: bool = False) -> tuple[CellularityReport | N
     checks rows.  A pass that always deferred, its rows built afterwards,
     would spend more: the excision adds its pair homology to the
     reductions, about a fifth more time on the pass of
-    `gen --kind poset --seed 5 --size 1000`."""
+    `gen --kind poset --seed 5 --size 1000`.  `matching` reads only the
+    verdict, through `is_admissible`, whose walk stops at the first
+    non-cellular element or non-admissible cover and checks the rows it
+    built before it answers; it caches only a walk that ran to the end,
+    which is the deferring pass."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None or complete and cached[2]:
         cached = poset.analysis_cache["cellularity"] = _degree_induction(poset, defer=not complete)
     return cached[0], cached[1]
 
 
-def _degree_induction(poset: Poset, defer: bool = False
-                      ) -> tuple[CellularityReport | None, Rows, list[int]]:
+def is_admissible(poset: Poset) -> bool:
+    """Whether the poset is homologically admissible, the one verdict that
+    `matching` reads: False on an ungraded poset, else the cached pass's,
+    else that of a deferring walk that stops at its first failure, after
+    checking the rows it built.  A walk that runs to the end is the pass
+    `check_cellularity` starts, and is cached as that; one that stops is
+    not, as it lists no witnesses."""
+    if not poset.is_graded():
+        return False
+    cached = poset.analysis_cache.get("cellularity")
+    if cached is None:
+        cached = _degree_induction(poset, defer=True, stop=True)
+        if cached is None:
+            return False
+        poset.analysis_cache["cellularity"] = cached
+    return cached[0].is_homologically_admissible
+
+
+def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
+                      ) -> tuple[CellularityReport | None, Rows, list[int]] | None:
     """The pass, on the poset's ids: the report, in names, the rows, keyed
-    by ids, and the maximal elements whose rows it deferred (defer=True)."""
+    by ids, and the maximal elements whose rows it deferred (defer=True).
+    With stop=True the walk ends at its first failure, a non-cellular
+    element or a cover that is not admissible, checks the rows it built
+    and returns None: what follows cannot make the poset admissible."""
     graded, degrees, names = poset.is_graded(), poset._height, poset._names
     lower_covers, upper_covers, down = poset._lower, poset._upper, poset._reach()
     # each id's place among the sorted names, which the two gauges compare
@@ -234,8 +268,12 @@ def _degree_induction(poset: Poset, defer: bool = False
     not_admissible: list[tuple[int, int]] = []
     # the generator, in local indices, of each sphere complex reduced so far
     spheres: dict[tuple, tuple[int, ...]] = {}
+    walked = len(names)
     try:
         for x, lower in enumerate(lower_covers):
+            if stop and (not_cellular or not_admissible):
+                walked = x
+                break
             p, below = degrees[x], down[x]
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
@@ -315,10 +353,12 @@ def _degree_induction(poset: Poset, defer: bool = False
         # check on the rows so far names it, or the walk's own error stands
         _check_rows(eps, degrees, filter(eps.__contains__, range(len(names))))
         raise
-    # d*d = 0 once, on every cell of the pass but the deferred ones, read
-    # off the rows themselves
+    # d*d = 0 once, on every cell the walk built, all but the deferred ones,
+    # read off the rows themselves
     skipped = set(deferred)
-    _check_rows(eps, degrees, (x for x in range(len(names)) if x not in skipped))
+    _check_rows(eps, degrees, (x for x in range(walked) if x not in skipped))
+    if walked < len(names):
+        return None
     if not graded:
         return None, eps, deferred
     witnesses = [("not-cellular", names[x], texts[not_cellular[x]])

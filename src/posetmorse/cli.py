@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cellular import (cellular_chain_complex, check_cellularity, space_complex, space_homology,
-                       verify_cellular_agreement)
+from .cellular import (cellular_chain_complex, check_cellularity, is_admissible, space_complex,
+                       space_homology, verify_cellular_agreement)
 from .category import hccat, ls_theorem_check, minimal_subcomplex
 from .dynamics import basic_sets, is_morse_matching, is_morse_smale, orbit_multiplicity
 from .errors import MalformedLine, PosetMorseError
@@ -148,8 +148,8 @@ def cmd_matching(args) -> Report:
     for cls in dec.orbit_classes:
         lines.append(f"orbit class (index {cls.index}): {', '.join(cls.elements)}")
     lines.append(f"Morse matching: {morse}")
-    report = check_cellularity(poset)
-    if report.is_homologically_admissible:
+    # is_morse_smale needs an admissible poset; this report lists no witness
+    if is_admissible(poset):
         verdict = is_morse_smale(poset, matching)
         results["morse_smale"] = verdict.is_morse_smale
         lines.append(f"Morse-Smale: {verdict.is_morse_smale}")

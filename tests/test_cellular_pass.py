@@ -18,6 +18,7 @@ from posetmorse import (
     parse_simplicial_complex,
     subdivision,
 )
+from posetmorse.cellular import is_admissible
 from posetmorse.formats import load_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -28,6 +29,7 @@ from helpers import (
     named_pass,
     order_complex_cellularity,
     reference_cellular_pass,
+    ungraded_poset,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -239,6 +241,33 @@ def test_pass_matches_definition_on_random_posets():
     assert fallback >= 100 and inductive_non_cellular >= 100
     # admissible posets of degree >= 2 that are not simplicial face posets
     assert kinds.get(("join", True, True), 0) >= 3
+
+
+def _verdict_cases():
+    """Every `data/` poset and complex, the seeded families above and
+    ungraded posets, each built afresh on every call."""
+    for path in sorted(DATA.glob("*.txt")):
+        if "matching" not in path.name:
+            text = path.read_text()
+            yield path.name, (load_poset(text)[0] if path.name.endswith("poset.txt")
+                              else face_poset(parse_simplicial_complex(text)))
+    yield from random_posets(2024)
+    rng = XorShift64Star(35)
+    for _ in range(5):
+        yield "ungraded", ungraded_poset(rng, rng.randint(5, 11))
+
+
+def test_the_stopping_walk_gives_the_full_pass_verdict():
+    kinds: dict[tuple[bool, bool], int] = {}
+    for (name, fresh), (_, checked) in zip(_verdict_cases(), _verdict_cases()):
+        verdict = is_admissible(fresh)
+        assert verdict == check_cellularity(checked).is_homologically_admissible, name
+        # only a walk that ran to the end is cached, as the full pass: a walk
+        # whose first failure is the last element is not stopped
+        stopped = "cellularity" not in fresh.analysis_cache
+        assert not stopped or not verdict, name
+        kinds[verdict, stopped] = kinds.get((verdict, stopped), 0) + 1
+    assert kinds[True, False] >= 150 and kinds[False, True] >= 50, kinds
 
 
 def test_cellular_inputs_never_enumerate_chains(monkeypatch):

@@ -11,18 +11,26 @@ building every row directly.  These tests hold the excision to the
 order-complex definition, the pass that walked again to one that
 `space_complex` starts, and the CLI to one walk per report: no report
 takes the order that walks twice.  `test_lean_reducer` holds the second
-walk to its check."""
+walk to its check.  `matching` reads only the verdict, from a walk that
+stops at its first failure: these tests hold it to the pass's reports
+and to the check of the rows it built, and the CLI to the stop."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from posetmorse import check_cellularity, face_poset, poset_homology, subdivision
-from posetmorse.cellular import _cells, _walked, require_admissible, space_complex
-from posetmorse.errors import NotAdmissible
-from posetmorse.formats import load_complex, load_poset
+from posetmorse import Poset, check_cellularity, face_poset, poset_homology, subdivision
+from posetmorse.cellular import _cells, _walked, is_admissible, require_admissible, space_complex
+from posetmorse.errors import InconsistentIncidence, NotAdmissible
+from posetmorse.formats import load_complex, load_poset, poset_text_lines, serialize_matching
 from posetmorse.homology import _homology
-from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
+from posetmorse.randgen import (
+    XorShift64Star,
+    random_graded_poset,
+    random_matching,
+    random_simplicial_complex,
+)
 
 from helpers import levelled_poset, ungraded_poset, whiskered_disk
 
@@ -217,3 +225,64 @@ def test_no_report_walks_a_poset_twice(monkeypatch, tmp_path, capsys):
                 assert len(walks) <= 1, (argv, fmt, len(walks))
                 runs += bool(walks)
     assert runs >= 40, runs
+
+
+def test_the_verdict_does_not_change_what_the_pass_reports():
+    stopped = 0
+    for verdict_first, fresh in twin_posets():
+        is_admissible(verdict_first)
+        stopped += verdict_first.is_graded() and "cellularity" not in verdict_first.analysis_cache
+        assert check_cellularity(verdict_first) == check_cellularity(fresh)
+        if fresh.is_graded():
+            assert _deferred(verdict_first) == _deferred(fresh)
+            assert _bits(verdict_first) == _bits(fresh)
+    assert stopped >= 10, stopped
+
+
+def test_matching_stops_at_a_low_element_over_one_point(monkeypatch, tmp_path, capsys):
+    import posetmorse.cellular as cellular
+    from posetmorse.cli import run
+
+    rng = XorShift64Star(33)
+    poset_path, matching_path = tmp_path / "poset.txt", tmp_path / "matching.txt"
+    poset_path.write_text("".join(poset_text_lines(levelled_poset(rng, 4, 60))))
+    poset = load_poset(poset_path.read_text())[0]
+    matching_path.write_text(serialize_matching(random_matching(rng, poset)))
+    # the first element of degree 1 covers one point, so the poset is not
+    # cellular; its later elements of degree 1 over three points need reductions
+    assert len(poset._lower[poset._height.index(1)]) == 1
+    assert any(len(poset._lower[x]) == 3 for x, p in enumerate(poset._height) if p == 1)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the walk went past its first failure")
+
+    monkeypatch.setattr(cellular, "_minimal_reducer", refuse)
+    argv = ["matching", "--input", str(poset_path), "--matching", str(matching_path)]
+    assert run([*argv, "--format", "doc"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert "basic_sets" in results and "morse_smale" not in results
+
+
+def test_a_bad_row_before_the_first_failure_fails_the_verdict(monkeypatch):
+    import posetmorse.cellular as cellular
+
+    # a circle of three edges, a whisker t over a alone, which is the first
+    # failure, and a disk x over the circle, which the walk never reaches
+    poset = Poset(["a", "b", "c", "ab", "bc", "ac", "t", "x"],
+                  [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc"), ("a", "ac"),
+                   ("c", "ac"), ("a", "t"), ("ab", "x"), ("bc", "x"), ("ac", "x")])
+    edge, x, check = poset._id["ab"], poset._id["x"], cellular._check_rows
+    checked: list[int] = []
+
+    def corrupting(eps, degrees, members):
+        members = list(members)
+        checked.extend(members)
+        # both ends of the edge get the same sign: d*d = 0 fails in degree 1
+        eps[edge] = dict.fromkeys(eps[edge], 1)
+        check(eps, degrees, members)
+
+    monkeypatch.setattr(cellular, "_check_rows", corrupting)
+    with pytest.raises(InconsistentIncidence):
+        is_admissible(poset)
+    assert edge in checked and x not in checked
+    assert "cellularity" not in poset.analysis_cache

@@ -136,9 +136,14 @@ def test_flow_matches_dense_oracle_on_random_morse_matchings():
 
 
 def test_flow_takes_no_dense_smith_form(monkeypatch):
+    import sys
+
     import posetmorse.category as category
     import posetmorse.snf as snf
 
+    # `posetmorse.homology` is the function; the module binds smith_normal_form
+    # at import, where the reducer's Smith step calls it
+    homology_module = sys.modules["posetmorse.homology"]
     cases = [_fixture_case(*fixture) for fixture in FIXTURES]
     for poset, _ in cases:
         cellular_chain_complex(poset)  # cached first: the guard below watches the flow alone
@@ -146,7 +151,7 @@ def test_flow_takes_no_dense_smith_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the flow reached a dense Smith-form routine")
 
-    for module in (category, snf):
+    for module in (category, snf, homology_module):
         for name in ("smith_normal_form", "kernel_basis", "solve"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
