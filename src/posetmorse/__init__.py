@@ -17,8 +17,6 @@ from .simplicial import (
     parse_simplicial_complex,
     subdivision,
 )
-from .intmatrix import IntMatrix
-from .snf import SmithDecomposition, smith_normal_form
 from .homology import (
     ChainComplex,
     HomologySummary,
@@ -34,7 +32,6 @@ from .cellular import (
     SphereGenerator,
     cellular_chain_complex,
     check_cellularity,
-    gauge_flip,
     space_complex,
     space_homology,
     sphere_generator,
@@ -54,7 +51,6 @@ from .dynamics import (
 )
 from .morse import (
     MorseBottFunction,
-    boundary_of_class,
     filtration_sweep,
     integrate_matching,
     is_morse_function,
@@ -67,7 +63,6 @@ from .morse import (
 from .inequalities import (
     InequalityReport,
     euler_characteristics,
-    lemma_basic_set_window,
     morse_bott_numbers,
     orbit_inequalities_multiplicity,
     orbit_inequalities_torsion,
@@ -78,7 +73,6 @@ from .category import (
     MinimalSubcomplex,
     flow_operator,
     hccat,
-    ls_corollary_morse_function,
     ls_theorem_check,
     minimal_subcomplex,
 )

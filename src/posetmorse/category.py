@@ -7,7 +7,11 @@ as an honest quasi-isomorphic subcomplex, with rank b_k + mu_k + mu_{k-1}
 in each degree.  It is `homology.minimal_model`: the sparse elimination
 of +-1 pairs, then a Smith basis for the few boundaries of the reduced
 complex that still have unit factors.  The Lusternik-Schnirelmann check
-reads each basic set's hccat off its cells, and lists no chains.
+reads each basic set's hccat off its cells, and lists no chains.  It is
+the paper's theorem for a general matching, and so also for a Morse-Bott
+or Morse function, through the matching the function carries
+(`morse.morse_function_to_matching`); there the bound is the number of
+critical points.
 
 The flow-invariant complex of a Morse matching is its Morse complex: the
 same elimination, along the matched pairs, leaves one cell per critical
@@ -35,11 +39,10 @@ from .dynamics import (
     perturb_to_morse,
     prime_orbits,
 )
-from .errors import ConsistencyError, NotMorse, NotMorseMatching
+from .errors import ConsistencyError, NotMorseMatching
 from .homology import (ChainComplex, HomologySummary, _apply, _homology, homology,
                        minimal_model, morse_reduction, smith_diagonal)
 from .intmatrix import Column
-from .morse import is_morse_function, morse_function_to_matching
 from .posets import Poset
 
 
@@ -278,24 +281,3 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
         warnings=tuple(warnings),
     )
 
-
-def ls_corollary_morse_function(poset: Poset, values) -> dict:
-    """hccat(X) is a lower bound for the number of critical points of a
-    Morse function."""
-    require_admissible(poset)
-    verdict = is_morse_function(poset, values)
-    if not verdict.is_morse:
-        raise NotMorse(f"function is not Morse at {verdict.violations[:3]}")
-    matching = morse_function_to_matching(poset, values)
-    matched = matching.matched_elements()
-    crit = [e for e in poset.elements if e not in matched]
-    if tuple(crit) != verdict.critical:
-        raise ConsistencyError("matching leaves other elements unmatched than the "
-                               "Morse function's critical points")
-    value = hccat(poset)
-    return {
-        "hccat": value,
-        "critical_count": len(crit),
-        "holds": value <= len(crit),
-        "critical": list(verdict.critical),
-    }

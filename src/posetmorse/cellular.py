@@ -637,15 +637,6 @@ def space_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
         {-1: 0, **cached.betti, 0: cached.b(0) - 1}, cached.torsion)
 
 
-def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularComplexOfPoset:
-    """Flip the canonical sign of selected generators: the incidence row
-    and column of each flipped element change sign, homology does not."""
-    sign = [signs.get(e, 1) for e in cell.poset._names]
-    rows = {x: {w: sign[x] * e * sign[w] for w, e in row.items()} for x, row in cell.rows.items()}
-    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, rows), rows=rows,
-                                  admissible=cell.admissible)
-
-
 def verify_cellular_agreement(poset: Poset) -> bool:
     """Cellular homology agrees with order-complex homology (betti and
     torsion in every degree), once `cellular_chain_complex` has checked

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -193,7 +194,11 @@ def cmd_sweep(args) -> Report:
 
 def cmd_inequalities(args) -> Report:
     poset, matching = _load_matched(args)
-    reports = [strong_morse_bott(poset, matching, args.coeff)]
+    strong = strong_morse_bott(poset, matching)
+    if args.coeff == "rat":
+        # the same free ranks over Q, without the torsion notes
+        strong = replace(strong, data=strong.data | {"torsion_notes": [], "coefficients": "rat"})
+    reports = [strong]
     verdict = is_morse_smale(poset, matching)
     if verdict.is_morse_smale:
         reports.append(orbit_inequalities_torsion(poset, matching))

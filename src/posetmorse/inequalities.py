@@ -10,17 +10,17 @@ inequalities compare the alternating partial sums of m against those of
 the Betti numbers; the orbit theorems additionally count prime orbits,
 with torsion generators on the right for integer coefficients and only
 multiplicity-one orbits on the left for rational ones.  Every count is
-read off integral homology; over Q, m and the Betti numbers are the same
-free ranks.  All three reports build their rows the same way, from the
-two sides' lists.
+read off integral homology, so no function here takes a ring: over Q, m
+and the Betti numbers are the same free ranks, and only the torsion
+notes of the strong report drop out.  All three reports build their rows
+the same way, from the two sides' lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cellular import (_pair_homology, cellular_chain_complex, cellular_pair_homology,
-                       require_admissible, space_homology)
+from .cellular import _pair_homology, cellular_chain_complex, require_admissible, space_homology
 from .dynamics import (
     Matching,
     basic_sets,
@@ -29,7 +29,7 @@ from .dynamics import (
     orbit_multiplicity,
     prime_orbits,
 )
-from .homology import Coefficients, HomologySummary
+from .homology import HomologySummary
 from .posets import Poset
 
 
@@ -60,13 +60,6 @@ class InequalityReport:
         }
 
 
-def basic_set_relative_homology(poset: Poset, members) -> HomologySummary:
-    """Homology of the closure of a basic set (the union of its minimal
-    open sets) relative to the closure minus the set, checked down-closed."""
-    bar = poset.down_closure(members)
-    return cellular_pair_homology(poset, bar, set(bar) - set(members))
-
-
 def morse_bott_numbers(poset: Poset, matching: Matching) -> tuple[list[int], list[str]]:
     """m_k per degree, plus notes about torsion met in relative homology
     (the ranks ignore it by definition; we surface it separately)."""
@@ -87,21 +80,6 @@ def morse_bott_numbers(poset: Poset, matching: Matching) -> tuple[list[int], lis
     return m, torsion_notes
 
 
-def lemma_basic_set_window(poset: Poset, matching: Matching) -> bool:
-    """Relative homology of each basic set sits in {p} for a critical
-    point (one copy of Z) and in {p, p+1} for an orbit."""
-    require_admissible(poset)
-    for members in basic_sets(poset, matching).classes:
-        p = min(poset.degree(e) for e in members)
-        nontrivial = _pair_homology(poset, members).nontrivial()
-        if len(members) == 1:
-            if nontrivial != {p: (1, ())}:
-                return False
-        elif not set(nontrivial) <= {p, p + 1}:
-            return False
-    return True
-
-
 def _alternating(seq, top: int) -> list[int]:
     """sum_{i=0..k} (-1)^i seq[k-i] for k = 0..top, missing entries
     counting as zero; each sum is seq[k] minus the one before."""
@@ -118,11 +96,8 @@ def _rows(lhs: list[int], rhs: list[int]) -> tuple[IneqRow, ...]:
                  for k, (left, right) in enumerate(zip(lhs, rhs)))
 
 
-def strong_morse_bott(poset: Poset, matching: Matching,
-                      coefficients: Coefficients = "int") -> InequalityReport:
-    """Strong inequalities, their weak corollary, and the Euler identity, over "int" or "rat"."""
-    if coefficients not in ("int", "rat"):
-        raise ValueError(f"coefficients must be 'int' or 'rat', not {coefficients!r}")
+def strong_morse_bott(poset: Poset, matching: Matching) -> InequalityReport:
+    """Strong inequalities, their weak corollary, and the Euler identity."""
     require_admissible(poset)
     m, torsion_notes = morse_bott_numbers(poset, matching)
     summary = space_homology(poset)
@@ -144,8 +119,8 @@ def strong_morse_bott(poset: Poset, matching: Matching,
             "weak": [r.to_doc() for r in weak_rows],
             "euler_m": euler_m,
             "euler_b": euler_b,
-            "torsion_notes": torsion_notes if coefficients == "int" else [],
-            "coefficients": coefficients,
+            "torsion_notes": torsion_notes,
+            "coefficients": "int",
         },
     )
 

@@ -11,10 +11,17 @@ allows.
 The two verification operations implement the fundamental theorems as
 exact computations: a regular interval must leave relative homology of
 the sublevel pair trivial, and crossing a single critical value must
-attach exactly the class [x] along its lower boundary.  Both read the
-basic sets of the matching the function carries, as one list; the
+attach exactly the class [x] along its lower boundary, the covers that
+leave the class downward, which the attachment report lists.  Both read
+the basic sets of the matching the function carries, as one list; the
 sweep makes both checks in one walk over the filtration, growing one
 sublevel set and handing each collapse check what its gap added.
+
+A Morse function carries the matching `morse_function_to_matching`
+reads off it, whose unmatched elements are its critical points; the
+Lusternik-Schnirelmann corollary for Morse functions is
+`category.ls_theorem_check` on that matching, with no entry point of
+its own.
 """
 
 from __future__ import annotations
@@ -176,17 +183,6 @@ def sublevel(poset: Poset, values: dict[str, Fraction], level) -> tuple[str, ...
     return poset.down_closure(x for x in poset.elements if values[x] <= level)
 
 
-def _leaving_covers(poset: Poset, members: tuple[str, ...]) -> frozenset[str]:
-    """The lower covers of the class `members` that lie outside it."""
-    inside = set(members)
-    return frozenset(w for x in members for w in poset.lower_covers(x) if w not in inside)
-
-
-def boundary_of_class(poset: Poset, matching: Matching, element: str) -> frozenset[str]:
-    """The lower boundary of [x]: covers leaving the class downward."""
-    return _leaving_covers(poset, basic_sets(poset, matching).class_elements(element))
-
-
 def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
     """A critical-value-free interval leaves sublevel homology unchanged:
     relative homology of the sublevel pair must vanish entirely."""
@@ -247,7 +243,9 @@ def verify_attachment(poset: Poset, function: MorseBottFunction, a, b) -> Attach
 def _attachment(poset: Poset, members: tuple[str, ...], lower: set[str], new: set[str],
                 a: Fraction, b: Fraction) -> AttachmentReport:
     """The identities of attaching `members` to `lower` = X_a, `new` = X_b - X_a."""
-    boundary = _leaving_covers(poset, members)
+    # the lower boundary of the class: its lower covers outside it
+    inside = set(members)
+    boundary = {w for x in members for w in poset.lower_covers(x) if w not in inside}
     identities = {
         "new_elements_equal_class": new == set(members),
         "boundary_inside_lower": boundary <= lower,

@@ -1,9 +1,9 @@
 """Dense Smith normal form over the integers, with unimodular transforms.
 
 `_snf_core` reduces a dense matrix in place.  `smith_normal_form` runs
-it with transforms, for kernel bases and the change to the Smith basis
-that `homology.minimal_model` makes; `diagonal_form` runs it without,
-for the diagonal alone.  Sparse matrices do not come here whole:
+it with transforms, for the change to the Smith basis that
+`homology.minimal_model` makes; `diagonal_form` runs it without, for the
+diagonal alone.  Sparse matrices do not come here whole:
 `homology` eliminates their +-1 pivots first and hands only the block
 without units that is left to `_snf_core` (Dumas, Saunders and Villard,
 "On efficient sparse integer matrix Smith normal form computations",
@@ -24,7 +24,6 @@ keeps intermediate entries small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .errors import ConsistencyError
 from .intmatrix import IntMatrix
 
 
@@ -199,13 +198,3 @@ def diagonal_form(A: IntMatrix) -> tuple[int, ...]:
     _snf_core(data, A.rows, A.cols, want_transforms=False)
     return tuple(data[t][t] for t in range(min(A.rows, A.cols)))
 
-
-def kernel_basis(A: IntMatrix) -> list[list[int]]:
-    """A basis of the saturated lattice {x : A x = 0}, as column vectors."""
-    snf = smith_normal_form(A)
-    diag = snf.diagonal
-    # zero diagonal positions plus columns beyond the diagonal
-    free = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
-    if len(free) != A.cols - snf.rank:
-        raise ConsistencyError("kernel size disagrees with the rank of the Smith form")
-    return [snf.V_inv.column(j) for j in free]

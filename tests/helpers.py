@@ -6,7 +6,10 @@ coordinates, quasi-isomorphism, flow) call only the library's dense
 `snf` routines, `homology` and the cellular complex they are given, and
 `solve` and `matrix_rank`, the exact linear solve and the rank on a
 dense Smith form that only they use, with `from_columns` and `mul_vec`,
-which build a dense matrix and apply it.  The
+which build a dense matrix and apply it, and `kernel_basis`, a kernel
+read off the same Smith form.  `gauge_flip` changes the signs of a
+cellular complex's generators, and `basic_set_relative_homology` reads a
+basic set's pair homology through its closure.  The
 cellularity oracles are the order-complex definitions the library's
 cellularity pass replaced; they call `subposet_chain_complex`,
 `sphere_generator` and `homology`.  The pair and face-poset oracles build
@@ -40,10 +43,10 @@ from typing import AbstractSet, Iterable, Sequence
 from posetmorse import (
     ChainComplex,
     ClosedOrbit,
-    IntMatrix,
     Matching,
     Poset,
     SimplicialComplex,
+    basic_sets,
     build_poset,
     face_poset,
     hccat,
@@ -58,11 +61,15 @@ from posetmorse.cellular import (
     CellularityReport,
     _cells,
     _named,
+    _pair_homology,
+    _space,
     _walked,
     cellular_chain_complex,
+    cellular_pair_homology,
     require_admissible,
     sphere_generator,
 )
+from posetmorse.category import LSReport, ls_theorem_check
 from posetmorse.dynamics import MatchedDigraph, critical_counts, is_morse_matching
 from posetmorse.errors import (
     ConsistencyError,
@@ -81,13 +88,15 @@ from posetmorse.homology import Reduction, sphere_summary, subposet_chain_comple
 from posetmorse.morse import (
     AttachmentReport,
     MorseBottFunction,
+    is_morse_function,
+    morse_function_to_matching,
     verify_attachment,
     verify_collapse,
 )
 from posetmorse.randgen import XorShift64Star, random_matching
-from posetmorse.intmatrix import Column
+from posetmorse.intmatrix import Column, IntMatrix
 from posetmorse.simplicial import Simplex
-from posetmorse.snf import SmithDecomposition, diagonal_form, kernel_basis, smith_normal_form
+from posetmorse.snf import SmithDecomposition, diagonal_form, smith_normal_form
 
 
 def brute_force_relation(poset: Poset) -> dict[str, set[str]]:
@@ -291,6 +300,18 @@ def solve(A: IntMatrix, b: list[int], snf: SmithDecomposition | None = None) -> 
                 return None
             w[i] = y[i] // d
     return mul_vec(snf.V_inv, w)
+
+
+def kernel_basis(A: IntMatrix) -> list[list[int]]:
+    """A basis of the saturated lattice {x : A x = 0}, as column vectors:
+    the columns of V^-1 at the zero positions of the Smith form."""
+    snf = smith_normal_form(A)
+    diag = snf.diagonal
+    # zero diagonal positions plus columns beyond the diagonal
+    free = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
+    if len(free) != A.cols - snf.rank:
+        raise ConsistencyError("kernel size disagrees with the rank of the Smith form")
+    return [snf.V_inv.column(j) for j in free]
 
 
 def simplicial_incidence(complex: SimplicialComplex) -> dict[tuple[str, str], int]:
@@ -602,11 +623,55 @@ def dense_flow_operator(poset: Poset, matching: Matching,
     )
 
 
+def basic_set_relative_homology(poset: Poset, members):
+    """Homology of the closure of a basic set (the union of its minimal
+    open sets) relative to the closure minus the set, checked down-closed:
+    the closure route the library's cells-of-the-set reading replaced."""
+    bar = poset.down_closure(members)
+    return cellular_pair_homology(poset, bar, set(bar) - set(members))
+
+
+def assert_basic_set_window(poset: Poset, matching: Matching, pair_homology=_pair_homology):
+    """The paper's basic-set window lemma, asserted on `pair_homology` of
+    each basic set (its cells alone, by default): the relative homology of
+    a critical point of degree p is one copy of Z in degree p, that of an
+    orbit class of least degree p sits in degrees p and p+1."""
+    for members in basic_sets(poset, matching).classes:
+        p = min(poset.degree(e) for e in members)
+        nontrivial = pair_homology(poset, members).nontrivial()
+        if len(members) == 1:
+            assert nontrivial == {p: (1, ())}, members
+        else:
+            assert set(nontrivial) <= {p, p + 1}, members
+
+
+def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularComplexOfPoset:
+    """Flip the canonical sign of selected generators: the incidence row
+    and column of each flipped element change sign, homology does not."""
+    sign = [signs.get(e, 1) for e in cell.poset._names]
+    rows = {x: {w: sign[x] * e * sign[w] for w, e in row.items()} for x, row in cell.rows.items()}
+    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, rows), rows=rows,
+                                  admissible=cell.admissible)
+
+
 def order_complex_pair_homology(poset: Poset, members, sub_members):
     """Relative homology of the pair of order complexes of the induced
     subposets on `members` and `sub_members`: the paper's definition."""
     return relative_homology(order_complex(poset.induced(members)),
                              order_complex(poset.induced(sub_members)))
+
+
+def ls_corollary(poset: Poset, values) -> LSReport:
+    """The Lusternik-Schnirelmann corollary for a Morse function: the
+    theorem on the function's own matching, whose unmatched elements are
+    the function's critical points, so that the bound counts them."""
+    matching = morse_function_to_matching(poset, values)
+    report = ls_theorem_check(poset, matching)
+    critical = is_morse_function(poset, values).critical
+    matched = matching.matched_elements()
+    assert tuple(e for e in poset.elements if e not in matched) == critical
+    assert report.basic_set_bound == len(critical)
+    return report
 
 
 def per_interval_sweep(poset: Poset,
@@ -641,6 +706,17 @@ def hccat_face_poset_consistency(complex: SimplicialComplex) -> bool:
     """hccat through the simplicial chain complex equals hccat through
     the order complex of the face poset."""
     return hccat(simplicial_chain_complex(complex)) == hccat(face_poset(complex))
+
+
+def patch_where_bound(monkeypatch, modules, names, replacement) -> None:
+    """Replace each of `names` in every one of `modules` that binds it.  A
+    name that none of them binds fails here, so that a guard built on this
+    never watches nothing."""
+    for name in names:
+        holders = [module for module in modules if hasattr(module, name)]
+        assert holders, f"no module binds {name}"
+        for module in holders:
+            monkeypatch.setattr(module, name, replacement)
 
 
 def guard_whole_poset_chains(monkeypatch) -> list[int]:

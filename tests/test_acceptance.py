@@ -12,12 +12,10 @@ from posetmorse import (
     euler_characteristics,
     face_poset,
     filtration_sweep,
-    gauge_flip,
     hccat,
     homology,
     integrate_matching,
     is_morse_smale,
-    ls_corollary_morse_function,
     ls_theorem_check,
     orbit_inequalities_multiplicity,
     orbit_inequalities_torsion,
@@ -39,7 +37,8 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import boundary_or_empty, check_integration_conditions, dense_inclusion
+from helpers import (boundary_or_empty, check_integration_conditions, dense_inclusion, gauge_flip,
+                     ls_corollary)
 
 
 def _random_admissible_posets(seed: int, count: int, max_vertices: int = 6,
@@ -247,9 +246,9 @@ def test_criterion_7_ls_theorem(t3, t3_m1, t3_m2, rp2_poset, rp2_star5_matching,
     equality = ls_theorem_check(t3, t3_m2)
     assert equality.hccat_value == 2 and equality.basic_set_bound == 2
     dim_function = {e: Fraction(rp2_poset.heights()[e]) for e in rp2_poset.elements}
-    corollary = ls_corollary_morse_function(rp2_poset, dim_function)
-    assert corollary["hccat"] == 3 and corollary["critical_count"] == 31
-    assert corollary["holds"]
+    corollary = ls_corollary(rp2_poset, dim_function)
+    assert corollary.hccat_value == 3 and corollary.basic_set_bound == 31
+    assert corollary.holds
     print(f"\nACCEPTANCE 7 PASS: LS theorem with exact flow ranks on "
           f"{len(cases)} Morse-Smale fixtures; T3/M2 equality 2=2; RP2 "
           f"all-critical bound 3<=31")

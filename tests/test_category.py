@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +9,11 @@ from posetmorse import (
     cellular_chain_complex,
     face_poset,
     flow_operator,
-    gauge_flip,
     hccat,
     homology,
     integrate_matching,
-    ls_corollary_morse_function,
+    is_morse_function,
+    morse_function_to_matching,
     ls_theorem_check,
     parse_simplicial_complex,
     perturb_to_morse,
@@ -21,11 +23,16 @@ from posetmorse import (
     validate_matching,
 )
 from posetmorse.category import verify_quasi_isomorphism
+from posetmorse.cli import run
 from posetmorse.errors import NotMorse, NotMorseMatching, NotMorseSmale
+from posetmorse.homology import HomologySummary
 from posetmorse.intmatrix import IntMatrix
 from posetmorse.randgen import XorShift64Star, random_matching, random_simplicial_complex
 
-from helpers import boundary_or_empty, dense_inclusion, hccat_face_poset_consistency
+from helpers import (boundary_or_empty, dense_inclusion, gauge_flip, hccat_face_poset_consistency,
+                     ls_corollary)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_hccat_values(t3, rp2_poset, full_triangle):
@@ -231,20 +238,20 @@ def test_ls_theorem_needs_morse_smale():
 
 def test_ls_corollary(t3, t3_m1, rp2_poset):
     f = integrate_matching(t3, t3_m1)
-    result = ls_corollary_morse_function(t3, f.values)
-    assert result == {"hccat": 2, "critical_count": 2, "holds": True,
-                      "critical": ["v3", "e13"]}
+    result = ls_corollary(t3, f.values)
+    assert (result.hccat_value, result.basic_set_bound, result.holds) == (2, 2, True)
+    assert is_morse_function(t3, f.values).critical == ("v3", "e13")
     degree = {e: Fraction(t3.heights()[e]) for e in t3.elements}
-    assert ls_corollary_morse_function(t3, degree)["critical_count"] == 6
+    assert ls_corollary(t3, degree).basic_set_bound == 6
     dim = {e: Fraction(rp2_poset.heights()[e]) for e in rp2_poset.elements}
-    result = ls_corollary_morse_function(rp2_poset, dim)
-    assert result["hccat"] == 3 and result["critical_count"] == 31 and result["holds"]
+    result = ls_corollary(rp2_poset, dim)
+    assert result.hccat_value == 3 and result.basic_set_bound == 31 and result.holds
 
 
 def test_ls_corollary_rejects_non_morse(t3, t3_m2):
     f = integrate_matching(t3, t3_m2)
     with pytest.raises(NotMorse):
-        ls_corollary_morse_function(t3, f.values)
+        morse_function_to_matching(t3, f.values)
 
 
 def test_face_poset_consistency(triangle_boundary, rp2, full_triangle):
@@ -345,3 +352,31 @@ def test_minimal_subcomplex_rank_profile_and_dense_oracle(rp2_poset):
         for k in chain.degrees():
             assert witness.complex.rank(k) == summary.b(k) + summary.mu(k) + summary.mu(k - 1)
         assert snf_quasi_isomorphism(witness.complex, witness.inclusion, chain)
+
+
+def test_ls_check_warns_when_a_class_recomputes_otherwise(monkeypatch, t3, t3_m1, capsys):
+    """The cross-check that reads each basic set's hccat off its cells
+    warns, and does not err, when it disagrees with the value the proof
+    counts: here the critical edge e13 of t3 with t3_matching_m1, whose
+    pair homology is made trivial."""
+    import posetmorse.category as category
+
+    real = category._pair_homology
+
+    def trivial_at_e13(poset, members):
+        return HomologySummary() if tuple(members) == ("e13",) else real(poset, members)
+
+    monkeypatch.setattr(category, "_pair_homology", trivial_at_e13)
+    report = ls_theorem_check(t3, t3_m1)
+    warning = "critical point e13 recomputed hccat 0 != 1"
+    assert report.warnings == (warning,)
+    assert ("e13", 1, 0) in report.class_values and ("v3", 1, 1) in report.class_values
+    assert report.holds and report.basic_set_bound == 2
+    argv = ["ls-check", "--input", str(DATA / "t3_poset.txt"),
+            "--matching", str(DATA / "t3_matching_m1.txt")]
+    assert run([*argv, "--format", "doc"]) == 0
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["warnings"] == [warning]
+    assert ["e13", 1, 0] in doc["class_values"]
+    assert run(argv) == 0
+    assert f"warning: {warning}\n" in capsys.readouterr().out

@@ -9,7 +9,6 @@ from posetmorse import (
     cellular_chain_complex,
     check_cellularity,
     face_poset,
-    gauge_flip,
     homology,
     poset_homology,
     simplicial_chain_complex,
@@ -22,7 +21,7 @@ from posetmorse.errors import NotAdmissible, NotCellular
 from posetmorse.formats import load_complex, load_poset, serialize_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
-from helpers import invariant_factors, simplicial_incidence
+from helpers import gauge_flip, invariant_factors, simplicial_incidence
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -6,6 +6,7 @@ Morse-Bott numbers and the basic-set window lemma) on the bundled
 fixtures and on seeded admissible posets with random sublevel pairs and
 random matchings, and shows that no theorem check enumerates chains."""
 
+import importlib
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -23,7 +24,6 @@ from posetmorse import (
     face_poset,
     filtration_sweep,
     integrate_matching,
-    lemma_basic_set_window,
     ls_theorem_check,
     morse_bott_numbers,
     parse_simplicial_complex,
@@ -36,7 +36,6 @@ from posetmorse.cellular import _pair_homology, cellular_pair_homology
 from posetmorse.cli import run
 from posetmorse.errors import NotASubcomplex, NotCellular, UnknownElement
 from posetmorse.formats import load_poset, parse_matching_text
-from posetmorse.inequalities import basic_set_relative_homology
 from posetmorse.randgen import (
     XorShift64Star,
     random_graded_poset,
@@ -44,7 +43,8 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import order_complex_pair_homology, per_interval_sweep
+from helpers import (assert_basic_set_window, basic_set_relative_homology,
+                     order_complex_pair_homology, per_interval_sweep)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = [
@@ -111,10 +111,16 @@ def _oracle_cells(poset: Poset, cells):
 
 def _with_oracle(monkeypatch, module: str, fn, *args):
     """fn(*args) with the named module's `cellular_pair_homology` and
-    `_pair_homology` replaced by the order-complex definition."""
+    `_pair_homology`, those of the two it binds, replaced by the
+    order-complex definition."""
+    owner = importlib.import_module(f"posetmorse.{module}")
+    oracles = {"cellular_pair_homology": order_complex_pair_homology,
+               "_pair_homology": _oracle_cells}
+    bound = [name for name in oracles if hasattr(owner, name)]
+    assert bound, module
     with monkeypatch.context() as m:
-        m.setattr(f"posetmorse.{module}.cellular_pair_homology", order_complex_pair_homology)
-        m.setattr(f"posetmorse.{module}._pair_homology", _oracle_cells)
+        for name in bound:
+            m.setattr(owner, name, oracles[name])
         return fn(*args)
 
 
@@ -137,9 +143,10 @@ def _check_pairs(poset, matching, values, monkeypatch) -> tuple[int, int]:
         got = basic_set_relative_homology(poset, members)
         expected = order_complex_pair_homology(poset, bar, set(bar) - set(members))
         assert got == expected and got.rational() == expected.rational()
-    for fn in (morse_bott_numbers, lemma_basic_set_window):
-        assert fn(poset, matching) == _with_oracle(monkeypatch, "inequalities", fn, poset,
-                                                   matching)
+    assert morse_bott_numbers(poset, matching) == _with_oracle(
+        monkeypatch, "inequalities", morse_bott_numbers, poset, matching)
+    assert_basic_set_window(poset, matching)
+    assert_basic_set_window(poset, matching, _oracle_cells)
     # a function that does not integrate the matching: its critical-value-free
     # intervals may change homology, so collapse checks can come out either way
     function = MorseBottFunction(poset, values, matching)
@@ -164,9 +171,10 @@ def test_pairs_match_definition_on_fixtures(monkeypatch):
         # by the order-complex pair
         assert (reports, ok) == _with_oracle(monkeypatch, "morse", per_interval_sweep, poset,
                                              function)
-        for fn in (morse_bott_numbers, lemma_basic_set_window):
-            assert fn(poset, matching) == _with_oracle(monkeypatch, "inequalities", fn, poset,
-                                                       matching)
+        assert morse_bott_numbers(poset, matching) == _with_oracle(
+            monkeypatch, "inequalities", morse_bott_numbers, poset, matching)
+        assert_basic_set_window(poset, matching)
+        assert_basic_set_window(poset, matching, _oracle_cells)
 
 
 def test_pairs_match_definition_on_random_admissible_posets(monkeypatch):
@@ -242,7 +250,7 @@ def test_theorem_checks_build_no_complex_per_pair(space, monkeypatch):
     monkeypatch.setattr(ChainComplex, "__init__", counted)
     checks = [
         (morse_bott_numbers, 0),
-        (lemma_basic_set_window, 0),
+        (assert_basic_set_window, 0),
         (lambda poset, matching: filtration_sweep(poset, integrate_matching(poset, matching)), 0),
         (ls_theorem_check, 2),
     ]
@@ -266,7 +274,7 @@ def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
     for poset, matching in runs:
         assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
         morse_bott_numbers(poset, matching)
-        assert lemma_basic_set_window(poset, matching)
+        assert_basic_set_window(poset, matching)
         report = ls_theorem_check(poset, matching)
         assert report.holds and not report.warnings
         assert all(expected == recomputed for _, expected, recomputed in report.class_values)

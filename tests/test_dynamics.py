@@ -5,7 +5,6 @@ from posetmorse import (
     build_poset,
     cellular_chain_complex,
     face_poset,
-    gauge_flip,
     is_morse_matching,
     is_morse_smale,
     matched_digraph,
@@ -18,7 +17,7 @@ from posetmorse.dynamics import critical_counts, orbit_counts, prime_orbits
 from posetmorse.errors import ElementMatchedTwice, NotACover, NotGraded, NotMorseSmale
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_matching
 
-from helpers import brute_force_equivalent, brute_force_recurrent, rotated_to
+from helpers import brute_force_equivalent, brute_force_recurrent, gauge_flip, rotated_to
 
 
 def test_validate_matching(t3):

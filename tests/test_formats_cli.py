@@ -587,3 +587,70 @@ def test_cli_gen_simplicial_default_size_is_nine(capsys):
     assert run(["gen", "--kind", "simplicial", "--seed", "5", "--size", "2"]) == 0
     from posetmorse import parse_simplicial_complex
     assert len(parse_simplicial_complex(capsys.readouterr().out).simplices.get(0, ())) <= 2
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+T3_MATCHED = ["--input", str(DATA / "t3_poset.txt"), "--matching",
+              str(DATA / "t3_matching_m1.txt")]
+T3_VALUES = "".join(f"{e} {i}\n" for i, e in enumerate(["v1", "v2", "v3", "e12", "e13", "e23"]))
+
+
+def _one_error_line(capsys, argv) -> str:
+    """run(argv) exits 1 with exactly one `error:` line and no traceback;
+    returns that line."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+    return captured.err
+
+
+@pytest.mark.parametrize("document", ['{"covers": []}', '{"elements": "a b"}'])
+def test_cli_json_document_without_an_elements_list(document, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(document)
+    err = _one_error_line(capsys, ["validate", "--input", str(path)])
+    assert "'elements' list" in err
+
+
+@pytest.mark.parametrize("line", ["v1", "v1 e12 e13"])
+def test_cli_matching_line_that_is_not_a_pair(line, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(f"# one pair per line\nv2 e23\n{line}\n")
+    err = _one_error_line(capsys, ["matching", "--input", str(DATA / "t3_poset.txt"),
+                                   "--matching", str(path)])
+    assert f"line 3: expected 'x y', got {line!r}" in err
+
+
+def _sweep_with(tmp_path, text: str) -> list[str]:
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    return ["sweep", *T3_MATCHED, "--function", str(path)]
+
+
+def test_cli_function_file_skips_comment_lines(tmp_path, capsys):
+    """A comment line is skipped and still counted: the error names the
+    line after it, and the same values with the comment are accepted."""
+    err = _one_error_line(capsys, _sweep_with(tmp_path, "# values\nv1 1 2\n"))
+    assert "line 2: expected 'element value'" in err
+    assert run(["integrate", *T3_MATCHED]) == 0
+    integrated = capsys.readouterr().out
+    assert run(_sweep_with(tmp_path, f"# integrated\n{integrated}")) == 0
+    assert capsys.readouterr().out.endswith("sweep: ok\n")
+
+
+def test_cli_function_line_with_three_tokens(tmp_path, capsys):
+    err = _one_error_line(capsys, _sweep_with(tmp_path, T3_VALUES + "e23 1 2\n"))
+    assert "line 7: expected 'element value', got 'e23 1 2'" in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "nan", "inf", "one", "1/2/3"])
+def test_cli_function_bad_rational(value, tmp_path, capsys):
+    text = T3_VALUES.replace("v2 1\n", f"v2 {value}\n")
+    err = _one_error_line(capsys, _sweep_with(tmp_path, text))
+    assert f"line 2: bad rational {value!r}" in err
+
+
+def test_cli_gen_matching_needs_an_input(capsys):
+    err = _one_error_line(capsys, ["gen", "--kind", "matching", "--seed", "1"])
+    assert "needs --input" in err

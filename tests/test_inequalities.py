@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from posetmorse import (
@@ -5,7 +8,6 @@ from posetmorse import (
     cellular_chain_complex,
     euler_characteristics,
     face_poset,
-    lemma_basic_set_window,
     morse_bott_numbers,
     orbit_inequalities_multiplicity,
     orbit_inequalities_torsion,
@@ -14,8 +16,8 @@ from posetmorse import (
     validate_matching,
 )
 from posetmorse.dynamics import critical_counts, is_morse_smale, orbit_multiplicity
+from posetmorse.cli import run
 from posetmorse.errors import NotAdmissible, NotMorseSmale
-from posetmorse.inequalities import basic_set_relative_homology
 from posetmorse.randgen import (
     XorShift64Star,
     dismantlable_to_point,
@@ -24,7 +26,9 @@ from posetmorse.randgen import (
     random_simplicial_complex,
 )
 
-from helpers import find_morse_smale_matching
+from helpers import assert_basic_set_window, basic_set_relative_homology, find_morse_smale_matching
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_morse_bott_numbers_t3(t3, t3_m1, t3_m2, t3_empty_matching):
@@ -56,12 +60,12 @@ def test_orbit_relative_homology_window(rp2_poset, rp2_star5_matching):
     orbit = [c for c in dec.orbit_classes][0]
     summary = basic_set_relative_homology(rp2_poset, orbit.elements)
     assert set(summary.nontrivial()) <= {orbit.index, orbit.index + 1}
-    assert lemma_basic_set_window(rp2_poset, rp2_star5_matching)
+    assert_basic_set_window(rp2_poset, rp2_star5_matching)
 
 
 def test_window_lemma_t3(t3, t3_m1, t3_m2):
-    assert lemma_basic_set_window(t3, t3_m1)
-    assert lemma_basic_set_window(t3, t3_m2)
+    assert_basic_set_window(t3, t3_m1)
+    assert_basic_set_window(t3, t3_m2)
 
 
 def test_strong_morse_bott_t3(t3, t3_m1, t3_m2, t3_empty_matching):
@@ -77,19 +81,29 @@ def test_strong_morse_bott_t3(t3, t3_m1, t3_m2, t3_empty_matching):
     assert r0.data["euler_m"] == r0.data["euler_b"] == 0
 
 
-def test_strong_morse_bott_names_its_ring(mobius_poset, mobius_ring_matching):
+def test_strong_morse_bott_names_its_ring(mobius_poset, mobius_ring_matching, capsys):
     """m and the Betti numbers are the same free ranks in both rings; the
-    orientation-reversing orbit's Z/2 is noted over Z only, and a ring
-    other than int or rat is rejected."""
+    orientation-reversing orbit's Z/2 is noted over Z only.  The library
+    reads everything over Z; `inequalities --coeff rat` drops the notes
+    and names the ring, and a ring other than int or rat is rejected."""
     integral = strong_morse_bott(mobius_poset, mobius_ring_matching)
-    rational = strong_morse_bott(mobius_poset, mobius_ring_matching, "rat")
     assert integral.data["torsion_notes"] == ["orbit at 1|2: torsion (2,) in degree 1"]
-    assert rational.data["torsion_notes"] == []
-    assert (integral.data["coefficients"], rational.data["coefficients"]) == ("int", "rat")
-    assert integral.rows == rational.rows
+    assert integral.data["coefficients"] == "int"
+    argv = ["inequalities", "--input", str(DATA / "mobius_5.txt"), "--kind", "simplicial",
+            "--matching", str(DATA / "mobius_ring_matching.txt"), "--format", "doc"]
+    docs = {}
+    for ring in ("int", "rat"):
+        assert run([*argv, "--coeff", ring]) == 0
+        docs[ring] = json.loads(capsys.readouterr().out)["results"]["strong-morse-bott"]
+    assert docs["int"] == integral.to_doc()
+    rational = docs["rat"]
+    assert rational["data"] == integral.to_doc()["data"] | {"torsion_notes": [],
+                                                              "coefficients": "rat"}
+    assert rational["rows"] == docs["int"]["rows"]
     for ring in ("Z", "integers"):
-        with pytest.raises(ValueError):
-            strong_morse_bott(mobius_poset, mobius_ring_matching, ring)
+        with pytest.raises(SystemExit):
+            run([*argv, "--coeff", ring])
+    capsys.readouterr()
 
 
 def test_strong_implies_weak(t3, t3_m1):

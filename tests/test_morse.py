@@ -6,7 +6,6 @@ import pytest
 from posetmorse import (
     MorseBottFunction,
     basic_sets,
-    boundary_of_class,
     build_poset,
     face_poset,
     filtration_sweep,
@@ -195,11 +194,17 @@ def test_sublevels_nested_and_down_closed(t3, t3_m1):
         previous = current
 
 
+def _class_boundaries(poset, matching) -> dict[str, set[str]]:
+    """The lower boundary of the basic set of each recurrent element, as
+    the sweep's attachment reports list it."""
+    reports, _ = filtration_sweep(poset, integrate_matching(poset, matching))
+    return {x: set(r.boundary) for r in reports if r.kind == "critical-attachment"
+            for x in r.class_elements}
+
+
 def test_boundary_of_class(t3, t3_m1, t3_m2):
-    assert boundary_of_class(t3, t3_m2, "v1") == frozenset()
-    assert boundary_of_class(t3, t3_m1, "e13") == {"v1", "v3"}
-    # transient matched element: singleton class, boundary = lower covers
-    assert boundary_of_class(t3, t3_m1, "e12") == {"v1", "v2"}
+    assert _class_boundaries(t3, t3_m2)["v1"] == set()
+    assert _class_boundaries(t3, t3_m1)["e13"] == {"v1", "v3"}
 
 
 def test_boundary_of_orbit_in_glued_triangles():
@@ -215,7 +220,7 @@ def test_boundary_of_orbit_in_glued_triangles():
         for w in poset.lower_covers(x):
             if w not in members:
                 expected.add(w)
-    assert boundary_of_class(poset, matching, "1") == expected == set()
+    assert _class_boundaries(poset, matching)["1"] == expected == set()
 
 
 def test_collapse_regular_interval(t3, t3_m1):

@@ -26,9 +26,8 @@ from posetmorse.errors import ConsistencyError
 from posetmorse.homology import minimal_model, morse_reduction
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 from posetmorse.simplicial import SimplicialComplex
-from posetmorse.snf import kernel_basis
 
-from helpers import scramble, scrambled_complex, snf_quasi_isomorphism
+from helpers import kernel_basis, scramble, scrambled_complex, snf_quasi_isomorphism
 
 
 def test_minimal_model_of_scrambled_complexes(monkeypatch):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from posetmorse.homology import smith_diagonal
 from posetmorse.intmatrix import IntMatrix
-from posetmorse.snf import diagonal_form, kernel_basis, smith_normal_form
+from posetmorse.snf import diagonal_form, smith_normal_form
 
-from helpers import determinant, matrix_rank, mul_vec, solve
+from helpers import determinant, kernel_basis, matrix_rank, mul_vec, solve
 
 
 def mat(rows):

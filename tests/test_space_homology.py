@@ -142,7 +142,6 @@ def test_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch):
     guard_whole_poset_chains(monkeypatch)
     assert (hccat(rp2), euler_characteristics(rp2)) == expected
     assert strong_morse_bott(rp2, matching).holds
-    assert strong_morse_bott(rp2, matching, "rat").holds
     assert orbit_inequalities_torsion(rp2, matching).holds
     assert orbit_inequalities_multiplicity(rp2, matching).holds
     assert space_homology(rp2, reduced=True).nontrivial() == {1: (0, (2,))}

@@ -6,6 +6,7 @@ complex of chains.  Pairs of subposets are checked in
 `test_cellular_pairs.py`, against the cellular route that replaced the
 order-complex one."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,8 @@ from posetmorse.errors import NotAChainComplex, NotCellular, UnknownElement
 from posetmorse.formats import load_complex
 from posetmorse.homology import sphere_summary, subposet_chain_complex
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
-from posetmorse.snf import kernel_basis
 
-from helpers import brute_force_maximal_chains
+from helpers import brute_force_maximal_chains, kernel_basis, patch_where_bound
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -183,11 +183,12 @@ def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
         euler_characteristics(poset)
 
     def dense(*args, **kwargs):
-        raise AssertionError("dense boundary or kernel basis built")
+        raise AssertionError("dense boundary or Smith form built")
 
     # sphere generators read their cycle off the sparse reducer
     monkeypatch.setattr(ChainComplex, "boundary", property(dense))
-    monkeypatch.setattr(posetmorse.snf, "kernel_basis", dense)
+    patch_where_bound(monkeypatch, (posetmorse.snf, sys.modules["posetmorse.homology"]),
+                      ["smith_normal_form"], dense)
     for x in spaces[0].elements:
         if spaces[0].heights()[x] >= 1:
             sphere_generator(spaces[0], x)
