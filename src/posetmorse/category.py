@@ -249,9 +249,10 @@ def ls_theorem_check(poset: Poset, matching: Matching) -> LSReport:
     value = hccat(poset)
     warnings: list[str] = []
     class_values: list[tuple[str, int, int]] = []
+    ident = poset._id
     for members in basic_sets(poset, matching).classes:
         expected = 1 if len(members) == 1 else 2
-        recomputed = hccat(_pair_homology(poset, members))
+        recomputed = hccat(_pair_homology(poset, [ident[e] for e in members]))
         class_values.append((members[0], expected, recomputed))
         if recomputed != expected:
             what = "critical point" if expected == 1 else "orbit class at"

@@ -93,8 +93,8 @@ One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given the ids of A - B alone: the down-sets the pass reduces,
 its memo misses and those off the memo, its punctured down-sets, the
 pairs (U.x, U_w) of the maximal elements it decides by excision, the
-theorem checks' sublevel and basic-set pairs (`_pair_homology`, which
-maps their names to ids), and `space_complex`, the model of the space
+theorem checks' sublevel and basic-set pairs (`_pair_homology`, whose
+callers hand it ids), and `space_complex`, the model of the space
 without its augmentation cell, which `space_homology` and the hccat
 witness read.  The rows are checked once, by `_check_rows`: the pairs
 and punctured down-sets go to the homology engine as ranks and columns,
@@ -475,16 +475,15 @@ def cellular_pair_homology(poset: Poset, members: Iterable[str],
     if not drop <= keep or any(w not in part for part in (keep, drop)
                                for x in part for w in poset.lower_covers(x)):
         raise NotASubcomplex("cellular pair homology needs down-closed sets A containing B")
-    return _pair_homology(poset, keep - drop)
+    return _pair_homology(poset, map(poset._id.__getitem__, keep - drop))
 
 
-def _pair_homology(poset: Poset, cells: Iterable[str]) -> HomologySummary:
+def _pair_homology(poset: Poset, cells: Iterable[int]) -> HomologySummary:
     """`cellular_pair_homology` of a pair down-closed by construction, from
-    A - B, a locally closed set of names: its cells' ranks and columns,
+    A - B, a locally closed set of ids: its cells' ranks and columns,
     read off the pass's checked rows, go to the engine unchecked.  Its
     callers require a cellular poset, whose pass defers no row."""
-    ids = map(poset._id.__getitem__, cells)
-    return _homology(*_cells(_walked(poset)[1], poset._height, ids)[:2])
+    return _homology(*_cells(_walked(poset)[1], poset._height, cells)[:2])
 
 
 def _gauge_sign(x: int, p: int, eps: Rows, reach: dict[int, frozenset[int]],

@@ -11,9 +11,13 @@ Each report subcommand's handler, bound to its subparser, loads its
 inputs and returns (results, table lines, ok) without writing anything.
 `run` is the one place that writes a report, echoing the command name
 and its inputs (the matching file, else the kind) into the document, and
-that sets the exit code: 0 or 2 from ok, and 1 when loading, computing
-or writing raises a PosetMorseError or an OSError.  `gen` writes its
-fixture text itself and returns None.
+that sets the exit code.  It writes a report only once its results are
+complete: the document through `formats.write_report`, the exact bytes
+of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, handed to
+stdout in blocks, and the table line by line.  The exit code is 0 or 2
+from ok, and 1 when loading, computing or writing raises a
+PosetMorseError or an OSError.  `gen` writes its fixture text itself and
+returns None.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .formats import (
     parse_function_text,
     parse_matching_text,
     poset_text_lines,
-    report_document,
     serialize_function,
     serialize_matching,
+    write_report,
 )
 from .homology import homology, poset_homology, simplicial_chain_complex
 from .inequalities import (
@@ -333,9 +337,9 @@ def run(argv=None) -> int:
         if args.format == "doc":
             echoed = "matching" if "matching" in vars(args) else "kind"
             inputs = {"input": args.input, echoed: getattr(args, echoed)}
-            sys.stdout.write(report_document(args.command, results, inputs))
+            write_report(sys.stdout.write, args.command, results, inputs)
         else:
-            sys.stdout.write("".join(f"{line}\n" for line in lines))
+            sys.stdout.writelines(f"{line}\n" for line in lines)
         return 0 if ok else 2
     except (PosetMorseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

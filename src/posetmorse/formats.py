@@ -11,13 +11,17 @@ identifier interned as it is first mentioned, and the relation goes to
 "elements" and "covers" fields.  Matchings are `x y` lines (x covered by
 y); functions are `element value` lines with integer or p/q rational
 values.
+
+The report document is written by `write_json`: its text is exactly
+that of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, handed
+on in joined blocks of pieces, so that no report is held whole.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dynamics import Matching, validate_matching
 from .errors import CycleDetected, MalformedLine
@@ -168,11 +172,126 @@ def load_complex(text: str) -> SimplicialComplex:
     return parse_simplicial_complex(text)
 
 
-def report_document(command: str, results: dict, inputs: dict | None = None) -> str:
-    doc = {
+# pieces a writer joins into one block before it hands them on
+_BLOCK = 4096
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _scalar(o) -> str:
+    """A value that is no container, as json.dumps writes it, tested in
+    its order, so that a subclass of str or int is written as one."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not written in a report")
+
+
+def write_json(value, write: Callable[[str], object]) -> None:
+    """Write `value` as exactly the text of
+    `json.dumps(value, sort_keys=True, indent=2) + "\n"`, handing `write`
+    joined blocks of pieces, so that no caller holds the whole text.
+
+    That text has its string keys sorted, each string escaped to ASCII by
+    `json.encoder.encode_basestring_ascii`, ints as `int.__repr__` gives
+    them, `true`, `false` and `null`, and each item of a nonempty list,
+    tuple or dict on its own line, two spaces deeper than the container;
+    empty containers are `[]` and `{}`.  A non-str key, a float (every
+    number the library reports is exact) or a value of a type json.dumps
+    rejects raises TypeError.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def encode(o, nl: str) -> None:
+        # no type is both a container and a scalar, so containers go first
+        if isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            head = "{" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                item = o[key]
+                # the common scalars without a call
+                kind = type(item)
+                if kind is str:
+                    append(head + _escape(key) + ": " + _escape(item))
+                elif kind is int:
+                    append(head + _escape(key) + ": " + int.__repr__(item))
+                elif kind is bool:
+                    append(head + _escape(key) + (": true" if item else ": false"))
+                else:
+                    append(head + _escape(key) + ": ")
+                    encode(item, inner)
+                head = sep
+                if len(parts) >= _BLOCK:
+                    flush()
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            if type(o[0]) is str and type(o[-1]) is str:
+                # a list of names, in one piece; _escape rejects any other item
+                try:
+                    append("[" + inner + sep.join(map(_escape, o)) + nl + "]")
+                    return
+                except TypeError:
+                    pass
+            head = "[" + inner
+            for item in o:
+                kind = type(item)
+                if kind is str:
+                    append(head + _escape(item))
+                elif kind is int:
+                    append(head + int.__repr__(item))
+                elif kind is bool:
+                    append(head + ("true" if item else "false"))
+                else:
+                    append(head)
+                    encode(item, inner)
+                head = sep
+                if len(parts) >= _BLOCK:
+                    flush()
+            append(nl + "]")
+        else:
+            append(_scalar(o))
+
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    encode(value, "\n")
+    append("\n")
+    flush()
+
+
+def write_report(write: Callable[[str], object], command: str, results: dict,
+                 inputs: dict | None = None) -> None:
+    """The report document, written by `write_json` in blocks."""
+    write_json({
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs or {},
         "results": results,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    }, write)
+
+
+def report_document(command: str, results: dict, inputs: dict | None = None) -> str:
+    """The text `write_report` writes, whole."""
+    blocks: list[str] = []
+    write_report(blocks.append, command, results, inputs)
+    return "".join(blocks)

@@ -68,8 +68,9 @@ def morse_bott_numbers(poset: Poset, matching: Matching) -> tuple[list[int], lis
     top = poset.max_degree() + 1
     m = [0] * (top + 1)
     torsion_notes: list[str] = []
+    ident = poset._id
     for members in dec.classes:
-        summary = _pair_homology(poset, members)
+        summary = _pair_homology(poset, [ident[e] for e in members])
         where = "critical" if len(members) == 1 else "orbit at"
         for k in summary.degrees():
             m[k] += summary.b(k)

@@ -236,24 +236,29 @@ def verify_attachment(poset: Poset, function: MorseBottFunction, a, b) -> Attach
     if len(classes) != 1:
         raise WrongCriticalCount(
             f"critical value {crit[0]} is shared by {len(classes)} basic sets")
-    lower, upper = (set(sublevel(poset, function.values, t)) for t in (a, b))
+    values = function.values
+    lower, upper = (poset._closure(x for x, e in enumerate(poset._names) if values[e] <= t)
+                    for t in (a, b))
     return _attachment(poset, classes[0], lower, upper - lower, a, b)
 
 
-def _attachment(poset: Poset, members: tuple[str, ...], lower: set[str], new: set[str],
+def _attachment(poset: Poset, members: tuple[str, ...], lower: set[int], new: set[int],
                 a: Fraction, b: Fraction) -> AttachmentReport:
-    """The identities of attaching `members` to `lower` = X_a, `new` = X_b - X_a."""
+    """The identities of attaching `members` to `lower` = X_a, `new` =
+    X_b - X_a, both sets of ids; only the reported lists are named."""
+    ident, names, lowers = poset._id, poset._names, poset._lower
+    inside = {ident[e] for e in members}
     # the lower boundary of the class: its lower covers outside it
-    inside = set(members)
-    boundary = {w for x in members for w in poset.lower_covers(x) if w not in inside}
+    boundary = {w for x in inside for w in lowers[x] if w not in inside}
     identities = {
-        "new_elements_equal_class": new == set(members),
+        "new_elements_equal_class": new == inside,
         "boundary_inside_lower": boundary <= lower,
-        "class_misses_lower": lower.isdisjoint(members),
+        "class_misses_lower": lower.isdisjoint(inside),
     }
     return AttachmentReport(
         interval=(a, b), kind="critical-attachment", class_elements=members,
-        boundary=tuple(sorted(boundary)), new_elements=tuple(sorted(new)),
+        boundary=tuple(sorted(map(names.__getitem__, boundary))),
+        new_elements=tuple(sorted(map(names.__getitem__, new))),
         identities=identities, ok=all(identities.values()))
 
 
@@ -263,8 +268,9 @@ def filtration_sweep(poset: Poset,
     order: tight attachment checks around every critical value, then
     collapse checks across every maximal regular gap.  The cuts lie one
     below the least value, halfway between consecutive values and one
-    above the greatest.  One sublevel set grows by the down-closure of
-    the elements between cuts; a gap's check reads only what it added."""
+    above the greatest.  One sublevel set of ids grows by the down-sets
+    of the elements between cuts; a gap's check reads only what it added,
+    and names are made only for the lists an attachment report shows."""
     if function.matching is None:
         raise NotMorse("sweep needs the matching behind the function")
     require_admissible(poset)
@@ -275,9 +281,10 @@ def filtration_sweep(poset: Poset,
         if len(classes[v]) != 1:
             raise WrongCriticalCount(
                 f"critical value {v} is shared by {len(classes[v])} basic sets")
-    level: dict[Fraction, list[str]] = {}
-    for x in poset.elements:
-        level.setdefault(function.values[x], []).append(x)
+    # the ids at each value
+    level: dict[Fraction, list[int]] = {}
+    for x, e in enumerate(poset._names):
+        level.setdefault(function.values[e], []).append(x)
     values = sorted(level)
     if not values:
         return [], True
@@ -287,7 +294,7 @@ def filtration_sweep(poset: Poset,
     # the sublevel set at the cut, and what the regular gap open since cut `start` added
     start, lower, added = 0, set(), []
     for i, v in enumerate(values):
-        new = {x for x in poset.down_closure(level[v]) if x not in lower}
+        new = poset._closure(level[v], lower)
         if v in classes:
             gaps.append((start, i, _pair_homology(poset, added)))
             attachments.append(
@@ -295,7 +302,7 @@ def filtration_sweep(poset: Poset,
             start, added = i + 1, []
         else:
             added += new
-        lower.update(new)
+        lower |= new
     gaps.append((start, len(values), _pair_homology(poset, added)))
     reports = attachments + [
         AttachmentReport(interval=(cuts[lo], cuts[hi]), kind="regular-interval", ok=h.is_trivial())

@@ -251,14 +251,20 @@ class Poset:
     def down_closure(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The union of the minimal open sets U_x for x in the subset, in
         poset order."""
-        below = self._reach()
-        closed: set[int] = set()
-        for e in subset:
-            x = self._ident(e)
-            if x not in closed:
-                closed.add(x)
-                closed |= below[x]
+        closed = self._closure(map(self._ident, subset))
         return tuple(map(self._names.__getitem__, self._by_declared(closed)))
+
+    def _closure(self, ids: Iterable[int], closed: AbstractSet[int] = frozenset()) -> set[int]:
+        """The down-closure of the ids, less `closed`, a down-closed set of
+        ids: an id in `closed` brings nothing new."""
+        below = self._reach()
+        new: set[int] = set()
+        for x in ids:
+            if x not in new and x not in closed:
+                new.add(x)
+                new |= below[x]
+        # iterates `new`, not `closed`
+        return new - closed if closed else new
 
     def _chain_cones(self, members: Iterable[str]) -> tuple[list[list[dict[int, int]]],
                                                             dict[int, list[range]]]:

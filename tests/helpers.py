@@ -633,12 +633,12 @@ def basic_set_relative_homology(poset: Poset, members):
 
 def assert_basic_set_window(poset: Poset, matching: Matching, pair_homology=_pair_homology):
     """The paper's basic-set window lemma, asserted on `pair_homology` of
-    each basic set (its cells alone, by default): the relative homology of
-    a critical point of degree p is one copy of Z in degree p, that of an
-    orbit class of least degree p sits in degrees p and p+1."""
+    the ids of each basic set (its cells alone, by default): the relative
+    homology of a critical point of degree p is one copy of Z in degree p,
+    that of an orbit class of least degree p sits in degrees p and p+1."""
     for members in basic_sets(poset, matching).classes:
         p = min(poset.degree(e) for e in members)
-        nontrivial = pair_homology(poset, members).nontrivial()
+        nontrivial = pair_homology(poset, [poset._id[e] for e in members]).nontrivial()
         if len(members) == 1:
             assert nontrivial == {p: (1, ())}, members
         else:

@@ -104,7 +104,8 @@ def _admissible_posets(seed: int):
 
 def _oracle_cells(poset: Poset, cells):
     """The pair (A, A - cells), A the down-closure of the locally closed set
-    `cells`, by the order-complex definition."""
+    of ids `cells`, by the order-complex definition."""
+    cells = [poset._names[x] for x in cells]
     bar = poset.down_closure(cells)
     return order_complex_pair_homology(poset, bar, set(bar) - set(cells))
 
@@ -202,7 +203,7 @@ def test_basic_sets_read_off_their_cells_alone():
         orbits += len(dec.orbit_classes)
         for members in dec.classes:
             classes += 1
-            got = _pair_homology(poset, members)
+            got = _pair_homology(poset, [poset._id[e] for e in members])
             expected = basic_set_relative_homology(poset, members)
             assert got == expected and got.rational() == expected.rational(), members
     assert classes >= 300 and orbits >= 10, (classes, orbits)

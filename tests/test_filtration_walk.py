@@ -154,7 +154,8 @@ def test_each_element_reaches_one_collapse_check_or_one_attachment(monkeypatch):
     pair_homology, handed = morse._pair_homology, []
 
     def counted(poset, cells, *args):
-        handed.append(list(cells))
+        cells = list(cells)
+        handed.append([poset._names[x] for x in cells])
         return pair_homology(poset, cells, *args)
 
     monkeypatch.setattr(morse, "_pair_homology", counted)
@@ -181,5 +182,18 @@ def test_walk_makes_no_per_interval_call(monkeypatch):
     for name in ("sublevel", "verify_attachment", "verify_collapse"):
         monkeypatch.setattr(f"posetmorse.morse.{name}", forbidden)
     monkeypatch.setattr(MorseBottFunction, "critical_values", forbidden)
+    for poset, matching in _fixture_runs():
+        assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
+
+
+def test_walk_runs_on_ids(monkeypatch):
+    """The sublevel sets grow from the poset's down-sets of ids, and the
+    attachment boundaries come off its id covers: the walk asks the poset
+    for no down-closure and no lower covers by name."""
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the sweep went through a name route")
+
+    for name in ("down_closure", "lower_covers"):
+        monkeypatch.setattr(Poset, name, forbidden)
     for poset, matching in _fixture_runs():
         assert filtration_sweep(poset, integrate_matching(poset, matching))[1]
