@@ -128,12 +128,12 @@ from .homology import (
     _minimal_reducer,
     homology,
     poset_homology,
+    simplicial_chain_complex,
     sphere_summary,
-    subposet_chain_complex,
 )
 from .intmatrix import Column
 from .posets import Poset
-from .simplicial import Simplex
+from .simplicial import Simplex, order_complex
 
 
 @dataclass(frozen=True)
@@ -540,24 +540,23 @@ def require_admissible(poset: Poset) -> None:
 
 def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     """Canonical generator of the top reduced homology of the strict
-    down-set of `element`.
+    down-set of `element`, read off the paper's definition: the order
+    complex of the induced strict down-set.
 
-    The order complex of the strict down-set has dimension p-1, so its
-    top reduced cycles are exactly its top reduced homology, which
-    cellularity makes infinite cyclic.  Its minimal model spans those
-    cycles by its (p-1)-cells with empty columns; there must be one, and
-    the cycle is that cell's inclusion.  The sign is fixed by making the
-    coefficient of the lexicographically first simplex in the support
-    positive: the gauge of the incidence numbers, which never build these
-    cycles.
+    That complex has dimension p-1, so its top reduced cycles are exactly
+    its top reduced homology, which cellularity makes infinite cyclic.
+    Its minimal model spans those cycles by its (p-1)-cells with empty
+    columns; there must be one, and the cycle is that cell's inclusion.
+    The sign is fixed by making the coefficient of the lexicographically
+    first simplex in the support positive: the gauge of the incidence
+    numbers, which never build these cycles.  Nothing is cached: no
+    theorem check reads these cycles.
     """
     p = poset.degree(element)
     if p < 1:
         raise NotCellular("sphere generators exist only in degree >= 1")
-    cached = poset.analysis_cache.setdefault("sphere_generators", {})
-    if element in cached:
-        return cached[element]
-    chain = subposet_chain_complex(poset, poset.strictly_below(element), reduced=True)
+    below = poset.induced(poset.strictly_below(element))
+    chain = simplicial_chain_complex(order_complex(below), reduced=True)
     reducer = _minimal_reducer(chain.ranks, chain.columns)
     cycles = [c for c in reducer.survivors().get(p - 1, ()) if not reducer.cols[p - 1][c]]
     if len(cycles) != 1:
@@ -566,9 +565,7 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
     (cycle,) = reducer.inclusions(p - 1, cycles)
     sign = 1 if cycle[min(cycle)] > 0 else -1
     top = chain.labels[p - 1]
-    gen = SphereGenerator(element, {top[i]: sign * cycle[i] for i in sorted(cycle)})
-    cached[element] = gen
-    return gen
+    return SphereGenerator(element, {top[i]: sign * cycle[i] for i in sorted(cycle)})
 
 
 def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:

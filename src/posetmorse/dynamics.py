@@ -324,7 +324,7 @@ def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
 
 
 def prime_orbits(poset: Poset, matching: Matching) -> tuple[ClosedOrbit, ...]:
-    verdict = _recurrence(poset, matching).verdict or is_morse_smale(poset, matching)
+    verdict = is_morse_smale(poset, matching)
     if not verdict.is_morse_smale:
         raise NotMorseSmale(f"recurrence near {verdict.offender!r} is not a simple orbit")
     return verdict.orbits

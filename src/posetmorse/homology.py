@@ -41,11 +41,11 @@ the order complex of a poset as iterated cones, K(U_x) = x * K(U.x)
 (Quillen 1978), where d(c.x) = (dc).x + (-1)^(dim c + 1) c gives the
 column of each chain c.x from the column of c.  `poset_homology` and
 `is_acyclic` take those columns as built, unlabelled and oriented by the
-poset's order.  `subposet_chain_complex`, for `sphere_generator` and the
-tests, takes the same chains by name (`Poset.chains_within`), sorts each
-and hands them to `_assemble`: the simplicial chain complex of the order
-complex of the induced subposet.  Only these definitions list chains; no
-theorem check does.  With `order_complex`, `Poset.induced` and
+poset's order.  The order complex of a subposet is that of the induced
+poset, `simplicial_chain_complex(order_complex(poset.induced(A)))`,
+which `sphere_generator` and the tests build: `Poset.chains` names the
+chains, `order_complex` sorts them and `_assemble` makes the columns.
+Only these definitions list chains; no theorem check does.  With
 `relative_homology`, the tests check the chain model against them.
 """
 
@@ -596,24 +596,6 @@ def relative_chain_complex(complex: SimplicialComplex,
                       for d, sims in complex.simplices.items()}, reduced=False)
 
 
-def subposet_chain_complex(poset: Poset, members: Iterable[str],
-                           reduced: bool = False) -> ChainComplex:
-    """The chain complex of the order complex K(A) of the subposet on
-    A = `members`.
-
-    K(A) is the full subcomplex of K(P) spanned by A, so its simplices are
-    the chains of the poset that lie inside A (`Poset.chains_within`).
-    Simplices, their order and their orientation are those of
-    `simplicial_chain_complex(order_complex(poset.induced(A)))`.  With
-    reduced=True the augmentation slot is added.
-    """
-    simplices: dict[int, list[Simplex]] = {}
-    for local in poset.chains_within(members).values():
-        for c in local:
-            simplices.setdefault(len(c) - 1, []).append(tuple(sorted(c)))
-    return _assemble({d: sorted(simplices[d]) for d in sorted(simplices)}, reduced)
-
-
 def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex) -> HomologySummary:
     return homology(relative_chain_complex(complex, subcomplex))
 
@@ -629,7 +611,7 @@ def poset_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     key = ("poset_homology", reduced)
     cached = poset.analysis_cache.get(key)
     if cached is None:
-        boundary = dict(enumerate(poset._chain_cones(poset.elements)[0]))
+        boundary = dict(enumerate(poset._chain_cones()[0]))
         ranks = {d: len(cols) for d, cols in boundary.items()}
         if reduced:
             ranks[-1] = 1

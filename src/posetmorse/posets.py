@@ -32,15 +32,14 @@ views built when asked for: `covers` reads the int covers on demand, and
 no name index of their own.  The cellularity pass and the dynamics read
 the int core itself.
 
-The order complex of the induced subposet on a set A is the full
-subcomplex of K(P) spanned by A, so it is built straight off the poset,
-without the induced subposet, by `_chain_cones(A)`, the one function
-that lists chains.  It walks the ids of A counting up, a linear
-extension, and builds the chains with maximum x as the cone x * K(U.x &
-A) (Quillen 1978), each boundary column read off the column of the
-chain it extends.  `poset_homology` and `is_acyclic` read the columns,
-oriented by the poset's order; `chains_within` names the chains, which
-`subposet_chain_complex` sorts and assembles.  Nothing caches chains.
+The order complex is built by `_chain_cones`, the one function that
+lists chains, and only ever of a whole poset: the order complex of a
+subset A is that of the induced subposet, `induced(A)`.  It walks the
+ids counting up, a linear extension, and builds the chains with maximum
+x as the cone x * K(U.x) (Quillen 1978), each boundary column read off
+the column of the chain it extends.  `poset_homology` and `is_acyclic`
+read the columns, oriented by the poset's order; `chains` names the
+chains, which `simplicial.order_complex` sorts.  Nothing caches chains.
 Only the paper's definitions list them; no theorem check does.
 `induced` stays as the paper's definition too, and `beat_point_core`
 serves the random generators.
@@ -266,14 +265,12 @@ class Poset:
         # iterates `new`, not `closed`
         return new - closed if closed else new
 
-    def _chain_cones(self, members: Iterable[str]) -> tuple[list[list[dict[int, int]]],
-                                                            dict[int, list[range]]]:
-        """The order complex of the subposet A on `members`, built as
-        iterated cones: counting the ids of A up is a linear extension, and
-        the chains of A with maximum x are x itself and c.x for each chain
-        c of U.x & A, built before it.  Returns the augmented boundary
-        columns of the chains, oriented by the poset's order, and where
-        each id's chains lie among them.
+    def _chain_cones(self) -> tuple[list[list[dict[int, int]]], list[list[range]]]:
+        """The order complex of the poset, built as iterated cones: counting
+        the ids up is a linear extension, and the chains with maximum x
+        are x itself and c.x for each chain c of U.x, built before it.
+        Returns the augmented boundary columns of the chains, oriented by
+        the poset's order, and where each id's chains lie among them.
 
         `columns[d][j]` is the column of the j-th d-chain, its rows the
         (d-1)-chains; a 0-chain x has {0: 1}, on the empty chain.  Since
@@ -284,12 +281,12 @@ class Poset:
         x, the ids in declared order.  This is the one function that lists
         chains; nothing caches them."""
         below = self._reach()
-        keep = {self._ident(e) for e in members}
         columns: list[list[dict[int, int]]] = []
-        spans: dict[int, list[range]] = {}
-        for x in sorted(keep):
-            under = self._by_declared(below[x] & keep)
-            here = spans[x] = []
+        spans: list[list[range]] = []
+        for x in range(len(self._names)):
+            under = self._by_declared(below[x])
+            here: list[range] = []
+            spans.append(here)
             bases: Sequence[int] = (0,)  # the (d-1)-chains below x; d = 0: the empty chain
             d = 0
             while bases:
@@ -312,27 +309,6 @@ class Poset:
                 bases = [c for y in under if d < len(spans[y]) for c in spans[y][d]]
                 d += 1
         return columns, spans
-
-    def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-        """All nonempty chains of the subposet on `members`, each listed in
-        increasing order, grouped by maximum element in poset order, and
-        each group by dimension.  They are the chains of `_chain_cones`,
-        named: the chain c.x of a column is the chain c of its last key,
-        then x.  Not cached."""
-        columns, spans = self._chain_cones(members)
-        names = self._names
-        ending: dict[str, list[tuple[str, ...]]] = {names[x]: [] for x in spans}
-        named: list[tuple[str, ...]] = [()]  # the (d-1)-chains; d = 0: the empty chain
-        for d, cols in enumerate(columns):
-            here: list[tuple[str, ...]] = [()] * len(cols)
-            for x, ranges in spans.items():
-                if d < len(ranges):
-                    top = (names[x],)
-                    for j in ranges[d]:
-                        here[j] = named[next(reversed(cols[j]))] + top
-                    ending[names[x]].extend(here[j] for j in ranges[d])
-            named = here
-        return ending
 
     def beat_point_core(self) -> tuple[str, ...]:
         """The core of the poset, in poset order: sweeps in poset order
@@ -361,8 +337,23 @@ class Poset:
         return tuple(map(self._names.__getitem__, self._by_declared(core)))
 
     def chains(self) -> list[tuple[str, ...]]:
-        """All nonempty chains, each listed in increasing order."""
-        return [c for local in self.chains_within(self.elements).values() for c in local]
+        """All nonempty chains, each listed in increasing order, grouped by
+        maximum element in poset order, and each group by dimension.  They
+        are the chains of `_chain_cones`, named: the chain c.x of a column
+        is the chain c of its last key, then x.  Not cached."""
+        columns, spans = self._chain_cones()
+        named: list[list[tuple[str, ...]]] = [[()]]  # the (d-1)-chains by d; d = 0: the empty chain
+        chains: list[tuple[str, ...]] = []
+        for x, ranges in enumerate(spans):
+            top = (self._names[x],)
+            for d, span in enumerate(ranges):
+                if d + 1 == len(named):
+                    named.append([])
+                faces, cols = named[d], columns[d]
+                here = [faces[next(reversed(cols[j]))] + top for j in span]
+                named[d + 1] += here
+                chains += here
+        return chains
 
 
 class CoverView(Set):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import EmptyComplex, MalformedLine
+from .errors import DuplicateElement, EmptyComplex, MalformedLine
 from .posets import Poset, _Core
 
 Simplex = tuple[str, ...]
@@ -109,7 +109,8 @@ def face_poset(complex: SimplicialComplex) -> Poset:
     it is: the codimension-1 faces are the covers, looked up in an index
     of the dimension below alone, and the dimensions the heights.  Each
     simplex is already sorted, and its name is its vertices joined by
-    `|`."""
+    `|`.  Two simplices whose names clash, as the vertices 1, 2 and 1|2
+    give, raise DuplicateElement naming both."""
     simplices, lower = [], []
     index: dict[Simplex, int] = {}
     for d in sorted(complex.simplices):
@@ -118,13 +119,24 @@ def face_poset(complex: SimplicialComplex) -> Poset:
                   else [()] * len(here))
         index = {t: k for k, t in enumerate(here, len(simplices))}
         simplices += here
-    return Poset(["|".join(s) for s in simplices],
-                 _Core(None, [len(s) - 1 for s in simplices], lower))
+    names = ["|".join(s) for s in simplices]
+    try:
+        return Poset(names, _Core(None, [len(s) - 1 for s in simplices], lower))
+    except DuplicateElement:
+        first: dict[str, Simplex] = {}
+        for s, name in zip(simplices, names):
+            if name in first:
+                raise DuplicateElement(
+                    f"simplices {first[name]} and {s} share the name {name!r}") from None
+            first[name] = s
+        raise
 
 
 def order_complex(poset: Poset) -> SimplicialComplex:
     """The complex of nonempty chains of the poset: the paper's definition,
-    which the tests check `poset_homology` and `subposet_chain_complex` against."""
+    which the tests check `poset_homology` against.  The order complex of
+    a subset A is `order_complex(poset.induced(A))`, as `sphere_generator`
+    builds it."""
     return SimplicialComplex(poset.chains())
 
 

@@ -11,12 +11,13 @@ read off the same Smith form.  `gauge_flip` changes the signs of a
 cellular complex's generators, and `basic_set_relative_homology` reads a
 basic set's pair homology through its closure.  The
 cellularity oracles are the order-complex definitions the library's
-cellularity pass replaced; they call `subposet_chain_complex`,
-`sphere_generator` and `homology`.  The pair and face-poset oracles build
-induced subposets, face posets and their order complexes as the paper
-defines them.  The per-interval sweep is the filtration sweep as one
-call of the public single-interval checks per interval, each of which
-rebuilds its sublevel sets from the function's values.
+cellularity pass replaced; they call `Poset.induced`, `order_complex`,
+`simplicial_chain_complex`, `sphere_generator` and `homology`.  The pair
+and face-poset oracles build induced subposets, face posets and their
+order complexes as the paper defines them.  The per-interval sweep is
+the filtration sweep as one call of the public single-interval checks
+per interval, each of which rebuilds its sublevel sets from the
+function's values.
 
 Five references are earlier forms of library code kept as oracles for
 the faster forms that replaced them: the cover reduction as one
@@ -84,7 +85,7 @@ from posetmorse.errors import (
     UnknownElement,
 )
 from posetmorse.formats import _poset_document
-from posetmorse.homology import Reduction, sphere_summary, subposet_chain_complex
+from posetmorse.homology import Reduction, sphere_summary
 from posetmorse.morse import (
     AttachmentReport,
     MorseBottFunction,
@@ -358,16 +359,20 @@ def order_complex_cellularity(poset: Poset) -> CellularityReport:
     cellular = True
     degrees = poset.heights()
     below = {e: poset.strictly_below(e) for e in poset.elements}
+
+    def reduced_homology(members):
+        complex = order_complex(poset.induced(members))
+        return homology(simplicial_chain_complex(complex, reduced=True))
+
     for x in poset.elements:
         p = degrees[x]
-        summary = homology(subposet_chain_complex(poset, below[x], reduced=True))
+        summary = reduced_homology(below[x])
         if summary != sphere_summary(p - 1):
             cellular = False
             witnesses.append(("not-cellular", x, f"strict down-set has {summary}"))
     admissible = True
     for w, x in sorted(poset.covers):
-        punctured = subposet_chain_complex(poset, below[x] - {w}, reduced=True)
-        if not homology(punctured).is_trivial():
+        if not reduced_homology(below[x] - {w}).is_trivial():
             admissible = False
             witnesses.append(("not-admissible", f"{w}<{x}",
                               "punctured down-set is not acyclic"))
@@ -719,21 +724,14 @@ def patch_where_bound(monkeypatch, modules, names, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
-def guard_whole_poset_chains(monkeypatch) -> list[int]:
-    """Patch `Poset._chain_cones`, the one chain enumerator, to raise when
-    it is asked for every element of its poset.  Returns the list of the
-    sizes of the sets it was asked for, filled as calls come in."""
-    original, sizes = Poset._chain_cones, []
-
-    def guarded(self, members):
-        members = set(members)
-        if members.issuperset(self.elements):
-            raise RuntimeError("the chains of the whole poset were enumerated")
-        sizes.append(len(members))
-        return original(self, members)
+def guard_whole_poset_chains(monkeypatch) -> None:
+    """Patch `Poset._chain_cones`, the one chain enumerator, to raise on
+    every call.  It only ever lists the chains of a whole poset, so this
+    guards the order complexes of induced posets too."""
+    def guarded(self):
+        raise RuntimeError("the chains of a poset were enumerated")
 
     monkeypatch.setattr(Poset, "_chain_cones", guarded)
-    return sizes
 
 
 def levelled_poset(rng: XorShift64Star, levels: int, width: int) -> Poset:
@@ -1323,20 +1321,6 @@ class NameKeyedPoset:
                 closed |= self.strictly_below(x)
         return tuple(sorted(closed, key=self.index.__getitem__))
 
-    def chains_within(self, members: Iterable[str]) -> dict[str, list[tuple[str, ...]]]:
-        """All nonempty chains of the subposet on `members`, grouped by
-        maximum element, each group by dimension, each listed in increasing
-        order; not cached."""
-        below, order = self._reach(), self.index
-        keep = set(members)
-        ending: dict[str, list[tuple[str, ...]]] = {}
-        for x in sorted(keep, key=self.height_order().__getitem__):
-            local: list[tuple[str, ...]] = [(x,)]
-            for y in sorted(below[x] & keep, key=order.__getitem__):
-                local.extend(c + (x,) for c in ending[y])
-            ending[x] = sorted(local, key=len)
-        return ending
-
     def beat_point_core(self) -> tuple[str, ...]:
         """The core of the poset, in poset order: sweeps in poset order
         remove beat points until none is left, an element being one when
@@ -1365,8 +1349,16 @@ class NameKeyedPoset:
         return tuple(sorted(core, key=order.__getitem__))
 
     def chains(self) -> list[tuple[str, ...]]:
-        """All nonempty chains, each listed in increasing order."""
-        return [c for local in self.chains_within(self.elements).values() for c in local]
+        """All nonempty chains, grouped by maximum element, each group by
+        dimension, each listed in increasing order; not cached."""
+        below, order = self._reach(), self.index
+        ending: dict[str, list[tuple[str, ...]]] = {}
+        for x in self.height_order():
+            local: list[tuple[str, ...]] = [(x,)]
+            for y in sorted(below[x], key=order.__getitem__):
+                local.extend(c + (x,) for c in ending[y])
+            ending[x] = sorted(local, key=len)
+        return [c for local in ending.values() for c in local]
 
 
 def _name_keyed_topological_order(elements: Sequence[str], lower: dict[str, Sequence[str]],

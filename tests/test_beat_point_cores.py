@@ -113,7 +113,7 @@ def test_non_cellular_posets_never_enumerate_the_chains_of_the_poset(monkeypatch
               ungraded_poset(rng, 9), ungraded_poset(rng, 12)]
     expected = [(order_complex_cellularity(poset), poset_homology(poset)) for poset in spaces]
 
-    def forbidden(self, members):
+    def forbidden(self):
         raise RuntimeError("chains were enumerated")
 
     monkeypatch.setattr(Poset, "_chain_cones", forbidden)

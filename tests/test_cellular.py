@@ -17,7 +17,8 @@ from posetmorse import (
 )
 from posetmorse.cellular import _walked, require_admissible, require_cellular, space_complex
 from posetmorse.cli import run
-from posetmorse.errors import NotAdmissible, NotCellular
+from posetmorse.errors import (NonUnitIncidenceOnAdmissible, NotAdmissible, NotCellular,
+                               PosetMorseError)
 from posetmorse.formats import load_complex, load_poset, serialize_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -35,6 +36,21 @@ def test_t3_report(t3):
 def test_rp2_report(rp2_poset):
     report = check_cellularity(rp2_poset)
     assert report.is_cellular and report.is_homologically_admissible
+
+
+def test_non_unit_incidence_on_an_admissible_poset_raises(rp2):
+    """The safety check of `cellular_chain_complex`: an incidence number
+    other than +-1 on an admissible poset, here planted in a cached row
+    of the pass, raises before any complex is built."""
+    poset = face_poset(rp2)
+    assert check_cellularity(poset).is_homologically_admissible
+    rows = _walked(poset)[1]
+    row = next(row for row in rows.values() if row)
+    row[next(iter(row))] = 2
+    with pytest.raises(NonUnitIncidenceOnAdmissible, match="non-unit incidence") as raised:
+        cellular_chain_complex(poset)
+    assert isinstance(raised.value, PosetMorseError)
+    assert "cellular_complex" not in poset.analysis_cache
 
 
 def test_diamond_poset_cellular():

@@ -267,7 +267,7 @@ def test_theorem_checks_never_enumerate_chains(monkeypatch, capsys):
     Lusternik-Schnirelmann check, and the ls-check, hccat and rational
     inequalities reports, with `Poset._chain_cones`, the one chain
     enumerator, raising on every call."""
-    def forbidden(self, members):
+    def forbidden(self):
         raise RuntimeError("chains were enumerated")
 
     runs = [_sphere_with_cone_matching(n) for n in range(1, 7)] + list(_fixture_runs())

@@ -279,8 +279,6 @@ def test_cellular_inputs_never_enumerate_chains(monkeypatch):
     guard_whole_poset_chains(monkeypatch)
     cellular, homology, snf = (sys.modules[f"posetmorse.{m}"]
                                for m in ("cellular", "homology", "snf"))
-    for module in (cellular, homology):
-        monkeypatch.setattr(module, "subposet_chain_complex", forbidden)
     monkeypatch.setattr(cellular, "sphere_generator", forbidden)
     for module in (snf, homology):
         monkeypatch.setattr(module, "smith_normal_form", forbidden)

@@ -309,8 +309,8 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
 
     from posetmorse.cli import run
 
-    dynamics, cli = sys.modules["posetmorse.dynamics"], sys.modules["posetmorse.cli"]
-    calls = {"_matched_successors": 0, "is_morse_smale": 0}
+    dynamics = sys.modules["posetmorse.dynamics"]
+    calls = {"_matched_successors": 0, "MorseSmaleVerdict": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -321,11 +321,12 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
     # the digraph on ids, which `_recurrence` builds once per matching
     monkeypatch.setattr(dynamics, "_matched_successors",
                         counted("_matched_successors", dynamics._matched_successors))
-    verdict = counted("is_morse_smale", dynamics.is_morse_smale)
-    for module in (dynamics, cli):
-        monkeypatch.setattr(module, "is_morse_smale", verdict)
+    # a verdict is computed where `is_morse_smale` builds one; a later call
+    # returns the one kept with the matching's recurrence record
+    monkeypatch.setattr(dynamics, "MorseSmaleVerdict",
+                        counted("MorseSmaleVerdict", dynamics.MorseSmaleVerdict))
     data = Path(__file__).resolve().parent.parent / "data"
     assert run([command, "--input", str(data / "rp2_6.txt"), "--kind", "simplicial",
                 "--matching", str(data / "rp2_star5_matching.txt")]) == 0
     capsys.readouterr()
-    assert calls == {"_matched_successors": digraphs, "is_morse_smale": verdicts}
+    assert calls == {"_matched_successors": digraphs, "MorseSmaleVerdict": verdicts}

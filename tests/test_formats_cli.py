@@ -453,11 +453,9 @@ def test_cli_builds_the_whole_order_complex_once(argv, monkeypatch, capsys):
     original = Poset._chain_cones
     builds = []
 
-    def counted(poset, members):
-        members = tuple(members)
-        if set(members) == set(poset.elements):
-            builds.append(len(members))
-        return original(poset, members)
+    def counted(poset):
+        builds.append(len(poset))
+        return original(poset)
 
     monkeypatch.setattr(Poset, "_chain_cones", counted)
     assert run(argv) == 0
@@ -554,8 +552,8 @@ def test_cli_hccat_witness_of_the_core(space, rp2_poset, tmp_path, capsys):
     """A beat point keeps the homotopy type, so the witness of the model
     of the poset with one added has the rank profile of the whole
     poset's order complex."""
-    from posetmorse import check_cellularity, minimal_subcomplex
-    from posetmorse.homology import subposet_chain_complex
+    from posetmorse import (check_cellularity, minimal_subcomplex, order_complex,
+                            simplicial_chain_complex)
 
     base = parse_poset_text("a < c\nb < c\na < d\nb < d\n") if space == "circle" else rp2_poset
     poset = _with_tail(base, maximal_elements(base)[0])
@@ -565,7 +563,7 @@ def test_cli_hccat_witness_of_the_core(space, rp2_poset, tmp_path, capsys):
     path.write_text(serialize_poset(poset))
     assert run(["hccat", "--input", str(path), "--format", "doc"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    whole = minimal_subcomplex(subposet_chain_complex(poset, poset.elements))
+    whole = minimal_subcomplex(simplicial_chain_complex(order_complex(poset)))
     assert results["minimal_subcomplex_ranks"] == {
         str(k): v for k, v in sorted(whole.rank_profile.items())}
     assert results["minimal_subcomplex_quasi_isomorphism"] is True
@@ -611,6 +609,24 @@ def test_cli_json_document_without_an_elements_list(document, tmp_path, capsys):
     path.write_text(document)
     err = _one_error_line(capsys, ["validate", "--input", str(path)])
     assert "'elements' list" in err
+
+
+def test_cli_face_name_clash_names_both_faces(tmp_path, capsys):
+    """A face is named by its vertices joined with `|`, so the vertex 1|2
+    and the edge of 1 and 2 share a name: the error says which faces."""
+    path = tmp_path / "k.txt"
+    path.write_text("1 2\n1|2 3\n")
+    err = _one_error_line(capsys, ["validate", "--kind", "simplicial", "--input", str(path)])
+    assert "'1|2'" in err and "('1|2',)" in err and "('1', '2')" in err
+
+
+def test_subdivision_name_clash_names_both_chains():
+    from posetmorse import build_poset, subdivision
+    from posetmorse.errors import DuplicateElement
+
+    poset = build_poset(["a", "b", "a|b"], [("a", "b")])
+    with pytest.raises(DuplicateElement, match=r"\('a\|b',\) and \('a', 'b'\) share the name 'a\|b'"):
+        subdivision(poset)
 
 
 @pytest.mark.parametrize("line", ["v1", "v1 e12 e13"])

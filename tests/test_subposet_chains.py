@@ -1,10 +1,11 @@
 """The order complexes built as iterated cones (`Poset._chain_cones`)
-against the paper's definition: `subposet_chain_complex` against the
-order complexes of induced subposets, built one by one, and
-`poset_homology` and `is_acyclic` against the homology of the simplicial
-complex of chains.  Pairs of subposets are checked in
-`test_cellular_pairs.py`, against the cellular route that replaced the
-order-complex one."""
+against the paper's definition: the order complexes of induced
+subposets against the full subcomplexes of the whole poset's, the
+cellularity pass and `sphere_generator` against the homology of those
+order complexes, and `poset_homology` and `is_acyclic` against the
+homology of the simplicial complex of chains.  Pairs of subposets are
+checked in `test_cellular_pairs.py`, against the cellular route that
+replaced the order-complex one."""
 
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from posetmorse import (
 )
 from posetmorse.errors import NotAChainComplex, NotCellular, UnknownElement
 from posetmorse.formats import load_complex
-from posetmorse.homology import sphere_summary, subposet_chain_complex
+from posetmorse.homology import sphere_summary
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
 from helpers import brute_force_maximal_chains, kernel_basis, patch_where_bound
@@ -55,14 +56,15 @@ def random_posets(seed: int, count: int):
             yield rng, face_poset(random_simplicial_complex(rng, max_vertices=5))
 
 
-def test_reduced_subposets_match_induced_order_complexes():
+def test_induced_order_complexes_are_full_subcomplexes():
+    """K(A) for the induced subposet on A is the full subcomplex of K(P)
+    spanned by A (Quillen 1978)."""
     for rng, poset in random_posets(909, 60):
-        members = [e for e in poset.elements if rng.chance(1, 2)]
-        got = subposet_chain_complex(poset, members, reduced=True)
-        want = simplicial_chain_complex(order_complex(poset.induced(members)), reduced=True)
-        assert got.labels == want.labels
-        assert got.ranks == want.ranks and got.columns == want.columns
-        assert homology(got) == homology(want)
+        members = {e for e in poset.elements if rng.chance(1, 2)}
+        whole = order_complex(poset).simplices
+        full = {d: tuple(s for s in sims if members.issuperset(s)) for d, sims in whole.items()}
+        assert order_complex(poset.induced(members)).simplices == {
+            d: sims for d, sims in full.items() if sims}
 
 
 def induced_route_cellularity(poset) -> CellularityReport:
@@ -104,7 +106,8 @@ def test_cellularity_matches_induced_route():
 
 def induced_route_generator(poset, element) -> dict:
     """The sphere generator below `element`, from the order complex of the
-    induced strict down-set."""
+    induced strict down-set: a kernel basis of its dense top boundary,
+    not the sparse reducer's survivors."""
     p = poset.heights()[element]
     complex = order_complex(poset.induced(poset.strictly_below(element)))
     chain = simplicial_chain_complex(complex, reduced=True)
@@ -155,16 +158,15 @@ def test_sphere_generator_needs_top_homology_of_rank_one():
 
 def test_unknown_elements_and_non_subsets_rejected(t3):
     with pytest.raises(UnknownElement):
-        subposet_chain_complex(t3, ["v1", "zz"])
-    with pytest.raises(UnknownElement):
-        t3.chains_within(["v1", "zz"])
+        t3.induced(["v1", "zz"])
 
 
 def test_empty_members():
-    p = build_poset(["a", "b"], [("a", "b")])
-    assert p._chain_cones([]) == ([], {})
-    assert homology(subposet_chain_complex(p, [], reduced=True)) == sphere_summary(-1)
-    assert homology(subposet_chain_complex(p, [])).is_trivial()
+    empty = build_poset(["a", "b"], [("a", "b")]).induced([])
+    assert empty._chain_cones() == ([], [])
+    chains = order_complex(empty)
+    assert homology(simplicial_chain_complex(chains, reduced=True)) == sphere_summary(-1)
+    assert homology(simplicial_chain_complex(chains)).is_trivial()
 
 
 def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
@@ -185,7 +187,9 @@ def test_production_route_builds_no_induced_poset(monkeypatch, rp2):
     def dense(*args, **kwargs):
         raise AssertionError("dense boundary or Smith form built")
 
-    # sphere generators read their cycle off the sparse reducer
+    # sphere generators read their cycle off the sparse reducer, from the
+    # order complex of the induced down-set, the definition
+    monkeypatch.undo()
     monkeypatch.setattr(ChainComplex, "boundary", property(dense))
     patch_where_bound(monkeypatch, (posetmorse.snf, sys.modules["posetmorse.homology"]),
                       ["smith_normal_form"], dense)
@@ -234,7 +238,7 @@ def test_flipped_cone_signs_are_not_a_chain_complex(rp2, tetra_boundary):
     the augmentation, makes `ChainComplex` raise."""
     for complex in (rp2, tetra_boundary):
         poset = face_poset(complex)
-        columns = poset._chain_cones(poset.elements)[0]
+        columns = poset._chain_cones()[0]
         ranks = {-1: 1, **{d: len(cols) for d, cols in enumerate(columns)}}
         ChainComplex(ranks, dict(enumerate(columns)))
 
