@@ -27,7 +27,7 @@ which the sparse homology engine decides on the ambient's own columns.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cellular import _pair_homology, cellular_chain_complex, require_admissible, space_homology
 from .dynamics import (
@@ -112,8 +112,7 @@ def verify_quasi_isomorphism(sub: ChainComplex, inclusion: dict[int, list[Column
 # -- minimal quasi-isomorphic subcomplex ---------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalSubcomplex:
+class MinimalSubcomplex(NamedTuple):
     complex: ChainComplex
     inclusion: dict[int, list[Column]]
     rank_profile: dict[int, int]
@@ -137,8 +136,7 @@ def minimal_subcomplex(ambient: ChainComplex) -> MinimalSubcomplex:
 # -- flow operator --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowData:
+class FlowData(NamedTuple):
     """The flow-invariant complex, that is the Morse complex: `inclusion[p]`
     has one sparse column Phi^inf(c) per critical element c of degree p,
     in the order of the cellular complex's labels, `invariant_complex`
@@ -202,8 +200,7 @@ def flow_operator(poset: Poset, matching: Matching) -> FlowData:
 # -- Lusternik-Schnirelmann ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LSReport:
+class LSReport(NamedTuple):
     hccat_value: int
     basic_set_bound: int
     perturbed_counts: dict[int, int]

@@ -106,9 +106,8 @@ The order complex (`poset_homology`) stays the definition that
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -136,8 +135,7 @@ from .posets import Poset
 from .simplicial import Simplex, order_complex
 
 
-@dataclass(frozen=True)
-class CellularityReport:
+class CellularityReport(NamedTuple):
     is_graded: bool
     is_cellular: bool
     is_homologically_admissible: bool
@@ -152,8 +150,7 @@ class CellularityReport:
         }
 
 
-@dataclass(frozen=True)
-class SphereGenerator:
+class SphereGenerator(NamedTuple):
     """An integer cycle generating the top reduced homology of a strict
     down-set; coefficients are indexed by order-complex simplices."""
 
@@ -167,8 +164,7 @@ class SphereGenerator:
 Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[int, int, int]]"]
 
 
-@dataclass(frozen=True)
-class CellularComplexOfPoset:
+class CellularComplexOfPoset(NamedTuple):
     """A cellular poset's complex, its labels named, and `rows`, eps(x, .): the
     pass's own rows, keyed by ids, which `epsilon` and `incidence` name."""
 

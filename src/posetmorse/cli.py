@@ -25,8 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .cellular import (cellular_chain_complex, check_cellularity, is_admissible, space_complex,
@@ -58,7 +56,8 @@ from .simplicial import face_poset, serialize_simplicial_complex
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
@@ -201,7 +200,7 @@ def cmd_inequalities(args) -> Report:
     strong = strong_morse_bott(poset, matching)
     if args.coeff == "rat":
         # the same free ranks over Q, without the torsion notes
-        strong = replace(strong, data=strong.data | {"torsion_notes": [], "coefficients": "rat"})
+        strong = strong._replace(data=strong.data | {"torsion_notes": [], "coefficients": "rat"})
     reports = [strong]
     verdict = is_morse_smale(poset, matching)
     if verdict.is_morse_smale:

@@ -20,9 +20,8 @@ Declared order, not id order, fixes the order of what reaches output.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cellular import CellularComplexOfPoset, require_admissible
 from .errors import (
@@ -35,11 +34,34 @@ from .errors import (
 from .posets import Poset
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A set of covers, each poset element in at most one pair."""
+    """A set of covers, each poset element in at most one pair.  It is
+    immutable, and not a NamedTuple: its length is its number of pairs."""
+
+    __slots__ = ("pairs",)
 
     pairs: frozenset[tuple[str, str]]
+
+    def __init__(self, pairs: frozenset[tuple[str, str]]):
+        object.__setattr__(self, "pairs", pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matching is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Matching is immutable")
+
+    def __reduce__(self):
+        return Matching, (self.pairs,)
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs if type(other) is Matching else NotImplemented
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"Matching(pairs={self.pairs!r})"
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -76,8 +98,7 @@ def validate_matching(poset: Poset, pairs) -> Matching:
     return Matching(frozenset(out))
 
 
-@dataclass(frozen=True)
-class MatchedDigraph:
+class MatchedDigraph(NamedTuple):
     """The Hasse diagram with matched covers pointing up, the rest down."""
 
     nodes: tuple[str, ...]
@@ -151,16 +172,14 @@ def _strongly_connected_components(
     return components, component
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """A nontrivial strongly connected component of the matched digraph."""
 
     elements: tuple[str, ...]
     index: int
 
 
-@dataclass(frozen=True)
-class BasicSetDecomposition:
+class BasicSetDecomposition(NamedTuple):
     """The basic sets: `classes` lists each critical point as a one-element
     tuple, in poset order, then the elements of each orbit class (at least
     two) in the order of `orbit_classes`."""
@@ -189,17 +208,19 @@ class BasicSetDecomposition:
         }
 
 
-@dataclass
 class _Recurrence:
     """One matching's digraph and strongly connected components on ids, each
     id's component, and the basic sets and Morse-Smale verdict once asked for."""
 
-    matching: Matching
-    successors: list[list[int]]
-    components: list[list[int]]
-    component: list[int]
-    decomposition: BasicSetDecomposition | None = None
-    verdict: MorseSmaleVerdict | None = None
+    __slots__ = ("matching", "successors", "components", "component", "decomposition",
+                 "verdict")
+
+    def __init__(self, matching: Matching, successors: list[list[int]],
+                 components: list[list[int]], component: list[int]):
+        self.matching, self.successors = matching, successors
+        self.components, self.component = components, component
+        self.decomposition: BasicSetDecomposition | None = None
+        self.verdict: MorseSmaleVerdict | None = None
 
 
 def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
@@ -253,8 +274,7 @@ def is_morse_matching(poset: Poset, matching: Matching) -> bool:
     return all(len(c) == 1 for c in _recurrence(poset, matching).components)
 
 
-@dataclass(frozen=True)
-class ClosedOrbit:
+class ClosedOrbit(NamedTuple):
     """A prime closed orbit: a simple directed cycle alternating between
     degrees p and p+1, rotated to start at its smallest lower element."""
 
@@ -275,8 +295,7 @@ class ClosedOrbit:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class MorseSmaleVerdict:
+class MorseSmaleVerdict(NamedTuple):
     is_morse_smale: bool
     orbits: tuple[ClosedOrbit, ...]
     offender: str | None = None

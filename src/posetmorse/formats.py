@@ -10,7 +10,8 @@ identifier interned as it is first mentioned, and the relation goes to
 `posets._build` as ints.  The JSON alternative is a document with
 "elements" and "covers" fields.  Matchings are `x y` lines (x covered by
 y); functions are `element value` lines with integer or p/q rational
-values.
+values, whose numerators and denominators have at most
+`(sys.get_int_max_str_digits() - 1) // 2` digits when that limit is set.
 
 The report document is written by `write_json`: its text is exactly
 that of `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, handed
@@ -20,6 +21,7 @@ on in joined blocks of pieces, so that no report is held whole.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -80,6 +82,11 @@ def _poset_document(text: str) -> tuple[list[str], list[tuple[str, str]]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"line {exc.lineno}: malformed JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        # an int literal longer than the interpreter converts
+        raise MalformedLine("malformed JSON: a number has too many digits") from exc
+    except RecursionError as exc:
+        raise MalformedLine("malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("elements"), list):
         raise MalformedLine("poset document needs an 'elements' list")
     covers = doc.get("covers", [])
@@ -142,6 +149,15 @@ def serialize_matching(matching: Matching) -> str:
 
 
 def parse_function_text(poset: Poset, text: str) -> dict[str, Fraction]:
+    """The value of each element.  When the interpreter limits the digits
+    of an int it converts to text, a numerator or denominator may have at
+    most (limit - 1) // 2 digits: a sweep's cut (a/b + c/d) / 2 then has
+    at most twice as many and one more, so every value and cut prints.  An
+    exponent too large to meet the bound is rejected before its power is
+    taken."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = (limit - 1) // 2
+    bound = 10 ** digits if limit else None
     values: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -155,9 +171,15 @@ def parse_function_text(poset: Poset, text: str) -> dict[str, Fraction]:
         if name in values:
             raise MalformedLine(f"line {lineno}: second value for element {name!r}")
         try:
-            values[name] = Fraction(value)
+            _, sep, exponent = value.lower().partition("e")
+            q = (None if bound and sep and abs(int(exponent)) > digits + len(value)
+                 else Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedLine(f"line {lineno}: bad rational {value!r}") from exc
+        if bound and (q is None or max(abs(q.numerator), q.denominator) >= bound):
+            raise MalformedLine(f"line {lineno}: the value of {name!r} has more than "
+                                f"{digits} digits")
+        values[name] = q
     missing = [e for e in poset.elements if e not in values]
     if missing:
         raise MalformedLine(f"function is missing values for {missing[:5]}")

@@ -51,8 +51,7 @@ Only these definitions list chains; no theorem check does.  With
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcomplex
 from .intmatrix import Column, IntMatrix
@@ -124,17 +123,18 @@ class ChainComplex:
         return f"ChainComplex({', '.join(ranks)})"
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """Betti numbers and torsion invariant factors per degree.
 
     Over the integers `betti[k]` is the free rank and `torsion[k]` the
     invariant-factor chain (entries >= 2); over the rationals torsion is
-    empty and betti are dimensions.  `mu[k]` counts torsion factors.
+    empty and betti are dimensions.  `mu[k]` counts torsion factors.  Every
+    summary built without betti or torsion shares one empty dict as its
+    default, so a summary's dicts are never mutated.
     """
 
-    betti: dict[int, int] = field(default_factory=dict)
-    torsion: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    betti: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
     coefficients: Coefficients = "int"
 
     def b(self, k: int) -> int:
@@ -172,6 +172,11 @@ class HomologySummary:
         if not isinstance(other, HomologySummary):
             return NotImplemented
         return self.nontrivial() == other.nontrivial()
+
+    def __ne__(self, other):
+        # tuple's own != would compare the fields
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self):
         return hash(tuple(sorted(self.nontrivial().items())))
@@ -277,8 +282,7 @@ def _dense_factors(columns: Iterable[Column]) -> list[int]:
     return [data[t][t] for t in range(min(len(at), len(columns))) if data[t][t]]
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A complex with the homology of the one it was reduced from, and the
     chain map back: `inclusion[p][j]` is the chain of the input that the
     j-th cell of degree p stands for."""

@@ -18,7 +18,7 @@ the same way, from the two sides' lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cellular import _pair_homology, cellular_chain_complex, require_admissible, space_homology
 from .dynamics import (
@@ -33,8 +33,7 @@ from .homology import HomologySummary
 from .posets import Poset
 
 
-@dataclass(frozen=True)
-class IneqRow:
+class IneqRow(NamedTuple):
     k: int
     lhs: int
     rhs: int
@@ -44,8 +43,7 @@ class IneqRow:
         return {"k": self.k, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     name: str
     rows: tuple[IneqRow, ...]
     holds: bool

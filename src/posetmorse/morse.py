@@ -27,8 +27,8 @@ its own.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cellular import _pair_homology, cellular_pair_homology, require_admissible
 from .dynamics import (
@@ -49,8 +49,7 @@ from .errors import (
 from .posets import Poset
 
 
-@dataclass(frozen=True)
-class MorseVerdict:
+class MorseVerdict(NamedTuple):
     is_morse: bool
     critical: tuple[str, ...]
     violations: tuple[str, ...] = ()
@@ -89,8 +88,7 @@ def morse_function_to_matching(poset: Poset, values: dict[str, Fraction]) -> Mat
     return validate_matching(poset, pairs)
 
 
-@dataclass(frozen=True)
-class MorseBottFunction:
+class MorseBottFunction(NamedTuple):
     """A function constant on basic sets and Morse away from them."""
 
     poset: Poset
@@ -198,8 +196,7 @@ def verify_collapse(poset: Poset, function: MorseBottFunction, a, b) -> bool:
     return cellular_pair_homology(poset, upper, lower).is_trivial()
 
 
-@dataclass(frozen=True)
-class AttachmentReport:
+class AttachmentReport(NamedTuple):
     interval: tuple[Fraction, Fraction]
     kind: str
     class_elements: tuple[str, ...] = ()

@@ -23,12 +23,11 @@ keeps intermediate entries small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from .intmatrix import IntMatrix
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """A = U * D * V with the divisibility chain along D's diagonal."""
 
     U: IntMatrix

@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from posetmorse import formats
 from posetmorse.cli import run
 from posetmorse.errors import MalformedLine
 from posetmorse.formats import (
@@ -308,6 +310,31 @@ def test_cli_json_ids_must_be_strings_or_numbers(bad, where, tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(f'{{"elements": {elements[where]}, "covers": [{cover[where]}]}}')
     with pytest.raises(MalformedLine, match="strings or numbers"):
+        load_poset(f.read_text())
+    _fails_cleanly(capsys, f)
+
+
+def _int_digit_limit() -> int:
+    """The interpreter's limit on the digits of an int it converts from or
+    to text; a test of what lies beyond it needs one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no limit on int digits")
+    return limit
+
+
+def test_cli_json_nested_too_deeply(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"elements": ' + "[" * 200000)
+    with pytest.raises(MalformedLine, match="malformed JSON: nested too deeply"):
+        load_poset(f.read_text())
+    _fails_cleanly(capsys, f)
+
+
+def test_cli_json_number_with_too_many_digits(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text('{"elements": [' + "1" * (_int_digit_limit() + 1) + "]}")
+    with pytest.raises(MalformedLine, match="malformed JSON: a number has too many digits"):
         load_poset(f.read_text())
     _fails_cleanly(capsys, f)
 
@@ -665,6 +692,48 @@ def test_cli_function_bad_rational(value, tmp_path, capsys):
     text = T3_VALUES.replace("v2 1\n", f"v2 {value}\n")
     err = _one_error_line(capsys, _sweep_with(tmp_path, text))
     assert f"line 2: bad rational {value!r}" in err
+
+
+def _function_digits() -> int:
+    """The digits a numerator or denominator of a function value may have."""
+    return (_int_digit_limit() - 1) // 2
+
+
+@pytest.mark.parametrize("value", ["1e{0}", "-1e-{0}", "{1}", "1/{1}", "{1}/3"])
+def test_cli_function_value_with_too_many_digits(value, tmp_path, capsys):
+    """A value past the digit bound is rejected with its line number, not
+    a traceback from printing it in an error message or report."""
+    digits = _function_digits()
+    value = value.format(digits, 10 ** digits)
+    text = T3_VALUES.replace("v2 1\n", f"v2 {value}\n")
+    err = _one_error_line(capsys, _sweep_with(tmp_path, text))
+    assert f"line 2: the value of 'v2' has more than {digits} digits" in err
+
+
+def test_function_exponent_past_the_bound_is_not_raised_to(t3, monkeypatch):
+    """1e999999999999 is rejected before 10 ** 999999999999 is computed."""
+    def no_exponent(value):
+        assert "e" not in value, f"Fraction({value!r}) was called"
+        return Fraction(value)
+
+    monkeypatch.setattr(formats, "Fraction", no_exponent)
+    with pytest.raises(MalformedLine, match="line 2: the value of 'v2' has more than"):
+        parse_function_text(t3, T3_VALUES.replace("v2 1\n", "v2 1e999999999999\n"))
+
+
+def test_cli_function_values_at_the_digit_bound(tmp_path, capsys):
+    """Values whose denominators have as many digits as the bound allows:
+    the cut between the two critical values next to them has twice as many
+    and is printed in full."""
+    digits = _function_digits()
+    b, d = 10 ** digits - 1, 10 ** digits - 3
+    x, y = 7 * 10 ** (digits - 1) + 1, 8 * 10 ** (digits - 1) + 1  # x/b, y/d in lowest terms
+    text = f"v3 1/7\ne23 2/7\nv2 3/7\ne12 4/7\nv1 {x}/{b}\ne13 {y}/{d}\n"
+    assert run(_sweep_with(tmp_path, text) + ["--format", "doc"]) == 0
+    intervals = json.loads(capsys.readouterr().out)["results"]["intervals"]
+    cut = (Fraction(x, b) + Fraction(y, d)) / 2
+    assert len(str(cut.denominator)) > 2 * digits - 2
+    assert str(cut) in {end for r in intervals for end in r["interval"]}
 
 
 def test_cli_gen_matching_needs_an_input(capsys):

@@ -4,9 +4,14 @@ inconsistency must surface as a `PosetMorseError` (an `error:` line and
 exit code 1 from the CLI), never as a bare AssertionError traceback.
 The package's public surface is a literal list, so that it changes only
 on purpose, and no library function takes a coefficient ring: every
-count is read over the integers, and the command line drops torsion."""
+count is read over the integers, and the command line drops torsion.
+Importing the CLI loads none of the modules that made most of its
+start-up time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -70,3 +75,16 @@ def test_no_library_function_takes_a_ring():
                 if any(a.arg == "coefficients" for a in params):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_cli_import_loads_no_slow_modules():
+    """A fresh interpreter without `site` that imports the CLI loads neither
+    `dataclasses`, whose import pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, nor `pathlib`.  The gate reads module names, not times."""
+    code = "import sys, posetmorse.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "posetmorse.cli" in loaded
+    slow = {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}
+    assert sorted(slow.intersection(loaded)) == []
