@@ -41,11 +41,17 @@ Euler characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.
 It is read off the rows (`_sphere_key`): U.x is sorted once, each
 degree's run of sorted ids is its cells in `_cells` order, and the key
 is p, where each run starts, and each member's nonzero row in local
-indices, its place in its degree's run.  p is in the key because the
+indices, its place among the sorted ids.  p is in the key because the
 verdict reads it.  The cells of U.x are listed only on a miss.  The
-gauge, the admissibility test and the mapping-cone branch still run
-per element, and only generators are stored: the models of other
-down-sets are freed per element, as they would pin far more memory.
+gauge reads the reach of the members of U.x, which their rows fix, their
+degrees, which the run starts fix, x's row, which the generator fixes,
+and the order of their names: so x's gauged row is stored too, under
+the key and the local order of U.x by name, and a later down-set with
+both takes it with no gauge walk.  A new name order costs a gauge walk
+on the stored generator, not a reduction.  The reach, the admissibility
+test and the mapping-cone branch still run per element, as they name
+x, and the models of other down-sets are freed per element, as they
+would pin far more memory.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -106,7 +112,7 @@ The order complex (`poset_homology`) stays the definition that
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from itertools import compress
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -114,6 +120,7 @@ from .errors import (
     EmptyPoset,
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
+    NotACover,
     NotAdmissible,
     NotASubcomplex,
     NotCellular,
@@ -179,8 +186,14 @@ class CellularComplexOfPoset(NamedTuple):
         return {(names[x], names[w]): e for x, row in self.rows.items() for w, e in row.items()}
 
     def epsilon(self, x: str, w: str) -> int:
-        ident = self.poset._id
-        return self.rows[ident[x]][ident[w]]
+        """eps(x, w) for a cover w < x; an unknown name raises
+        UnknownElement, and a pair that is not a cover NotACover."""
+        poset = self.poset
+        row = self.rows[poset._ident(x)]
+        try:
+            return row[poset._ident(w)]
+        except KeyError:
+            raise NotACover(f"({w}, {x}) is not a cover of the poset") from None
 
     def incidence_table(self) -> list[list]:
         return [[x, w, e] for (x, w), e in sorted(self.incidence.items())]
@@ -247,6 +260,7 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
     graded, degrees, names = poset.is_graded(), poset._height, poset._names
     lower_covers, upper_covers, down = poset._lower, poset._upper, poset._reach()
     # each id's place among the sorted names, which the two gauges compare
+    # and the gauged-row memo keys by
     rank = [0] * len(names)
     for r, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
         rank[i] = r
@@ -262,8 +276,10 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
     not_cellular: dict[int, tuple] = {}
     texts: dict[tuple, str] = {(): f"strict down-set has {HomologySummary()}"}
     not_admissible: list[tuple[int, int]] = []
-    # the generator, in local indices, of each sphere complex reduced so far
+    # the generator, in local indices, of each sphere complex reduced so far,
+    # and the gauged row of each (sphere complex, local name order) so far
     spheres: dict[tuple, tuple[int, ...]] = {}
+    gauged: dict[tuple, tuple[int, ...]] = {}
     walked = len(names)
     try:
         for x, lower in enumerate(lower_covers):
@@ -290,11 +306,14 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                 reach[x], cone[x] = below, ((1, (1, ())),)
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
-            members, key, generator, summary = below, None, None, None
+            members, key, generator, summary, hit = below, None, None, None, False
             if graded and over_cellular:
-                members, key, top = _sphere_key(eps, degrees, below, p)
+                members, key, order, top = _sphere_key(eps, degrees, rank, below, p)
                 if key is not None:
-                    generator = spheres.get(key)
+                    generator = gauged.get((key, order))
+                    hit = generator is not None
+                    if not hit:
+                        generator = spheres.get(key)
             if key is None and defer and graded and not upper_covers[x]:
                 # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
                 deferred.append(x)
@@ -341,8 +360,11 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
             # every admissible poset
             shared = len(steps) == len(lower) and all(reach[w] is down[w] for w in steps)
             reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
-            if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
-                eps[x] = {w: -e for w, e in eps[x].items()}
+            if not hit:
+                if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
+                    eps[x] = {w: -e for w, e in eps[x].items()}
+                if key is not None:
+                    gauged[key, order] = tuple(eps[x].values())
             not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
@@ -391,23 +413,33 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     return cells, model
 
 
-def _sphere_key(eps: Rows, degrees: Sequence[int], below: frozenset[int],
-                p: int) -> tuple[list[int], tuple | None, list[int]]:
+def _sphere_key(eps: Rows, degrees: Sequence[int], rank: Sequence[int], below: frozenset[int],
+                p: int) -> tuple[list[int], tuple | None, tuple[int, ...], list[int]]:
     """The ids of U.x, sorted, for an x of degree p over cellular elements,
-    its memo key, and its cells in degree p-1.  Each member is a cell, and
-    each degree's run of sorted ids lists its cells in `_cells` order, so
-    the key, p, where each run starts and each member's nonzero row in
-    local indices (its place in its degree's run), is the input of the
-    sphere decision.  The key is None unless the reduced Euler
-    characteristic is (-1)^(p-1), as on every homology (p-1)-sphere."""
+    its memo key, its members in name `rank` order as local indices
+    (their places among the sorted ids), and its cells in degree p-1.
+    Each member is a cell, and each degree's run of sorted ids lists its
+    cells in `_cells` order, so the key, p, where each run starts and each
+    member's nonzero row in local indices, is the input of the sphere
+    decision; with the order it is the input of the gauge too, which reads
+    those rows and compares those names.  The key is None unless the
+    reduced Euler characteristic is (-1)^(p-1), as on every homology
+    (p-1)-sphere."""
     members = sorted(below)
-    cuts = [bisect_left(members, k, key=degrees.__getitem__) for k in range(p + 1)]
+    # ids run in height order, so each degree's ids start where the
+    # degrees list reaches it
+    cuts = [bisect_left(members, bisect_left(degrees, k)) for k in range(p + 1)]
     if sum((-1) ** k * (cuts[k + 1] - cuts[k]) for k in range(p)) - 1 != (-1) ** (p - 1):
-        return members, None, []
-    at = dict(zip(members, chain.from_iterable(range(cuts[k + 1] - cuts[k]) for k in range(p))))
-    key = (p, tuple(cuts), tuple(tuple((at[w], e) for w, e in eps[c].items() if e)
-                                 for c in members[cuts[1]:]))
-    return members, key, members[cuts[p - 1]:]
+        return members, None, (), []
+    at = dict(zip(members, range(len(members))))
+    rows = []
+    for row in map(eps.__getitem__, members[cuts[1]:]):
+        # local indices, then entries; a zero entry is no boundary
+        values = row.values()
+        rows.append((*map(at.__getitem__, row), *values) if 0 not in values else
+                    (*compress(map(at.__getitem__, row), values), *filter(None, values)))
+    order = tuple(map(at.__getitem__, sorted(members, key=rank.__getitem__)))
+    return members, (p, tuple(cuts), tuple(rows)), order, members[cuts[p - 1]:]
 
 
 def _check_rows(eps: Rows, degrees: Sequence[int], members: Iterable[int]) -> None:

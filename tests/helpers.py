@@ -33,6 +33,9 @@ poset construction (`NameKeyedPoset`, `name_keyed_build_poset` and
 with the library, and the name-keyed matched digraph and its Tarjan
 (`name_keyed_dynamics`), which read the basic sets, orbits, integrated
 values and rejected arcs off names in declared order.
+`sphere_memo_pairs` reads which down-sets the pass may key in its
+sphere memo, and under what, off `_cells` and names, not off the
+library's key.
 """
 
 from __future__ import annotations
@@ -1107,6 +1110,35 @@ def named_rows(poset: Poset, rows: dict) -> dict:
     names = poset._names
     return {_named(names, c): [_named(names, cell) for cell in row] if isinstance(row, list)
             else {_named(names, w): e for w, e in row.items()} for c, row in rows.items()}
+
+
+def sphere_memo_pairs(poset: Poset, rows: dict) -> dict[int, tuple]:
+    """The ids whose strict down-set the cellularity pass keys in its
+    sphere memo, each with its (key, name order), from the pass's final
+    rows, keyed by ids (each row is final once its element is walked): on
+    a graded poset, an x of degree p >= 1 with two lower covers or more,
+    not two points, over cellular elements only, whose reduced Euler
+    characteristic is (-1)^(p-1).  The key is p and the ranks and boundary
+    columns of the cells of U.x as `_cells` lists them; the order lists
+    those cells, as (degree, place), by name."""
+    pairs: dict[int, tuple] = {}
+    if not poset.is_graded():
+        return pairs
+    degrees, down, names = poset._height, poset._reach(), poset._names
+    for x, lower in enumerate(poset._lower):
+        p, below = degrees[x], down[x]
+        if len(lower) < 2 or p == 1 and len(lower) == 2:
+            continue
+        if not all(isinstance(rows[w], dict) for w in below):
+            continue
+        ranks, columns, labels = _cells(rows, degrees, below, reduced=True)
+        if sum(r if k % 2 == 0 else -r for k, r in ranks.items()) != (-1) ** (p - 1):
+            continue
+        key = (p, tuple(ranks.items()), tuple(
+            (k, tuple(tuple(column.items()) for column in cells)) for k, cells in columns.items()))
+        at = {c: (k, i) for k, cells in labels.items() for i, c in enumerate(cells)}
+        pairs[x] = key, tuple(at[c] for c in sorted(below, key=names.__getitem__))
+    return pairs
 
 
 def named_pass(poset: Poset):

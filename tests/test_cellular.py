@@ -17,8 +17,8 @@ from posetmorse import (
 )
 from posetmorse.cellular import _walked, require_admissible, require_cellular, space_complex
 from posetmorse.cli import run
-from posetmorse.errors import (NonUnitIncidenceOnAdmissible, NotAdmissible, NotCellular,
-                               PosetMorseError)
+from posetmorse.errors import (NonUnitIncidenceOnAdmissible, NotACover, NotAdmissible,
+                               NotCellular, PosetMorseError, UnknownElement)
 from posetmorse.formats import load_complex, load_poset, serialize_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -274,7 +274,8 @@ def test_printed_incidence_rebuilds_the_space_complex(tmp_path, capsys, monkeypa
 def test_the_complex_keeps_the_one_copy_of_the_pass_rows(t3):
     """`CellularComplexOfPoset.rows` is the pass's rows object, which
     `gauge_flip` leaves alone, and `epsilon` names it: it agrees with
-    `incidence` on every cover and raises KeyError off the covers."""
+    `incidence` on every cover, raises NotACover on any other pair and
+    UnknownElement on a name outside the poset."""
     rng = XorShift64Star(515)
     rp2_6 = face_poset(load_complex((DATA / "rp2_6.txt").read_text()))
     drawn = face_poset(random_simplicial_complex(rng, max_vertices=6, max_triangles=5))
@@ -293,5 +294,22 @@ def test_the_complex_keeps_the_one_copy_of_the_pass_rows(t3):
         top = poset.level(poset.max_degree())[0]
         for w in poset.elements:
             if w not in poset.lower_covers(top):
-                with pytest.raises(KeyError):
+                with pytest.raises(NotACover):
                     cell.epsilon(top, w)
+        for x, w in ((top, "zz"), ("zz", top)):
+            with pytest.raises(UnknownElement):
+                cell.epsilon(x, w)
+
+
+def test_epsilon_names_an_unknown_element_or_a_non_cover():
+    cell = cellular_chain_complex(face_poset(load_complex((DATA / "rp2_6.txt").read_text())))
+    with pytest.raises(UnknownElement, match="'zz'"):
+        cell.epsilon("zz", "1")
+    with pytest.raises(NotACover, match=r"\(3, 1\|2\)"):
+        cell.epsilon("1|2", "3")
+    # a vertex has no lower covers, and a triangle's are its edges alone
+    with pytest.raises(NotACover):
+        cell.epsilon("1", "2")
+    with pytest.raises(NotACover):
+        cell.epsilon("1|2|5", "1")
+    assert abs(cell.epsilon("1|2", "1")) == 1

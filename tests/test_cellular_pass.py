@@ -15,10 +15,11 @@ from posetmorse import (
     cellular_chain_complex,
     check_cellularity,
     face_poset,
+    order_complex,
     parse_simplicial_complex,
     subdivision,
 )
-from posetmorse.cellular import is_admissible
+from posetmorse.cellular import _degree_induction, is_admissible
 from posetmorse.formats import load_poset
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 
@@ -27,8 +28,10 @@ from helpers import (
     incidence_from_generators,
     maximal_elements,
     named_pass,
+    named_rows,
     order_complex_cellularity,
     reference_cellular_pass,
+    sphere_memo_pairs,
     ungraded_poset,
 )
 
@@ -201,6 +204,56 @@ def test_gauges_read_names_not_ids(make, order):
     assert check_cellularity(poset) == report
     assert named_pass(poset)[1] == rows
     assert cellular_chain_complex(poset).incidence == incidence_from_generators(poset)
+
+
+def _prefix_named(rng: XorShift64Star, complex: SimplicialComplex) -> SimplicialComplex:
+    """The complex with its vertices renamed by a seeded shuffle of names
+    that share prefixes, such as 1, 10, 1a and 2: joined by `|`, which
+    sorts after every digit and letter, the names of faces interleave in
+    orders that differ from down-set to down-set."""
+    n = len(complex.vertices)
+    pool = [str(i) for i in range(1, 2 * n + 10)] + [f"{i}a" for i in range(1, n + 1)]
+    rename = dict(zip(complex.vertices, rng.shuffle(pool)))
+    return SimplicialComplex([[rename[v] for v in s] for s in complex.maximal])
+
+
+def test_stored_gauged_rows_are_exact_under_shuffled_names(monkeypatch):
+    # a down-set takes a stored gauged row only with the key and the name
+    # order of the one that stored it, so the rows are the definition's and
+    # the gauge walks once per distinct (key, order) pair
+    import sys
+
+    cellular = sys.modules["posetmorse.cellular"]
+    walks = []
+    gauge = cellular._gauge_sign
+
+    def counted(x, *args):
+        walks.append(x)
+        return gauge(x, *args)
+
+    monkeypatch.setattr(cellular, "_gauge_sign", counted)
+    rng = XorShift64Star(2007)
+    rp2 = parse_simplicial_complex((DATA / "rp2_6.txt").read_text())
+    cases = [("sd2 RP^2", order_complex(subdivision(face_poset(rp2))))]
+    cases += [("random", random_simplicial_complex(rng, max_vertices=7)) for _ in range(60)]
+    keyed = calls = 0
+    for name, complex in cases:
+        poset = face_poset(_prefix_named(rng, complex))
+        report, rows = reference_cellular_pass(poset)
+        for defer in (False, True):
+            walks.clear()
+            got, id_rows, deferred = _degree_induction(poset, defer=defer)
+            # a face poset is cellular: every maximal element has a memo key
+            assert (got, named_rows(poset, id_rows), deferred) == (report, rows, []), name
+            pairs = sphere_memo_pairs(poset, id_rows)
+            first = {}
+            for x, pair in pairs.items():
+                first.setdefault(pair, x)
+            assert walks == sorted(first.values()), name
+        if name == "sd2 RP^2":
+            assert len(walks) < len(pairs), len(walks)
+        keyed, calls = keyed + len(pairs), calls + len(walks)
+    assert calls < keyed
 
 
 def test_pendant_incidence_is_zero():

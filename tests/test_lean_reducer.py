@@ -56,6 +56,7 @@ from helpers import (
     named_rows,
     reference_cellular_pass,
     scrambled_complex,
+    sphere_memo_pairs,
     ungraded_poset,
     whiskered_disk,
 )
@@ -223,31 +224,24 @@ def _plain(rows):
     return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
 
 
-def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int]]:
-    """The walked ids whose down-set has a memo key, and those of them that
-    take a stored sphere generator: on a graded poset, over cellular
-    elements only, with the reduced Euler characteristic of a (p-1)-sphere,
-    the same degree, ranks and boundary columns (from the final rows: each
-    row is final once its element is walked) as an earlier such down-set
-    that was a sphere."""
-    keyed, hits, spheres, degrees, down = set(), set(), set(), poset._height, poset._reach()
-    if not poset.is_graded():
-        return keyed, hits
+def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int], set[int]]:
+    """The walked ids whose down-set has a memo key (`sphere_memo_pairs`),
+    those of them that take a stored gauged row, whose key and name order
+    an earlier cellular element had, and those that take a stored sphere
+    generator, whose key alone an earlier cellular element had."""
+    pairs = sphere_memo_pairs(poset, rows)
+    gauged, hits, spheres, signed = set(), set(), set(), set()
     for x in walked:
-        p, below = degrees[x], down[x]
-        if not all(isinstance(rows[w], dict) for w in below):
+        if x not in pairs:
             continue
-        ranks, columns, _ = _cells(rows, degrees, below, reduced=True)
-        if sum(r if k % 2 == 0 else -r for k, r in ranks.items()) != (-1) ** (p - 1):
-            continue
-        keyed.add(x)
-        key = (p, tuple(ranks.items()), tuple(
-            (k, tuple(tuple(column.items()) for column in cells)) for k, cells in columns.items()))
-        if key in spheres:
+        if pairs[x] in signed:
+            gauged.add(x)
+        elif pairs[x][0] in spheres:
             hits.add(x)
-        elif isinstance(rows[x], dict):
-            spheres.add(key)
-    return keyed, hits
+        if isinstance(rows[x], dict):
+            signed.add(pairs[x])
+            spheres.add(pairs[x][0])
+    return pairs.keys() & set(walked), gauged, hits
 
 
 def _listings(calls):
@@ -271,11 +265,11 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
 
         monkeypatch.setattr(cellular, name, counted)
 
-    for name in ("_cells", "_minimal_reducer", "_cone_cells"):
+    for name in ("_cells", "_minimal_reducer", "_cone_cells", "_gauge_sign"):
         spy(name)
     seen = set()
-    branches = {"contractible": 0, "0-sphere": 0, "memo hit": 0, "mapping cone": 0,
-                "deferred sphere": 0, "deferred mapping cone": 0}
+    branches = {"contractible": 0, "0-sphere": 0, "gauged-row hit": 0, "generator hit": 0,
+                "mapping cone": 0, "deferred sphere": 0, "deferred mapping cone": 0}
     for name, poset in sample_posets():
         expected_report, expected_rows = reference_cellular_pass(poset)
         walked, down = [], poset._reach()
@@ -311,18 +305,18 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             seen.add(name)
             # the pass keys its rows by id
             assert _plain(named_rows(poset, id_rows)) == _plain(expected_rows), name
-            keyed, hits = _memo_keys(poset, id_rows, walked)
+            keyed, gauged, hits = _memo_keys(poset, id_rows, walked)
             assert postponed == [x for x in walked if defer and poset.is_graded()
                                  and not poset._upper[x] and x not in keyed], name
             # every reduction lists its down-set's cells just before; a
             # deferred element lists U.x - U_w, w a lower cover with the
             # largest down-set, and reduces nothing; every other listing is a
-            # punctured down-set: a shortcut and a memo hit list nothing
+            # punctured down-set: a shortcut and both kinds of memo hit list nothing
             listed = _listings(walk)
             reduced = [members for members, _, reduces in listed if reduces]
             assert len(reduced) == sum(fn == "_minimal_reducer" for fn, _, _ in walk), name
             assert Counter(reduced) == Counter(
-                down[x] for x in walked if x not in hits and x not in postponed), name
+                down[x] for x in walked if x not in gauged | hits and x not in postponed), name
             excised = [members for members, augmented, _ in listed if not augmented]
             assert len(excised) == len(postponed), name
             for x, members in zip(postponed, excised):
@@ -332,9 +326,15 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             punctured = {down[x] - {w} for x in walked for w in poset._lower[x]}
             assert all(members in punctured
                        for members, augmented, reduces in listed if augmented and not reduces), name
+            # the gauge walks once per cellular element over cellular ones
+            # that takes no stored gauged row
+            assert [args[0] for fn, args, _ in walk if fn == "_gauge_sign"] == [
+                x for x in walked if x not in gauged and isinstance(id_rows[x], dict)
+                and all(isinstance(id_rows[w], dict) for w in down[x])], name
             # a second walk, where rows were deferred, lists what the direct walk lists
             assert _listings(calls) == (direct if postponed else []), name
-            branches["memo hit"] += len(hits)
+            branches["gauged-row hit"] += len(gauged)
+            branches["generator hit"] += len(hits)
             branches["mapping cone"] += sum(fn == "_cone_cells" for fn, _, _ in walk)
             for x in postponed:
                 branches["deferred sphere" if isinstance(id_rows[x], dict)
@@ -389,18 +389,27 @@ def test_the_row_check_agrees_with_the_complex_check():
             outcomes[kind, raised] += 1
             if row is not None:
                 rows[c] = row
-        # equal memo keys stand for equal complexes, laid out as `_cells` lays them
+        # equal memo keys stand for equal complexes, laid out as `_cells` lays
+        # them, and with equal name orders for equal gauged rows
         if poset.is_graded():
-            complexes, keyed = {}, 0
+            complexes, gauged, keyed = {}, {}, 0
+            names = poset._names
+            rank = [0] * len(names)
+            for r, i in enumerate(sorted(ids, key=names.__getitem__)):
+                rank[i] = r
             for x, below in enumerate(poset._reach()):
                 if degrees[x] < 1 or not all(isinstance(rows[w], dict) for w in below):
                     continue
-                members, key, top = _sphere_key(rows, degrees, below, degrees[x])
+                members, key, order, top = _sphere_key(rows, degrees, rank, below, degrees[x])
                 ranks, columns, layout = _cells(rows, degrees, below, reduced=True)
                 assert members == sorted(below)
                 if key is None:
                     continue
+                assert [members[i] for i in order] == sorted(below, key=names.__getitem__)
                 assert top == list(layout[degrees[x] - 1]), (name, x)
+                if isinstance(rows[x], dict):
+                    row = list(rows[x].values())
+                    assert gauged.setdefault((key, order), row) == row, (name, x)
                 bits = (list(ranks.items()),
                         [(k, [list(column.items()) for column in cells])
                          for k, cells in columns.items()])
