@@ -56,7 +56,7 @@ from .simplicial import face_poset, serialize_simplicial_complex
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"{path}: not UTF-8 text (byte {exc.start})") from exc

@@ -3,19 +3,21 @@ integers, plus the simplicial and poset front ends; a rational answer is
 the integral one without its torsion (`HomologySummary.rational`).
 
 Chain complexes store each boundary map as sparse integer columns
-{row: value}; d*d = 0 is checked column by column.  One sparse
-elimination serves every computation here (algebraic Morse theory):
-`_Reducer` eliminates pairs of cells joined by a +-1 entry of d, from
-the top degree down, by the Schur complement, and it is the only code
-that picks unit pivots.  Each pair splits a Smith factor 1 off its
-boundary without changing homology, so `homology` counts the pairs and
-hands only the block without units that is left to the dense Smith core
-for the rest of the rank and the torsion; `smith_diagonal` does the same
-for one matrix.  Betti numbers come from boundary ranks, torsion from
-the invariant factors of the next boundary.  A formal degree -1 slot
-holds the augmentation of reduced complexes, so the empty poset has
-reduced homology Z in degree -1 and the cellularity check is uniform at
-degree 0.
+{row: value}; d*d = 0 is checked column by column (`_check_column`).
+One sparse elimination serves every computation here (algebraic Morse
+theory): `_Reducer` eliminates pairs of cells joined by a +-1 entry of
+d, from the top degree down, by the Schur complement, and it is the
+only code that picks unit pivots, but for the free coreductions of the
+order complex (below), whose Schur complements are pure deletions.
+Each pair splits a Smith factor 1 off its boundary without changing
+homology, so `homology` counts the pairs and hands only the block
+without units that is left to the dense Smith core for the rest of the
+rank and the torsion; `smith_diagonal` does the same for one matrix.
+Betti numbers come from boundary ranks, torsion from the invariant
+factors of the next boundary.  A formal degree -1 slot holds the
+augmentation of reduced complexes, so the empty poset has reduced
+homology Z in degree -1 and the cellularity check is uniform at degree
+0.
 
 `morse_reduction` runs the same elimination, `_Reducer.sweep`, on given
 pairs or on every one it finds.  Each elimination records an edge from
@@ -31,7 +33,7 @@ The cellularity pass runs it on the raw cells of each down-set
 (`_minimal_reducer`), once per distinct sphere complex, and reads the
 sphere verdict and the generator, or the mapping cone of its chain model
 over the other models, straight off the survivors, numbered by
-`_Reducer.model`; `cellular.sphere_generator` reads its cycle off the
+`_model`; `cellular.sphere_generator` reads its cycle off the
 same survivors, the flow a matching's Morse complex, and the hccat
 witness is the minimal model.
 
@@ -41,8 +43,12 @@ the order complex of a poset as iterated cones, K(U_x) = x * K(U.x)
 (Quillen 1978), where d(c.x) = (dc).x + (-1)^(dim c + 1) c gives the
 column of each chain c.x from the column of c.  `poset_homology` and
 `is_acyclic` take those columns as built, unlabelled and oriented by the
-poset's order.  The order complex of a subposet is that of the induced
-poset, `simplicial_chain_complex(order_complex(poset.induced(A)))`,
+poset's order, without a `ChainComplex`: one walk checks d*d = 0 on
+them and lists each under its rows, and free coreductions (`_coreduce`),
+each an elimination whose Schur complement only deletes cells, leave a
+small complex for `_homology`.  The order complex of a subposet is that
+of the induced poset,
+`simplicial_chain_complex(order_complex(poset.induced(A)))`,
 which `sphere_generator` and the tests build: `Poset.chains` names the
 chains, `order_complex` sorts them and `_assemble` makes the columns.
 Only these definitions list chains; no theorem check does.  With
@@ -89,15 +95,9 @@ class ChainComplex:
         self._dense: dict[int, IntMatrix] | None = None
         for p, upper in self.columns.items():
             lower = self.columns.get(p - 1)
-            if lower is None:
-                continue
-            for col in upper:
-                image: dict[int, int] = {}
-                for i, v in col.items():
-                    for k, w in lower[i].items():
-                        image[k] = image.get(k, 0) + v * w
-                if any(image.values()):
-                    raise NotAChainComplex(f"d_{p - 1} . d_{p} != 0")
+            if lower is not None:
+                for col in upper:
+                    _check_column(p, col, lower)
 
     @property
     def boundary(self) -> dict[int, IntMatrix]:
@@ -121,6 +121,17 @@ class ChainComplex:
     def __repr__(self):
         ranks = [f"{p}:{self.ranks[p]}" for p in self.degrees()]
         return f"ChainComplex({', '.join(ranks)})"
+
+
+def _check_column(p: int, col: Column, lower: Sequence[Column]) -> None:
+    """Raise NotAChainComplex unless d_{p-1}, whose columns are `lower`,
+    takes this column of d_p to zero."""
+    image: dict[int, int] = {}
+    for i, v in col.items():
+        for k, w in lower[i].items():
+            image[k] = image.get(k, 0) + v * w
+    if any(image.values()):
+        raise NotAChainComplex(f"d_{p - 1} . d_{p} != 0")
 
 
 class HomologySummary(NamedTuple):
@@ -289,6 +300,16 @@ class Reduction(NamedTuple):
 
     complex: ChainComplex
     inclusion: dict[int, list[Column]]
+
+
+def _model(cols, live: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, list[Column]]]:
+    """The ranks and boundary columns of the complex spanned by the live
+    cells, per degree that has any, numbered in their order there;
+    `cols[p][c]` is the column of the cell c of degree p."""
+    at = {p: {c: j for j, c in enumerate(cells)} for p, cells in live.items()}
+    boundary = {p: [{at[p - 1][i]: v for i, v in cols[p][c].items()} for c in cells]
+                for p, cells in live.items() if p - 1 in at}
+    return {p: len(cells) for p, cells in live.items()}, boundary
 
 
 def _apply(columns, chain: Column, start: Column | None = None) -> Column:
@@ -474,10 +495,7 @@ class _Reducer:
     def model(self, live: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, list[Column]]]:
         """The ranks and boundary columns of the complex spanned by the live
         cells of `survivors()`, numbered in their order there."""
-        at = {p: {c: j for j, c in enumerate(cells)} for p, cells in live.items()}
-        boundary = {p: [{at[p - 1][i]: v for i, v in self.cols[p][c].items()} for c in cells]
-                    for p, cells in live.items() if p - 1 in at}
-        return {p: len(cells) for p, cells in live.items()}, boundary
+        return _model(self.cols, live)
 
     def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
         """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]; its
@@ -607,22 +625,90 @@ def relative_homology(complex: SimplicialComplex, subcomplex: SimplicialComplex)
 def poset_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     """Homology of the finite space via the order complex of the whole
     poset, the definition, which `cellular.space_homology` reads off a
-    smaller model; the summary is cached.  The complex is
-    `Poset._chain_cones` as built: unlabelled, oriented by the poset's
-    order, and checked for d*d = 0 by `ChainComplex`."""
+    smaller model; the summary is cached.  The complex is the augmented
+    one of `Poset._chain_cones`, unlabelled and oriented by the poset's
+    order, and `_coreduce` checks it for d*d = 0 and reduces it in place.
+    One reduction gives both summaries: H~ over degrees -1..height, and H
+    over 0..height with H_0 = H~_0 + Z."""
     if not poset.elements and not reduced:
         raise EmptyPoset("unreduced homology of the empty poset is undefined")
     key = ("poset_homology", reduced)
     cached = poset.analysis_cache.get(key)
     if cached is None:
-        boundary = dict(enumerate(poset._chain_cones()[0]))
-        ranks = {d: len(cols) for d, cols in boundary.items()}
-        if reduced:
-            ranks[-1] = 1
-        else:
-            del boundary[0]
-        cached = poset.analysis_cache[key] = homology(ChainComplex(ranks, boundary))
+        levels = [[{}], *poset._chain_cones()[0]]
+        height = len(levels) - 2
+        found = _homology(*_coreduce(levels))
+        cache = poset.analysis_cache
+        cache[("poset_homology", True)] = HomologySummary(
+            {k: found.b(k) for k in range(-1, height + 1)}, found.torsion)
+        if poset.elements:
+            betti = {k: found.b(k) for k in range(height + 1)}
+            betti[0] += 1
+            cache[("poset_homology", False)] = HomologySummary(betti, found.torsion)
+        cached = cache[key]
     return cached
+
+
+def _coreduce(levels: list[list[Column | None]]) -> tuple[dict[int, int], dict[int, list[Column]]]:
+    """The ranks and boundary columns left of a complex by its free
+    coreductions (Mrozek and Batko, Discrete Comput. Geom. 2009).
+    `levels[k]` holds the columns of the cells of degree k - 1, their rows
+    the cells of `levels[k - 1]`; `levels[0]` is one cell without a
+    boundary.  One walk checks d*d = 0 on each column and lists it under
+    each row it names.  Then a column whose only entry is +-1 pairs with
+    that row: both cells die, which is an elimination whose Schur
+    complement only deletes them (Kaczynski, Mrozek and Slusarek 1998),
+    so each other column just loses its entry on them, and one left with
+    a single entry is paired in turn.  A pair of degree k only shortens
+    columns of degrees k and k + 1, so the degrees are worked through from
+    the bottom up.  The columns are reduced in place, a dead cell's
+    column becoming None, and the cells left are numbered in order."""
+    # cofaces[k][i]: the columns of levels[k + 1] with an entry on row i
+    cofaces: list[list[list[int]]] = []
+    # singles[k]: the columns of levels[k] to pair, when they still have one entry
+    singles: list[list[int]] = [[]]
+    for k in range(1, len(levels)):
+        lower = levels[k - 1]
+        rows: list[list[int]] = [[] for _ in lower]
+        single: list[int] = []
+        cofaces.append(rows)
+        singles.append(single)
+        for j, col in enumerate(levels[k]):
+            if k > 1:  # d_{-1} is zero
+                _check_column(k - 1, col, lower)
+            for i in col:
+                rows[i].append(j)
+            if len(col) == 1:
+                single.append(j)
+    for k in range(1, len(levels)):
+        cols, lower, rows, stack = levels[k], levels[k - 1], cofaces[k - 1], singles[k]
+        above, up, pushed = ((levels[k + 1], cofaces[k], singles[k + 1])
+                             if k + 1 < len(levels) else ((), (), []))
+        while stack:
+            b = stack.pop()
+            col = cols[b]
+            if col is None or len(col) != 1:
+                continue
+            (a, u), = col.items()
+            if u != 1 and u != -1:
+                continue
+            cols[b] = lower[a] = None
+            for c in rows[a]:
+                other = cols[c]
+                if other is not None:
+                    del other[a]
+                    if len(other) == 1:
+                        stack.append(c)
+            if above:
+                for c in up[b]:
+                    other = above[c]
+                    if other is not None:
+                        del other[b]
+                        if len(other) == 1:
+                            pushed.append(c)
+    live = {p: [j for j, col in enumerate(cols) if col is not None]
+            for p, cols in enumerate(levels, -1)}
+    return _model(dict(enumerate(levels, -1)), {p: cells for p, cells in live.items() if cells})
 
 
 def is_acyclic(poset: Poset) -> bool:

@@ -38,8 +38,9 @@ subset A is that of the induced subposet, `induced(A)`.  It walks the
 ids counting up, a linear extension, and builds the chains with maximum
 x as the cone x * K(U.x) (Quillen 1978), each boundary column read off
 the column of the chain it extends.  `poset_homology` and `is_acyclic`
-read the columns, oriented by the poset's order; `chains` names the
-chains, which `simplicial.order_complex` sorts.  Nothing caches chains.
+read the columns, oriented by the poset's order, and reduce them in
+place; `chains` names the chains, which `simplicial.order_complex`
+sorts.  Nothing caches chains.
 Only the paper's definitions list them; no theorem check does.
 `induced` stays as the paper's definition too, and `beat_point_core`
 serves the random generators.

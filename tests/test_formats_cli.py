@@ -351,6 +351,37 @@ def test_cli_non_utf8_input(tmp_path, capsys):
     _fails_cleanly(capsys, f)
 
 
+def test_cli_inputs_may_start_with_a_byte_order_mark(files, tmp_path, capsys):
+    """A UTF-8 byte-order mark, which some editors write at the start of a
+    file, is not part of the first identifier of any input: poset text, a
+    JSON poset, a complex, a matching or a function.  With a mark on any
+    one of its files, each report is the one without it."""
+    text_poset = tmp_path / "t3_bare.txt"
+    text_poset.write_text(T3_TEXT.split("\n", 1)[1])
+    json_poset = tmp_path / "t3.json"
+    json_poset.write_text(json.dumps({"elements": ["a", "b", "c"],
+                                      "covers": [["a", "b"], ["a", "c"]]}))
+    assert run(["integrate", "--input", files["poset"], "--matching", files["m1"]]) == 0
+    function = tmp_path / "f.txt"
+    function.write_text(capsys.readouterr().out)
+    runs = [
+        ["matching", "--input", str(text_poset), "--matching", files["m2"]],
+        ["homology", "--input", str(json_poset), "--reduced"],
+        ["cellular", "--input", files["rp2"], "--kind", "simplicial"],
+        ["sweep", "--input", files["poset"], "--matching", files["m1"],
+         "--function", str(function)],
+    ]
+    for argv in runs:
+        assert run(argv) == 0
+        want = capsys.readouterr()
+        for k, arg in enumerate(argv):
+            if argv[k - 1] in ("--input", "--matching", "--function"):
+                copy = tmp_path / f"bom-{Path(arg).name}"
+                copy.write_bytes(b"\xef\xbb\xbf" + Path(arg).read_bytes())
+                marked = [*argv[:k], str(copy), *argv[k + 1:]]
+                assert (run(marked), capsys.readouterr()) == (0, want), marked
+
+
 def test_cli_directory_as_input(tmp_path, capsys):
     _fails_cleanly(capsys, tmp_path)
 

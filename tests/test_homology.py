@@ -96,6 +96,18 @@ def test_is_acyclic_cases(t3):
     assert not is_acyclic(t3)
 
 
+def test_coreductions_pair_only_unit_entries():
+    """A column whose one entry is 2 is no free coreduction: the cell
+    complex of RP^2 with one cell in each degree keeps its 1-cell and its
+    2-cell, and so its Z/2, once the vertex has gone with the
+    augmentation."""
+    from posetmorse.homology import _coreduce, _homology
+
+    ranks, columns = _coreduce([[{}], [{0: 1}], [{}], [{0: 2}]])
+    assert (ranks, columns) == ({1: 1, 2: 1}, {2: [{0: 2}]})
+    assert _homology(ranks, columns).nontrivial() == {1: (0, (2,))}
+
+
 def test_relative_same_complex(rp2):
     assert relative_homology(rp2, rp2).is_trivial()
 

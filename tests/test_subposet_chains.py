@@ -214,7 +214,15 @@ def whole_posets(rng: XorShift64Star):
 
 
 def test_poset_homology_is_the_homology_of_the_order_complex(rp2):
-    posets = [face_poset(rp2), *whole_posets(XorShift64Star(2026))]
+    """The same summary, degree range included, as the simplicial chain
+    complex of the chains, reduced or not.  On the empty poset (reduced
+    only), an antichain and a poset with an isolated point the free
+    coreductions stall before the complex is used up, so the cells left
+    go on to the Smith forms."""
+    antichain = build_poset(["a", "b", "c"], [])
+    isolated = build_poset(["a", "b", "c", "d", "e"],
+                           [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    posets = [face_poset(rp2), antichain, isolated, *whole_posets(XorShift64Star(2026))]
     kinds, acyclic = set(), set()
     for poset in posets:
         chains = order_complex(poset)
@@ -223,19 +231,28 @@ def test_poset_homology_is_the_homology_of_the_order_complex(rp2):
             brute_force_maximal_chains(poset, set(poset.elements)))
         for reduced in (False, True):
             want = homology(simplicial_chain_complex(chains, reduced=reduced))
-            assert poset_homology(poset, reduced=reduced) == want
+            got = poset_homology(poset, reduced=reduced)
+            assert got == want and got.to_doc() == want.to_doc()
         assert is_acyclic(poset) == want.is_trivial()
         kinds.add((poset.is_graded(), check_cellularity(poset).is_cellular))
         acyclic.add(want.is_trivial())
     assert kinds == {(True, True), (True, False), (False, False)} and acyclic == {True, False}
     assert poset_homology(posets[0]).t(1) == (2,)
+    assert poset_homology(antichain).b(0) == 3 and poset_homology(isolated).b(0) == 2
     assert poset_homology(posets[-2]).b(0) == 3
+    empty = build_poset(["a"], []).induced([])
+    want = homology(simplicial_chain_complex(order_complex(empty), reduced=True))
+    assert poset_homology(empty, reduced=True).to_doc() == want.to_doc() == sphere_summary(-1).to_doc()
+    assert not is_acyclic(empty)
 
 
-def test_flipped_cone_signs_are_not_a_chain_complex(rp2, tetra_boundary):
+def test_flipped_cone_signs_are_not_a_chain_complex(rp2, tetra_boundary, monkeypatch, capsys):
     """The entry (-1)^(dim c + 1) on c in the column of c.x is what makes
     d*d vanish: flipping it in one dimension, or in every dimension above
-    the augmentation, makes `ChainComplex` raise."""
+    the augmentation, makes `ChainComplex` raise.  Flipping it in one
+    column of `Poset._chain_cones` makes `poset_homology` raise, reduced
+    or not, and `homology --via-poset` exit 1 with one error line; in
+    dimension 1 the check of d_0 d_1, on the augmentation, fails first."""
     for complex in (rp2, tetra_boundary):
         poset = face_poset(complex)
         columns = poset._chain_cones()[0]
@@ -251,3 +268,22 @@ def test_flipped_cone_signs_are_not_a_chain_complex(rp2, tetra_boundary):
         with pytest.raises(NotAChainComplex):
             ChainComplex(ranks, {0: columns[0], **{d: flipped(cols) for d, cols
                                                    in enumerate(columns) if d}})
+
+    from posetmorse import Poset
+    from posetmorse.cli import run
+
+    original = Poset._chain_cones
+    for d in (1, 2):
+        def one_flipped(poset, d=d):
+            columns, spans = original(poset)
+            columns[d][0] = flipped([columns[d][0]])[0]
+            return columns, spans
+
+        monkeypatch.setattr(Poset, "_chain_cones", one_flipped)
+        for reduced in (False, True):
+            with pytest.raises(NotAChainComplex, match="d_0 . d_1" if d == 1 else "d_1 . d_2"):
+                poset_homology(face_poset(rp2), reduced=reduced)
+        argv = ["homology", "--via-poset", "--input", str(DATA / "rp2_6.txt"), "--kind", "simplicial"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
