@@ -36,11 +36,13 @@ reducer the same local complex, so the pass reduces each distinct
 sphere complex once: its generator, in local indices, is stored under
 the whole input of the sphere decision, and a later down-set with that
 key maps it onto its own cells.  A key is built only where it can hit:
-on a graded poset, over cellular elements only, and where the reduced
-Euler characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.
-It is read off the rows (`_sphere_key`): U.x is sorted once, each
-degree's run of sorted ids is its cells in `_cells` order, and the key
-is p, where each run starts, and each member's nonzero row in local
+on a graded poset, in degree 2 and up (in degree 1 only two points are
+a sphere), over cellular elements only, and where the reduced Euler
+characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.  It is
+read off the rows (`_sphere_key`): U.x is sorted once, each degree's
+run of sorted ids is its cells in `_cells` order, found from the level
+starts, the first id of each degree, taken once per pass, and the key is
+p, where each run starts, and each member's nonzero row in local
 indices, its place among the sorted ids.  p is in the key because the
 verdict reads it.  The cells of U.x are listed only on a miss.  The
 gauge reads the reach of the members of U.x, which their rows fix, their
@@ -48,10 +50,15 @@ degrees, which the run starts fix, x's row, which the generator fixes,
 and the order of their names: so x's gauged row is stored too, under
 the key and the local order of U.x by name, and a later down-set with
 both takes it with no gauge walk.  A new name order costs a gauge walk
-on the stored generator, not a reduction.  The reach, the admissibility
-test and the mapping-cone branch still run per element, as they name
-x, and the models of other down-sets are freed per element, as they
-would pin far more memory.
+on the stored generator, not a reduction.  The key fixes x's reach too,
+and which covers of x are admissible, so the entry also says whether
+every entry is +-1 and the steps reach all of U.x.  Where they do, a hit
+costs the key, one lookup, the row and the reach, which is U.x: every
+lower cover is a step and admissible, and cone(x) is that of a sphere.
+Elsewhere, as on a 0 or +-2 entry, the steps, the reach and the
+admissibility test are read off the row per element, as is the
+mapping-cone branch, and the models of other down-sets are freed per
+element, as they would pin far more memory.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -266,6 +273,11 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
         rank[i] = r
     eps: Rows = {}
     deferred: list[int] = []
+    # where each degree's ids start, as ids run in height order: the memo
+    # keys read them
+    starts = [bisect_left(degrees, k) for k in range(degrees[-1] + 1)] if degrees else []
+    # H~ of a homology k-sphere, which is H(U_x, U.x) of a cellular x of degree k
+    sphere = [((k, (1, ())),) for k in range(len(starts))]
     # reach[x]: the elements below x along covers of nonzero incidence, on
     # the cellular x over cellular elements only, which take the gauge
     reach: dict[int, frozenset[int]] = {}
@@ -277,9 +289,10 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
     texts: dict[tuple, str] = {(): f"strict down-set has {HomologySummary()}"}
     not_admissible: list[tuple[int, int]] = []
     # the generator, in local indices, of each sphere complex reduced so far,
-    # and the gauged row of each (sphere complex, local name order) so far
+    # and the gauged row of each (sphere complex, local name order) so far,
+    # with whether its entries are all +-1 and its steps reach all of U.x
     spheres: dict[tuple, tuple[int, ...]] = {}
-    gauged: dict[tuple, tuple[int, ...]] = {}
+    gauged: dict[tuple, tuple[tuple[int, ...], bool]] = {}
     walked = len(names)
     try:
         for x, lower in enumerate(lower_covers):
@@ -288,7 +301,7 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                 break
             p, below = degrees[x], down[x]
             if p == 0:
-                eps[x], reach[x], cone[x] = {}, below, ((0, (1, ())),)
+                eps[x], reach[x], cone[x] = {}, below, sphere[0]
                 continue
             if len(lower) == 1:
                 # U.x has a maximum, so it is a cone: its model has no cells
@@ -303,23 +316,31 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                 # to +1 on the smaller name
                 a, b = lower
                 eps[x] = {a: 1, b: -1} if rank[a] < rank[b] else {a: -1, b: 1}
-                reach[x], cone[x] = below, ((1, (1, ())),)
+                reach[x], cone[x] = below, sphere[1]
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
             members, key, generator, summary, hit = below, None, None, None, False
-            if graded and over_cellular:
-                members, key, order, top = _sphere_key(eps, degrees, rank, below, p)
+            # in degree 1 only two points are a sphere, which the branch above took
+            if graded and over_cellular and p > 1:
+                members, key, order, top = _sphere_key(eps, starts, rank, below, p)
                 if key is not None:
-                    generator = gauged.get((key, order))
-                    hit = generator is not None
-                    if not hit:
+                    stored = gauged.get((key, order))
+                    if stored is None:
                         generator = spheres.get(key)
+                    elif stored[1]:
+                        # every lower cover is a step of incidence +-1, so
+                        # admissible, and the steps reach all of U.x
+                        eps[x], reach[x], cone[x] = dict(zip(top, stored[0])), below, sphere[p]
+                        continue
+                    else:
+                        generator, hit = stored[0], True
             if key is None and defer and graded and not upper_covers[x]:
                 # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
                 deferred.append(x)
                 w = max(lower, key=lambda v: len(down[v]))
                 summary = _homology(*_cells(eps, degrees, below - down[w] - {w})[:2])
-                if summary.nontrivial() == {p - 1: (1, ())}:
+                found = tuple(summary.nontrivial().items())
+                if found == sphere[p - 1]:
                     summary = None
             elif generator is None:
                 ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
@@ -339,15 +360,16 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                     # a model with no differential is its own homology
                     summary = (_homology(*model) if any(map(any, model[1].values()))
                                else HomologySummary(model[0]))
+                    found = tuple(summary.nontrivial().items())
             if generator is not None:
                 eps[x] = dict(zip(top, generator))
             if summary is None:
-                here = ((p - 1, (1, ())),)
+                here, cone[x] = sphere[p - 1], sphere[p]
             else:
-                here = not_cellular[x] = tuple(summary.nontrivial().items())
+                here = not_cellular[x] = found
                 if here not in texts:
                     texts[here] = f"strict down-set has {summary}"
-            cone[x] = tuple((k + 1, group) for k, group in here)
+                cone[x] = tuple((k + 1, group) for k, group in here)
             if x in not_cellular or not over_cellular:
                 # the exact sequence of (U.x, U.x - {w}), as the module docstring says;
                 # x has another lower cover, so U.x - {w} keeps a cell in degree 0
@@ -360,12 +382,14 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
             # every admissible poset
             shared = len(steps) == len(lower) and all(reach[w] is down[w] for w in steps)
             reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
+            non_unit = [(w, x) for w in lower if abs(eps[x][w]) != 1]
+            not_admissible += non_unit
             if not hit:
                 if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
                     eps[x] = {w: -e for w, e in eps[x].items()}
                 if key is not None:
-                    gauged[key, order] = tuple(eps[x].values())
-            not_admissible += [(w, x) for w in lower if abs(eps[x][w]) != 1]
+                    gauged[key, order] = (tuple(eps[x].values()),
+                                          not non_unit and len(reach[x]) == len(below))
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
@@ -413,32 +437,34 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     return cells, model
 
 
-def _sphere_key(eps: Rows, degrees: Sequence[int], rank: Sequence[int], below: frozenset[int],
+def _sphere_key(eps: Rows, starts: Sequence[int], rank: Sequence[int], below: frozenset[int],
                 p: int) -> tuple[list[int], tuple | None, tuple[int, ...], list[int]]:
     """The ids of U.x, sorted, for an x of degree p over cellular elements,
     its memo key, its members in name `rank` order as local indices
     (their places among the sorted ids), and its cells in degree p-1.
-    Each member is a cell, and each degree's run of sorted ids lists its
-    cells in `_cells` order, so the key, p, where each run starts and each
-    member's nonzero row in local indices, is the input of the sphere
-    decision; with the order it is the input of the gauge too, which reads
-    those rows and compares those names.  The key is None unless the
-    reduced Euler characteristic is (-1)^(p-1), as on every homology
-    (p-1)-sphere."""
+    `starts` holds the level starts, the first id of each degree, which
+    the pass takes once: ids run in height order, so each degree's run of
+    sorted ids begins where its level start falls among them.  Each member
+    is a cell, and each run lists its cells in `_cells` order, so the key,
+    p, where each run starts and each member's nonzero row in local
+    indices, is the input of the sphere decision; with the order it is the
+    input of the gauge too, which reads those rows and compares those
+    names.  The key is None unless the reduced Euler characteristic is
+    (-1)^(p-1), as on every homology (p-1)-sphere."""
     members = sorted(below)
-    # ids run in height order, so each degree's ids start where the
-    # degrees list reaches it
-    cuts = [bisect_left(members, bisect_left(degrees, k)) for k in range(p + 1)]
-    if sum((-1) ** k * (cuts[k + 1] - cuts[k]) for k in range(p)) - 1 != (-1) ** (p - 1):
+    cuts = [bisect_left(members, start) for start in starts[:p + 1]]
+    # the cells in each degree: the Euler characteristic, one more than
+    # the reduced one, (-1)^(p-1), is 2 for odd p and 0 for even p
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+    if sum(sizes[::2]) - sum(sizes[1::2]) != (2 if p % 2 else 0):
         return members, None, (), []
     at = dict(zip(members, range(len(members))))
-    rows = []
-    for row in map(eps.__getitem__, members[cuts[1]:]):
-        # local indices, then entries; a zero entry is no boundary
-        values = row.values()
-        rows.append((*map(at.__getitem__, row), *values) if 0 not in values else
-                    (*compress(map(at.__getitem__, row), values), *filter(None, values)))
-    order = tuple(map(at.__getitem__, sorted(members, key=rank.__getitem__)))
+    index = at.__getitem__
+    # each row in local indices, then entries; a zero entry is no boundary
+    rows = [(*map(index, row), *values) if 0 not in (values := row.values()) else
+            (*compress(map(index, row), values), *filter(None, values))
+            for row in map(eps.__getitem__, members[cuts[1]:])]
+    order = tuple(map(index, sorted(members, key=rank.__getitem__)))
     return members, (p, tuple(cuts), tuple(rows)), order, members[cuts[p - 1]:]
 
 
@@ -601,8 +627,8 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
     of the cellularity pass.
 
     The pass has checked d*d = 0 on its rows, and the space complex's
-    constructor checks it again; this validates, on homologically
-    admissible posets, that every incidence number is +-1.
+    constructor checks it again.  On homologically admissible posets the
+    scan of the rows here checks that every incidence number is +-1.
     """
     cached = poset.analysis_cache.get("cellular_complex")
     if cached is not None:

@@ -8,7 +8,9 @@ which the theorems say cannot happen on valid input and therefore flags
 a bug.
 
 Each report subcommand's handler, bound to its subparser, loads its
-inputs and returns (results, table lines, ok) without writing anything.
+inputs and returns (results, table lines, ok) without writing anything;
+where the table has a line per cover, element or interval, its lines are
+an iterator that makes them only when the table is written.
 `run` is the one place that writes a report, echoing the command name
 and its inputs (the matching file, else the kind) into the document, and
 that sets the exit code.  It writes a report only once its results are
@@ -25,6 +27,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import __version__
 from .cellular import (cellular_chain_complex, check_cellularity, is_admissible, space_complex,
@@ -79,7 +83,7 @@ def _load_matched(args):
 
 
 # what a report subcommand returns: results, table lines, every verdict holds
-Report = tuple[dict, list[str], bool]
+Report = tuple[dict, Iterable[str], bool]
 
 
 def _rows_table(report) -> list[str]:
@@ -139,8 +143,7 @@ def cmd_cellular(args) -> Report:
         "pipelines_agree": agrees,
     }
     lines = [f"cellular homology: {summary}", f"pipelines agree: {agrees}"]
-    lines += [f"  eps({x}, {w}) = {e}" for x, w, e in incidence]
-    return results, lines, agrees
+    return results, chain(lines, (f"  eps({x}, {w}) = {e}" for x, w, e in incidence)), agrees
 
 
 def cmd_matching(args) -> Report:
@@ -173,8 +176,13 @@ def cmd_integrate(args) -> Report:
     poset, matching = _load_matched(args)
     function = integrate_matching(poset, matching)
     results = {"function": {e: str(v) for e, v in function.values.items()}}
-    # the table is the function file itself, whose text ends with a newline
-    return results, serialize_function(poset, function.values).split("\n")[:-1], True
+    return results, _function_lines(poset, function.values), True
+
+
+def _function_lines(poset, values) -> Iterator[str]:
+    """The table of `integrate`, the function file itself, whose text ends
+    with a newline."""
+    yield from serialize_function(poset, values).split("\n")[:-1]
 
 
 def cmd_sweep(args) -> Report:
@@ -187,12 +195,9 @@ def cmd_sweep(args) -> Report:
         function = integrate_matching(poset, matching)
     reports, ok = filtration_sweep(poset, function)
     results = {"ok": ok, "intervals": [r.to_doc() for r in reports]}
-    lines = []
-    for r in reports:
-        lo, hi = r.interval
-        lines.append(f"[{lo}, {hi}] {r.kind}: {'ok' if r.ok else 'FAILED'}")
-    lines.append(f"sweep: {'ok' if ok else 'FAILED'}")
-    return results, lines, ok
+    lines = (f"[{r.interval[0]}, {r.interval[1]}] {r.kind}: {'ok' if r.ok else 'FAILED'}"
+             for r in reports)
+    return results, chain(lines, [f"sweep: {'ok' if ok else 'FAILED'}"]), ok
 
 
 def cmd_inequalities(args) -> Report:

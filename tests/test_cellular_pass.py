@@ -270,6 +270,63 @@ def test_core_disk_incidence_is_two():
     assert [w for _, w, _ in check_cellularity(poset).witnesses] == ["core<x"]
 
 
+def _twinned(poset: Poset, cell: str, twin: str) -> Poset:
+    """The poset with `twin`, a second cell on the lower covers of `cell`."""
+    return build_poset(list(poset.elements) + [twin],
+                       list(poset.covers) + [(w, twin) for w in poset.lower_covers(cell)])
+
+
+def mobius_twins() -> Poset:
+    """`mobius_with_two_disks` with a second 3-cell y on the down-set of
+    x: both have incidence +-2 on the core disk."""
+    return _twinned(mobius_with_two_disks(), "x", "y")
+
+
+def pendant_twins_capped() -> Poset:
+    """`pendant_three_cell` with a second 3-cell w on the down-set of z
+    and a 4-cell on both.  The rows of z and w are +-1, but their steps
+    miss the pendant edge and vertex, so the 4-cell's flags must too."""
+    twins = _twinned(pendant_three_cell(), "z", "w")
+    return build_poset(list(twins.elements) + ["cap"],
+                       list(twins.covers) + [("z", "cap"), ("w", "cap")])
+
+
+@pytest.mark.parametrize("make, twins, face", [
+    (pendant_three_cell, ("x", "y"), "e0"),
+    (mobius_twins, ("x", "y"), "core"),
+    (pendant_twins_capped, ("z", "w"), None),
+], ids=["pendant 3-cell", "two Moebius 3-cells", "capped pendant twins"])
+def test_rows_not_all_units_or_short_of_the_down_set_keep_the_full_path(monkeypatch, make,
+                                                                       twins, face):
+    # the second twin takes the first one's gauged row, whose entries are
+    # not all +-1 or whose steps do not reach all of the down-set: the
+    # steps, the reach and the admissibility of its covers are still read
+    # off the row, as the reference pass reads them
+    import sys
+
+    cellular = sys.modules["posetmorse.cellular"]
+    walks = []
+    gauge = cellular._gauge_sign
+
+    def counted(x, *args):
+        walks.append(x)
+        return gauge(x, *args)
+
+    monkeypatch.setattr(cellular, "_gauge_sign", counted)
+    poset = make()
+    report, rows = reference_cellular_pass(poset)
+    first, second = map(poset._id.__getitem__, twins)
+    for defer in (False, True):
+        walks.clear()
+        got, id_rows, deferred = _degree_induction(poset, defer=defer)
+        assert (got, named_rows(poset, id_rows), deferred) == (report, rows, [])
+        # one gauge walk per pair of twins: the second one's row is a memo hit
+        assert walks.count(first) == 1 and second not in walks
+    if face is not None:
+        not_admissible = [w for kind, w, _ in report.witnesses if kind == "not-admissible"]
+        assert {f"{face}<{t}" for t in twins} <= set(not_admissible)
+
+
 def test_pass_matches_definition_on_random_posets():
     kinds: dict[tuple[str, bool, bool], int] = {}
     fallback = inductive_non_cellular = 0

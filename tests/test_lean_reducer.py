@@ -14,6 +14,7 @@ on the rows it built, and on every row once `space_complex` has walked
 again."""
 
 import sys
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -397,10 +398,11 @@ def test_the_row_check_agrees_with_the_complex_check():
             rank = [0] * len(names)
             for r, i in enumerate(sorted(ids, key=names.__getitem__)):
                 rank[i] = r
+            starts = [bisect_left(degrees, k) for k in range(max(degrees, default=-1) + 1)]
             for x, below in enumerate(poset._reach()):
                 if degrees[x] < 1 or not all(isinstance(rows[w], dict) for w in below):
                     continue
-                members, key, order, top = _sphere_key(rows, degrees, rank, below, degrees[x])
+                members, key, order, top = _sphere_key(rows, starts, rank, below, degrees[x])
                 ranks, columns, layout = _cells(rows, degrees, below, reduced=True)
                 assert members == sorted(below)
                 if key is None:
