@@ -29,7 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .cellular import _pair_homology, cellular_chain_complex, require_admissible, space_homology
+from .cellular import (_pair_homology, cellular_chain_complex, require_admissible, space_complex,
+                       space_homology)
 from .dynamics import (
     Matching,
     basic_sets,
@@ -168,17 +169,17 @@ def flow_operator(poset: Poset, matching: Matching) -> FlowData:
     require_admissible(poset)
     if not is_morse_matching(poset, matching):
         raise NotMorseMatching("the flow operator needs an acyclic matching")
-    cell, heights = cellular_chain_complex(poset), poset._height
-    ranks = cell.complex.ranks
+    rows, space, heights = cellular_chain_complex(poset).rows, space_complex(poset), poset._height
+    ranks = space.ranks
     first = {p: bisect_left(heights, p) for p in ranks}  # the id of column 0
-    d = {p: cell.complex.columns.get(p, [{}] * n) for p, n in ranks.items()}
+    d = {p: space.columns.get(p, [{}] * n) for p, n in ranks.items()}
     V: dict[int, list[Column]] = {p: [{}] * n for p, n in ranks.items()}
     pairs: dict[int, list[tuple[int, int]]] = {p: [] for p in ranks}
     for x, y in sorted((poset._id[w], poset._id[v]) for w, v in matching.pairs):
         a, b = x - first[heights[x]], y - first[heights[y]]
-        V[heights[x]][a] = {b: -cell.rows[y][x]}
+        V[heights[x]][a] = {b: -rows[y][x]}
         pairs[heights[y]].append((a, b))
-    morse = morse_reduction(cell.complex, pairs)
+    morse = morse_reduction(space, pairs)
     invariant = {p: morse.complex.rank(p) for p in ranks}
     critical = critical_counts(poset, matching)
     rank_ok = True
@@ -192,8 +193,7 @@ def flow_operator(poset: Poset, matching: Matching) -> FlowData:
         invariant_complex=morse.complex,
         inclusion=morse.inclusion,
         rank_matches_critical=rank_ok,
-        quasi_isomorphism_verified=verify_quasi_isomorphism(morse.complex, morse.inclusion,
-                                                            cell.complex),
+        quasi_isomorphism_verified=verify_quasi_isomorphism(morse.complex, morse.inclusion, space),
     )
 
 

@@ -100,7 +100,9 @@ the rows of the pass are keyed by ids, the only keying of the chain
 model.  The two gauges compare names, through each id's rank among the
 sorted names, taken once per pass.  Names are made only for output: the
 report speaks them, `space_complex` names its labels, and `epsilon` and
-`incidence` name the pass's rows, which `cellular_chain_complex` keeps.
+`incidence` name the pass's rows, which the `cellular_chain_complex`
+record holds; `matching` reads its orbit multiplicities off them and
+builds no chain complex.
 
 One assembler, `_cells`, lists the cells of A - B for a down-closed pair
 (A, B), given the ids of A - B alone: the down-sets the pass reduces,
@@ -139,6 +141,7 @@ from .homology import (
     _Reducer,
     _homology,
     _minimal_reducer,
+    _model,
     homology,
     poset_homology,
     simplicial_chain_complex,
@@ -179,13 +182,20 @@ Rows = dict[Hashable, "dict[Hashable, int] | list[tuple[int, int, int]]"]
 
 
 class CellularComplexOfPoset(NamedTuple):
-    """A cellular poset's complex, its labels named, and `rows`, eps(x, .): the
-    pass's own rows, keyed by ids, which `epsilon` and `incidence` name."""
+    """A cellular poset's incidence numbers, eps(x, .): `rows`, keyed by ids,
+    which `epsilon` and `incidence` name; on the record that
+    `cellular_chain_complex` returns, the pass's own rows."""
 
     poset: Poset
-    complex: ChainComplex
     rows: dict[int, dict[int, int]]
-    admissible: bool
+
+    @property
+    def complex(self) -> ChainComplex:
+        """The chain complex of these rows, its labels named, built when
+        read: `space_complex`, the same object, for the pass's own rows."""
+        if self.rows is _walked(self.poset)[1]:
+            return space_complex(self.poset)
+        return _space(self.poset, self.rows)
 
     @property
     def incidence(self) -> dict[tuple[str, str], int]:
@@ -216,45 +226,38 @@ def check_cellularity(poset: Poset) -> CellularityReport:
         ("not-graded", f"{w}<{x}", "cover skips a height level") for w, x in sorted(bad)))
 
 
-def _walked(poset: Poset, complete: bool = False) -> tuple[CellularityReport | None, Rows]:
-    """The pass, cached: its report (graded posets only) and its rows,
-    keyed by ids.  A pass that `check_cellularity` starts defers the rows
-    of the maximal elements it decides by excision, which no other
-    element's down-set reads.  complete=True, which `space_complex` asks
-    for, needs every row: a pass it starts builds them all directly, and a
-    cached pass that deferred some is replaced by a second walk that
-    builds them all; a walk that fails raises before it is cached, so the
-    deferring pass stays.  The walk is the only code that builds and
-    checks rows.  A pass that always deferred, its rows built afterwards,
-    would spend more: the excision adds its pair homology to the
-    reductions, about a fifth more time on the pass of
-    `gen --kind poset --seed 5 --size 1000`.  `matching` reads only the
-    verdict, through `is_admissible`, whose walk stops at the first
-    non-cellular element or non-admissible cover and checks the rows it
-    built before it answers; it caches only a walk that ran to the end,
-    which is the deferring pass."""
+def _walked(poset: Poset, complete: bool = False, stop: bool = False
+            ) -> tuple[CellularityReport | None, Rows] | None:
+    """The pass, cached, and the only code that caches it: its report
+    (graded posets only) and its rows, keyed by ids.  A pass that
+    `check_cellularity` starts defers the rows of the maximal elements it
+    decides by excision, which no other element's down-set reads.
+    complete=True, which `space_complex` asks for, needs every row: a pass
+    it starts builds them all directly, and a cached pass that deferred
+    some is replaced by a second walk that builds them all; a walk that
+    fails raises before it is cached, so the deferring pass stays.  The
+    walk is the only code that builds and checks rows.  A pass that always
+    deferred, its rows built afterwards, would spend more: the excision
+    adds its pair homology to the reductions, about a fifth more time on
+    the pass of `gen --kind poset --seed 5 --size 1000`.  With stop=True,
+    which `is_admissible` asks for, an uncached walk stops at its first
+    non-cellular element or non-admissible cover, checks the rows it built
+    and returns None, caching nothing, as it lists no witnesses."""
     cached = poset.analysis_cache.get("cellularity")
     if cached is None or complete and cached[2]:
-        cached = poset.analysis_cache["cellularity"] = _degree_induction(poset, defer=not complete)
+        cached = _degree_induction(poset, defer=not complete, stop=stop)
+        if cached is None:
+            return None
+        poset.analysis_cache["cellularity"] = cached
     return cached[0], cached[1]
 
 
 def is_admissible(poset: Poset) -> bool:
     """Whether the poset is homologically admissible, the one verdict that
-    `matching` reads: False on an ungraded poset, else the cached pass's,
-    else that of a deferring walk that stops at its first failure, after
-    checking the rows it built.  A walk that runs to the end is the pass
-    `check_cellularity` starts, and is cached as that; one that stops is
-    not, as it lists no witnesses."""
-    if not poset.is_graded():
-        return False
-    cached = poset.analysis_cache.get("cellularity")
-    if cached is None:
-        cached = _degree_induction(poset, defer=True, stop=True)
-        if cached is None:
-            return False
-        poset.analysis_cache["cellularity"] = cached
-    return cached[0].is_homologically_admissible
+    `matching` reads: False on an ungraded poset, else that of the cached
+    pass, or of a walk that stops at its first failure (`_walked`)."""
+    walked = poset.is_graded() and _walked(poset, stop=True)
+    return bool(walked) and walked[0].is_homologically_admissible
 
 
 def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
@@ -424,8 +427,8 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
     """Put x's cells (x, k + 1, j) in `eps`: one over the j-th cell m in degree
     k of the minimal model M that `reducer` left of the cells with these
     labels, `live` its surviving cells, bounded by g(m) - (x, d_M m), g M's
-    inclusion.  Returns the cells, and M's ranks and boundary columns from `_Reducer.model`."""
-    model = reducer.model(live)
+    inclusion.  Returns the cells, and M's ranks and boundary columns (`_model`)."""
+    model = _model(reducer.cols, live)
     cells = []
     for k in sorted(live):
         columns = model[1].get(k)
@@ -623,16 +626,13 @@ def sphere_generator(poset: Poset, element: str) -> SphereGenerator:
 
 
 def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
-    """The cellular chain complex of the poset, with the incidence numbers
-    of the cellularity pass.
+    """The incidence numbers of the cellularity pass, as the record of
+    the poset's cellular chain complex, whose `complex` is `space_complex`.
 
-    The pass has checked d*d = 0 on its rows, and the space complex's
-    constructor checks it again.  On homologically admissible posets the
-    scan of the rows here checks that every incidence number is +-1.
+    The pass has checked d*d = 0 on its rows.  On homologically admissible
+    posets the scan of the rows here checks that every incidence number
+    is +-1.  No chain complex is built.
     """
-    cached = poset.analysis_cache.get("cellular_complex")
-    if cached is not None:
-        return cached
     require_cellular(poset)
     report, rows = _walked(poset)
     if report.is_homologically_admissible:
@@ -641,10 +641,7 @@ def cellular_chain_complex(poset: Poset) -> CellularComplexOfPoset:
             named = sorted((poset._names[x], poset._names[w]) for x, w in bad)
             raise NonUnitIncidenceOnAdmissible(
                 f"admissible poset produced non-unit incidence at {named[:3]}")
-    cell = CellularComplexOfPoset(poset=poset, complex=space_complex(poset), rows=rows,
-                                  admissible=report.is_homologically_admissible)
-    poset.analysis_cache["cellular_complex"] = cell
-    return cell
+    return CellularComplexOfPoset(poset, rows)
 
 
 def space_complex(poset: Poset) -> ChainComplex:
@@ -652,7 +649,8 @@ def space_complex(poset: Poset) -> ChainComplex:
     pass without the augmentation cell, the cellular complex if cellular.
     Where the cached pass, started by `check_cellularity`, deferred the
     rows of maximal elements, the pass walks again and builds them all
-    (`_walked`)."""
+    (`_walked`).  The pass has checked d*d = 0 on its rows, and the
+    ChainComplex constructor checks it again."""
     cached = poset.analysis_cache.get("space_complex")
     if cached is None:
         cached = poset.analysis_cache["space_complex"] = _space(

@@ -492,11 +492,6 @@ class _Reducer:
             self._load(p)
         return {p: list(self.cols[p]) for p in self.ranks if self.cols[p]}
 
-    def model(self, live: dict[int, list[int]]) -> tuple[dict[int, int], dict[int, list[Column]]]:
-        """The ranks and boundary columns of the complex spanned by the live
-        cells of `survivors()`, numbered in their order there."""
-        return _model(self.cols, live)
-
     def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
         """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]; its
         inclusion, built for the old cells, becomes its base chain."""
@@ -529,7 +524,7 @@ class _Reducer:
 
     def result(self) -> Reduction:
         live = self.survivors()
-        return Reduction(ChainComplex(*self.model(live)),
+        return Reduction(ChainComplex(*_model(self.cols, live)),
                          {p: self.inclusions(p, cells) for p, cells in live.items()})
 
 

@@ -66,7 +66,6 @@ from posetmorse.cellular import (
     _cells,
     _named,
     _pair_homology,
-    _space,
     _walked,
     cellular_chain_complex,
     cellular_pair_homology,
@@ -658,8 +657,7 @@ def gauge_flip(cell: CellularComplexOfPoset, signs: dict[str, int]) -> CellularC
     and column of each flipped element change sign, homology does not."""
     sign = [signs.get(e, 1) for e in cell.poset._names]
     rows = {x: {w: sign[x] * e * sign[w] for w, e in row.items()} for x, row in cell.rows.items()}
-    return CellularComplexOfPoset(poset=cell.poset, complex=_space(cell.poset, rows), rows=rows,
-                                  admissible=cell.admissible)
+    return CellularComplexOfPoset(cell.poset, rows)
 
 
 def order_complex_pair_homology(poset: Poset, members, sub_members):

@@ -152,6 +152,7 @@ def test_flow_operator_gauge_invariant_ranks(monkeypatch, t3, t3_m1):
 
     flipped = gauge_flip(cellular_chain_complex(t3), {"e12": -1, "v3": -1})
     monkeypatch.setattr(posetmorse.category, "cellular_chain_complex", lambda poset: flipped)
+    monkeypatch.setattr(posetmorse.category, "space_complex", lambda poset: flipped.complex)
     flow = flow_operator(t3, t3_m1)
     assert flow.invariant_ranks == {0: 1, 1: 1}
     assert flow.quasi_isomorphism_verified

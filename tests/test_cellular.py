@@ -50,7 +50,7 @@ def test_non_unit_incidence_on_an_admissible_poset_raises(rp2):
     with pytest.raises(NonUnitIncidenceOnAdmissible, match="non-unit incidence") as raised:
         cellular_chain_complex(poset)
     assert isinstance(raised.value, PosetMorseError)
-    assert "cellular_complex" not in poset.analysis_cache
+    assert "space_complex" not in poset.analysis_cache
 
 
 def test_diamond_poset_cellular():

@@ -583,6 +583,29 @@ def test_cli_builds_one_poset_per_run(space, kind, matching, argv, monkeypatch, 
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("case", ["matching-t3_m2", "matching-mobius_ring", "matching-rp2_star"])
+@pytest.mark.parametrize("folder", ["", "table"])
+def test_matching_reads_multiplicities_without_a_chain_complex(case, folder, monkeypatch, capsys):
+    """`matching` reads each orbit's multiplicity off the incidence numbers
+    of the cellularity pass, and builds no chain complex for it: its
+    reports on the three golden cases with orbits keep their bytes while
+    the ChainComplex constructor raises."""
+    from posetmorse.homology import ChainComplex
+
+    root = Path(__file__).resolve().parent.parent
+    golden = root / "tests" / "golden" / folder / f"{case}.json"
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    assert "multiplicity" in want["stdout"]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("a ChainComplex was built")
+
+    monkeypatch.setattr(ChainComplex, "__init__", forbidden)
+    monkeypatch.chdir(root)
+    assert run(want["argv"]) == want["exit"] == 0
+    assert capsys.readouterr() == (want["stdout"], want["stderr"])
+
+
 @pytest.mark.parametrize("text", ["a < b\nb < c\n", "a\nb\nc\nd\na < b\nb < d\nc < d\n"],
                          ids=["chain", "ungraded"])
 def test_cli_hccat_without_a_cellular_complex(text, tmp_path, capsys):
