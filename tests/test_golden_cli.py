@@ -33,6 +33,11 @@ SPACES = {
     "mobius": ["--input", "data/mobius_5.txt", "--kind", "simplicial"],
     "rp2": ["--input", "data/rp2_6.txt", "--kind", "simplicial"],
     "sphere6": ["--input", "data/boundary_6simplex.txt", "--kind", "simplicial"],
+    # cellular, not admissible: twin cells whose rows have a +-2 entry, or a 0
+    # entry and +-1 rows whose steps miss part of the down-set
+    "mobius_twins": ["--input", "data/mobius_twins_poset.txt", "--kind", "poset"],
+    "pendant_twins_capped": ["--input", "data/pendant_twins_capped_poset.txt",
+                             "--kind", "poset"],
 }
 MATCHINGS = {
     "t3_m1": ("t3", "data/t3_matching_m1.txt"),

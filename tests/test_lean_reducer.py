@@ -444,8 +444,10 @@ def test_check_cellularity_builds_few_chain_complexes(monkeypatch):
         # d*d is checked on the rows, and every cut of them goes to the engine
         assert not built, (name, len(built))
         kinds[report.is_graded, report.is_cellular, report.is_homologically_admissible] += 1
-    # admissible, non-cellular (so not admissible) and ungraded posets all ran
-    assert kinds.keys() == {(True, True, True), (True, False, False), (False, False, False)}, kinds
+    # admissible, cellular but not admissible (the twin fixtures), non-cellular
+    # (so not admissible) and ungraded posets all ran
+    assert kinds.keys() == {(True, True, True), (True, True, False), (True, False, False),
+                            (False, False, False)}, kinds
 
 
 def test_check_cellularity_reduces_each_distinct_sphere_once(monkeypatch):
