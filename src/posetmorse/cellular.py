@@ -42,23 +42,22 @@ characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.  It is
 read off the rows (`_sphere_key`): U.x is sorted once, each degree's
 run of sorted ids is its cells in `_cells` order, found from the level
 starts, the first id of each degree, taken once per pass, and the key is
-p, where each run starts, and each member's nonzero row in local
-indices, its place among the sorted ids.  p is in the key because the
-verdict reads it.  The cells of U.x are listed only on a miss.  The
+p, where each run starts, and each member's row in local indices, its
+place among the sorted ids, zero entries kept.  p is in the key because
+the verdict reads it.  The cells of U.x are listed only on a miss.  The
 gauge reads the reach of the members of U.x, which their rows fix, their
 degrees, which the run starts fix, x's row, which the generator fixes,
 and the order of their names: so x's gauged row is stored too, under
-the key and the local order of U.x by name, and a later down-set with
-both takes it with no gauge walk.  A new name order costs a gauge walk
-on the stored generator, not a reduction.  The key fixes x's reach too,
-and which covers of x are admissible, so the entry also says whether
-every entry is +-1 and the steps reach all of U.x.  Where they do, a hit
-costs the key, one lookup, the row and the reach, which is U.x: every
-lower cover is a step and admissible, and cone(x) is that of a sphere.
-Elsewhere, as on a 0 or +-2 entry, the steps, the reach and the
-admissibility test are read off the row per element, as is the
-mapping-cone branch, and the models of other down-sets are freed per
-element, as they would pin far more memory.
+the key and the local order of U.x by name, where every entry is +-1
+and the steps reach all of U.x.  A later down-set with both takes it
+with no gauge walk, at the cost of the key, one lookup, the row and the
+reach, which is U.x: every lower cover is a step and admissible, and
+cone(x) is that of a sphere.  A new name order, or a row that was not
+stored, as one with a 0 or +-2 entry, costs a gauge walk on the stored
+generator, not a reduction, and the steps, the reach and the
+admissibility test are read off the row, as is the mapping-cone branch.
+The models of other down-sets are freed per element, as they would pin
+far more memory.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -121,12 +120,10 @@ The order complex (`poset_homology`) stays the definition that
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
-    EmptyPoset,
     InconsistentIncidence,
     NonUnitIncidenceOnAdmissible,
     NotACover,
@@ -140,12 +137,13 @@ from .homology import (
     HomologySummary,
     _Reducer,
     _homology,
+    _is_cycle,
     _minimal_reducer,
     _model,
+    _space_summary,
     homology,
     poset_homology,
     simplicial_chain_complex,
-    sphere_summary,
 )
 from .intmatrix import Column
 from .posets import Poset
@@ -292,10 +290,10 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
     texts: dict[tuple, str] = {(): f"strict down-set has {HomologySummary()}"}
     not_admissible: list[tuple[int, int]] = []
     # the generator, in local indices, of each sphere complex reduced so far,
-    # and the gauged row of each (sphere complex, local name order) so far,
-    # with whether its entries are all +-1 and its steps reach all of U.x
+    # and the gauged row of each (sphere complex, local name order) so far
+    # whose entries are all +-1 and whose steps reach all of U.x
     spheres: dict[tuple, tuple[int, ...]] = {}
-    gauged: dict[tuple, tuple[tuple[int, ...], bool]] = {}
+    gauged: dict[tuple, tuple[int, ...]] = {}
     walked = len(names)
     try:
         for x, lower in enumerate(lower_covers):
@@ -322,21 +320,18 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                 reach[x], cone[x] = below, sphere[1]
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
-            members, key, generator, summary, hit = below, None, None, None, False
+            members, key, generator, summary = below, None, None, None
             # in degree 1 only two points are a sphere, which the branch above took
             if graded and over_cellular and p > 1:
                 members, key, order, top = _sphere_key(eps, starts, rank, below, p)
                 if key is not None:
-                    stored = gauged.get((key, order))
-                    if stored is None:
-                        generator = spheres.get(key)
-                    elif stored[1]:
+                    row = gauged.get((key, order))
+                    if row is not None:
                         # every lower cover is a step of incidence +-1, so
                         # admissible, and the steps reach all of U.x
-                        eps[x], reach[x], cone[x] = dict(zip(top, stored[0])), below, sphere[p]
+                        eps[x], reach[x], cone[x] = dict(zip(top, row)), below, sphere[p]
                         continue
-                    else:
-                        generator, hit = stored[0], True
+                    generator = spheres.get(key)
             if key is None and defer and graded and not upper_covers[x]:
                 # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
                 deferred.append(x)
@@ -381,18 +376,13 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                         *_cells(eps, degrees, below - {w}, reduced=True)[:2]).is_trivial()]
                 continue
             steps = [w for w in lower if eps[x][w]]
-            # shares the down-set where every step has nonzero incidence, as on
-            # every admissible poset
-            shared = len(steps) == len(lower) and all(reach[w] is down[w] for w in steps)
-            reach[x] = below if shared else frozenset(steps).union(*(reach[w] for w in steps))
+            reach[x] = frozenset(steps).union(*(reach[w] for w in steps))
             non_unit = [(w, x) for w in lower if abs(eps[x][w]) != 1]
             not_admissible += non_unit
-            if not hit:
-                if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
-                    eps[x] = {w: -e for w, e in eps[x].items()}
-                if key is not None:
-                    gauged[key, order] = (tuple(eps[x].values()),
-                                          not non_unit and len(reach[x]) == len(below))
+            if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
+                eps[x] = {w: -e for w, e in eps[x].items()}
+            if key is not None and not non_unit and len(reach[x]) == len(below):
+                gauged[key, order] = tuple(eps[x].values())
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
@@ -449,11 +439,12 @@ def _sphere_key(eps: Rows, starts: Sequence[int], rank: Sequence[int], below: fr
     the pass takes once: ids run in height order, so each degree's run of
     sorted ids begins where its level start falls among them.  Each member
     is a cell, and each run lists its cells in `_cells` order, so the key,
-    p, where each run starts and each member's nonzero row in local
-    indices, is the input of the sphere decision; with the order it is the
-    input of the gauge too, which reads those rows and compares those
-    names.  The key is None unless the reduced Euler characteristic is
-    (-1)^(p-1), as on every homology (p-1)-sphere."""
+    p, where each run starts and each member's row in local indices, is
+    the input of the sphere decision; with the order it is the input of
+    the gauge too, which reads those rows and compares those names.  A
+    zero entry is no boundary, so a key that keeps it is only finer.  The
+    key is None unless the reduced Euler characteristic is (-1)^(p-1), as
+    on every homology (p-1)-sphere."""
     members = sorted(below)
     cuts = [bisect_left(members, start) for start in starts[:p + 1]]
     # the cells in each degree: the Euler characteristic, one more than
@@ -461,37 +452,24 @@ def _sphere_key(eps: Rows, starts: Sequence[int], rank: Sequence[int], below: fr
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
     if sum(sizes[::2]) - sum(sizes[1::2]) != (2 if p % 2 else 0):
         return members, None, (), []
-    at = dict(zip(members, range(len(members))))
-    index = at.__getitem__
-    # each row in local indices, then entries; a zero entry is no boundary
-    rows = [(*map(index, row), *values) if 0 not in (values := row.values()) else
-            (*compress(map(index, row), values), *filter(None, values))
-            for row in map(eps.__getitem__, members[cuts[1]:])]
+    index = dict(zip(members, range(len(members)))).__getitem__
+    # each row in local indices, then entries
+    rows = [(*map(index, row), *row.values()) for row in map(eps.__getitem__, members[cuts[1]:])]
     order = tuple(map(index, sorted(members, key=rank.__getitem__)))
     return members, (p, tuple(cuts), tuple(rows)), order, members[cuts[p - 1]:]
 
 
 def _check_rows(eps: Rows, degrees: Sequence[int], members: Iterable[int]) -> None:
     """d*d = 0 on the cells of the ids `members`, each row times its cells'
-    rows, as the ChainComplex constructor finds it on `_cells(eps, degrees,
-    members, reduced=True)`, degree-0 cells mapping onto the augmentation:
-    a failure raises InconsistentIncidence, the only place that does."""
+    rows, with the kernel (`_is_cycle`) that the ChainComplex constructor
+    runs on `_cells(eps, degrees, members, reduced=True)`, degree-0 cells
+    mapping onto the augmentation: a failure raises InconsistentIncidence,
+    the only place that does."""
     for e in members:
         owned = eps[e]
         for p, row in ([(degrees[e], owned)] if isinstance(owned, dict)
                        else [(cell[1], eps[cell]) for cell in owned]):
-            if p == 1:
-                bad = sum(row.values())
-            elif p > 1:
-                image: dict[Hashable, int] = {}
-                for w, v in row.items():
-                    if v:
-                        for u, t in eps[w].items():
-                            image[u] = image.get(u, 0) + v * t
-                bad = any(image.values())
-            else:
-                continue
-            if bad:
+            if p == 1 and sum(row.values()) or p > 1 and not _is_cycle(row, eps):
                 raise InconsistentIncidence(
                     f"cellular differential fails d*d=0: d_{p - 1} . d_{p} != 0")
 
@@ -669,20 +647,10 @@ def _space(poset: Poset, eps: Rows) -> ChainComplex:
 def space_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     """Homology of the finite space, read off `space_complex`; it equals
     `poset_homology` and lists the same degrees, 0 (or -1 when reduced)
-    up to the height of the poset.  The summary is cached; the reduced
-    one takes a free summand off H_0."""
-    if not poset.elements:
-        if not reduced:
-            raise EmptyPoset("unreduced homology of the empty poset is undefined")
-        return sphere_summary(-1)
-    cached = poset.analysis_cache.get("space_homology")
-    if cached is None:
-        found = homology(space_complex(poset))
-        # the model may stop below the height of the poset
-        cached = poset.analysis_cache["space_homology"] = HomologySummary(
-            {k: found.b(k) for k in range(poset.height() + 1)}, found.torsion)
-    return cached if not reduced else HomologySummary(
-        {-1: 0, **cached.betti, 0: cached.b(0) - 1}, cached.torsion)
+    up to the height of the poset.  Both summaries are cached
+    (`_space_summary`)."""
+    return _space_summary(poset, reduced, "space_homology",
+                          lambda: homology(space_complex(poset)), augmented=False)
 
 
 def verify_cellular_agreement(poset: Poset) -> bool:

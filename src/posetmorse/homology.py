@@ -3,7 +3,7 @@ integers, plus the simplicial and poset front ends; a rational answer is
 the integral one without its torsion (`HomologySummary.rational`).
 
 Chain complexes store each boundary map as sparse integer columns
-{row: value}; d*d = 0 is checked column by column (`_check_column`).
+{row: value}; d*d = 0 is checked column by column (`_is_cycle`).
 One sparse elimination serves every computation here (algebraic Morse
 theory): `_Reducer` eliminates pairs of cells joined by a +-1 entry of
 d, from the top degree down, by the Schur complement, and it is the
@@ -57,7 +57,7 @@ Only these definitions list chains; no theorem check does.  With
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcomplex
 from .intmatrix import Column, IntMatrix
@@ -123,14 +123,20 @@ class ChainComplex:
         return f"ChainComplex({', '.join(ranks)})"
 
 
-def _check_column(p: int, col: Column, lower: Sequence[Column]) -> None:
-    """Raise NotAChainComplex unless d_{p-1}, whose columns are `lower`,
-    takes this column of d_p to zero."""
-    image: dict[int, int] = {}
+def _is_cycle(col: Column, lower: Sequence[Column] | dict) -> bool:
+    """Whether d_{p-1}, whose columns `lower` are indexed by the rows of
+    `col`, takes this column of d_p to zero: the one d*d kernel, which the
+    cellularity pass runs on its rows too."""
+    image: dict = {}
     for i, v in col.items():
         for k, w in lower[i].items():
             image[k] = image.get(k, 0) + v * w
-    if any(image.values()):
+    return not any(image.values())
+
+
+def _check_column(p: int, col: Column, lower: Sequence[Column]) -> None:
+    """Raise NotAChainComplex unless `_is_cycle(col, lower)`."""
+    if not _is_cycle(col, lower):
         raise NotAChainComplex(f"d_{p - 1} . d_{p} != 0")
 
 
@@ -218,6 +224,28 @@ class HomologySummary(NamedTuple):
 def sphere_summary(dim: int) -> HomologySummary:
     """Reduced homology of the dim-sphere; dim = -1 is the empty space."""
     return HomologySummary(betti={dim: 1})
+
+
+def _space_summary(poset: Poset, reduced: bool, name: str,
+                   model: Callable[[], HomologySummary], augmented: bool) -> HomologySummary:
+    """The homology of the finite space, H over degrees 0..height, or with
+    reduced=True H~ over -1..height, H~_0 = H_0 - Z, cached under (name,
+    reduced).  One model gives both: `model()` is the homology of a chain
+    model of the space, which may stop below the height, H~ where the
+    model is augmented and H where it is not."""
+    if not poset.elements:
+        if not reduced:
+            raise EmptyPoset("unreduced homology of the empty poset is undefined")
+        return sphere_summary(-1)
+    cache = poset.analysis_cache
+    if (name, reduced) not in cache:
+        found = model()
+        tilde = {k: found.b(k) for k in range(-1, poset.height() + 1)}
+        tilde[0] -= not augmented
+        cache[name, True] = HomologySummary(tilde, found.torsion)
+        cache[name, False] = HomologySummary(
+            {k: b + (k == 0) for k, b in tilde.items() if k >= 0}, found.torsion)
+    return cache[name, reduced]
 
 
 def homology(complex: ChainComplex) -> HomologySummary:
@@ -623,25 +651,9 @@ def poset_homology(poset: Poset, reduced: bool = False) -> HomologySummary:
     smaller model; the summary is cached.  The complex is the augmented
     one of `Poset._chain_cones`, unlabelled and oriented by the poset's
     order, and `_coreduce` checks it for d*d = 0 and reduces it in place.
-    One reduction gives both summaries: H~ over degrees -1..height, and H
-    over 0..height with H_0 = H~_0 + Z."""
-    if not poset.elements and not reduced:
-        raise EmptyPoset("unreduced homology of the empty poset is undefined")
-    key = ("poset_homology", reduced)
-    cached = poset.analysis_cache.get(key)
-    if cached is None:
-        levels = [[{}], *poset._chain_cones()[0]]
-        height = len(levels) - 2
-        found = _homology(*_coreduce(levels))
-        cache = poset.analysis_cache
-        cache[("poset_homology", True)] = HomologySummary(
-            {k: found.b(k) for k in range(-1, height + 1)}, found.torsion)
-        if poset.elements:
-            betti = {k: found.b(k) for k in range(height + 1)}
-            betti[0] += 1
-            cache[("poset_homology", False)] = HomologySummary(betti, found.torsion)
-        cached = cache[key]
-    return cached
+    One reduction gives both summaries (`_space_summary`)."""
+    return _space_summary(poset, reduced, "poset_homology", lambda: _homology(
+        *_coreduce([[{}], *poset._chain_cones()[0]])), augmented=True)
 
 
 def _coreduce(levels: list[list[Column | None]]) -> tuple[dict[int, int], dict[int, list[Column]]]:

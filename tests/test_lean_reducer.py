@@ -225,12 +225,24 @@ def _plain(rows):
     return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
 
 
+def _steps_reach(rows, x: int) -> set[int]:
+    """The ids below x along covers of nonzero incidence."""
+    seen, stack = set(), [x]
+    while stack:
+        for w, e in rows[stack.pop()].items():
+            if e and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int], set[int]]:
     """The walked ids whose down-set has a memo key (`sphere_memo_pairs`),
     those of them that take a stored gauged row, whose key and name order
-    an earlier cellular element had, and those that take a stored sphere
+    an earlier cellular element had whose row is all +-1 and whose steps
+    reach all of its down-set, and those that take a stored sphere
     generator, whose key alone an earlier cellular element had."""
-    pairs = sphere_memo_pairs(poset, rows)
+    pairs, down = sphere_memo_pairs(poset, rows), poset._reach()
     gauged, hits, spheres, signed = set(), set(), set(), set()
     for x in walked:
         if x not in pairs:
@@ -240,8 +252,9 @@ def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int], set[
         elif pairs[x][0] in spheres:
             hits.add(x)
         if isinstance(rows[x], dict):
-            signed.add(pairs[x])
             spheres.add(pairs[x][0])
+            if {abs(e) for e in rows[x].values()} == {1} and _steps_reach(rows, x) == down[x]:
+                signed.add(pairs[x])
     return pairs.keys() & set(walked), gauged, hits
 
 

@@ -118,6 +118,36 @@ def test_routes_agree_on_the_empty_and_one_point_posets():
     assert_routes_agree(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]))
 
 
+def test_one_model_gives_both_summaries_of_each_route(monkeypatch):
+    # each route reduces its model once, whichever summary is asked first,
+    # and caches the reduced summary as it caches the unreduced one
+    import sys
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(sys.modules["posetmorse.cellular"], "homology")
+    spy(sys.modules["posetmorse.homology"], "_coreduce")
+    for route, model in ((space_homology, "homology"), (poset_homology, "_coreduce")):
+        for first in (True, False):
+            poset = build_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("a", "d"),
+                                                       ("b", "d")])
+            calls.clear()
+            summaries = {r: route(poset, reduced=r) for r in (first, not first)}
+            assert calls == [model]
+            assert all(route(poset, reduced=r) is summaries[r] for r in (True, False))
+            assert summaries[True].to_doc()["betti"] == [0, 0, 1]
+            assert summaries[False].to_doc()["betti"] == [1, 1]
+
+
 def test_the_witness_shares_the_model():
     cellular = fixture_posets()[0]
     assert space_complex(cellular) is cellular_chain_complex(cellular).complex
