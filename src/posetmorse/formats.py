@@ -37,7 +37,8 @@ def _poset_lines(text: str) -> tuple[list[str], list[list[int]]]:
     """Declared elements, in order of first mention, and the relation as
     the declared indices under each element, in one pass over the lines.
     A name is checked once, when it is first mentioned: it must be one
-    token with no `<`."""
+    token with no `<`.  A bare line of several tokens is most likely
+    complex text, so its error names `--kind simplicial`."""
     elements: list[str] = []
     index: dict[str, int] = {}
     lower: list[list[int]] = []
@@ -46,7 +47,8 @@ def _poset_lines(text: str) -> tuple[list[str], list[list[int]]]:
     def declare(name: str, lineno: int, line: str, relation: bool) -> int:
         if name.split() != [name] or "<" in name:
             expected = "'w < x'" if relation else "one identifier"
-            raise MalformedLine(f"line {lineno}: expected {expected}, got {line!r}")
+            hint = "" if relation else " (complex text needs --kind simplicial)"
+            raise MalformedLine(f"line {lineno}: expected {expected}, got {line!r}{hint}")
         index[name] = len(elements)
         elements.append(name)
         lower.append([])

@@ -10,9 +10,11 @@ d, from the top degree down, by the Schur complement, and it is the
 only code that picks unit pivots, but for the free coreductions of the
 order complex (below), whose Schur complements are pure deletions.
 Each pair splits a Smith factor 1 off its boundary without changing
-homology, so `homology` counts the pairs and hands only the block
-without units that is left to the dense Smith core for the rest of the
-rank and the torsion; `smith_diagonal` does the same for one matrix.
+homology.  One Smith step, `_Reducer.smith`, counts the pairs of d_p and
+hands the dense Smith core (`snf._snf_core`) only the block left, the
+nonzero columns and the rows they touch, for the rest of the rank and
+the torsion; `homology` and `smith_diagonal` run it untracked.  It is
+the only Smith form the library takes.
 Betti numbers come from boundary ranks, torsion from the invariant
 factors of the next boundary.  A formal degree -1 slot holds the
 augmentation of reduced complexes, so the empty poset has reduced
@@ -25,10 +27,11 @@ every cell it changes to the cell it removes, and the inclusion of what
 is left is built from those edges only for the cells that survive, as
 the sum over gradient paths (Forman 1998, section 8; Harker, Mischaikow,
 Mrozek and Nanda, Found. Comput. Math. 2014).  `minimal_model` then
-brings the few boundaries that still have unit Smith factors or
-dependent columns to their Smith form, on the inclusions of the cells
-left, and eliminates the units too, leaving rank b_k + mu_k + mu_{k-1}
-in degree k, whose cycles are spanned by the cells with empty columns.
+runs the tracked Smith step on each degree: a block with a unit factor
+or dependent columns changes basis to its Smith form, on its own cells
+and their inclusions alone, and its units are eliminated too, leaving
+rank b_k + mu_k + mu_{k-1} in degree k, whose cycles are spanned by the
+cells with empty columns.
 The cellularity pass runs it on the raw cells of each down-set
 (`_minimal_reducer`), once per distinct sphere complex, and reads the
 sphere verdict and the generator, or the mapping cone of its chain model
@@ -63,7 +66,7 @@ from .errors import ConsistencyError, EmptyPoset, NotAChainComplex, NotASubcompl
 from .intmatrix import Column, IntMatrix
 from .simplicial import SimplicialComplex, Simplex
 from .posets import Poset
-from .snf import _snf_core, smith_normal_form
+from .snf import _snf_core
 
 Coefficients = Literal["int", "rat"]
 
@@ -92,7 +95,7 @@ class ChainComplex:
             if rows and cols:
                 self.columns[p] = cols
         self.labels = dict(labels or {})
-        self._dense: dict[int, IntMatrix] | None = None
+        self._dense = None
         for p, upper in self.columns.items():
             lower = self.columns.get(p - 1)
             if lower is not None:
@@ -256,10 +259,16 @@ def homology(complex: ChainComplex) -> HomologySummary:
 def _homology(ranks: dict[int, int], columns: dict[int, Sequence[Column]]) -> HomologySummary:
     """The integral homology of the complex with these ranks, all positive,
     and boundary columns, each d_p listed only where C_{p-1} has a rank;
-    d*d = 0 is not checked."""
+    d*d = 0 is not checked.  The untracked Smith step reads each d_p's
+    factors, top degree down: a pair of the degree above only drops a
+    column of d_p that the other columns span, which keeps its Smith form.
+    Once read, d_p is dropped, so later pairs do not update it."""
     if not ranks:
         return HomologySummary()
-    factors = _smith_factors(ranks, columns)
+    reducer, factors = _Reducer(ranks, columns, track=False), {}
+    for p in sorted(columns, reverse=True):
+        factors[p] = reducer.smith(p)
+        del reducer.cols[p], reducer.rows[p]
     betti: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for p in range(min(ranks), max(ranks) + 1):
@@ -283,42 +292,8 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> tuple[int, ...]:
     sparse columns: its 1s, then the rest of the divisibility chain, then
     zeros, min(rows, len(columns)) entries in all.  `columns` is not
     modified."""
-    factors = _smith_factors({0: rows, 1: len(columns)}, {1: columns}).get(1, [])
+    factors = _Reducer({0: rows, 1: len(columns)}, {1: columns}, track=False).smith(1)
     return tuple(factors + [0] * (min(rows, len(columns)) - len(factors)))
-
-
-def _smith_factors(ranks: dict[int, int],
-                   columns: dict[int, Sequence[Column]]) -> dict[int, list[int]]:
-    """The nonzero Smith factors of each boundary d_p, in divisibility
-    order.  From the top degree down, each pair that `_Reducer.reduce`
-    eliminates from d_p is a factor 1, and the dense core gives those of
-    the block without units that is left.  A pair of the degree above
-    only drops a column of d_p that the other columns span, which keeps
-    its Smith form.  Once read, d_p is dropped from the reducer, so later
-    pairs do not update it."""
-    reducer = _Reducer(ranks, columns, track=False)
-    factors: dict[int, list[int]] = {}
-    for p in sorted(columns, reverse=True):
-        reducer.reach(p)
-        ones = reducer.reduce(p)
-        factors[p] = [1] * ones + _dense_factors(reducer.cols.pop(p).values())
-        del reducer.rows[p]
-    return factors
-
-
-def _dense_factors(columns: Iterable[Column]) -> list[int]:
-    """The nonzero Smith factors of the matrix with these sparse columns,
-    from the dense core on its nonzero rows and columns."""
-    columns = [col for col in columns if col]
-    if not columns:
-        return []
-    at = {i: r for r, i in enumerate(sorted({i for col in columns for i in col}))}
-    data = [[0] * len(columns) for _ in at]
-    for c, col in enumerate(columns):
-        for i, v in col.items():
-            data[at[i]][c] = v
-    _snf_core(data, len(at), len(columns), want_transforms=False)
-    return [data[t][t] for t in range(min(len(at), len(columns))) if data[t][t]]
 
 
 class Reduction(NamedTuple):
@@ -520,35 +495,56 @@ class _Reducer:
             self._load(p)
         return {p: list(self.cols[p]) for p in self.ranks if self.cols[p]}
 
-    def _rebase(self, p: int, old: list[int], B: IntMatrix, B_inv: IntMatrix) -> None:
-        """Make the t-th cell of C_p the chain sum_i B[i, t] old[i]; its
-        inclusion, built for the old cells, becomes its base chain."""
-        # every old cell, zero coefficients too: pivots follow the entries' order
-        new = lambda chains: {t: _apply(chains, dict(enumerate(B.column(t))))
-                              for t in range(len(old))}
-        self.base[p] = new(self.inclusions(p, old))
-        self.edges[p] = {}
-        self.cols[p] = new([self.cols[p][c] for c in old])
+    def smith(self, p: int) -> list[int]:
+        """The nonzero Smith factors of d_p, in divisibility order: a 1 per
+        pair that `reduce` eliminates, then the dense core's on the block
+        left, d_p's nonzero columns and the rows they touch, both in live
+        order (ids ascend in it).  When tracked, a block whose form A = U D V
+        has a 1 or dependent columns changes basis to D on its cells alone,
+        C_p by V^-1 and C_{p-1} by U, and its 1s are eliminated, so that the
+        cells with empty columns span the cycles of C_p."""
+        self.reach(p)
+        ones, cols = self.reduce(p), self.cols[p]
+        upper = [b for b, col in cols.items() if col]
+        if not upper:
+            return [1] * ones
+        lower = sorted({a for b in upper for a in cols[b]})
+        at = {a: r for r, a in enumerate(lower)}
+        data = [[0] * len(upper) for _ in lower]
+        for j, b in enumerate(upper):
+            for a, v in cols[b].items():
+                data[at[a]][j] = v
+        U, U_inv, V, V_inv = _snf_core(data, len(lower), len(upper), self.edges is not None)
+        factors = [data[t][t] for t in range(min(len(lower), len(upper))) if data[t][t]]
+        if self.edges is not None and (1 in factors or len(factors) < len(upper)):
+            self._rebase(p, upper, V_inv, V)
+            self._rebase(p - 1, lower, U, U_inv)
+            for t in range(factors.count(1)):
+                self.eliminate(p, lower[t], upper[t])
+        return [1] * ones + factors
+
+    def _rebase(self, p: int, old: list[int], B: list[list[int]], B_inv: list[list[int]]) -> None:
+        """Make the cell old[t] of C_p the chain sum_i B[i][t] old[i]; its
+        inclusion, built for the old cells, becomes its base chain in place
+        of its edges.  The columns of d_{p+1} change coordinates by B_inv
+        where they touch these cells, their other entries kept first."""
+        chains, cols = self.inclusions(p, old), [self.cols[p][c] for c in old]
+        base = self.base.setdefault(p, {})
+        for t, c in enumerate(old):
+            # every old cell, zero coefficients too: pivots follow the entries' order
+            column = {i: row[t] for i, row in enumerate(B)}
+            base[c], self.cols[p][c] = _apply(chains, column), _apply(cols, column)
+            self.edges[p].pop(c, None)
         # coordinates x in the old cells are B^-1 x in the new ones
-        columns = dict(zip(old, B_inv.sparse_columns()))
-        for c, col in self.cols.get(p + 1, {}).items():
-            self.cols[p + 1][c] = _apply(columns, col)
+        columns = {b: {c: row[i] for c, row in zip(old, B_inv) if row[i]}
+                   for i, b in enumerate(old)}
+        above, rows = self.cols.get(p + 1, {}), self.rows.get(p + 1, {})
+        for c in {c for b in old for c in rows.get(b, ())}:
+            col = above[c]
+            above[c] = _apply(columns, {b: v for b, v in col.items() if b in columns},
+                              {b: v for b, v in col.items() if b not in columns})
         self._index(p)
         self._index(p + 1)
-
-    def smith_step(self, p: int) -> list[int]:
-        """Bring d_p = U D V to D, C_p by V^-1 and C_{p-1} by U, if D has a 1
-        or d_p has dependent nonzero columns, so that the cells with empty
-        columns span the cycles of C_p; return the positions of its 1s."""
-        upper, lower = list(self.cols[p]), list(self.cols[p - 1])
-        at = {a: t for t, a in enumerate(lower)}
-        snf = smith_normal_form(IntMatrix.from_sparse_columns(
-            [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
-        units = [t for t, f in enumerate(snf.diagonal) if f == 1]
-        if units or sum(map(bool, snf.diagonal)) < sum(map(bool, self.cols[p].values())):
-            self._rebase(p, upper, snf.V_inv, snf.V)
-            self._rebase(p - 1, lower, snf.U, snf.U_inv)
-        return units
 
     def result(self) -> Reduction:
         live = self.survivors()
@@ -577,21 +573,17 @@ def _minimal_reducer(ranks: dict[int, int], columns: dict[int, Sequence[Column]]
     inclusions it needs.  `columns` is not modified."""
     reducer = _Reducer(ranks, columns).sweep()
     for p in sorted(columns, reverse=True):
-        if any(reducer.cols[p].values()):
-            for t in reducer.smith_step(p):
-                reducer.eliminate(p, t, t)
+        reducer.smith(p)
     return reducer
 
 
 def minimal_model(complex: ChainComplex) -> Reduction:
     """A reduction of rank b_k + mu_k + mu_{k-1} in degree k, the fewest
     cells a complex with this homology has: `morse_reduction` without
-    pairs, then, from the top degree down, each boundary whose Smith form
-    has a unit factor or whose nonzero columns are dependent changes basis
-    to that form, and its 1s are eliminated as pairs.  So the cycles of
-    each degree are spanned by its cells with empty columns.  The Smith
-    forms run only on the reduced complex, and on the inclusions of its
-    cells."""
+    pairs, then the tracked `_Reducer.smith` from the top degree down, so
+    the cycles of each degree are spanned by its cells with empty columns.
+    The Smith forms run only on blocks of the reduced complex, and on the
+    inclusions of their cells."""
     return _minimal_reducer(complex.ranks, complex.columns).result()
 
 

@@ -1,13 +1,14 @@
 """Dense Smith normal form over the integers, with unimodular transforms.
 
-`_snf_core` reduces a dense matrix in place.  `smith_normal_form` runs
-it with transforms, for the change to the Smith basis that
-`homology.minimal_model` makes; `diagonal_form` runs it without, for the
-diagonal alone.  Sparse matrices do not come here whole:
-`homology` eliminates their +-1 pivots first and hands only the block
-without units that is left to `_snf_core` (Dumas, Saunders and Villard,
-"On efficient sparse integer matrix Smith normal form computations",
-J. Symb. Comput. 2001).
+`_snf_core` reduces a dense matrix in place, with its transforms as row
+lists when asked.  Sparse matrices do not come here whole: the Smith
+step of `homology`, `_Reducer.smith`, eliminates their +-1 pivots first
+and hands only the block of nonzero columns and the rows they touch to
+`_snf_core`, tracked for `minimal_model`'s change to the Smith basis
+(Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+normal form computations", J. Symb. Comput. 2001).  No library code
+calls `smith_normal_form` or `diagonal_form`, the `IntMatrix` wrappers:
+they are the tests' dense oracle and names the benchmark's trace reads.
 
 The decomposition is A = U * D * V with U, V unimodular and D diagonal
 whose nonzero entries form a divisibility chain d1 | d2 | ...  Row and

@@ -40,6 +40,7 @@ library's key.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
@@ -725,6 +726,23 @@ def patch_where_bound(monkeypatch, modules, names, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
+def tracked_smith_blocks(monkeypatch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Wrap the dense core where `posetmorse.homology` binds it; the list
+    returned gains (rows, columns, diagonal) for each block that a tracked
+    `_Reducer.smith` brings to Smith form, the minimal model's step."""
+    module = sys.modules["posetmorse.homology"]
+    real, blocks = module._snf_core, []
+
+    def recorded(data, m, n, want_transforms):
+        transforms = real(data, m, n, want_transforms)
+        if want_transforms:
+            blocks.append((m, n, tuple(data[t][t] for t in range(min(m, n)))))
+        return transforms
+
+    monkeypatch.setattr(module, "_snf_core", recorded)
+    return blocks
+
+
 def guard_whole_poset_chains(monkeypatch) -> None:
     """Patch `Poset._chain_cones`, the one chain enumerator, to raise on
     every call.  It only ever lists the chains of a whole poset, so this
@@ -957,33 +975,50 @@ class EagerReducer:
                     self.eliminate(p, pivot, b)
                     progress = True
 
+    def smith(self, p):
+        """`_Reducer.smith`, tracked, on the dense oracle: `reduce`, then the
+        Smith form of the block of d_p's nonzero columns and the rows they
+        touch, both in live order, and, if it has a 1 or dependent columns,
+        the block's change of basis and the elimination of its 1s."""
+        self.reach(p)
+        self.reduce(p)
+        cols = self.cols[p]
+        upper = [b for b, col in cols.items() if col]
+        if not upper:
+            return
+        lower = sorted({a for b in upper for a in cols[b]})
+        at = {a: r for r, a in enumerate(lower)}
+        snf = smith_normal_form(IntMatrix.from_sparse_columns(
+            [{at[a]: v for a, v in cols[b].items()} for b in upper], len(lower)))
+        factors = [f for f in snf.diagonal if f]
+        if 1 in factors or len(factors) < len(upper):
+            self._rebase(p, upper, snf.V_inv, snf.V)
+            self._rebase(p - 1, lower, snf.U, snf.U_inv)
+            for t in range(factors.count(1)):
+                self.eliminate(p, lower[t], upper[t])
+
     def _rebase(self, p, old, B, B_inv):
-        def combine(chains, coefficients):
-            out = {}
+        def combine(chains, coefficients, start=()):
+            out = dict(start)
             for chain, c in zip(chains, coefficients):
                 for k, v in chain.items():
                     out[k] = out.get(k, 0) + c * v
             return {k: v for k, v in out.items() if v}
 
-        new = lambda chains: {t: combine(chains, B.column(t)) for t in range(len(old))}
-        self.g[p] = new([self.g[p][c] for c in old])
-        self.cols[p] = new([self.cols[p][c] for c in old])
-        at, columns = {c: j for j, c in enumerate(old)}, B_inv.sparse_columns()
+        g, cols = [self.g[p][c] for c in old], [self.cols[p][c] for c in old]
+        for t, c in enumerate(old):
+            self.g[p][c] = combine(g, B.column(t))
+            self.cols[p][c] = combine(cols, B.column(t))
+        at = {c: i for i, c in enumerate(old)}
+        columns = [{old[t]: v for t, v in col.items()} for col in B_inv.sparse_columns()]
         for c, col in self.cols.get(p + 1, {}).items():
-            self.cols[p + 1][c] = combine((columns[at[b]] for b in col), col.values())
+            touched = [b for b in col if b in at]
+            if touched:
+                self.cols[p + 1][c] = combine((columns[at[b]] for b in touched),
+                                              (col[b] for b in touched),
+                                              {b: v for b, v in col.items() if b not in at})
         self._index(p)
         self._index(p + 1)
-
-    def smith_step(self, p):
-        upper, lower = list(self.cols[p]), list(self.cols[p - 1])
-        at = {a: t for t, a in enumerate(lower)}
-        snf = smith_normal_form(IntMatrix.from_sparse_columns(
-            [{at[a]: v for a, v in self.cols[p][b].items()} for b in upper], len(lower)))
-        units = [t for t, f in enumerate(snf.diagonal) if f == 1]
-        if units or sum(map(bool, snf.diagonal)) < sum(map(bool, self.cols[p].values())):
-            self._rebase(p, upper, snf.V_inv, snf.V)
-            self._rebase(p - 1, lower, snf.U, snf.U_inv)
-        return units
 
     def result(self) -> Reduction:
         for p in self.ranks.keys() - self.loaded:
@@ -1015,9 +1050,7 @@ def eager_minimal_model(complex: ChainComplex) -> Reduction:
         reducer.reach(p)
         reducer.reduce(p)
     for p in sorted(complex.columns, reverse=True):
-        if any(reducer.cols[p].values()):
-            for t in reducer.smith_step(p):
-                reducer.eliminate(p, t, t)
+        reducer.smith(p)
     return reducer.result()
 
 

@@ -32,6 +32,7 @@ from helpers import (
     order_complex_cellularity,
     reference_cellular_pass,
     sphere_memo_pairs,
+    tracked_smith_blocks,
     ungraded_poset,
 )
 
@@ -392,11 +393,13 @@ def test_cellular_inputs_never_enumerate_chains(monkeypatch):
     cellular, homology, snf = (sys.modules[f"posetmorse.{m}"]
                                for m in ("cellular", "homology", "snf"))
     monkeypatch.setattr(cellular, "sphere_generator", forbidden)
-    for module in (snf, homology):
-        monkeypatch.setattr(module, "smith_normal_form", forbidden)
+    monkeypatch.setattr(snf, "smith_normal_form", forbidden)
+    tracked = tracked_smith_blocks(monkeypatch)
     spaces = [face_poset(_sphere(n)) for n in range(2, 7)]
     spaces += [face_poset(parse_simplicial_complex((DATA / n).read_text())) for n in FIXTURES]
     spaces += [pendant_three_cell(), mobius_with_two_disks()]
     for poset in spaces:
         assert check_cellularity(poset).is_cellular
         assert cellular_chain_complex(poset).incidence
+    # the minimal model's Smith step, the dense core with transforms, never ran
+    assert not tracked

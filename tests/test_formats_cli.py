@@ -59,7 +59,8 @@ def test_poset_text_malformed():
     ("a b < c\n", "line 1: expected 'w < x', got 'a b < c'"),
     ("x < y\na < b  # note\n", "line 2: expected 'w < x', got 'a < b  # note'"),
     ("a < b\nb <\tc d\n", "line 2: expected 'w < x', got 'b <\\tc d'"),
-    ("a\n# a comment line\nb c\n", "line 3: expected one identifier, got 'b c'"),
+    ("a\n# a comment line\nb c\n",
+     "line 3: expected one identifier, got 'b c' (complex text needs --kind simplicial)"),
 ], ids=["lower", "comment", "tab", "bare"])
 def test_identifiers_hold_no_whitespace(text, line, tmp_path, capsys):
     # identifiers are single tokens everywhere, so a relation line may not

@@ -58,6 +58,7 @@ from helpers import (
     reference_cellular_pass,
     scrambled_complex,
     sphere_memo_pairs,
+    tracked_smith_blocks,
     ungraded_poset,
     whiskered_disk,
 )
@@ -132,21 +133,14 @@ def test_lazy_inclusions_equal_eager_tracking_along_matchings():
 
 
 def test_lazy_inclusions_equal_eager_tracking_through_the_smith_step(monkeypatch):
-    module = sys.modules["posetmorse.homology"]
-    real, steps = module._Reducer.smith_step, []
-
-    def recorded(self, p):
-        units = real(self, p)
-        steps.append(bool(units))
-        return units
-
-    monkeypatch.setattr(module._Reducer, "smith_step", recorded)
+    blocks = tracked_smith_blocks(monkeypatch)
     rng = XorShift64Star(2006)
     for _ in range(300):
         chain, _, _ = scrambled_complex(rng)
         model = minimal_model(chain)
         assert _bits(model) == _bits(eager_minimal_model(chain))
-    assert sum(steps) >= 100
+    # the Smith steps whose block has a unit factor
+    assert sum(1 in diagonal for _, _, diagonal in blocks) >= 100
 
 
 def test_lazy_inclusions_where_most_cells_survive():

@@ -9,7 +9,7 @@ mapping-cone criterion and by the dense oracle
 `helpers.snf_quasi_isomorphism`.
 """
 
-import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,19 +27,14 @@ from posetmorse.homology import minimal_model, morse_reduction
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_simplicial_complex
 from posetmorse.simplicial import SimplicialComplex
 
-from helpers import kernel_basis, scramble, scrambled_complex, snf_quasi_isomorphism
+from helpers import (kernel_basis, scramble, scrambled_complex, snf_quasi_isomorphism,
+                     tracked_smith_blocks)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_minimal_model_of_scrambled_complexes(monkeypatch):
-    module = sys.modules["posetmorse.homology"]
-    real, unit_factors = module.smith_normal_form, []
-
-    def recorded(matrix):
-        snf = real(matrix)
-        unit_factors.append(1 in snf.diagonal)
-        return snf
-
-    monkeypatch.setattr(module, "smith_normal_form", recorded)
+    blocks = tracked_smith_blocks(monkeypatch)
     rng = XorShift64Star(1998)
     smith_steps = 0
     for _ in range(1000):
@@ -47,9 +42,9 @@ def test_minimal_model_of_scrambled_complexes(monkeypatch):
         summary = homology(chain)
         assert {k: summary.b(k) for k in free} == free
         assert {k: summary.mu(k) for k in mu} == mu
-        unit_factors.clear()
+        blocks.clear()
         model = minimal_model(chain)
-        smith_steps += any(unit_factors)
+        smith_steps += any(1 in diagonal for _, _, diagonal in blocks)
         for k in free:
             assert model.complex.rank(k) == free[k] + mu[k] + mu.get(k - 1, 0)
             # the cycles are spanned by the cells with empty columns
@@ -58,6 +53,30 @@ def test_minimal_model_of_scrambled_complexes(monkeypatch):
         assert verify_quasi_isomorphism(model.complex, model.inclusion, chain)
         assert snf_quasi_isomorphism(model.complex, model.inclusion, chain)
     assert smith_steps >= 300
+
+
+def _rp2_wedge(n: int, dim: int) -> SimplicialComplex:
+    """RP^2 with n dim-spheres wedged at its vertex 1, each the boundary of
+    a simplex on 1 and dim + 1 new vertices."""
+    facets = [line.split() for line in (DATA / "rp2_6.txt").read_text().splitlines()
+              if line and not line.startswith("#")]
+    for i in range(n):
+        simplex = ["1"] + [f"s{i}_{k}" for k in range(dim + 1)]
+        facets += [[v for v in simplex if v != face] for face in simplex]
+    return SimplicialComplex(facets)
+
+
+def test_minimal_model_smith_step_sees_only_the_torsion_block(monkeypatch):
+    # the cycles wedged on are zero columns of d_2, or rows that d_2 does
+    # not touch: a Smith step over every live cell would be 201 x 1 or 1 x 201
+    blocks = tracked_smith_blocks(monkeypatch)
+    for dim in (1, 2):
+        chain = simplicial_chain_complex(_rp2_wedge(200, dim))
+        blocks.clear()
+        model = minimal_model(chain)
+        assert blocks and all((rows, cols) == (1, 1) for rows, cols, _ in blocks)
+        assert model.complex.ranks == {0: 1, 1: 1 + 200 * (dim == 1), 2: 1 + 200 * (dim == 2)}
+        assert verify_quasi_isomorphism(model.complex, model.inclusion, chain)
 
 
 def test_given_pairs_need_unit_pivots():

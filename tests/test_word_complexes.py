@@ -5,7 +5,10 @@ d_1 = 0 and d_2 is the vector s of the letters' exponent sums: with g
 letters, H_1 = Z^(g-1) + Z/gcd(s) and H_2 = 0 where s is nonzero, and
 H_1 = Z^g, H_2 = Z where it is zero.  No Smith form is taken here."""
 
+import hashlib
 import importlib.util
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from posetmorse import (
     poset_homology,
 )
 from posetmorse.cellular import space_complex, space_homology
+from posetmorse.cli import run
 from posetmorse.homology import minimal_model
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "word_complex.py"
@@ -26,7 +30,7 @@ _spec = importlib.util.spec_from_file_location("word_complex", SCRIPT)
 word_complex = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(word_complex)
 
-WORDS = [*("a" * n for n in range(2, 8)), "abAB", "abaB", "abABcdCD", "aaA"]
+WORDS = [*("a" * n for n in range(2, 8)), "abAB", "abaB", "abABcdCD", "abABcdCDefEF", "aaA"]
 
 
 def word_poset(word: str):
@@ -66,7 +70,30 @@ def test_the_hand_computed_homology_reaches_every_kind_of_group():
     assert hand_homology("aaaaaaa") == {0: (1, ()), 1: (0, (7,))}
     assert hand_homology("abaB") == {0: (1, ()), 1: (1, (2,))}
     assert hand_homology("abABcdCD") == {0: (1, ()), 1: (4, ()), 2: (1, ())}
+    assert hand_homology("abABcdCDefEF") == {0: (1, ()), 1: (6, ()), 2: (1, ())}
     assert hand_homology("aaA") == {0: (1, ())}
+
+
+def test_genus_three_has_hccat_eight():
+    assert hccat(word_poset("abABcdCDefEF")) == 8
+
+
+@pytest.mark.parametrize("word,digest", [
+    ("aaa", "b7ebe9200583b69352dc396ba97cd5b6990861e0845799f246bc407c1011ec67"),
+    ("aaA", "a117a8e39d609468eab79f4e9fd0c895a4c799e14d9832fa7b9ee3bc30b8da4e"),
+])
+def test_the_script_output_is_pinned(word, digest):
+    text = subprocess.run([sys.executable, str(SCRIPT), word], capture_output=True,
+                          check=True).stdout
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def test_complex_text_read_as_a_poset_names_the_simplicial_kind(tmp_path, capsys):
+    path = tmp_path / "aaa.txt"
+    path.write_text("".join(" ".join(t) + "\n" for t in word_complex.word_triangles("aaa")))
+    assert run(["homology", "--input", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--kind simplicial" in lines[0]
 
 
 def test_the_order_complex_agrees_on_z3():
