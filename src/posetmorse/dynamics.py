@@ -3,18 +3,28 @@
 A matching orients its covers upward and every other cover downward; the
 chain recurrent set is the critical elements together with everything on
 a directed cycle, and the nontrivial strongly connected components are
-the orbit classes.  Closed walks can never leave a band of two adjacent
-degrees, so every orbit class alternates between degrees p and p+1; its
-index is p.  The basic sets form one list, the critical points as
+the orbit classes.  The basic sets form one list, the critical points as
 one-element classes in poset order and then the orbit classes, and every
 theorem check walks that list.
 
-The matched digraph, a list of successor ids per id in declared order,
-and its strongly connected components (Tarjan, SIAM J. Comput. 1, 1972),
-lists of ids, are built once per matching in `_recurrence`; basic sets,
-orbits, integration and `morse.require_morse_bott` read them, and names
-are made only for public results (`matched_digraph` is the name view).
-Declared order, not id order, fixes the order of what reaches output.
+On a graded poset an arc up is always followed by an arc down (a matched
+upper element has no match above), so a closed walk alternates between
+matched lower elements and their partners in two adjacent degrees p and
+p+1, and the class's index is p.  The orbit classes are therefore read
+off the band graph alone: its nodes are the matched lower elements, with
+an arc w -> v for each lower cover v != w of w's partner that is itself
+matched upward, and each nontrivial strongly connected component (Tarjan,
+SIAM J. Comput. 1, 1972), with its partners, is one orbit class.  On an
+ungraded poset a closed walk can pass an unmatched element or span three
+heights, so the dynamics raise `NotGraded` there.
+
+`_recurrence` builds, once per matching, the pairs as two id arrays and
+the classes as lists of ids; basic sets, orbits, integration and
+`morse.require_morse_bott` read them.  The arcs of the matched digraph
+are listed only where they are read, one element at a time and in
+declared order (`_arcs_from`), and names are made only for public results
+(`matched_digraph` is the name view).  Declared order, not id order,
+fixes the order of what reaches output.
 """
 
 from __future__ import annotations
@@ -107,34 +117,52 @@ class MatchedDigraph(NamedTuple):
 
 
 def matched_digraph(poset: Poset, matching: Matching) -> MatchedDigraph:
-    """The name view of `_matched_successors`, in declared order."""
-    names, successors = poset._names, _matched_successors(poset, matching)
-    named = {names[e]: tuple([names[w] for w in successors[e]]) for e in poset._declared_ids()}
+    """The name view of the matched digraph, in declared order."""
+    names, (up, down) = poset._names, _pair_ids(poset, matching)
+    named = {names[e]: tuple([names[w] for w in _arcs_from(poset, up, down, e)])
+             for e in poset._declared_ids()}
     return MatchedDigraph(poset.elements, tuple((x, t) for x in named for t in named[x]), named)
 
 
-def _matched_successors(poset: Poset, matching: Matching) -> list[list[int]]:
-    """The matched digraph on ids, read off the int covers: each id points
-    to its lower covers but a matched one, and up to its match above, in
-    declared order."""
-    ident, lower = poset._id, poset._lower
-    up = {ident[w]: ident[x] for w, x in matching.pairs}
-    down = {x: w for w, x in up.items()}
-    key = None if poset._declared is None else poset._declared.__getitem__
-    successors = []
-    for e, lows in enumerate(lower):
-        targets = [w for w in lows if w != down.get(e)]
-        if e in up:
-            insort(targets, up[e], key=key)
-        successors.append(targets)
-    return successors
+def _pair_ids(poset: Poset, matching: Matching) -> tuple[list[int], list[int]]:
+    """Each id's match above and match below, -1 where it has none."""
+    ident = poset._id
+    up, down = [-1] * len(ident), [-1] * len(ident)
+    for w, x in matching.pairs:
+        i, j = ident[w], ident[x]
+        up[i], down[j] = j, i
+    return up, down
 
 
-def _strongly_connected_components(
-        successors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Iterative Tarjan over the ids 0..n-1, `successors[i]` the ids i points
-    to: the components, in reverse topological order, and each id's
-    component.  A visited id is on the stack until it has a component."""
+def _arcs_from(poset: Poset, up: list[int], down: list[int], e: int) -> list[int]:
+    """The ids `e` points to in the matched digraph, read off the int
+    covers in declared order: its lower covers but a matched one, and its
+    match above."""
+    targets = [w for w in poset._lower[e] if w != down[e]]
+    if up[e] >= 0:
+        insort(targets, up[e], key=None if poset._declared is None else poset._declared.__getitem__)
+    return targets
+
+
+def _orbit_classes(lower: list[tuple[int, ...]], up: list[int]) -> list[list[int]]:
+    """The orbit classes of a matching on a graded poset, as lists of ids:
+    each nontrivial strongly connected component of the band graph, its
+    lower ids then their partners.  The band graph's nodes are the ids
+    matched upward, and w points to each lower cover v != w of `up[w]`
+    that is matched upward too."""
+    band = [w for w, x in enumerate(up) if x >= 0]
+    at = [-1] * len(up)
+    for k, w in enumerate(band):
+        at[w] = k
+    successors = [[at[v] for v in lower[up[w]] if at[v] >= 0 and v != w] for w in band]
+    return [[band[k] for k in comp] + [up[band[k]] for k in comp]
+            for comp in _strongly_connected_components(successors) if len(comp) > 1]
+
+
+def _strongly_connected_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan over the nodes 0..n-1, `successors[i]` the nodes i
+    points to: the components, in reverse topological order.  A visited
+    node is on the stack until it has a component."""
     n = len(successors)
     index, low, component = [-1] * n, [0] * n, [-1] * n
     stack: list[int] = []
@@ -169,7 +197,7 @@ def _strongly_connected_components(
                     components.append(comp)
                 if work and low[node] < low[work[-1][0]]:
                     low[work[-1][0]] = low[node]
-    return components, component
+    return components
 
 
 class OrbitClass(NamedTuple):
@@ -209,16 +237,20 @@ class BasicSetDecomposition(NamedTuple):
 
 
 class _Recurrence:
-    """One matching's digraph and strongly connected components on ids, each
-    id's component, and the basic sets and Morse-Smale verdict once asked for."""
+    """One matching's pairs on ids, `up` and `down` from `_pair_ids`, its
+    orbit classes as lists of ids, each id's class named by the class's
+    first id (an id in no class names itself), and the basic sets and
+    Morse-Smale verdict once asked for."""
 
-    __slots__ = ("matching", "successors", "components", "component", "decomposition",
-                 "verdict")
+    __slots__ = ("matching", "up", "down", "classes", "component", "decomposition", "verdict")
 
-    def __init__(self, matching: Matching, successors: list[list[int]],
-                 components: list[list[int]], component: list[int]):
-        self.matching, self.successors = matching, successors
-        self.components, self.component = components, component
+    def __init__(self, matching: Matching, up: list[int], down: list[int],
+                 classes: list[list[int]]):
+        self.matching, self.up, self.down, self.classes = matching, up, down, classes
+        self.component = component = list(range(len(up)))
+        for cls in classes:
+            for e in cls:
+                component[e] = cls[0]
         self.decomposition: BasicSetDecomposition | None = None
         self.verdict: MorseSmaleVerdict | None = None
 
@@ -226,35 +258,33 @@ class _Recurrence:
 def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
     """The poset keeps the last matching's record only (theorem checks reuse
     one matching; a search over many must not keep one entry per
-    candidate)."""
+    candidate).  The orbit classes come from the band graph, which sees
+    every closed walk only on a graded poset, so an ungraded one raises
+    `NotGraded`."""
+    if not poset.is_graded():
+        raise NotGraded("the matched dynamics need a graded poset")
     cached = poset.analysis_cache.get("recurrence")
     if cached is None or cached.matching != matching:
-        successors = _matched_successors(poset, matching)
-        cached = _Recurrence(matching, successors, *_strongly_connected_components(successors))
+        up, down = _pair_ids(poset, matching)
+        cached = _Recurrence(matching, up, down, _orbit_classes(poset._lower, up))
         poset.analysis_cache["recurrence"] = cached
     return cached
 
 
 def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
     """Chain recurrent set split into critical points and orbit classes."""
-    if not poset.is_graded():
-        raise NotGraded("orbit indices need a graded poset")
     record = _recurrence(poset, matching)
     if record.decomposition is not None:
         return record.decomposition
     matched = matching.matched_elements()
     critical = tuple(e for e in poset.elements if e not in matched)
     names, degrees = poset._names, poset._height
-    # each orbit class under its first id in declared order
+    # each orbit class under its first id in declared order; its index is
+    # the degree of its lower ids, which come first
     found: dict[int, OrbitClass] = {}
-    for comp in record.components:
-        if len(comp) < 2:
-            continue
-        ids = poset._by_declared(comp)
-        degs = sorted({degrees[e] for e in ids})
-        if len(degs) != 2 or degs[1] != degs[0] + 1:
-            raise ConsistencyError("orbit class does not alternate two adjacent degrees")
-        found[ids[0]] = OrbitClass(elements=tuple([names[e] for e in ids]), index=degs[0])
+    for cls in record.classes:
+        ids = poset._by_declared(cls)
+        found[ids[0]] = OrbitClass(elements=tuple([names[e] for e in ids]), index=degrees[cls[0]])
     orbit_classes = [found[first] for first in poset._by_declared(found)]
     classes = tuple((e,) for e in critical) + tuple(c.elements for c in orbit_classes)
     recurrent = frozenset(e for members in classes for e in members)
@@ -270,8 +300,9 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
 
 
 def is_morse_matching(poset: Poset, matching: Matching) -> bool:
-    """True iff the matched digraph is acyclic."""
-    return all(len(c) == 1 for c in _recurrence(poset, matching).components)
+    """True iff the matched digraph is acyclic.  The poset must be graded
+    (else `NotGraded`): only there is every cycle one of the band graph."""
+    return not _recurrence(poset, matching).classes
 
 
 class ClosedOrbit(NamedTuple):
@@ -301,13 +332,13 @@ class MorseSmaleVerdict(NamedTuple):
     offender: str | None = None
 
 
-def _orbit_from_component(poset: Poset, successors: list[list[int]],
+def _orbit_from_component(poset: Poset, record: _Recurrence,
                           comp: list[int], index: int) -> ClosedOrbit | None:
     """The component, a list of ids, as a simple cycle, or None."""
     members = set(comp)
     inner_succ = {}
     for e in comp:
-        inside = [s for s in successors[e] if s in members]
+        inside = [s for s in _arcs_from(poset, record.up, record.down, e) if s in members]
         if len(inside) != 1:
             return None
         inner_succ[e] = inside[0]
@@ -330,10 +361,10 @@ def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
     require_admissible(poset)
     record = _recurrence(poset, matching)
     if record.verdict is None:
-        orbits = []
+        orbits, ident = [], poset._id
         for cls in basic_sets(poset, matching).orbit_classes:
-            comp = record.components[record.component[poset._id[cls.elements[0]]]]
-            orbit = _orbit_from_component(poset, record.successors, comp, cls.index)
+            comp = [ident[e] for e in cls.elements]
+            orbit = _orbit_from_component(poset, record, comp, cls.index)
             if orbit is None:
                 record.verdict = MorseSmaleVerdict(False, (), offender=cls.elements[0])
                 return record.verdict

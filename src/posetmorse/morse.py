@@ -1,12 +1,14 @@
 """Morse and Morse-Bott functions on posets.
 
-Integration turns any matching into a Morse-Bott function by condensing
-the matched digraph into its strongly connected components, ordering the
-condensation topologically, and assigning the reverse rank as the value:
-constant on each basic set, strictly decreasing along every arc between
-distinct classes.  Matched pairs outside the recurrent set then satisfy
-f(x) > f(y), which realizes the weak inequality the integration theorem
-allows.
+Integration turns any matching into a Morse-Bott function by ordering
+the condensation of the matched digraph topologically and assigning the
+reverse rank as the value: constant on each basic set, strictly
+decreasing along every arc between distinct classes.  Matched pairs
+outside the recurrent set then satisfy f(x) > f(y), which realizes the
+weak inequality the integration theorem allows.  The order is one Kahn
+walk over the ids, each orbit class collapsed to one node, with the arcs
+read off the covers and the matched pairs as each node is processed; the
+matched digraph itself is never built.
 
 The two verification operations implement the fundamental theorems as
 exact computations: a regular interval must leave relative homology of
@@ -34,6 +36,7 @@ from .cellular import _pair_homology, cellular_pair_homology, require_admissible
 from .dynamics import (
     BasicSetDecomposition,
     Matching,
+    _arcs_from,
     _recurrence,
     basic_sets,
     validate_matching,
@@ -41,7 +44,6 @@ from .dynamics import (
 from .errors import (
     ConsistencyError,
     CriticalValueInInterval,
-    NotGraded,
     NotMorse,
     NotMorseBott,
     WrongCriticalCount,
@@ -118,11 +120,13 @@ def require_morse_bott(function: MorseBottFunction) -> None:
     for members in function.decomposition().classes:
         if len({values[e] for e in members}) > 1:
             raise NotMorseBott(f"function is not constant on the basic set {list(members)}")
-    record, names = _recurrence(function.poset, function.matching), function.poset._names
+    poset = function.poset
+    record, names = _recurrence(poset, function.matching), poset._names
+    component = record.component
     # the arcs in declared order, so the first one rejected is the first declared
-    for i in function.poset._declared_ids():
-        for j in record.successors[i]:
-            if record.component[i] == record.component[j]:
+    for i in poset._declared_ids():
+        for j in _arcs_from(poset, record.up, record.down, i):
+            if component[i] == component[j]:
                 continue
             a, b = names[i], names[j]
             if values[a] < values[b]:
@@ -138,37 +142,50 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     """A Morse-Bott function integrating the matching (canonical witness).
 
     Values are the reverse topological ranks of the condensation of the
-    matched digraph, as plain ints.
+    matched digraph, as plain ints, from one Kahn walk over the ids with
+    each orbit class collapsed to one node.  In-degrees count parallel arcs
+    between two nodes each time, so a node is ready exactly when all its
+    predecessors are processed; of the ready nodes the one with the
+    earliest declared element comes first (nodes are disjoint, so keys are
+    distinct).
     """
-    if not poset.is_graded():
-        raise NotGraded("integration needs a graded poset")
     record = _recurrence(poset, matching)
-    components, component = record.components, record.component
-    n = len(components)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    indeg = [0] * n
-    for ca, targets in zip(component, record.successors):
-        for cb in map(component.__getitem__, targets):
-            if ca != cb and cb not in succ[ca]:
-                succ[ca].add(cb)
-                indeg[cb] += 1
-    # deterministic Kahn order: the ready component with the earliest declared
-    # element comes first (components are disjoint, so keys are distinct)
-    declared = poset._declared or range(len(poset))
-    key = [min(map(declared.__getitem__, comp)) for comp in components]
-    ready = [(key[i], i) for i in range(n) if indeg[i] == 0]
+    up, down, component, lower = record.up, record.down, record.component, poset._lower
+    n = len(poset)
+    declared = poset._declared or range(n)
+    key = list(declared)
+    # an id's in-arcs come from its upper covers but its match above, and from its match below
+    indeg = [len(ups) - (u >= 0) + (d >= 0) for ups, u, d in zip(poset._upper, up, down)]
+    members: dict[int, list[int]] = {}
+    for cls in record.classes:
+        c = cls[0]
+        members[c] = cls
+        key[c] = min(map(declared.__getitem__, cls))
+        # less the arcs inside the class: each lower id's arc up, and the arcs down between members
+        inside = sum(component[v] == c and v != down[x] for x in cls if down[x] >= 0
+                     for v in lower[x])
+        indeg[c] = sum(map(indeg.__getitem__, cls)) - len(cls) // 2 - inside
+    nodes = n - sum(len(cls) - 1 for cls in record.classes)
+    ready = [(key[c], c) for c in range(n) if component[c] == c and not indeg[c]]
     heapq.heapify(ready)
-    rank: dict[int, int] = {}
+    rank = [0] * n
     processed = 0
     while ready:
-        _, i = heapq.heappop(ready)
-        rank[i] = n - processed
+        _, c = heapq.heappop(ready)
+        rank[c] = nodes - processed
         processed += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, (key[j], j))
-    if processed != n:
+        for e in members.get(c, (c,)):
+            d, u = down[e], up[e]
+            for t in (*lower[e], u) if u >= 0 else lower[e]:
+                if t == d:
+                    continue
+                t = component[t]
+                if t != c:
+                    indeg[t] -= 1
+                    if not indeg[t]:
+                        heapq.heappush(ready, (key[t], t))
+    # a node never processed lies on a cycle between nodes, which the band graph missed
+    if processed != nodes:
         raise ConsistencyError("condensation of the matched digraph has a cycle")
     values = {e: rank[component[i]] for e, i in zip(poset.elements, poset._declared_ids())}
     return MorseBottFunction(poset=poset, values=values, matching=matching)

@@ -88,6 +88,25 @@ def test_basic_sets_needs_grading():
         basic_sets(p, validate_matching(p, []))
 
 
+def test_dynamics_refuse_an_ungraded_poset_whose_cycle_leaves_the_band():
+    """On a graded poset every closed walk alternates between matched pairs
+    in two adjacent degrees, which is all the band graph sees.  Here the
+    cover a < b skips a height, and the closed walk a b c d e a spans
+    heights 0-2 through the unmatched c, so the dynamics refuse the poset
+    rather than answer from the band graph."""
+    from posetmorse import integrate_matching
+
+    poset = build_poset(list("abcde"),
+                        [("a", "b"), ("c", "b"), ("d", "c"), ("d", "e"), ("a", "e")])
+    matching = validate_matching(poset, [("a", "b"), ("d", "e")])
+    assert poset.heights() == {"a": 0, "d": 0, "c": 1, "e": 1, "b": 2}
+    digraph = matched_digraph(poset, matching)
+    assert [arc for arc in digraph.arcs if arc[0] in "ab"] == [("a", "b"), ("b", "c")]
+    for dynamics in (is_morse_matching, basic_sets, integrate_matching):
+        with pytest.raises(NotGraded):
+            dynamics(poset, matching)
+
+
 def test_morse_matching_flags(t3, t3_m1, t3_m2, t3_empty_matching):
     assert is_morse_matching(t3, t3_m1)
     assert not is_morse_matching(t3, t3_m2)
@@ -291,8 +310,8 @@ def test_orbit_alternates_two_degrees(mobius_poset, mobius_ring_matching):
 
 
 DYNAMICS_JOBS = [
-    # (subcommand, matched digraphs built: the matching, and for ls-check
-    # the perturbed one, once each; Morse-Smale verdicts computed)
+    # (subcommand, band graphs built: the matching, and for ls-check the
+    # perturbed one, once each; Morse-Smale verdicts computed)
     ("ls-check", 2, 1),
     ("inequalities", 1, 1),
     ("matching", 1, 1),
@@ -301,8 +320,8 @@ DYNAMICS_JOBS = [
 ]
 
 
-@pytest.mark.parametrize("command,digraphs,verdicts", DYNAMICS_JOBS)
-def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, verdicts,
+@pytest.mark.parametrize("command,bands,verdicts", DYNAMICS_JOBS)
+def test_one_digraph_per_matching_and_one_verdict_per_job(command, bands, verdicts,
                                                           monkeypatch, capsys):
     import sys
     from pathlib import Path
@@ -310,7 +329,7 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
     from posetmorse.cli import run
 
     dynamics = sys.modules["posetmorse.dynamics"]
-    calls = {"_matched_successors": 0, "MorseSmaleVerdict": 0}
+    calls = {"_orbit_classes": 0, "MorseSmaleVerdict": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -318,9 +337,10 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
             return function(*args, **kwargs)
         return wrapper
 
-    # the digraph on ids, which `_recurrence` builds once per matching
-    monkeypatch.setattr(dynamics, "_matched_successors",
-                        counted("_matched_successors", dynamics._matched_successors))
+    # the band graph and its orbit classes on ids, which `_recurrence`
+    # builds once per matching; no whole-poset digraph is built
+    monkeypatch.setattr(dynamics, "_orbit_classes",
+                        counted("_orbit_classes", dynamics._orbit_classes))
     # a verdict is computed where `is_morse_smale` builds one; a later call
     # returns the one kept with the matching's recurrence record
     monkeypatch.setattr(dynamics, "MorseSmaleVerdict",
@@ -329,4 +349,4 @@ def test_one_digraph_per_matching_and_one_verdict_per_job(command, digraphs, ver
     assert run([command, "--input", str(data / "rp2_6.txt"), "--kind", "simplicial",
                 "--matching", str(data / "rp2_star5_matching.txt")]) == 0
     capsys.readouterr()
-    assert calls == {"_matched_successors": digraphs, "MorseSmaleVerdict": verdicts}
+    assert calls == {"_orbit_classes": bands, "MorseSmaleVerdict": verdicts}
