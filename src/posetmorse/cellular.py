@@ -12,16 +12,21 @@ cell m of M in degree k, with boundary g(m) - (x, d_M m).  This is
 exact over Z, and by induction the cells of any down-set model it.  On
 a graded poset U.x is a homology (p-1)-sphere, p = deg x, exactly when
 M is one cell in degree p-1: x is then cellular and its own cell, whose
-boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  Two kinds of
-U.x need no cells listed and no reduction.  An x with one lower cover w
+boundary, a generator of ker d_{p-1} on U.x, is eps(x, .).  Three kinds
+of U.x need no cells listed and no reduction.  An x with one lower cover w
 has U.x = U_w, a cone with apex w, contractible (Stong, Trans. AMS 123,
 1966): M has no cells, so x owns none and is not cellular.  In degree 1
 U.x of two points is a 0-sphere, whose difference, gauged, is +1 on the
-smaller name.  An ungraded poset gets its model from the same walk,
-which decides nothing there.  The reducer takes the raw cells of U.x,
-unchecked, and builds only the inclusions it is asked for: the
-generator, or on the mapping-cone branch those of its surviving cells,
-whose cone cells and H~(U.x) are read straight off it.  d*d = 0 is
+smaller name.  In degree 1 U.x of k > 2 points v_0 < ... < v_{k-1}, in id
+order, is discrete, H~_0 = Z^(k-1): the reducer would pair v_0 with the
+augmentation and leave the other points, so x owns the cells (x, 1, j)
+with rows v_{j+1} - v_0, in that entry order, which sets the pivots of
+every later down-set.  x is not cellular, and no cover (w, x) is
+admissible, as cone(w) is a 0-sphere.  An ungraded poset gets its model
+from the same walk, which decides nothing there.  The reducer takes the
+raw cells of U.x, unchecked, and builds only the inclusions it is asked
+for: the generator, or on the mapping-cone branch those of its surviving
+cells, whose cone cells and H~(U.x) are read straight off it.  d*d = 0 is
 checked once, after the walk, on the rows it built, and no complex of
 the whole pass is built: each cell's row, every cone cell included,
 times the rows of its cells, degree-0 cells mapping onto the
@@ -79,10 +84,11 @@ U_w) gives H~(U.x) = H(U.x, U_w), read off the cells of U.x - U_w alone.
 x is its own cell exactly when that is Z in degree p-1 and nothing
 else, and its witness text and its covers' admissibility follow as
 above.  No down-set reads the rows of x, so a pass that
-`check_cellularity` starts defers them (`_walked`).  `space_complex`
-needs them: a pass it starts builds every row directly, and where the
-cached pass deferred rows it walks again, building and checking every
-row, and replaces the cached pass.
+`check_cellularity` starts defers them (`_walked`), as it does those of
+a maximal x of degree 1 over k > 2 points, whose verdict needs no rows.
+`space_complex` needs them: a pass it starts builds every row directly,
+and where the cached pass deferred rows it walks again, building and
+checking every row, and replaces the cached pass.
 
 `matching` reads only the verdict, whether the poset is admissible
 (`is_admissible`).  Its walk stops at the first failure, a non-cellular
@@ -229,7 +235,8 @@ def _walked(poset: Poset, complete: bool = False, stop: bool = False
     """The pass, cached, and the only code that caches it: its report
     (graded posets only) and its rows, keyed by ids.  A pass that
     `check_cellularity` starts defers the rows of the maximal elements it
-    decides by excision, which no other element's down-set reads.
+    decides by excision, and of those of degree 1 over k > 2 points, which
+    no other element's down-set reads.
     complete=True, which `space_complex` asks for, needs every row: a pass
     it starts builds them all directly, and a cached pass that deferred
     some is replaced by a second walk that builds them all; a walk that
@@ -312,17 +319,36 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                     # the exact sequence of (U.x, U.x - {w}) with H~(U.x) = 0
                     not_admissible += [(w, x) for w in lower if cone[w]]
                 continue
-            if graded and p == 1 and len(lower) == 2:
-                # U.x is two points, a 0-sphere: their difference, gauged
-                # to +1 on the smaller name
-                a, b = lower
-                eps[x] = {a: 1, b: -1} if rank[a] < rank[b] else {a: -1, b: 1}
-                reach[x], cone[x] = below, sphere[1]
+            if graded and p == 1:
+                if len(lower) == 2:
+                    # U.x is two points, a 0-sphere: their difference, gauged
+                    # to +1 on the smaller name
+                    a, b = lower
+                    eps[x] = {a: 1, b: -1} if rank[a] < rank[b] else {a: -1, b: 1}
+                    reach[x], cone[x] = below, sphere[1]
+                    continue
+                # U.x is k > 2 points, H~_0 = Z^(k-1): the reducer would pair
+                # the first with the augmentation and leave the other k - 1,
+                # each included as itself less the first, with no differential
+                first, *rest = sorted(lower)
+                if defer and not upper_covers[x]:
+                    # no down-set reads x's rows
+                    deferred.append(x)
+                else:
+                    eps[x] = cells = [(x, 1, j) for j in range(len(rest))]
+                    for cell, v in zip(cells, rest):
+                        eps[cell] = {v: 1, first: -1}
+                here = not_cellular[x] = ((0, (len(rest), ())),)
+                if here not in texts:
+                    texts[here] = f"strict down-set has {HomologySummary({0: len(rest)})}"
+                cone[x] = ((1, (len(rest), ())),)
+                # the cone of each lower cover is a 0-sphere, not H~(U.x)
+                not_admissible += [(w, x) for w in lower]
                 continue
             over_cellular = not_cellular.keys().isdisjoint(below)
             members, key, generator, summary = below, None, None, None
-            # in degree 1 only two points are a sphere, which the branch above took
-            if graded and over_cellular and p > 1:
+            # every graded x of degree 1 took a branch above
+            if graded and over_cellular:
                 members, key, order, top = _sphere_key(eps, starts, rank, below, p)
                 if key is not None:
                     row = gauged.get((key, order))

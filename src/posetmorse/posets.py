@@ -417,22 +417,6 @@ def _name_core(elements: tuple[str, ...], covers: Iterable[tuple[str, str]]) -> 
     return _Core(*_height_ids(lower))
 
 
-def _topological_order(n: int, lower: Sequence[Sequence[int]],
-                       upper: Sequence[Sequence[int]]) -> list[int]:
-    """The ints 0..n-1, each after everything in its `lower` list (Kahn's
-    algorithm); a cycle raises CycleDetected."""
-    pending = [len(lows) for lows in lower]
-    queue = [e for e in range(n) if not pending[e]]
-    for e in queue:
-        for x in upper[e]:
-            pending[x] -= 1
-            if not pending[x]:
-                queue.append(x)
-    if len(queue) != n:
-        raise CycleDetected("cover relation contains a cycle")
-    return queue
-
-
 def _strictly_below(lower: Sequence[Iterable[int]]) -> list[frozenset[int]]:
     """The transitive closure of `lower`, given by ids, read counting up:
     ids run in height order, so that is a topological order."""
@@ -461,22 +445,31 @@ def _cover_reduction(under: Sequence[AbstractSet[int]],
 def _height_ids(lower: Sequence[Iterable[int]]) -> tuple[list[int] | None, list[int],
                                                           list[set[int]]]:
     """The one walk over a relation given by declared index, `lower[j]`
-    holding what lies under element j: the heights along it, and the ids in
-    (height, declared index) order.  Returns each id's declared index (None
-    when that is the id), the heights by id and `lower` relabelled to ids."""
+    holding what lies under element j: a topological walk (Kahn's
+    algorithm) that raises each element's height past that of each element
+    under it as the queue pops that one, its height then final, and the ids
+    in (height, declared index) order.  Returns each id's declared index
+    (None when that is the id), the heights by id and `lower` relabelled to
+    ids; a cycle raises CycleDetected."""
     n = len(lower)
     upper: list[list[int]] = [[] for _ in range(n)]
     for x, lows in enumerate(lower):
         for w in lows:
             upper[w].append(x)
+    pending = [len(lows) for lows in lower]
     height = [0] * n
-    for x in _topological_order(n, lower, upper):
-        if lower[x]:
-            height[x] = 1 + max([height[w] for w in lower[x]])
-    levels: list[list[int]] = [[] for _ in range(max(height, default=-1) + 1)]
-    for j, h in enumerate(height):
-        levels[h].append(j)
-    declared = [j for level in levels for j in level]
+    queue = [e for e in range(n) if not pending[e]]
+    for e in queue:
+        up = height[e] + 1
+        for x in upper[e]:
+            if height[x] < up:
+                height[x] = up
+            pending[x] -= 1
+            if not pending[x]:
+                queue.append(x)
+    if len(queue) != n:
+        raise CycleDetected("cover relation contains a cycle")
+    declared = sorted(range(n), key=height.__getitem__)
     ident = [0] * n
     for i, j in enumerate(declared):
         ident[j] = i

@@ -1143,6 +1143,13 @@ def named_rows(poset: Poset, rows: dict) -> dict:
             else {_named(names, w): e for w, e in row.items()} for c, row in rows.items()}
 
 
+def plain_rows(rows: dict) -> dict:
+    """Rows as plain data, each dict as its list of items, so that equal
+    rows have their entries in the same order too: entry order sets the
+    pivots of every later down-set."""
+    return {c: list(row.items()) if isinstance(row, dict) else row for c, row in rows.items()}
+
+
 def sphere_memo_pairs(poset: Poset, rows: dict) -> dict[int, tuple]:
     """The ids whose strict down-set the cellularity pass keys in its
     sphere memo, each with its (key, name order), from the pass's final

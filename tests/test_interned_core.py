@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from posetmorse import Poset, build_poset, face_poset
+from posetmorse.errors import CycleDetected
 from posetmorse.formats import load_complex, load_poset, serialize_poset
+from posetmorse.posets import _height_ids
 from posetmorse.randgen import XorShift64Star, random_simplicial_complex
 
 from helpers import (
@@ -122,6 +124,46 @@ def test_random_relations_with_duplicate_and_implied_pairs():
         oracle, expected = name_keyed_load_poset(text)
         assert_same(poset, oracle)
         assert reduced == expected
+
+
+def _longest_chains(lower: list[list[int]]) -> tuple[list[int] | None, list[int],
+                                                     list[set[int]]]:
+    """`_height_ids` by the definition: each height the length of the
+    longest chain under the element, by recursion, and the ids sorted by
+    (height, declared index)."""
+    height: dict[int, int] = {}
+
+    def h(j: int) -> int:
+        if j not in height:
+            height[j] = 1 + max(map(h, lower[j])) if lower[j] else 0
+        return height[j]
+
+    declared = sorted(range(len(lower)), key=lambda j: (h(j), j))
+    ident = {j: i for i, j in enumerate(declared)}
+    under = [{ident[w] for w in lower[j]} for j in declared]
+    heights = [h(j) for j in declared]
+    return (None if declared == list(range(len(lower))) else declared), heights, under
+
+
+def test_the_one_walk_gives_the_heights_and_ids_of_the_definition():
+    rng = XorShift64Star(2031)
+    for trial in range(200):
+        size = rng.randint(1, 16)
+        # a hidden linear extension, so that declared order is not one
+        extension = rng.shuffle(list(range(size)))
+        lower: list[list[int]] = [[] for _ in range(size)]
+        for b in range(size):
+            lows = lower[extension[b]]
+            lows += [extension[a] for a in range(b) if rng.chance(1, rng.randint(2, 5))]
+            if lows and rng.chance(1, 2):  # a duplicate pair
+                lows.append(rng.choice(lows))
+        assert _height_ids(lower) == _longest_chains(lower), trial
+        if any(lower):
+            # a pair back from an element to one under it closes a cycle
+            top = next(j for j in range(size) if lower[j])
+            lower[lower[top][0]].append(top)
+            with pytest.raises(CycleDetected, match="^cover relation contains a cycle$"):
+                _height_ids(lower)
 
 
 def test_equality_follows_the_names():

@@ -55,6 +55,7 @@ from helpers import (
     eager_morse_reduction,
     levelled_poset,
     named_rows,
+    plain_rows,
     reference_cellular_pass,
     scrambled_complex,
     sphere_memo_pairs,
@@ -215,10 +216,6 @@ def sample_posets():
         yield "ungraded", ungraded_poset(rng, rng.randint(5, 11))
 
 
-def _plain(rows):
-    return {x: list(row.items()) if isinstance(row, dict) else row for x, row in rows.items()}
-
-
 def _steps_reach(rows, x: int) -> set[int]:
     """The ids below x along covers of nonzero incidence."""
     seen, stack = set(), [x]
@@ -276,18 +273,22 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
     for name in ("_cells", "_minimal_reducer", "_cone_cells", "_gauge_sign"):
         spy(name)
     seen = set()
-    branches = {"contractible": 0, "0-sphere": 0, "gauged-row hit": 0, "generator hit": 0,
-                "mapping cone": 0, "deferred sphere": 0, "deferred mapping cone": 0}
+    branches = {"contractible": 0, "0-sphere": 0, "discrete points": 0, "gauged-row hit": 0,
+                "generator hit": 0, "mapping cone": 0, "deferred sphere": 0,
+                "deferred mapping cone": 0, "deferred discrete points": 0}
     for name, poset in sample_posets():
         expected_report, expected_rows = reference_cellular_pass(poset)
-        walked, down = [], poset._reach()
+        walked, discrete, down = [], set(), poset._reach()
         for x, lower in enumerate(poset._lower):
             if len(lower) == 1:
                 branches["contractible"] += 1
             elif len(lower) == 2 and poset.is_graded() and poset._height[x] == 1:
                 branches["0-sphere"] += 1
+            elif lower and poset.is_graded() and poset._height[x] == 1:
+                discrete.add(x)
             elif lower:
                 walked.append(x)
+        branches["discrete points"] += len(discrete)
         # a pass that `space_complex` starts builds every row; one that
         # `check_cellularity` starts defers those of maximal elements
         # without a memo key, on graded posets, until `space_complex`
@@ -301,7 +302,7 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             if defer:
                 assert all(x not in id_rows for x in postponed), name
                 # the rows it built are the reference's
-                assert _plain(named_rows(poset, id_rows)) == _plain(
+                assert plain_rows(named_rows(poset, id_rows)) == plain_rows(
                     {c: row for c, row in expected_rows.items()
                      if poset._id[c if isinstance(c, str) else c[0]] not in postponed}), name
                 poset.analysis_cache["cellularity"] = report, id_rows, deferred
@@ -312,22 +313,26 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
                 direct = _listings(walk)
             seen.add(name)
             # the pass keys its rows by id
-            assert _plain(named_rows(poset, id_rows)) == _plain(expected_rows), name
+            assert plain_rows(named_rows(poset, id_rows)) == plain_rows(expected_rows), name
             keyed, gauged, hits = _memo_keys(poset, id_rows, walked)
-            assert postponed == [x for x in walked if defer and poset.is_graded()
-                                 and not poset._upper[x] and x not in keyed], name
+            # degree-1 elements over k > 2 points are deferred where maximal too
+            assert postponed == [x for x in sorted(discrete.union(walked)) if defer
+                                 and poset.is_graded() and not poset._upper[x]
+                                 and x not in keyed], name
+            excising = [x for x in postponed if x not in discrete]
             # every reduction lists its down-set's cells just before; a
             # deferred element lists U.x - U_w, w a lower cover with the
             # largest down-set, and reduces nothing; every other listing is a
-            # punctured down-set: a shortcut and both kinds of memo hit list nothing
+            # punctured down-set: a shortcut, the discrete points and both kinds
+            # of memo hit list nothing
             listed = _listings(walk)
             reduced = [members for members, _, reduces in listed if reduces]
             assert len(reduced) == sum(fn == "_minimal_reducer" for fn, _, _ in walk), name
             assert Counter(reduced) == Counter(
                 down[x] for x in walked if x not in gauged | hits and x not in postponed), name
             excised = [members for members, augmented, _ in listed if not augmented]
-            assert len(excised) == len(postponed), name
-            for x, members in zip(postponed, excised):
+            assert len(excised) == len(excising), name
+            for x, members in zip(excising, excised):
                 largest = max(len(down[w]) for w in poset._lower[x])
                 assert any(members == down[x] - down[w] - {w} for w in poset._lower[x]
                            if len(down[w]) == largest), (name, x)
@@ -345,7 +350,8 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             branches["generator hit"] += len(hits)
             branches["mapping cone"] += sum(fn == "_cone_cells" for fn, _, _ in walk)
             for x in postponed:
-                branches["deferred sphere" if isinstance(id_rows[x], dict)
+                branches["deferred discrete points" if x in discrete
+                         else "deferred sphere" if isinstance(id_rows[x], dict)
                          else "deferred mapping cone"] += 1
     assert {"cellular", "non-cellular", "levelled", "ungraded", "sd2 RP^2", "rand-like",
             "boundary of the 5-simplex"} <= seen

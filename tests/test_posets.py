@@ -225,7 +225,7 @@ def test_induced_covers_match_the_comprehension():
     (lambda: face_poset(load_complex("a b c\nc d\n")), 0),
 ], ids=["loaded", "face"])
 def test_one_walk_and_one_closure_per_poset(load, walks, monkeypatch):
-    calls = {"_topological_order": 0, "_strictly_below": 0}
+    calls = {"_height_ids": 0, "_strictly_below": 0}
     for name in calls:
         def counted(*args, _inner=getattr(posets, name), _name=name):
             calls[_name] += 1
@@ -235,7 +235,7 @@ def test_one_walk_and_one_closure_per_poset(load, walks, monkeypatch):
     poset.heights()
     for x in poset.elements:
         poset.strictly_below(x)
-    assert calls == {"_topological_order": walks, "_strictly_below": 1}
+    assert calls == {"_height_ids": walks, "_strictly_below": 1}
 
 
 def test_graded_cover_degree_gap(t3):
