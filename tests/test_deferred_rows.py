@@ -21,7 +21,14 @@ from pathlib import Path
 import pytest
 
 from posetmorse import Poset, check_cellularity, face_poset, poset_homology, subdivision
-from posetmorse.cellular import _cells, _walked, is_admissible, require_admissible, space_complex
+from posetmorse.cellular import (
+    _cells,
+    _degree_induction,
+    _walked,
+    is_admissible,
+    require_admissible,
+    space_complex,
+)
 from posetmorse.errors import InconsistentIncidence, NotAdmissible
 from posetmorse.formats import load_complex, load_poset, poset_text_lines, serialize_matching
 from posetmorse.homology import _homology
@@ -90,6 +97,22 @@ def test_a_cell_over_a_non_cellular_element_keeps_its_verdict():
     assert space.labels == {0: ("a", "b"), 1: ("c", "d"), 2: ("x",)}
     assert space.columns == {1: [{0: 1, 1: -1}, {0: 1, 1: -1}], 2: [{0: -1, 1: 1}]}
     assert _walked(poset)[1][x] == {poset._id["c"]: -1, poset._id["d"]: 1}
+
+
+def test_the_non_cellular_fixture_reaches_every_verdict_branch():
+    # the goldens of this fixture pin its witness texts
+    poset = load_poset((DATA / "noncellular_rp2_poset.txt").read_text())[0]
+    report, rows, deferred = _degree_induction(poset, defer=True)
+    assert {e: text for kind, e, text in report.witnesses if kind == "not-cellular"} == {
+        "rp2": "strict down-set has H_1=Z/2", "fork": "strict down-set has H_0=Z^2",
+        "gap": "strict down-set has H_0=Z", "tip": "strict down-set has trivial"}
+    rp2, fork, gap, tip = map(poset._id.__getitem__, ("rp2", "fork", "gap", "tip"))
+    # rp2, maximal over the cells of RP^2, is decided by excision, and fork,
+    # maximal over three points, needs no rows: both are deferred
+    assert sorted(deferred) == sorted((rp2, fork))
+    # gap is not maximal, so it owns the mapping-cone cells over its model,
+    # and tip, a cone, owns none
+    assert poset._upper[gap] and rows[gap] == [(gap, 1, 0)] and rows[tip] == []
 
 
 def twin_posets():

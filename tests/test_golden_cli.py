@@ -38,6 +38,9 @@ SPACES = {
     "mobius_twins": ["--input", "data/mobius_twins_poset.txt", "--kind", "poset"],
     "pendant_twins_capped": ["--input", "data/pendant_twins_capped_poset.txt",
                              "--kind", "poset"],
+    # not cellular: a cone, a degree-1 element over three points, a torsion
+    # down-set decided by excision and a non-maximal element's mapping cone
+    "noncellular_rp2": ["--input", "data/noncellular_rp2_poset.txt", "--kind", "poset"],
 }
 MATCHINGS = {
     "t3_m1": ("t3", "data/t3_matching_m1.txt"),
