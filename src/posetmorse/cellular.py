@@ -37,32 +37,30 @@ the walk before the check, in the reducer or the model; the same check
 then runs on the rows so far.
 
 On face posets and subdivisions every element of a degree hands the
-reducer the same local complex, so the pass reduces each distinct
-sphere complex once: its generator, in local indices, is stored under
-the whole input of the sphere decision, and a later down-set with that
-key maps it onto its own cells.  A key is built only where it can hit:
-on a graded poset, in degree 2 and up (in degree 1 only two points are
-a sphere), over cellular elements only, and where the reduced Euler
-characteristic is (-1)^(p-1), as on every homology (p-1)-sphere.  It is
-read off the rows (`_sphere_key`): U.x is sorted once, each degree's
-run of sorted ids is its cells in `_cells` order, found from the level
-starts, the first id of each degree, taken once per pass, and the key is
-p, where each run starts, and each member's row in local indices, its
-place among the sorted ids, zero entries kept.  p is in the key because
-the verdict reads it.  The cells of U.x are listed only on a miss.  The
-gauge reads the reach of the members of U.x, which their rows fix, their
-degrees, which the run starts fix, x's row, which the generator fixes,
-and the order of their names: so x's gauged row is stored too, under
-the key and the local order of U.x by name, where every entry is +-1
-and the steps reach all of U.x.  A later down-set with both takes it
-with no gauge walk, at the cost of the key, one lookup, the row and the
-reach, which is U.x: every lower cover is a step and admissible, and
-cone(x) is that of a sphere.  A new name order, or a row that was not
-stored, as one with a 0 or +-2 entry, costs a gauge walk on the stored
-generator, not a reduction, and the steps, the reach and the
-admissibility test are read off the row, as is the mapping-cone branch.
-The models of other down-sets are freed per element, as they would pin
-far more memory.
+reducer the same local complex, and the pass keeps one memo: the gauged
+row of x, in local indices, under the whole input of the sphere decision
+and the gauge.  A key is built only where it can hit: on a graded poset,
+in degree 2 and up (in degree 1 only two points are a sphere), over
+cellular elements only, and where the reduced Euler characteristic is
+(-1)^(p-1), as on every homology (p-1)-sphere.  It is read off the rows
+(`_sphere_key`): U.x is sorted once, each degree's run of sorted ids is
+its cells in `_cells` order, found from the level starts, the first id
+of each degree, taken once per pass, and the key is p, where each run
+starts, and each member's row in local indices, its place among the
+sorted ids, zero entries kept.  p is in the key because the verdict
+reads it.  The gauge reads the reach of the members of U.x, which their
+rows fix, their degrees, which the run starts fix, x's row, which the
+reduction of that complex fixes, and the order of their names: so x's
+gauged row is stored under the key and the local order of U.x by name,
+where every entry is +-1 and the steps reach all of U.x.  A later
+down-set with both takes it with no reduction and no gauge walk, at the
+cost of the key, one lookup, the row and the reach, which is U.x: every
+lower cover is a step and admissible, and cone(x) is that of a sphere.
+Any other keyed down-set, with a new name order or a row that was not
+stored, as one with a 0 or +-2 entry, is reduced and gauged, and its
+steps, its reach and the admissibility test are read off the row.  The
+models of other down-sets are freed per element, as they would pin far
+more memory.
 
 w is maximal in U.x, so by excision (U.x, U.x - {w}) has the homology
 of (U_w, U.w), H~(U.w) one degree up.  Where x and all of U.x are
@@ -76,19 +74,24 @@ walk over the sorted names, has a positive coefficient,
 (-1)^(names before w) * eps(x, w) times the coefficient of the rest of
 the flag in w's generator, w its top element.
 
-A maximal x without a memo key, over a non-cellular element or with an
+A maximal x without a key, over a non-cellular element or with an
 Euler characteristic no sphere has, is decided by excision too: the
 down-set U_w of the lower cover w with the largest down-set has the
 maximum w, so it is a cone, and the exact sequence of the pair (U.x,
 U_w) gives H~(U.x) = H(U.x, U_w), read off the cells of U.x - U_w alone.
 x is its own cell exactly when that is Z in degree p-1 and nothing
-else, and its witness text and its covers' admissibility follow as
-above.  No down-set reads the rows of x, so a pass that
-`check_cellularity` starts defers them (`_walked`), as it does those of
-a maximal x of degree 1 over k > 2 points, whose verdict needs no rows.
-`space_complex` needs them: a pass it starts builds every row directly,
-and where the cached pass deferred rows it walks again, building and
-checking every row, and replaces the cached pass.
+else, and its covers' admissibility follows as above.  No down-set
+reads the rows of x, so a pass that `check_cellularity` starts defers
+them (`_walked`), as it does those of a maximal x of degree 1 over
+k > 2 points, whose verdict needs no rows.  `space_complex` needs them:
+a pass it starts builds every row directly, and where the cached pass
+deferred rows it walks again, building and checking every row, and
+replaces the cached pass.
+
+Every x but a point, a 0-sphere and a sphere's own cell over cellular
+elements goes through one tail, which records H~(U.x), cone(x), whether
+x is cellular and the exact-sequence admissibility of its covers; each
+distinct witness text is worded once, after the walk.
 
 `matching` reads only the verdict, whether the poset is admissible
 (`is_admissible`).  Its walk stops at the first failure, a non-cellular
@@ -269,6 +272,8 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                       ) -> tuple[CellularityReport | None, Rows, list[int]] | None:
     """The pass, on the poset's ids: the report, in names, the rows, keyed
     by ids, and the maximal elements whose rows it deferred (defer=True).
+    A keyed down-set takes its gauged row from the memo or is reduced and
+    gauged; every other verdict is recorded in one tail.
     With stop=True the walk ends at its first failure, a non-cellular
     element or a cover that is not admissible, checks the rows it built
     and returns None: what follows cannot make the poset admissible."""
@@ -289,17 +294,16 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
     # reach[x]: the elements below x along covers of nonzero incidence, on
     # the cellular x over cellular elements only, which take the gauge
     reach: dict[int, frozenset[int]] = {}
-    # H(U_x, U.x), the nontrivial degrees of H~(U.x) one degree up
-    cone: dict[int, tuple] = {}
-    # the nontrivial degrees of H~(U.x) of each non-cellular x, and the
-    # witness text of each distinct one, formatted once
+    # H(U_x, U.x), the nontrivial degrees of H~(U.x) one degree up, by id;
+    # each distinct value, as each H~(U.x) the verdict reads, is one object
+    # in `interned`, so that the exact-sequence test compares by identity
+    cone: list[tuple | None] = [None] * len(names)
+    interned = {s: s for s in sphere}
+    # the nontrivial degrees of H~(U.x) of each non-cellular x
     not_cellular: dict[int, tuple] = {}
-    texts: dict[tuple, str] = {(): f"strict down-set has {HomologySummary()}"}
     not_admissible: list[tuple[int, int]] = []
-    # the generator, in local indices, of each sphere complex reduced so far,
-    # and the gauged row of each (sphere complex, local name order) so far
-    # whose entries are all +-1 and whose steps reach all of U.x
-    spheres: dict[tuple, tuple[int, ...]] = {}
+    # the gauged row of each (sphere complex, local name order) so far whose
+    # entries are all +-1 and whose steps reach all of U.x
     gauged: dict[tuple, tuple[int, ...]] = {}
     walked = len(names)
     try:
@@ -311,15 +315,11 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
             if p == 0:
                 eps[x], reach[x], cone[x] = {}, below, sphere[0]
                 continue
+            # found: the nontrivial degrees of H~(U.x), which the verdict reads
             if len(lower) == 1:
                 # U.x has a maximum, so it is a cone: its model has no cells
-                eps[x] = []
-                if graded:
-                    not_cellular[x] = cone[x] = ()
-                    # the exact sequence of (U.x, U.x - {w}) with H~(U.x) = 0
-                    not_admissible += [(w, x) for w in lower if cone[w]]
-                continue
-            if graded and p == 1:
+                eps[x], found = [], ()
+            elif graded and p == 1:
                 if len(lower) == 2:
                     # U.x is two points, a 0-sphere: their difference, gauged
                     # to +1 on the smaller name
@@ -338,77 +338,67 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
                     eps[x] = cells = [(x, 1, j) for j in range(len(rest))]
                     for cell, v in zip(cells, rest):
                         eps[cell] = {v: 1, first: -1}
-                here = not_cellular[x] = ((0, (len(rest), ())),)
-                if here not in texts:
-                    texts[here] = f"strict down-set has {HomologySummary({0: len(rest)})}"
-                cone[x] = ((1, (len(rest), ())),)
-                # the cone of each lower cover is a 0-sphere, not H~(U.x)
-                not_admissible += [(w, x) for w in lower]
-                continue
-            over_cellular = not_cellular.keys().isdisjoint(below)
-            members, key, generator, summary = below, None, None, None
-            # every graded x of degree 1 took a branch above
-            if graded and over_cellular:
-                members, key, order, top = _sphere_key(eps, starts, rank, below, p)
-                if key is not None:
-                    row = gauged.get((key, order))
-                    if row is not None:
+                found = ((0, (len(rest), ())),)
+            else:
+                # every graded x of degree 1 took a branch above
+                members, key = below, None
+                if graded and not_cellular.keys().isdisjoint(below):
+                    members, key, order, top = _sphere_key(eps, starts, rank, below, p)
+                    row = key and gauged.get((key, order))
+                    if row:
                         # every lower cover is a step of incidence +-1, so
                         # admissible, and the steps reach all of U.x
                         eps[x], reach[x], cone[x] = dict(zip(top, row)), below, sphere[p]
                         continue
-                    generator = spheres.get(key)
-            if key is None and defer and graded and not upper_covers[x]:
-                # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
-                deferred.append(x)
-                w = max(lower, key=lambda v: len(down[v]))
-                summary = _homology(*_cells(eps, degrees, below - down[w] - {w})[:2])
-                found = tuple(summary.nontrivial().items())
-                if found == sphere[p - 1]:
-                    summary = None
-            elif generator is None:
-                ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
-                reducer = _minimal_reducer(ranks, columns)
-                live = reducer.survivors()
-                if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
-                    # the one cell's inclusion: a generator of the top cycles of U.x
-                    (cycle,) = reducer.inclusions(p - 1, live[p - 1])
-                    generator = tuple(cycle.get(i, 0) for i in range(ranks[p - 1]))
-                    top = labels[p - 1]
-                    if key is not None:
-                        spheres[key] = generator
+                if key is None and defer and graded and not upper_covers[x]:
+                    # no down-set reads x's rows: H~(U.x) = H(U.x, U_w), U_w a cone
+                    deferred.append(x)
+                    w = max(lower, key=lambda v: len(down[v]))
+                    found = tuple(_homology(*_cells(eps, degrees, below - down[w] - {w})[:2])
+                                  .nontrivial().items())
                 else:
-                    eps[x], model = _cone_cells(x, labels, reducer, live, eps)
-                    if not graded:
-                        continue
-                    # a model with no differential is its own homology
-                    summary = (_homology(*model) if any(map(any, model[1].values()))
-                               else HomologySummary(model[0]))
-                    found = tuple(summary.nontrivial().items())
-            if generator is not None:
-                eps[x] = dict(zip(top, generator))
-            if summary is None:
-                here, cone[x] = sphere[p - 1], sphere[p]
-            else:
-                here = not_cellular[x] = found
-                if here not in texts:
-                    texts[here] = f"strict down-set has {summary}"
-                cone[x] = tuple((k + 1, group) for k, group in here)
-            if x in not_cellular or not over_cellular:
-                # the exact sequence of (U.x, U.x - {w}), as the module docstring says;
-                # x has another lower cover, so U.x - {w} keeps a cell in degree 0
-                not_admissible += [
-                    (w, x) for w in lower if cone[w] != here or here and not _homology(
-                        *_cells(eps, degrees, below - {w}, reduced=True)[:2]).is_trivial()]
+                    ranks, columns, labels = _cells(eps, degrees, members, reduced=True)
+                    reducer = _minimal_reducer(ranks, columns)
+                    live = reducer.survivors()
+                    if graded and live.keys() == {p - 1} and len(live[p - 1]) == 1:
+                        # the one cell's inclusion: a generator of the top cycles of U.x
+                        (cycle,) = reducer.inclusions(p - 1, live[p - 1])
+                        eps[x] = {w: cycle.get(i, 0) for i, w in enumerate(labels[p - 1])}
+                        found = sphere[p - 1]
+                    else:
+                        eps[x], model = _cone_cells(x, labels, reducer, live, eps)
+                        if not graded:
+                            continue
+                        # a model with no differential is its own homology
+                        summary = (_homology(*model) if any(map(any, model[1].values()))
+                                   else HomologySummary(model[0]))
+                        found = tuple(summary.nontrivial().items())
+                if key is not None and found == sphere[p - 1]:
+                    # x is its own cell over cellular ones: its row takes the gauge
+                    steps = [w for w in lower if eps[x][w]]
+                    reach[x] = frozenset(steps).union(*(reach[w] for w in steps))
+                    cone[x] = sphere[p]
+                    non_unit = [(w, x) for w in lower if abs(eps[x][w]) != 1]
+                    not_admissible += non_unit
+                    if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
+                        eps[x] = {w: -e for w, e in eps[x].items()}
+                    if not non_unit and len(reach[x]) == len(below):
+                        gauged[key, order] = tuple(eps[x].values())
+                    continue
+            if not graded:
                 continue
-            steps = [w for w in lower if eps[x][w]]
-            reach[x] = frozenset(steps).union(*(reach[w] for w in steps))
-            non_unit = [(w, x) for w in lower if abs(eps[x][w]) != 1]
-            not_admissible += non_unit
-            if _gauge_sign(x, p, eps, reach, degrees, rank, names) < 0:
-                eps[x] = {w: -e for w, e in eps[x].items()}
-            if key is not None and not non_unit and len(reach[x]) == len(below):
-                gauged[key, order] = tuple(eps[x].values())
+            # the verdict of every other x, the one place it is recorded: a
+            # sphere over a non-cellular element is a cell, anything else is not
+            found = interned.setdefault(found, found)
+            if found is not sphere[p - 1]:
+                not_cellular[x] = found
+            shifted = tuple((k + 1, group) for k, group in found)
+            cone[x] = interned.setdefault(shifted, shifted)
+            # the exact sequence of (U.x, U.x - {w}), as the module docstring says;
+            # where it reduces, x has another lower cover, so U.x - {w} keeps a point
+            not_admissible += [
+                (w, x) for w in lower if cone[w] is not found or found and not _homology(
+                    *_cells(eps, degrees, below - {w}, reduced=True)[:2]).is_trivial()]
     except Exception:
         # a bad row that a later down-set read can stop the walk first: the
         # check on the rows so far names it, or the walk's own error stands
@@ -422,7 +412,11 @@ def _degree_induction(poset: Poset, defer: bool = False, stop: bool = False
         return None
     if not graded:
         return None, eps, deferred
-    witnesses = [("not-cellular", names[x], texts[not_cellular[x]])
+    # each distinct H~(U.x) worded once
+    wording = {found: "strict down-set has " + str(HomologySummary(
+        {k: b for k, (b, _) in found}, {k: t for k, (_, t) in found}))
+        for found in set(not_cellular.values())}
+    witnesses = [("not-cellular", names[x], wording[not_cellular[x]])
                  for x in poset._by_declared(not_cellular)]
     witnesses += [("not-admissible", f"{w}<{x}", "punctured down-set is not acyclic")
                   for w, x in sorted((names[w], names[x]) for w, x in not_admissible)]
@@ -459,8 +453,9 @@ def _cone_cells(x: int, labels: dict[int, tuple], reducer: _Reducer, live: dict[
 def _sphere_key(eps: Rows, starts: Sequence[int], rank: Sequence[int], below: frozenset[int],
                 p: int) -> tuple[list[int], tuple | None, tuple[int, ...], list[int]]:
     """The ids of U.x, sorted, for an x of degree p over cellular elements,
-    its memo key, its members in name `rank` order as local indices
-    (their places among the sorted ids), and its cells in degree p-1.
+    its key in the gauged-row memo, its members in name `rank` order as
+    local indices (their places among the sorted ids), and its cells in
+    degree p-1.
     `starts` holds the level starts, the first id of each degree, which
     the pass takes once: ids run in height order, so each degree's run of
     sorted ids begins where its level start falls among them.  Each member
@@ -468,9 +463,10 @@ def _sphere_key(eps: Rows, starts: Sequence[int], rank: Sequence[int], below: fr
     p, where each run starts and each member's row in local indices, is
     the input of the sphere decision; with the order it is the input of
     the gauge too, which reads those rows and compares those names.  A
-    zero entry is no boundary, so a key that keeps it is only finer.  The
-    key is None unless the reduced Euler characteristic is (-1)^(p-1), as
-    on every homology (p-1)-sphere."""
+    zero entry is no boundary, so a key that keeps it is only finer, as
+    is one that reads each degree's ids in declared order.  The key is
+    None unless the reduced Euler characteristic is (-1)^(p-1), as on
+    every homology (p-1)-sphere."""
     members = sorted(below)
     cuts = [bisect_left(members, start) for start in starts[:p + 1]]
     # the cells in each degree: the Euler characteristic, one more than

@@ -34,15 +34,18 @@ with the library, and the name-keyed matched digraph and its Tarjan
 (`name_keyed_dynamics`), which read the basic sets, orbits, integrated
 values and rejected arcs off names in declared order.
 `sphere_memo_pairs` reads which down-sets the pass may key in its
-sphere memo, and under what, off `_cells` and names, not off the
-library's key.
+gauged-row memo, and under what, off `_cells` and names, not off the
+library's key.  `bruhat_poset` reads the poset text that
+`scripts/bruhat.py` writes.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
 from posetmorse import (
@@ -87,7 +90,7 @@ from posetmorse.errors import (
     NotMorseMatching,
     UnknownElement,
 )
-from posetmorse.formats import _poset_document
+from posetmorse.formats import _poset_document, load_poset
 from posetmorse.homology import Reduction, sphere_summary
 from posetmorse.morse import (
     AttachmentReport,
@@ -771,6 +774,18 @@ def whiskered_disk() -> Poset:
                   ("c", "x"), ("d", "x"), ("t", "x")])
 
 
+BRUHAT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bruhat.py"
+_spec = importlib.util.spec_from_file_location("bruhat", BRUHAT_SCRIPT)
+bruhat = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bruhat)
+
+
+def bruhat_poset(n: int) -> Poset:
+    """The Bruhat order of S_n without e and w0, read from the text that
+    `scripts/bruhat.py n` writes."""
+    return load_poset("".join(bruhat.bruhat_lines(n)))[0]
+
+
 def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
     """A random order on `size` elements: i < j with chance 1/4 for i < j."""
     elements = [f"u{i}" for i in range(size)]
@@ -1152,7 +1167,7 @@ def plain_rows(rows: dict) -> dict:
 
 def sphere_memo_pairs(poset: Poset, rows: dict) -> dict[int, tuple]:
     """The ids whose strict down-set the cellularity pass keys in its
-    sphere memo, each with its (key, name order), from the pass's final
+    gauged-row memo, each with its (key, name order), from the pass's final
     rows, keyed by ids (each row is final once its element is walked): on
     a graded poset, an x of degree p >= 1 with two lower covers or more,
     not two points, over cellular elements only, whose reduced Euler

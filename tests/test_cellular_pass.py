@@ -301,9 +301,9 @@ def test_rows_not_all_units_or_short_of_the_down_set_keep_the_full_path(monkeypa
                                                                        twins, face):
     # the first twin's gauged row has entries that are not all +-1 or steps
     # that do not reach all of the down-set, so it is not stored: the second
-    # twin takes the stored sphere generator and walks the gauge, and its
-    # steps, reach and the admissibility of its covers are read off its row,
-    # as the reference pass reads them
+    # twin is reduced and walks the gauge, and its steps, reach and the
+    # admissibility of its covers are read off its row, as the reference
+    # pass reads them
     import sys
 
     cellular = sys.modules["posetmorse.cellular"]

@@ -1,6 +1,6 @@
 """Maximal elements decided by excision, their rows built on demand.
 
-A maximal x that reaches the reduction without a sphere-memo key (over a
+A maximal x that reaches the reduction without a memo key (over a
 non-cellular element, or with an Euler characteristic no sphere has) is
 decided without its cells: U_w, w the lower cover with the largest
 down-set, has a maximum, so it is a contractible cone (Stong, Trans. AMS

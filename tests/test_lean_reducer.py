@@ -227,26 +227,22 @@ def _steps_reach(rows, x: int) -> set[int]:
     return seen
 
 
-def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int], set[int]]:
+def _memo_keys(poset, rows, walked: list[int]) -> tuple[set[int], set[int]]:
     """The walked ids whose down-set has a memo key (`sphere_memo_pairs`),
-    those of them that take a stored gauged row, whose key and name order
-    an earlier cellular element had whose row is all +-1 and whose steps
-    reach all of its down-set, and those that take a stored sphere
-    generator, whose key alone an earlier cellular element had."""
+    and those of them that take a stored gauged row, whose key and name
+    order an earlier cellular element had whose row is all +-1 and whose
+    steps reach all of its down-set."""
     pairs, down = sphere_memo_pairs(poset, rows), poset._reach()
-    gauged, hits, spheres, signed = set(), set(), set(), set()
+    gauged, signed = set(), set()
     for x in walked:
         if x not in pairs:
             continue
         if pairs[x] in signed:
             gauged.add(x)
-        elif pairs[x][0] in spheres:
-            hits.add(x)
-        if isinstance(rows[x], dict):
-            spheres.add(pairs[x][0])
-            if {abs(e) for e in rows[x].values()} == {1} and _steps_reach(rows, x) == down[x]:
-                signed.add(pairs[x])
-    return pairs.keys() & set(walked), gauged, hits
+        elif isinstance(rows[x], dict) and {abs(e) for e in rows[x].values()} == {1} and (
+                _steps_reach(rows, x) == down[x]):
+            signed.add(pairs[x])
+    return pairs.keys() & set(walked), gauged
 
 
 def _listings(calls):
@@ -274,8 +270,8 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
         spy(name)
     seen = set()
     branches = {"contractible": 0, "0-sphere": 0, "discrete points": 0, "gauged-row hit": 0,
-                "generator hit": 0, "mapping cone": 0, "deferred sphere": 0,
-                "deferred mapping cone": 0, "deferred discrete points": 0}
+                "mapping cone": 0, "deferred sphere": 0, "deferred mapping cone": 0,
+                "deferred discrete points": 0}
     for name, poset in sample_posets():
         expected_report, expected_rows = reference_cellular_pass(poset)
         walked, discrete, down = [], set(), poset._reach()
@@ -314,7 +310,7 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             seen.add(name)
             # the pass keys its rows by id
             assert plain_rows(named_rows(poset, id_rows)) == plain_rows(expected_rows), name
-            keyed, gauged, hits = _memo_keys(poset, id_rows, walked)
+            keyed, gauged = _memo_keys(poset, id_rows, walked)
             # degree-1 elements over k > 2 points are deferred where maximal too
             assert postponed == [x for x in sorted(discrete.union(walked)) if defer
                                  and poset.is_graded() and not poset._upper[x]
@@ -323,13 +319,13 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             # every reduction lists its down-set's cells just before; a
             # deferred element lists U.x - U_w, w a lower cover with the
             # largest down-set, and reduces nothing; every other listing is a
-            # punctured down-set: a shortcut, the discrete points and both kinds
-            # of memo hit list nothing
+            # punctured down-set: a shortcut, the discrete points and a stored
+            # gauged row list nothing
             listed = _listings(walk)
             reduced = [members for members, _, reduces in listed if reduces]
             assert len(reduced) == sum(fn == "_minimal_reducer" for fn, _, _ in walk), name
             assert Counter(reduced) == Counter(
-                down[x] for x in walked if x not in gauged | hits and x not in postponed), name
+                down[x] for x in walked if x not in gauged and x not in postponed), name
             excised = [members for members, augmented, _ in listed if not augmented]
             assert len(excised) == len(excising), name
             for x, members in zip(excising, excised):
@@ -347,7 +343,6 @@ def test_pass_equals_the_per_down_set_reference(monkeypatch):
             # a second walk, where rows were deferred, lists what the direct walk lists
             assert _listings(calls) == (direct if postponed else []), name
             branches["gauged-row hit"] += len(gauged)
-            branches["generator hit"] += len(hits)
             branches["mapping cone"] += sum(fn == "_cone_cells" for fn, _, _ in walk)
             for x in postponed:
                 branches["deferred discrete points" if x in discrete
