@@ -37,10 +37,9 @@ def bruhat_lines(n: int) -> list[str]:
         for i in range(n):
             for j in range(i + 1, n):
                 if u[i] < u[j] and not any(u[i] < u[k] < u[j] for k in range(i + 1, j)):
-                    v = list(u)
-                    v[i], v[j] = u[j], u[i]
-                    if tuple(v) != top:
-                        lower.setdefault(tuple(v), []).append(u)
+                    v = (*u[:i], u[j], *u[i + 1:j], u[i], *u[j + 1:])
+                    if v != top:
+                        lower.setdefault(v, []).append(u)
     name = "".join
     return [f"{name(map(str, u))} < {name(map(str, v))}\n"
             for v in sorted(lower, key=lambda v: (length[v], v)) for u in sorted(lower[v])]
