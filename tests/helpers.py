@@ -36,17 +36,22 @@ values and rejected arcs off names in declared order.
 `sphere_memo_pairs` reads which down-sets the pass may key in its
 gauged-row memo, and under what, off `_cells` and names, not off the
 library's key.  `bruhat_poset` reads the poset text that
-`scripts/bruhat.py` writes.
+`scripts/bruhat.py` writes.  `poset_census` lists every poset on n
+elements up to isomorphism, by adding a maximal element over each
+down-set of the smaller ones, and `all_matchings` every matching of a
+poset's covers.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain, groupby, permutations, product
 from pathlib import Path
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from posetmorse import (
     ChainComplex,
@@ -791,6 +796,64 @@ def ungraded_poset(rng: XorShift64Star, size: int) -> Poset:
     elements = [f"u{i}" for i in range(size)]
     return build_poset(elements, [(elements[i], elements[j]) for i in range(size)
                                   for j in range(i + 1, size) if rng.chance(1, 4)])
+
+
+def _canonical_relation(n: int, relation) -> tuple[tuple[int, int], ...]:
+    """The least sorted relation over the relabellings of 0..n-1 that keep
+    the labels ordered by (down-set size, up-set size).  That key is an
+    invariant, so isomorphic posets get the same form."""
+    down, up = [0] * n, [0] * n
+    for a, b in relation:
+        down[b] += 1
+        up[a] += 1
+    key = list(zip(down, up))
+    groups = [tuple(g) for _, g in groupby(sorted(range(n), key=key.__getitem__),
+                                           key=key.__getitem__)]
+    return min(tuple(sorted((place[a], place[b]) for a, b in relation))
+               for place in ({e: i for i, e in enumerate(chain.from_iterable(choice))}
+                             for choice in product(*map(permutations, groups))))
+
+
+@functools.cache
+def poset_census(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every poset on n >= 1 elements up to isomorphism, each as the
+    canonical form of its order on the labels 0..n-1, the pairs (a, b)
+    with a < b.  Removing a maximal element leaves a poset on n - 1
+    elements, so each is one of those with a maximal element added over
+    one of its down-sets."""
+    if n == 1:
+        return ((),)
+    found = set()
+    for relation in poset_census(n - 1):
+        below = [0] * (n - 1)
+        for a, b in relation:
+            below[b] |= 1 << a
+        for down_set in range(1 << (n - 1)):
+            if all(below[i] & ~down_set == 0 for i in range(n - 1) if down_set >> i & 1):
+                top = tuple((i, n - 1) for i in range(n - 1) if down_set >> i & 1)
+                found.add(_canonical_relation(n, relation + top))
+    return tuple(sorted(found))
+
+
+def census_poset(n: int, relation) -> Poset:
+    """The census poset of `relation` on the names a, b, ..., declared
+    from the last label to the first, so mostly against height order."""
+    names = [chr(ord("a") + i) for i in range(n)]
+    return build_poset(names[::-1], [(names[a], names[b]) for a, b in relation])
+
+
+def all_matchings(poset: Poset) -> Iterator[Matching]:
+    """Every matching of the poset's covers, the empty one first."""
+    covers = sorted(poset.covers)
+
+    def extend(start: int, used: frozenset[str], pairs: list[tuple[str, str]]):
+        yield Matching(frozenset(pairs))
+        for i in range(start, len(covers)):
+            w, x = covers[i]
+            if w not in used and x not in used:
+                yield from extend(i + 1, used | {w, x}, pairs + [covers[i]])
+
+    return extend(0, frozenset(), [])
 
 
 def maximal_elements(poset: Poset) -> tuple[str, ...]:

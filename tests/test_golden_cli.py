@@ -41,6 +41,8 @@ SPACES = {
     # not cellular: a cone, a degree-1 element over three points, a torsion
     # down-set decided by excision and a non-maximal element's mapping cone
     "noncellular_rp2": ["--input", "data/noncellular_rp2_poset.txt", "--kind", "poset"],
+    # the 2-complex of the word aaa, with torsion Z/3 in H_1
+    "moore_z3": ["--input", "data/moore_z3.txt", "--kind", "simplicial"],
 }
 MATCHINGS = {
     "t3_m1": ("t3", "data/t3_matching_m1.txt"),
@@ -48,6 +50,7 @@ MATCHINGS = {
     "mobius_ring": ("mobius", "data/mobius_ring_matching.txt"),
     "rp2_star": ("rp2", "data/rp2_star5_matching.txt"),
     "sphere6_cone": ("sphere6", "data/boundary_6simplex_cone_matching.txt"),
+    "moore_z3_orbits": ("moore_z3", "data/moore_z3_matching.txt"),
 }
 
 

@@ -59,13 +59,12 @@ def assert_same(poset: Poset, oracle: NameKeyedPoset) -> None:
         assert poset.induced(some).chains() == oracle.induced(some).chains()
 
 
-def _fixture_texts():
-    for path in sorted(DATA.glob("*.txt")):
-        if "matching" not in path.name:
-            yield path.name, path.read_text()
+FIXTURES = {path.name: path.read_text() for path in sorted(DATA.glob("*.txt"))
+            if "matching" not in path.name}
 
 
-@pytest.mark.parametrize("name,text", list(_fixture_texts()))
+# each case is named by its file, not its text
+@pytest.mark.parametrize("name,text", list(FIXTURES.items()), ids=list(FIXTURES))
 def test_fixtures_and_their_documents(name, text):
     if "poset" in name:
         poset, reduced = load_poset(text)
