@@ -9,22 +9,26 @@ theorem check walks that list.
 
 On a graded poset an arc up is always followed by an arc down (a matched
 upper element has no match above), so a closed walk alternates between
-matched lower elements and their partners in two adjacent degrees p and
-p+1, and the class's index is p.  The orbit classes are therefore read
-off the band graph alone: its nodes are the matched lower elements, with
-an arc w -> v for each lower cover v != w of w's partner that is itself
-matched upward, and each nontrivial strongly connected component (Tarjan,
-SIAM J. Comput. 1, 1972), with its partners, is one orbit class.  On an
-ungraded poset a closed walk can pass an unmatched element or span three
-heights, so the dynamics raise `NotGraded` there.
+matched lower elements and their partners in degrees p and p+1, and the
+class's index is p.  The classes are read off the band graph alone: its
+nodes are the matched lower elements, with an arc w -> v for each lower
+cover v != w of w's partner that is matched upward, and each nontrivial
+strongly connected component (Tarjan, SIAM J. Comput. 1, 1972), with its
+partners, is one orbit class.  Inside a class a lower element's one arc
+goes up to its partner, whose arcs go down to the lower element's band
+successors there, so the class is a prime orbit, one simple cycle,
+exactly when each of its lower elements has one band successor in it.
+On an ungraded poset a closed walk can pass an unmatched element or span
+three heights, so the dynamics raise `NotGraded` there.
 
-`_recurrence` builds, once per matching, the pairs as two id arrays and
-the classes as lists of ids; basic sets, orbits, integration and
-`morse.require_morse_bott` read them.  The arcs of the matched digraph
-are listed only where they are read, one element at a time and in
-declared order (`_arcs_from`), and names are made only for public results
-(`matched_digraph` is the name view).  Declared order, not id order,
-fixes the order of what reaches output.
+`_recurrence` records, once per matching, the pairs as two id arrays and
+each class as the band pass finds it: its members in declared order, its
+index and its cycle or None, the classes ordered by first declared
+member.  Basic sets, orbits and the Morse-Smale verdict only name these
+records.  Arcs of the matched digraph are listed, in declared order
+(`_arcs_from`), only where an arc is named: `matched_digraph` and
+`morse.require_morse_bott`.  Declared order, not id order, fixes the
+order of what reaches output.
 """
 
 from __future__ import annotations
@@ -144,19 +148,46 @@ def _arcs_from(poset: Poset, up: list[int], down: list[int], e: int) -> list[int
     return targets
 
 
-def _orbit_classes(lower: list[tuple[int, ...]], up: list[int]) -> list[list[int]]:
-    """The orbit classes of a matching on a graded poset, as lists of ids:
-    each nontrivial strongly connected component of the band graph, its
-    lower ids then their partners.  The band graph's nodes are the ids
-    matched upward, and w points to each lower cover v != w of `up[w]`
-    that is matched upward too."""
+class _Orbits(NamedTuple):
+    """One orbit class on ids: its members in declared order, its index
+    (the degree of its lower ids), and its cycle from its least lower id,
+    lower ids and partners alternating, or None if it is not one."""
+
+    members: list[int]
+    index: int
+    cycle: tuple[int, ...] | None
+
+
+def _orbit_classes(poset: Poset, up: list[int]) -> list[_Orbits]:
+    """The orbit classes of a matching on a graded poset, in the order of
+    their first declared members: each nontrivial strongly connected
+    component of the band graph, with the partners.  The band graph's
+    nodes are the ids matched upward, and w points to each lower cover
+    v != w of `up[w]` that is matched upward too."""
     band = [w for w, x in enumerate(up) if x >= 0]
     at = [-1] * len(up)
     for k, w in enumerate(band):
         at[w] = k
-    successors = [[at[v] for v in lower[up[w]] if at[v] >= 0 and v != w] for w in band]
-    return [[band[k] for k in comp] + [up[band[k]] for k in comp]
-            for comp in _strongly_connected_components(successors) if len(comp) > 1]
+    successors = [[at[v] for v in poset._lower[up[w]] if at[v] >= 0 and v != w] for w in band]
+    found = {}
+    for comp in _strongly_connected_components(successors):
+        if len(comp) < 2:
+            continue
+        inside = set(comp)
+        step = {k: [s for s in successors[k] if s in inside] for k in comp}
+        cycle = None
+        if all(len(s) == 1 for s in step.values()):
+            # a strongly connected digraph with one arc out of each node is one cycle;
+            # band nodes come in id order, and the ids of one degree in declared order
+            cycle, k = [], min(comp)
+            for _ in comp:
+                cycle += (band[k], up[band[k]])
+                k = step[k][0]
+            cycle = tuple(cycle)
+        lower = [band[k] for k in comp]
+        members = poset._by_declared(lower + [up[w] for w in lower])
+        found[members[0]] = _Orbits(members, poset._height[lower[0]], cycle)
+    return [found[first] for first in poset._by_declared(found)]
 
 
 def _strongly_connected_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -238,19 +269,19 @@ class BasicSetDecomposition(NamedTuple):
 
 class _Recurrence:
     """One matching's pairs on ids, `up` and `down` from `_pair_ids`, its
-    orbit classes as lists of ids, each id's class named by the class's
-    first id (an id in no class names itself), and the basic sets and
-    Morse-Smale verdict once asked for."""
+    orbit classes from `_orbit_classes`, each id's class named by the
+    class's first declared member (an id in no class names itself), and
+    the basic sets and Morse-Smale verdict once asked for."""
 
     __slots__ = ("matching", "up", "down", "classes", "component", "decomposition", "verdict")
 
     def __init__(self, matching: Matching, up: list[int], down: list[int],
-                 classes: list[list[int]]):
+                 classes: list[_Orbits]):
         self.matching, self.up, self.down, self.classes = matching, up, down, classes
         self.component = component = list(range(len(up)))
         for cls in classes:
-            for e in cls:
-                component[e] = cls[0]
+            for e in cls.members:
+                component[e] = cls.members[0]
         self.decomposition: BasicSetDecomposition | None = None
         self.verdict: MorseSmaleVerdict | None = None
 
@@ -266,7 +297,7 @@ def _recurrence(poset: Poset, matching: Matching) -> _Recurrence:
     cached = poset.analysis_cache.get("recurrence")
     if cached is None or cached.matching != matching:
         up, down = _pair_ids(poset, matching)
-        cached = _Recurrence(matching, up, down, _orbit_classes(poset._lower, up))
+        cached = _Recurrence(matching, up, down, _orbit_classes(poset, up))
         poset.analysis_cache["recurrence"] = cached
     return cached
 
@@ -278,14 +309,9 @@ def basic_sets(poset: Poset, matching: Matching) -> BasicSetDecomposition:
         return record.decomposition
     matched = matching.matched_elements()
     critical = tuple(e for e in poset.elements if e not in matched)
-    names, degrees = poset._names, poset._height
-    # each orbit class under its first id in declared order; its index is
-    # the degree of its lower ids, which come first
-    found: dict[int, OrbitClass] = {}
-    for cls in record.classes:
-        ids = poset._by_declared(cls)
-        found[ids[0]] = OrbitClass(elements=tuple([names[e] for e in ids]), index=degrees[cls[0]])
-    orbit_classes = [found[first] for first in poset._by_declared(found)]
+    names = poset._names
+    orbit_classes = [OrbitClass(tuple([names[e] for e in cls.members]), cls.index)
+                     for cls in record.classes]
     classes = tuple((e,) for e in critical) + tuple(c.elements for c in orbit_classes)
     recurrent = frozenset(e for members in classes for e in members)
     transient = tuple(e for e in poset.elements if e not in recurrent)
@@ -320,10 +346,7 @@ class ClosedOrbit(NamedTuple):
     def steps(self) -> tuple[tuple[str, str, str], ...]:
         """Triples (x_i, y_i, x_{i+1}) around the orbit."""
         n = self.nodes
-        out = []
-        for i in range(0, len(n), 2):
-            out.append((n[i], n[i + 1], n[(i + 2) % len(n)]))
-        return tuple(out)
+        return tuple((n[i], n[i + 1], n[(i + 2) % len(n)]) for i in range(0, len(n), 2))
 
 
 class MorseSmaleVerdict(NamedTuple):
@@ -332,44 +355,21 @@ class MorseSmaleVerdict(NamedTuple):
     offender: str | None = None
 
 
-def _orbit_from_component(poset: Poset, record: _Recurrence,
-                          comp: list[int], index: int) -> ClosedOrbit | None:
-    """The component, a list of ids, as a simple cycle, or None."""
-    members = set(comp)
-    inner_succ = {}
-    for e in comp:
-        inside = [s for s in _arcs_from(poset, record.up, record.down, e) if s in members]
-        if len(inside) != 1:
-            return None
-        inner_succ[e] = inside[0]
-    # the ids of one degree run in declared order: the least is the first declared
-    start = min(e for e in comp if poset._height[e] == index)
-    nodes = [start]
-    cur = inner_succ[start]
-    while cur != start:
-        nodes.append(cur)
-        cur = inner_succ[cur]
-    if len(nodes) != len(comp):
-        return None
-    return ClosedOrbit(tuple([poset._names[e] for e in nodes]), index)
-
-
 def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
-    """Morse-Smale: every nontrivial component is one simple cycle, i.e.
-    the recurrent set is critical points plus disjoint prime orbits.  The
-    verdict is kept with the matching's recurrence record."""
+    """Morse-Smale: every orbit class is one simple cycle, i.e. the
+    recurrent set is critical points plus disjoint prime orbits, named off
+    the recorded cycles; the offender is the first declared member of the
+    first class that is not one.  The verdict is kept with the matching's
+    recurrence record."""
     require_admissible(poset)
     record = _recurrence(poset, matching)
     if record.verdict is None:
-        orbits, ident = [], poset._id
-        for cls in basic_sets(poset, matching).orbit_classes:
-            comp = [ident[e] for e in cls.elements]
-            orbit = _orbit_from_component(poset, record, comp, cls.index)
-            if orbit is None:
-                record.verdict = MorseSmaleVerdict(False, (), offender=cls.elements[0])
-                return record.verdict
-            orbits.append(orbit)
-        record.verdict = MorseSmaleVerdict(True, tuple(orbits))
+        names = poset._names
+        broken = [cls.members[0] for cls in record.classes if cls.cycle is None]
+        record.verdict = (
+            MorseSmaleVerdict(False, (), offender=names[broken[0]]) if broken else
+            MorseSmaleVerdict(True, tuple(ClosedOrbit(tuple([names[e] for e in cls.cycle]), cls.index)
+                                          for cls in record.classes)))
     return record.verdict
 
 
@@ -402,15 +402,11 @@ def perturb_to_morse(poset: Poset, matching: Matching) -> tuple[Matching, tuple[
     downward arcs out of its band, so no closed walk survives.  Critical
     counts satisfy m*_p = c_p + A_p + A_{p-1}.
     """
-    orbits = prime_orbits(poset, matching)
-    removed = []
-    for orbit in orbits:
-        x0, y0 = orbit.nodes[0], orbit.nodes[1]
-        removed.append((x0, y0))
+    removed = tuple(orbit.nodes[:2] for orbit in prime_orbits(poset, matching))
     perturbed = matching.without(frozenset(removed))
     if not is_morse_matching(poset, perturbed):
         raise ConsistencyError("perturbed matching is not acyclic; this is a bug")
-    return perturbed, tuple(removed)
+    return perturbed, removed
 
 
 def critical_counts(poset: Poset, matching: Matching) -> dict[int, int]:

@@ -152,20 +152,17 @@ def integrate_matching(poset: Poset, matching: Matching) -> MorseBottFunction:
     record = _recurrence(poset, matching)
     up, down, component, lower = record.up, record.down, record.component, poset._lower
     n = len(poset)
-    declared = poset._declared or range(n)
-    key = list(declared)
+    # a class is named by its first declared member, whose declared index is its key
+    key = poset._declared or range(n)
     # an id's in-arcs come from its upper covers but its match above, and from its match below
     indeg = [len(ups) - (u >= 0) + (d >= 0) for ups, u, d in zip(poset._upper, up, down)]
-    members: dict[int, list[int]] = {}
-    for cls in record.classes:
-        c = cls[0]
-        members[c] = cls
-        key[c] = min(map(declared.__getitem__, cls))
+    members = {cls.members[0]: cls.members for cls in record.classes}
+    for c, cls in members.items():
         # less the arcs inside the class: each lower id's arc up, and the arcs down between members
         inside = sum(component[v] == c and v != down[x] for x in cls if down[x] >= 0
                      for v in lower[x])
         indeg[c] = sum(map(indeg.__getitem__, cls)) - len(cls) // 2 - inside
-    nodes = n - sum(len(cls) - 1 for cls in record.classes)
+    nodes = n - sum(len(cls) - 1 for cls in members.values())
     ready = [(key[c], c) for c in range(n) if component[c] == c and not indeg[c]]
     heapq.heapify(ready)
     rank = [0] * n

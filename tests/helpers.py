@@ -82,7 +82,7 @@ from posetmorse.cellular import (
     sphere_generator,
 )
 from posetmorse.category import LSReport, ls_theorem_check
-from posetmorse.dynamics import MatchedDigraph, critical_counts, is_morse_matching
+from posetmorse.dynamics import MatchedDigraph, _recurrence, critical_counts, is_morse_matching
 from posetmorse.errors import (
     ConsistencyError,
     CycleDetected,
@@ -1770,6 +1770,15 @@ def name_keyed_dynamics(poset: Poset, matching: Matching) -> NameKeyedDynamics:
         values={e: rank[component[e]] for e in poset.elements},
         component=component,
     )
+
+
+def recorded_cycles(poset: Poset, matching: Matching) -> tuple[tuple[str, ...] | None, ...]:
+    """The cycle the library records for each orbit class, named, or None
+    where the class is not one simple cycle: what `name_keyed_dynamics`
+    gives as `cycles`, on any graded poset, admissible or not."""
+    names = poset._names
+    return tuple(None if cls.cycle is None else tuple([names[e] for e in cls.cycle])
+                 for cls in _recurrence(poset, matching).classes)
 
 
 def name_keyed_first_rejection(dynamics: NameKeyedDynamics, matching: Matching,

@@ -26,7 +26,6 @@ from posetmorse import (
     strong_morse_bott,
 )
 from posetmorse.cellular import is_admissible
-from posetmorse.dynamics import _orbit_from_component, _recurrence
 
 from helpers import (
     all_matchings,
@@ -34,6 +33,7 @@ from helpers import (
     name_keyed_dynamics,
     order_complex_pair_homology,
     poset_census,
+    recorded_cycles,
 )
 
 SIZES = range(1, 8)
@@ -80,10 +80,8 @@ def test_every_matching_of_every_graded_poset_is_the_oracles(n):
             dec = basic_sets(poset, matching)
             assert dec.critical == oracle.critical
             assert tuple((c.elements, c.index) for c in dec.orbit_classes) == oracle.orbit_classes
-            record, ident = _recurrence(poset, matching), poset._id
-            cycles = [_orbit_from_component(poset, record, [ident[e] for e in c.elements], c.index)
-                      for c in dec.orbit_classes]
-            assert tuple(None if c is None else c.nodes for c in cycles) == oracle.cycles
+            cycles = recorded_cycles(poset, matching)
+            assert cycles == oracle.cycles
             totals[3] += len(cycles)
             totals[4] += sum(c is not None for c in cycles)
             function = integrate_matching(poset, matching)

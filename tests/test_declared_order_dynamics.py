@@ -1,10 +1,11 @@
 """The dynamics run on the poset's ids, which come in height order, while
 declared order fixes what reaches output.  On poset texts whose order of
 first mention is not height order, the basic sets, the orbit classes and
-where each orbit starts, the integrated values, `matched_digraph` and the
-first `NotMorseBott` message equal those read off the name-keyed matched
-digraph and its Tarjan over the whole poset (`helpers.name_keyed_dynamics`),
-while the library finds the orbit classes on the band graph alone."""
+the cycle of each (where each orbit starts), the integrated values,
+`matched_digraph` and the first `NotMorseBott` message equal those read
+off the name-keyed matched digraph and its Tarjan over the whole poset
+(`helpers.name_keyed_dynamics`), while the library finds the orbit classes
+and their cycles on the band graph alone."""
 
 from pathlib import Path
 
@@ -21,13 +22,17 @@ from posetmorse import (
     subdivision,
 )
 from posetmorse.cellular import is_admissible
-from posetmorse.dynamics import _orbit_from_component, _recurrence
 from posetmorse.errors import NotMorseBott
 from posetmorse.formats import load_complex, load_poset, parse_matching_text, serialize_poset
 from posetmorse.morse import require_morse_bott
 from posetmorse.randgen import XorShift64Star, random_graded_poset, random_matching
 
-from helpers import find_morse_smale_matching, name_keyed_dynamics, name_keyed_first_rejection
+from helpers import (
+    find_morse_smale_matching,
+    name_keyed_dynamics,
+    name_keyed_first_rejection,
+    recorded_cycles,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -129,11 +134,9 @@ def _agrees_with_the_oracle(rng: XorShift64Star, poset, matching, messages: dict
             first = oracle.cycles.index(None)
             assert verdict.offender == oracle.orbit_classes[first][0][0]
     else:
-        # the Morse-Smale verdict needs an admissible poset; its cycles do not
-        record, ident = _recurrence(poset, matching), poset._id
-        cycles = [_orbit_from_component(poset, record, [ident[e] for e in c.elements], c.index)
-                  for c in dec.orbit_classes]
-        assert tuple(None if c is None else c.nodes for c in cycles) == oracle.cycles
+        # the Morse-Smale verdict needs an admissible poset; the recorded cycles do not
+        cycles = recorded_cycles(poset, matching)
+        assert cycles == oracle.cycles
         orbits = sum(c is not None for c in cycles)
     function = integrate_matching(poset, matching)
     assert list(function.values.items()) == list(oracle.values.items())
