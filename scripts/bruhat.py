@@ -13,6 +13,14 @@ a value between those two.  The lines list each cover u < v, ordered by
 the length of v, then by v, then by u.  N runs from 3 to 9, where the
 one-line names stay single digits; S_6 has 718 elements and S_7 5038.
 
+Left multiplication by the simple reflection s1, which swaps the values
+1 and 2, is a special matching of the Bruhat order (Brenti, Caselli and
+Marietti, Adv. Math. 202, 2006).  Without e and w0 it is a Morse
+matching whose critical elements are s1 = 21... and s1 w0, two cells on
+the sphere: the Lusternik-Schnirelmann bound's equality case.
+`special_matching_lines` gives its matching text; the script prints the
+poset text only.
+
     PYTHONPATH=src python scripts/bruhat.py 6 > bruhat6.txt
 """
 
@@ -21,15 +29,24 @@ import sys
 from itertools import permutations
 
 
+def _lengths(n: int) -> dict[tuple[int, ...], int]:
+    """Each permutation of S_n in one-line notation with its length, its
+    number of inversions."""
+    if not 3 <= n <= 9:
+        raise ValueError(f"N runs from 3 to 9, not {n}")
+    return {u: sum(a > b for i, a in enumerate(u) for b in u[i + 1:])
+            for u in permutations(range(1, n + 1))}
+
+
+def _name(u: tuple[int, ...]) -> str:
+    return "".join(map(str, u))
+
+
 def bruhat_lines(n: int) -> list[str]:
     """The lines of the poset text of the Bruhat order of S_n without e
     and w0, each cover u < v with its newline."""
-    if not 3 <= n <= 9:
-        raise ValueError(f"N runs from 3 to 9, not {n}")
+    length = _lengths(n)
     bottom, top = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
-    # the length of a permutation is its number of inversions
-    length = {u: sum(a > b for i, a in enumerate(u) for b in u[i + 1:])
-              for u in permutations(bottom)}
     lower: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for u in length:
         if u == bottom:
@@ -40,9 +57,24 @@ def bruhat_lines(n: int) -> list[str]:
                     v = (*u[:i], u[j], *u[i + 1:j], u[i], *u[j + 1:])
                     if v != top:
                         lower.setdefault(v, []).append(u)
-    name = "".join
-    return [f"{name(map(str, u))} < {name(map(str, v))}\n"
+    return [f"{_name(u)} < {_name(v)}\n"
             for v in sorted(lower, key=lambda v: (length[v], v)) for u in sorted(lower[v])]
+
+
+def special_matching_lines(n: int) -> list[str]:
+    """The lines of the matching text of x <-> s1 x on the Bruhat order of
+    S_n without e and w0, each pair `u v` with its newline, u = s1 v the
+    shorter, ordered by the length of u, then by u.  s1 x has the values
+    1 and 2 of x swapped, and covers x when 1 comes before 2 in x.  The
+    partners of e and w0 are left unmatched."""
+    length = _lengths(n)
+    top = tuple(range(n, 0, -1))
+    pairs = []
+    for u in sorted(length, key=lambda u: (length[u], u)):
+        v = tuple(3 - a if a <= 2 else a for a in u)
+        if 0 < length[u] < length[v] and v != top:
+            pairs.append(f"{_name(u)} {_name(v)}\n")
+    return pairs
 
 
 def main():

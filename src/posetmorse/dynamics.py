@@ -148,7 +148,7 @@ def _arcs_from(poset: Poset, up: list[int], down: list[int], e: int) -> list[int
     return targets
 
 
-class _Orbits(NamedTuple):
+class _OrbitRecord(NamedTuple):
     """One orbit class on ids: its members in declared order, its index
     (the degree of its lower ids), and its cycle from its least lower id,
     lower ids and partners alternating, or None if it is not one."""
@@ -158,7 +158,7 @@ class _Orbits(NamedTuple):
     cycle: tuple[int, ...] | None
 
 
-def _orbit_classes(poset: Poset, up: list[int]) -> list[_Orbits]:
+def _orbit_classes(poset: Poset, up: list[int]) -> list[_OrbitRecord]:
     """The orbit classes of a matching on a graded poset, in the order of
     their first declared members: each nontrivial strongly connected
     component of the band graph, with the partners.  The band graph's
@@ -175,18 +175,17 @@ def _orbit_classes(poset: Poset, up: list[int]) -> list[_Orbits]:
             continue
         inside = set(comp)
         step = {k: [s for s in successors[k] if s in inside] for k in comp}
-        cycle = None
+        cycle = []
         if all(len(s) == 1 for s in step.values()):
             # a strongly connected digraph with one arc out of each node is one cycle;
             # band nodes come in id order, and the ids of one degree in declared order
-            cycle, k = [], min(comp)
+            k = min(comp)
             for _ in comp:
                 cycle += (band[k], up[band[k]])
                 k = step[k][0]
-            cycle = tuple(cycle)
         lower = [band[k] for k in comp]
         members = poset._by_declared(lower + [up[w] for w in lower])
-        found[members[0]] = _Orbits(members, poset._height[lower[0]], cycle)
+        found[members[0]] = _OrbitRecord(members, poset._height[lower[0]], tuple(cycle) or None)
     return [found[first] for first in poset._by_declared(found)]
 
 
@@ -276,7 +275,7 @@ class _Recurrence:
     __slots__ = ("matching", "up", "down", "classes", "component", "decomposition", "verdict")
 
     def __init__(self, matching: Matching, up: list[int], down: list[int],
-                 classes: list[_Orbits]):
+                 classes: list[_OrbitRecord]):
         self.matching, self.up, self.down, self.classes = matching, up, down, classes
         self.component = component = list(range(len(up)))
         for cls in classes:
@@ -346,7 +345,10 @@ class ClosedOrbit(NamedTuple):
     def steps(self) -> tuple[tuple[str, str, str], ...]:
         """Triples (x_i, y_i, x_{i+1}) around the orbit."""
         n = self.nodes
-        return tuple((n[i], n[i + 1], n[(i + 2) % len(n)]) for i in range(0, len(n), 2))
+        out = []
+        for i in range(0, len(n), 2):
+            out.append((n[i], n[i + 1], n[(i + 2) % len(n)]))
+        return tuple(out)
 
 
 class MorseSmaleVerdict(NamedTuple):
@@ -366,10 +368,11 @@ def is_morse_smale(poset: Poset, matching: Matching) -> MorseSmaleVerdict:
     if record.verdict is None:
         names = poset._names
         broken = [cls.members[0] for cls in record.classes if cls.cycle is None]
-        record.verdict = (
-            MorseSmaleVerdict(False, (), offender=names[broken[0]]) if broken else
-            MorseSmaleVerdict(True, tuple(ClosedOrbit(tuple([names[e] for e in cls.cycle]), cls.index)
-                                          for cls in record.classes)))
+        if broken:
+            record.verdict = MorseSmaleVerdict(False, (), offender=names[broken[0]])
+        else:
+            record.verdict = MorseSmaleVerdict(True, tuple(
+                ClosedOrbit(tuple([names[e] for e in cls.cycle]), cls.index) for cls in record.classes))
     return record.verdict
 
 
